@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import channel_project
+
 __all__ = [
     "Var", "constant", "backward", "grad_of",
     "log1p_v", "sqrt_v", "square_v", "relu_v",
@@ -141,11 +143,11 @@ def csq_project(pre: Var, pim: Var, h: np.ndarray) -> Var:
     ``h`` is a constant complex (n_draws, n_tx, n_users) stack; ``pre`` and
     ``pim`` carry the real and imaginary parts of the (n_tx, n_streams)
     precoder. Returns |h_k^(m)H p_s|^2 shaped (n_draws, n_users, n_streams).
-    The complex arithmetic is fused here so the tape stays real.
+    The complex arithmetic is fused here so the tape stays real. The
+    forward pass is the package's one projection,
+    :func:`rsmeta.linalg.channel_project`.
     """
-    p = pre.value + 1j * pim.value
-    z = np.einsum("mik,is->mks", np.conj(h), p)
-    val = z.real ** 2 + z.imag ** 2
+    val, z, _ = channel_project(h, pre.value + 1j * pim.value)
 
     def vjp(g):
         v = np.einsum("mik,mks->is", h, (2.0 * g) * z)

@@ -21,18 +21,15 @@ import numpy as np
 
 from .adam import AdamState, adam_step
 from .channel import ChannelEnsemble, OneRingModel
-from .gradients import grad_wrt_precoder, loss_from_view, project_view, \
-    precoder_to_view, view_length, view_to_precoder
+from .gradients import asr_from_powers, grad_wrt_precoder, loss_from_view, \
+    project_view, precoder_to_view, view_length, view_to_precoder
 from .layout import StreamLayout
-from .linalg import herm_eig, svd_dominant
+from .linalg import channel_project, herm_eig, svd_dominant
 from .metaopt import RunResult, init_precoder
 from .rates import PrecoderMatrix
 
 __all__ = ["PowerSplit", "power_split_grid", "run_direct_adam",
            "FixedDirectionResult", "run_fixed_direction"]
-
-_LN2 = float(np.log(2.0))
-
 
 # ---------------------------------------------------------------------------
 # direct Adam on the precoder
@@ -122,29 +119,6 @@ def power_split_grid(step: float = 0.05, with_group: bool = True):
     return grid
 
 
-def _asr_of_powers(powers: np.ndarray, layout: StreamLayout,
-                   noise: float) -> float:
-    """Averaged sum rate from precomputed |h^H p|^2 values (m, k, streams)."""
-    g = layout.n_groups
-    k = layout.n_users
-    rows = np.arange(k)
-    t_com = powers[:, :, 0]
-    t_grp = np.sum(powers[:, :, 1:1 + g], axis=2)
-    t_prv = np.sum(powers[:, :, 1 + g:], axis=2)
-    den_c = t_grp + t_prv + noise
-    own_g = powers[:, rows, 1 + np.asarray(layout.group_of)]
-    den_g = den_c - own_g
-    own_p = powers[:, rows, 1 + g + rows]
-    den_p = den_g - own_p
-    rc = np.mean(np.log1p(t_com / den_c) * (1.0 / _LN2), axis=0)
-    rg = np.mean(np.log1p(own_g / den_g) * (1.0 / _LN2), axis=0)
-    rp = np.mean(np.log1p(own_p / den_p) * (1.0 / _LN2), axis=0)
-    asr = float(np.min(rc)) + float(np.sum(rp))
-    for gi in range(g):
-        asr += float(np.min(rg[np.asarray(layout.group_members(gi))]))
-    return asr
-
-
 @dataclass
 class FixedDirectionResult:
     best_asr: float
@@ -202,8 +176,7 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
             dirs[:, layout.col_private(k)] = d / nrm
 
     # unit-direction gains once; each split only rescales them
-    z = np.einsum("mik,is->mks", np.conj(ens.realizations), dirs)
-    unit_gain = z.real ** 2 + z.imag ** 2
+    unit_gain, _, _ = channel_project(ens.realizations, dirs)
 
     best_asr = -np.inf
     best_split = None
@@ -213,8 +186,8 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
         w[0] = split.common * p_t
         w[1:1 + n_grp] = split.group * p_t / n_grp
         w[1 + n_grp:] = split.private * p_t / n_usr
-        asr = _asr_of_powers(unit_gain * w[None, None, :], layout,
-                             ens.noise_power)
+        asr = asr_from_powers(unit_gain * w[None, None, :], layout,
+                              ens.noise_power)
         n_eval += 1
         if asr > best_asr:
             best_asr = asr

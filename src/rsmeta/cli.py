@@ -41,7 +41,7 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.out_dir:
         cfg.out_dir = args.out_dir
-    if args.threads:
+    if args.threads is not None:
         cfg.n_threads = args.threads
     result = run_sweep(cfg)
     paths = write_reports(result)
@@ -111,7 +111,7 @@ def _cmd_demo(args, builder) -> int:
     cfg = builder(args.quick)
     if args.out_dir:
         cfg.out_dir = args.out_dir
-    if args.threads:
+    if args.threads is not None:
         cfg.n_threads = args.threads
     result = run_sweep(cfg)
     paths = write_reports(result)

@@ -3,9 +3,18 @@
 Two gradients drive everything downstream:
 
 * the gradient of the averaged-rate loss with respect to the precoder,
-  taken in a flattened real view of the active columns; and
+  taken in a flattened real view of the active columns. It is closed form
+  (:func:`grad_wrt_precoder`): a hand-written backward pass through each
+  layer's averaged ``log2(1 + num/den)`` and the minima, then one matrix
+  product back to the precoder; and
 * the gradient of the same loss, evaluated at the network-proposed and
-  power-projected candidate, with respect to the network parameters.
+  power-projected candidate, with respect to the network parameters. It
+  runs on the reverse-mode tape of :mod:`rsmeta.autodiff`
+  (:func:`grad_wrt_theta`).
+
+Both paths, and the plain loss, get |h^H p|^2 from the one projection
+:func:`rsmeta.linalg.channel_project` and compute the rates in the same
+operation order, so equal precoders give bit-equal losses on every path.
 
 The view convention is fixed package-wide: active columns only, column by
 column, real and imaginary parts interleaved (even slots real, odd slots
@@ -27,12 +36,13 @@ from .autodiff import (Var, affine, backward, constant, csq_project,
                        take_last, transpose2d, vmean, vsum)
 from .channel import ChannelEnsemble, IidCsitModel
 from .layout import StreamLayout
-from .linalg import RngStream, gaussian_matrix
+from .linalg import RngStream, channel_project, gaussian_matrix
 from .network import MetaNetParams, init_meta_net, mlp_forward
 from .rates import PrecoderMatrix
 
 __all__ = ["view_length", "precoder_to_view", "view_to_precoder",
            "loss_from_view", "candidate_view", "project_view",
+           "rates_from_powers", "asr_from_powers",
            "grad_wrt_precoder", "grad_wrt_theta",
            "finite_diff_check", "gradcheck_suite"]
 
@@ -95,64 +105,159 @@ def project_view(v: np.ndarray, p_t: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# plain evaluation path (mirrors the recorded path operation for operation)
+# plain evaluation path and the closed-form precoder gradient
 # ---------------------------------------------------------------------------
 
-def _avg_rate_arrays(mat_act: np.ndarray, ens: ChannelEnsemble,
-                     layout: StreamLayout):
-    """Averaged per-user rates (common, group or None, private) for the
-    active-column matrix. Same arithmetic order as the recorded path."""
-    h = ens.realizations
-    z = np.einsum("mik,is->mks", np.conj(h), mat_act)
-    powers = z.real ** 2 + z.imag ** 2
+def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float):
+    """SINR numerators and denominators, ``(num, den)`` per layer, from the
+    |h^H p|^2 of the active columns: (common, group or None, private).
+
+    Same arithmetic order as the recorded path, so losses agree bit for bit.
+    """
     k = layout.n_users
     g = layout.n_groups
-    hier = layout.mode == "hierarchical"
     rows = np.arange(k)
-    if hier:
+    # gathered, not sliced, columns: numpy sums a contiguous gather and a
+    # strided slice of 8 or more columns in different orders
+    t_com = np.sum(powers[:, :, [0]], axis=2)
+    if layout.mode == "hierarchical":
         prv_cols = np.arange(1 + g, 1 + g + k)
-        t_grp = np.sum(powers[:, :, 1:1 + g], axis=2)
-        t_prv = np.sum(powers[:, :, 1 + g:1 + g + k], axis=2)
-        den_c = t_grp + t_prv + ens.noise_power
+        t_grp = np.sum(powers[:, :, np.arange(1, 1 + g)], axis=2)
+        t_prv = np.sum(powers[:, :, prv_cols], axis=2)
+        den_c = t_grp + t_prv + noise
         own_g = powers[:, rows, 1 + np.asarray(layout.group_of)]
         den_g = den_c - own_g
+        grp = (own_g, den_g)
     else:
         prv_cols = np.arange(1, 1 + k)
-        t_prv = np.sum(powers[:, :, 1:1 + k], axis=2)
-        den_c = t_prv + ens.noise_power
+        t_prv = np.sum(powers[:, :, prv_cols], axis=2)
+        den_c = t_prv + noise
+        den_g = den_c
+        grp = None
     own_p = powers[:, rows, prv_cols]
-    t_com = np.sum(powers[:, :, 0:1], axis=2)
-    sinr_c = t_com / den_c
-    rc = np.mean(np.log1p(sinr_c) * (1.0 / _LN2), axis=0)
-    if hier:
-        sinr_g = own_g / den_g
-        den_p = den_g - own_p
-        rg = np.mean(np.log1p(sinr_g) * (1.0 / _LN2), axis=0)
-    else:
-        den_p = den_c - own_p
-        rg = None
-    sinr_p = own_p / den_p
-    rp = np.mean(np.log1p(sinr_p) * (1.0 / _LN2), axis=0)
-    return rc, rg, rp
+    return (t_com, den_c), grp, (own_p, den_g - own_p)
 
 
-def _softmin(x: np.ndarray, temperature: float) -> float:
-    m0 = np.min(x)
-    return float(m0 - temperature * np.log(np.sum(np.exp(-(x - m0) / temperature))))
+def _avg_rate(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Per-user rate log2(1 + num/den), averaged over realizations."""
+    return np.mean(np.log1p(num / den) * (1.0 / _LN2), axis=0)
+
+
+def _avg_rate_vjp(g_rate: np.ndarray, num: np.ndarray, den: np.ndarray):
+    """Gradients of ``g_rate . _avg_rate(num, den)`` wrt num and den."""
+    sinr = num / den
+    g_num = (g_rate / num.shape[0]) * (1.0 / _LN2) / (1.0 + sinr) / den
+    return g_num, -g_num * sinr
+
+
+def _min_and_weights(x: np.ndarray, smooth_temp: float = None):
+    """Hard or smooth minimum of ``x`` and its gradient weights.
+
+    The hard minimum's subgradient is a one-hot on the lowest minimizing
+    index; the smooth minimum -T log sum exp(-x / T) has its softmax
+    weights.
+    """
+    if smooth_temp:
+        if smooth_temp < 0:
+            raise ValueError(f"temperature must be positive, got {smooth_temp}")
+        m0 = np.min(x)
+        e = np.exp(-(x - m0) / smooth_temp)
+        s = np.sum(e)
+        return m0 - smooth_temp * np.log(s), e / s
+    w = np.zeros_like(x)
+    w[np.argmin(x)] = 1.0
+    return np.min(x), w
+
+
+def _sum_rate(rc, rg, rp, layout: StreamLayout, smooth_temp: float = None):
+    """Averaged sum rate from averaged per-user rates, with its gradient
+    weights on ``rc`` and ``rg`` (every private rate has weight one)."""
+    asr, w_c = _min_and_weights(rc, smooth_temp)
+    asr = asr + np.sum(rp)
+    w_g = None
+    if rg is not None:
+        w_g = np.zeros_like(rg)
+        for g in range(layout.n_groups):
+            members = np.asarray(layout.group_members(g))
+            val, w_g[members] = _min_and_weights(rg[members], smooth_temp)
+            asr = asr + val
+    return float(asr), w_c, w_g
+
+
+def rates_from_powers(powers: np.ndarray, layout: StreamLayout,
+                      noise: float):
+    """Averaged per-user rates (common, group or None, private) from the
+    |h^H p|^2 of the active columns, shaped (n_draws, n_users, n_active)."""
+    com, grp, prv = _layer_terms(powers, layout, noise)
+    return (_avg_rate(*com), None if grp is None else _avg_rate(*grp),
+            _avg_rate(*prv))
+
+
+def asr_from_powers(powers: np.ndarray, layout: StreamLayout, noise: float,
+                    smooth_temp: float = None) -> float:
+    """Averaged sum rate from the |h^H p|^2 of the active columns."""
+    return _sum_rate(*rates_from_powers(powers, layout, noise), layout,
+                     smooth_temp)[0]
 
 
 def loss_from_view(v: np.ndarray, ens: ChannelEnsemble, layout: StreamLayout,
                    smooth_temp: float = None) -> float:
     """Negative averaged sum rate of the precoder encoded by the view."""
     mat_act = _deinterleave(np.asarray(v, dtype=float), layout.n_tx)
-    rc, rg, rp = _avg_rate_arrays(mat_act, ens, layout)
-    red = (lambda x: _softmin(x, smooth_temp)) if smooth_temp else \
-        (lambda x: float(np.min(x)))
-    asr = red(rc) + float(np.sum(rp))
-    if rg is not None:
-        for g in range(layout.n_groups):
-            asr += red(rg[np.asarray(layout.group_members(g))])
-    return -asr
+    powers, _, _ = channel_project(ens.realizations, mat_act)
+    return -asr_from_powers(powers, layout, ens.noise_power, smooth_temp)
+
+
+def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
+                      smooth_temp: float = None):
+    """Loss and its gradient with respect to the precoder view.
+
+    Returns ``(loss, grad)`` with ``grad`` in view coordinates, so it can be
+    fed straight into the update network or a first-order step. Closed
+    form: the forward pass keeps the layer terms, the backward pass runs
+    through each layer's rate by hand, and one matrix product maps
+    d(loss)/d(powers) back to the precoder.
+    """
+    mat = _matrix_of(p)
+    powers, z, hc = channel_project(ens.realizations,
+                                    mat[:, list(layout.active_streams)])
+    com, grp, prv = _layer_terms(powers, layout, ens.noise_power)
+    rc, rp = _avg_rate(*com), _avg_rate(*prv)
+    rg = None if grp is None else _avg_rate(*grp)
+    asr, w_c, w_g = _sum_rate(rc, rg, rp, layout, smooth_temp)
+
+    # d(asr)/d(powers): the private denominator is the group denominator
+    # (one layer: the common one) minus the own private power, and the
+    # group denominator is the common one minus the own group power
+    k = layout.n_users
+    rows = np.arange(k)
+    first_prv = 1 + layout.n_groups if grp is not None else 1
+    g_com, g_den = _avg_rate_vjp(w_c, *com)
+    g_own_p, g_den_p = _avg_rate_vjp(np.ones_like(rp), *prv)
+    g_pow = np.zeros_like(powers)
+    if grp is not None:
+        g_own_g, g_den_g = _avg_rate_vjp(w_g, *grp)
+        g_den_g = g_den_g + g_den_p
+        g_den = g_den + g_den_g
+        g_pow[:, :, 1:first_prv] = g_den[:, :, None]
+        g_pow[:, rows, 1 + np.asarray(layout.group_of)] += g_own_g - g_den_g
+    else:
+        g_den = g_den + g_den_p
+    g_pow[:, :, 0] = g_com
+    g_pow[:, :, first_prv:] += g_den[:, :, None]
+    g_pow[:, rows, first_prv + rows] += g_own_p - g_den_p
+
+    # d|z|^2 = 2 Re(conj(z) dz) with z = hc @ p; the loss is -asr. z and
+    # g_pow are overwritten in place: fresh arrays of this size cost more
+    # in page faults than the arithmetic on them
+    m, _, s = z.shape
+    g_pow *= -2.0
+    w = np.conjugate(z, out=z)
+    w *= g_pow
+    # (w^T hc)^T rather than hc^T w: numpy runs this orientation about
+    # twice as fast for tall hc
+    g_mat = (w.reshape(m * k, s).T @ hc).T
+    return -asr, _interleave(g_mat.real, -g_mat.imag)
 
 
 def candidate_view(params: MetaNetParams, p0_view: np.ndarray,
@@ -163,7 +268,7 @@ def candidate_view(params: MetaNetParams, p0_view: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# recorded evaluation path
+# recorded evaluation path (network-parameter gradient)
 # ---------------------------------------------------------------------------
 
 def _tape_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
@@ -204,24 +309,6 @@ def _tape_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
         for gi in range(layout.n_groups):
             asr = asr + red(take_last(rg, np.asarray(layout.group_members(gi))))
     return -asr
-
-
-def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
-                      smooth_temp: float = None):
-    """Loss and its gradient with respect to the precoder view.
-
-    Returns ``(loss, grad)`` with ``grad`` in view coordinates, so it can be
-    fed straight into the update network or a first-order step.
-    """
-    mat = _matrix_of(p)
-    sub = mat[:, list(layout.active_streams)]
-    pre = Var(sub.real.copy())
-    pim = Var(sub.imag.copy())
-    loss = _tape_loss(pre, pim, ens, layout, smooth_temp)
-    backward(loss)
-    gre = pre.grad if pre.grad is not None else np.zeros_like(pre.value)
-    gim = pim.grad if pim.grad is not None else np.zeros_like(pim.value)
-    return float(loss.value), _interleave(gre, gim)
 
 
 def _tape_forward_net(w_vars, b_vars, x: Var) -> Var:
@@ -311,7 +398,8 @@ def _min_gap(x: np.ndarray) -> float:
 
 def _tie_gaps_ok(v, ens, layout, gap=1e-3) -> bool:
     mat_act = _deinterleave(np.asarray(v, float), layout.n_tx)
-    rc, rg, _ = _avg_rate_arrays(mat_act, ens, layout)
+    powers, _, _ = channel_project(ens.realizations, mat_act)
+    rc, rg, _ = rates_from_powers(powers, layout, ens.noise_power)
     if _min_gap(rc) < gap:
         return False
     if rg is not None:

@@ -179,6 +179,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if "fixed" in cfg.methods:
             raise ValueError("the fixed-direction search needs the one_ring "
                              "scenario")
+        model = IidCsitModel(n_tx=cfg.n_tx, n_users=cfg.n_users,
+                             alpha=cfg.alpha, error_power=cfg.error_power)
+        for snr in cfg.snr_db:
+            sig_e2 = model.error_var(10.0 ** (snr / 10.0))
+            if sig_e2 >= model.user_var:
+                raise ValueError(
+                    f"snr_db = {snr:g} is degenerate: the CSI error variance "
+                    f"{sig_e2:.4g} is not below the channel variance "
+                    f"{model.user_var:g}, so the channel estimate is zero")
     else:
         if cfg.azimuths is None:
             raise ValueError("one_ring scenario needs ring.azimuths")
@@ -310,14 +319,31 @@ def _run_cell(cfg: ExperimentConfig, layout: StreamLayout,
     return out
 
 
+def _with_env_overrides(cfg: ExperimentConfig) -> ExperimentConfig:
+    """The config with the RSMETA_THREADS override applied, if set."""
+    raw = os.environ.get(ENV_THREADS)
+    if raw is None:
+        return cfg
+    try:
+        n_threads = int(raw)
+    except ValueError:
+        raise ValueError(f"{ENV_THREADS} must be an integer, "
+                         f"got {raw!r}") from None
+    return dataclasses.replace(cfg, n_threads=n_threads)
+
+
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
-    """Run every (SNR point, estimate) cell, optionally across threads."""
+    """Run every (SNR point, estimate) cell, optionally across threads.
+
+    The RSMETA_THREADS environment variable overrides the thread count; the
+    overridden config is validated and is the one the result records.
+    """
+    cfg = _with_env_overrides(cfg)
     validate_config(cfg)
     layout = _build_layout(cfg)
-    n_threads = int(os.environ.get(ENV_THREADS, cfg.n_threads))
     jobs = [(s, c) for s in range(len(cfg.snr_db)) for c in range(cfg.n_csit)]
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+    if cfg.n_threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.n_threads) as pool:
             chunks = list(pool.map(
                 lambda sc: _run_cell(cfg, layout, sc[0], sc[1]), jobs))
     else:

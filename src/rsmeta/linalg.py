@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RngStream", "gaussian_matrix", "herm_eig", "svd_dominant", "quadrature"]
+__all__ = ["RngStream", "gaussian_matrix", "herm_eig", "svd_dominant",
+           "channel_project", "quadrature"]
 
 
 class RngStream:
@@ -103,6 +104,25 @@ def svd_dominant(a: np.ndarray) -> np.ndarray:
         raise ValueError("svd_dominant is undefined for the zero matrix")
     u, _, _ = np.linalg.svd(a, full_matrices=False)
     return u[:, 0].copy()
+
+
+def channel_project(h: np.ndarray, p: np.ndarray):
+    """Inner products ``h_k^(m)H p_s`` and their squared magnitudes.
+
+    ``h`` is a complex (n_draws, n_tx, n_users) stack and ``p`` an
+    (n_tx, n_streams) precoder. The stack is copied, conjugated, into a
+    user-major (n_draws * n_users, n_tx) matrix ``hc`` on every call, so a
+    single matrix product gives every inner product. Returns
+    ``(powers, z, hc)``: ``z`` and ``powers = |z|^2`` are shaped
+    (n_draws, n_users, n_streams), and ``hc`` is returned for the adjoint
+    product.
+    """
+    m, n_tx, k = h.shape
+    hc = np.empty((m, k, n_tx), dtype=complex)
+    np.conjugate(h.transpose(0, 2, 1), out=hc)
+    hc = hc.reshape(m * k, n_tx)
+    z = (hc @ p).reshape(m, k, -1)
+    return z.real ** 2 + z.imag ** 2, z, hc
 
 
 def quadrature(f, lo: float, hi: float, nodes: int = 513) -> complex:

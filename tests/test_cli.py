@@ -42,6 +42,14 @@ class TestValidate:
         assert main(["validate", "--config", str(path)]) != 0
         assert "scenario" in capsys.readouterr().err
 
+    def test_degenerate_snr_rejected(self, tmp_path, capsys):
+        # without iid.error_power the error variance tracks the power
+        # budget and reaches the channel variance at 0 dB
+        path = tmp_path / "zero-db.cfg"
+        path.write_text("scenario = iid\nsnr_db = 10, 0\n")
+        assert main(["validate", "--config", str(path)]) == 1
+        assert "snr_db = 0 is degenerate" in capsys.readouterr().err
+
 
 class TestRun:
     def test_writes_reports(self, tiny_cfg, tmp_path, capsys):
@@ -61,6 +69,14 @@ class TestRun:
 
     def test_missing_config_fails_cleanly(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "gone.cfg")]) != 0
+
+    def test_zero_threads_rejected(self, tiny_cfg, tmp_path, capsys):
+        out_dir = tmp_path / "res"
+        code = main(["run", "--config", str(tiny_cfg),
+                     "--out-dir", str(out_dir), "--threads", "0"])
+        assert code == 1
+        assert "threads" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestGradcheck:

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from rsmeta.channel import IidCsitModel
-from rsmeta.gradients import (candidate_view, finite_diff_check,
+from rsmeta.autodiff import Var, backward
+from rsmeta.channel import ChannelEnsemble, IidCsitModel
+from rsmeta.gradients import (_min_and_weights, _random_instance, _tape_loss,
+                              candidate_view, finite_diff_check,
                               grad_wrt_precoder, grad_wrt_theta,
                               gradcheck_suite, loss_from_view, precoder_to_view,
-                              project_view, view_length, view_to_precoder)
+                              project_view, rates_from_powers, view_length,
+                              view_to_precoder)
 from rsmeta.layout import StreamLayout
-from rsmeta.linalg import RngStream, gaussian_matrix
+from rsmeta.linalg import RngStream, channel_project, gaussian_matrix
 from rsmeta.network import init_meta_net
 from rsmeta.rates import avg_sum_rate_loss, saf_report
 
@@ -122,6 +125,58 @@ class TestPrecoderGradient:
         lay, ens, mat = _instance(seed=64)
         _, g = grad_wrt_precoder(mat, ens, lay)
         assert g.shape == (view_length(lay),)
+
+
+def _tape_grad(mat, ens, lay, smooth_temp=None):
+    """The precoder gradient on the reverse-mode tape: the oracle for the
+    closed form."""
+    sub = mat[:, list(lay.active_streams)]
+    pre, pim = Var(sub.real.copy()), Var(sub.imag.copy())
+    loss = _tape_loss(pre, pim, ens, lay, smooth_temp)
+    backward(loss)
+    view = np.empty(2 * sub.size)
+    view[0::2] = pre.grad.T.ravel()
+    view[1::2] = pim.grad.T.ravel()
+    return float(loss.value), view
+
+
+class TestClosedFormMatchesTape:
+    @pytest.mark.parametrize("smooth_temp", [None, 0.3])
+    def test_random_instances(self, smooth_temp):
+        for i in range(200):
+            lay, ens, mat = _random_instance(RngStream(5000 + i), i % 2 == 1)
+            loss, g = grad_wrt_precoder(mat, ens, lay, smooth_temp)
+            loss_t, g_t = _tape_grad(mat, ens, lay, smooth_temp)
+            assert loss == loss_t                                # bitwise
+            np.testing.assert_allclose(
+                g, g_t, rtol=1e-12, atol=1e-12 * np.max(np.abs(g_t)))
+
+    def test_common_rate_tie_feeds_lowest_index(self):
+        # users 0 and 1 see identical channels, so their averaged common
+        # rates tie exactly; the hard minimum's whole subgradient must go to
+        # user 0, not be shared or counted twice
+        lay, ens, mat = _instance(seed=81, n_tx=3, n_users=3)
+        h = ens.realizations.copy()
+        h[:, :, 1] = h[:, :, 0]
+        est = ens.estimate.copy()
+        est[:, 1] = est[:, 0]
+        tied = ChannelEnsemble(estimate=est, realizations=h)
+        powers, _, _ = channel_project(h, mat[:, list(lay.active_streams)])
+        rc, _, _ = rates_from_powers(powers, lay, tied.noise_power)
+        assert np.argmin(rc) == 0 and rc[0] == rc[1]
+        np.testing.assert_array_equal(_min_and_weights(rc)[1], [1.0, 0.0, 0.0])
+
+        loss, g = grad_wrt_precoder(mat, tied, lay)
+        loss_t, g_t = _tape_grad(mat, tied, lay)
+        assert loss == loss_t
+        np.testing.assert_allclose(g, g_t, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(g_t)))
+        # the two tied rates are one function of the precoder, so their
+        # minimum is smooth here and central differences apply
+        err, _ = finite_diff_check(
+            lambda x: loss_from_view(x, tied, lay),
+            precoder_to_view(mat, lay), g, step=1e-6)
+        assert err <= 1e-5
 
 
 class TestThetaGradient:

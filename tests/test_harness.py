@@ -113,6 +113,21 @@ class TestValidateConfig:
         with pytest.raises(ValueError, match="threads"):
             validate_config(ExperimentConfig(n_threads=0))
 
+    def test_degenerate_iid_snr_named(self):
+        # at 0 dB the tracked error variance p_t ** -alpha equals the unit
+        # channel variance, which leaves a zero channel estimate
+        with pytest.raises(ValueError, match="snr_db = 0 is degenerate"):
+            validate_config(ExperimentConfig(scenario="iid",
+                                             snr_db=(10.0, 0.0)))
+
+    def test_degenerate_iid_error_power(self):
+        with pytest.raises(ValueError, match="snr_db = 20 is degenerate"):
+            validate_config(ExperimentConfig(scenario="iid", snr_db=(20.0,),
+                                             error_power=1.0))
+
+    def test_iid_snr_above_degenerate_point_passes(self):
+        validate_config(ExperimentConfig(scenario="iid", snr_db=(1.0, 10.0)))
+
 
 def _tiny_config(**kw):
     base = dict(scenario="iid", n_tx=2, n_users=2, snr_db=(0.0, 10.0),
@@ -165,6 +180,13 @@ class TestRunSweep:
         monkeypatch.setenv(ENV_THREADS, "2")
         res = run_sweep(_tiny_config(n_threads=1))
         assert len(res.cells) == 8
+        assert res.config.n_threads == 2
+
+    @pytest.mark.parametrize("raw", ["-3", "0", "two"])
+    def test_bad_thread_env_override_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv(ENV_THREADS, raw)
+        with pytest.raises(ValueError, match="threads|RSMETA_THREADS"):
+            run_sweep(_tiny_config(n_threads=1))
 
     def test_adding_snr_points_keeps_existing_cells(self):
         # hierarchical seeding: results at a given SNR index depend only on
