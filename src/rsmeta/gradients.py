@@ -8,12 +8,19 @@ Two gradients drive everything downstream:
   layer's averaged ``log2(1 + num/den)`` and the minima, then one matrix
   product back to the precoder; and
 * the gradient of the same loss, evaluated at the network-proposed and
-  power-projected candidate, with respect to the network parameters. It
-  runs on the reverse-mode tape of :mod:`rsmeta.autodiff`
-  (:func:`grad_wrt_theta`).
+  power-projected candidate, with respect to the network parameters
+  (:func:`grad_wrt_theta`). The reverse-mode tape of :mod:`rsmeta.autodiff`
+  records the network, the radial power projection and the |h^H p|^2
+  projection; the layered rates on top of that are one recorded node whose
+  backward is the same closed form the precoder gradient uses.
 
-Both paths, and the plain loss, get |h^H p|^2 from the one projection
-:func:`rsmeta.linalg.channel_project` and compute the rates in the same
+The closed form maps |h^H p|^2 to the averaged sum rate and its gradient in
+one place, :func:`_asr_and_power_grad`. :func:`_tape_loss` records the same
+rates op by op on the tape; no production path calls it, and it is kept as
+the independent reference the tests compare both gradients against.
+
+Every path, and the plain loss, gets |h^H p|^2 from the one projection
+:func:`rsmeta.linalg.channel_project` and computes the rates in the same
 operation order, so equal precoders give bit-equal losses on every path.
 
 The view convention is fixed package-wide: active columns only, column by
@@ -38,16 +45,13 @@ from .channel import ChannelEnsemble, IidCsitModel
 from .layout import StreamLayout
 from .linalg import RngStream, channel_project, gaussian_matrix
 from .network import MetaNetParams, init_meta_net, mlp_forward
-from .rates import PrecoderMatrix
+from .rates import _LN2, _matrix_of
 
 __all__ = ["view_length", "precoder_to_view", "view_to_precoder",
            "loss_from_view", "candidate_view", "project_view",
            "rates_from_powers", "asr_from_powers",
            "grad_wrt_precoder", "grad_wrt_theta",
            "finite_diff_check", "gradcheck_suite"]
-
-_LN2 = float(np.log(2.0))
-
 
 # ---------------------------------------------------------------------------
 # real view of the active precoder columns
@@ -56,12 +60,6 @@ _LN2 = float(np.log(2.0))
 def view_length(layout: StreamLayout) -> int:
     """Real degrees of freedom: 2 per complex entry of each active column."""
     return 2 * layout.n_tx * len(layout.active_streams)
-
-
-def _matrix_of(p) -> np.ndarray:
-    if isinstance(p, PrecoderMatrix):
-        return p.matrix
-    return np.asarray(p, dtype=complex)
 
 
 def _interleave(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -208,27 +206,22 @@ def loss_from_view(v: np.ndarray, ens: ChannelEnsemble, layout: StreamLayout,
     return -asr_from_powers(powers, layout, ens.noise_power, smooth_temp)
 
 
-def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
-                      smooth_temp: float = None):
-    """Loss and its gradient with respect to the precoder view.
+def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
+                        noise: float, smooth_temp: float = None):
+    """Averaged sum rate from the |h^H p|^2 of the active columns, and its
+    gradient with respect to those powers: ``(asr, d asr / d powers)``.
 
-    Returns ``(loss, grad)`` with ``grad`` in view coordinates, so it can be
-    fed straight into the update network or a first-order step. Closed
-    form: the forward pass keeps the layer terms, the backward pass runs
-    through each layer's rate by hand, and one matrix product maps
-    d(loss)/d(powers) back to the precoder.
+    The forward pass keeps the layer terms and the backward pass runs
+    through each layer's rate by hand.
     """
-    mat = _matrix_of(p)
-    powers, z, hc = channel_project(ens.realizations,
-                                    mat[:, list(layout.active_streams)])
-    com, grp, prv = _layer_terms(powers, layout, ens.noise_power)
+    com, grp, prv = _layer_terms(powers, layout, noise)
     rc, rp = _avg_rate(*com), _avg_rate(*prv)
     rg = None if grp is None else _avg_rate(*grp)
     asr, w_c, w_g = _sum_rate(rc, rg, rp, layout, smooth_temp)
 
-    # d(asr)/d(powers): the private denominator is the group denominator
-    # (one layer: the common one) minus the own private power, and the
-    # group denominator is the common one minus the own group power
+    # the private denominator is the group denominator (one layer: the
+    # common one) minus the own private power, and the group denominator
+    # is the common one minus the own group power
     k = layout.n_users
     rows = np.arange(k)
     first_prv = 1 + layout.n_groups if grp is not None else 1
@@ -246,11 +239,28 @@ def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
     g_pow[:, :, 0] = g_com
     g_pow[:, :, first_prv:] += g_den[:, :, None]
     g_pow[:, rows, first_prv + rows] += g_own_p - g_den_p
+    return asr, g_pow
+
+
+def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
+                      smooth_temp: float = None):
+    """Loss and its gradient with respect to the precoder view.
+
+    Returns ``(loss, grad)`` with ``grad`` in view coordinates, so it can be
+    fed straight into the update network or a first-order step. Closed
+    form: :func:`_asr_and_power_grad`, then one matrix product maps
+    d(loss)/d(powers) back to the precoder.
+    """
+    mat = _matrix_of(p)
+    powers, z, hc = channel_project(ens.realizations,
+                                    mat[:, list(layout.active_streams)])
+    asr, g_pow = _asr_and_power_grad(powers, layout, ens.noise_power,
+                                     smooth_temp)
 
     # d|z|^2 = 2 Re(conj(z) dz) with z = hc @ p; the loss is -asr. z and
     # g_pow are overwritten in place: fresh arrays of this size cost more
     # in page faults than the arithmetic on them
-    m, _, s = z.shape
+    m, k, s = z.shape
     g_pow *= -2.0
     w = np.conjugate(z, out=z)
     w *= g_pow
@@ -271,8 +281,21 @@ def candidate_view(params: MetaNetParams, p0_view: np.ndarray,
 # recorded evaluation path (network-parameter gradient)
 # ---------------------------------------------------------------------------
 
+def _rate_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
+               layout: StreamLayout, smooth_temp: float = None) -> Var:
+    """The loss as one recorded node on top of the projection, with the
+    closed-form backward of :func:`_asr_and_power_grad`."""
+    powers = csq_project(pre, pim, ens.realizations)
+    asr, g_pow = _asr_and_power_grad(powers.value, layout, ens.noise_power,
+                                     smooth_temp)
+    return Var(-asr, (powers,), lambda g: (-g * g_pow,))
+
+
 def _tape_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
                layout: StreamLayout, smooth_temp: float = None) -> Var:
+    """The loss recorded op by op: the tests' reference for the closed
+    form. Same signature and, bit for bit, the same value as
+    :func:`_rate_loss`."""
     k = layout.n_users
     g = layout.n_groups
     hier = layout.mode == "hierarchical"
@@ -321,20 +344,12 @@ def _tape_forward_net(w_vars, b_vars, x: Var) -> Var:
     return h
 
 
-def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
-                   ens: ChannelEnsemble, layout: StreamLayout, p_t: float,
-                   smooth_temp: float = None):
-    """Differentiate the full pipeline with respect to network parameters.
-
-    Pipeline: frozen gradient view in, network proposal out, add to the
-    start point, project onto the power ball, evaluate the loss. The start
-    point and the input gradient are constants here; only the network
-    parameters carry gradient.
-
-    Returns ``(loss, grad_theta, cand_view)`` where ``loss`` is the loss at
-    the projected candidate, ``grad_theta`` is flattened in parameter-vector
-    order, and ``cand_view`` is the candidate in view coordinates.
-    """
+def _theta_grad(loss_fn, params: MetaNetParams, p0, g0_view: np.ndarray,
+                ens: ChannelEnsemble, layout: StreamLayout, p_t: float,
+                smooth_temp: float = None):
+    """:func:`grad_wrt_theta` with the loss recorded by ``loss_fn``, which
+    maps the candidate's recorded real and imaginary parts to the loss:
+    :func:`_rate_loss` in production, :func:`_tape_loss` in the tests."""
     p0_view = p0 if np.asarray(p0).ndim == 1 else precoder_to_view(p0, layout)
     w_vars = [Var(w) for w in params.weights]
     b_vars = [Var(b) for b in params.biases]
@@ -346,7 +361,7 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
     n_tx, s_act = layout.n_tx, len(layout.active_streams)
     pre = transpose2d(reshape_v(slice_strided(v, 0, 2), (s_act, n_tx)))
     pim = transpose2d(reshape_v(slice_strided(v, 1, 2), (s_act, n_tx)))
-    loss = _tape_loss(pre, pim, ens, layout, smooth_temp)
+    loss = loss_fn(pre, pim, ens, layout, smooth_temp)
     backward(loss)
     parts = []
     for w, b in zip(w_vars, b_vars):
@@ -354,6 +369,25 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
                       np.zeros_like(w.value)).ravel())
         parts.append(b.grad if b.grad is not None else np.zeros_like(b.value))
     return float(loss.value), np.concatenate(parts), v.value.copy()
+
+
+def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
+                   ens: ChannelEnsemble, layout: StreamLayout, p_t: float,
+                   smooth_temp: float = None):
+    """Differentiate the full pipeline with respect to network parameters.
+
+    Pipeline: frozen gradient view in, network proposal out, add to the
+    start point, project onto the power ball, evaluate the loss. The start
+    point and the input gradient are constants here; only the network
+    parameters carry gradient. The tape records everything up to
+    |h^H p|^2; the rates are one node with a closed-form backward.
+
+    Returns ``(loss, grad_theta, cand_view)`` where ``loss`` is the loss at
+    the projected candidate, ``grad_theta`` is flattened in parameter-vector
+    order, and ``cand_view`` is the candidate in view coordinates.
+    """
+    return _theta_grad(_rate_loss, params, p0, g0_view, ens, layout, p_t,
+                       smooth_temp)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +464,17 @@ def _random_instance(rng: RngStream, hierarchical: bool, p_t: float = 4.0):
     return layout, ens, mat
 
 
+def _random_net(rng: RngStream, layout: StreamLayout) -> MetaNetParams:
+    """Small update network (one hidden layer of 8) for the layout."""
+    params = init_meta_net(rng, view_length(layout), hidden=(8,))
+    # the zero output layer would zero every hidden-layer gradient, so give
+    # it small random weights for a meaningful check
+    bound = 0.1 / np.sqrt(params.weights[-1].shape[1])
+    params.weights[-1] = rng.uniform(-bound, bound, params.weights[-1].shape)
+    params.biases[-1] = rng.uniform(-bound, bound, params.biases[-1].shape)
+    return params
+
+
 def gradcheck_suite(seed: int = 0, n_instances: int = 50,
                     smooth_temp: float = None,
                     precoder_tol: float = 1e-5, precoder_step: float = 1e-6,
@@ -462,14 +507,7 @@ def gradcheck_suite(seed: int = 0, n_instances: int = 50,
                 continue
             _, g0 = grad_wrt_precoder(mat, ens, layout, smooth_temp)
 
-            params = init_meta_net(rng, view_length(layout), hidden=(8,))
-            # the zero output layer would zero every hidden-layer gradient,
-            # so give it small random weights for a meaningful check
-            bound = 0.1 / np.sqrt(params.weights[-1].shape[1])
-            params.weights[-1] = rng.uniform(-bound, bound,
-                                             params.weights[-1].shape)
-            params.biases[-1] = rng.uniform(-bound, bound,
-                                            params.biases[-1].shape)
+            params = _random_net(rng, layout)
             raw = v0 + mlp_forward(params, g0)
             # branch-boundary guard on the unprojected power: differences
             # must not straddle the point where the projection kicks in

@@ -27,7 +27,7 @@ from .channel import IidCsitModel, OneRingModel
 from .layout import StreamLayout
 from .linalg import RngStream
 from .metaopt import MetaOptConfig, run_meta_opt
-from .rates import saf_report
+from .rates import PrecoderMatrix, saf_report
 
 __all__ = ["ExperimentConfig", "CellResult", "SweepResult",
            "load_config", "validate_config", "run_sweep", "write_reports"]
@@ -251,12 +251,13 @@ def _build_layout(cfg: ExperimentConfig) -> StreamLayout:
     return StreamLayout.hierarchical(cfg.n_tx, cfg.n_users, cfg.n_groups)
 
 
-def _effective_splits(cfg: ExperimentConfig, layout: StreamLayout) -> tuple:
-    if cfg.meta_splits is not None:
-        return tuple(float(s) for s in cfg.meta_splits)
-    if layout.mode == "one_layer":
-        return (0.9, 0.0, 0.1)
-    return (0.45, 0.45, 0.10)
+def _spent_splits(p: PrecoderMatrix, p_t: float) -> tuple:
+    """Power fractions (common, group, private) of ``p_t`` that the
+    precoder's columns spend."""
+    col = np.sum(np.abs(p.matrix) ** 2, axis=0) / p_t
+    first_prv = 1 + p.layout.n_groups
+    return (float(col[0]), float(np.sum(col[1:first_prv])),
+            float(np.sum(col[first_prv:])))
 
 
 def _run_cell(cfg: ExperimentConfig, layout: StreamLayout,
@@ -295,7 +296,7 @@ def _run_cell(cfg: ExperimentConfig, layout: StreamLayout,
                                smooth_temp=cfg.meta_smooth_temp,
                                splits=cfg.meta_splits, track_history=False)
             r = run_meta_opt(layout, ens, p_t, mc)
-            qc, qg, qp = _effective_splits(cfg, layout)
+            qc, qg, qp = _spent_splits(r.best_precoder, p_t)
             out.append(CellResult(method, snr_idx, snr, csit_idx,
                                   scored(r.best_asr, r.best_precoder),
                                   r.wall_time_s, qc, qg, qp,
@@ -304,7 +305,7 @@ def _run_cell(cfg: ExperimentConfig, layout: StreamLayout,
             r = run_direct_adam(layout, ens, p_t, n_iters=cfg.direct_iters,
                                 lr=cfg.direct_lr, splits=cfg.meta_splits,
                                 track_history=False)
-            qc, qg, qp = _effective_splits(cfg, layout)
+            qc, qg, qp = _spent_splits(r.best_precoder, p_t)
             out.append(CellResult(method, snr_idx, snr, csit_idx,
                                   scored(r.best_asr, r.best_precoder),
                                   r.wall_time_s, qc, qg, qp,

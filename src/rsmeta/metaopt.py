@@ -4,9 +4,10 @@ One run owns one channel estimate: the update network starts from scratch,
 proposes a precoder update from the frozen start-point gradient, and its
 parameters (not the precoder) take Adam steps against the averaged-rate
 objective. The start-point gradient is computed once and reused every
-iteration, so each iteration costs one recorded forward/backward pass
-through network and objective. The best candidate ever evaluated, the
-start point included, is what a run returns.
+iteration, so each iteration costs one forward/backward pass: recorded
+through the network and the power and channel projections, closed form
+through the layered rates. The best candidate ever evaluated, the start
+point included, is what a run returns.
 """
 from __future__ import annotations
 

@@ -3,7 +3,8 @@ import pytest
 
 from rsmeta.autodiff import Var, backward
 from rsmeta.channel import ChannelEnsemble, IidCsitModel
-from rsmeta.gradients import (_min_and_weights, _random_instance, _tape_loss,
+from rsmeta.gradients import (_min_and_weights, _random_instance,
+                              _random_net, _tape_loss, _theta_grad,
                               candidate_view, finite_diff_check,
                               grad_wrt_precoder, grad_wrt_theta,
                               gradcheck_suite, loss_from_view, precoder_to_view,
@@ -11,7 +12,7 @@ from rsmeta.gradients import (_min_and_weights, _random_instance, _tape_loss,
                               view_to_precoder)
 from rsmeta.layout import StreamLayout
 from rsmeta.linalg import RngStream, channel_project, gaussian_matrix
-from rsmeta.network import init_meta_net
+from rsmeta.network import init_meta_net, mlp_forward
 from rsmeta.rates import avg_sum_rate_loss, saf_report
 
 
@@ -177,6 +178,58 @@ class TestClosedFormMatchesTape:
             lambda x: loss_from_view(x, tied, lay),
             precoder_to_view(mat, lay), g, step=1e-6)
         assert err <= 1e-5
+
+
+def _assert_theta_matches_tape(params, p0, g0, ens, lay, p_t, smooth_temp):
+    """The rates as one closed-form node give the loss, candidate and
+    network gradient of the rates recorded op by op."""
+    loss, gt, cand = grad_wrt_theta(params, p0, g0, ens, lay, p_t,
+                                    smooth_temp)
+    loss_t, gt_t, cand_t = _theta_grad(_tape_loss, params, p0, g0, ens, lay,
+                                       p_t, smooth_temp)
+    assert loss == loss_t                                        # bitwise
+    np.testing.assert_array_equal(cand, cand_t)
+    np.testing.assert_allclose(gt, gt_t, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(gt_t)))
+    return cand
+
+
+class TestFusedThetaMatchesTape:
+    @pytest.mark.parametrize("smooth_temp", [None, 0.3])
+    def test_random_instances(self, smooth_temp):
+        projected = 0
+        for i in range(200):
+            rng = RngStream(7000 + i)
+            lay, ens, mat = _random_instance(rng, i % 2 == 1)
+            p0 = precoder_to_view(mat, lay)
+            _, g0 = grad_wrt_precoder(mat, ens, lay, smooth_temp)
+            # the start spends 0.8 of 4.0: alternate budgets so both
+            # branches of the power projection are recorded
+            p_t = 4.0 if i % 4 < 2 else 3.0
+            params = _random_net(rng, lay)
+            _assert_theta_matches_tape(params, p0, g0, ens, lay, p_t,
+                                       smooth_temp)
+            raw = p0 + mlp_forward(params, g0)
+            projected += int(raw @ raw > p_t)
+        assert 0 < projected < 200
+
+    def test_common_rate_tie(self):
+        # users 0 and 1 see identical channels, so their averaged common
+        # rates tie exactly at every precoder, here at the minimum
+        lay, ens, mat = _instance(seed=81, n_tx=3, n_users=3)
+        h = ens.realizations.copy()
+        h[:, :, 1] = h[:, :, 0]
+        est = ens.estimate.copy()
+        est[:, 1] = est[:, 0]
+        tied = ChannelEnsemble(estimate=est, realizations=h)
+        p0 = precoder_to_view(mat, lay)
+        _, g0 = grad_wrt_precoder(mat, tied, lay)
+        params = _random_net(RngStream(82), lay)
+        cand = _assert_theta_matches_tape(params, p0, g0, tied, lay, 4.0, None)
+        cand_mat = view_to_precoder(cand, lay)[:, list(lay.active_streams)]
+        powers, _, _ = channel_project(h, cand_mat)
+        rc, _, _ = rates_from_powers(powers, lay, tied.noise_power)
+        assert np.argmin(rc) == 0 and rc[0] == rc[1]
 
 
 class TestThetaGradient:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from rsmeta import harness
 from rsmeta.harness import (ENV_OUT_DIR, ENV_THREADS, SCHEMA_VERSION,
                             ExperimentConfig, load_config, run_sweep,
                             validate_config, write_reports)
@@ -217,6 +218,33 @@ class TestRunSweep:
             assert c.q_common + c.q_group + c.q_private == pytest.approx(
                 1.0, abs=1e-12)
             assert c.start_asr is None
+
+    def test_q_reports_power_the_best_precoder_spends(self, monkeypatch):
+        runs = {"meta": [], "direct": []}
+        for method, name in (("meta", "run_meta_opt"),
+                             ("direct", "run_direct_adam")):
+            def spy(*args, _real=getattr(harness, name), _out=runs[method],
+                    **kwargs):
+                _out.append(_real(*args, **kwargs))
+                return _out[-1]
+            monkeypatch.setattr(harness, name, spy)
+        res = run_sweep(_tiny_config())
+        moved = 0
+        for method, results in runs.items():
+            cells = [c for c in res.cells if c.method == method]
+            assert len(cells) == len(results) == 4
+            for c, r in zip(cells, results):
+                pm, p_t = r.best_precoder, 10.0 ** (c.snr_db / 10.0)
+                want = (pm.stream_power(0) / p_t, 0.0,
+                        sum(pm.stream_power(pm.layout.col_private(k))
+                            for k in range(pm.layout.n_users)) / p_t)
+                assert (c.q_common, c.q_group, c.q_private) == \
+                    pytest.approx(want, rel=1e-12, abs=1e-15)
+                assert c.q_common + c.q_group + c.q_private <= 1.0 + 1e-12
+                moved += (c.q_common, c.q_private) != \
+                    pytest.approx((0.9, 0.1), rel=1e-9)
+        # the test means something only if some run left its start split
+        assert moved > 0
 
     def test_summary_rows_math(self):
         res = run_sweep(_tiny_config())
