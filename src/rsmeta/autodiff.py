@@ -302,7 +302,9 @@ def backward(out: Var) -> None:
         for parent, pg in zip(node._parents, parent_grads):
             pg = np.asarray(pg, dtype=float)
             if parent.grad is None:
-                parent.grad = pg.copy()
+                # stored, not copied: no vjp mutates its input and the
+                # accumulation below is out of place
+                parent.grad = pg
             else:
                 parent.grad = parent.grad + pg
 

@@ -2,8 +2,9 @@
 
 * Direct first-order search: Adam on the precoder entries themselves,
   gradient recomputed every iteration, power projection after every step.
-  Same objective, same start point, same Adam constants as the
-  network-driven run, so any gap between them is the method and not the
+  Same objective and Adam constants as the network-driven run, and the
+  very same start point, scoring and best-candidate record
+  (``metaopt._start``), so any gap between them is the method and not the
   plumbing.
 
 * Fixed-direction beamforming with an exhaustive power-split search:
@@ -21,11 +22,11 @@ import numpy as np
 
 from .adam import AdamState, adam_step
 from .channel import ChannelEnsemble, OneRingModel
-from .gradients import asr_from_powers, grad_wrt_precoder, loss_from_view, \
-    project_view, precoder_to_view, view_length, view_to_precoder
+from .gradients import asr_from_powers, grad_wrt_precoder, project_view, \
+    view_length, view_to_precoder
 from .layout import StreamLayout
 from .linalg import channel_project, herm_eig, svd_dominant
-from .metaopt import RunResult, init_precoder
+from .metaopt import RunResult, _start
 from .rates import PrecoderMatrix
 
 __all__ = ["PowerSplit", "power_split_grid", "run_direct_adam",
@@ -42,39 +43,14 @@ def run_direct_adam(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
     """Adam directly on the precoder view, projected after every step."""
     if n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {n_iters}")
-    t0 = time.perf_counter()
-    p0 = init_precoder(layout, ens.estimate, p_t, splits)
-    v = precoder_to_view(p0, layout)
+    record, v, g = _start(layout, ens, p_t, splits, smooth_temp)
     opt = AdamState.zeros(view_length(layout))
-
-    def hard_asr(view, loss):
-        if smooth_temp is None:
-            return -loss
-        return -loss_from_view(view, ens, layout, None)
-
-    loss0, g = grad_wrt_precoder(p0, ens, layout, smooth_temp)
-    start_asr = hard_asr(v, loss0)
-    best_asr, best_view = start_asr, v
-    history = [start_asr] if track_history else None
-
-    for i in range(n_iters):
+    for _ in range(n_iters):
         v = project_view(v + adam_step(opt, g, lr), p_t)
-        loss_i, g = grad_wrt_precoder(view_to_precoder(v, layout), ens,
-                                      layout, smooth_temp)
-        asr_i = hard_asr(v, loss_i)
-        if asr_i > best_asr:
-            best_asr, best_view = asr_i, v
-        if history is not None:
-            history.append(asr_i)
-
-    wall = time.perf_counter() - t0
-    best = PrecoderMatrix(matrix=view_to_precoder(best_view, layout),
-                          layout=layout)
-    return RunResult(best_asr=float(best_asr), best_precoder=best,
-                     start_asr=float(start_asr),
-                     asr_history=np.asarray(history if history is not None
-                                            else [start_asr]),
-                     wall_time_s=wall, n_iters=n_iters, params=None)
+        loss, g = grad_wrt_precoder(view_to_precoder(v, layout), ens, layout,
+                                    smooth_temp)
+        record.offer(v, loss)
+    return record.result(track_history)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +102,16 @@ class FixedDirectionResult:
     best_split: PowerSplit
     wall_time_s: float
     n_evaluated: int
+
+
+def _stream_powers(split: PowerSplit, layout: StreamLayout,
+                   p_t: float) -> np.ndarray:
+    """Per-column powers of a split: each layer's share divided equally."""
+    w = np.empty(layout.n_streams)
+    w[0] = split.common * p_t
+    w[1:1 + layout.n_groups] = split.group * p_t / layout.n_groups
+    w[1 + layout.n_groups:] = split.private * p_t / layout.n_users
+    return w
 
 
 def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
@@ -182,10 +168,7 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
     best_split = None
     n_eval = 0
     for split in power_split_grid(step, with_group=True):
-        w = np.empty(layout.n_streams)
-        w[0] = split.common * p_t
-        w[1:1 + n_grp] = split.group * p_t / n_grp
-        w[1 + n_grp:] = split.private * p_t / n_usr
+        w = _stream_powers(split, layout, p_t)
         asr = asr_from_powers(unit_gain * w[None, None, :], layout,
                               ens.noise_power)
         n_eval += 1
@@ -194,10 +177,7 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
             best_split = split
     wall = time.perf_counter() - t0
 
-    w = np.empty(layout.n_streams)
-    w[0] = best_split.common * p_t
-    w[1:1 + n_grp] = best_split.group * p_t / n_grp
-    w[1 + n_grp:] = best_split.private * p_t / n_usr
+    w = _stream_powers(best_split, layout, p_t)
     best = PrecoderMatrix(matrix=dirs * np.sqrt(w)[None, :], layout=layout)
     return FixedDirectionResult(best_asr=float(best_asr), best_precoder=best,
                                 best_split=best_split, wall_time_s=wall,

@@ -82,6 +82,18 @@ class ChannelEnsemble:
 # i.i.d. partial-CSI model
 # ---------------------------------------------------------------------------
 
+def _around(rng: RngStream, estimate: np.ndarray, sig_e2: float,
+            n_draws: int, noise_power: float) -> ChannelEnsemble:
+    """Realizations ``estimate + e`` with fresh circular Gaussian errors of
+    variance ``sig_e2`` per entry."""
+    scale = np.sqrt(sig_e2 / 2.0)
+    shape = (int(n_draws),) + estimate.shape
+    err = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return ChannelEnsemble(estimate=estimate,
+                           realizations=estimate[None, :, :] + err,
+                           noise_power=noise_power)
+
+
 @dataclass(frozen=True)
 class IidCsitModel:
     """Rayleigh channels with power-dependent estimation error.
@@ -117,12 +129,7 @@ class IidCsitModel:
                 "the estimate would have negative power")
         base = gaussian_matrix(rng, self.n_tx, self.n_users, 1.0)
         estimate = base * np.sqrt(uv - sig_e2)[None, :]
-        scale = np.sqrt(sig_e2 / 2.0)
-        shape = (int(n_draws), self.n_tx, self.n_users)
-        err = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        return ChannelEnsemble(estimate=estimate,
-                               realizations=estimate[None, :, :] + err,
-                               noise_power=noise_power)
+        return _around(rng, estimate, sig_e2, n_draws, noise_power)
 
     def draw_pair(self, rng: RngStream, p_t: float, n_draws: int,
                   n_eval: int, noise_power: float = 1.0):
@@ -135,14 +142,8 @@ class IidCsitModel:
         first = self.draw(rng, p_t, n_draws, noise_power)
         if n_eval == 0:
             return first, None
-        sig_e2 = self.error_var(p_t)
-        scale = np.sqrt(sig_e2 / 2.0)
-        shape = (int(n_eval), self.n_tx, self.n_users)
-        err = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        second = ChannelEnsemble(estimate=first.estimate,
-                                 realizations=first.estimate[None, :, :] + err,
-                                 noise_power=noise_power)
-        return first, second
+        return first, _around(rng, first.estimate, self.error_var(p_t),
+                              n_eval, noise_power)
 
 
 # ---------------------------------------------------------------------------

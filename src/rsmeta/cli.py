@@ -7,11 +7,17 @@ Subcommands:
 * ``demo-1lrs``  preset single-layer sweep (i.i.d. channels, SNR-tracking CSI error)
 * ``demo-hrs``   preset grouped sweep (one-ring channels, fixed-direction baseline)
 * ``validate``   parse and check a config file without running anything
+
+``run`` and the demos take ``--out-dir`` and ``--threads``; the environment
+variables RSMETA_OUT_DIR and RSMETA_THREADS override those flags and the
+config alike, for ``validate`` too. The library itself reads no
+environment.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -21,6 +27,9 @@ from .harness import (ExperimentConfig, load_config, run_sweep,
                       validate_config, write_reports)
 
 __all__ = ["main", "entry"]
+
+ENV_OUT_DIR = "RSMETA_OUT_DIR"
+ENV_THREADS = "RSMETA_THREADS"
 
 
 def _print_summary(result) -> None:
@@ -37,13 +46,34 @@ def _print_summary(result) -> None:
               f"{r['esr_std']:>9.4f} {r['time_mean_s']:>9.3f}")
 
 
-def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    if args.out_dir:
-        cfg.out_dir = args.out_dir
-    if args.threads is not None:
-        cfg.n_threads = args.threads
-    result = run_sweep(cfg)
+def _with_overrides(cfg: ExperimentConfig, out_dir=None,
+                    threads=None) -> ExperimentConfig:
+    """``cfg`` with the flag overrides, then the environment's, applied.
+
+    RSMETA_OUT_DIR and RSMETA_THREADS win over ``--out-dir`` and
+    ``--threads``, which win over the config. This is the only place the
+    package reads the environment.
+    """
+    changes = {}
+    if out_dir:
+        changes["out_dir"] = out_dir
+    if threads is not None:
+        changes["n_threads"] = threads
+    if ENV_OUT_DIR in os.environ:
+        changes["out_dir"] = os.environ[ENV_OUT_DIR]
+    raw = os.environ.get(ENV_THREADS)
+    if raw is not None:
+        try:
+            changes["n_threads"] = int(raw)
+        except ValueError:
+            raise ValueError(f"{ENV_THREADS} must be an integer, "
+                             f"got {raw!r}") from None
+    return dataclasses.replace(cfg, **changes)
+
+
+def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
+    """``run`` and the demos: override, sweep (which validates), report."""
+    result = run_sweep(_with_overrides(cfg, args.out_dir, args.threads))
     paths = write_reports(result)
     _print_summary(result)
     print(f"\nwrote {paths['csv']} and {paths['json']}")
@@ -107,21 +137,8 @@ def _demo_grouped(quick: bool) -> ExperimentConfig:
     return cfg
 
 
-def _cmd_demo(args, builder) -> int:
-    cfg = builder(args.quick)
-    if args.out_dir:
-        cfg.out_dir = args.out_dir
-    if args.threads is not None:
-        cfg.n_threads = args.threads
-    result = run_sweep(cfg)
-    paths = write_reports(result)
-    _print_summary(result)
-    print(f"\nwrote {paths['csv']} and {paths['json']}")
-    return 0
-
-
 def _cmd_validate(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _with_overrides(load_config(args.config))
     validate_config(cfg)
     print(f"{args.config}: ok")
     for f in dataclasses.fields(cfg):
@@ -139,7 +156,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out-dir", default=None)
     p_run.add_argument("--threads", type=int, default=None)
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=lambda a: _cmd_sweep(a, load_config(a.config)))
 
     p_gc = sub.add_parser("gradcheck",
                           help="finite-difference gradient verification")
@@ -158,7 +175,8 @@ def main(argv=None) -> int:
                             help="much smaller preset, for smoke testing")
         p_demo.add_argument("--out-dir", default=None)
         p_demo.add_argument("--threads", type=int, default=None)
-        p_demo.set_defaults(func=lambda a, b=builder: _cmd_demo(a, b))
+        p_demo.set_defaults(
+            func=lambda a, b=builder: _cmd_sweep(a, b(a.quick)))
 
     p_val = sub.add_parser("validate", help="check a config file")
     p_val.add_argument("--config", required=True)

@@ -10,6 +10,12 @@ Config files are flat ``key = value`` text with dotted keys; see
 aggregates plus one JSON of every individual cell. Seeding is hierarchical
 (master seed, SNR index, estimate index), so any single cell can be
 reproduced in isolation and adding SNR points never reshuffles the others.
+
+Every cell is assembled the same way whatever the method: its reported
+rate (on the held-out batch when ``eval.redraw`` asks for one), the power
+fractions the returned precoder spends, and the start rate where the
+optimizer has one. Nothing here reads the environment; the command line
+applies its flag and environment overrides before calling in.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ import dataclasses
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,10 +39,6 @@ __all__ = ["ExperimentConfig", "CellResult", "SweepResult",
            "load_config", "validate_config", "run_sweep", "write_reports"]
 
 SCHEMA_VERSION = 1
-
-ENV_OUT_DIR = "RSMETA_OUT_DIR"
-ENV_THREADS = "RSMETA_THREADS"
-
 
 @dataclass
 class ExperimentConfig:
@@ -282,64 +284,36 @@ def _run_cell(cfg: ExperimentConfig, layout: StreamLayout,
         ens, eval_ens = model.draw_pair(ens_rng, layout, cfg.n_realizations,
                                         n_eval)
 
-    def scored(best_asr, precoder):
-        if eval_ens is None:
-            return float(best_asr)
-        return float(saf_report(precoder, eval_ens, layout).avg_sum_rate)
-
     out = []
     snr = float(cfg.snr_db[snr_idx])
     for method in cfg.methods:
         if method == "meta":
-            mc = MetaOptConfig(n_iters=cfg.meta_iters, lr=cfg.meta_lr,
-                               hidden=tuple(cfg.meta_hidden), seed=net_seed,
-                               smooth_temp=cfg.meta_smooth_temp,
-                               splits=cfg.meta_splits, track_history=False)
-            r = run_meta_opt(layout, ens, p_t, mc)
-            qc, qg, qp = _spent_splits(r.best_precoder, p_t)
-            out.append(CellResult(method, snr_idx, snr, csit_idx,
-                                  scored(r.best_asr, r.best_precoder),
-                                  r.wall_time_s, qc, qg, qp,
-                                  start_asr=r.start_asr))
+            r = run_meta_opt(layout, ens, p_t, MetaOptConfig(
+                n_iters=cfg.meta_iters, lr=cfg.meta_lr,
+                hidden=tuple(cfg.meta_hidden), seed=net_seed,
+                smooth_temp=cfg.meta_smooth_temp, splits=cfg.meta_splits,
+                track_history=False))
         elif method == "direct":
             r = run_direct_adam(layout, ens, p_t, n_iters=cfg.direct_iters,
                                 lr=cfg.direct_lr, splits=cfg.meta_splits,
                                 track_history=False)
-            qc, qg, qp = _spent_splits(r.best_precoder, p_t)
-            out.append(CellResult(method, snr_idx, snr, csit_idx,
-                                  scored(r.best_asr, r.best_precoder),
-                                  r.wall_time_s, qc, qg, qp,
-                                  start_asr=r.start_asr))
-        elif method == "fixed":
+        else:
             r = run_fixed_direction(layout, ens, model, p_t,
                                     step=cfg.fixed_step, rank=cfg.fixed_rank)
-            out.append(CellResult(method, snr_idx, snr, csit_idx,
-                                  scored(r.best_asr, r.best_precoder),
-                                  r.wall_time_s, r.best_split.common,
-                                  r.best_split.group, r.best_split.private))
+        asr = r.best_asr if eval_ens is None else \
+            saf_report(r.best_precoder, eval_ens, layout).avg_sum_rate
+        out.append(CellResult(method, snr_idx, snr, csit_idx, float(asr),
+                              r.wall_time_s,
+                              *_spent_splits(r.best_precoder, p_t),
+                              start_asr=getattr(r, "start_asr", None)))
     return out
-
-
-def _with_env_overrides(cfg: ExperimentConfig) -> ExperimentConfig:
-    """The config with the RSMETA_THREADS override applied, if set."""
-    raw = os.environ.get(ENV_THREADS)
-    if raw is None:
-        return cfg
-    try:
-        n_threads = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_THREADS} must be an integer, "
-                         f"got {raw!r}") from None
-    return dataclasses.replace(cfg, n_threads=n_threads)
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Run every (SNR point, estimate) cell, optionally across threads.
 
-    The RSMETA_THREADS environment variable overrides the thread count; the
-    overridden config is validated and is the one the result records.
+    The config is validated first and is the one the result records.
     """
-    cfg = _with_env_overrides(cfg)
     validate_config(cfg)
     layout = _build_layout(cfg)
     jobs = [(s, c) for s in range(len(cfg.snr_db)) for c in range(cfg.n_csit)]
@@ -358,10 +332,9 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 def write_reports(result: SweepResult, out_dir=None) -> dict:
     """Write results.csv (aggregates) and results.json (all cells).
 
-    Returns the paths written. ``out_dir`` falls back to the config value;
-    the RSMETA_OUT_DIR environment variable overrides both.
+    Returns the paths written. ``out_dir`` falls back to the config value.
     """
-    out_dir = os.environ.get(ENV_OUT_DIR, out_dir or result.config.out_dir)
+    out_dir = out_dir or result.config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "results.csv")
     json_path = os.path.join(out_dir, "results.json")

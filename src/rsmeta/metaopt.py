@@ -8,11 +8,15 @@ iteration, so each iteration costs one forward/backward pass: recorded
 through the network and the power and channel projections, closed form
 through the layered rates. The best candidate ever evaluated, the start
 point included, is what a run returns.
+
+Direct Adam (:mod:`rsmeta.baselines`) shares the start point and the
+record of the best candidate (:func:`_start`, :class:`_Record`), so the
+two Adam optimizers differ only in what Adam steps.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +29,7 @@ from .linalg import RngStream, svd_dominant
 from .network import MetaNetParams, init_meta_net
 from .rates import PrecoderMatrix
 
-__all__ = ["MetaOptConfig", "RunResult", "init_precoder", "project",
-           "run_meta_opt"]
+__all__ = ["MetaOptConfig", "RunResult", "init_precoder", "run_meta_opt"]
 
 
 @dataclass
@@ -60,25 +63,6 @@ class RunResult:
     wall_time_s: float
     n_iters: int
     params: MetaNetParams = None
-
-
-def project(p, p_t: float):
-    """Scale a precoder back onto the power ball if it exceeds the budget.
-
-    Inside the budget the precoder is returned unchanged, not normalized up.
-    """
-    if not p_t > 0:
-        raise ValueError(f"p_t must be positive, got {p_t}")
-    if isinstance(p, PrecoderMatrix):
-        tr = p.total_power
-        if tr > p_t:
-            return p.with_matrix(p.matrix * np.sqrt(p_t / tr))
-        return p
-    mat = np.asarray(p, dtype=complex)
-    tr = float(np.sum(np.abs(mat) ** 2))
-    if tr > p_t:
-        return mat * np.sqrt(p_t / tr)
-    return mat
 
 
 def init_precoder(layout: StreamLayout, estimate: np.ndarray, p_t: float,
@@ -125,6 +109,60 @@ def init_precoder(layout: StreamLayout, estimate: np.ndarray, p_t: float,
     return PrecoderMatrix(matrix=mat, layout=layout)
 
 
+class _Record:
+    """Clock, rate history and best candidate of one Adam run.
+
+    Candidates are scored with the hard minimum: the training loss when
+    training uses it too, a fresh evaluation under a smooth surrogate. The
+    first candidate offered is the start point.
+    """
+
+    def __init__(self, layout: StreamLayout, ens: ChannelEnsemble,
+                 smooth_temp: float):
+        self.t0 = time.perf_counter()
+        self.layout, self.ens, self.smooth_temp = layout, ens, smooth_temp
+        self.history = []
+        self.best_asr = self.best_view = None
+
+    def offer(self, view: np.ndarray, loss: float) -> None:
+        """Score a candidate whose training loss is ``loss``."""
+        if self.smooth_temp is None:
+            asr = -loss
+        else:
+            asr = -loss_from_view(view, self.ens, self.layout, None)
+        if not self.history or asr > self.best_asr:
+            self.best_asr, self.best_view = asr, view
+        self.history.append(asr)
+
+    def result(self, track_history: bool,
+               params: MetaNetParams = None) -> RunResult:
+        wall = time.perf_counter() - self.t0
+        best = view_to_precoder(self.best_view, self.layout)
+        return RunResult(
+            best_asr=float(self.best_asr),
+            best_precoder=PrecoderMatrix(matrix=best, layout=self.layout),
+            start_asr=float(self.history[0]),
+            asr_history=np.asarray(self.history if track_history
+                                   else self.history[:1]),
+            wall_time_s=wall, n_iters=len(self.history) - 1, params=params)
+
+
+def _start(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
+           splits: tuple, smooth_temp: float):
+    """Matched start point shared by both Adam optimizers.
+
+    Returns ``(record, view, grad)``: a fresh :class:`_Record` holding the
+    start as its first candidate, the start in view coordinates, and the
+    precoder gradient there.
+    """
+    record = _Record(layout, ens, smooth_temp)
+    p0 = init_precoder(layout, ens.estimate, p_t, splits)
+    view = precoder_to_view(p0, layout)
+    loss, grad = grad_wrt_precoder(p0, ens, layout, smooth_temp)
+    record.offer(view, loss)
+    return record, view, grad
+
+
 def run_meta_opt(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
                  config: MetaOptConfig = None) -> RunResult:
     """Optimize one precoder for one channel estimate.
@@ -138,15 +176,8 @@ def run_meta_opt(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
     cfg = config or MetaOptConfig()
     if cfg.n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {cfg.n_iters}")
-    t0 = time.perf_counter()
-
-    p0 = init_precoder(layout, ens.estimate, p_t, cfg.splits)
-    p0_view = precoder_to_view(p0, layout)
-    loss0, g0 = grad_wrt_precoder(p0, ens, layout, cfg.smooth_temp)
-    if cfg.smooth_temp is None:
-        start_asr = -loss0
-    else:
-        start_asr = -loss_from_view(p0_view, ens, layout, None)
+    record, p0_view, g0 = _start(layout, ens, p_t, cfg.splits,
+                                 cfg.smooth_temp)
 
     dim = view_length(layout)
     params = init_meta_net(RngStream(cfg.seed), dim, cfg.hidden)
@@ -154,31 +185,12 @@ def run_meta_opt(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
     theta = params.to_vector()
     opt = AdamState.zeros(theta.size)
 
-    best_asr = start_asr
-    best_view = p0_view
-    history = [start_asr] if cfg.track_history else None
-
     for _ in range(cfg.n_iters):
         params = MetaNetParams.from_vector(theta, dims)
         loss_i, g_theta, cand = grad_wrt_theta(
             params, p0_view, g0, ens, layout, p_t, cfg.smooth_temp)
-        if cfg.smooth_temp is None:
-            asr_i = -loss_i
-        else:
-            asr_i = -loss_from_view(cand, ens, layout, None)
-        if asr_i > best_asr:
-            best_asr = asr_i
-            best_view = cand
-        if history is not None:
-            history.append(asr_i)
+        record.offer(cand, loss_i)
         theta = theta + adam_step(opt, g_theta, cfg.lr)
 
-    wall = time.perf_counter() - t0
-    best = PrecoderMatrix(matrix=view_to_precoder(best_view, layout),
-                          layout=layout)
-    return RunResult(best_asr=float(best_asr), best_precoder=best,
-                     start_asr=float(start_asr),
-                     asr_history=np.asarray(history if history is not None
-                                            else [start_asr]),
-                     wall_time_s=wall, n_iters=cfg.n_iters,
-                     params=MetaNetParams.from_vector(theta, dims))
+    return record.result(cfg.track_history,
+                         MetaNetParams.from_vector(theta, dims))

@@ -1,10 +1,11 @@
 import csv
 import json
 import os
+import re
 
 import pytest
 
-from rsmeta.cli import main
+from rsmeta.cli import ENV_OUT_DIR, ENV_THREADS, main
 
 TINY = """
 scenario = iid
@@ -22,10 +23,35 @@ direct.iters = 5
 """
 
 
+# the same sweep as test_harness._tiny_config: 2 SNR points x 2 draws x 2
+SWEEP = """
+scenario = iid
+n_tx = 2
+n_users = 2
+snr_db = 0, 10
+csit_draws = 2
+realizations = 10
+master_seed = 42
+methods = meta, direct
+iid.error_power = 0.3
+meta.iters = 5
+meta.hidden = 8
+direct.iters = 5
+threads = 1
+"""
+
+
 @pytest.fixture
 def tiny_cfg(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text(TINY)
+    return path
+
+
+@pytest.fixture
+def sweep_cfg(tmp_path):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(SWEEP)
     return path
 
 
@@ -77,6 +103,48 @@ class TestRun:
         assert code == 1
         assert "threads" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+class TestEnvOverrides:
+    def test_thread_env_override(self, sweep_cfg, tmp_path, monkeypatch):
+        monkeypatch.setenv(ENV_THREADS, "2")
+        out_dir = tmp_path / "res"
+        assert main(["run", "--config", str(sweep_cfg), "--threads", "1",
+                     "--out-dir", str(out_dir)]) == 0
+        with open(out_dir / "results.json") as fh:
+            payload = json.load(fh)
+        assert len(payload["cells"]) == 8
+        assert payload["config"]["n_threads"] == 2
+
+    @pytest.mark.parametrize("raw", ["-3", "0", "two"])
+    def test_bad_thread_env_override_rejected(self, sweep_cfg, tmp_path,
+                                              monkeypatch, capsys, raw):
+        monkeypatch.setenv(ENV_THREADS, raw)
+        assert main(["run", "--config", str(sweep_cfg),
+                     "--out-dir", str(tmp_path / "res")]) == 1
+        assert re.search("threads|RSMETA_THREADS", capsys.readouterr().err)
+
+    def test_env_dir_override(self, sweep_cfg, tmp_path, monkeypatch):
+        monkeypatch.setenv(ENV_OUT_DIR, str(tmp_path / "forced"))
+        assert main(["run", "--config", str(sweep_cfg),
+                     "--out-dir", str(tmp_path / "ignored")]) == 0
+        assert (tmp_path / "forced" / "results.csv").exists()
+        assert not (tmp_path / "ignored").exists()
+        with open(tmp_path / "forced" / "results.json") as fh:
+            assert json.load(fh)["config"]["out_dir"] == \
+                str(tmp_path / "forced")
+
+    def test_validate_sees_env_override(self, tiny_cfg, monkeypatch, capsys):
+        monkeypatch.setenv(ENV_THREADS, "0")
+        assert main(["validate", "--config", str(tiny_cfg)]) == 1
+        assert "threads" in capsys.readouterr().err
+
+    def test_demo_takes_env_override(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(ENV_OUT_DIR, str(tmp_path / "forced"))
+        assert main(["demo-1lrs", "--quick",
+                     "--out-dir", str(tmp_path / "ignored")]) == 0
+        assert (tmp_path / "forced" / "results.json").exists()
+        assert not (tmp_path / "ignored").exists()
 
 
 class TestGradcheck:

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from rsmeta import harness
-from rsmeta.harness import (ENV_OUT_DIR, ENV_THREADS, SCHEMA_VERSION,
-                            ExperimentConfig, load_config, run_sweep,
-                            validate_config, write_reports)
+from rsmeta.harness import (SCHEMA_VERSION, ExperimentConfig, load_config,
+                            run_sweep, validate_config, write_reports)
 
 
 def _write(tmp_path, text, name="sweep.cfg"):
@@ -140,6 +139,15 @@ def _tiny_config(**kw):
     return ExperimentConfig(**base)
 
 
+def _ring_config(**kw):
+    base = dict(scenario="one_ring", n_tx=4, n_users=2, n_groups=2,
+                snr_db=(10.0,), n_csit=2, n_realizations=8, master_seed=9,
+                methods=("meta", "fixed"), azimuths=(-0.6, 0.6), tau2=0.3,
+                meta_iters=5, meta_hidden=(8,), fixed_step=0.2)
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
 class TestRunSweep:
     def test_cell_inventory_and_order(self):
         res = run_sweep(_tiny_config())
@@ -177,17 +185,15 @@ class TestRunSweep:
         b = run_sweep(_tiny_config(n_threads=2))
         assert [c.asr for c in a.cells] == [c.asr for c in b.cells]
 
-    def test_thread_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENV_THREADS, "2")
+    def test_library_reads_no_environment(self, tmp_path, monkeypatch):
+        # overrides from the environment belong to the command line only
+        monkeypatch.setenv("RSMETA_THREADS", "0")
+        monkeypatch.setenv("RSMETA_OUT_DIR", str(tmp_path / "env"))
         res = run_sweep(_tiny_config(n_threads=1))
-        assert len(res.cells) == 8
-        assert res.config.n_threads == 2
-
-    @pytest.mark.parametrize("raw", ["-3", "0", "two"])
-    def test_bad_thread_env_override_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv(ENV_THREADS, raw)
-        with pytest.raises(ValueError, match="threads|RSMETA_THREADS"):
-            run_sweep(_tiny_config(n_threads=1))
+        assert res.config.n_threads == 1
+        write_reports(res, out_dir=str(tmp_path / "given"))
+        assert (tmp_path / "given" / "results.csv").exists()
+        assert not (tmp_path / "env").exists()
 
     def test_adding_snr_points_keeps_existing_cells(self):
         # hierarchical seeding: results at a given SNR index depend only on
@@ -206,11 +212,7 @@ class TestRunSweep:
         assert [c.asr for c in plain.cells] != [c.asr for c in held.cells]
 
     def test_one_ring_with_fixed(self):
-        cfg = ExperimentConfig(
-            scenario="one_ring", n_tx=4, n_users=2, n_groups=2,
-            snr_db=(10.0,), n_csit=2, n_realizations=8, master_seed=9,
-            methods=("meta", "fixed"), azimuths=(-0.6, 0.6), tau2=0.3,
-            meta_iters=5, meta_hidden=(8,), fixed_step=0.2)
+        cfg = _ring_config()
         res = run_sweep(cfg)
         assert len(res.cells) == 4
         fixed = [c for c in res.cells if c.method == "fixed"]
@@ -259,6 +261,32 @@ class TestRunSweep:
             assert row["esr_std"] == pytest.approx(np.std(vals, ddof=1),
                                                    rel=1e-12)
 
+    def test_optimizers_looked_up_at_call_time(self, monkeypatch):
+        # the sweep must call each optimizer through the harness module's
+        # global at call time, so that a wrapper put there sees every cell
+        calls = []
+        for method, name in (("meta", "run_meta_opt"),
+                             ("direct", "run_direct_adam"),
+                             ("fixed", "run_fixed_direction")):
+            def spy(*args, _real=getattr(harness, name), _method=method,
+                    **kwargs):
+                calls.append((_method, _real(*args, **kwargs)))
+                return calls[-1][1]
+            monkeypatch.setattr(harness, name, spy)
+        for cfg in (_tiny_config(), _ring_config(snr_db=(5.0, 15.0))):
+            calls.clear()
+            res = run_sweep(cfg)
+            assert len(calls) == \
+                len(cfg.snr_db) * cfg.n_csit * len(cfg.methods)
+            assert [m for m, _ in calls] == [c.method for c in res.cells]
+            for c, (_, r) in zip(res.cells, calls):
+                assert c.asr == r.best_asr
+                if c.method == "fixed":
+                    split = r.best_split
+                    assert (c.q_common, c.q_group, c.q_private) == \
+                        pytest.approx((split.common, split.group,
+                                       split.private), rel=0, abs=1e-12)
+
 
 class TestWriteReports:
     def test_files_and_schema(self, tmp_path):
@@ -278,10 +306,3 @@ class TestWriteReports:
         assert payload["config"]["master_seed"] == 42
         back = [c["asr"] for c in payload["cells"]]
         assert back == [c.asr for c in res.cells]
-
-    def test_env_dir_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_OUT_DIR, str(tmp_path / "forced"))
-        res = run_sweep(_tiny_config())
-        paths = write_reports(res, out_dir=str(tmp_path / "ignored"))
-        assert "forced" in paths["csv"]
-        assert not (tmp_path / "ignored").exists()

@@ -4,9 +4,8 @@ import pytest
 from rsmeta.channel import IidCsitModel
 from rsmeta.layout import StreamLayout
 from rsmeta.linalg import RngStream, svd_dominant
-from rsmeta.metaopt import (MetaOptConfig, init_precoder, project,
-                            run_meta_opt)
-from rsmeta.rates import PrecoderMatrix, saf_report
+from rsmeta.metaopt import MetaOptConfig, init_precoder, run_meta_opt
+from rsmeta.rates import saf_report
 
 
 def _scene(seed=100, n_tx=3, n_users=2, n_draws=8, p_t=10.0):
@@ -72,28 +71,6 @@ class TestInitPrecoder:
         lay, ens, p_t = _scene(seed=14)
         with pytest.raises(ValueError, match="shape"):
             init_precoder(lay, ens.estimate.T, p_t)
-
-
-class TestProject:
-    def test_scales_onto_budget(self):
-        lay, ens, p_t = _scene(seed=15)
-        p0 = init_precoder(lay, ens.estimate, p_t)
-        blown = p0.with_matrix(p0.matrix * 3.0)
-        fixed = project(blown, p_t)
-        assert fixed.total_power == pytest.approx(p_t, rel=1e-12)
-        # direction preserved
-        ratio = fixed.matrix[0, 0] / blown.matrix[0, 0]
-        np.testing.assert_allclose(fixed.matrix, blown.matrix * ratio,
-                                   rtol=1e-12)
-
-    def test_leaves_feasible_untouched(self):
-        lay, ens, p_t = _scene(seed=16)
-        p0 = init_precoder(lay, ens.estimate, p_t, splits=(0.4, 0.0, 0.1))
-        assert project(p0, p_t) is p0
-
-    def test_ndarray_input(self):
-        out = project(np.array([[2.0 + 0j, 0.0]]), 1.0)
-        np.testing.assert_allclose(np.sum(np.abs(out) ** 2), 1.0, rtol=1e-12)
 
 
 class TestRunMetaOpt:
