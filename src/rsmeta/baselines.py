@@ -5,7 +5,10 @@
   Same objective and Adam constants as the network-driven run, and the
   very same start point, scoring and best-candidate record
   (``metaopt._start``), so any gap between them is the method and not the
-  plumbing.
+  plumbing. A run projects on one workspace
+  (:class:`rsmeta.linalg.ProjectionWorkspace`) built for its ensemble, so
+  its time goes to arithmetic, not to copying the channels and faulting in
+  fresh arrays on every iteration.
 
 * Fixed-direction beamforming with an exhaustive power-split search:
   column directions are built once from second-order statistics and the
@@ -25,12 +28,13 @@ from .channel import ChannelEnsemble, OneRingModel
 from .gradients import asr_from_powers, grad_wrt_precoder, project_view, \
     view_length, view_to_precoder
 from .layout import StreamLayout
-from .linalg import channel_project, herm_eig, svd_dominant
+from .linalg import ProjectionWorkspace, channel_project, herm_eig, \
+    svd_dominant
 from .metaopt import RunResult, _start
 from .rates import PrecoderMatrix
 
-__all__ = ["PowerSplit", "power_split_grid", "run_direct_adam",
-           "FixedDirectionResult", "run_fixed_direction"]
+__all__ = ["PowerSplit", "lattice_size", "power_split_grid",
+           "run_direct_adam", "FixedDirectionResult", "run_fixed_direction"]
 
 # ---------------------------------------------------------------------------
 # direct Adam on the precoder
@@ -40,15 +44,22 @@ def run_direct_adam(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
                     n_iters: int = 2000, lr: float = 0.02,
                     splits: tuple = None, smooth_temp: float = None,
                     track_history: bool = True) -> RunResult:
-    """Adam directly on the precoder view, projected after every step."""
+    """Adam directly on the precoder view, projected after every step.
+
+    The run builds one projection workspace for ``ens`` and every gradient
+    and rescoring of the run fills its arrays: the channel copy is made
+    once, and the projection, column-gather and power-gradient arrays are
+    not allocated again on each iteration.
+    """
     if n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {n_iters}")
-    record, v, g = _start(layout, ens, p_t, splits, smooth_temp)
+    workspace = ProjectionWorkspace(ens.realizations)
+    record, v, g = _start(layout, ens, p_t, splits, smooth_temp, workspace)
     opt = AdamState.zeros(view_length(layout))
     for _ in range(n_iters):
         v = project_view(v + adam_step(opt, g, lr), p_t)
         loss, g = grad_wrt_precoder(view_to_precoder(v, layout), ens, layout,
-                                    smooth_temp)
+                                    smooth_temp, workspace)
         record.offer(v, loss)
     return record.result(track_history)
 
@@ -76,6 +87,15 @@ class PowerSplit:
             raise ValueError(f"invalid split ({self.common}, {self.group})")
 
 
+def lattice_size(step: float) -> int:
+    """Lattice intervals per unit of power, ``1 / step``; raises ValueError
+    unless ``step`` is a positive number that divides 1 evenly."""
+    n = round(1.0 / step) if step > 0 else 0
+    if n < 1 or abs(n * step - 1.0) > 1e-9:
+        raise ValueError(f"step must divide 1 evenly, got {step}")
+    return n
+
+
 def power_split_grid(step: float = 0.05, with_group: bool = True):
     """All lattice splits with the given step, in canonical order.
 
@@ -84,9 +104,7 @@ def power_split_grid(step: float = 0.05, with_group: bool = True):
     to the smallest split in this order. Fractions are built on an integer
     lattice so the step never accumulates rounding.
     """
-    n = round(1.0 / step)
-    if n < 1 or abs(n * step - 1.0) > 1e-9:
-        raise ValueError(f"step must divide 1 evenly, got {step}")
+    n = lattice_size(step)
     grid = []
     for i in range(n + 1):
         j_max = (n - i) if with_group else 0

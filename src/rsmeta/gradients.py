@@ -22,6 +22,11 @@ the independent reference the tests compare both gradients against.
 Every path, and the plain loss, gets |h^H p|^2 from the one projection
 :func:`rsmeta.linalg.channel_project` and computes the rates in the same
 operation order, so equal precoders give bit-equal losses on every path.
+:func:`grad_wrt_precoder` and :func:`loss_from_view` take an optional
+:class:`rsmeta.linalg.ProjectionWorkspace` built for the ensemble: its
+channel copy, projection, column gathers and power gradient are then
+filled in place instead of allocated, with bit-identical results, and
+what the functions return never points into it.
 
 The view convention is fixed package-wide: active columns only, column by
 column, real and imaginary parts interleaved (even slots real, odd slots
@@ -43,7 +48,8 @@ from .autodiff import (Var, affine, backward, constant, csq_project,
                        take_last, transpose2d, vmean, vsum)
 from .channel import ChannelEnsemble, IidCsitModel
 from .layout import StreamLayout
-from .linalg import RngStream, channel_project, gaussian_matrix
+from .linalg import (ProjectionWorkspace, RngStream, channel_project,
+                     gaussian_matrix)
 from .network import MetaNetParams, init_meta_net, mlp_forward
 from .rates import _LN2, _matrix_of
 
@@ -106,7 +112,29 @@ def project_view(v: np.ndarray, p_t: float) -> np.ndarray:
 # plain evaluation path and the closed-form precoder gradient
 # ---------------------------------------------------------------------------
 
-def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float):
+def _scratch(workspace: ProjectionWorkspace, key: str, shape: tuple):
+    """An uninitialized float array: the workspace's ``key`` array, or a
+    fresh one without a workspace."""
+    if workspace is None:
+        return np.empty(shape)
+    return workspace.array(key, shape)
+
+
+def _col_sum(powers: np.ndarray, lo: int, hi: int,
+             workspace: ProjectionWorkspace, key: str) -> np.ndarray:
+    """Sum of the columns ``lo:hi`` of ``powers`` over its last axis.
+
+    The columns are copied column-major, the memory order of the recorded
+    path's gather, and summed one column after another as numpy sums that
+    gather; summed in place, 8 or more columns would add in another order.
+    """
+    cols = _scratch(workspace, key, (hi - lo,) + powers.shape[:2])
+    np.copyto(cols, powers[:, :, lo:hi].transpose(2, 0, 1))
+    return np.sum(cols, axis=0)
+
+
+def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float,
+                 workspace: ProjectionWorkspace = None):
     """SINR numerators and denominators, ``(num, den)`` per layer, from the
     |h^H p|^2 of the active columns: (common, group or None, private).
 
@@ -115,20 +143,18 @@ def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float):
     k = layout.n_users
     g = layout.n_groups
     rows = np.arange(k)
-    # gathered, not sliced, columns: numpy sums a contiguous gather and a
-    # strided slice of 8 or more columns in different orders
-    t_com = np.sum(powers[:, :, [0]], axis=2)
+    t_com = powers[:, :, 0]
     if layout.mode == "hierarchical":
         prv_cols = np.arange(1 + g, 1 + g + k)
-        t_grp = np.sum(powers[:, :, np.arange(1, 1 + g)], axis=2)
-        t_prv = np.sum(powers[:, :, prv_cols], axis=2)
+        t_grp = _col_sum(powers, 1, 1 + g, workspace, "group_cols")
+        t_prv = _col_sum(powers, 1 + g, 1 + g + k, workspace, "private_cols")
         den_c = t_grp + t_prv + noise
         own_g = powers[:, rows, 1 + np.asarray(layout.group_of)]
         den_g = den_c - own_g
         grp = (own_g, den_g)
     else:
         prv_cols = np.arange(1, 1 + k)
-        t_prv = np.sum(powers[:, :, prv_cols], axis=2)
+        t_prv = _col_sum(powers, 1, 1 + k, workspace, "private_cols")
         den_c = t_prv + noise
         den_g = den_c
         grp = None
@@ -183,38 +209,47 @@ def _sum_rate(rc, rg, rp, layout: StreamLayout, smooth_temp: float = None):
 
 
 def rates_from_powers(powers: np.ndarray, layout: StreamLayout,
-                      noise: float):
+                      noise: float, workspace: ProjectionWorkspace = None):
     """Averaged per-user rates (common, group or None, private) from the
     |h^H p|^2 of the active columns, shaped (n_draws, n_users, n_active)."""
-    com, grp, prv = _layer_terms(powers, layout, noise)
+    com, grp, prv = _layer_terms(powers, layout, noise, workspace)
     return (_avg_rate(*com), None if grp is None else _avg_rate(*grp),
             _avg_rate(*prv))
 
 
 def asr_from_powers(powers: np.ndarray, layout: StreamLayout, noise: float,
-                    smooth_temp: float = None) -> float:
+                    smooth_temp: float = None,
+                    workspace: ProjectionWorkspace = None) -> float:
     """Averaged sum rate from the |h^H p|^2 of the active columns."""
-    return _sum_rate(*rates_from_powers(powers, layout, noise), layout,
-                     smooth_temp)[0]
+    return _sum_rate(*rates_from_powers(powers, layout, noise, workspace),
+                     layout, smooth_temp)[0]
 
 
 def loss_from_view(v: np.ndarray, ens: ChannelEnsemble, layout: StreamLayout,
-                   smooth_temp: float = None) -> float:
-    """Negative averaged sum rate of the precoder encoded by the view."""
+                   smooth_temp: float = None,
+                   workspace: ProjectionWorkspace = None) -> float:
+    """Negative averaged sum rate of the precoder encoded by the view.
+
+    ``workspace``, built for ``ens.realizations``, supplies the arrays of
+    the projection and the rates; without one they are fresh.
+    """
     mat_act = _deinterleave(np.asarray(v, dtype=float), layout.n_tx)
-    powers, _, _ = channel_project(ens.realizations, mat_act)
-    return -asr_from_powers(powers, layout, ens.noise_power, smooth_temp)
+    powers, _, _ = channel_project(ens.realizations, mat_act, workspace)
+    return -asr_from_powers(powers, layout, ens.noise_power, smooth_temp,
+                            workspace)
 
 
 def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
-                        noise: float, smooth_temp: float = None):
+                        noise: float, smooth_temp: float = None,
+                        workspace: ProjectionWorkspace = None):
     """Averaged sum rate from the |h^H p|^2 of the active columns, and its
     gradient with respect to those powers: ``(asr, d asr / d powers)``.
 
     The forward pass keeps the layer terms and the backward pass runs
-    through each layer's rate by hand.
+    through each layer's rate by hand. The gradient is the workspace's
+    ``power_grad`` array when there is a workspace.
     """
-    com, grp, prv = _layer_terms(powers, layout, noise)
+    com, grp, prv = _layer_terms(powers, layout, noise, workspace)
     rc, rp = _avg_rate(*com), _avg_rate(*prv)
     rg = None if grp is None else _avg_rate(*grp)
     asr, w_c, w_g = _sum_rate(rc, rg, rp, layout, smooth_temp)
@@ -227,7 +262,8 @@ def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
     first_prv = 1 + layout.n_groups if grp is not None else 1
     g_com, g_den = _avg_rate_vjp(w_c, *com)
     g_own_p, g_den_p = _avg_rate_vjp(np.ones_like(rp), *prv)
-    g_pow = np.zeros_like(powers)
+    g_pow = _scratch(workspace, "power_grad", powers.shape)
+    g_pow.fill(0.0)
     if grp is not None:
         g_own_g, g_den_g = _avg_rate_vjp(w_g, *grp)
         g_den_g = g_den_g + g_den_p
@@ -243,19 +279,26 @@ def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
 
 
 def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
-                      smooth_temp: float = None):
+                      smooth_temp: float = None,
+                      workspace: ProjectionWorkspace = None):
     """Loss and its gradient with respect to the precoder view.
 
     Returns ``(loss, grad)`` with ``grad`` in view coordinates, so it can be
     fed straight into the update network or a first-order step. Closed
     form: :func:`_asr_and_power_grad`, then one matrix product maps
     d(loss)/d(powers) back to the precoder.
+
+    A ``workspace`` built for ``ens.realizations`` supplies the projection's
+    channel copy and its projection, column-gather and power-gradient
+    arrays, so a loop of calls allocates none of them again; without one
+    they are fresh. ``grad`` is fresh either way.
     """
     mat = _matrix_of(p)
     powers, z, hc = channel_project(ens.realizations,
-                                    mat[:, list(layout.active_streams)])
+                                    mat[:, list(layout.active_streams)],
+                                    workspace)
     asr, g_pow = _asr_and_power_grad(powers, layout, ens.noise_power,
-                                     smooth_temp)
+                                     smooth_temp, workspace)
 
     # d|z|^2 = 2 Re(conj(z) dz) with z = hc @ p; the loss is -asr. z and
     # g_pow are overwritten in place: fresh arrays of this size cost more

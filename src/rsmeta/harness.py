@@ -22,17 +22,18 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import run_direct_adam, run_fixed_direction
+from .baselines import lattice_size, run_direct_adam, run_fixed_direction
 from .channel import IidCsitModel, OneRingModel
 from .layout import StreamLayout
 from .linalg import RngStream
-from .metaopt import MetaOptConfig, run_meta_opt
+from .metaopt import MetaOptConfig, run_meta_opt, start_splits
 from .rates import PrecoderMatrix, saf_report
 
 __all__ = ["ExperimentConfig", "CellResult", "SweepResult",
@@ -200,6 +201,58 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ValueError("n_users must split evenly across n_groups")
     if cfg.n_threads < 1:
         raise ValueError("threads must be >= 1")
+    _validate_optimizers(cfg)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_positive(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) \
+        and 0 < x < float("inf")
+
+
+def _require(ok: bool, key: str, value, what: str) -> None:
+    if not ok:
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+
+
+def _require_accepted(key: str, check, *args) -> None:
+    """Run a library check, naming ``key`` in the error it raises."""
+    try:
+        check(*args)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
+def _validate_optimizers(cfg: ExperimentConfig) -> None:
+    """Reject the settings of the requested optimizers that would otherwise
+    fail only once the sweep reaches them, naming the config key."""
+    methods = set(cfg.methods)
+    for method in ("meta", "direct"):
+        if method in methods:
+            iters = getattr(cfg, f"{method}_iters")
+            lr = getattr(cfg, f"{method}_lr")
+            _require(_is_int(iters) and iters >= 1, f"{method}.iters", iters,
+                     "an integer >= 1")
+            _require(_is_positive(lr), f"{method}.lr", lr, "a number > 0")
+    if "meta" in methods:
+        hidden = cfg.meta_hidden
+        _require(isinstance(hidden, (tuple, list))
+                 and all(_is_int(h) and h >= 1 for h in hidden),
+                 "meta.hidden", hidden, "a list of layer sizes >= 1")
+        temp = cfg.meta_smooth_temp
+        _require(temp is None or _is_positive(temp), "meta.smooth_temp",
+                 temp, "none or a number > 0")
+    if methods & {"meta", "direct"}:
+        _require_accepted("meta.splits", start_splits, _build_layout(cfg),
+                          cfg.meta_splits)
+    if "fixed" in methods:
+        _require_accepted("fixed.step", lattice_size, cfg.fixed_step)
+        rank = cfg.fixed_rank
+        _require(rank is None or _is_int(rank) and 1 <= rank <= cfg.n_tx,
+                 "fixed.rank", rank, f"none or an integer in [1, {cfg.n_tx}]")
 
 
 @dataclass
@@ -332,9 +385,10 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 def write_reports(result: SweepResult, out_dir=None) -> dict:
     """Write results.csv (aggregates) and results.json (all cells).
 
-    Returns the paths written. ``out_dir`` falls back to the config value.
+    Returns the paths written. ``out_dir`` falls back to the config value;
+    the config in results.json records the directory actually written.
     """
-    out_dir = out_dir or result.config.out_dir
+    out_dir = os.fspath(out_dir or result.config.out_dir)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "results.csv")
     json_path = os.path.join(out_dir, "results.json")
@@ -347,9 +401,11 @@ def write_reports(result: SweepResult, out_dir=None) -> dict:
         writer.writeheader()
         writer.writerows(rows)
 
+    # the config records where its reports went, not where it said to
+    config = dict(dataclasses.asdict(result.config), out_dir=out_dir)
     payload = {
         "schema_version": result.schema_version,
-        "config": dataclasses.asdict(result.config),
+        "config": config,
         "cells": [dataclasses.asdict(c) for c in result.cells],
     }
     with open(json_path, "w") as fh:

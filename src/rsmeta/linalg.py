@@ -3,13 +3,21 @@
 Complex matrices are plain ``numpy.ndarray`` of dtype complex128. Every
 operation here is deterministic for a fixed seed within one installation,
 which is what makes whole experiment sweeps bit-reproducible.
+
+:func:`channel_project` is the package's one |h^H p|^2 projection. It runs
+on a :class:`ProjectionWorkspace`: the user-major conjugate copy of the
+channel stack plus the (n_draws, n_users, n_streams) arrays that it and the
+rate backward fill in place. An optimizer loop keeps one workspace per run,
+so the copy is made once and those arrays are not allocated again on each
+iteration; a one-shot call gets a throwaway workspace. Which destination
+arrays are used never changes a number.
 """
 from __future__ import annotations
 
 import numpy as np
 
 __all__ = ["RngStream", "gaussian_matrix", "herm_eig", "svd_dominant",
-           "channel_project", "quadrature"]
+           "ProjectionWorkspace", "channel_project", "quadrature"]
 
 
 class RngStream:
@@ -106,23 +114,55 @@ def svd_dominant(a: np.ndarray) -> np.ndarray:
     return u[:, 0].copy()
 
 
-def channel_project(h: np.ndarray, p: np.ndarray):
+class ProjectionWorkspace:
+    """The arrays that repeated projections of one channel stack reuse.
+
+    Built from a complex (n_draws, n_tx, n_users) stack ``h``: it makes the
+    user-major conjugate (n_draws * n_users, n_tx) copy ``hc`` once, and
+    :meth:`array` hands out named arrays that every later request under the
+    same name gets again, to be overwritten. An optimizer run that projects
+    one ensemble on every iteration builds one workspace; a one-shot caller
+    lets :func:`channel_project` build a throwaway one. Results that outlive
+    the next call on the workspace must be copied out of it.
+    """
+
+    def __init__(self, h: np.ndarray):
+        m, n_tx, k = h.shape
+        hc = np.empty((m, k, n_tx), dtype=complex)
+        np.conjugate(h.transpose(0, 2, 1), out=hc)
+        self.h = h
+        self.hc = hc.reshape(m * k, n_tx)
+        self._arrays = {}
+
+    def array(self, key: str, shape: tuple, dtype=float) -> np.ndarray:
+        """The uninitialized array ``key``, reused while its shape holds."""
+        arr = self._arrays.get(key)
+        if arr is None or arr.shape != shape or arr.dtype != dtype:
+            arr = self._arrays[key] = np.empty(shape, dtype=dtype)
+        return arr
+
+
+def channel_project(h: np.ndarray, p: np.ndarray,
+                    workspace: ProjectionWorkspace = None):
     """Inner products ``h_k^(m)H p_s`` and their squared magnitudes.
 
     ``h`` is a complex (n_draws, n_tx, n_users) stack and ``p`` an
-    (n_tx, n_streams) precoder. The stack is copied, conjugated, into a
-    user-major (n_draws * n_users, n_tx) matrix ``hc`` on every call, so a
-    single matrix product gives every inner product. Returns
+    (n_tx, n_streams) precoder. One matrix product of the workspace's
+    user-major conjugate copy ``hc`` with ``p`` gives every inner product;
+    without a ``workspace`` a throwaway one is built for ``h``. Returns
     ``(powers, z, hc)``: ``z`` and ``powers = |z|^2`` are shaped
-    (n_draws, n_users, n_streams), and ``hc`` is returned for the adjoint
-    product.
+    (n_draws, n_users, n_streams) and live in the workspace, and ``hc`` is
+    returned for the adjoint product.
     """
-    m, n_tx, k = h.shape
-    hc = np.empty((m, k, n_tx), dtype=complex)
-    np.conjugate(h.transpose(0, 2, 1), out=hc)
-    hc = hc.reshape(m * k, n_tx)
-    z = (hc @ p).reshape(m, k, -1)
-    return z.real ** 2 + z.imag ** 2, z, hc
+    ws = ProjectionWorkspace(h) if workspace is None else workspace
+    if ws.h is not h:
+        raise ValueError("the workspace was built for another channel stack")
+    m, _, k = h.shape
+    z = ws.array("z", (m, k, p.shape[1]), complex)
+    np.matmul(ws.hc, p, out=z.reshape(m * k, -1))
+    powers = np.square(z.real, out=ws.array("powers", z.shape))
+    powers += np.square(z.imag, out=ws.array("imag_sq", z.shape))
+    return powers, z, ws.hc
 
 
 def quadrature(f, lo: float, hi: float, nodes: int = 513) -> complex:

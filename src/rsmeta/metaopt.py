@@ -25,11 +25,12 @@ from .channel import ChannelEnsemble
 from .gradients import (grad_wrt_precoder, grad_wrt_theta, loss_from_view,
                         precoder_to_view, view_length, view_to_precoder)
 from .layout import StreamLayout
-from .linalg import RngStream, svd_dominant
+from .linalg import ProjectionWorkspace, RngStream, svd_dominant
 from .network import MetaNetParams, init_meta_net
 from .rates import PrecoderMatrix
 
-__all__ = ["MetaOptConfig", "RunResult", "init_precoder", "run_meta_opt"]
+__all__ = ["MetaOptConfig", "RunResult", "start_splits", "init_precoder",
+           "run_meta_opt"]
 
 
 @dataclass
@@ -65,6 +66,27 @@ class RunResult:
     params: MetaNetParams = None
 
 
+def start_splits(layout: StreamLayout, splits: tuple = None) -> tuple:
+    """The start point's power fractions ``(common, group, private)``.
+
+    ``None`` gives the defaults; anything else must be three nonnegative
+    fractions summing to at most one, with no group share in one-layer
+    mode. Raises ValueError otherwise.
+    """
+    if splits is None:
+        return (0.9, 0.0, 0.1) if layout.mode == "one_layer" \
+            else (0.45, 0.45, 0.10)
+    q = tuple(float(s) for s in splits)
+    if len(q) != 3:
+        raise ValueError(f"splits must be three fractions, got {splits}")
+    if min(q) < 0 or sum(q) > 1.0 + 1e-12:
+        raise ValueError(f"splits must be nonnegative with sum <= 1, "
+                         f"got {splits}")
+    if layout.mode == "one_layer" and q[1] != 0.0:
+        raise ValueError("one-layer mode cannot put power on group streams")
+    return q
+
+
 def init_precoder(layout: StreamLayout, estimate: np.ndarray, p_t: float,
                   splits: tuple = None) -> PrecoderMatrix:
     """Matched-direction starting point from the channel estimate.
@@ -74,22 +96,15 @@ def init_precoder(layout: StreamLayout, estimate: np.ndarray, p_t: float,
     dominant direction of that group's columns; each private column along
     the user's own estimate. Power fractions ``splits = (common, group,
     private)`` share ``p_t``, the group share splitting equally across
-    groups and the private share equally across users.
+    groups and the private share equally across users; see
+    :func:`start_splits`.
     """
     est = np.asarray(estimate, dtype=complex)
     if est.shape != (layout.n_tx, layout.n_users):
         raise ValueError(f"estimate shape {est.shape} does not match layout")
     if not p_t > 0:
         raise ValueError(f"p_t must be positive, got {p_t}")
-    if splits is None:
-        splits = (0.9, 0.0, 0.1) if layout.mode == "one_layer" \
-            else (0.45, 0.45, 0.10)
-    q_c, q_g, q_p = (float(s) for s in splits)
-    if min(q_c, q_g, q_p) < 0 or q_c + q_g + q_p > 1.0 + 1e-12:
-        raise ValueError(f"splits must be nonnegative with sum <= 1, "
-                         f"got {splits}")
-    if layout.mode == "one_layer" and q_g != 0.0:
-        raise ValueError("one-layer mode cannot put power on group streams")
+    q_c, q_g, q_p = start_splits(layout, splits)
     if not np.any(est):
         raise ValueError("cannot build a starting precoder from a zero estimate")
     mat = np.zeros((layout.n_tx, layout.n_streams), dtype=complex)
@@ -113,14 +128,16 @@ class _Record:
     """Clock, rate history and best candidate of one Adam run.
 
     Candidates are scored with the hard minimum: the training loss when
-    training uses it too, a fresh evaluation under a smooth surrogate. The
-    first candidate offered is the start point.
+    training uses it too, a fresh evaluation under a smooth surrogate, on
+    the run's ``workspace`` when it has one. The first candidate offered is
+    the start point.
     """
 
     def __init__(self, layout: StreamLayout, ens: ChannelEnsemble,
-                 smooth_temp: float):
+                 smooth_temp: float, workspace: ProjectionWorkspace = None):
         self.t0 = time.perf_counter()
         self.layout, self.ens, self.smooth_temp = layout, ens, smooth_temp
+        self.workspace = workspace
         self.history = []
         self.best_asr = self.best_view = None
 
@@ -129,7 +146,8 @@ class _Record:
         if self.smooth_temp is None:
             asr = -loss
         else:
-            asr = -loss_from_view(view, self.ens, self.layout, None)
+            asr = -loss_from_view(view, self.ens, self.layout, None,
+                                  self.workspace)
         if not self.history or asr > self.best_asr:
             self.best_asr, self.best_view = asr, view
         self.history.append(asr)
@@ -148,17 +166,19 @@ class _Record:
 
 
 def _start(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
-           splits: tuple, smooth_temp: float):
+           splits: tuple, smooth_temp: float,
+           workspace: ProjectionWorkspace = None):
     """Matched start point shared by both Adam optimizers.
 
     Returns ``(record, view, grad)``: a fresh :class:`_Record` holding the
     start as its first candidate, the start in view coordinates, and the
-    precoder gradient there.
+    precoder gradient there. The start and the record project on
+    ``workspace``, the run's one, or on fresh arrays without it.
     """
-    record = _Record(layout, ens, smooth_temp)
+    record = _Record(layout, ens, smooth_temp, workspace)
     p0 = init_precoder(layout, ens.estimate, p_t, splits)
     view = precoder_to_view(p0, layout)
-    loss, grad = grad_wrt_precoder(p0, ens, layout, smooth_temp)
+    loss, grad = grad_wrt_precoder(p0, ens, layout, smooth_temp, workspace)
     record.offer(view, loss)
     return record, view, grad
 
@@ -176,8 +196,11 @@ def run_meta_opt(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
     cfg = config or MetaOptConfig()
     if cfg.n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {cfg.n_iters}")
+    # only the smoothed rescoring projects again after the start point
+    workspace = None if cfg.smooth_temp is None \
+        else ProjectionWorkspace(ens.realizations)
     record, p0_view, g0 = _start(layout, ens, p_t, cfg.splits,
-                                 cfg.smooth_temp)
+                                 cfg.smooth_temp, workspace)
 
     dim = view_length(layout)
     params = init_meta_net(RngStream(cfg.seed), dim, cfg.hidden)

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
+from rsmeta.adam import AdamState, adam_step
 from rsmeta.baselines import (PowerSplit, power_split_grid, run_direct_adam,
                               run_fixed_direction)
 from rsmeta.channel import IidCsitModel, OneRingModel
+from rsmeta.gradients import (grad_wrt_precoder, loss_from_view,
+                              precoder_to_view, project_view,
+                              view_to_precoder)
 from rsmeta.layout import StreamLayout
 from rsmeta.linalg import RngStream
+from rsmeta.metaopt import init_precoder
 from rsmeta.rates import saf_report
 
 
@@ -92,6 +97,45 @@ class TestDirectAdam:
         lay, ens, p_t = _iid_scene(seed=403)
         with pytest.raises(ValueError):
             run_direct_adam(lay, ens, p_t, n_iters=0)
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    @pytest.mark.parametrize("smooth_temp", [None, 0.3])
+    def test_equals_one_shot_reference_loop(self, hierarchical, smooth_temp):
+        # the run reuses one projection workspace; the reference projects
+        # afresh on every call, so any state left in the workspace shows.
+        # 8 users put 8 private columns into the gathered sums
+        if hierarchical:
+            lay = StreamLayout.hierarchical(6, 8, 2)
+        else:
+            lay = StreamLayout.one_layer(4, 8)
+        model = IidCsitModel(n_tx=lay.n_tx, n_users=lay.n_users,
+                             error_power=0.2)
+        p_t = 10.0
+        ens = model.draw(RngStream(404), p_t, 24)
+        res = run_direct_adam(lay, ens, p_t, n_iters=40, lr=0.05,
+                              smooth_temp=smooth_temp)
+
+        def hard_asr(v, loss):
+            return -loss if smooth_temp is None else \
+                -loss_from_view(v, ens, lay)
+
+        p0 = init_precoder(lay, ens.estimate, p_t)
+        v = precoder_to_view(p0, lay)
+        loss, g = grad_wrt_precoder(p0, ens, lay, smooth_temp)
+        history = [hard_asr(v, loss)]
+        best = v
+        opt = AdamState.zeros(v.size)
+        for _ in range(40):
+            v = project_view(v + adam_step(opt, g, 0.05), p_t)
+            loss, g = grad_wrt_precoder(view_to_precoder(v, lay), ens, lay,
+                                        smooth_temp)
+            history.append(hard_asr(v, loss))
+            if history[-1] > max(history[:-1]):
+                best = v
+        np.testing.assert_array_equal(res.asr_history, history)
+        np.testing.assert_array_equal(res.best_precoder.matrix,
+                                      view_to_precoder(best, lay))
+        assert res.best_asr == max(history)
 
 
 def _ring_scene(seed=500, n_tx=8, n_users=4, n_groups=2, n_draws=12,

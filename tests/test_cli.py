@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from rsmeta import harness
 from rsmeta.cli import ENV_OUT_DIR, ENV_THREADS, main
 
 TINY = """
@@ -102,6 +103,24 @@ class TestRun:
                      "--out-dir", str(out_dir), "--threads", "0"])
         assert code == 1
         assert "threads" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_bad_optimizer_setting_fails_before_any_cell(
+            self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY.replace("direct.iters = 5", "direct.iters = 0"))
+        cells = []
+        monkeypatch.setattr(harness, "run_meta_opt",
+                            lambda *a, **k: cells.append("meta"))
+        monkeypatch.setattr(harness, "run_direct_adam",
+                            lambda *a, **k: cells.append("direct"))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert "direct.iters" in capsys.readouterr().err
+        out_dir = tmp_path / "res"
+        assert main(["run", "--config", str(path),
+                     "--out-dir", str(out_dir)]) == 1
+        assert "direct.iters" in capsys.readouterr().err
+        assert cells == []
         assert not out_dir.exists()
 
 

@@ -11,7 +11,8 @@ from rsmeta.gradients import (_min_and_weights, _random_instance,
                               project_view, rates_from_powers, view_length,
                               view_to_precoder)
 from rsmeta.layout import StreamLayout
-from rsmeta.linalg import RngStream, channel_project, gaussian_matrix
+from rsmeta.linalg import (ProjectionWorkspace, RngStream, channel_project,
+                           gaussian_matrix)
 from rsmeta.network import init_meta_net, mlp_forward
 from rsmeta.rates import avg_sum_rate_loss, saf_report
 
@@ -178,6 +179,51 @@ class TestClosedFormMatchesTape:
             lambda x: loss_from_view(x, tied, lay),
             precoder_to_view(mat, lay), g, step=1e-6)
         assert err <= 1e-5
+
+
+class TestProjectionWorkspace:
+    @staticmethod
+    def _eight_users(hierarchical):
+        # 8 users put 8 private columns into one gathered sum
+        return _instance(seed=90, n_tx=4, n_users=8,
+                         hierarchical=hierarchical, n_draws=12)
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    @pytest.mark.parametrize("smooth_temp", [None, 0.3])
+    def test_kept_results_survive_later_calls(self, hierarchical,
+                                              smooth_temp):
+        lay, ens, mat = self._eight_users(hierarchical)
+        ws = ProjectionWorkspace(ens.realizations)
+        rng = RngStream(91)
+        mats = [mat * (0.5 + 0.1 * i) + 0.1 * gaussian_matrix(
+                    rng, lay.n_tx, lay.n_streams, 1.0) * (mat != 0)
+                for i in range(5)]
+        kept = []
+        for m in mats:
+            kept.append(grad_wrt_precoder(m, ens, lay, smooth_temp, ws))
+            loss_from_view(precoder_to_view(m, lay), ens, lay, None, ws)
+        for m, (loss, g) in zip(mats, kept):
+            loss_1, g_1 = grad_wrt_precoder(m, ens, lay, smooth_temp)
+            assert loss == loss_1
+            np.testing.assert_array_equal(g, g_1)
+            assert loss_from_view(precoder_to_view(m, lay), ens, lay,
+                                  smooth_temp, ws) == loss_1
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_eight_columns_sum_like_tape(self, hierarchical):
+        lay, ens, mat = self._eight_users(hierarchical)
+        ws = ProjectionWorkspace(ens.realizations)
+        loss, g = grad_wrt_precoder(mat, ens, lay, None, ws)
+        loss_t, g_t = _tape_grad(mat, ens, lay)
+        assert loss == loss_t                                    # bitwise
+        np.testing.assert_allclose(g, g_t, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(g_t)))
+
+    def test_rejects_another_stack(self):
+        lay, ens, mat = _instance(seed=92)
+        ws = ProjectionWorkspace(ens.realizations)
+        with pytest.raises(ValueError, match="another channel stack"):
+            channel_project(ens.realizations.copy(), mat, ws)
 
 
 def _assert_theta_matches_tape(params, p0, g0, ens, lay, p_t, smooth_temp):

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import json
+import os
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +129,32 @@ class TestValidateConfig:
 
     def test_iid_snr_above_degenerate_point_passes(self):
         validate_config(ExperimentConfig(scenario="iid", snr_db=(1.0, 10.0)))
+
+    # each of these used to pass validation and fail once its cell ran
+    @pytest.mark.parametrize("key, field, value", [
+        ("meta.iters", "meta_iters", 0),
+        ("direct.iters", "direct_iters", 0),
+        ("meta.lr", "meta_lr", 0.0),
+        ("direct.lr", "direct_lr", -0.02),
+        ("meta.hidden", "meta_hidden", (50, 0)),
+        ("meta.smooth_temp", "meta_smooth_temp", 0.0),
+        ("meta.splits", "meta_splits", (0.5, 0.2, 0.3)),
+        ("fixed.step", "fixed_step", 0.3),
+        ("fixed.rank", "fixed_rank", 5),
+    ])
+    def test_bad_optimizer_setting_named(self, key, field, value):
+        if key.startswith("fixed."):
+            base = dict(scenario="one_ring", n_tx=4, n_users=4, n_groups=2,
+                        azimuths=(-0.5, 0.5), methods=("meta", "fixed"))
+        else:
+            base = dict(methods=("meta", "direct"))
+        validate_config(ExperimentConfig(**base))
+        with pytest.raises(ValueError, match=re.escape(key)):
+            validate_config(ExperimentConfig(**base, **{field: value}))
+
+    def test_unused_optimizer_settings_not_checked(self):
+        validate_config(ExperimentConfig(methods=("meta",), direct_iters=0,
+                                         fixed_step=0.3))
 
 
 def _tiny_config(**kw):
@@ -306,3 +334,12 @@ class TestWriteReports:
         assert payload["config"]["master_seed"] == 42
         back = [c["asr"] for c in payload["cells"]]
         assert back == [c.asr for c in res.cells]
+
+    def test_records_directory_written(self, tmp_path):
+        res = run_sweep(_tiny_config(meta_iters=1, direct_iters=1))
+        out_dir = tmp_path / "elsewhere"
+        paths = write_reports(res, out_dir)
+        assert os.path.dirname(paths["json"]) == str(out_dir)
+        with open(paths["json"]) as fh:
+            assert json.load(fh)["config"]["out_dir"] == str(out_dir)
+        assert res.config.out_dir == "results"
