@@ -6,7 +6,7 @@ update rule and one set of constants.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,11 @@ def adam_step(state: AdamState, grad: np.ndarray, lr: float,
     The caller applies the returned delta additively; the learning rate is
     already folded in, so it must not be applied twice. On the first step
     the delta is close to -lr * sign(grad) thanks to bias correction.
+
+    ``state.m`` and ``state.v`` are updated in place, each operation in the
+    order of the textbook update ``m = b1 m + (1 - b1) g``, ``v = b2 v +
+    (1 - b2) g g``, ``-lr m_hat / (sqrt(v_hat) + eps)``, so every bit of it
+    is kept. The delta is a fresh array.
     """
     grad = np.asarray(grad, dtype=float)
     if grad.shape != state.m.shape:
@@ -43,8 +48,18 @@ def adam_step(state: AdamState, grad: np.ndarray, lr: float,
         raise ValueError(f"lr must be positive, got {lr}")
     state.step_count += 1
     t = state.step_count
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = state.m / (1.0 - beta1 ** t)
-    v_hat = state.v / (1.0 - beta2 ** t)
-    return -lr * m_hat / (np.sqrt(v_hat) + eps)
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    term = (1.0 - beta2) * grad
+    term *= grad
+    v *= beta2
+    v += term
+    # term becomes sqrt(v_hat) + eps, then the delta divides by it
+    np.divide(v, 1.0 - beta2 ** t, out=term)
+    np.sqrt(term, out=term)
+    term += eps
+    delta = m / (1.0 - beta1 ** t)
+    delta *= -lr
+    delta /= term
+    return delta

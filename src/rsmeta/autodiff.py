@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import channel_project
+from .linalg import ProjectionWorkspace, channel_project
 
 __all__ = [
     "Var", "constant", "backward", "grad_of",
@@ -137,7 +137,8 @@ def affine(w: Var, x: Var, b: Var) -> Var:
                lambda g: (np.outer(g, x.value), w.value.T @ g, np.asarray(g)))
 
 
-def csq_project(pre: Var, pim: Var, h: np.ndarray) -> Var:
+def csq_project(pre: Var, pim: Var, h: np.ndarray,
+                workspace: ProjectionWorkspace = None) -> Var:
     """Squared magnitudes of channel-precoder inner products.
 
     ``h`` is a constant complex (n_draws, n_tx, n_users) stack; ``pre`` and
@@ -145,9 +146,12 @@ def csq_project(pre: Var, pim: Var, h: np.ndarray) -> Var:
     precoder. Returns |h_k^(m)H p_s|^2 shaped (n_draws, n_users, n_streams).
     The complex arithmetic is fused here so the tape stays real. The
     forward pass is the package's one projection,
-    :func:`rsmeta.linalg.channel_project`.
+    :func:`rsmeta.linalg.channel_project`, on ``workspace`` (built for
+    ``h``) or on a throwaway one. The value and the ``z`` that the vjp
+    reads then live in the workspace: run :func:`backward` before the next
+    projection on it.
     """
-    val, z, _ = channel_project(h, pre.value + 1j * pim.value)
+    val, z, _ = channel_project(h, pre.value + 1j * pim.value, workspace)
 
     def vjp(g):
         v = np.einsum("mik,mks->is", h, (2.0 * g) * z)

@@ -49,7 +49,8 @@ def run_direct_adam(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
     The run builds one projection workspace for ``ens`` and every gradient
     and rescoring of the run fills its arrays: the channel copy is made
     once, and the projection, column-gather and power-gradient arrays are
-    not allocated again on each iteration.
+    not allocated again on each iteration. ``smooth_temp`` must be None
+    (the hard minimum) or positive.
     """
     if n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {n_iters}")

@@ -22,11 +22,12 @@ the independent reference the tests compare both gradients against.
 Every path, and the plain loss, gets |h^H p|^2 from the one projection
 :func:`rsmeta.linalg.channel_project` and computes the rates in the same
 operation order, so equal precoders give bit-equal losses on every path.
-:func:`grad_wrt_precoder` and :func:`loss_from_view` take an optional
-:class:`rsmeta.linalg.ProjectionWorkspace` built for the ensemble: its
-channel copy, projection, column gathers and power gradient are then
-filled in place instead of allocated, with bit-identical results, and
-what the functions return never points into it.
+:func:`grad_wrt_precoder`, :func:`grad_wrt_theta` and :func:`loss_from_view`
+take an optional :class:`rsmeta.linalg.ProjectionWorkspace` built for the
+ensemble: its channel copy, projection, column gathers and power gradient
+are then filled in place instead of allocated, with bit-identical results,
+and what the functions return never points into it. Both optimizers pass
+their run's workspace on every iteration.
 
 The view convention is fixed package-wide: active columns only, column by
 column, real and imaginary parts interleaved (even slots real, odd slots
@@ -85,7 +86,7 @@ def _deinterleave(v: np.ndarray, n_tx: int) -> np.ndarray:
 def precoder_to_view(p, layout: StreamLayout) -> np.ndarray:
     """Flatten the active columns into the package-wide real view."""
     mat = _matrix_of(p)
-    sub = mat[:, list(layout.active_streams)]
+    sub = mat[:, layout.active_cols]
     return _interleave(sub.real, sub.imag)
 
 
@@ -96,7 +97,7 @@ def view_to_precoder(v: np.ndarray, layout: StreamLayout) -> np.ndarray:
         raise ValueError(f"view length {v.size} does not match layout "
                          f"(expected {view_length(layout)})")
     full = np.zeros((layout.n_tx, layout.n_streams), dtype=complex)
-    full[:, list(layout.active_streams)] = _deinterleave(v, layout.n_tx)
+    full[:, layout.active_cols] = _deinterleave(v, layout.n_tx)
     return full
 
 
@@ -133,44 +134,52 @@ def _col_sum(powers: np.ndarray, lo: int, hi: int,
     return np.sum(cols, axis=0)
 
 
+def _private_diag(arr: np.ndarray, first: int) -> np.ndarray:
+    """``arr[:, r, first + r]`` over users r of an (n_draws, n_users,
+    n_active) array, each user's own private column: a strided view, so
+    writable into ``arr``, when ``arr`` is contiguous."""
+    m, k, s = arr.shape
+    return arr.reshape(m, k * s)[:, first::s + 1]
+
+
 def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float,
                  workspace: ProjectionWorkspace = None):
-    """SINR numerators and denominators, ``(num, den)`` per layer, from the
+    """SINRs and their denominators, ``(sinr, den)`` per layer, from the
     |h^H p|^2 of the active columns: (common, group or None, private).
 
     Same arithmetic order as the recorded path, so losses agree bit for bit.
     """
     k = layout.n_users
     g = layout.n_groups
-    rows = np.arange(k)
     t_com = powers[:, :, 0]
     if layout.mode == "hierarchical":
-        prv_cols = np.arange(1 + g, 1 + g + k)
+        first_prv = 1 + g
         t_grp = _col_sum(powers, 1, 1 + g, workspace, "group_cols")
         t_prv = _col_sum(powers, 1 + g, 1 + g + k, workspace, "private_cols")
         den_c = t_grp + t_prv + noise
-        own_g = powers[:, rows, 1 + np.asarray(layout.group_of)]
+        own_g = powers[:, layout.user_rows, layout.own_group_cols]
         den_g = den_c - own_g
-        grp = (own_g, den_g)
+        grp = (own_g / den_g, den_g)
     else:
-        prv_cols = np.arange(1, 1 + k)
+        first_prv = 1
         t_prv = _col_sum(powers, 1, 1 + k, workspace, "private_cols")
         den_c = t_prv + noise
         den_g = den_c
         grp = None
-    own_p = powers[:, rows, prv_cols]
-    return (t_com, den_c), grp, (own_p, den_g - own_p)
+    own_p = _private_diag(powers, first_prv)
+    den_p = den_g - own_p
+    return (t_com / den_c, den_c), grp, (own_p / den_p, den_p)
 
 
-def _avg_rate(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Per-user rate log2(1 + num/den), averaged over realizations."""
-    return np.mean(np.log1p(num / den) * (1.0 / _LN2), axis=0)
+def _avg_rate(sinr: np.ndarray) -> np.ndarray:
+    """Per-user rate log2(1 + sinr), averaged over realizations."""
+    return np.mean(np.log1p(sinr) * (1.0 / _LN2), axis=0)
 
 
-def _avg_rate_vjp(g_rate: np.ndarray, num: np.ndarray, den: np.ndarray):
-    """Gradients of ``g_rate . _avg_rate(num, den)`` wrt num and den."""
-    sinr = num / den
-    g_num = (g_rate / num.shape[0]) * (1.0 / _LN2) / (1.0 + sinr) / den
+def _avg_rate_vjp(g_rate: np.ndarray, sinr: np.ndarray, den: np.ndarray):
+    """Gradients of ``g_rate . _avg_rate(num / den)`` wrt num and den, from
+    the forward pass's ``sinr = num / den``."""
+    g_num = (g_rate / sinr.shape[0]) * (1.0 / _LN2) / (1.0 + sinr) / den
     return g_num, -g_num * sinr
 
 
@@ -181,9 +190,10 @@ def _min_and_weights(x: np.ndarray, smooth_temp: float = None):
     index; the smooth minimum -T log sum exp(-x / T) has its softmax
     weights.
     """
-    if smooth_temp:
-        if smooth_temp < 0:
-            raise ValueError(f"temperature must be positive, got {smooth_temp}")
+    if smooth_temp is not None:
+        if not smooth_temp > 0:
+            raise ValueError(f"smooth_temp must be None or positive, "
+                             f"got {smooth_temp}")
         m0 = np.min(x)
         e = np.exp(-(x - m0) / smooth_temp)
         s = np.sum(e)
@@ -201,8 +211,7 @@ def _sum_rate(rc, rg, rp, layout: StreamLayout, smooth_temp: float = None):
     w_g = None
     if rg is not None:
         w_g = np.zeros_like(rg)
-        for g in range(layout.n_groups):
-            members = np.asarray(layout.group_members(g))
+        for members in layout.member_rows:
             val, w_g[members] = _min_and_weights(rg[members], smooth_temp)
             asr = asr + val
     return float(asr), w_c, w_g
@@ -213,8 +222,8 @@ def rates_from_powers(powers: np.ndarray, layout: StreamLayout,
     """Averaged per-user rates (common, group or None, private) from the
     |h^H p|^2 of the active columns, shaped (n_draws, n_users, n_active)."""
     com, grp, prv = _layer_terms(powers, layout, noise, workspace)
-    return (_avg_rate(*com), None if grp is None else _avg_rate(*grp),
-            _avg_rate(*prv))
+    return (_avg_rate(com[0]), None if grp is None else _avg_rate(grp[0]),
+            _avg_rate(prv[0]))
 
 
 def asr_from_powers(powers: np.ndarray, layout: StreamLayout, noise: float,
@@ -250,15 +259,13 @@ def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
     ``power_grad`` array when there is a workspace.
     """
     com, grp, prv = _layer_terms(powers, layout, noise, workspace)
-    rc, rp = _avg_rate(*com), _avg_rate(*prv)
-    rg = None if grp is None else _avg_rate(*grp)
+    rc, rp = _avg_rate(com[0]), _avg_rate(prv[0])
+    rg = None if grp is None else _avg_rate(grp[0])
     asr, w_c, w_g = _sum_rate(rc, rg, rp, layout, smooth_temp)
 
     # the private denominator is the group denominator (one layer: the
     # common one) minus the own private power, and the group denominator
     # is the common one minus the own group power
-    k = layout.n_users
-    rows = np.arange(k)
     first_prv = 1 + layout.n_groups if grp is not None else 1
     g_com, g_den = _avg_rate_vjp(w_c, *com)
     g_own_p, g_den_p = _avg_rate_vjp(np.ones_like(rp), *prv)
@@ -269,12 +276,13 @@ def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
         g_den_g = g_den_g + g_den_p
         g_den = g_den + g_den_g
         g_pow[:, :, 1:first_prv] = g_den[:, :, None]
-        g_pow[:, rows, 1 + np.asarray(layout.group_of)] += g_own_g - g_den_g
+        g_pow[:, layout.user_rows, layout.own_group_cols] += g_own_g - g_den_g
     else:
         g_den = g_den + g_den_p
     g_pow[:, :, 0] = g_com
     g_pow[:, :, first_prv:] += g_den[:, :, None]
-    g_pow[:, rows, first_prv + rows] += g_own_p - g_den_p
+    diag = _private_diag(g_pow, first_prv)
+    diag += g_own_p - g_den_p
     return asr, g_pow
 
 
@@ -295,8 +303,7 @@ def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
     """
     mat = _matrix_of(p)
     powers, z, hc = channel_project(ens.realizations,
-                                    mat[:, list(layout.active_streams)],
-                                    workspace)
+                                    mat[:, layout.active_cols], workspace)
     asr, g_pow = _asr_and_power_grad(powers, layout, ens.noise_power,
                                      smooth_temp, workspace)
 
@@ -325,24 +332,31 @@ def candidate_view(params: MetaNetParams, p0_view: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _rate_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
-               layout: StreamLayout, smooth_temp: float = None) -> Var:
+               layout: StreamLayout, smooth_temp: float = None,
+               workspace: ProjectionWorkspace = None) -> Var:
     """The loss as one recorded node on top of the projection, with the
-    closed-form backward of :func:`_asr_and_power_grad`."""
-    powers = csq_project(pre, pim, ens.realizations)
+    closed-form backward of :func:`_asr_and_power_grad`.
+
+    On a ``workspace`` the node's vjp reads the workspace's ``power_grad``
+    array (and the projection's vjp its ``z``), so :func:`backward` must run
+    before the next projection on that workspace.
+    """
+    powers = csq_project(pre, pim, ens.realizations, workspace)
     asr, g_pow = _asr_and_power_grad(powers.value, layout, ens.noise_power,
-                                     smooth_temp)
+                                     smooth_temp, workspace)
     return Var(-asr, (powers,), lambda g: (-g * g_pow,))
 
 
 def _tape_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
-               layout: StreamLayout, smooth_temp: float = None) -> Var:
+               layout: StreamLayout, smooth_temp: float = None,
+               workspace: ProjectionWorkspace = None) -> Var:
     """The loss recorded op by op: the tests' reference for the closed
     form. Same signature and, bit for bit, the same value as
     :func:`_rate_loss`."""
     k = layout.n_users
     g = layout.n_groups
     hier = layout.mode == "hierarchical"
-    powers = csq_project(pre, pim, ens.realizations)
+    powers = csq_project(pre, pim, ens.realizations, workspace)
     rows = np.arange(k)
     t_com = vsum(take_last(powers, np.arange(0, 1)), axis=2)
     if hier:
@@ -368,8 +382,8 @@ def _tape_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
         rg = None
     sinr_p = own_p / den_p
     rp = vmean(log1p_v(sinr_p) * (1.0 / _LN2), axis=0)
-    red = (lambda x: softmin_over(x, 0, smooth_temp)) if smooth_temp else \
-        (lambda x: min_over(x, 0))
+    red = (lambda x: min_over(x, 0)) if smooth_temp is None else \
+        (lambda x: softmin_over(x, 0, smooth_temp))
     asr = red(rc) + vsum(rp)
     if rg is not None:
         for gi in range(layout.n_groups):
@@ -389,10 +403,13 @@ def _tape_forward_net(w_vars, b_vars, x: Var) -> Var:
 
 def _theta_grad(loss_fn, params: MetaNetParams, p0, g0_view: np.ndarray,
                 ens: ChannelEnsemble, layout: StreamLayout, p_t: float,
-                smooth_temp: float = None):
+                smooth_temp: float = None,
+                workspace: ProjectionWorkspace = None):
     """:func:`grad_wrt_theta` with the loss recorded by ``loss_fn``, which
     maps the candidate's recorded real and imaginary parts to the loss:
-    :func:`_rate_loss` in production, :func:`_tape_loss` in the tests."""
+    :func:`_rate_loss` in production, :func:`_tape_loss` in the tests.
+    The recording and its :func:`backward` both run here, on ``workspace``
+    when there is one, and nothing returned points into it."""
     p0_view = p0 if np.asarray(p0).ndim == 1 else precoder_to_view(p0, layout)
     w_vars = [Var(w) for w in params.weights]
     b_vars = [Var(b) for b in params.biases]
@@ -404,7 +421,7 @@ def _theta_grad(loss_fn, params: MetaNetParams, p0, g0_view: np.ndarray,
     n_tx, s_act = layout.n_tx, len(layout.active_streams)
     pre = transpose2d(reshape_v(slice_strided(v, 0, 2), (s_act, n_tx)))
     pim = transpose2d(reshape_v(slice_strided(v, 1, 2), (s_act, n_tx)))
-    loss = loss_fn(pre, pim, ens, layout, smooth_temp)
+    loss = loss_fn(pre, pim, ens, layout, smooth_temp, workspace)
     backward(loss)
     parts = []
     for w, b in zip(w_vars, b_vars):
@@ -416,7 +433,8 @@ def _theta_grad(loss_fn, params: MetaNetParams, p0, g0_view: np.ndarray,
 
 def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
                    ens: ChannelEnsemble, layout: StreamLayout, p_t: float,
-                   smooth_temp: float = None):
+                   smooth_temp: float = None,
+                   workspace: ProjectionWorkspace = None):
     """Differentiate the full pipeline with respect to network parameters.
 
     Pipeline: frozen gradient view in, network proposal out, add to the
@@ -428,9 +446,16 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
     Returns ``(loss, grad_theta, cand_view)`` where ``loss`` is the loss at
     the projected candidate, ``grad_theta`` is flattened in parameter-vector
     order, and ``cand_view`` is the candidate in view coordinates.
+
+    A ``workspace`` built for ``ens.realizations`` supplies the projection's
+    channel copy and its projection, column-gather and power-gradient
+    arrays, as for :func:`grad_wrt_precoder`. The recorded vjps read the
+    workspace's ``z`` and ``power_grad``; that is safe because the backward
+    pass runs inside this call, before any later projection overwrites
+    them. What is returned is fresh either way.
     """
     return _theta_grad(_rate_loss, params, p0, g0_view, ens, layout, p_t,
-                       smooth_temp)
+                       smooth_temp, workspace)
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +505,8 @@ def _tie_gaps_ok(v, ens, layout, gap=1e-3) -> bool:
     if _min_gap(rc) < gap:
         return False
     if rg is not None:
-        for g in range(layout.n_groups):
-            if _min_gap(rg[np.asarray(layout.group_members(g))]) < gap:
+        for members in layout.member_rows:
+            if _min_gap(rg[members]) < gap:
                 return False
     return True
 

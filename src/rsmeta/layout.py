@@ -4,10 +4,15 @@ A precoder matrix always carries ``1 + G + K`` columns in a fixed order:
 one global common stream, then one per-group stream per group, then one
 private stream per user. One-layer operation is the same layout with the
 group block structurally unused, so both modes share every code path.
+
+The column map and the index arrays that the rate code gathers with are
+computed once per layout, on first use, and kept on it read-only. They are
+not dataclass fields, so ``==`` and ``hash`` see only the five fields.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,7 +105,7 @@ class StreamLayout:
             raise IndexError(f"user {k} out of range")
         return 1 + self.n_groups + k
 
-    @property
+    @cached_property
     def active_streams(self) -> tuple:
         """Columns that carry power and enter rates and gradients.
 
@@ -111,6 +116,27 @@ class StreamLayout:
             cols.extend(self.col_group(g) for g in range(self.n_groups))
         cols.extend(self.col_private(k) for k in range(self.n_users))
         return tuple(cols)
+
+    @cached_property
+    def active_cols(self) -> np.ndarray:
+        """:attr:`active_streams` as a read-only index array."""
+        return _read_only(np.array(self.active_streams, dtype=int))
+
+    @cached_property
+    def user_rows(self) -> np.ndarray:
+        """Read-only ``arange(n_users)``: one row per user."""
+        return _read_only(np.arange(self.n_users))
+
+    @cached_property
+    def own_group_cols(self) -> np.ndarray:
+        """Read-only column of each user's group stream, ``1 + group_of``."""
+        return _read_only(1 + np.array(self.group_of, dtype=int))
+
+    @cached_property
+    def member_rows(self) -> tuple:
+        """Read-only index array of each group's members, ascending."""
+        return tuple(_read_only(np.array(self.group_members(g), dtype=int))
+                     for g in range(self.n_groups))
 
     def group_members(self, g: int) -> tuple:
         """Users belonging to group g, ascending."""
@@ -124,3 +150,8 @@ class StreamLayout:
         for k, g in enumerate(self.group_of):
             mask[g, k] = True
         return mask
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a

@@ -7,10 +7,10 @@ which is what makes whole experiment sweeps bit-reproducible.
 :func:`channel_project` is the package's one |h^H p|^2 projection. It runs
 on a :class:`ProjectionWorkspace`: the user-major conjugate copy of the
 channel stack plus the (n_draws, n_users, n_streams) arrays that it and the
-rate backward fill in place. An optimizer loop keeps one workspace per run,
-so the copy is made once and those arrays are not allocated again on each
-iteration; a one-shot call gets a throwaway workspace. Which destination
-arrays are used never changes a number.
+rate backward fill in place. Both Adam optimizers (network and direct)
+keep one workspace per run, so the copy is made once and those arrays are
+not allocated again on each iteration; a one-shot call gets a throwaway
+workspace. Which destination arrays are used never changes a number.
 """
 from __future__ import annotations
 

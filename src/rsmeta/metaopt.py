@@ -6,8 +6,10 @@ parameters (not the precoder) take Adam steps against the averaged-rate
 objective. The start-point gradient is computed once and reused every
 iteration, so each iteration costs one forward/backward pass: recorded
 through the network and the power and channel projections, closed form
-through the layered rates. The best candidate ever evaluated, the start
-point included, is what a run returns.
+through the layered rates. Every projection of a run, start point and
+iterations alike, fills the run's one
+:class:`rsmeta.linalg.ProjectionWorkspace`. The best candidate ever
+evaluated, the start point included, is what a run returns.
 
 Direct Adam (:mod:`rsmeta.baselines`) shares the start point and the
 record of the best candidate (:func:`_start`, :class:`_Record`), so the
@@ -41,7 +43,8 @@ class MetaOptConfig:
     never stepped directly. ``smooth_temp`` switches the minima inside the
     objective to a smooth log-sum-exp surrogate for training gradients
     (reported rates always use the hard minimum); None keeps the hard
-    minimum with its lowest-index subgradient everywhere.
+    minimum with its lowest-index subgradient everywhere. Any other value
+    must be positive.
     """
 
     n_iters: int = 500
@@ -128,13 +131,13 @@ class _Record:
     """Clock, rate history and best candidate of one Adam run.
 
     Candidates are scored with the hard minimum: the training loss when
-    training uses it too, a fresh evaluation under a smooth surrogate, on
-    the run's ``workspace`` when it has one. The first candidate offered is
-    the start point.
+    training uses it too, a fresh evaluation on the run's ``workspace``
+    under a smooth surrogate. The first candidate offered is the start
+    point.
     """
 
     def __init__(self, layout: StreamLayout, ens: ChannelEnsemble,
-                 smooth_temp: float, workspace: ProjectionWorkspace = None):
+                 smooth_temp: float, workspace: ProjectionWorkspace):
         self.t0 = time.perf_counter()
         self.layout, self.ens, self.smooth_temp = layout, ens, smooth_temp
         self.workspace = workspace
@@ -167,13 +170,14 @@ class _Record:
 
 def _start(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
            splits: tuple, smooth_temp: float,
-           workspace: ProjectionWorkspace = None):
+           workspace: ProjectionWorkspace):
     """Matched start point shared by both Adam optimizers.
 
     Returns ``(record, view, grad)``: a fresh :class:`_Record` holding the
     start as its first candidate, the start in view coordinates, and the
     precoder gradient there. The start and the record project on
-    ``workspace``, the run's one, or on fresh arrays without it.
+    ``workspace``, the run's one. The start gradient raises ValueError
+    unless ``smooth_temp`` is None or positive.
     """
     record = _Record(layout, ens, smooth_temp, workspace)
     p0 = init_precoder(layout, ens.estimate, p_t, splits)
@@ -196,9 +200,7 @@ def run_meta_opt(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
     cfg = config or MetaOptConfig()
     if cfg.n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {cfg.n_iters}")
-    # only the smoothed rescoring projects again after the start point
-    workspace = None if cfg.smooth_temp is None \
-        else ProjectionWorkspace(ens.realizations)
+    workspace = ProjectionWorkspace(ens.realizations)
     record, p0_view, g0 = _start(layout, ens, p_t, cfg.splits,
                                  cfg.smooth_temp, workspace)
 
@@ -211,9 +213,10 @@ def run_meta_opt(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
     for _ in range(cfg.n_iters):
         params = MetaNetParams.from_vector(theta, dims)
         loss_i, g_theta, cand = grad_wrt_theta(
-            params, p0_view, g0, ens, layout, p_t, cfg.smooth_temp)
+            params, p0_view, g0, ens, layout, p_t, cfg.smooth_temp,
+            workspace)
         record.offer(cand, loss_i)
-        theta = theta + adam_step(opt, g_theta, cfg.lr)
+        theta += adam_step(opt, g_theta, cfg.lr)
 
     return record.result(cfg.track_history,
                          MetaNetParams.from_vector(theta, dims))

@@ -98,6 +98,14 @@ class TestDirectAdam:
         with pytest.raises(ValueError):
             run_direct_adam(lay, ens, p_t, n_iters=0)
 
+    @pytest.mark.parametrize("smooth_temp", [0.0, -0.3])
+    def test_nonpositive_smooth_temp_rejected(self, smooth_temp):
+        # 0.0 would train on the hard minimum while still paying for the
+        # smoothed rescoring
+        lay, ens, p_t = _iid_scene(seed=406)
+        with pytest.raises(ValueError, match="smooth_temp"):
+            run_direct_adam(lay, ens, p_t, n_iters=2, smooth_temp=smooth_temp)
+
     @pytest.mark.parametrize("hierarchical", [False, True])
     @pytest.mark.parametrize("smooth_temp", [None, 0.3])
     def test_equals_one_shot_reference_loop(self, hierarchical, smooth_temp):

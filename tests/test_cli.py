@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +43,10 @@ threads = 1
 """
 
 
+SHIPPED = sorted((Path(__file__).resolve().parent.parent / "configs")
+                 .glob("*.cfg"))
+
+
 @pytest.fixture
 def tiny_cfg(tmp_path):
     path = tmp_path / "tiny.cfg"
@@ -62,6 +67,17 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "ok" in out
         assert "master_seed = 5" in out
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+    def test_shipped_config(self, path, monkeypatch, capsys):
+        monkeypatch.delenv(ENV_OUT_DIR, raising=False)
+        monkeypatch.delenv(ENV_THREADS, raising=False)
+        assert main(["validate", "--config", str(path)]) == 0
+        assert "ok" in capsys.readouterr().out
+
+    def test_shipped_configs_found(self):
+        assert {"smoke.cfg", "single_layer.cfg", "grouped_ring.cfg"} <= \
+            {p.name for p in SHIPPED}
 
     def test_broken_config(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

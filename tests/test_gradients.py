@@ -123,6 +123,15 @@ class TestPrecoderGradient:
             step=1e-6)
         assert err <= 1e-5
 
+    @pytest.mark.parametrize("smooth_temp", [0.0, -0.4])
+    def test_nonpositive_smooth_temp_rejected(self, smooth_temp):
+        # 0.0 used to select the hard minimum silently
+        lay, ens, mat = _instance(seed=65)
+        with pytest.raises(ValueError, match="smooth_temp"):
+            grad_wrt_precoder(mat, ens, lay, smooth_temp)
+        with pytest.raises(ValueError, match="smooth_temp"):
+            loss_from_view(precoder_to_view(mat, lay), ens, lay, smooth_temp)
+
     def test_gradient_view_length(self):
         lay, ens, mat = _instance(seed=64)
         _, g = grad_wrt_precoder(mat, ens, lay)

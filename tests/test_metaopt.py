@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+from rsmeta.adam import AdamState, adam_step
 from rsmeta.channel import IidCsitModel
+from rsmeta.gradients import (grad_wrt_precoder, grad_wrt_theta,
+                              loss_from_view, precoder_to_view,
+                              view_to_precoder)
 from rsmeta.layout import StreamLayout
 from rsmeta.linalg import RngStream, svd_dominant
 from rsmeta.metaopt import MetaOptConfig, init_precoder, run_meta_opt
+from rsmeta.network import MetaNetParams, init_meta_net
 from rsmeta.rates import saf_report
 
 
@@ -139,3 +144,57 @@ class TestRunMetaOpt:
         lay, ens, p_t = _scene(seed=17)
         with pytest.raises(ValueError):
             run_meta_opt(lay, ens, p_t, MetaOptConfig(n_iters=0))
+
+    @pytest.mark.parametrize("smooth_temp", [0.0, -0.3])
+    def test_nonpositive_smooth_temp_rejected(self, smooth_temp):
+        # 0.0 would train on the hard minimum while still paying for the
+        # smoothed rescoring
+        lay, ens, p_t = _scene(seed=18)
+        with pytest.raises(ValueError, match="smooth_temp"):
+            run_meta_opt(lay, ens, p_t, MetaOptConfig(
+                n_iters=2, smooth_temp=smooth_temp))
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    @pytest.mark.parametrize("smooth_temp", [None, 0.3])
+    def test_equals_one_shot_reference_loop(self, hierarchical, smooth_temp):
+        # the run projects on one workspace, whose z and power gradient the
+        # recorded vjps read; the reference projects afresh on every call,
+        # so a vjp reading an overwritten array, or state left in the
+        # workspace, shows. 8 users put 8 private columns into the sums
+        if hierarchical:
+            lay = StreamLayout.hierarchical(6, 8, 2)
+        else:
+            lay = StreamLayout.one_layer(4, 8)
+        model = IidCsitModel(n_tx=lay.n_tx, n_users=lay.n_users,
+                             error_power=0.2)
+        p_t, lr, n_iters = 10.0, 5e-3, 30
+        ens = model.draw(RngStream(405), p_t, 24)
+        res = run_meta_opt(lay, ens, p_t, MetaOptConfig(
+            n_iters=n_iters, lr=lr, hidden=(12,), seed=3,
+            smooth_temp=smooth_temp))
+
+        def hard_asr(v, loss):
+            return -loss if smooth_temp is None else \
+                -loss_from_view(v, ens, lay)
+
+        p0 = init_precoder(lay, ens.estimate, p_t)
+        v0 = precoder_to_view(p0, lay)
+        loss, g0 = grad_wrt_precoder(p0, ens, lay, smooth_temp)
+        history = [hard_asr(v0, loss)]
+        best = v0
+        params = init_meta_net(RngStream(3), v0.size, (12,))
+        theta = params.to_vector()
+        opt = AdamState.zeros(theta.size)
+        for _ in range(n_iters):
+            params = MetaNetParams.from_vector(theta, params.dims)
+            loss, g_theta, cand = grad_wrt_theta(params, v0, g0, ens, lay,
+                                                 p_t, smooth_temp)
+            history.append(hard_asr(cand, loss))
+            if history[-1] > max(history[:-1]):
+                best = cand
+            theta = theta + adam_step(opt, g_theta, lr)
+        np.testing.assert_array_equal(res.asr_history, history)
+        np.testing.assert_array_equal(res.best_precoder.matrix,
+                                      view_to_precoder(best, lay))
+        np.testing.assert_array_equal(res.params.to_vector(), theta)
+        assert res.best_asr == max(history)

@@ -24,6 +24,25 @@ class TestStreamLayout:
         assert lay.active_streams == tuple(range(7))
         assert lay.group_members(1) == (2, 3)
 
+    def test_index_arrays_compiled_once(self):
+        lay = StreamLayout.hierarchical(4, 4, 2)
+        twin = StreamLayout.hierarchical(4, 4, 2)
+        hash_before = hash(lay)
+        assert lay.active_streams is lay.active_streams
+        assert lay.active_cols is lay.active_cols
+        np.testing.assert_array_equal(lay.active_cols, range(7))
+        np.testing.assert_array_equal(lay.user_rows, range(4))
+        np.testing.assert_array_equal(lay.own_group_cols, [1, 1, 2, 2])
+        assert [m.tolist() for m in lay.member_rows] == [[0, 1], [2, 3]]
+        for arr in (lay.active_cols, lay.user_rows, lay.own_group_cols,
+                    *lay.member_rows):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 5
+        # compiled values are not fields: equality and hash ignore them
+        assert lay == twin and hash(lay) == hash(twin) == hash_before
+        one = StreamLayout.one_layer(4, 3)
+        np.testing.assert_array_equal(one.active_cols, [0, 2, 3, 4])
+
     def test_member_mask(self):
         lay = StreamLayout.hierarchical(2, 4, 2)
         mask = lay.member_mask()
