@@ -1,23 +1,23 @@
 """Objective gradients and their finite-difference verification.
 
-Two gradients drive everything downstream:
+Two gradients drive everything downstream, both written by hand:
 
 * the gradient of the averaged-rate loss with respect to the precoder,
-  taken in a flattened real view of the active columns. It is closed form
-  (:func:`grad_wrt_precoder`): a hand-written backward pass through each
-  layer's averaged ``log2(1 + num/den)`` and the minima, then one matrix
-  product back to the precoder; and
+  taken in a flattened real view of the active columns
+  (:func:`grad_wrt_precoder`): a backward pass through each layer's
+  averaged ``log2(1 + num/den)`` and the minima, then one matrix product
+  back to the precoder; and
 * the gradient of the same loss, evaluated at the network-proposed and
   power-projected candidate, with respect to the network parameters
-  (:func:`grad_wrt_theta`). The reverse-mode tape of :mod:`rsmeta.autodiff`
-  records the network, the radial power projection and the |h^H p|^2
-  projection; the layered rates on top of that are one recorded node whose
-  backward is the same closed form the precoder gradient uses.
+  (:func:`grad_wrt_theta`): the same rate backward at the candidate, the
+  adjoint of the |h^H p|^2 projection, the radial power projection
+  ``v * sqrt(P / tr)``, then the ReLU MLP.
 
-The closed form maps |h^H p|^2 to the averaged sum rate and its gradient in
-one place, :func:`_asr_and_power_grad`. :func:`_tape_loss` records the same
-rates op by op on the tape; no production path calls it, and it is kept as
-the independent reference the tests compare both gradients against.
+Both map |h^H p|^2 to the averaged sum rate and its gradient in one place,
+:func:`_asr_and_power_grad`. The tests check both gradients against a
+reverse-mode tape that records the same loss op by op, and
+:func:`grad_wrt_theta` bit for bit against the tape with the rates recorded
+as one node: each hand-written step follows the tape's operation order.
 
 Every path, and the plain loss, gets |h^H p|^2 from the one projection
 :func:`rsmeta.linalg.channel_project` and computes the rates in the same
@@ -35,18 +35,14 @@ imaginary). The squared view norm then equals the precoder power, which is
 what makes the power projection a one-line rescale in view space.
 
 Every gradient here is checkable against central differences of the plain
-(non-recorded) evaluation path; :func:`gradcheck_suite` packages that with
-instance guards against minimum ties and the projection branch boundary,
-the two places the objective is only piecewise smooth.
+evaluation path, :func:`loss_from_view`; :func:`gradcheck_suite` packages
+that with instance guards against minimum ties and the projection branch
+boundary, the two places the objective is only piecewise smooth.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (Var, affine, backward, constant, csq_project,
-                       index_pairs, log1p_v, min_over, relu_v, reshape_v,
-                       slice_strided, softmin_over, sqrt_v, square_v,
-                       take_last, transpose2d, vmean, vsum)
 from .channel import ChannelEnsemble, IidCsitModel
 from .layout import StreamLayout
 from .linalg import (ProjectionWorkspace, RngStream, channel_project,
@@ -327,110 +323,6 @@ def candidate_view(params: MetaNetParams, p0_view: np.ndarray,
     return project_view(np.asarray(p0_view, dtype=float) + delta, p_t)
 
 
-# ---------------------------------------------------------------------------
-# recorded evaluation path (network-parameter gradient)
-# ---------------------------------------------------------------------------
-
-def _rate_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
-               layout: StreamLayout, smooth_temp: float = None,
-               workspace: ProjectionWorkspace = None) -> Var:
-    """The loss as one recorded node on top of the projection, with the
-    closed-form backward of :func:`_asr_and_power_grad`.
-
-    On a ``workspace`` the node's vjp reads the workspace's ``power_grad``
-    array (and the projection's vjp its ``z``), so :func:`backward` must run
-    before the next projection on that workspace.
-    """
-    powers = csq_project(pre, pim, ens.realizations, workspace)
-    asr, g_pow = _asr_and_power_grad(powers.value, layout, ens.noise_power,
-                                     smooth_temp, workspace)
-    return Var(-asr, (powers,), lambda g: (-g * g_pow,))
-
-
-def _tape_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
-               layout: StreamLayout, smooth_temp: float = None,
-               workspace: ProjectionWorkspace = None) -> Var:
-    """The loss recorded op by op: the tests' reference for the closed
-    form. Same signature and, bit for bit, the same value as
-    :func:`_rate_loss`."""
-    k = layout.n_users
-    g = layout.n_groups
-    hier = layout.mode == "hierarchical"
-    powers = csq_project(pre, pim, ens.realizations, workspace)
-    rows = np.arange(k)
-    t_com = vsum(take_last(powers, np.arange(0, 1)), axis=2)
-    if hier:
-        prv_cols = np.arange(1 + g, 1 + g + k)
-        t_grp = vsum(take_last(powers, np.arange(1, 1 + g)), axis=2)
-        t_prv = vsum(take_last(powers, prv_cols), axis=2)
-        den_c = t_grp + t_prv + ens.noise_power
-        own_g = index_pairs(powers, rows, 1 + np.asarray(layout.group_of))
-        den_g = den_c - own_g
-    else:
-        prv_cols = np.arange(1, 1 + k)
-        t_prv = vsum(take_last(powers, prv_cols), axis=2)
-        den_c = t_prv + ens.noise_power
-    own_p = index_pairs(powers, rows, prv_cols)
-    sinr_c = t_com / den_c
-    rc = vmean(log1p_v(sinr_c) * (1.0 / _LN2), axis=0)
-    if hier:
-        sinr_g = own_g / den_g
-        den_p = den_g - own_p
-        rg = vmean(log1p_v(sinr_g) * (1.0 / _LN2), axis=0)
-    else:
-        den_p = den_c - own_p
-        rg = None
-    sinr_p = own_p / den_p
-    rp = vmean(log1p_v(sinr_p) * (1.0 / _LN2), axis=0)
-    red = (lambda x: min_over(x, 0)) if smooth_temp is None else \
-        (lambda x: softmin_over(x, 0, smooth_temp))
-    asr = red(rc) + vsum(rp)
-    if rg is not None:
-        for gi in range(layout.n_groups):
-            asr = asr + red(take_last(rg, np.asarray(layout.group_members(gi))))
-    return -asr
-
-
-def _tape_forward_net(w_vars, b_vars, x: Var) -> Var:
-    h = x
-    last = len(w_vars) - 1
-    for i, (w, b) in enumerate(zip(w_vars, b_vars)):
-        h = affine(w, h, b)
-        if i != last:
-            h = relu_v(h)
-    return h
-
-
-def _theta_grad(loss_fn, params: MetaNetParams, p0, g0_view: np.ndarray,
-                ens: ChannelEnsemble, layout: StreamLayout, p_t: float,
-                smooth_temp: float = None,
-                workspace: ProjectionWorkspace = None):
-    """:func:`grad_wrt_theta` with the loss recorded by ``loss_fn``, which
-    maps the candidate's recorded real and imaginary parts to the loss:
-    :func:`_rate_loss` in production, :func:`_tape_loss` in the tests.
-    The recording and its :func:`backward` both run here, on ``workspace``
-    when there is one, and nothing returned points into it."""
-    p0_view = p0 if np.asarray(p0).ndim == 1 else precoder_to_view(p0, layout)
-    w_vars = [Var(w) for w in params.weights]
-    b_vars = [Var(b) for b in params.biases]
-    delta = _tape_forward_net(w_vars, b_vars, constant(np.asarray(g0_view, float)))
-    v = constant(np.asarray(p0_view, dtype=float)) + delta
-    tr = vsum(square_v(v))
-    if float(tr.value) > p_t:
-        v = v * sqrt_v(constant(float(p_t)) / tr)
-    n_tx, s_act = layout.n_tx, len(layout.active_streams)
-    pre = transpose2d(reshape_v(slice_strided(v, 0, 2), (s_act, n_tx)))
-    pim = transpose2d(reshape_v(slice_strided(v, 1, 2), (s_act, n_tx)))
-    loss = loss_fn(pre, pim, ens, layout, smooth_temp, workspace)
-    backward(loss)
-    parts = []
-    for w, b in zip(w_vars, b_vars):
-        parts.append((w.grad if w.grad is not None else
-                      np.zeros_like(w.value)).ravel())
-        parts.append(b.grad if b.grad is not None else np.zeros_like(b.value))
-    return float(loss.value), np.concatenate(parts), v.value.copy()
-
-
 def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
                    ens: ChannelEnsemble, layout: StreamLayout, p_t: float,
                    smooth_temp: float = None,
@@ -440,8 +332,9 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
     Pipeline: frozen gradient view in, network proposal out, add to the
     start point, project onto the power ball, evaluate the loss. The start
     point and the input gradient are constants here; only the network
-    parameters carry gradient. The tape records everything up to
-    |h^H p|^2; the rates are one node with a closed-form backward.
+    parameters carry gradient. The backward pass is written by hand:
+    :func:`_asr_and_power_grad` at the candidate, the adjoint of the
+    |h^H p|^2 projection, the radial power projection, then the MLP.
 
     Returns ``(loss, grad_theta, cand_view)`` where ``loss`` is the loss at
     the projected candidate, ``grad_theta`` is flattened in parameter-vector
@@ -449,13 +342,50 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
 
     A ``workspace`` built for ``ens.realizations`` supplies the projection's
     channel copy and its projection, column-gather and power-gradient
-    arrays, as for :func:`grad_wrt_precoder`. The recorded vjps read the
-    workspace's ``z`` and ``power_grad``; that is safe because the backward
-    pass runs inside this call, before any later projection overwrites
-    them. What is returned is fresh either way.
+    arrays, as for :func:`grad_wrt_precoder`. What is returned is fresh
+    either way.
     """
-    return _theta_grad(_rate_loss, params, p0, g0_view, ens, layout, p_t,
-                       smooth_temp, workspace)
+    p0_view = p0 if np.asarray(p0).ndim == 1 else precoder_to_view(p0, layout)
+    # forward through the network, keeping each layer's input and each
+    # hidden layer's ReLU mask
+    inputs, masks = [], []
+    h = np.asarray(g0_view, dtype=float)
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        inputs.append(h)
+        h = w @ h + b
+        if i != last:
+            masks.append(h > 0)
+            h = np.where(masks[-1], h, 0.0)
+    raw = np.asarray(p0_view, dtype=float) + h
+    tr = np.sum(raw * raw)
+    scale = np.sqrt(p_t / tr) if tr > p_t else None
+    cand = raw if scale is None else raw * scale
+
+    powers, z, _ = channel_project(
+        ens.realizations, _deinterleave(cand, layout.n_tx), workspace)
+    asr, g_pow = _asr_and_power_grad(powers, layout, ens.noise_power,
+                                     smooth_temp, workspace)
+    # the loss is -asr; d|z|^2 = 2 Re(conj(z) dz) with z = h^H p. The
+    # adjoint is an einsum over h, not grad_wrt_precoder's product with
+    # hc: the two differ in their last bits
+    g_pow *= -2.0
+    z *= g_pow
+    g_mat = np.einsum("mik,mks->is", ens.realizations, z)
+    g = _interleave(g_mat.real, g_mat.imag)
+
+    if scale is not None:
+        # cand = raw * sqrt(p_t / tr) with tr = raw . raw
+        g_tr = (-(np.sum(g * raw) / (2.0 * scale)) * p_t) / (tr * tr)
+        g = g * scale + (2.0 * g_tr) * raw
+
+    parts = []
+    for i in range(last, -1, -1):
+        parts.append(g)
+        parts.append(np.outer(g, inputs[i]).ravel())
+        if i:
+            g = (params.weights[i].T @ g) * masks[i - 1]
+    return -asr, np.concatenate(parts[::-1]), cand
 
 
 # ---------------------------------------------------------------------------

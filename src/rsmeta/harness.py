@@ -165,14 +165,24 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
+# config keys that count something: each must be an integer >= 1
+_COUNT_KEYS = ("n_tx", "n_users", "n_groups", "csit_draws", "realizations",
+               "threads")
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.scenario not in ("iid", "one_ring"):
         raise ValueError(f"scenario must be 'iid' or 'one_ring', "
                          f"got {cfg.scenario!r}")
+    for key in _COUNT_KEYS:
+        value = getattr(cfg, KEYMAP[key])
+        _require(_is_int(value) and value >= 1, key, value, "an integer >= 1")
+    _require(_is_int(cfg.master_seed) and cfg.master_seed >= 0,
+             "master_seed", cfg.master_seed, "an integer >= 0")
     if not cfg.snr_db:
         raise ValueError("snr_db must list at least one point")
-    if cfg.n_csit < 1 or cfg.n_realizations < 1:
-        raise ValueError("csit_draws and realizations must be >= 1")
+    _require(all(_is_real(snr) for snr in cfg.snr_db), "snr_db", cfg.snr_db,
+             "a list of finite numbers")
     bad = [m for m in cfg.methods if m not in ("meta", "direct", "fixed")]
     if bad:
         raise ValueError(f"unknown methods {bad}; choose from meta, direct, fixed")
@@ -199,8 +209,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
                              f"for {cfg.n_groups} groups")
         if cfg.n_users % cfg.n_groups != 0:
             raise ValueError("n_users must split evenly across n_groups")
-    if cfg.n_threads < 1:
-        raise ValueError("threads must be >= 1")
     _validate_optimizers(cfg)
 
 
@@ -208,9 +216,13 @@ def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def _is_positive(x) -> bool:
+def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool) \
-        and 0 < x < float("inf")
+        and abs(x) < float("inf")
+
+
+def _is_positive(x) -> bool:
+    return _is_real(x) and x > 0
 
 
 def _require(ok: bool, key: str, value, what: str) -> None:

@@ -4,9 +4,9 @@ One run owns one channel estimate: the update network starts from scratch,
 proposes a precoder update from the frozen start-point gradient, and its
 parameters (not the precoder) take Adam steps against the averaged-rate
 objective. The start-point gradient is computed once and reused every
-iteration, so each iteration costs one forward/backward pass: recorded
-through the network and the power and channel projections, closed form
-through the layered rates. Every projection of a run, start point and
+iteration, so each iteration costs one forward pass and one hand-written
+backward pass through the layered rates, the channel and power projections
+and the network. Every projection of a run, start point and
 iterations alike, fills the run's one
 :class:`rsmeta.linalg.ProjectionWorkspace`. The best candidate ever
 evaluated, the start point included, is what a run returns.

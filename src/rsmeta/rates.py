@@ -58,9 +58,6 @@ class PrecoderMatrix:
     def stream_power(self, col: int) -> float:
         return float(np.sum(np.abs(self.matrix[:, col]) ** 2))
 
-    def with_matrix(self, matrix: np.ndarray) -> "PrecoderMatrix":
-        return PrecoderMatrix(matrix=matrix, layout=self.layout)
-
 
 @dataclass
 class RateReport:

@@ -1,4 +1,5 @@
-"""Minimal reverse-mode differentiation over real float64 arrays.
+"""Minimal reverse-mode differentiation over real float64 arrays: the
+tests' reference for the package's hand-written gradients.
 
 A :class:`Var` wraps an ndarray value and remembers how it was produced;
 calling :func:`backward` on a scalar output walks the recording in reverse
@@ -7,6 +8,16 @@ The op set is deliberately small: elementwise arithmetic, a few transcendental
 maps, affine layers, structural reshapes, reductions with subgradient rules,
 and one fused op for squared channel-precoder inner products (the only place
 complex numbers appear; they never enter the tape itself).
+
+On top of the ops sit two recordings of the averaged-rate loss, and
+:func:`_theta_grad`, the network-parameter gradient recorded on either:
+
+* :func:`_tape_loss` records the layered rates op by op: the independent
+  reference for the hand-written precoder and network gradients;
+* :func:`_rate_loss` records them as one node whose backward is
+  :func:`rsmeta.gradients._asr_and_power_grad`. :func:`_theta_grad` on it
+  gives, bit for bit, what :func:`rsmeta.gradients.grad_wrt_theta` computes
+  by hand.
 
 Conventions
 -----------
@@ -21,7 +32,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import ProjectionWorkspace, channel_project
+from rsmeta.channel import ChannelEnsemble
+from rsmeta.gradients import _asr_and_power_grad, precoder_to_view
+from rsmeta.layout import StreamLayout
+from rsmeta.linalg import ProjectionWorkspace, channel_project
+from rsmeta.network import MetaNetParams
+from rsmeta.rates import _LN2
 
 __all__ = [
     "Var", "constant", "backward", "grad_of",
@@ -29,6 +45,7 @@ __all__ = [
     "affine", "csq_project",
     "vsum", "vmean", "min_over", "softmin_over",
     "take_last", "index_pairs", "slice_strided", "reshape_v", "transpose2d",
+    "_rate_loss", "_tape_loss", "_theta_grad",
 ]
 
 
@@ -320,3 +337,107 @@ def grad_of(out: Var, wrt) -> list:
     for v in wrt:
         outs.append(np.zeros_like(v.value) if v.grad is None else v.grad)
     return outs
+
+
+# -- the averaged-rate loss and the network-parameter gradient --------
+
+def _rate_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
+               layout: StreamLayout, smooth_temp: float = None,
+               workspace: ProjectionWorkspace = None) -> Var:
+    """The loss as one recorded node on top of the projection, with the
+    closed-form backward of
+    :func:`rsmeta.gradients._asr_and_power_grad`.
+
+    On a ``workspace`` the node's vjp reads the workspace's ``power_grad``
+    array (and the projection's vjp its ``z``), so :func:`backward` must run
+    before the next projection on that workspace.
+    """
+    powers = csq_project(pre, pim, ens.realizations, workspace)
+    asr, g_pow = _asr_and_power_grad(powers.value, layout, ens.noise_power,
+                                     smooth_temp, workspace)
+    return Var(-asr, (powers,), lambda g: (-g * g_pow,))
+
+
+def _tape_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
+               layout: StreamLayout, smooth_temp: float = None,
+               workspace: ProjectionWorkspace = None) -> Var:
+    """The loss recorded op by op: the tests' reference for the closed
+    form. Same signature and, bit for bit, the same value as
+    :func:`_rate_loss`."""
+    k = layout.n_users
+    g = layout.n_groups
+    hier = layout.mode == "hierarchical"
+    powers = csq_project(pre, pim, ens.realizations, workspace)
+    rows = np.arange(k)
+    t_com = vsum(take_last(powers, np.arange(0, 1)), axis=2)
+    if hier:
+        prv_cols = np.arange(1 + g, 1 + g + k)
+        t_grp = vsum(take_last(powers, np.arange(1, 1 + g)), axis=2)
+        t_prv = vsum(take_last(powers, prv_cols), axis=2)
+        den_c = t_grp + t_prv + ens.noise_power
+        own_g = index_pairs(powers, rows, 1 + np.asarray(layout.group_of))
+        den_g = den_c - own_g
+    else:
+        prv_cols = np.arange(1, 1 + k)
+        t_prv = vsum(take_last(powers, prv_cols), axis=2)
+        den_c = t_prv + ens.noise_power
+    own_p = index_pairs(powers, rows, prv_cols)
+    sinr_c = t_com / den_c
+    rc = vmean(log1p_v(sinr_c) * (1.0 / _LN2), axis=0)
+    if hier:
+        sinr_g = own_g / den_g
+        den_p = den_g - own_p
+        rg = vmean(log1p_v(sinr_g) * (1.0 / _LN2), axis=0)
+    else:
+        den_p = den_c - own_p
+        rg = None
+    sinr_p = own_p / den_p
+    rp = vmean(log1p_v(sinr_p) * (1.0 / _LN2), axis=0)
+    red = (lambda x: min_over(x, 0)) if smooth_temp is None else \
+        (lambda x: softmin_over(x, 0, smooth_temp))
+    asr = red(rc) + vsum(rp)
+    if rg is not None:
+        for gi in range(layout.n_groups):
+            asr = asr + red(take_last(rg, np.asarray(layout.group_members(gi))))
+    return -asr
+
+
+def _tape_forward_net(w_vars, b_vars, x: Var) -> Var:
+    h = x
+    last = len(w_vars) - 1
+    for i, (w, b) in enumerate(zip(w_vars, b_vars)):
+        h = affine(w, h, b)
+        if i != last:
+            h = relu_v(h)
+    return h
+
+
+def _theta_grad(loss_fn, params: MetaNetParams, p0, g0_view: np.ndarray,
+                ens: ChannelEnsemble, layout: StreamLayout, p_t: float,
+                smooth_temp: float = None,
+                workspace: ProjectionWorkspace = None):
+    """:func:`rsmeta.gradients.grad_wrt_theta` recorded on the tape, with
+    the loss recorded by ``loss_fn``, which maps the candidate's recorded
+    real and imaginary parts to the loss: :func:`_rate_loss` or
+    :func:`_tape_loss`. The recording and its :func:`backward` both run
+    here, on ``workspace`` when there is one, and nothing returned points
+    into it."""
+    p0_view = p0 if np.asarray(p0).ndim == 1 else precoder_to_view(p0, layout)
+    w_vars = [Var(w) for w in params.weights]
+    b_vars = [Var(b) for b in params.biases]
+    delta = _tape_forward_net(w_vars, b_vars, constant(np.asarray(g0_view, float)))
+    v = constant(np.asarray(p0_view, dtype=float)) + delta
+    tr = vsum(square_v(v))
+    if float(tr.value) > p_t:
+        v = v * sqrt_v(constant(float(p_t)) / tr)
+    n_tx, s_act = layout.n_tx, len(layout.active_streams)
+    pre = transpose2d(reshape_v(slice_strided(v, 0, 2), (s_act, n_tx)))
+    pim = transpose2d(reshape_v(slice_strided(v, 1, 2), (s_act, n_tx)))
+    loss = loss_fn(pre, pim, ens, layout, smooth_temp, workspace)
+    backward(loss)
+    parts = []
+    for w, b in zip(w_vars, b_vars):
+        parts.append((w.grad if w.grad is not None else
+                      np.zeros_like(w.value)).ravel())
+        parts.append(b.grad if b.grad is not None else np.zeros_like(b.value))
+    return float(loss.value), np.concatenate(parts), v.value.copy()

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from rsmeta.autodiff import (Var, affine, backward, constant, csq_project,
-                             grad_of, index_pairs, log1p_v, min_over, relu_v,
-                             reshape_v, slice_strided, softmin_over, sqrt_v,
-                             square_v, take_last, transpose2d, vmean, vsum)
 from rsmeta.linalg import RngStream, gaussian_matrix
+from tape import (Var, affine, backward, constant, csq_project, grad_of,
+                  index_pairs, log1p_v, min_over, relu_v, reshape_v,
+                  slice_strided, softmin_over, sqrt_v, square_v, take_last,
+                  transpose2d, vmean, vsum)
 
 
 def _fd_grad(f, x0, step=1e-6):

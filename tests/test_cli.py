@@ -93,6 +93,22 @@ class TestValidate:
         assert main(["validate", "--config", str(path)]) == 1
         assert "snr_db = 0 is degenerate" in capsys.readouterr().err
 
+    # each of these used to crash validate with a TypeError, run on a
+    # truncated value, or pass validate and fail in the first cell
+    @pytest.mark.parametrize("key, text", [
+        ("threads", "two"), ("n_tx", "four"), ("n_users", "2.0"),
+        ("n_groups", "two"), ("realizations", "2.5"), ("csit_draws", "2.5"),
+        ("master_seed", "-3"), ("master_seed", "1.5"),
+        ("snr_db", "10, loud"), ("snr_db", "10, nan"),
+    ])
+    def test_bad_number_named(self, key, text, tmp_path, monkeypatch,
+                              capsys):
+        monkeypatch.delenv(ENV_THREADS, raising=False)
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY + f"{key} = {text}\n")
+        assert main(["validate", "--config", str(path)]) == 1
+        assert f"{key} must be" in capsys.readouterr().err
+
 
 class TestRun:
     def test_writes_reports(self, tiny_cfg, tmp_path, capsys):

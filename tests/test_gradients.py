@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from rsmeta.autodiff import Var, backward
-from rsmeta.channel import ChannelEnsemble, IidCsitModel
+from rsmeta.channel import (ChannelEnsemble, IidCsitModel, draw_iid_scene,
+                            draw_one_ring_scene)
 from rsmeta.gradients import (_min_and_weights, _random_instance,
-                              _random_net, _tape_loss, _theta_grad,
-                              candidate_view, finite_diff_check,
+                              _random_net, candidate_view, finite_diff_check,
                               grad_wrt_precoder, grad_wrt_theta,
                               gradcheck_suite, loss_from_view, precoder_to_view,
                               project_view, rates_from_powers, view_length,
@@ -13,8 +12,10 @@ from rsmeta.gradients import (_min_and_weights, _random_instance,
 from rsmeta.layout import StreamLayout
 from rsmeta.linalg import (ProjectionWorkspace, RngStream, channel_project,
                            gaussian_matrix)
+from rsmeta.metaopt import init_precoder
 from rsmeta.network import init_meta_net, mlp_forward
 from rsmeta.rates import avg_sum_rate_loss, saf_report
+from tape import Var, _rate_loss, _tape_loss, _theta_grad, backward
 
 
 def _instance(seed=21, n_tx=3, n_users=None, hierarchical=False, n_draws=6,
@@ -236,7 +237,7 @@ class TestProjectionWorkspace:
 
 
 def _assert_theta_matches_tape(params, p0, g0, ens, lay, p_t, smooth_temp):
-    """The rates as one closed-form node give the loss, candidate and
+    """The hand-written network gradient gives the loss, candidate and
     network gradient of the rates recorded op by op."""
     loss, gt, cand = grad_wrt_theta(params, p0, g0, ens, lay, p_t,
                                     smooth_temp)
@@ -285,6 +286,60 @@ class TestFusedThetaMatchesTape:
         powers, _, _ = channel_project(h, cand_mat)
         rc, _, _ = rates_from_powers(powers, lay, tied.noise_power)
         assert np.argmin(rc) == 0 and rc[0] == rc[1]
+
+
+def _benchmark_shape(name):
+    """(layout, ensemble, precoder, budget) of one shipped shape; the
+    precoder spends 0.8 of the budget."""
+    if name == "ring-16x8":
+        lay, ens = draw_one_ring_scene(
+            11, 16, 8, 4, azimuths=(-np.pi / 2, -np.pi / 6, np.pi / 6,
+                                    np.pi / 2),
+            spread=np.pi / 8, tau2=0.4, n_draws=200)
+        p_t = 10.0 ** 1.4
+    elif name == "long-cell-4x4":
+        p_t = 100.0
+        lay, ens = draw_iid_scene(12, 4, 4, p_t, n_draws=2000)
+    else:
+        lay, ens, mat = _instance(seed=13, n_tx=4, n_users=8, n_draws=12,
+                                  hierarchical=name == "grouped-8-users")
+        return lay, ens, mat, 4.0
+    mat = init_precoder(lay, ens.estimate, p_t).matrix * np.sqrt(0.8)
+    return lay, ens, mat, p_t
+
+
+class TestHandThetaMatchesFusedRecording:
+    """The hand-written network gradient is, bit for bit, the parent
+    recording: the network, the radial projection and |h^H p|^2 on the
+    tape, the rates as one closed-form node."""
+
+    @pytest.mark.parametrize("shape", ["ring-16x8", "long-cell-4x4",
+                                       "one-layer-8-users",
+                                       "grouped-8-users"])
+    @pytest.mark.parametrize("projected", [False, True])
+    @pytest.mark.parametrize("smooth_temp", [None, 0.3])
+    def test_bitwise(self, shape, projected, smooth_temp):
+        lay, ens, mat, p_t = _benchmark_shape(shape)
+        p0 = precoder_to_view(mat, lay)
+        _, g0 = grad_wrt_precoder(mat, ens, lay, smooth_temp)
+        rng = RngStream(14)
+        params = init_meta_net(rng, view_length(lay), hidden=(50, 50))
+        bound = 0.1 / np.sqrt(50)
+        params.weights[-1] = rng.uniform(-bound, bound,
+                                         params.weights[-1].shape)
+        params.biases[-1] = rng.uniform(-bound, bound, view_length(lay))
+        budget = 0.7 * p_t if projected else p_t
+        raw = p0 + mlp_forward(params, g0)
+        assert (raw @ raw > budget) == projected
+
+        ws = ProjectionWorkspace(ens.realizations)
+        loss, gt, cand = grad_wrt_theta(params, p0, g0, ens, lay, budget,
+                                        smooth_temp, ws)
+        loss_r, gt_r, cand_r = _theta_grad(_rate_loss, params, p0, g0, ens,
+                                           lay, budget, smooth_temp)
+        assert loss == loss_r
+        np.testing.assert_array_equal(cand, cand_r)
+        np.testing.assert_array_equal(gt, gt_r)
 
 
 class TestThetaGradient:
