@@ -23,7 +23,7 @@ for spread, label in ((np.pi / 3, "wide spread (pi/3)"),
     fx = run_fixed_direction(lay, ens, model, p_t, step=0.05)
     net = run_meta_opt(lay, ens, p_t,
                        MetaOptConfig(n_iters=500, lr=1e-3, hidden=(50, 50),
-                                     seed=3, track_history=False))
+                                     seed=3))
 
     print(f"=== {label} ===")
     s = fx.best_split

@@ -26,7 +26,7 @@ import numpy as np
 from .adam import AdamState, adam_step
 from .channel import ChannelEnsemble, OneRingModel
 from .gradients import asr_from_powers, grad_wrt_precoder, project_view, \
-    view_length, view_to_precoder
+    view_length
 from .layout import StreamLayout
 from .linalg import ProjectionWorkspace, channel_project, herm_eig, \
     svd_dominant
@@ -42,15 +42,15 @@ __all__ = ["PowerSplit", "lattice_size", "power_split_grid",
 
 def run_direct_adam(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
                     n_iters: int = 2000, lr: float = 0.02,
-                    splits: tuple = None, smooth_temp: float = None,
-                    track_history: bool = True) -> RunResult:
+                    splits: tuple = None,
+                    smooth_temp: float = None) -> RunResult:
     """Adam directly on the precoder view, projected after every step.
 
-    The run builds one projection workspace for ``ens`` and every gradient
-    and rescoring of the run fills its arrays: the channel copy is made
-    once, and the projection, column-gather and power-gradient arrays are
-    not allocated again on each iteration. ``smooth_temp`` must be None
-    (the hard minimum) or positive.
+    The view goes into the gradient as it is, and every gradient and
+    rescoring of the run fills one projection workspace built for ``ens``:
+    the channel copy is made once, and no projection, column-gather or
+    power-gradient array is allocated again on each iteration.
+    ``smooth_temp`` must be None (the hard minimum) or positive.
     """
     if n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {n_iters}")
@@ -59,10 +59,9 @@ def run_direct_adam(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
     opt = AdamState.zeros(view_length(layout))
     for _ in range(n_iters):
         v = project_view(v + adam_step(opt, g, lr), p_t)
-        loss, g = grad_wrt_precoder(view_to_precoder(v, layout), ens, layout,
-                                    smooth_temp, workspace)
+        loss, g = grad_wrt_precoder(v, ens, layout, smooth_temp, workspace)
         record.offer(v, loss)
-    return record.result(track_history)
+    return record.result()
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ class IidCsitModel:
 
     def error_var(self, p_t: float) -> float:
         if self.error_power is not None:
-            if self.error_power < 0:
+            if not self.error_power >= 0:
                 raise ValueError("error_power must be nonnegative")
             return float(self.error_power)
         if p_t <= 0:

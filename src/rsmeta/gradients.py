@@ -29,10 +29,12 @@ are then filled in place instead of allocated, with bit-identical results,
 and what the functions return never points into it. Both optimizers pass
 their run's workspace on every iteration.
 
-The view convention is fixed package-wide: active columns only, column by
-column, real and imaginary parts interleaved (even slots real, odd slots
-imaginary). The squared view norm then equals the precoder power, which is
-what makes the power projection a one-line rescale in view space.
+The view is fixed package-wide: the memory of the complex (n_tx, n_active)
+matrix of the active columns, column by column, read as float64 pairs.
+Going between the two is no arithmetic, and both gradients take either.
+The squared view norm equals the precoder power, so the power projection
+is a one-line rescale in view space; every path runs the same rescale and
+the same network forward, so a candidate has the same bits on each.
 
 Every gradient here is checkable against central differences of the plain
 evaluation path, :func:`loss_from_view`; :func:`gradcheck_suite` packages
@@ -47,8 +49,8 @@ from .channel import ChannelEnsemble, IidCsitModel
 from .layout import StreamLayout
 from .linalg import (ProjectionWorkspace, RngStream, channel_project,
                      gaussian_matrix)
-from .network import MetaNetParams, init_meta_net, mlp_forward
-from .rates import _LN2, _matrix_of
+from .network import MetaNetParams, _activations, init_meta_net, mlp_forward
+from .rates import _LN2
 
 __all__ = ["view_length", "precoder_to_view", "view_to_precoder",
            "loss_from_view", "candidate_view", "project_view",
@@ -65,44 +67,53 @@ def view_length(layout: StreamLayout) -> int:
     return 2 * layout.n_tx * len(layout.active_streams)
 
 
-def _interleave(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    flat_re = re.T.ravel()
-    flat_im = im.T.ravel()
-    v = np.empty(2 * flat_re.size)
-    v[0::2] = flat_re
-    v[1::2] = flat_im
-    return v
+def _columns(v, layout: StreamLayout) -> np.ndarray:
+    """The complex (n_tx, n_active) active-column matrix whose memory the
+    view ``v`` is (shared with a contiguous float64 ``v``); a view of
+    another length raises ValueError."""
+    flat = np.ascontiguousarray(v, dtype=float).view(complex)
+    return flat.reshape(len(layout.active_streams), layout.n_tx).T
 
 
-def _deinterleave(v: np.ndarray, n_tx: int) -> np.ndarray:
-    flat = v[0::2] + 1j * v[1::2]
-    return flat.reshape(-1, n_tx).T
+def _view(cols: np.ndarray) -> np.ndarray:
+    """The view of a complex (n_tx, n_active) active-column matrix: its
+    column-major memory read as float64 pairs, shared with a column-major
+    ``cols``."""
+    return np.ascontiguousarray(cols.T).view(float).ravel()
+
+
+def _view_in(p, layout: StreamLayout) -> np.ndarray:
+    """A view (any 1-d array) as it is, a precoder as its view."""
+    return p if np.ndim(p) == 1 else precoder_to_view(p, layout)
 
 
 def precoder_to_view(p, layout: StreamLayout) -> np.ndarray:
-    """Flatten the active columns into the package-wide real view."""
-    mat = _matrix_of(p)
-    sub = mat[:, layout.active_cols]
-    return _interleave(sub.real, sub.imag)
+    """The view of a precoder or of its (n_tx, n_streams) matrix."""
+    mat = np.asarray(getattr(p, "matrix", p), dtype=complex)
+    return _view(mat[:, layout.active_cols])
 
 
 def view_to_precoder(v: np.ndarray, layout: StreamLayout) -> np.ndarray:
     """Inverse of :func:`precoder_to_view`; inactive columns come back zero."""
-    v = np.asarray(v, dtype=float)
-    if v.size != view_length(layout):
-        raise ValueError(f"view length {v.size} does not match layout "
-                         f"(expected {view_length(layout)})")
     full = np.zeros((layout.n_tx, layout.n_streams), dtype=complex)
-    full[:, layout.active_cols] = _deinterleave(v, layout.n_tx)
+    full[:, layout.active_cols] = _columns(v, layout)
     return full
+
+
+def _radial(v: np.ndarray, p_t: float):
+    """The view scaled back onto the power ball if it exceeds the budget:
+    ``(cand, tr, scale)`` with ``tr = sum(v * v)`` and ``cand = v * scale``,
+    ``scale`` None (and ``cand`` the very ``v``) inside the ball."""
+    tr = np.sum(v * v)
+    if tr > p_t:
+        scale = np.sqrt(p_t / tr)
+        return v * scale, tr, scale
+    return v, tr, None
 
 
 def project_view(v: np.ndarray, p_t: float) -> np.ndarray:
     """Scale the view back onto the power ball if it exceeds the budget."""
-    tr = float(v @ v)
-    if tr > p_t:
-        return v * np.sqrt(p_t / tr)
-    return v
+    return _radial(v, p_t)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +178,16 @@ def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float,
     return (t_com / den_c, den_c), grp, (own_p / den_p, den_p)
 
 
-def _avg_rate(sinr: np.ndarray) -> np.ndarray:
-    """Per-user rate log2(1 + sinr), averaged over realizations."""
-    return np.mean(np.log1p(sinr) * (1.0 / _LN2), axis=0)
+def _avg_rate(term):
+    """Per-user rate log2(1 + sinr), averaged over realizations, of a layer
+    term ``(sinr, den)``; None for no layer."""
+    return None if term is None else \
+        np.mean(np.log1p(term[0]) * (1.0 / _LN2), axis=0)
 
 
 def _avg_rate_vjp(g_rate: np.ndarray, sinr: np.ndarray, den: np.ndarray):
-    """Gradients of ``g_rate . _avg_rate(num / den)`` wrt num and den, from
-    the forward pass's ``sinr = num / den``."""
+    """Gradients of ``g_rate . _avg_rate((num / den, den))`` wrt num and
+    den, from the forward pass's ``sinr = num / den``."""
     g_num = (g_rate / sinr.shape[0]) * (1.0 / _LN2) / (1.0 + sinr) / den
     return g_num, -g_num * sinr
 
@@ -217,9 +230,8 @@ def rates_from_powers(powers: np.ndarray, layout: StreamLayout,
                       noise: float, workspace: ProjectionWorkspace = None):
     """Averaged per-user rates (common, group or None, private) from the
     |h^H p|^2 of the active columns, shaped (n_draws, n_users, n_active)."""
-    com, grp, prv = _layer_terms(powers, layout, noise, workspace)
-    return (_avg_rate(com[0]), None if grp is None else _avg_rate(grp[0]),
-            _avg_rate(prv[0]))
+    return tuple(map(_avg_rate, _layer_terms(powers, layout, noise,
+                                             workspace)))
 
 
 def asr_from_powers(powers: np.ndarray, layout: StreamLayout, noise: float,
@@ -238,8 +250,8 @@ def loss_from_view(v: np.ndarray, ens: ChannelEnsemble, layout: StreamLayout,
     ``workspace``, built for ``ens.realizations``, supplies the arrays of
     the projection and the rates; without one they are fresh.
     """
-    mat_act = _deinterleave(np.asarray(v, dtype=float), layout.n_tx)
-    powers, _, _ = channel_project(ens.realizations, mat_act, workspace)
+    powers, _, _ = channel_project(ens.realizations, _columns(v, layout),
+                                   workspace)
     return -asr_from_powers(powers, layout, ens.noise_power, smooth_temp,
                             workspace)
 
@@ -254,9 +266,8 @@ def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
     through each layer's rate by hand. The gradient is the workspace's
     ``power_grad`` array when there is a workspace.
     """
-    com, grp, prv = _layer_terms(powers, layout, noise, workspace)
-    rc, rp = _avg_rate(com[0]), _avg_rate(prv[0])
-    rg = None if grp is None else _avg_rate(grp[0])
+    com, grp, prv = terms = _layer_terms(powers, layout, noise, workspace)
+    rc, rg, rp = map(_avg_rate, terms)
     asr, w_c, w_g = _sum_rate(rc, rg, rp, layout, smooth_temp)
 
     # the private denominator is the group denominator (one layer: the
@@ -287,19 +298,18 @@ def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
                       workspace: ProjectionWorkspace = None):
     """Loss and its gradient with respect to the precoder view.
 
-    Returns ``(loss, grad)`` with ``grad`` in view coordinates, so it can be
-    fed straight into the update network or a first-order step. Closed
-    form: :func:`_asr_and_power_grad`, then one matrix product maps
-    d(loss)/d(powers) back to the precoder.
+    ``p`` is a view or a precoder. Returns ``(loss, grad)`` with ``grad`` in
+    view coordinates, so it can be fed straight into the update network or
+    a first-order step. Closed form: :func:`_asr_and_power_grad`, then one
+    matrix product maps d(loss)/d(powers) back to the precoder.
 
     A ``workspace`` built for ``ens.realizations`` supplies the projection's
     channel copy and its projection, column-gather and power-gradient
     arrays, so a loop of calls allocates none of them again; without one
     they are fresh. ``grad`` is fresh either way.
     """
-    mat = _matrix_of(p)
-    powers, z, hc = channel_project(ens.realizations,
-                                    mat[:, layout.active_cols], workspace)
+    powers, z, hc = channel_project(
+        ens.realizations, _columns(_view_in(p, layout), layout), workspace)
     asr, g_pow = _asr_and_power_grad(powers, layout, ens.noise_power,
                                      smooth_temp, workspace)
 
@@ -310,10 +320,10 @@ def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
     g_pow *= -2.0
     w = np.conjugate(z, out=z)
     w *= g_pow
-    # (w^T hc)^T rather than hc^T w: numpy runs this orientation about
-    # twice as fast for tall hc
-    g_mat = (w.reshape(m * k, s).T @ hc).T
-    return -asr, _interleave(g_mat.real, -g_mat.imag)
+    # w^T hc rather than hc^T w: numpy runs this orientation about twice
+    # as fast for tall hc, and its rows are the gradient's columns
+    g_t = w.reshape(m * k, s).T @ hc
+    return -asr, _view(np.conjugate(g_t, out=g_t).T)
 
 
 def candidate_view(params: MetaNetParams, p0_view: np.ndarray,
@@ -330,9 +340,10 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
     """Differentiate the full pipeline with respect to network parameters.
 
     Pipeline: frozen gradient view in, network proposal out, add to the
-    start point, project onto the power ball, evaluate the loss. The start
-    point and the input gradient are constants here; only the network
-    parameters carry gradient. The backward pass is written by hand:
+    start point ``p0`` (a view or a precoder), project onto the power
+    ball, evaluate the loss. The start point and the input gradient are
+    constants here; only the network parameters carry gradient. The
+    candidate is :func:`candidate_view`'s. The backward pass is by hand:
     :func:`_asr_and_power_grad` at the candidate, the adjoint of the
     |h^H p|^2 projection, the radial power projection, then the MLP.
 
@@ -345,25 +356,12 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
     arrays, as for :func:`grad_wrt_precoder`. What is returned is fresh
     either way.
     """
-    p0_view = p0 if np.asarray(p0).ndim == 1 else precoder_to_view(p0, layout)
-    # forward through the network, keeping each layer's input and each
-    # hidden layer's ReLU mask
-    inputs, masks = [], []
-    h = np.asarray(g0_view, dtype=float)
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        inputs.append(h)
-        h = w @ h + b
-        if i != last:
-            masks.append(h > 0)
-            h = np.where(masks[-1], h, 0.0)
-    raw = np.asarray(p0_view, dtype=float) + h
-    tr = np.sum(raw * raw)
-    scale = np.sqrt(p_t / tr) if tr > p_t else None
-    cand = raw if scale is None else raw * scale
+    acts = _activations(params, g0_view)
+    raw = np.asarray(_view_in(p0, layout), dtype=float) + acts[-1]
+    cand, tr, scale = _radial(raw, p_t)
 
-    powers, z, _ = channel_project(
-        ens.realizations, _deinterleave(cand, layout.n_tx), workspace)
+    powers, z, _ = channel_project(ens.realizations, _columns(cand, layout),
+                                   workspace)
     asr, g_pow = _asr_and_power_grad(powers, layout, ens.noise_power,
                                      smooth_temp, workspace)
     # the loss is -asr; d|z|^2 = 2 Re(conj(z) dz) with z = h^H p. The
@@ -371,20 +369,21 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
     # hc: the two differ in their last bits
     g_pow *= -2.0
     z *= g_pow
-    g_mat = np.einsum("mik,mks->is", ens.realizations, z)
-    g = _interleave(g_mat.real, g_mat.imag)
+    g = _view(np.einsum("mik,mks->is", ens.realizations, z))
 
     if scale is not None:
         # cand = raw * sqrt(p_t / tr) with tr = raw . raw
         g_tr = (-(np.sum(g * raw) / (2.0 * scale)) * p_t) / (tr * tr)
         g = g * scale + (2.0 * g_tr) * raw
 
+    # layer i maps acts[i] to acts[i + 1]; a hidden layer's ReLU passes
+    # gradient where its output is positive
     parts = []
-    for i in range(last, -1, -1):
+    for i in range(len(params.weights) - 1, -1, -1):
         parts.append(g)
-        parts.append(np.outer(g, inputs[i]).ravel())
+        parts.append(np.outer(g, acts[i]).ravel())
         if i:
-            g = (params.weights[i].T @ g) * masks[i - 1]
+            g = (params.weights[i].T @ g) * (acts[i] > 0)
     return -asr, np.concatenate(parts[::-1]), cand
 
 
@@ -429,16 +428,10 @@ def _min_gap(x: np.ndarray) -> float:
 
 
 def _tie_gaps_ok(v, ens, layout, gap=1e-3) -> bool:
-    mat_act = _deinterleave(np.asarray(v, float), layout.n_tx)
-    powers, _, _ = channel_project(ens.realizations, mat_act)
+    powers, _, _ = channel_project(ens.realizations, _columns(v, layout))
     rc, rg, _ = rates_from_powers(powers, layout, ens.noise_power)
-    if _min_gap(rc) < gap:
-        return False
-    if rg is not None:
-        for members in layout.member_rows:
-            if _min_gap(rg[members]) < gap:
-                return False
-    return True
+    groups = [] if rg is None else [rg[m] for m in layout.member_rows]
+    return not any(_min_gap(x) < gap for x in [rc, *groups])
 
 
 def _random_instance(rng: RngStream, hierarchical: bool, p_t: float = 4.0):
@@ -506,12 +499,11 @@ def gradcheck_suite(seed: int = 0, n_instances: int = 50,
             _, g0 = grad_wrt_precoder(mat, ens, layout, smooth_temp)
 
             params = _random_net(rng, layout)
-            raw = v0 + mlp_forward(params, g0)
+            cand, tr, _ = _radial(v0 + mlp_forward(params, g0), p_t)
             # branch-boundary guard on the unprojected power: differences
             # must not straddle the point where the projection kicks in
-            if abs(float(raw @ raw) - p_t) / p_t < 1e-3:
+            if abs(tr - p_t) / p_t < 1e-3:
                 continue
-            cand = project_view(raw, p_t)
             if smooth_temp is None and not _tie_gaps_ok(cand, ens, layout):
                 continue
 

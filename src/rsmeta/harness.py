@@ -183,6 +183,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError("snr_db must list at least one point")
     _require(all(_is_real(snr) for snr in cfg.snr_db), "snr_db", cfg.snr_db,
              "a list of finite numbers")
+    _require(isinstance(cfg.redraw_eval, bool), "eval.redraw",
+             cfg.redraw_eval, "true or false")
     bad = [m for m in cfg.methods if m not in ("meta", "direct", "fixed")]
     if bad:
         raise ValueError(f"unknown methods {bad}; choose from meta, direct, fixed")
@@ -192,8 +194,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if "fixed" in cfg.methods:
             raise ValueError("the fixed-direction search needs the one_ring "
                              "scenario")
+        _require(_is_real(cfg.alpha), "iid.alpha", cfg.alpha, "a finite number")
         model = IidCsitModel(n_tx=cfg.n_tx, n_users=cfg.n_users,
                              alpha=cfg.alpha, error_power=cfg.error_power)
+        _require_accepted("iid.error_power", model.error_var, 1.0)
         for snr in cfg.snr_db:
             sig_e2 = model.error_var(10.0 ** (snr / 10.0))
             if sig_e2 >= model.user_var:
@@ -209,6 +213,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
                              f"for {cfg.n_groups} groups")
         if cfg.n_users % cfg.n_groups != 0:
             raise ValueError("n_users must split evenly across n_groups")
+        _require(all(_is_real(a) for a in cfg.azimuths), "ring.azimuths",
+                 cfg.azimuths, "a list of finite numbers")
+        _require(_is_real(cfg.spread) and 0 < cfg.spread <= np.pi,
+                 "ring.spread", cfg.spread, "a number in (0, pi]")
+        _require(_is_positive(cfg.spacing), "ring.spacing", cfg.spacing,
+                 "a number > 0")
+        _require_accepted("ring.tau2", OneRingModel, cfg.n_tx, cfg.azimuths,
+                          cfg.spread, cfg.tau2)
     _validate_optimizers(cfg)
 
 
@@ -356,12 +368,10 @@ def _run_cell(cfg: ExperimentConfig, layout: StreamLayout,
             r = run_meta_opt(layout, ens, p_t, MetaOptConfig(
                 n_iters=cfg.meta_iters, lr=cfg.meta_lr,
                 hidden=tuple(cfg.meta_hidden), seed=net_seed,
-                smooth_temp=cfg.meta_smooth_temp, splits=cfg.meta_splits,
-                track_history=False))
+                smooth_temp=cfg.meta_smooth_temp, splits=cfg.meta_splits))
         elif method == "direct":
             r = run_direct_adam(layout, ens, p_t, n_iters=cfg.direct_iters,
-                                lr=cfg.direct_lr, splits=cfg.meta_splits,
-                                track_history=False)
+                                lr=cfg.direct_lr, splits=cfg.meta_splits)
         else:
             r = run_fixed_direction(layout, ens, model, p_t,
                                     step=cfg.fixed_step, rank=cfg.fixed_rank)

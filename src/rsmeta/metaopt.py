@@ -14,6 +14,9 @@ evaluated, the start point included, is what a run returns.
 Direct Adam (:mod:`rsmeta.baselines`) shares the start point and the
 record of the best candidate (:func:`_start`, :class:`_Record`), so the
 two Adam optimizers differ only in what Adam steps.
+
+Both step views (:mod:`rsmeta.gradients`) and hand them to the gradients
+as they are; a run builds a precoder matrix only for what it returns.
 """
 from __future__ import annotations
 
@@ -53,7 +56,6 @@ class MetaOptConfig:
     seed: int = 0
     smooth_temp: float = None
     splits: tuple = None
-    track_history: bool = True
 
 
 @dataclass
@@ -155,16 +157,14 @@ class _Record:
             self.best_asr, self.best_view = asr, view
         self.history.append(asr)
 
-    def result(self, track_history: bool,
-               params: MetaNetParams = None) -> RunResult:
+    def result(self, params: MetaNetParams = None) -> RunResult:
         wall = time.perf_counter() - self.t0
         best = view_to_precoder(self.best_view, self.layout)
         return RunResult(
             best_asr=float(self.best_asr),
             best_precoder=PrecoderMatrix(matrix=best, layout=self.layout),
             start_asr=float(self.history[0]),
-            asr_history=np.asarray(self.history if track_history
-                                   else self.history[:1]),
+            asr_history=np.asarray(self.history),
             wall_time_s=wall, n_iters=len(self.history) - 1, params=params)
 
 
@@ -174,15 +174,15 @@ def _start(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
     """Matched start point shared by both Adam optimizers.
 
     Returns ``(record, view, grad)``: a fresh :class:`_Record` holding the
-    start as its first candidate, the start in view coordinates, and the
-    precoder gradient there. The start and the record project on
+    start as its first candidate, the start's view, and the precoder
+    gradient taken at that view. The start and the record project on
     ``workspace``, the run's one. The start gradient raises ValueError
     unless ``smooth_temp`` is None or positive.
     """
     record = _Record(layout, ens, smooth_temp, workspace)
     p0 = init_precoder(layout, ens.estimate, p_t, splits)
     view = precoder_to_view(p0, layout)
-    loss, grad = grad_wrt_precoder(p0, ens, layout, smooth_temp, workspace)
+    loss, grad = grad_wrt_precoder(view, ens, layout, smooth_temp, workspace)
     record.offer(view, loss)
     return record, view, grad
 
@@ -218,5 +218,4 @@ def run_meta_opt(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
         record.offer(cand, loss_i)
         theta += adam_step(opt, g_theta, cfg.lr)
 
-    return record.result(cfg.track_history,
-                         MetaNetParams.from_vector(theta, dims))
+    return record.result(MetaNetParams.from_vector(theta, dims))

@@ -99,15 +99,20 @@ def init_meta_net(rng: RngStream, dim: int, hidden=(50, 50)) -> MetaNetParams:
     return MetaNetParams(weights=weights, biases=biases)
 
 
-def mlp_forward(params: MetaNetParams, x: np.ndarray) -> np.ndarray:
-    """Plain forward pass: ReLU on hidden layers, linear output."""
-    h = np.asarray(x, dtype=float)
+def _activations(params: MetaNetParams, x: np.ndarray) -> list:
+    """``[x, a_1, ..., out]``: every layer's input, then the output; the
+    network gradient reads them back as layer inputs and ReLU masks."""
+    acts = [np.asarray(x, dtype=float)]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = w @ h + b
-        if i != last:
-            h = np.maximum(h, 0.0)
-    return h
+        h = w @ acts[-1] + b
+        acts.append(h if i == last else np.maximum(h, 0.0))
+    return acts
+
+
+def mlp_forward(params: MetaNetParams, x: np.ndarray) -> np.ndarray:
+    """Plain forward pass: ReLU on hidden layers, linear output."""
+    return _activations(params, x)[-1]
 
 
 def save_checkpoint(path, params: MetaNetParams, meta: dict = None) -> None:

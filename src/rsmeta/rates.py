@@ -145,6 +145,16 @@ def _to_rate(sinr: np.ndarray) -> np.ndarray:
     return np.log1p(sinr) / _LN2
 
 
+def _layered(rc, rg, rp, layout: StreamLayout) -> tuple:
+    """Per-user rates, the common-rate minimum, each group's minimum (zeros
+    in one-layer mode) and the sum rate: the fields of either report."""
+    grp = np.zeros(layout.n_groups) if layout.mode == "one_layer" else \
+        np.array([np.min(rg[list(layout.group_members(g))])
+                  for g in range(layout.n_groups)])
+    return (rc, rg, rp, float(np.min(rc)), grp,
+            float(np.min(rc) + np.sum(grp) + np.sum(rp)))
+
+
 def rate_report(p, h: np.ndarray, layout: StreamLayout,
                 noise_power: float = 1.0) -> RateReport:
     """Rates for a single channel realization."""
@@ -152,15 +162,8 @@ def rate_report(p, h: np.ndarray, layout: StreamLayout,
     if h.ndim != 2:
         raise ValueError("rate_report expects a single channel (n_tx, n_users)")
     sc, sg, sp = sinr_triplet(p, h, layout, noise_power)
-    rc, rg, rp = _to_rate(sc), _to_rate(sg), _to_rate(sp)
-    grp = np.array([np.min(rg[list(layout.group_members(g))])
-                    for g in range(layout.n_groups)])
-    if layout.mode == "one_layer":
-        grp = np.zeros(layout.n_groups)
-    total = float(np.min(rc) + np.sum(grp) + np.sum(rp))
-    return RateReport(per_user_common=rc, per_user_group=rg,
-                      per_user_private=rp, common_rate=float(np.min(rc)),
-                      group_rates=grp, sum_rate=total)
+    return RateReport(*_layered(_to_rate(sc), _to_rate(sg), _to_rate(sp),
+                                layout))
 
 
 def saf_report(p, ens: ChannelEnsemble, layout: StreamLayout) -> SafReport:
@@ -171,17 +174,8 @@ def saf_report(p, ens: ChannelEnsemble, layout: StreamLayout) -> SafReport:
     layer's min-over-members averaged rate, plus all averaged private rates.
     """
     sc, sg, sp = sinr_triplet(p, ens.realizations, layout, ens.noise_power)
-    rc = np.mean(_to_rate(sc), axis=0)
-    rg = np.mean(_to_rate(sg), axis=0)
-    rp = np.mean(_to_rate(sp), axis=0)
-    grp = np.array([np.min(rg[list(layout.group_members(g))])
-                    for g in range(layout.n_groups)])
-    if layout.mode == "one_layer":
-        grp = np.zeros(layout.n_groups)
-    asr = float(np.min(rc) + np.sum(grp) + np.sum(rp))
-    return SafReport(avg_per_user_common=rc, avg_per_user_group=rg,
-                     avg_per_user_private=rp, common_rate=float(np.min(rc)),
-                     group_rates=grp, avg_sum_rate=asr)
+    return SafReport(*_layered(*(np.mean(_to_rate(x), axis=0)
+                                 for x in (sc, sg, sp)), layout))
 
 
 def avg_sum_rate_loss(p, ens: ChannelEnsemble, layout: StreamLayout) -> float:

@@ -130,8 +130,7 @@ def test_criterion_4_grouped_dominance():
     for draw in range(10):
         ens = model.draw(RngStream(7000 + draw), lay, 200)
         res = run_meta_opt(lay, ens, p_t, MetaOptConfig(
-            n_iters=500, lr=1e-3, hidden=(50, 50), seed=100 + draw,
-            track_history=False))
+            n_iters=500, lr=1e-3, hidden=(50, 50), seed=100 + draw))
         fx = run_fixed_direction(lay, ens, model, p_t, step=0.05)
         meta_vals.append(res.best_asr)
         fixed_vals.append(fx.best_asr)
@@ -154,8 +153,7 @@ def test_criterion_5_group_power_trend():
     def fractions(p_t, draw):
         ens = model.draw(RngStream(8100 + draw), lay, 200)
         res = run_meta_opt(lay, ens, p_t, MetaOptConfig(
-            n_iters=500, lr=1e-3, hidden=(50, 50), seed=200 + draw,
-            track_history=False))
+            n_iters=500, lr=1e-3, hidden=(50, 50), seed=200 + draw))
         pm = res.best_precoder
         total = pm.total_power
         qc = pm.stream_power(0) / total
@@ -268,10 +266,8 @@ def test_criterion_7_iteration_scaling():
         lay = StreamLayout.one_layer(n_tx, k)
         model = IidCsitModel(n_tx=n_tx, n_users=k, error_power=0.3)
         ens = model.draw(RngStream(seed), 10.0, 100)
-        short = MetaOptConfig(n_iters=30, hidden=(50, 50),
-                              track_history=False)
-        long = MetaOptConfig(n_iters=230, hidden=(50, 50),
-                             track_history=False)
+        short = MetaOptConfig(n_iters=30, hidden=(50, 50))
+        long = MetaOptConfig(n_iters=230, hidden=(50, 50))
         run_meta_opt(lay, ens, 10.0, short)          # warm-up
         t_short = run_meta_opt(lay, ens, 10.0, short).wall_time_s
         t_long = run_meta_opt(lay, ens, 10.0, long).wall_time_s

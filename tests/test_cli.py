@@ -25,6 +25,23 @@ direct.iters = 5
 """
 
 
+# the grouped counterpart of TINY: 4 antennas, 2 users on 2 rings
+RING = """
+scenario = one_ring
+n_tx = 4
+n_users = 2
+n_groups = 2
+snr_db = 10
+csit_draws = 1
+realizations = 10
+master_seed = 5
+methods = meta, fixed
+ring.azimuths = -0.7, 0.7
+meta.iters = 5
+meta.hidden = 8
+"""
+
+
 # the same sweep as test_harness._tiny_config: 2 SNR points x 2 draws x 2
 SWEEP = """
 scenario = iid
@@ -108,6 +125,40 @@ class TestValidate:
         path.write_text(TINY + f"{key} = {text}\n")
         assert main(["validate", "--config", str(path)]) == 1
         assert f"{key} must be" in capsys.readouterr().err
+
+
+    # each of these used to pass validate: a non-boolean eval.redraw turned
+    # held-out scoring on, the others reached the first cell or ran on
+    # nonsense; a negative iid.error_power failed without naming its key
+    @pytest.mark.parametrize("base, key, text", [
+        (TINY, "eval.redraw", "maybe"), (TINY, "eval.redraw", "1"),
+        (RING, "ring.tau2", "1.5"), (RING, "ring.tau2", "-0.1"),
+        (RING, "ring.spread", "0"), (RING, "ring.spread", "3.5"),
+        (RING, "ring.spacing", "0"), (RING, "ring.spacing", "-0.5"),
+        (RING, "ring.azimuths", "-0.7, wide"),
+        (RING, "ring.azimuths", "-0.7, nan"),
+        (TINY, "iid.alpha", "nan"), (TINY, "iid.alpha", "inf"),
+        (TINY, "iid.error_power", "-0.1"), (TINY, "iid.error_power", "nan"),
+    ], ids=lambda x: "ring" if x is RING else "iid" if x is TINY else None)
+    def test_bad_model_setting_named(self, base, key, text, tmp_path,
+                                     monkeypatch, capsys):
+        monkeypatch.delenv(ENV_THREADS, raising=False)
+        path = tmp_path / "bad.cfg"
+        path.write_text(base + f"{key} = {text}\n")
+        assert main(["validate", "--config", str(path)]) == 1
+        assert key in capsys.readouterr().err
+
+    def test_other_scenario_settings_unchecked(self, tmp_path, monkeypatch,
+                                               capsys):
+        monkeypatch.delenv(ENV_THREADS, raising=False)
+        path = tmp_path / "iid.cfg"
+        path.write_text(TINY + "ring.tau2 = 1.5\nring.spacing = 0\n")
+        assert main(["validate", "--config", str(path)]) == 0
+        path = tmp_path / "ring.cfg"
+        path.write_text(RING + "iid.alpha = nan\niid.error_power = -1\n")
+        assert main(["validate", "--config", str(path)]) == 0
+        path.write_text(RING)
+        assert main(["validate", "--config", str(path)]) == 0
 
 
 class TestRun:

@@ -14,7 +14,7 @@ from rsmeta.linalg import (ProjectionWorkspace, RngStream, channel_project,
                            gaussian_matrix)
 from rsmeta.metaopt import init_precoder
 from rsmeta.network import init_meta_net, mlp_forward
-from rsmeta.rates import avg_sum_rate_loss, saf_report
+from rsmeta.rates import PrecoderMatrix, avg_sum_rate_loss, saf_report
 from tape import Var, _rate_loss, _tape_loss, _theta_grad, backward
 
 
@@ -137,6 +137,45 @@ class TestPrecoderGradient:
         lay, ens, mat = _instance(seed=64)
         _, g = grad_wrt_precoder(mat, ens, lay)
         assert g.shape == (view_length(lay),)
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_view_strided_copy_and_precoder_agree(self, hierarchical):
+        # the view is the memory of the active-column matrix, so every way
+        # of handing over the same precoder gives the same bits, signed
+        # zeros included
+        lay, ens, mat = _instance(seed=66, hierarchical=hierarchical)
+        cols = list(lay.active_streams)
+        mat[0, cols[0]] = complex(-0.0, 0.0)
+        mat[1, cols[-1]] = complex(0.0, -0.0)
+        mat[2, cols[1]] = complex(-0.0, 0.7)
+        v = precoder_to_view(mat, lay)
+        assert np.signbit(v).any() and (v == 0).sum() >= 4
+        v2 = np.full(2 * v.size, np.nan)
+        v2[::2] = v
+        loss, g = grad_wrt_precoder(v, ens, lay)
+        assert loss == loss_from_view(v, ens, lay)
+        for p in (v2[::2], PrecoderMatrix(matrix=mat, layout=lay), mat):
+            loss_p, g_p = grad_wrt_precoder(p, ens, lay)
+            assert loss_p == loss
+            np.testing.assert_array_equal(g_p, g)
+
+    def test_results_never_alias_the_view(self):
+        lay, ens, mat = _instance(seed=67, hierarchical=True)
+        v = precoder_to_view(mat, lay)
+        assert not np.shares_memory(v, mat)
+        assert not np.shares_memory(view_to_precoder(v, lay), v)
+        ws = ProjectionWorkspace(ens.realizations)
+        for workspace in (None, ws):
+            _, g = grad_wrt_precoder(v, ens, lay, None, workspace)
+            assert not np.shares_memory(g, v)
+            params = _random_net(RngStream(68), lay)
+            _, gt, cand = grad_wrt_theta(params, v, g, ens, lay, 4.0, None,
+                                         workspace)
+            for out in (gt, cand):
+                assert not np.shares_memory(out, v)
+                assert not np.shares_memory(out, g)
+                for arr in (ws.hc, *ws._arrays.values()):
+                    assert not np.shares_memory(out, arr)
 
 
 def _tape_grad(mat, ens, lay, smooth_temp=None):
@@ -384,15 +423,31 @@ class TestThetaGradient:
         err, _ = finite_diff_check(f, theta0, gt, step=1e-5)
         assert err <= 1e-4
 
+    @staticmethod
+    def _assert_candidate_is_plain_path(params, p0_view, g0, ens, lay, p_t):
+        """The candidate and loss of the network gradient are, bit for bit,
+        the plain forward, projection and loss; the budget binds."""
+        raw = p0_view + mlp_forward(params, g0)
+        assert np.sum(raw * raw) > p_t
+        loss, _, cand = grad_wrt_theta(params, p0_view, g0, ens, lay, p_t)
+        np.testing.assert_array_equal(
+            cand, candidate_view(params, p0_view, g0, p_t))
+        assert np.dot(cand, cand) <= p_t * (1 + 1e-12)
+        assert loss == loss_from_view(cand, ens, lay)
+
     def test_candidate_matches_plain_path(self):
         lay, ens, p0_view, g0, params = self._setup(seed=73)
         p_t = 2.0   # tight budget so projection actually fires
-        loss, _, cand = grad_wrt_theta(params, p0_view, g0, ens, lay, p_t)
-        np.testing.assert_allclose(
-            cand, candidate_view(params, p0_view, g0, p_t), rtol=1e-12)
-        assert np.dot(cand, cand) <= p_t * (1 + 1e-12)
-        assert loss == pytest.approx(loss_from_view(cand, ens, lay),
-                                     rel=1e-12)
+        self._assert_candidate_is_plain_path(params, p0_view, g0, ens, lay,
+                                             p_t)
+
+    def test_candidate_matches_plain_path_ring(self):
+        lay, ens, mat, p_t = _benchmark_shape("ring-16x8")
+        p0_view = precoder_to_view(mat, lay)
+        _, g0 = grad_wrt_precoder(mat, ens, lay)
+        params = _random_net(RngStream(74), lay)
+        self._assert_candidate_is_plain_path(params, p0_view, g0, ens, lay,
+                                             0.7 * p_t)
 
 
 class TestFiniteDiffCheck:

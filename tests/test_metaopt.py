@@ -121,9 +121,6 @@ class TestRunMetaOpt:
         assert res.asr_history.shape == (16,)
         assert res.n_iters == 15
         assert res.wall_time_s > 0
-        _, _, _, bare = self._run(n_iters=15, track_history=False)
-        assert bare.asr_history.shape == (1,)
-        assert bare.best_asr == res.best_asr
 
     def test_smooth_training_reports_hard_rates(self):
         lay, ens, p_t, res = self._run(n_iters=25, smooth_temp=0.3)
