@@ -48,8 +48,8 @@ def run_direct_adam(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
 
     The view goes into the gradient as it is, and every gradient and
     rescoring of the run fills one projection workspace built for ``ens``:
-    the channel copy is made once, and no projection, column-gather or
-    power-gradient array is allocated again on each iteration.
+    the channel copy is made once, and no projection or power-gradient
+    array is allocated again on each iteration.
     ``smooth_temp`` must be None (the hard minimum) or positive.
     """
     if n_iters < 1:
@@ -179,16 +179,18 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
                     f"zero-forcing direction degenerated for user {k}")
             dirs[:, layout.col_private(k)] = d / nrm
 
-    # unit-direction gains once; each split only rescales them
-    unit_gain, _, _ = channel_project(ens.realizations, dirs)
+    # unit-direction gains once, one stream-major row per column; each
+    # split only rescales the rows
+    gain = channel_project(ens.realizations, dirs)[0].T
+    powers = np.empty_like(gain)
 
     best_asr = -np.inf
     best_split = None
     n_eval = 0
     for split in power_split_grid(step, with_group=True):
         w = _stream_powers(split, layout, p_t)
-        asr = asr_from_powers(unit_gain * w[None, None, :], layout,
-                              ens.noise_power)
+        np.multiply(gain, w[:, None, None], out=powers)
+        asr = asr_from_powers(powers.T, layout, ens.noise_power)
         n_eval += 1
         if asr > best_asr:
             best_asr = asr

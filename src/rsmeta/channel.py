@@ -162,8 +162,10 @@ def one_ring_correlation(n_tx: int, spacing: float, azimuth: float,
     """
     if n_tx < 1:
         raise ValueError(f"n_tx must be >= 1, got {n_tx}")
-    if spacing <= 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
+    if not 0 < spacing < np.inf:
+        raise ValueError(f"spacing must be positive and finite, got {spacing}")
+    if not np.isfinite(azimuth):
+        raise ValueError(f"azimuth must be finite, got {azimuth}")
     if not 0 < spread <= np.pi:
         raise ValueError(f"spread must lie in (0, pi], got {spread}")
     lo, hi = azimuth - spread, azimuth + spread
@@ -220,7 +222,12 @@ class OneRingModel:
     def __post_init__(self):
         if not 0 <= self.tau2 <= 1:
             raise ValueError(f"tau2 must lie in [0, 1], got {self.tau2}")
+        if not 0 < self.spacing < np.inf:
+            raise ValueError(f"spacing must be positive and finite, "
+                             f"got {self.spacing}")
         object.__setattr__(self, "azimuths", tuple(float(a) for a in self.azimuths))
+        if not all(np.isfinite(self.azimuths)):
+            raise ValueError(f"azimuths must be finite, got {self.azimuths}")
 
     @property
     def n_groups(self) -> int:

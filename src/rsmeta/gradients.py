@@ -15,19 +15,25 @@ Two gradients drive everything downstream, both written by hand:
 
 Both map |h^H p|^2 to the averaged sum rate and its gradient in one place,
 :func:`_asr_and_power_grad`. The tests check both gradients against a
-reverse-mode tape that records the same loss op by op, and
-:func:`grad_wrt_theta` bit for bit against the tape with the rates recorded
-as one node: each hand-written step follows the tape's operation order.
+reverse-mode tape that records the same loss op by op, with the same
+losses bit for bit, and :func:`grad_wrt_theta` bit for bit against the
+tape with the rates recorded as one node.
 
 Every path, and the plain loss, gets |h^H p|^2 from the one projection
-:func:`rsmeta.linalg.channel_project` and computes the rates in the same
-operation order, so equal precoders give bit-equal losses on every path.
-:func:`grad_wrt_precoder`, :func:`grad_wrt_theta` and :func:`loss_from_view`
-take an optional :class:`rsmeta.linalg.ProjectionWorkspace` built for the
-ensemble: its channel copy, projection, column gathers and power gradient
-are then filled in place instead of allocated, with bit-identical results,
-and what the functions return never points into it. Both optimizers pass
-their run's workspace on every iteration.
+:func:`rsmeta.linalg.channel_project` and computes the rates with the same
+code, so equal precoders give bit-equal losses on every path. The rate code
+reads the powers stream-major and draw-minor, (n_streams, n_users,
+n_draws) in memory, and keeps every per-user array (n_users, n_draws): a
+layer's power sum adds whole rows in column order, each user's own group
+and private powers are one gather each, the averages over realizations
+run along contiguous memory, and the power gradient is written row by
+row. :func:`grad_wrt_precoder`, :func:`grad_wrt_theta` and
+:func:`loss_from_view` take an optional
+:class:`rsmeta.linalg.ProjectionWorkspace` built for the ensemble: its
+channel copy, projection and power gradient are then filled in place
+instead of allocated, with bit-identical results, and what the functions
+return never points into it. Both optimizers pass their run's workspace
+on every iteration.
 
 The view is fixed package-wide: the memory of the complex (n_tx, n_active)
 matrix of the active columns, column by column, read as float64 pairs.
@@ -120,75 +126,46 @@ def project_view(v: np.ndarray, p_t: float) -> np.ndarray:
 # plain evaluation path and the closed-form precoder gradient
 # ---------------------------------------------------------------------------
 
-def _scratch(workspace: ProjectionWorkspace, key: str, shape: tuple):
-    """An uninitialized float array: the workspace's ``key`` array, or a
-    fresh one without a workspace."""
-    if workspace is None:
-        return np.empty(shape)
-    return workspace.array(key, shape)
-
-
-def _col_sum(powers: np.ndarray, lo: int, hi: int,
-             workspace: ProjectionWorkspace, key: str) -> np.ndarray:
-    """Sum of the columns ``lo:hi`` of ``powers`` over its last axis.
-
-    The columns are copied column-major, the memory order of the recorded
-    path's gather, and summed one column after another as numpy sums that
-    gather; summed in place, 8 or more columns would add in another order.
-    """
-    cols = _scratch(workspace, key, (hi - lo,) + powers.shape[:2])
-    np.copyto(cols, powers[:, :, lo:hi].transpose(2, 0, 1))
-    return np.sum(cols, axis=0)
-
-
-def _private_diag(arr: np.ndarray, first: int) -> np.ndarray:
-    """``arr[:, r, first + r]`` over users r of an (n_draws, n_users,
-    n_active) array, each user's own private column: a strided view, so
-    writable into ``arr``, when ``arr`` is contiguous."""
-    m, k, s = arr.shape
-    return arr.reshape(m, k * s)[:, first::s + 1]
-
-
-def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float,
-                 workspace: ProjectionWorkspace = None):
+def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float):
     """SINRs and their denominators, ``(sinr, den)`` per layer, from the
-    |h^H p|^2 of the active columns: (common, group or None, private).
+    |h^H p|^2 of the active columns: (common, group or None, private),
+    each shaped (n_users, n_draws).
 
-    Same arithmetic order as the recorded path, so losses agree bit for bit.
+    The powers are read stream-major and draw-minor, as ``powers.T``: no
+    copy for :func:`rsmeta.linalg.channel_project`'s, a contiguous one of
+    any other array, so both give the same bits. A layer's power sum adds
+    its rows one after another, in column order.
     """
-    k = layout.n_users
-    g = layout.n_groups
-    t_com = powers[:, :, 0]
+    pw = np.ascontiguousarray(powers.T)
+    rows = layout.user_rows
     if layout.mode == "hierarchical":
-        first_prv = 1 + g
-        t_grp = _col_sum(powers, 1, 1 + g, workspace, "group_cols")
-        t_prv = _col_sum(powers, 1 + g, 1 + g + k, workspace, "private_cols")
-        den_c = t_grp + t_prv + noise
-        own_g = powers[:, layout.user_rows, layout.own_group_cols]
+        first_prv = 1 + layout.n_groups
+        den_c = np.sum(pw[1:first_prv], axis=0) \
+            + np.sum(pw[first_prv:], axis=0) + noise
+        own_g = pw[layout.own_group_cols, rows]
         den_g = den_c - own_g
         grp = (own_g / den_g, den_g)
     else:
         first_prv = 1
-        t_prv = _col_sum(powers, 1, 1 + k, workspace, "private_cols")
-        den_c = t_prv + noise
-        den_g = den_c
+        den_c = den_g = np.sum(pw[1:], axis=0) + noise
         grp = None
-    own_p = _private_diag(powers, first_prv)
+    own_p = pw[first_prv + rows, rows]
     den_p = den_g - own_p
-    return (t_com / den_c, den_c), grp, (own_p / den_p, den_p)
+    return (pw[0] / den_c, den_c), grp, (own_p / den_p, den_p)
 
 
 def _avg_rate(term):
     """Per-user rate log2(1 + sinr), averaged over realizations, of a layer
     term ``(sinr, den)``; None for no layer."""
     return None if term is None else \
-        np.mean(np.log1p(term[0]) * (1.0 / _LN2), axis=0)
+        np.mean(np.log1p(term[0]) * (1.0 / _LN2), axis=1)
 
 
 def _avg_rate_vjp(g_rate: np.ndarray, sinr: np.ndarray, den: np.ndarray):
     """Gradients of ``g_rate . _avg_rate((num / den, den))`` wrt num and
     den, from the forward pass's ``sinr = num / den``."""
-    g_num = (g_rate / sinr.shape[0]) * (1.0 / _LN2) / (1.0 + sinr) / den
+    g_num = (g_rate[:, None] / sinr.shape[1]) * (1.0 / _LN2) \
+        / (1.0 + sinr) / den
     return g_num, -g_num * sinr
 
 
@@ -227,19 +204,18 @@ def _sum_rate(rc, rg, rp, layout: StreamLayout, smooth_temp: float = None):
 
 
 def rates_from_powers(powers: np.ndarray, layout: StreamLayout,
-                      noise: float, workspace: ProjectionWorkspace = None):
+                      noise: float):
     """Averaged per-user rates (common, group or None, private) from the
-    |h^H p|^2 of the active columns, shaped (n_draws, n_users, n_active)."""
-    return tuple(map(_avg_rate, _layer_terms(powers, layout, noise,
-                                             workspace)))
+    |h^H p|^2 of the active columns, shaped (n_draws, n_users, n_active)
+    in any memory order."""
+    return tuple(map(_avg_rate, _layer_terms(powers, layout, noise)))
 
 
 def asr_from_powers(powers: np.ndarray, layout: StreamLayout, noise: float,
-                    smooth_temp: float = None,
-                    workspace: ProjectionWorkspace = None) -> float:
+                    smooth_temp: float = None) -> float:
     """Averaged sum rate from the |h^H p|^2 of the active columns."""
-    return _sum_rate(*rates_from_powers(powers, layout, noise, workspace),
-                     layout, smooth_temp)[0]
+    return _sum_rate(*rates_from_powers(powers, layout, noise), layout,
+                     smooth_temp)[0]
 
 
 def loss_from_view(v: np.ndarray, ens: ChannelEnsemble, layout: StreamLayout,
@@ -248,12 +224,11 @@ def loss_from_view(v: np.ndarray, ens: ChannelEnsemble, layout: StreamLayout,
     """Negative averaged sum rate of the precoder encoded by the view.
 
     ``workspace``, built for ``ens.realizations``, supplies the arrays of
-    the projection and the rates; without one they are fresh.
+    the projection; without one they are fresh.
     """
     powers, _, _ = channel_project(ens.realizations, _columns(v, layout),
                                    workspace)
-    return -asr_from_powers(powers, layout, ens.noise_power, smooth_temp,
-                            workspace)
+    return -asr_from_powers(powers, layout, ens.noise_power, smooth_temp)
 
 
 def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
@@ -263,34 +238,36 @@ def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
     gradient with respect to those powers: ``(asr, d asr / d powers)``.
 
     The forward pass keeps the layer terms and the backward pass runs
-    through each layer's rate by hand. The gradient is the workspace's
-    ``power_grad`` array when there is a workspace.
+    through each layer's rate by hand. The gradient is shaped like
+    ``powers`` and is a view of a stream-major, draw-minor array, the
+    workspace's ``power_grad`` when there is a workspace.
     """
-    com, grp, prv = terms = _layer_terms(powers, layout, noise, workspace)
+    com, grp, prv = terms = _layer_terms(powers, layout, noise)
     rc, rg, rp = map(_avg_rate, terms)
     asr, w_c, w_g = _sum_rate(rc, rg, rp, layout, smooth_temp)
 
     # the private denominator is the group denominator (one layer: the
     # common one) minus the own private power, and the group denominator
-    # is the common one minus the own group power
+    # is the common one minus the own group power; one row per column
+    rows = layout.user_rows
     first_prv = 1 + layout.n_groups if grp is not None else 1
     g_com, g_den = _avg_rate_vjp(w_c, *com)
     g_own_p, g_den_p = _avg_rate_vjp(np.ones_like(rp), *prv)
-    g_pow = _scratch(workspace, "power_grad", powers.shape)
-    g_pow.fill(0.0)
+    shape = powers.shape[::-1]
+    g_pw = np.empty(shape) if workspace is None else \
+        workspace.array("power_grad", shape)
+    g_pw[0] = g_com
     if grp is not None:
         g_own_g, g_den_g = _avg_rate_vjp(w_g, *grp)
         g_den_g = g_den_g + g_den_p
         g_den = g_den + g_den_g
-        g_pow[:, :, 1:first_prv] = g_den[:, :, None]
-        g_pow[:, layout.user_rows, layout.own_group_cols] += g_own_g - g_den_g
+        g_pw[1:first_prv] = g_den
+        g_pw[layout.own_group_cols, rows] += g_own_g - g_den_g
     else:
         g_den = g_den + g_den_p
-    g_pow[:, :, 0] = g_com
-    g_pow[:, :, first_prv:] += g_den[:, :, None]
-    diag = _private_diag(g_pow, first_prv)
-    diag += g_own_p - g_den_p
-    return asr, g_pow
+    g_pw[first_prv:] = g_den
+    g_pw[first_prv + rows, rows] += g_own_p - g_den_p
+    return asr, g_pw.T
 
 
 def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
@@ -304,9 +281,9 @@ def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
     matrix product maps d(loss)/d(powers) back to the precoder.
 
     A ``workspace`` built for ``ens.realizations`` supplies the projection's
-    channel copy and its projection, column-gather and power-gradient
-    arrays, so a loop of calls allocates none of them again; without one
-    they are fresh. ``grad`` is fresh either way.
+    channel copy and its projection and power-gradient arrays, so a loop of
+    calls allocates none of them again; without one they are fresh.
+    ``grad`` is fresh either way.
     """
     powers, z, hc = channel_project(
         ens.realizations, _columns(_view_in(p, layout), layout), workspace)
@@ -352,9 +329,8 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
     order, and ``cand_view`` is the candidate in view coordinates.
 
     A ``workspace`` built for ``ens.realizations`` supplies the projection's
-    channel copy and its projection, column-gather and power-gradient
-    arrays, as for :func:`grad_wrt_precoder`. What is returned is fresh
-    either way.
+    channel copy and its projection and power-gradient arrays, as for
+    :func:`grad_wrt_precoder`. What is returned is fresh either way.
     """
     acts = _activations(params, g0_view)
     raw = np.asarray(_view_in(p0, layout), dtype=float) + acts[-1]

@@ -6,11 +6,12 @@ which is what makes whole experiment sweeps bit-reproducible.
 
 :func:`channel_project` is the package's one |h^H p|^2 projection. It runs
 on a :class:`ProjectionWorkspace`: the user-major conjugate copy of the
-channel stack plus the (n_draws, n_users, n_streams) arrays that it and the
-rate backward fill in place. Both Adam optimizers (network and direct)
-keep one workspace per run, so the copy is made once and those arrays are
-not allocated again on each iteration; a one-shot call gets a throwaway
-workspace. Which destination arrays are used never changes a number.
+channel stack plus the arrays that it and the rate backward fill in place,
+the inner products user-major and the powers stream-major. Both Adam
+optimizers (network and direct) keep one workspace per run, so the copy is
+made once and those arrays are not allocated again on each iteration; a
+one-shot call gets a throwaway workspace. Which destination arrays are
+used never changes a number.
 """
 from __future__ import annotations
 
@@ -120,10 +121,13 @@ class ProjectionWorkspace:
     Built from a complex (n_draws, n_tx, n_users) stack ``h``: it makes the
     user-major conjugate (n_draws * n_users, n_tx) copy ``hc`` once, and
     :meth:`array` hands out named arrays that every later request under the
-    same name gets again, to be overwritten. An optimizer run that projects
-    one ensemble on every iteration builds one workspace; a one-shot caller
-    lets :func:`channel_project` build a throwaway one. Results that outlive
-    the next call on the workspace must be copied out of it.
+    same name gets again, to be overwritten: the user-major inner products
+    ``z``, (n_draws, n_users, n_streams), and the powers and power gradient,
+    stream-major and draw-minor, (n_streams, n_users, n_draws). An
+    optimizer run that projects one ensemble on every iteration builds one
+    workspace; a one-shot caller lets :func:`channel_project` build a
+    throwaway one. Results that outlive the next call on the workspace must
+    be copied out of it.
     """
 
     def __init__(self, h: np.ndarray):
@@ -150,9 +154,11 @@ def channel_project(h: np.ndarray, p: np.ndarray,
     (n_tx, n_streams) precoder. One matrix product of the workspace's
     user-major conjugate copy ``hc`` with ``p`` gives every inner product;
     without a ``workspace`` a throwaway one is built for ``h``. Returns
-    ``(powers, z, hc)``: ``z`` and ``powers = |z|^2`` are shaped
-    (n_draws, n_users, n_streams) and live in the workspace, and ``hc`` is
-    returned for the adjoint product.
+    ``(powers, z, hc)``, ``z`` and ``powers = |z|^2`` shaped (n_draws,
+    n_users, n_streams) and living in the workspace, and ``hc`` for the
+    adjoint product. ``z`` is C-ordered, user-major; ``powers`` is the
+    transposed view of a C-ordered (n_streams, n_users, n_draws) array, so
+    ``powers.T`` hands the rate code contiguous rows over the draws.
     """
     ws = ProjectionWorkspace(h) if workspace is None else workspace
     if ws.h is not h:
@@ -160,9 +166,10 @@ def channel_project(h: np.ndarray, p: np.ndarray,
     m, _, k = h.shape
     z = ws.array("z", (m, k, p.shape[1]), complex)
     np.matmul(ws.hc, p, out=z.reshape(m * k, -1))
-    powers = np.square(z.real, out=ws.array("powers", z.shape))
-    powers += np.square(z.imag, out=ws.array("imag_sq", z.shape))
-    return powers, z, ws.hc
+    zt = z.T
+    powers = np.square(zt.real, out=ws.array("powers", zt.shape))
+    powers += np.square(zt.imag, out=ws.array("imag_sq", zt.shape))
+    return powers.T, z, ws.hc
 
 
 def quadrature(f, lo: float, hi: float, nodes: int = 513) -> complex:

@@ -84,7 +84,7 @@ def start_splits(layout: StreamLayout, splits: tuple = None) -> tuple:
     q = tuple(float(s) for s in splits)
     if len(q) != 3:
         raise ValueError(f"splits must be three fractions, got {splits}")
-    if min(q) < 0 or sum(q) > 1.0 + 1e-12:
+    if not (min(q) >= 0 and sum(q) <= 1.0 + 1e-12):
         raise ValueError(f"splits must be nonnegative with sum <= 1, "
                          f"got {splits}")
     if layout.mode == "one_layer" and q[1] != 0.0:

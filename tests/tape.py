@@ -171,7 +171,10 @@ def csq_project(pre: Var, pim: Var, h: np.ndarray,
     val, z, _ = channel_project(h, pre.value + 1j * pim.value, workspace)
 
     def vjp(g):
-        v = np.einsum("mik,mks->is", h, (2.0 * g) * z)
+        # the einsum's summation order follows its operand's memory, so
+        # the operand is user-major like z, whatever the memory of g
+        w = np.multiply(2.0 * g, z, out=np.empty_like(z))
+        v = np.einsum("mik,mks->is", h, w)
         return v.real, v.imag
 
     return Var(val, (pre, pim), vjp)
@@ -382,17 +385,19 @@ def _tape_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
         t_prv = vsum(take_last(powers, prv_cols), axis=2)
         den_c = t_prv + ens.noise_power
     own_p = index_pairs(powers, rows, prv_cols)
-    sinr_c = t_com / den_c
-    rc = vmean(log1p_v(sinr_c) * (1.0 / _LN2), axis=0)
+    # the rates are averaged per user over a contiguous draw axis, on the
+    # (n_users, n_draws) transpose of each SINR
+    sinr_c = transpose2d(t_com / den_c)
+    rc = vmean(log1p_v(sinr_c) * (1.0 / _LN2), axis=1)
     if hier:
-        sinr_g = own_g / den_g
+        sinr_g = transpose2d(own_g / den_g)
         den_p = den_g - own_p
-        rg = vmean(log1p_v(sinr_g) * (1.0 / _LN2), axis=0)
+        rg = vmean(log1p_v(sinr_g) * (1.0 / _LN2), axis=1)
     else:
         den_p = den_c - own_p
         rg = None
-    sinr_p = own_p / den_p
-    rp = vmean(log1p_v(sinr_p) * (1.0 / _LN2), axis=0)
+    sinr_p = transpose2d(own_p / den_p)
+    rp = vmean(log1p_v(sinr_p) * (1.0 / _LN2), axis=1)
     red = (lambda x: min_over(x, 0)) if smooth_temp is None else \
         (lambda x: softmin_over(x, 0, smooth_temp))
     asr = red(rc) + vsum(rp)

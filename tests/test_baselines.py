@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from rsmeta.adam import AdamState, adam_step
-from rsmeta.baselines import (PowerSplit, power_split_grid, run_direct_adam,
-                              run_fixed_direction)
+from rsmeta import baselines
+from rsmeta.baselines import (PowerSplit, _stream_powers, power_split_grid,
+                              run_direct_adam, run_fixed_direction)
 from rsmeta.channel import IidCsitModel, OneRingModel
 from rsmeta.gradients import (grad_wrt_precoder, loss_from_view,
                               precoder_to_view, project_view,
                               view_to_precoder)
 from rsmeta.layout import StreamLayout
-from rsmeta.linalg import RngStream
+from rsmeta.linalg import RngStream, channel_project
 from rsmeta.metaopt import init_precoder
 from rsmeta.rates import saf_report
 
@@ -176,6 +177,25 @@ class TestFixedDirection:
         for k in range(lay.n_users):
             assert pm.stream_power(lay.col_private(k)) == pytest.approx(
                 s.private * p_t / lay.n_users, abs=1e-10)
+
+    def test_picks_brute_force_saf_split(self, monkeypatch):
+        # score every lattice split on the reference rate code, with the
+        # directions the search projects, and take the first maximizer
+        lay, ens, model, p_t = _ring_scene(seed=504, n_draws=40)
+        seen = []
+
+        def spy(h, p, workspace=None):
+            seen.append(p.copy())
+            return channel_project(h, p, workspace)
+
+        monkeypatch.setattr(baselines, "channel_project", spy)
+        res = run_fixed_direction(lay, ens, model, p_t, step=0.05)
+        dirs, = seen
+        rates = [saf_report(dirs * np.sqrt(_stream_powers(s, lay, p_t)),
+                            ens, lay).avg_sum_rate
+                 for s in power_split_grid(0.05)]
+        assert res.best_split == power_split_grid(0.05)[np.argmax(rates)]
+        assert res.best_asr == pytest.approx(max(rates), rel=1e-13)
 
     def test_beats_no_search_split(self):
         # the searched split can never do worse than any single grid point

@@ -143,6 +143,13 @@ class TestOneRingCorrelation:
             one_ring_correlation(4, 0.0, 0.0, 0.1)
         with pytest.raises(ValueError):
             one_ring_correlation(4, 0.5, 0.0, 0.0)
+        # these used to return an all-NaN matrix without an error
+        for spacing, azimuth, name in ((np.nan, 0.0, "spacing"),
+                                       (np.inf, 0.0, "spacing"),
+                                       (0.5, np.nan, "azimuth"),
+                                       (0.5, np.inf, "azimuth")):
+            with pytest.raises(ValueError, match=name):
+                one_ring_correlation(4, spacing, azimuth, 0.3)
 
 
 class TestPsdSqrt:
@@ -217,6 +224,18 @@ class TestOneRingModel:
     def test_tau2_range_enforced(self):
         with pytest.raises(ValueError):
             OneRingModel(n_tx=4, azimuths=(0.0,), spread=0.1, tau2=1.5)
+
+    # a NaN azimuth used to fail only when drawing, with a LinAlgError from
+    # the square root of an all-NaN correlation
+    @pytest.mark.parametrize("field, value", [
+        ("azimuths", (0.2, np.nan)), ("azimuths", (-np.inf, 0.2)),
+        ("spacing", np.nan), ("spacing", np.inf), ("spacing", 0.0)])
+    def test_nonfinite_settings_named(self, field, value):
+        kw = dict(n_tx=4, azimuths=(-0.2, 0.2), spread=0.1, tau2=0.3)
+        OneRingModel(**kw)
+        kw[field] = value
+        with pytest.raises(ValueError, match=field):
+            OneRingModel(**kw)
 
     def test_draw_pair_shares_estimate(self):
         a, b = self._model().draw_pair(RngStream(5), self._layout(), 6, 4)

@@ -126,6 +126,15 @@ class TestValidate:
         assert main(["validate", "--config", str(path)]) == 1
         assert f"{key} must be" in capsys.readouterr().err
 
+    def test_nan_start_split_named(self, tmp_path, capsys):
+        # a NaN fraction used to pass validate, and every cell then failed
+        # at its start point with "precoder contains non-finite entries"
+        path = tmp_path / "nan-split.cfg"
+        path.write_text(TINY + "meta.splits = nan, 0.0, 0.1\n")
+        assert main(["validate", "--config", str(path)]) == 1
+        assert "meta.splits: splits must be nonnegative" in \
+            capsys.readouterr().err
+
 
     # each of these used to pass validate: a non-boolean eval.redraw turned
     # held-out scoring on, the others reached the first cell or ran on

@@ -3,10 +3,11 @@ import pytest
 
 from rsmeta.channel import (ChannelEnsemble, IidCsitModel, draw_iid_scene,
                             draw_one_ring_scene)
-from rsmeta.gradients import (_min_and_weights, _random_instance,
-                              _random_net, candidate_view, finite_diff_check,
-                              grad_wrt_precoder, grad_wrt_theta,
-                              gradcheck_suite, loss_from_view, precoder_to_view,
+from rsmeta.gradients import (_asr_and_power_grad, _min_and_weights,
+                              _random_instance, _random_net, candidate_view,
+                              finite_diff_check, grad_wrt_precoder,
+                              grad_wrt_theta, gradcheck_suite,
+                              loss_from_view, precoder_to_view,
                               project_view, rates_from_powers, view_length,
                               view_to_precoder)
 from rsmeta.layout import StreamLayout
@@ -345,6 +346,55 @@ def _benchmark_shape(name):
         return lay, ens, mat, 4.0
     mat = init_precoder(lay, ens.estimate, p_t).matrix * np.sqrt(0.8)
     return lay, ens, mat, p_t
+
+
+class TestDrawMinorRates:
+    """The rate core reads its powers stream-major and draw-minor and
+    averages over contiguous draws; ``rates.py`` is the independent
+    reference that averages row by row over C-ordered powers."""
+
+    SHAPES = ["iid-4x4-200", "long-cell-4x4", "ring-16x8",
+              "grouped-8-users"]
+
+    @staticmethod
+    def _powers(shape):
+        if shape == "iid-4x4-200":
+            lay, ens = draw_iid_scene(15, 4, 4, 100.0, n_draws=200)
+            mat = init_precoder(lay, ens.estimate, 100.0).matrix
+        else:
+            lay, ens, mat, _ = _benchmark_shape(shape)
+        powers, _, _ = channel_project(ens.realizations,
+                                       mat[:, lay.active_cols])
+        return lay, ens, mat, powers
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_saf_report(self, shape):
+        lay, ens, mat, powers = self._powers(shape)
+        rc, rg, rp = rates_from_powers(powers, lay, ens.noise_power)
+        ref = saf_report(mat, ens, lay)
+        np.testing.assert_allclose(rc, ref.avg_per_user_common, rtol=1e-13)
+        np.testing.assert_allclose(rp, ref.avg_per_user_private, rtol=1e-13)
+        if lay.mode == "hierarchical":
+            np.testing.assert_allclose(rg, ref.avg_per_user_group,
+                                       rtol=1e-13)
+        else:
+            assert rg is None
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_c_ordered_powers_give_same_bits(self, shape):
+        lay, ens, _, powers = self._powers(shape)
+        assert powers.T.flags.c_contiguous
+        c_ordered = np.ascontiguousarray(powers)
+        for smooth_temp in (None, 0.3):
+            asr, g = _asr_and_power_grad(powers, lay, ens.noise_power,
+                                         smooth_temp)
+            asr_c, g_c = _asr_and_power_grad(c_ordered, lay,
+                                             ens.noise_power, smooth_temp)
+            assert asr == asr_c
+            np.testing.assert_array_equal(g, g_c)
+        for a, b in zip(rates_from_powers(powers, lay, ens.noise_power),
+                        rates_from_powers(c_ordered, lay, ens.noise_power)):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestHandThetaMatchesFusedRecording:

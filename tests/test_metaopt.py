@@ -8,7 +8,8 @@ from rsmeta.gradients import (grad_wrt_precoder, grad_wrt_theta,
                               view_to_precoder)
 from rsmeta.layout import StreamLayout
 from rsmeta.linalg import RngStream, svd_dominant
-from rsmeta.metaopt import MetaOptConfig, init_precoder, run_meta_opt
+from rsmeta.metaopt import (MetaOptConfig, init_precoder, run_meta_opt,
+                            start_splits)
 from rsmeta.network import MetaNetParams, init_meta_net
 from rsmeta.rates import saf_report
 
@@ -71,6 +72,15 @@ class TestInitPrecoder:
             init_precoder(lay, ens.estimate, p_t, splits=(0.5, 0.2, 0.3))
         with pytest.raises(ValueError):
             init_precoder(lay, np.zeros((3, 2), complex), p_t)
+
+    @pytest.mark.parametrize("splits", [
+        (np.nan, 0.0, 0.1), (0.5, 0.0, np.nan), (np.inf, 0.0, 0.1)])
+    def test_nonfinite_splits_rejected(self, splits):
+        # a NaN fraction used to pass, and the start point then failed with
+        # "precoder contains non-finite entries"
+        lay, _, _ = _scene(seed=15)
+        with pytest.raises(ValueError, match="splits must be nonnegative"):
+            start_splits(lay, splits)
 
     def test_estimate_shape_checked(self):
         lay, ens, p_t = _scene(seed=14)
