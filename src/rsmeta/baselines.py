@@ -25,7 +25,7 @@ import numpy as np
 
 from .adam import AdamState, adam_step
 from .channel import ChannelEnsemble, OneRingModel
-from .gradients import asr_from_powers, grad_wrt_precoder, project_view, \
+from .gradients import _batch_asr, grad_wrt_precoder, project_view, \
     view_length
 from .layout import StreamLayout
 from .linalg import ProjectionWorkspace, channel_project, herm_eig, \
@@ -35,6 +35,9 @@ from .rates import PrecoderMatrix
 
 __all__ = ["PowerSplit", "lattice_size", "power_split_grid",
            "run_direct_adam", "FixedDirectionResult", "run_fixed_direction"]
+
+# bytes of split-scaled powers the fixed-direction search scores at once
+_CHUNK_BYTES = 1 << 20
 
 # ---------------------------------------------------------------------------
 # direct Adam on the precoder
@@ -132,38 +135,28 @@ def _stream_powers(split: PowerSplit, layout: StreamLayout,
     return w
 
 
-def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
-                        model: OneRingModel, p_t: float, step: float = 0.05,
-                        rank: int = None) -> FixedDirectionResult:
-    """Statistics-based directions plus exhaustive power-split search.
+def _fixed_directions(layout: StreamLayout, est: np.ndarray,
+                      model: OneRingModel, p_t: float,
+                      rank: int = None) -> np.ndarray:
+    """Unit-norm columns, (n_tx, n_streams), of the fixed-direction search.
 
-    Directions, built once: the global common column along the dominant
-    singular direction of the estimate; each group column along the top
-    eigenvector of that group's antenna correlation; private columns by
+    The global common column lies along the dominant singular direction of
+    the estimate ``est``; each group column along the top eigenvector of
+    that group's antenna correlation; private columns come from
     regularized zero-forcing inside each group on a rank-limited effective
     channel (the estimate compressed onto the top ``rank`` eigenvectors of
-    the group correlation). Then every lattice power split is scored on the
-    ensemble and the best one wins; per-stream powers scale precomputed
-    unit-direction gains, so each split costs a few elementwise ops.
+    the group correlation, ``ceil(n_tx / (2 G))`` of them by default).
     """
-    if layout.mode != "hierarchical":
-        raise ValueError("fixed-direction search needs a hierarchical layout")
-    if layout.n_groups != model.n_groups:
-        raise ValueError("model ring count does not match layout groups")
-    t0 = time.perf_counter()
     n_grp = layout.n_groups
-    n_usr = layout.n_users
     if rank is None:
         rank = int(np.ceil(layout.n_tx / (2 * n_grp)))
     if not 1 <= rank <= layout.n_tx:
         raise ValueError(f"rank must lie in [1, {layout.n_tx}], got {rank}")
-
-    est = ens.estimate
     if not np.any(est):
         raise ValueError("cannot build directions from a zero estimate")
     dirs = np.zeros((layout.n_tx, layout.n_streams), dtype=complex)
     dirs[:, layout.col_common] = svd_dominant(est)
-    reg = n_usr / p_t
+    reg = layout.n_users / p_t
     for g in range(n_grp):
         w, vecs = herm_eig(model.correlation(g))
         dirs[:, layout.col_group(g)] = vecs[:, 0]
@@ -178,27 +171,54 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
                 raise ValueError(
                     f"zero-forcing direction degenerated for user {k}")
             dirs[:, layout.col_private(k)] = d / nrm
+    return dirs
 
-    # unit-direction gains once, one stream-major row per column; each
-    # split only rescales the rows
+
+def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
+                        model: OneRingModel, p_t: float, step: float = 0.05,
+                        rank: int = None) -> FixedDirectionResult:
+    """Statistics-based directions plus exhaustive power-split search.
+
+    The directions are built once from the estimate and the group
+    correlations (:func:`_fixed_directions`), and their |h^H p|^2 gains are
+    projected once. Every lattice power split (:func:`power_split_grid`)
+    then only rescales those gains per column. The splits are scored in
+    chunks of at most 1 MiB of scaled powers, each through one batched
+    call of the shared rate code whose every slice has the bits of a
+    one-split call. The first maximizer in canonical order wins, as in a
+    loop keeping a strictly better split, so a split whose rate is NaN
+    never wins; ``n_evaluated`` is the lattice size.
+    """
+    if layout.mode != "hierarchical":
+        raise ValueError("fixed-direction search needs a hierarchical layout")
+    if layout.n_groups != model.n_groups:
+        raise ValueError("model ring count does not match layout groups")
+    t0 = time.perf_counter()
+    dirs = _fixed_directions(layout, ens.estimate, model, p_t, rank)
+
+    # unit-direction gains once, one stream-major row per column; a chunk
+    # of splits rescales the rows into one (chunk, n_streams, n_users,
+    # n_draws) array, scored by one batched rate call
     gain = channel_project(ens.realizations, dirs)[0].T
-    powers = np.empty_like(gain)
-
-    best_asr = -np.inf
-    best_split = None
-    n_eval = 0
-    for split in power_split_grid(step, with_group=True):
-        w = _stream_powers(split, layout, p_t)
-        np.multiply(gain, w[:, None, None], out=powers)
-        asr = asr_from_powers(powers.T, layout, ens.noise_power)
-        n_eval += 1
-        if asr > best_asr:
-            best_asr = asr
-            best_split = split
+    splits = power_split_grid(step, with_group=True)
+    w = np.array([_stream_powers(s, layout, p_t) for s in splits])
+    chunk = max(1, _CHUNK_BYTES // gain.nbytes)
+    powers = np.empty((min(chunk, len(splits)),) + gain.shape)
+    asr = np.empty(len(splits))
+    for lo in range(0, len(splits), chunk):
+        w_part = w[lo:lo + chunk, :, None, None]
+        part = powers[:len(w_part)]
+        np.multiply(gain, w_part, out=part)
+        asr[lo:lo + len(w_part)] = _batch_asr(np.swapaxes(part, -1, -3),
+                                              layout, ens.noise_power)
+    # the first maximizer in canonical order; a NaN split never wins
+    best = int(np.argmax(np.where(np.isnan(asr), -np.inf, asr)))
+    if not asr[best] > -np.inf:
+        raise ValueError("no lattice split has a rate that is not NaN")
     wall = time.perf_counter() - t0
 
-    w = _stream_powers(best_split, layout, p_t)
-    best = PrecoderMatrix(matrix=dirs * np.sqrt(w)[None, :], layout=layout)
-    return FixedDirectionResult(best_asr=float(best_asr), best_precoder=best,
-                                best_split=best_split, wall_time_s=wall,
-                                n_evaluated=n_eval)
+    mat = dirs * np.sqrt(w[best])[None, :]
+    return FixedDirectionResult(
+        best_asr=float(asr[best]),
+        best_precoder=PrecoderMatrix(matrix=mat, layout=layout),
+        best_split=splits[best], wall_time_s=wall, n_evaluated=len(splits))

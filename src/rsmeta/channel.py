@@ -13,6 +13,7 @@ statistically consistent with that estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -210,6 +211,10 @@ class OneRingModel:
     with fresh white ``w`` per draw. ``tau2 = 0`` is perfect CSI, ``tau2 = 1``
     leaves the estimate uninformative. This is the exact conditional law of
     the channel given the estimate, not an approximation.
+
+    Each group's correlation is computed once per model, on first use, and
+    kept on it read-only, so every draw and the fixed-direction search of
+    one model share its quadratures.
     """
 
     n_tx: int
@@ -233,9 +238,20 @@ class OneRingModel:
     def n_groups(self) -> int:
         return len(self.azimuths)
 
+    @cached_property
+    def _correlations(self) -> tuple:
+        """Every group's correlation, computed once per model, read-only."""
+        out = []
+        for azimuth in self.azimuths:
+            r = one_ring_correlation(self.n_tx, self.spacing, azimuth,
+                                     self.spread, self.nodes)
+            r.flags.writeable = False
+            out.append(r)
+        return tuple(out)
+
     def correlation(self, g: int) -> np.ndarray:
-        return one_ring_correlation(self.n_tx, self.spacing, self.azimuths[g],
-                                    self.spread, self.nodes)
+        """Group g's antenna correlation; read-only, shared by every call."""
+        return self._correlations[g]
 
     def draw(self, rng: RngStream, layout: StreamLayout, n_draws: int,
              noise_power: float = 1.0) -> ChannelEnsemble:

@@ -27,7 +27,13 @@ n_draws) in memory, and keeps every per-user array (n_users, n_draws): a
 layer's power sum adds whole rows in column order, each user's own group
 and private powers are one gather each, the averages over realizations
 run along contiguous memory, and the power gradient is written row by
-row. :func:`grad_wrt_precoder`, :func:`grad_wrt_theta` and
+row. The forward rate code, :func:`rates_from_powers` and the
+hard-minimum sum rates of :func:`_batch_asr` (which build no gradient
+weights), also takes a batch of powers, any leading axes kept outermost:
+each slice keeps its stream-major, draw-minor rows and gets the bits of
+its own unbatched call. The fixed-direction search scores its power
+lattice that way; the backward pass is unbatched.
+:func:`grad_wrt_precoder`, :func:`grad_wrt_theta` and
 :func:`loss_from_view` take an optional
 :class:`rsmeta.linalg.ProjectionWorkspace` built for the ensemble: its
 channel copy, projection and power gradient are then filled in place
@@ -129,36 +135,39 @@ def project_view(v: np.ndarray, p_t: float) -> np.ndarray:
 def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float):
     """SINRs and their denominators, ``(sinr, den)`` per layer, from the
     |h^H p|^2 of the active columns: (common, group or None, private),
-    each shaped (n_users, n_draws).
+    each shaped (..., n_users, n_draws).
 
-    The powers are read stream-major and draw-minor, as ``powers.T``: no
-    copy for :func:`rsmeta.linalg.channel_project`'s, a contiguous one of
-    any other array, so both give the same bits. A layer's power sum adds
-    its rows one after another, in column order.
+    ``powers`` is (..., n_draws, n_users, n_active); any leading axes are
+    a batch, kept outermost. The powers are read stream-major and
+    draw-minor, as the last three axes reversed: no copy for
+    :func:`rsmeta.linalg.channel_project`'s, a contiguous one of any other
+    array, so both give the same bits. A layer's power sum adds its rows
+    one after another, in column order, and every batch slice gets the
+    bits of its own unbatched call.
     """
-    pw = np.ascontiguousarray(powers.T)
+    pw = np.ascontiguousarray(np.swapaxes(powers, -1, -3))
     rows = layout.user_rows
     if layout.mode == "hierarchical":
         first_prv = 1 + layout.n_groups
-        den_c = np.sum(pw[1:first_prv], axis=0) \
-            + np.sum(pw[first_prv:], axis=0) + noise
-        own_g = pw[layout.own_group_cols, rows]
+        den_c = np.sum(pw[..., 1:first_prv, :, :], axis=-3) \
+            + np.sum(pw[..., first_prv:, :, :], axis=-3) + noise
+        own_g = pw[..., layout.own_group_cols, rows, :]
         den_g = den_c - own_g
         grp = (own_g / den_g, den_g)
     else:
         first_prv = 1
-        den_c = den_g = np.sum(pw[1:], axis=0) + noise
+        den_c = den_g = np.sum(pw[..., 1:, :, :], axis=-3) + noise
         grp = None
-    own_p = pw[first_prv + rows, rows]
+    own_p = pw[..., first_prv + rows, rows, :]
     den_p = den_g - own_p
-    return (pw[0] / den_c, den_c), grp, (own_p / den_p, den_p)
+    return (pw[..., 0, :, :] / den_c, den_c), grp, (own_p / den_p, den_p)
 
 
 def _avg_rate(term):
     """Per-user rate log2(1 + sinr), averaged over realizations, of a layer
     term ``(sinr, den)``; None for no layer."""
     return None if term is None else \
-        np.mean(np.log1p(term[0]) * (1.0 / _LN2), axis=1)
+        np.mean(np.log1p(term[0]) * (1.0 / _LN2), axis=-1)
 
 
 def _avg_rate_vjp(g_rate: np.ndarray, sinr: np.ndarray, den: np.ndarray):
@@ -206,9 +215,26 @@ def _sum_rate(rc, rg, rp, layout: StreamLayout, smooth_temp: float = None):
 def rates_from_powers(powers: np.ndarray, layout: StreamLayout,
                       noise: float):
     """Averaged per-user rates (common, group or None, private) from the
-    |h^H p|^2 of the active columns, shaped (n_draws, n_users, n_active)
-    in any memory order."""
+    |h^H p|^2 of the active columns, shaped (..., n_draws, n_users,
+    n_active) in any memory order; leading axes are a batch."""
     return tuple(map(_avg_rate, _layer_terms(powers, layout, noise)))
+
+
+def _batch_asr(powers: np.ndarray, layout: StreamLayout,
+               noise: float) -> np.ndarray:
+    """Averaged sum rates with hard minima, shaped ``powers.shape[:-3]``,
+    from a batch of |h^H p|^2 shaped (..., n_draws, n_users, n_active).
+
+    Each is :func:`asr_from_powers` of its slice, bit for bit: the same
+    minima and sums, per slice, without :func:`_sum_rate`'s gradient
+    weights.
+    """
+    rc, rg, rp = rates_from_powers(powers, layout, noise)
+    asr = np.min(rc, axis=-1) + np.sum(rp, axis=-1)
+    if rg is not None:
+        for members in layout.member_rows:
+            asr = asr + np.min(rg[..., members], axis=-1)
+    return asr
 
 
 def asr_from_powers(powers: np.ndarray, layout: StreamLayout, noise: float,

@@ -190,6 +190,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError(f"unknown methods {bad}; choose from meta, direct, fixed")
     if not cfg.methods:
         raise ValueError("methods must list at least one optimizer")
+    _require(len(set(cfg.methods)) == len(cfg.methods), "methods",
+             cfg.methods, "a list without repeats")
     if cfg.scenario == "iid":
         if "fixed" in cfg.methods:
             raise ValueError("the fixed-direction search needs the one_ring "

@@ -14,6 +14,8 @@ from rsmeta.linalg import RngStream, channel_project
 from rsmeta.metaopt import init_precoder
 from rsmeta.rates import saf_report
 
+from fixed_loop import loop_fixed_direction
+
 
 class TestPowerSplit:
     def test_private_is_remainder(self):
@@ -243,3 +245,99 @@ class TestFixedDirection:
         lone = OneRingModel(n_tx=8, azimuths=(0.0,), spread=np.pi / 6)
         with pytest.raises(ValueError):
             run_fixed_direction(lay, ens, lone, 10.0)
+
+
+# the benchmark's ring shape: 16 antennas, 8 users on 4 rings, 200 draws
+_RING_AZIMUTHS = (-np.pi / 2, -np.pi / 6, np.pi / 6, np.pi / 2)
+
+
+def _bench_ring_scene(seed, p_t):
+    lay = StreamLayout.hierarchical(16, 8, 4)
+    model = OneRingModel(n_tx=16, azimuths=_RING_AZIMUTHS, spread=np.pi / 8,
+                         tau2=0.4)
+    return lay, model.draw(RngStream(seed), lay, 200), model, p_t
+
+
+def _uneven_scene(seed, p_t):
+    # five users on two rings, members interleaved and unequal in number
+    lay = StreamLayout.hierarchical(10, 5, 2, group_of=(1, 0, 0, 1, 0))
+    model = OneRingModel(n_tx=10, azimuths=(-0.6, 0.5), spread=np.pi / 7,
+                         tau2=0.3)
+    return lay, model.draw(RngStream(seed), lay, 400), model, p_t
+
+
+def _chunk(lay, ens):
+    """Splits the search scores per batched call on this scene."""
+    gain_bytes = 8 * lay.n_streams * lay.n_users * ens.n_draws
+    return max(1, baselines._CHUNK_BYTES // gain_bytes)
+
+
+class TestBatchedSearchMatchesLoop:
+    """The batched lattice search returns, bit for bit, what the per-split
+    loop of ``fixed_loop`` returns."""
+
+    STEPS = (0.05, 0.1, 0.2, 1.0)
+    SCENES = [("ring", 1, 1.0), ("ring", 2, 10.0 ** 1.4), ("ring", 3, 1e3),
+              ("uneven", 4, 10.0), ("uneven", 5, 1e3)]
+
+    def test_steps_cover_partial_and_short_chunks(self):
+        # at the ring shape the last chunk of some lattice is partial and
+        # some lattice is smaller than one chunk
+        lay, ens, _, _ = _bench_ring_scene(1, 1.0)
+        chunk = _chunk(lay, ens)
+        sizes = [len(power_split_grid(step)) for step in self.STEPS]
+        assert any(n > chunk and n % chunk for n in sizes)
+        assert any(n < chunk for n in sizes)
+
+    @pytest.mark.parametrize("kind, seed, p_t", SCENES)
+    def test_bitwise(self, kind, seed, p_t):
+        make = _bench_ring_scene if kind == "ring" else _uneven_scene
+        lay, ens, model, p_t = make(seed, p_t)
+        for step in self.STEPS:
+            res = run_fixed_direction(lay, ens, model, p_t, step=step)
+            asr, split, mat, n_eval = loop_fixed_direction(lay, ens, model,
+                                                           p_t, step=step)
+            assert res.best_split == split
+            assert res.best_asr == asr
+            np.testing.assert_array_equal(res.best_precoder.matrix, mat)
+            assert res.n_evaluated == n_eval == len(power_split_grid(step))
+
+    @staticmethod
+    def _poisoned(monkeypatch, poison):
+        """Let ``poison(asr, lo)`` overwrite the rates of each scored chunk,
+        ``lo`` the lattice index of its first split, before the search sees
+        them; returns the chunks' rates as the search saw them."""
+        real = baselines._batch_asr
+        seen = []
+
+        def batch_asr(powers, layout, noise):
+            asr = real(powers, layout, noise)
+            poison(asr, sum(map(len, seen)))
+            seen.append(asr)
+            return asr
+
+        monkeypatch.setattr(baselines, "_batch_asr", batch_asr)
+        return seen
+
+    def test_nan_split_never_wins(self, monkeypatch):
+        lay, ens, model, p_t = _bench_ring_scene(7, 10.0)
+        grid = power_split_grid(0.05)
+        top = grid.index(run_fixed_direction(lay, ens, model, p_t).best_split)
+
+        def poison(asr, lo):
+            if lo <= top < lo + len(asr):
+                asr[top - lo] = np.nan
+
+        seen = self._poisoned(monkeypatch, poison)
+        res = run_fixed_direction(lay, ens, model, p_t)
+        scores = np.concatenate(seen)
+        assert len(seen) > 1 and np.isnan(scores[top])
+        scores[top] = -np.inf
+        assert res.best_split == grid[int(np.argmax(scores))]
+        assert res.best_asr == np.max(scores)
+
+    def test_all_nan_rejected(self, monkeypatch):
+        lay, ens, model, p_t = _ring_scene(seed=508)
+        self._poisoned(monkeypatch, lambda asr, lo: asr.fill(np.nan))
+        with pytest.raises(ValueError, match="NaN"):
+            run_fixed_direction(lay, ens, model, p_t, step=0.2)

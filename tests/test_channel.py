@@ -217,6 +217,20 @@ class TestOneRingModel:
         cov = np.einsum("mi,mj->ij", dev[:, :, 0], dev[:, :, 0].conj()) / 3000
         np.testing.assert_allclose(cov, 0.4 * r0, atol=0.08)
 
+    def test_correlation_cached_read_only(self):
+        # one quadrature per group and model, shared by every draw and the
+        # fixed-direction search, so no caller may write into it
+        model = self._model()
+        r = model.correlation(1)
+        assert model.correlation(1) is r
+        assert not r.flags.writeable
+        with pytest.raises(ValueError):
+            r[0, 0] = 0.0
+        for g, azimuth in enumerate(model.azimuths):
+            np.testing.assert_array_equal(
+                model.correlation(g),
+                one_ring_correlation(6, 0.5, azimuth, np.pi / 8))
+
     def test_group_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             self._model().draw(RngStream(0), StreamLayout.hierarchical(6, 3, 3), 2)

@@ -135,6 +135,15 @@ class TestValidate:
         assert "meta.splits: splits must be nonnegative" in \
             capsys.readouterr().err
 
+    def test_repeated_method_named(self, tmp_path, monkeypatch, capsys):
+        # a repeated method used to pass validate, run twice in every cell
+        # and write two identical summary rows per SNR point
+        monkeypatch.delenv(ENV_THREADS, raising=False)
+        path = tmp_path / "twice.cfg"
+        path.write_text(TINY + "methods = direct, meta, direct\n")
+        assert main(["validate", "--config", str(path)]) == 1
+        assert "methods must be a list without repeats" in \
+            capsys.readouterr().err
 
     # each of these used to pass validate: a non-boolean eval.redraw turned
     # held-out scoring on, the others reached the first cell or ran on

@@ -3,8 +3,9 @@ import pytest
 
 from rsmeta.channel import (ChannelEnsemble, IidCsitModel, draw_iid_scene,
                             draw_one_ring_scene)
-from rsmeta.gradients import (_asr_and_power_grad, _min_and_weights,
-                              _random_instance, _random_net, candidate_view,
+from rsmeta.gradients import (_asr_and_power_grad, _batch_asr,
+                              _min_and_weights, _random_instance,
+                              _random_net, asr_from_powers, candidate_view,
                               finite_diff_check, grad_wrt_precoder,
                               grad_wrt_theta, gradcheck_suite,
                               loss_from_view, precoder_to_view,
@@ -395,6 +396,56 @@ class TestDrawMinorRates:
         for a, b in zip(rates_from_powers(powers, lay, ens.noise_power),
                         rates_from_powers(c_ordered, lay, ens.noise_power)):
             np.testing.assert_array_equal(a, b)
+
+
+class TestBatchAxis:
+    """A batch of powers, batch axis outermost, gives every slice the bits
+    of its own unbatched call: the sums over columns, the averages over
+    draws and the per-slice minima."""
+
+    @staticmethod
+    def _stack(shape, n=6):
+        """The layout, the noise, the unbatched powers of ``n`` precoders,
+        and the same powers stacked stream-major, (n, n_active, n_users,
+        n_draws), read as (n, n_draws, n_users, n_active)."""
+        lay, ens, mat, _ = _benchmark_shape(shape)
+        rng = RngStream(77)
+        singles = []
+        for _ in range(n):
+            scale = rng.uniform(0.2, 1.5, lay.n_streams)
+            cols = (mat * np.sqrt(scale))[:, lay.active_cols]
+            singles.append(channel_project(ens.realizations, cols)[0])
+        stack = np.stack([p.T for p in singles])
+        return lay, ens.noise_power, singles, np.swapaxes(stack, -1, -3)
+
+    @pytest.mark.parametrize("shape", ["ring-16x8", "long-cell-4x4",
+                                       "grouped-8-users"])
+    def test_slices_match_unbatched(self, shape):
+        lay, noise, singles, batch = self._stack(shape)
+        asr = _batch_asr(batch, lay, noise)
+        rates = rates_from_powers(batch, lay, noise)
+        assert asr.shape == (len(singles),)
+        for b, powers in enumerate(singles):
+            assert asr[b] == asr_from_powers(powers, lay, noise)
+            for got, want in zip(rates, rates_from_powers(powers, lay,
+                                                          noise)):
+                if want is None:
+                    assert got is None
+                else:
+                    np.testing.assert_array_equal(got[b], want)
+        # any number of leading axes, each kept outermost
+        grid = _batch_asr(batch.reshape((2, 3) + batch.shape[1:]), lay,
+                          noise)
+        np.testing.assert_array_equal(grid.ravel(), asr)
+
+    def test_nan_stays_in_its_slice(self):
+        lay, noise, singles, batch = self._stack("grouped-8-users")
+        clean = _batch_asr(batch, lay, noise)
+        poisoned = batch.copy()
+        poisoned[2, 0, 0, 0] = np.nan
+        asr = _batch_asr(poisoned, lay, noise)
+        assert np.isnan(asr[2])
+        np.testing.assert_array_equal(np.delete(asr, 2), np.delete(clean, 2))
 
 
 class TestHandThetaMatchesFusedRecording:
