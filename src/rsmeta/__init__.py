@@ -37,9 +37,8 @@ from .gradients import (
     view_to_precoder,
     grad_wrt_precoder,
     grad_wrt_theta,
-    finite_diff_check,
-    gradcheck_suite,
 )
+from .gradcheck import finite_diff_check, gradcheck_suite
 from .metaopt import MetaOptConfig, RunResult, init_precoder, run_meta_opt
 from .baselines import PowerSplit, power_split_grid, run_direct_adam, run_fixed_direction
 from .harness import ExperimentConfig, SweepResult, load_config, run_sweep, write_reports

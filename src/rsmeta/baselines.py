@@ -135,6 +135,24 @@ def _stream_powers(split: PowerSplit, layout: StreamLayout,
     return w
 
 
+def _lattice_powers(n: int, layout: StreamLayout, p_t: float):
+    """The power-split lattice with ``n`` intervals per unit as arrays:
+    ``(i, j, w)``, the integer common and group steps of every split in
+    canonical order and the (n_splits, n_streams) per-column powers, each
+    row :func:`_stream_powers` of the split ``(i / n, j / n)``, bit for
+    bit."""
+    i, j = np.indices((n + 1, n + 1)).reshape(2, -1)
+    keep = i + j <= n
+    i, j = i[keep], j[keep]
+    common, group = i / n, j / n
+    private = np.maximum(0.0, (1.0 - common) - group)
+    w = np.empty((len(i), layout.n_streams))
+    w[:, 0] = common * p_t
+    w[:, 1:1 + layout.n_groups] = (group * p_t / layout.n_groups)[:, None]
+    w[:, 1 + layout.n_groups:] = (private * p_t / layout.n_users)[:, None]
+    return i, j, w
+
+
 def _fixed_directions(layout: StreamLayout, est: np.ndarray,
                       model: OneRingModel, p_t: float,
                       rank: int = None) -> np.ndarray:
@@ -181,8 +199,10 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
 
     The directions are built once from the estimate and the group
     correlations (:func:`_fixed_directions`), and their |h^H p|^2 gains are
-    projected once. Every lattice power split (:func:`power_split_grid`)
-    then only rescales those gains per column. The splits are scored in
+    projected once. Every lattice power split, in
+    :func:`power_split_grid`'s order and built as one array of column
+    powers (:func:`_lattice_powers`), then only rescales those gains per
+    column. The splits are scored in
     chunks of at most 1 MiB of scaled powers, each through one batched
     call of the shared rate code whose every slice has the bits of a
     one-split call. The first maximizer in canonical order wins, as in a
@@ -200,12 +220,12 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
     # of splits rescales the rows into one (chunk, n_streams, n_users,
     # n_draws) array, scored by one batched rate call
     gain = channel_project(ens.realizations, dirs)[0].T
-    splits = power_split_grid(step, with_group=True)
-    w = np.array([_stream_powers(s, layout, p_t) for s in splits])
+    n = lattice_size(step)
+    i, j, w = _lattice_powers(n, layout, p_t)
     chunk = max(1, _CHUNK_BYTES // gain.nbytes)
-    powers = np.empty((min(chunk, len(splits)),) + gain.shape)
-    asr = np.empty(len(splits))
-    for lo in range(0, len(splits), chunk):
+    powers = np.empty((min(chunk, len(w)),) + gain.shape)
+    asr = np.empty(len(w))
+    for lo in range(0, len(w), chunk):
         w_part = w[lo:lo + chunk, :, None, None]
         part = powers[:len(w_part)]
         np.multiply(gain, w_part, out=part)
@@ -221,4 +241,6 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
     return FixedDirectionResult(
         best_asr=float(asr[best]),
         best_precoder=PrecoderMatrix(matrix=mat, layout=layout),
-        best_split=splits[best], wall_time_s=wall, n_evaluated=len(splits))
+        best_split=PowerSplit(common=int(i[best]) / n,
+                              group=int(j[best]) / n),
+        wall_time_s=wall, n_evaluated=len(w))

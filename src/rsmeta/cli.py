@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .gradients import gradcheck_suite
+from .gradcheck import gradcheck_suite
 from .harness import (ExperimentConfig, load_config, run_sweep,
                       validate_config, write_reports)
 

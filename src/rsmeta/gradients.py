@@ -1,45 +1,41 @@
-"""Objective gradients and their finite-difference verification.
+"""The layered-rate core and the two hand-written objective gradients.
 
-Two gradients drive everything downstream, both written by hand:
+Two gradients drive everything downstream:
 
-* the gradient of the averaged-rate loss with respect to the precoder,
-  taken in a flattened real view of the active columns
-  (:func:`grad_wrt_precoder`): a backward pass through each layer's
-  averaged ``log2(1 + num/den)`` and the minima, then one matrix product
-  back to the precoder; and
-* the gradient of the same loss, evaluated at the network-proposed and
-  power-projected candidate, with respect to the network parameters
-  (:func:`grad_wrt_theta`): the same rate backward at the candidate, the
-  adjoint of the |h^H p|^2 projection, the radial power projection
-  ``v * sqrt(P / tr)``, then the ReLU MLP.
-
-Both map |h^H p|^2 to the averaged sum rate and its gradient in one place,
-:func:`_asr_and_power_grad`. The tests check both gradients against a
-reverse-mode tape that records the same loss op by op, with the same
-losses bit for bit, and :func:`grad_wrt_theta` bit for bit against the
-tape with the rates recorded as one node.
+* :func:`grad_wrt_precoder`, the gradient of the averaged-rate loss with
+  respect to the precoder view: the rate backward, then one matrix
+  product back to the precoder; and
+* :func:`grad_wrt_theta`, the gradient of the same loss at the
+  network-proposed, power-projected candidate with respect to the network
+  parameters: the same rate backward, the adjoint of the |h^H p|^2
+  projection, the radial power projection ``v * sqrt(P / tr)``, then the
+  ReLU MLP.
 
 Every path, and the plain loss, gets |h^H p|^2 from the one projection
-:func:`rsmeta.linalg.channel_project` and computes the rates with the same
-code, so equal precoders give bit-equal losses on every path. The rate code
-reads the powers stream-major and draw-minor, (n_streams, n_users,
-n_draws) in memory, and keeps every per-user array (n_users, n_draws): a
-layer's power sum adds whole rows in column order, each user's own group
-and private powers are one gather each, the averages over realizations
-run along contiguous memory, and the power gradient is written row by
-row. The forward rate code, :func:`rates_from_powers` and the
-hard-minimum sum rates of :func:`_batch_asr` (which build no gradient
-weights), also takes a batch of powers, any leading axes kept outermost:
-each slice keeps its stream-major, draw-minor rows and gets the bits of
-its own unbatched call. The fixed-direction search scores its power
-lattice that way; the backward pass is unbatched.
-:func:`grad_wrt_precoder`, :func:`grad_wrt_theta` and
-:func:`loss_from_view` take an optional
-:class:`rsmeta.linalg.ProjectionWorkspace` built for the ensemble: its
-channel copy, projection and power gradient are then filled in place
-instead of allocated, with bit-identical results, and what the functions
-return never points into it. Both optimizers pass their run's workspace
-on every iteration.
+:func:`rsmeta.linalg.channel_project`, and the layered-rate arithmetic
+exists once, so equal precoders give bit-equal losses on every path.
+:func:`_layer_terms` stacks every layer's SINR and its denominator into
+one (..., n_layers, n_users, n_draws) array each, the layers in decoding
+order (common, group when hierarchical, private). The forward rates then
+take one ``log1p`` and one average over the realizations for all layers,
+and :func:`_asr_and_power_grad` one vjp. The powers and their gradient
+are stream-major and draw-minor, (n_streams, n_users, n_draws) in memory.
+The forward rate code (:func:`rates_from_powers`, :func:`_batch_asr`) also
+takes a batch of powers, leading axes kept outermost, and each slice gets
+the bits of its own unbatched call; the fixed-direction search scores its
+power lattice that way. The backward pass is unbatched.
+
+The gradients, :func:`loss_from_view` and :func:`asr_from_powers` take an
+optional :class:`rsmeta.linalg.ProjectionWorkspace` built for the
+ensemble: the projection, the stacked layer arrays and the power gradient
+are then filled in place instead of allocated, with bit-identical results,
+and what the functions return never points into it. Both optimizers pass
+their run's workspace on every iteration.
+
+The tests check both gradients against a reverse-mode tape that records
+the same loss op by op, and :func:`grad_wrt_theta` bit for bit against the
+tape with the rates recorded as one node; :mod:`rsmeta.gradcheck` checks
+both against central differences of :func:`loss_from_view`.
 
 The view is fixed package-wide: the memory of the complex (n_tx, n_active)
 matrix of the active columns, column by column, read as float64 pairs.
@@ -47,28 +43,21 @@ Going between the two is no arithmetic, and both gradients take either.
 The squared view norm equals the precoder power, so the power projection
 is a one-line rescale in view space; every path runs the same rescale and
 the same network forward, so a candidate has the same bits on each.
-
-Every gradient here is checkable against central differences of the plain
-evaluation path, :func:`loss_from_view`; :func:`gradcheck_suite` packages
-that with instance guards against minimum ties and the projection branch
-boundary, the two places the objective is only piecewise smooth.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelEnsemble, IidCsitModel
+from .channel import ChannelEnsemble
 from .layout import StreamLayout
-from .linalg import (ProjectionWorkspace, RngStream, channel_project,
-                     gaussian_matrix)
-from .network import MetaNetParams, _activations, init_meta_net, mlp_forward
+from .linalg import ProjectionWorkspace, channel_project
+from .network import MetaNetParams, _activations, mlp_forward
 from .rates import _LN2
 
 __all__ = ["view_length", "precoder_to_view", "view_to_precoder",
            "loss_from_view", "candidate_view", "project_view",
            "rates_from_powers", "asr_from_powers",
-           "grad_wrt_precoder", "grad_wrt_theta",
-           "finite_diff_check", "gradcheck_suite"]
+           "grad_wrt_precoder", "grad_wrt_theta"]
 
 # ---------------------------------------------------------------------------
 # real view of the active precoder columns
@@ -116,7 +105,7 @@ def _radial(v: np.ndarray, p_t: float):
     """The view scaled back onto the power ball if it exceeds the budget:
     ``(cand, tr, scale)`` with ``tr = sum(v * v)`` and ``cand = v * scale``,
     ``scale`` None (and ``cand`` the very ``v``) inside the ball."""
-    tr = np.sum(v * v)
+    tr = np.add.reduce(v * v)
     if tr > p_t:
         scale = np.sqrt(p_t / tr)
         return v * scale, tr, scale
@@ -132,84 +121,98 @@ def project_view(v: np.ndarray, p_t: float) -> np.ndarray:
 # plain evaluation path and the closed-form precoder gradient
 # ---------------------------------------------------------------------------
 
-def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float):
-    """SINRs and their denominators, ``(sinr, den)`` per layer, from the
-    |h^H p|^2 of the active columns: (common, group or None, private),
-    each shaped (..., n_users, n_draws).
+def _array(workspace: ProjectionWorkspace, key: str,
+           shape: tuple) -> np.ndarray:
+    """The workspace's array ``key``, or a fresh one without a workspace."""
+    return np.empty(shape) if workspace is None else \
+        workspace.array(key, shape)
 
-    ``powers`` is (..., n_draws, n_users, n_active); any leading axes are
-    a batch, kept outermost. The powers are read stream-major and
-    draw-minor, as the last three axes reversed: no copy for
-    :func:`rsmeta.linalg.channel_project`'s, a contiguous one of any other
-    array, so both give the same bits. A layer's power sum adds its rows
-    one after another, in column order, and every batch slice gets the
-    bits of its own unbatched call.
+
+def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float,
+                 workspace: ProjectionWorkspace = None):
+    """Every layer's SINR and its denominator, ``(sinr, den)``, each
+    stacked (..., n_layers, n_users, n_draws), from the |h^H p|^2 of the
+    active columns shaped (..., n_draws, n_users, n_active).
+
+    The powers are read stream-major, as the last three axes reversed: no
+    copy for :func:`rsmeta.linalg.channel_project`'s, a contiguous one of
+    any other array, with the same bits. The numerators, each user's own
+    power per layer, are one gather (:attr:`StreamLayout.layer_rows`). The
+    common denominator adds the group rows, then the private rows, in
+    column order; each later layer's is the one before less its own power.
     """
     pw = np.ascontiguousarray(np.swapaxes(powers, -1, -3))
-    rows = layout.user_rows
+    *batch, n_act, k, m = pw.shape
+    rows = layout.layer_rows
+    shape = (*batch, *rows.shape, m)
+    # mode="clip" (the rows are in range) writes straight into ``out``;
+    # the default mode would fill a buffer and copy it
+    sinr = np.take(pw.reshape(*batch, n_act * k, m), rows, axis=-2,
+                   out=_array(workspace, "sinr", shape), mode="clip")
+    den = _array(workspace, "den", shape)
+    den_c = den[..., 0, :, :]
     if layout.mode == "hierarchical":
-        first_prv = 1 + layout.n_groups
-        den_c = np.sum(pw[..., 1:first_prv, :, :], axis=-3) \
-            + np.sum(pw[..., first_prv:, :, :], axis=-3) + noise
-        own_g = pw[..., layout.own_group_cols, rows, :]
-        den_g = den_c - own_g
-        grp = (own_g / den_g, den_g)
+        # the private rows' sum passes through the private slot
+        first_prv = n_act - k
+        np.add.reduce(pw[..., 1:first_prv, :, :], axis=-3, out=den_c)
+        den_c += np.add.reduce(pw[..., first_prv:, :, :], axis=-3,
+                               out=den[..., 2, :, :])
     else:
-        first_prv = 1
-        den_c = den_g = np.sum(pw[..., 1:, :, :], axis=-3) + noise
-        grp = None
-    own_p = pw[..., first_prv + rows, rows, :]
-    den_p = den_g - own_p
-    return (pw[..., 0, :, :] / den_c, den_c), grp, (own_p / den_p, den_p)
+        np.add.reduce(pw[..., 1:, :, :], axis=-3, out=den_c)
+    den_c += noise
+    for i in range(1, len(rows)):
+        np.subtract(den[..., i - 1, :, :], sinr[..., i, :, :],
+                    out=den[..., i, :, :])
+    sinr /= den
+    return sinr, den
 
 
-def _avg_rate(term):
-    """Per-user rate log2(1 + sinr), averaged over realizations, of a layer
-    term ``(sinr, den)``; None for no layer."""
-    return None if term is None else \
-        np.mean(np.log1p(term[0]) * (1.0 / _LN2), axis=-1)
-
-
-def _avg_rate_vjp(g_rate: np.ndarray, sinr: np.ndarray, den: np.ndarray):
-    """Gradients of ``g_rate . _avg_rate((num / den, den))`` wrt num and
-    den, from the forward pass's ``sinr = num / den``."""
-    g_num = (g_rate[:, None] / sinr.shape[1]) * (1.0 / _LN2) \
-        / (1.0 + sinr) / den
-    return g_num, -g_num * sinr
+def _avg_rates(sinr: np.ndarray,
+               workspace: ProjectionWorkspace = None) -> np.ndarray:
+    """Per-user rates log2(1 + sinr) averaged over the realizations,
+    (..., n_layers, n_users), from the stacked SINRs."""
+    r = np.log1p(sinr, out=_array(workspace, "log_rate", sinr.shape))
+    r *= 1.0 / _LN2
+    avg = np.add.reduce(r, axis=-1,
+                        out=_array(workspace, "rates", sinr.shape[:-1]))
+    avg /= sinr.shape[-1]
+    return avg
 
 
 def _min_and_weights(x: np.ndarray, smooth_temp: float = None):
-    """Hard or smooth minimum of ``x`` and its gradient weights.
-
-    The hard minimum's subgradient is a one-hot on the lowest minimizing
-    index; the smooth minimum -T log sum exp(-x / T) has its softmax
-    weights.
-    """
+    """Hard or smooth minimum of ``x`` and its gradient weights: the hard
+    minimum's subgradient is a one-hot on the lowest minimizing index; the
+    smooth minimum -T log sum exp(-x / T) has its softmax weights."""
     if smooth_temp is not None:
         if not smooth_temp > 0:
             raise ValueError(f"smooth_temp must be None or positive, "
                              f"got {smooth_temp}")
-        m0 = np.min(x)
+        m0 = np.minimum.reduce(x)
         e = np.exp(-(x - m0) / smooth_temp)
-        s = np.sum(e)
+        s = np.add.reduce(e)
         return m0 - smooth_temp * np.log(s), e / s
-    w = np.zeros_like(x)
-    w[np.argmin(x)] = 1.0
-    return np.min(x), w
+    i = x.argmin()
+    w = np.zeros(x.shape)
+    w[i] = 1.0
+    return x[i], w
 
 
-def _sum_rate(rc, rg, rp, layout: StreamLayout, smooth_temp: float = None):
-    """Averaged sum rate from averaged per-user rates, with its gradient
-    weights on ``rc`` and ``rg`` (every private rate has weight one)."""
-    asr, w_c = _min_and_weights(rc, smooth_temp)
-    asr = asr + np.sum(rp)
-    w_g = None
-    if rg is not None:
-        w_g = np.zeros_like(rg)
+def _sum_rate(rates: np.ndarray, layout: StreamLayout,
+              smooth_temp: float = None,
+              workspace: ProjectionWorkspace = None):
+    """Averaged sum rate from the stacked averaged per-user rates, and its
+    gradient weights stacked the same way, (n_layers, n_users): the
+    minima's on the common and group rows, one on every private rate."""
+    w = _array(workspace, "rate_grad", rates.shape)
+    asr, w[0] = _min_and_weights(rates[0], smooth_temp)
+    asr = asr + np.add.reduce(rates[-1])
+    w[-1] = 1.0
+    if layout.mode == "hierarchical":
         for members in layout.member_rows:
-            val, w_g[members] = _min_and_weights(rg[members], smooth_temp)
+            val, w[1, members] = _min_and_weights(rates[1, members],
+                                                  smooth_temp)
             asr = asr + val
-    return float(asr), w_c, w_g
+    return float(asr), w
 
 
 def rates_from_powers(powers: np.ndarray, layout: StreamLayout,
@@ -217,31 +220,34 @@ def rates_from_powers(powers: np.ndarray, layout: StreamLayout,
     """Averaged per-user rates (common, group or None, private) from the
     |h^H p|^2 of the active columns, shaped (..., n_draws, n_users,
     n_active) in any memory order; leading axes are a batch."""
-    return tuple(map(_avg_rate, _layer_terms(powers, layout, noise)))
+    r = _avg_rates(_layer_terms(powers, layout, noise)[0])
+    grp = r[..., 1, :] if layout.mode == "hierarchical" else None
+    return r[..., 0, :], grp, r[..., -1, :]
 
 
 def _batch_asr(powers: np.ndarray, layout: StreamLayout,
                noise: float) -> np.ndarray:
     """Averaged sum rates with hard minima, shaped ``powers.shape[:-3]``,
-    from a batch of |h^H p|^2 shaped (..., n_draws, n_users, n_active).
-
-    Each is :func:`asr_from_powers` of its slice, bit for bit: the same
-    minima and sums, per slice, without :func:`_sum_rate`'s gradient
-    weights.
-    """
-    rc, rg, rp = rates_from_powers(powers, layout, noise)
-    asr = np.min(rc, axis=-1) + np.sum(rp, axis=-1)
-    if rg is not None:
+    from a batch of |h^H p|^2 shaped (..., n_draws, n_users, n_active):
+    each :func:`asr_from_powers` of its slice, bit for bit, without
+    :func:`_sum_rate`'s gradient weights."""
+    r = _avg_rates(_layer_terms(powers, layout, noise)[0])
+    asr = np.minimum.reduce(r[..., 0, :], axis=-1) \
+        + np.add.reduce(r[..., -1, :], axis=-1)
+    if layout.mode == "hierarchical":
         for members in layout.member_rows:
-            asr = asr + np.min(rg[..., members], axis=-1)
+            asr = asr + np.minimum.reduce(r[..., 1, members], axis=-1)
     return asr
 
 
 def asr_from_powers(powers: np.ndarray, layout: StreamLayout, noise: float,
-                    smooth_temp: float = None) -> float:
-    """Averaged sum rate from the |h^H p|^2 of the active columns."""
-    return _sum_rate(*rates_from_powers(powers, layout, noise), layout,
-                     smooth_temp)[0]
+                    smooth_temp: float = None,
+                    workspace: ProjectionWorkspace = None) -> float:
+    """Averaged sum rate from the |h^H p|^2 of the active columns; a
+    ``workspace`` built for their channel stack holds the rate arrays."""
+    sinr, _ = _layer_terms(powers, layout, noise, workspace)
+    return _sum_rate(_avg_rates(sinr, workspace), layout, smooth_temp,
+                     workspace)[0]
 
 
 def loss_from_view(v: np.ndarray, ens: ChannelEnsemble, layout: StreamLayout,
@@ -250,11 +256,12 @@ def loss_from_view(v: np.ndarray, ens: ChannelEnsemble, layout: StreamLayout,
     """Negative averaged sum rate of the precoder encoded by the view.
 
     ``workspace``, built for ``ens.realizations``, supplies the arrays of
-    the projection; without one they are fresh.
+    the projection and the rates; without one they are fresh.
     """
     powers, _, _ = channel_project(ens.realizations, _columns(v, layout),
                                    workspace)
-    return -asr_from_powers(powers, layout, ens.noise_power, smooth_temp)
+    return -asr_from_powers(powers, layout, ens.noise_power, smooth_temp,
+                            workspace)
 
 
 def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
@@ -263,36 +270,35 @@ def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
     """Averaged sum rate from the |h^H p|^2 of the active columns, and its
     gradient with respect to those powers: ``(asr, d asr / d powers)``.
 
-    The forward pass keeps the layer terms and the backward pass runs
-    through each layer's rate by hand. The gradient is shaped like
-    ``powers`` and is a view of a stream-major, draw-minor array, the
-    workspace's ``power_grad`` when there is a workspace.
+    One vjp takes every layer's ``mean(log2(1 + num / den))`` back to its
+    stacked numerators and denominators. The gradient is shaped like
+    ``powers``, a view of a stream-major array: the workspace's
+    ``power_grad`` when there is a workspace.
     """
-    com, grp, prv = terms = _layer_terms(powers, layout, noise)
-    rc, rg, rp = map(_avg_rate, terms)
-    asr, w_c, w_g = _sum_rate(rc, rg, rp, layout, smooth_temp)
+    sinr, den = _layer_terms(powers, layout, noise, workspace)
+    asr, g_rate = _sum_rate(_avg_rates(sinr, workspace), layout,
+                            smooth_temp, workspace)
+    g_rate /= sinr.shape[-1]
+    g_rate *= 1.0 / _LN2
+    g_num = np.add(1.0, sinr, out=_array(workspace, "log_rate", sinr.shape))
+    np.divide(g_rate[..., None], g_num, out=g_num)
+    g_num /= den
+    g_den = np.negative(g_num, out=den)
+    g_den *= sinr
 
-    # the private denominator is the group denominator (one layer: the
-    # common one) minus the own private power, and the group denominator
-    # is the common one minus the own group power; one row per column
-    rows = layout.user_rows
-    first_prv = 1 + layout.n_groups if grp is not None else 1
-    g_com, g_den = _avg_rate_vjp(w_c, *com)
-    g_own_p, g_den_p = _avg_rate_vjp(np.ones_like(rp), *prv)
-    shape = powers.shape[::-1]
-    g_pw = np.empty(shape) if workspace is None else \
-        workspace.array("power_grad", shape)
-    g_pw[0] = g_com
-    if grp is not None:
-        g_own_g, g_den_g = _avg_rate_vjp(w_g, *grp)
-        g_den_g = g_den_g + g_den_p
-        g_den = g_den + g_den_g
-        g_pw[1:first_prv] = g_den
-        g_pw[layout.own_group_cols, rows] += g_own_g - g_den_g
-    else:
-        g_den = g_den + g_den_p
-    g_pw[first_prv:] = g_den
-    g_pw[first_prv + rows, rows] += g_own_p - g_den_p
+    # every column but the common one sits in the common denominator, and
+    # each later layer's denominator is the one before less the user's own
+    # power: those rows get the summed denominator gradient, and each
+    # user's own group and private powers their layer's numerator term
+    # less that layer's summed denominator term on top
+    if layout.mode == "hierarchical":
+        g_den[1] += g_den[2]
+    g_pw = _array(workspace, "power_grad", powers.shape[::-1])
+    g_pw[0] = g_num[0]
+    np.add(g_den[0], g_den[1], out=g_pw[1])
+    g_pw[2:] = g_pw[1]
+    g_num[1:] -= g_den[1:]
+    g_pw.reshape(-1, g_pw.shape[-1])[layout.layer_rows[1:]] += g_num[1:]
     return asr, g_pw.T
 
 
@@ -304,12 +310,8 @@ def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
     ``p`` is a view or a precoder. Returns ``(loss, grad)`` with ``grad`` in
     view coordinates, so it can be fed straight into the update network or
     a first-order step. Closed form: :func:`_asr_and_power_grad`, then one
-    matrix product maps d(loss)/d(powers) back to the precoder.
-
-    A ``workspace`` built for ``ens.realizations`` supplies the projection's
-    channel copy and its projection and power-gradient arrays, so a loop of
-    calls allocates none of them again; without one they are fresh.
-    ``grad`` is fresh either way.
+    matrix product maps d(loss)/d(powers) back to the precoder. ``grad``
+    is fresh, with or without a ``workspace`` built for ``ens.realizations``.
     """
     powers, z, hc = channel_project(
         ens.realizations, _columns(_view_in(p, layout), layout), workspace)
@@ -352,11 +354,8 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
 
     Returns ``(loss, grad_theta, cand_view)`` where ``loss`` is the loss at
     the projected candidate, ``grad_theta`` is flattened in parameter-vector
-    order, and ``cand_view`` is the candidate in view coordinates.
-
-    A ``workspace`` built for ``ens.realizations`` supplies the projection's
-    channel copy and its projection and power-gradient arrays, as for
-    :func:`grad_wrt_precoder`. What is returned is fresh either way.
+    order, and ``cand_view`` is the candidate in view coordinates; all
+    fresh, with or without a ``workspace`` built for ``ens.realizations``.
     """
     acts = _activations(params, g0_view)
     raw = np.asarray(_view_in(p0, layout), dtype=float) + acts[-1]
@@ -375,7 +374,8 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
 
     if scale is not None:
         # cand = raw * sqrt(p_t / tr) with tr = raw . raw
-        g_tr = (-(np.sum(g * raw) / (2.0 * scale)) * p_t) / (tr * tr)
+        g_tr = (-(np.add.reduce(g * raw) / (2.0 * scale)) * p_t) \
+            / (tr * tr)
         g = g * scale + (2.0 * g_tr) * raw
 
     # layer i maps acts[i] to acts[i + 1]; a hidden layer's ReLU passes
@@ -387,153 +387,3 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
         if i:
             g = (params.weights[i].T @ g) * (acts[i] > 0)
     return -asr, np.concatenate(parts[::-1]), cand
-
-
-# ---------------------------------------------------------------------------
-# finite differences
-# ---------------------------------------------------------------------------
-
-def finite_diff_check(f, x0: np.ndarray, analytic: np.ndarray, step: float):
-    """Central-difference check of a gradient vector.
-
-    Returns ``(max_relerr, fd)``. The per-coordinate relative error uses a
-    floor built from the largest gradient entry, so coordinates that are
-    tiny compared to the overall gradient scale cannot dominate the score
-    through pure roundoff.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    analytic = np.asarray(analytic, dtype=float)
-    if x0.shape != analytic.shape:
-        raise ValueError("analytic gradient shape does not match the point")
-    fd = np.empty_like(x0)
-    for i in range(x0.size):
-        xp = x0.copy()
-        xm = x0.copy()
-        xp[i] += step
-        xm[i] -= step
-        fd[i] = (f(xp) - f(xm)) / (2.0 * step)
-    gmax = max(np.max(np.abs(analytic)), np.max(np.abs(fd)), 0.0)
-    den = np.maximum(np.abs(analytic), np.abs(fd)) + 1e-3 * gmax + 1e-12
-    relerr = np.abs(analytic - fd) / den
-    return float(np.max(relerr)), fd
-
-
-# ---------------------------------------------------------------------------
-# packaged verification battery
-# ---------------------------------------------------------------------------
-
-def _min_gap(x: np.ndarray) -> float:
-    if x.size < 2:
-        return np.inf
-    s = np.sort(x)
-    return float(s[1] - s[0])
-
-
-def _tie_gaps_ok(v, ens, layout, gap=1e-3) -> bool:
-    powers, _, _ = channel_project(ens.realizations, _columns(v, layout))
-    rc, rg, _ = rates_from_powers(powers, layout, ens.noise_power)
-    groups = [] if rg is None else [rg[m] for m in layout.member_rows]
-    return not any(_min_gap(x) < gap for x in [rc, *groups])
-
-
-def _random_instance(rng: RngStream, hierarchical: bool, p_t: float = 4.0):
-    """Small random problem: sizes up to 4 antennas, 4 users, 2 groups,
-    8 realizations."""
-    n_tx = rng.integers(2, 5)
-    if hierarchical:
-        n_users = 2 * rng.integers(1, 3)       # even, so groups split evenly
-        layout = StreamLayout.hierarchical(n_tx=n_tx, n_users=n_users,
-                                           n_groups=2)
-    else:
-        layout = StreamLayout.one_layer(n_tx=n_tx, n_users=rng.integers(2, 5))
-    n_draws = rng.integers(4, 9)
-    model = IidCsitModel(n_tx=layout.n_tx, n_users=layout.n_users,
-                         error_power=0.25)
-    ens = model.draw(rng, p_t, n_draws)
-    mat = gaussian_matrix(rng, layout.n_tx, layout.n_streams, 1.0)
-    if layout.mode == "one_layer":
-        mat[:, 1:1 + layout.n_groups] = 0.0
-    mat *= np.sqrt(0.8 * p_t / np.sum(np.abs(mat) ** 2))
-    return layout, ens, mat
-
-
-def _random_net(rng: RngStream, layout: StreamLayout) -> MetaNetParams:
-    """Small update network (one hidden layer of 8) for the layout."""
-    params = init_meta_net(rng, view_length(layout), hidden=(8,))
-    # the zero output layer would zero every hidden-layer gradient, so give
-    # it small random weights for a meaningful check
-    bound = 0.1 / np.sqrt(params.weights[-1].shape[1])
-    params.weights[-1] = rng.uniform(-bound, bound, params.weights[-1].shape)
-    params.biases[-1] = rng.uniform(-bound, bound, params.biases[-1].shape)
-    return params
-
-
-def gradcheck_suite(seed: int = 0, n_instances: int = 50,
-                    smooth_temp: float = None,
-                    precoder_tol: float = 1e-5, precoder_step: float = 1e-6,
-                    theta_tol: float = 1e-4, theta_step: float = 1e-5,
-                    max_tries: int = 64) -> dict:
-    """Finite-difference battery over small random instances.
-
-    Each instance draws random sizes, channels, a precoder, and a small
-    update network, then checks both the precoder gradient and the
-    network-parameter gradient against central differences. Single-layer
-    and grouped modes alternate. Instances that land too close to a
-    minimum tie or to the projection branch boundary are redrawn, since
-    central differences straddle the kink there and the comparison would
-    be meaningless rather than wrong.
-    """
-    if n_instances < 1:
-        raise ValueError(f"n_instances must be >= 1, got {n_instances}")
-    root = RngStream(seed)
-    p_t = 4.0
-    report = {"precoder": [], "theta": [],
-              "precoder_tol": precoder_tol, "theta_tol": theta_tol}
-
-    for inst in range(n_instances):
-        hier = inst % 2 == 1
-        for attempt in range(max_tries):
-            rng = root.child(inst, attempt)
-            layout, ens, mat = _random_instance(rng, hier, p_t)
-            v0 = precoder_to_view(mat, layout)
-            if smooth_temp is None and not _tie_gaps_ok(v0, ens, layout):
-                continue
-            _, g0 = grad_wrt_precoder(mat, ens, layout, smooth_temp)
-
-            params = _random_net(rng, layout)
-            cand, tr, _ = _radial(v0 + mlp_forward(params, g0), p_t)
-            # branch-boundary guard on the unprojected power: differences
-            # must not straddle the point where the projection kicks in
-            if abs(tr - p_t) / p_t < 1e-3:
-                continue
-            if smooth_temp is None and not _tie_gaps_ok(cand, ens, layout):
-                continue
-
-            err_p, _ = finite_diff_check(
-                lambda x: loss_from_view(x, ens, layout, smooth_temp),
-                v0, g0, precoder_step)
-            report["precoder"].append(err_p)
-
-            _, gt, _ = grad_wrt_theta(params, v0, g0, ens, layout, p_t,
-                                      smooth_temp)
-
-            def f_theta(vec, _d=params.dims, _p0=v0, _g0=g0,
-                        _e=ens, _l=layout):
-                trial = MetaNetParams.from_vector(vec, _d)
-                return loss_from_view(candidate_view(trial, _p0, _g0, p_t),
-                                      _e, _l, smooth_temp)
-
-            err_t, _ = finite_diff_check(f_theta, params.to_vector(), gt,
-                                         theta_step)
-            report["theta"].append(err_t)
-            break
-        else:
-            raise RuntimeError("could not draw a well-conditioned instance")
-
-    report["n_instances"] = n_instances
-    report["precoder_max_relerr"] = float(np.max(report["precoder"]))
-    report["theta_max_relerr"] = float(np.max(report["theta"]))
-    report["passed"] = bool(
-        report["precoder_max_relerr"] <= precoder_tol
-        and report["theta_max_relerr"] <= theta_tol)
-    return report

@@ -133,6 +133,18 @@ class StreamLayout:
         return _read_only(1 + np.array(self.group_of, dtype=int))
 
     @cached_property
+    def layer_rows(self) -> np.ndarray:
+        """Read-only (n_layers, n_users) row of each user's own stream in
+        each layer it decodes (common, its group's in hierarchical mode,
+        its private) among the rows of stream-major powers: the power of
+        active column ``c`` at user ``k`` is row ``c * n_users + k``."""
+        cols = [np.zeros(self.n_users, dtype=int)]
+        if self.mode == "hierarchical":
+            cols.append(self.own_group_cols)
+        cols.append(len(self.active_streams) - self.n_users + self.user_rows)
+        return _read_only(np.stack(cols) * self.n_users + self.user_rows)
+
+    @cached_property
     def member_rows(self) -> tuple:
         """Read-only index array of each group's members, ascending."""
         return tuple(_read_only(np.array(self.group_members(g), dtype=int))

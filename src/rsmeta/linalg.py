@@ -6,7 +6,7 @@ which is what makes whole experiment sweeps bit-reproducible.
 
 :func:`channel_project` is the package's one |h^H p|^2 projection. It runs
 on a :class:`ProjectionWorkspace`: the user-major conjugate copy of the
-channel stack plus the arrays that it and the rate backward fill in place,
+channel stack plus the arrays that it and the rate code fill in place,
 the inner products user-major and the powers stream-major. Both Adam
 optimizers (network and direct) keep one workspace per run, so the copy is
 made once and those arrays are not allocated again on each iteration; a
@@ -122,8 +122,9 @@ class ProjectionWorkspace:
     user-major conjugate (n_draws * n_users, n_tx) copy ``hc`` once, and
     :meth:`array` hands out named arrays that every later request under the
     same name gets again, to be overwritten: the user-major inner products
-    ``z``, (n_draws, n_users, n_streams), and the powers and power gradient,
-    stream-major and draw-minor, (n_streams, n_users, n_draws). An
+    ``z``, (n_draws, n_users, n_streams), the powers and power gradient,
+    stream-major and draw-minor, (n_streams, n_users, n_draws), and the
+    rate code's stacked (n_layers, n_users, n_draws) layer arrays. An
     optimizer run that projects one ensemble on every iteration builds one
     workspace; a one-shot caller lets :func:`channel_project` build a
     throwaway one. Results that outlive the next call on the workspace must

@@ -12,7 +12,8 @@ import pytest
 from rsmeta.baselines import run_fixed_direction
 from rsmeta.channel import (ChannelEnsemble, IidCsitModel, OneRingModel,
                             one_ring_correlation)
-from rsmeta.gradients import gradcheck_suite, project_view
+from rsmeta.gradcheck import gradcheck_suite
+from rsmeta.gradients import project_view
 from rsmeta.harness import ExperimentConfig, run_sweep
 from rsmeta.layout import StreamLayout
 from rsmeta.linalg import RngStream, gaussian_matrix, herm_eig

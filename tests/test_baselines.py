@@ -272,6 +272,26 @@ def _chunk(lay, ens):
     return max(1, baselines._CHUNK_BYTES // gain_bytes)
 
 
+class TestLatticeArrays:
+    """The search's array lattice is, row by row and bit for bit,
+    ``_stream_powers`` of ``power_split_grid``'s splits."""
+
+    @pytest.mark.parametrize("layout", [
+        StreamLayout.hierarchical(16, 8, 4),
+        StreamLayout.hierarchical(10, 5, 2, group_of=(1, 0, 0, 1, 0))])
+    @pytest.mark.parametrize("step", [0.05, 0.1, 0.25])
+    def test_rows_match_stream_powers(self, layout, step):
+        p_t = 10.0 ** 1.4
+        n = baselines.lattice_size(step)
+        i, j, w = baselines._lattice_powers(n, layout, p_t)
+        grid = power_split_grid(step)
+        assert w.shape == (len(grid), layout.n_streams)
+        for row, a, b, split in zip(w, i, j, grid):
+            assert PowerSplit(common=int(a) / n, group=int(b) / n) == split
+            np.testing.assert_array_equal(
+                row, _stream_powers(split, layout, p_t))
+
+
 class TestBatchedSearchMatchesLoop:
     """The batched lattice search returns, bit for bit, what the per-split
     loop of ``fixed_loop`` returns."""

@@ -1,20 +1,22 @@
 import numpy as np
 import pytest
 
+from rsmeta.baselines import run_direct_adam
 from rsmeta.channel import (ChannelEnsemble, IidCsitModel, draw_iid_scene,
                             draw_one_ring_scene)
+from rsmeta.gradcheck import (_random_instance, _random_net,
+                              finite_diff_check, gradcheck_suite)
 from rsmeta.gradients import (_asr_and_power_grad, _batch_asr,
-                              _min_and_weights, _random_instance,
-                              _random_net, asr_from_powers, candidate_view,
-                              finite_diff_check, grad_wrt_precoder,
-                              grad_wrt_theta, gradcheck_suite,
-                              loss_from_view, precoder_to_view,
-                              project_view, rates_from_powers, view_length,
+                              _min_and_weights, asr_from_powers,
+                              candidate_view, grad_wrt_precoder,
+                              grad_wrt_theta, loss_from_view,
+                              precoder_to_view, project_view,
+                              rates_from_powers, view_length,
                               view_to_precoder)
 from rsmeta.layout import StreamLayout
 from rsmeta.linalg import (ProjectionWorkspace, RngStream, channel_project,
                            gaussian_matrix)
-from rsmeta.metaopt import init_precoder
+from rsmeta.metaopt import MetaOptConfig, init_precoder, run_meta_opt
 from rsmeta.network import init_meta_net, mlp_forward
 from rsmeta.rates import PrecoderMatrix, avg_sum_rate_loss, saf_report
 from tape import Var, _rate_loss, _tape_loss, _theta_grad, backward
@@ -269,6 +271,52 @@ class TestProjectionWorkspace:
         assert loss == loss_t                                    # bitwise
         np.testing.assert_allclose(g, g_t, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(g_t)))
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    @pytest.mark.parametrize("smooth_temp", [None, 0.3])
+    def test_power_grad_same_bits_with_workspace(self, hierarchical,
+                                                 smooth_temp):
+        lay, ens, mat = self._eight_users(hierarchical)
+        ws = ProjectionWorkspace(ens.realizations)
+        for scale in (1.0, 0.7):
+            cols = mat[:, lay.active_cols] * scale
+            powers = channel_project(ens.realizations, cols)[0]
+            asr, g = _asr_and_power_grad(powers, lay, ens.noise_power,
+                                         smooth_temp)
+            asr_w, g_w = _asr_and_power_grad(powers, lay, ens.noise_power,
+                                             smooth_temp, ws)
+            assert asr == asr_w
+            np.testing.assert_array_equal(g, g_w)
+            assert np.shares_memory(g_w, ws.array("power_grad",
+                                                  g_w.T.shape))
+
+    @pytest.mark.parametrize("run", ["direct", "meta"])
+    @pytest.mark.parametrize("smooth_temp", [None, 0.3])
+    def test_runs_allocate_each_array_once(self, monkeypatch, run,
+                                           smooth_temp):
+        # every request for a key gets the same array: no workspace array
+        # is allocated again after the first iteration
+        handed = {}
+        real = ProjectionWorkspace.array
+
+        def record(ws, key, shape, dtype=float):
+            arr = real(ws, key, shape, dtype)
+            handed.setdefault(key, []).append((ws, arr))
+            return arr
+
+        monkeypatch.setattr(ProjectionWorkspace, "array", record)
+        lay, ens, _ = self._eight_users(True)
+        if run == "direct":
+            run_direct_adam(lay, ens, 4.0, n_iters=5,
+                            smooth_temp=smooth_temp)
+        else:
+            run_meta_opt(lay, ens, 4.0, MetaOptConfig(
+                n_iters=5, hidden=(8,), smooth_temp=smooth_temp))
+        assert set(handed) >= {"z", "powers", "sinr", "den", "rates",
+                               "rate_grad", "power_grad"}
+        ws0 = handed["z"][0][0]
+        for got in handed.values():
+            assert all(ws is ws0 and arr is got[0][1] for ws, arr in got)
 
     def test_rejects_another_stack(self):
         lay, ens, mat = _instance(seed=92)

@@ -34,14 +34,20 @@ class TestStreamLayout:
         np.testing.assert_array_equal(lay.user_rows, range(4))
         np.testing.assert_array_equal(lay.own_group_cols, [1, 1, 2, 2])
         assert [m.tolist() for m in lay.member_rows] == [[0, 1], [2, 3]]
+        # active column c of user k is row c * n_users + k
+        np.testing.assert_array_equal(
+            lay.layer_rows, [[0, 1, 2, 3], [4, 5, 10, 11],
+                             [12, 17, 22, 27]])
         for arr in (lay.active_cols, lay.user_rows, lay.own_group_cols,
-                    *lay.member_rows):
+                    lay.layer_rows, *lay.member_rows):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 5
         # compiled values are not fields: equality and hash ignore them
         assert lay == twin and hash(lay) == hash(twin) == hash_before
         one = StreamLayout.one_layer(4, 3)
         np.testing.assert_array_equal(one.active_cols, [0, 2, 3, 4])
+        np.testing.assert_array_equal(one.layer_rows,
+                                      [[0, 1, 2], [3, 7, 11]])
 
     def test_member_mask(self):
         lay = StreamLayout.hierarchical(2, 4, 2)
