@@ -60,8 +60,8 @@ class ChannelEnsemble:
             raise ValueError(
                 f"realization shape {self.realizations.shape[1:]} does not match "
                 f"estimate shape {self.estimate.shape}")
-        if not (np.all(np.isfinite(self.estimate.view(float)))
-                and np.all(np.isfinite(self.realizations.view(float)))):
+        if not (np.all(np.isfinite(self.estimate))
+                and np.all(np.isfinite(self.realizations))):
             raise ValueError("channel ensemble contains non-finite entries")
         if not self.noise_power > 0:
             raise ValueError(f"noise_power must be positive, got {self.noise_power}")
@@ -212,9 +212,9 @@ class OneRingModel:
     leaves the estimate uninformative. This is the exact conditional law of
     the channel given the estimate, not an approximation.
 
-    Each group's correlation is computed once per model, on first use, and
-    kept on it read-only, so every draw and the fixed-direction search of
-    one model share its quadratures.
+    Each group's correlation and its square root are computed once per
+    model, on first use, and kept on it read-only, so every draw and the
+    fixed-direction search of one model share its quadratures and roots.
     """
 
     n_tx: int
@@ -240,18 +240,19 @@ class OneRingModel:
 
     @cached_property
     def _correlations(self) -> tuple:
-        """Every group's correlation, computed once per model, read-only."""
+        """Every group's correlation and root, once per model, read-only."""
         out = []
         for azimuth in self.azimuths:
             r = one_ring_correlation(self.n_tx, self.spacing, azimuth,
                                      self.spread, self.nodes)
-            r.flags.writeable = False
-            out.append(r)
+            root = psd_sqrt(r)
+            r.flags.writeable = root.flags.writeable = False
+            out.append((r, root))
         return tuple(out)
 
     def correlation(self, g: int) -> np.ndarray:
         """Group g's antenna correlation; read-only, shared by every call."""
-        return self._correlations[g]
+        return self._correlations[g][0]
 
     def draw(self, rng: RngStream, layout: StreamLayout, n_draws: int,
              noise_power: float = 1.0) -> ChannelEnsemble:
@@ -273,7 +274,6 @@ class OneRingModel:
             raise ValueError(
                 f"model has {self.n_groups} rings but layout has "
                 f"{layout.n_groups} groups")
-        roots = [psd_sqrt(self.correlation(g)) for g in range(self.n_groups)]
         n_draws = int(n_draws)
         keep = np.sqrt(1.0 - self.tau2)
         tau = np.sqrt(self.tau2)
@@ -281,7 +281,7 @@ class OneRingModel:
         real = np.empty((n_draws, self.n_tx, layout.n_users), dtype=complex)
         real2 = np.empty((n_eval, self.n_tx, layout.n_users), dtype=complex)
         for k in range(layout.n_users):
-            s = roots[layout.group_of[k]]
+            s = self._correlations[layout.group_of[k]][1]
             ghat = gaussian_matrix(rng, self.n_tx, 1, 1.0)[:, 0]
             shape = (n_draws + n_eval, self.n_tx)
             w = np.sqrt(0.5) * (rng.standard_normal(shape)

@@ -97,8 +97,8 @@ def _random_net(rng: RngStream, layout: StreamLayout) -> MetaNetParams:
     # the zero output layer would zero every hidden-layer gradient, so give
     # it small random weights for a meaningful check
     bound = 0.1 / np.sqrt(params.weights[-1].shape[1])
-    params.weights[-1] = rng.uniform(-bound, bound, params.weights[-1].shape)
-    params.biases[-1] = rng.uniform(-bound, bound, params.biases[-1].shape)
+    params.weights[-1][...] = rng.uniform(-bound, bound, params.weights[-1].shape)
+    params.biases[-1][...] = rng.uniform(-bound, bound, params.biases[-1].shape)
     return params
 
 

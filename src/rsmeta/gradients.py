@@ -1,48 +1,43 @@
 """The layered-rate core and the two hand-written objective gradients.
 
-Two gradients drive everything downstream:
+* :func:`grad_wrt_precoder`: the averaged-rate loss's gradient with
+  respect to the precoder view, the rate backward then one matrix product
+  back to the precoder.
+* :func:`grad_wrt_theta`: the same loss's gradient at the network's
+  power-projected candidate with respect to the network's flat ``theta``:
+  the same rate backward, the adjoint of the |h^H p|^2 projection, the
+  radial projection ``v * sqrt(P / tr)``, then the ReLU MLP, written into
+  one fresh array through the layer views that lay out ``theta``
+  (:class:`rsmeta.network.MetaNetParams`).
 
-* :func:`grad_wrt_precoder`, the gradient of the averaged-rate loss with
-  respect to the precoder view: the rate backward, then one matrix
-  product back to the precoder; and
-* :func:`grad_wrt_theta`, the gradient of the same loss at the
-  network-proposed, power-projected candidate with respect to the network
-  parameters: the same rate backward, the adjoint of the |h^H p|^2
-  projection, the radial power projection ``v * sqrt(P / tr)``, then the
-  ReLU MLP.
-
-Every path, and the plain loss, gets |h^H p|^2 from the one projection
-:func:`rsmeta.linalg.channel_project`, and the layered-rate arithmetic
-exists once, so equal precoders give bit-equal losses on every path.
+Every path, the plain loss included, gets |h^H p|^2 from the one
+projection :func:`rsmeta.linalg.channel_project` and runs the one
+layered-rate arithmetic, so equal precoders give bit-equal losses.
 :func:`_layer_terms` stacks every layer's SINR and its denominator into
 one (..., n_layers, n_users, n_draws) array each, the layers in decoding
-order (common, group when hierarchical, private). The forward rates then
-take one ``log1p`` and one average over the realizations for all layers,
-and :func:`_asr_and_power_grad` one vjp. The powers and their gradient
-are stream-major and draw-minor, (n_streams, n_users, n_draws) in memory.
-The forward rate code (:func:`rates_from_powers`, :func:`_batch_asr`) also
-takes a batch of powers, leading axes kept outermost, and each slice gets
-the bits of its own unbatched call; the fixed-direction search scores its
-power lattice that way. The backward pass is unbatched.
+order (common, group when hierarchical, private), so the forward rates
+take one ``log1p`` and one average over the realizations, and
+:func:`_asr_and_power_grad` one vjp, for all layers. The powers and their
+gradient are stream-major and draw-minor, (n_streams, n_users, n_draws)
+in memory; the forward rate code also takes leading batch axes, and the
+backward pass is unbatched. With an optional
+:class:`rsmeta.linalg.ProjectionWorkspace` built for the ensemble, the
+gradients, :func:`loss_from_view` and :func:`asr_from_powers` fill the
+projection, the layer arrays and the power gradient in place,
+bit-identically, and return nothing that points into it; both optimizers
+pass their run's workspace on every iteration.
 
-The gradients, :func:`loss_from_view` and :func:`asr_from_powers` take an
-optional :class:`rsmeta.linalg.ProjectionWorkspace` built for the
-ensemble: the projection, the stacked layer arrays and the power gradient
-are then filled in place instead of allocated, with bit-identical results,
-and what the functions return never points into it. Both optimizers pass
-their run's workspace on every iteration.
+The view is the memory of the complex (n_tx, n_active) matrix of the
+active columns, column by column, read as float64 pairs: going between
+the two is no arithmetic, and both gradients take either. Its squared norm
+is the precoder power, so the power projection is one rescale of the
+view; every path runs the same rescale and network forward, so a
+candidate has the same bits on each.
 
-The tests check both gradients against a reverse-mode tape that records
-the same loss op by op, and :func:`grad_wrt_theta` bit for bit against the
-tape with the rates recorded as one node; :mod:`rsmeta.gradcheck` checks
-both against central differences of :func:`loss_from_view`.
-
-The view is fixed package-wide: the memory of the complex (n_tx, n_active)
-matrix of the active columns, column by column, read as float64 pairs.
-Going between the two is no arithmetic, and both gradients take either.
-The squared view norm equals the precoder power, so the power projection
-is a one-line rescale in view space; every path runs the same rescale and
-the same network forward, so a candidate has the same bits on each.
+The tests check both gradients against a reverse-mode tape, and
+:func:`grad_wrt_theta` bit for bit against the tape with the rates
+recorded as one node; :mod:`rsmeta.gradcheck` checks both against central
+differences of :func:`loss_from_view`.
 """
 from __future__ import annotations
 
@@ -51,7 +46,7 @@ import numpy as np
 from .channel import ChannelEnsemble
 from .layout import StreamLayout
 from .linalg import ProjectionWorkspace, channel_project
-from .network import MetaNetParams, _activations, mlp_forward
+from .network import MetaNetParams, _activations, _layer_views, mlp_forward
 from .rates import _LN2
 
 __all__ = ["view_length", "precoder_to_view", "view_to_precoder",
@@ -353,8 +348,8 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
     |h^H p|^2 projection, the radial power projection, then the MLP.
 
     Returns ``(loss, grad_theta, cand_view)`` where ``loss`` is the loss at
-    the projected candidate, ``grad_theta`` is flattened in parameter-vector
-    order, and ``cand_view`` is the candidate in view coordinates; all
+    the projected candidate, ``grad_theta`` is laid out as ``params.theta``,
+    and ``cand_view`` is the candidate in view coordinates; all
     fresh, with or without a ``workspace`` built for ``ens.realizations``.
     """
     acts = _activations(params, g0_view)
@@ -378,12 +373,13 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
             / (tr * tr)
         g = g * scale + (2.0 * g_tr) * raw
 
-    # layer i maps acts[i] to acts[i + 1]; a hidden layer's ReLU passes
-    # gradient where its output is positive
-    parts = []
-    for i in range(len(params.weights) - 1, -1, -1):
-        parts.append(g)
-        parts.append(np.outer(g, acts[i]).ravel())
+    # layer i maps acts[i] to acts[i + 1], a hidden layer's ReLU passes
+    # gradient where it is positive, and dL/dθ fills a fresh θ's layers
+    grad = np.empty(params.n_params)
+    g_w, g_b = _layer_views(grad, params.dims)
+    for i in range(len(g_w) - 1, -1, -1):
+        np.multiply.outer(g, acts[i], out=g_w[i])
+        g_b[i][...] = g
         if i:
             g = (params.weights[i].T @ g) * (acts[i] > 0)
-    return -asr, np.concatenate(parts[::-1]), cand
+    return -asr, grad, cand

@@ -197,8 +197,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ValueError("the fixed-direction search needs the one_ring "
                              "scenario")
         _require(_is_real(cfg.alpha), "iid.alpha", cfg.alpha, "a finite number")
-        model = IidCsitModel(n_tx=cfg.n_tx, n_users=cfg.n_users,
-                             alpha=cfg.alpha, error_power=cfg.error_power)
+        model = _build_model(cfg)
         _require_accepted("iid.error_power", model.error_var, 1.0)
         for snr in cfg.snr_db:
             sig_e2 = model.error_var(10.0 ** (snr / 10.0))
@@ -221,8 +220,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
                  "ring.spread", cfg.spread, "a number in (0, pi]")
         _require(_is_positive(cfg.spacing), "ring.spacing", cfg.spacing,
                  "a number > 0")
-        _require_accepted("ring.tau2", OneRingModel, cfg.n_tx, cfg.azimuths,
-                          cfg.spread, cfg.tau2)
+        _require_accepted("ring.tau2", _build_model, cfg)
     _validate_optimizers(cfg)
 
 
@@ -332,6 +330,15 @@ def _build_layout(cfg: ExperimentConfig) -> StreamLayout:
     return StreamLayout.hierarchical(cfg.n_tx, cfg.n_users, cfg.n_groups)
 
 
+def _build_model(cfg: ExperimentConfig):
+    """The sweep's channel model; every cell of a sweep draws from one."""
+    if cfg.scenario == "iid":
+        return IidCsitModel(n_tx=cfg.n_tx, n_users=cfg.n_users,
+                            alpha=cfg.alpha, error_power=cfg.error_power)
+    return OneRingModel(n_tx=cfg.n_tx, azimuths=cfg.azimuths,
+                        spread=cfg.spread, tau2=cfg.tau2, spacing=cfg.spacing)
+
+
 def _spent_splits(p: PrecoderMatrix, p_t: float) -> tuple:
     """Power fractions (common, group, private) of ``p_t`` that the
     precoder's columns spend."""
@@ -341,9 +348,9 @@ def _spent_splits(p: PrecoderMatrix, p_t: float) -> tuple:
             float(np.sum(col[first_prv:])))
 
 
-def _run_cell(cfg: ExperimentConfig, layout: StreamLayout,
+def _run_cell(cfg: ExperimentConfig, layout: StreamLayout, model,
               snr_idx: int, csit_idx: int) -> list:
-    """All requested methods on one freshly drawn estimate."""
+    """All requested methods on one estimate freshly drawn from model."""
     p_t = 10.0 ** (cfg.snr_db[snr_idx] / 10.0)
     ss = np.random.SeedSequence([cfg.master_seed, snr_idx, csit_idx])
     cell = RngStream(int(ss.generate_state(1, np.uint64)[0]))
@@ -351,17 +358,8 @@ def _run_cell(cfg: ExperimentConfig, layout: StreamLayout,
     net_seed = cell.child(1).seed
 
     n_eval = cfg.n_realizations if cfg.redraw_eval else 0
-    if cfg.scenario == "iid":
-        model = IidCsitModel(n_tx=cfg.n_tx, n_users=cfg.n_users,
-                             alpha=cfg.alpha, error_power=cfg.error_power)
-        ens, eval_ens = model.draw_pair(ens_rng, p_t, cfg.n_realizations,
-                                        n_eval)
-    else:
-        model = OneRingModel(n_tx=cfg.n_tx, azimuths=cfg.azimuths,
-                             spread=cfg.spread, tau2=cfg.tau2,
-                             spacing=cfg.spacing)
-        ens, eval_ens = model.draw_pair(ens_rng, layout, cfg.n_realizations,
-                                        n_eval)
+    given = p_t if cfg.scenario == "iid" else layout
+    ens, eval_ens = model.draw_pair(ens_rng, given, cfg.n_realizations, n_eval)
 
     out = []
     snr = float(cfg.snr_db[snr_idx])
@@ -392,14 +390,16 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     The config is validated first and is the one the result records.
     """
     validate_config(cfg)
-    layout = _build_layout(cfg)
+    layout, model = _build_layout(cfg), _build_model(cfg)
+    if cfg.scenario == "one_ring":
+        model.correlation(0)  # fills every group's root before any worker
     jobs = [(s, c) for s in range(len(cfg.snr_db)) for c in range(cfg.n_csit)]
     if cfg.n_threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.n_threads) as pool:
             chunks = list(pool.map(
-                lambda sc: _run_cell(cfg, layout, sc[0], sc[1]), jobs))
+                lambda sc: _run_cell(cfg, layout, model, *sc), jobs))
     else:
-        chunks = [_run_cell(cfg, layout, s, c) for s, c in jobs]
+        chunks = [_run_cell(cfg, layout, model, s, c) for s, c in jobs]
     cells = [cell for chunk in chunks for cell in chunk]
     cells.sort(key=lambda c: (c.snr_idx, c.csit_idx,
                               cfg.methods.index(c.method)))

@@ -2,21 +2,20 @@
 
 One run owns one channel estimate: the update network starts from scratch,
 proposes a precoder update from the frozen start-point gradient, and its
-parameters (not the precoder) take Adam steps against the averaged-rate
-objective. The start-point gradient is computed once and reused every
-iteration, so each iteration costs one forward pass and one hand-written
-backward pass through the layered rates, the channel and power projections
-and the network. Every projection of a run, start point and
-iterations alike, fills the run's one
+flat parameter vector ``theta`` (not the precoder) takes Adam steps in
+place against the averaged-rate objective. The layers are views of
+``theta``, so the loop converts nothing. The start-point gradient is
+computed once, so each iteration costs one forward and one hand-written
+backward pass through the layered rates, the channel and power
+projections and the network, every projection filling the run's one
 :class:`rsmeta.linalg.ProjectionWorkspace`. The best candidate ever
 evaluated, the start point included, is what a run returns.
 
 Direct Adam (:mod:`rsmeta.baselines`) shares the start point and the
 record of the best candidate (:func:`_start`, :class:`_Record`), so the
-two Adam optimizers differ only in what Adam steps.
-
-Both step views (:mod:`rsmeta.gradients`) and hand them to the gradients
-as they are; a run builds a precoder matrix only for what it returns.
+two Adam optimizers differ only in what Adam steps. Both step views
+(:mod:`rsmeta.gradients`) and hand them to the gradients as they are; a
+run builds a precoder matrix only for what it returns.
 """
 from __future__ import annotations
 
@@ -192,10 +191,10 @@ def run_meta_opt(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
     """Optimize one precoder for one channel estimate.
 
     The candidate at iteration i is the projected network proposal under the
-    current parameters; with the zero-initialized output layer the very
-    first candidate equals the start point, and parameters move only as the
-    objective rewards it. Reported rates always use the hard minimum even
-    when training runs on the smooth surrogate.
+    current ``theta``; with the zero-initialized output layer the first
+    candidate is the start point. Reported rates always use the hard
+    minimum even when training runs on the smooth surrogate. The returned
+    ``params`` are a copy of the trained network.
     """
     cfg = config or MetaOptConfig()
     if cfg.n_iters < 1:
@@ -204,18 +203,15 @@ def run_meta_opt(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
     record, p0_view, g0 = _start(layout, ens, p_t, cfg.splits,
                                  cfg.smooth_temp, workspace)
 
-    dim = view_length(layout)
-    params = init_meta_net(RngStream(cfg.seed), dim, cfg.hidden)
-    dims = params.dims
-    theta = params.to_vector()
-    opt = AdamState.zeros(theta.size)
+    params = init_meta_net(RngStream(cfg.seed), view_length(layout),
+                           cfg.hidden)
+    opt = AdamState.zeros(params.n_params)
 
     for _ in range(cfg.n_iters):
-        params = MetaNetParams.from_vector(theta, dims)
         loss_i, g_theta, cand = grad_wrt_theta(
             params, p0_view, g0, ens, layout, p_t, cfg.smooth_temp,
             workspace)
         record.offer(cand, loss_i)
-        theta += adam_step(opt, g_theta, cfg.lr)
+        params.theta += adam_step(opt, g_theta, cfg.lr)
 
-    return record.result(MetaNetParams.from_vector(theta, dims))
+    return record.result(MetaNetParams.from_vector(params.theta, params.dims))

@@ -5,6 +5,10 @@ same length: ReLU hidden layers, linear output. The output layer starts
 at exactly zero so an untrained network proposes the zero update and the
 first candidate precoder equals the starting point. Training then moves
 the proposal away from zero only as far as the objective rewards it.
+
+The parameters are one flat float64 ``theta``, and the layer weights and
+biases are views of it (:class:`MetaNetParams`), so an optimizer steps
+``theta`` in place and the network moves with it.
 """
 from __future__ import annotations
 
@@ -21,12 +25,30 @@ __all__ = ["MetaNetParams", "init_meta_net", "mlp_forward",
 _NET_FORMAT = "rsmeta-net-v1"
 
 
+def _layer_views(theta: np.ndarray, dims: tuple):
+    """The parameter layout: ``(weights, biases)``, tuples of views of the
+    flat ``theta`` as w0, b0, w1, b1, ... with row-major weights; raises
+    ValueError if ``theta`` has another length."""
+    weights, biases, pos = [], [], 0
+    for nin, nout in zip(dims[:-1], dims[1:]):
+        weights.append(theta[pos:pos + nout * nin].reshape(nout, nin))
+        biases.append(theta[pos + nout * nin:pos + (nin + 1) * nout])
+        pos += (nin + 1) * nout
+    if pos != theta.size or not weights:
+        raise ValueError(f"vector length {theta.size} does not match dims {dims}")
+    return tuple(weights), tuple(biases)
+
+
 @dataclass
 class MetaNetParams:
-    """Layer weights (out, in) and biases (out,), input to output order."""
+    """Layer weights (out, in) and biases (out,), input to output order:
+    tuples of views of one flat float64 ``theta`` (:func:`_layer_views`),
+    so writing ``theta`` moves the network and rebinding a layer raises.
+    The constructor copies the layers it is given into a fresh ``theta``.
+    """
 
-    weights: list
-    biases: list
+    weights: tuple
+    biases: tuple
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases):
@@ -39,6 +61,11 @@ class MetaNetParams:
                                  f"{w.shape} / {b.shape}")
             if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
                 raise ValueError(f"layer {i} input dim does not chain")
+        layers = (*self.weights, *self.biases)
+        self.theta = np.empty(sum(a.size for a in layers))
+        self.weights, self.biases = _layer_views(self.theta, self.dims)
+        for view, layer in zip((*self.weights, *self.biases), layers):
+            view[...] = layer
 
     @property
     def dims(self) -> tuple:
@@ -48,30 +75,20 @@ class MetaNetParams:
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.theta.size
 
     def to_vector(self) -> np.ndarray:
-        """Flatten as w0, b0, w1, b1, ... (row-major weights)."""
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+        """A copy of ``theta``."""
+        return self.theta.copy()
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, dims) -> "MetaNetParams":
-        vec = np.asarray(vec, dtype=float)
-        dims = tuple(int(d) for d in dims)
-        weights, biases, pos = [], [], 0
-        for i in range(len(dims) - 1):
-            nin, nout = dims[i], dims[i + 1]
-            weights.append(vec[pos:pos + nout * nin].reshape(nout, nin).copy())
-            pos += nout * nin
-            biases.append(vec[pos:pos + nout].copy())
-            pos += nout
-        if pos != vec.size:
-            raise ValueError(f"vector length {vec.size} does not match dims {dims}")
-        return cls(weights=weights, biases=biases)
+        """The network whose ``theta`` is a copy of ``vec``."""
+        params = cls.__new__(cls)
+        params.theta = np.array(vec, dtype=float)
+        params.weights, params.biases = _layer_views(
+            params.theta, tuple(int(d) for d in dims))
+        return params
 
 
 def init_meta_net(rng: RngStream, dim: int, hidden=(50, 50)) -> MetaNetParams:
@@ -86,17 +103,14 @@ def init_meta_net(rng: RngStream, dim: int, hidden=(50, 50)) -> MetaNetParams:
     dims = [int(dim), *[int(h) for h in hidden], int(dim)]
     if any(d < 1 for d in dims):
         raise ValueError(f"all layer sizes must be >= 1, got {dims}")
-    weights, biases = [], []
-    for i in range(len(dims) - 1):
-        nin, nout = dims[i], dims[i + 1]
-        if i == len(dims) - 2:
-            weights.append(np.zeros((nout, nin)))
-            biases.append(np.zeros(nout))
-        else:
-            bound = 1.0 / np.sqrt(nin)
-            weights.append(rng.uniform(-bound, bound, (nout, nin)))
-            biases.append(rng.uniform(-bound, bound, (nout,)))
-    return MetaNetParams(weights=weights, biases=biases)
+    params = MetaNetParams(
+        weights=[np.zeros((nout, nin)) for nin, nout in zip(dims, dims[1:])],
+        biases=[np.zeros(nout) for nout in dims[1:]])
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        bound = 1.0 / np.sqrt(w.shape[1])
+        w[...] = rng.uniform(-bound, bound, w.shape)
+        b[...] = rng.uniform(-bound, bound, b.shape)
+    return params
 
 
 def _activations(params: MetaNetParams, x: np.ndarray) -> list:

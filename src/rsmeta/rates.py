@@ -43,7 +43,7 @@ class PrecoderMatrix:
             raise ValueError(
                 f"precoder shape {self.matrix.shape} does not match layout "
                 f"(expected {want})")
-        if not np.all(np.isfinite(self.matrix.view(float))):
+        if not np.all(np.isfinite(self.matrix)):
             raise ValueError("precoder contains non-finite entries")
         if self.layout.mode == "one_layer":
             grp = self.matrix[:, 1:1 + self.layout.n_groups]
@@ -83,12 +83,6 @@ class SafReport:
     avg_sum_rate: float
 
 
-def _matrix_of(p) -> np.ndarray:
-    if isinstance(p, PrecoderMatrix):
-        return p.matrix
-    return np.asarray(p, dtype=complex)
-
-
 def _stream_powers(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     """|h_k^H p_s|^2 for every (realization, user, stream)."""
     z = np.einsum("mik,is->mks", np.conj(h), p)
@@ -112,7 +106,7 @@ def sinr_triplet(p, h: np.ndarray, layout: StreamLayout,
         Each shaped (n_users,) for a single channel or (n_draws, n_users)
         for a stack. ``sinr_group`` is identically zero in one-layer mode.
     """
-    pm = _matrix_of(p)
+    pm = np.asarray(getattr(p, "matrix", p), dtype=complex)
     h = np.asarray(h, dtype=complex)
     single = h.ndim == 2
     if single:

@@ -23,6 +23,28 @@ class TestChannelEnsemble:
         with pytest.raises(ValueError):
             ChannelEnsemble(estimate=est, realizations=real)
 
+    def test_transposed_inputs_accepted(self):
+        # a transposed complex array has no contiguous last axis to read as
+        # float pairs; the finiteness check must not need one
+        rng = RngStream(31)
+        h = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        stack = rng.standard_normal((4, 3, 5)) \
+            + 1j * rng.standard_normal((4, 3, 5))
+        ens = ChannelEnsemble(estimate=h.T, realizations=stack.T)
+        np.testing.assert_array_equal(ens.estimate, h.T)
+        np.testing.assert_array_equal(ens.realizations, stack.T)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("where", ["estimate", "realizations"])
+    def test_nonfinite_part_rejected_in_transposed_input(self, bad, part,
+                                                         where):
+        arrays = {"estimate": np.ones((3, 4), complex).T,
+                  "realizations": np.ones((3, 4, 2), complex).T}
+        getattr(arrays[where], part)[(1,) * arrays[where].ndim] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ChannelEnsemble(**arrays)
+
     def test_noise_must_be_positive(self):
         with pytest.raises(ValueError):
             ChannelEnsemble(estimate=np.zeros((2, 2), complex),
@@ -230,6 +252,14 @@ class TestOneRingModel:
             np.testing.assert_array_equal(
                 model.correlation(g),
                 one_ring_correlation(6, 0.5, azimuth, np.pi / 8))
+
+    def test_roots_cached_read_only(self):
+        # every draw reads the root kept beside its group's correlation
+        model = self._model()
+        for g, (r, root) in enumerate(model._correlations):
+            assert r is model.correlation(g)
+            assert not root.flags.writeable
+            np.testing.assert_array_equal(root, psd_sqrt(r))
 
     def test_group_count_mismatch_rejected(self):
         with pytest.raises(ValueError):

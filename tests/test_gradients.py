@@ -178,6 +178,7 @@ class TestPrecoderGradient:
             for out in (gt, cand):
                 assert not np.shares_memory(out, v)
                 assert not np.shares_memory(out, g)
+                assert not np.shares_memory(out, params.theta)
                 for arr in (ws.hc, *ws._arrays.values()):
                     assert not np.shares_memory(out, arr)
 
@@ -513,9 +514,9 @@ class TestHandThetaMatchesFusedRecording:
         rng = RngStream(14)
         params = init_meta_net(rng, view_length(lay), hidden=(50, 50))
         bound = 0.1 / np.sqrt(50)
-        params.weights[-1] = rng.uniform(-bound, bound,
-                                         params.weights[-1].shape)
-        params.biases[-1] = rng.uniform(-bound, bound, view_length(lay))
+        params.weights[-1][...] = rng.uniform(-bound, bound,
+                                              params.weights[-1].shape)
+        params.biases[-1][...] = rng.uniform(-bound, bound, view_length(lay))
         budget = 0.7 * p_t if projected else p_t
         raw = p0 + mlp_forward(params, g0)
         assert (raw @ raw > budget) == projected

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from rsmeta import harness
+from rsmeta import channel, harness
 from rsmeta.harness import (SCHEMA_VERSION, ExperimentConfig, load_config,
                             run_sweep, validate_config, write_reports)
 
@@ -212,6 +212,26 @@ class TestRunSweep:
         a = run_sweep(_tiny_config(n_threads=1))
         b = run_sweep(_tiny_config(n_threads=2))
         assert [c.asr for c in a.cells] == [c.asr for c in b.cells]
+
+    def test_one_channel_model_per_sweep(self, monkeypatch):
+        # every cell draws from one model whose correlations and roots are
+        # computed before any worker starts, once per group
+        calls = {}
+        for name in ("one_ring_correlation", "psd_sqrt"):
+            def counted(*args, _name=name, _real=getattr(channel, name),
+                        **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(channel, name, counted)
+        runs = []
+        for threads in (1, 2):
+            calls.clear()
+            cfg = _ring_config(snr_db=(10.0, 20.0), n_threads=threads)
+            runs.append(run_sweep(cfg))
+            assert calls == {"one_ring_correlation": cfg.n_groups,
+                             "psd_sqrt": cfg.n_groups}
+        assert [c.asr for c in runs[0].cells] == \
+            [c.asr for c in runs[1].cells]
 
     def test_library_reads_no_environment(self, tmp_path, monkeypatch):
         # overrides from the environment belong to the command line only

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rsmeta import metaopt
 from rsmeta.adam import AdamState, adam_step
 from rsmeta.channel import IidCsitModel
 from rsmeta.gradients import (grad_wrt_precoder, grad_wrt_theta,
@@ -160,6 +161,40 @@ class TestRunMetaOpt:
         with pytest.raises(ValueError, match="smooth_temp"):
             run_meta_opt(lay, ens, p_t, MetaOptConfig(
                 n_iters=2, smooth_temp=smooth_temp))
+
+    def test_steps_one_theta_in_place(self, monkeypatch):
+        # the loop hands grad_wrt_theta one params object, Adam steps its
+        # theta in place, nothing converts between iterations, and the
+        # result holds a copy
+        conversions, seen = [], []
+        from_vector, to_vector = MetaNetParams.from_vector, \
+            MetaNetParams.to_vector
+
+        def counted_from_vector(cls, vec, dims):
+            conversions.append("from_vector")
+            return from_vector(vec, dims)
+
+        def counted_to_vector(self):
+            conversions.append("to_vector")
+            return to_vector(self)
+
+        def spy(params, *args):
+            seen.append((params, params.theta, params.theta.copy(),
+                         len(conversions)))
+            return grad_wrt_theta(params, *args)
+
+        monkeypatch.setattr(MetaNetParams, "from_vector",
+                            classmethod(counted_from_vector))
+        monkeypatch.setattr(MetaNetParams, "to_vector", counted_to_vector)
+        monkeypatch.setattr(metaopt, "grad_wrt_theta", spy)
+        _, _, _, res = self._run(n_iters=6)
+        params, theta, _, n_before = seen[0]
+        assert len(seen) == 6
+        assert all(p is params and t is theta for p, t, _, _ in seen)
+        assert [n for _, _, _, n in seen] == [n_before] * 6
+        assert not np.array_equal(seen[1][2], seen[-1][2])
+        assert not np.shares_memory(res.params.theta, theta)
+        np.testing.assert_array_equal(res.params.theta, theta)
 
     @pytest.mark.parametrize("hierarchical", [False, True])
     @pytest.mark.parametrize("smooth_temp", [None, 0.3])

@@ -82,6 +82,39 @@ class TestVectorRoundtrip:
             MetaNetParams.from_vector(np.zeros(5), (2, 2, 2))
 
 
+class TestThetaViews:
+    def test_layers_are_views_of_theta(self):
+        params = init_meta_net(RngStream(9), 6, hidden=(5, 4))
+        for layer in (*params.weights, *params.biases):
+            assert np.shares_memory(layer, params.theta)
+        x = RngStream(10).standard_normal(6)
+        before = mlp_forward(params, x)
+        params.theta += 0.25
+        after = mlp_forward(params, x)
+        assert not np.array_equal(before, after)
+        np.testing.assert_array_equal(
+            after, mlp_forward(MetaNetParams.from_vector(params.theta,
+                                                         params.dims), x))
+
+    def test_rebinding_a_layer_raises(self):
+        params = init_meta_net(RngStream(11), 4, hidden=(3,))
+        with pytest.raises(TypeError):
+            params.weights[0] = np.ones((3, 4))
+        with pytest.raises(TypeError):
+            params.biases[-1] = np.ones(4)
+
+    def test_conversions_copy(self):
+        w0, b0 = np.ones((2, 3)), np.zeros(2)
+        params = MetaNetParams(weights=[w0], biases=[b0])
+        assert not np.shares_memory(params.theta, w0)
+        assert not np.shares_memory(params.theta, b0)
+        vec = params.to_vector()
+        assert not np.shares_memory(vec, params.theta)
+        back = MetaNetParams.from_vector(vec, params.dims)
+        assert not np.shares_memory(back.theta, vec)
+        np.testing.assert_array_equal(back.theta, vec)
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         params = init_meta_net(RngStream(8), 6, hidden=(4,))

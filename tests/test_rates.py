@@ -84,6 +84,21 @@ class TestPrecoderMatrix:
         with pytest.raises(ValueError, match="group columns"):
             PrecoderMatrix(matrix=mat, layout=lay)
 
+    def test_transposed_matrix_accepted(self):
+        lay = StreamLayout.hierarchical(3, 2, 1)
+        cols = gaussian_matrix(RngStream(32), lay.n_streams, 3, 1.0)
+        pm = PrecoderMatrix(matrix=cols.T, layout=lay)
+        np.testing.assert_array_equal(pm.matrix, cols.T)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_nonfinite_part_rejected_in_transposed_matrix(self, bad, part):
+        lay = StreamLayout.hierarchical(3, 2, 1)
+        mat = np.ones((lay.n_streams, 3), complex).T
+        getattr(mat, part)[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            PrecoderMatrix(matrix=mat, layout=lay)
+
     def test_power_helpers(self):
         lay = StreamLayout.hierarchical(2, 2, 1)
         mat = np.zeros((2, 4), complex)
