@@ -1,18 +1,23 @@
 """The layered-rate core and the two hand-written objective gradients.
 
 * :func:`grad_wrt_precoder`: the averaged-rate loss's gradient with
-  respect to the precoder view, the rate backward then one matrix product
-  back to the precoder.
+  respect to the precoder view, the rate backward then one real matrix
+  product with the projection's channel copy, landing in view
+  coordinates.
 * :func:`grad_wrt_theta`: the same loss's gradient at the network's
   power-projected candidate with respect to the network's flat ``theta``:
-  the same rate backward, the adjoint of the |h^H p|^2 projection, the
-  radial projection ``v * sqrt(P / tr)``, then the ReLU MLP, written into
-  one fresh array through the layer views that lay out ``theta``
+  the same rate backward, the adjoint of the |h^H p|^2 projection as an
+  ``einsum`` over the complex channels, the radial projection
+  ``v * sqrt(P / tr)``, then the ReLU MLP, written into one fresh array
+  through the layer views that lay out ``theta``
   (:class:`rsmeta.network.MetaNetParams`).
 
 Every path, the plain loss included, gets |h^H p|^2 from the one
 projection :func:`rsmeta.linalg.channel_project` and runs the one
-layered-rate arithmetic, so equal precoders give bit-equal losses.
+layered-rate arithmetic, so equal precoders give bit-equal losses. The
+projection's inner products come as (Re, Im) pairs, stream-major and
+draw-minor like the powers, so both backward passes scale them by the
+power gradient along contiguous memory.
 :func:`_layer_terms` stacks every layer's SINR and its denominator into
 one (..., n_layers, n_users, n_draws) array each, the layers in decoding
 order (common, group when hierarchical, private), so the forward rates
@@ -45,7 +50,8 @@ import numpy as np
 
 from .channel import ChannelEnsemble
 from .layout import StreamLayout
-from .linalg import ProjectionWorkspace, channel_project
+from .linalg import ProjectionWorkspace, _project_back, _user_major, \
+    channel_project
 from .network import MetaNetParams, _activations, _layer_views, mlp_forward
 from .rates import _LN2
 
@@ -305,25 +311,23 @@ def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
     ``p`` is a view or a precoder. Returns ``(loss, grad)`` with ``grad`` in
     view coordinates, so it can be fed straight into the update network or
     a first-order step. Closed form: :func:`_asr_and_power_grad`, then one
-    matrix product maps d(loss)/d(powers) back to the precoder. ``grad``
-    is fresh, with or without a ``workspace`` built for ``ens.realizations``.
+    real matrix product with the projection's channel copy maps
+    d(loss)/d(powers) back to the view. ``grad`` is fresh, with or without
+    a ``workspace`` built for ``ens.realizations``.
     """
-    powers, z, hc = channel_project(
+    powers, z, hr = channel_project(
         ens.realizations, _columns(_view_in(p, layout), layout), workspace)
     asr, g_pow = _asr_and_power_grad(powers, layout, ens.noise_power,
                                      smooth_temp, workspace)
 
-    # d|z|^2 = 2 Re(conj(z) dz) with z = hc @ p; the loss is -asr. z and
-    # g_pow are overwritten in place: fresh arrays of this size cost more
-    # in page faults than the arithmetic on them
-    m, k, s = z.shape
+    # the loss is -asr and d|z|^2 = 2 (Re z dRe z + Im z dIm z), so the
+    # pairs scaled in place by -2 g_pow are the loss's gradient for z, and
+    # its gradient for the columns' rows of pairs is the view's. Fresh
+    # arrays of the pairs' size cost more in page faults than the
+    # arithmetic on them
     g_pow *= -2.0
-    w = np.conjugate(z, out=z)
-    w *= g_pow
-    # w^T hc rather than hc^T w: numpy runs this orientation about twice
-    # as fast for tall hc, and its rows are the gradient's columns
-    g_t = w.reshape(m * k, s).T @ hc
-    return -asr, _view(np.conjugate(g_t, out=g_t).T)
+    z *= g_pow.T
+    return -asr, _project_back(z, hr)
 
 
 def candidate_view(params: MetaNetParams, p0_view: np.ndarray,
@@ -361,11 +365,14 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
     asr, g_pow = _asr_and_power_grad(powers, layout, ens.noise_power,
                                      smooth_temp, workspace)
     # the loss is -asr; d|z|^2 = 2 Re(conj(z) dz) with z = h^H p. The
-    # adjoint is an einsum over h, not grad_wrt_precoder's product with
-    # hc: the two differ in their last bits
+    # adjoint is an einsum over h of the scaled z made complex and
+    # user-major in the memory of the powers, which are dead by now; it is
+    # not grad_wrt_precoder's product with hr: the two differ in their
+    # last bits
     g_pow *= -2.0
-    z *= g_pow
-    g = _view(np.einsum("mik,mks->is", ens.realizations, z))
+    z *= g_pow.T
+    w = _user_major(z, _array(workspace, "powers", z.shape))
+    g = _view(np.einsum("mik,mks->is", ens.realizations, w))
 
     if scale is not None:
         # cand = raw * sqrt(p_t / tr) with tr = raw . raw

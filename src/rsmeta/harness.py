@@ -12,10 +12,11 @@ aggregates plus one JSON of every individual cell. Seeding is hierarchical
 reproduced in isolation and adding SNR points never reshuffles the others.
 
 Every cell is assembled the same way whatever the method: its reported
-rate (on the held-out batch when ``eval.redraw`` asks for one), the power
-fractions the returned precoder spends, and the start rate where the
-optimizer has one. Nothing here reads the environment; the command line
-applies its flag and environment overrides before calling in.
+rate and, where the optimizer has one, its start rate (both on the
+held-out batch when ``eval.redraw`` asks for one), and the power fractions
+the returned precoder spends. Nothing here reads the environment; the
+command line applies its flag and environment overrides before calling
+in.
 """
 from __future__ import annotations
 
@@ -33,7 +34,8 @@ from .baselines import lattice_size, run_direct_adam, run_fixed_direction
 from .channel import IidCsitModel, OneRingModel
 from .layout import StreamLayout
 from .linalg import RngStream
-from .metaopt import MetaOptConfig, run_meta_opt, start_splits
+from .metaopt import MetaOptConfig, init_precoder, run_meta_opt, \
+    start_splits
 from .rates import PrecoderMatrix, saf_report
 
 __all__ = ["ExperimentConfig", "CellResult", "SweepResult",
@@ -375,12 +377,17 @@ def _run_cell(cfg: ExperimentConfig, layout: StreamLayout, model,
         else:
             r = run_fixed_direction(layout, ens, model, p_t,
                                     step=cfg.fixed_step, rank=cfg.fixed_rank)
-        asr = r.best_asr if eval_ens is None else \
-            saf_report(r.best_precoder, eval_ens, layout).avg_sum_rate
+        asr, start = r.best_asr, getattr(r, "start_asr", None)
+        if eval_ens is not None:
+            # the start point too is scored on the held-out batch
+            asr = saf_report(r.best_precoder, eval_ens, layout).avg_sum_rate
+            if start is not None:
+                p0 = init_precoder(layout, ens.estimate, p_t, cfg.meta_splits)
+                start = saf_report(p0, eval_ens, layout).avg_sum_rate
         out.append(CellResult(method, snr_idx, snr, csit_idx, float(asr),
                               r.wall_time_s,
                               *_spent_splits(r.best_precoder, p_t),
-                              start_asr=getattr(r, "start_asr", None)))
+                              start_asr=start))
     return out
 
 

@@ -5,9 +5,11 @@ operation here is deterministic for a fixed seed within one installation,
 which is what makes whole experiment sweeps bit-reproducible.
 
 :func:`channel_project` is the package's one |h^H p|^2 projection. It runs
-on a :class:`ProjectionWorkspace`: the user-major conjugate copy of the
-channel stack plus the arrays that it and the rate code fill in place,
-the inner products user-major and the powers stream-major. Both Adam
+on a :class:`ProjectionWorkspace`: a float64 conjugate copy of the channel
+stack, laid out like the precoder view, plus the arrays that it and the
+rate code fill in place, the inner products as (Re, Im) pairs and the
+powers, both stream-major and draw-minor. The projection is one real
+matrix product, so every array it writes is contiguous. Both Adam
 optimizers (network and direct) keep one workspace per run, so the copy is
 made once and those arrays are not allocated again on each iteration; a
 one-shot call gets a throwaway workspace. Which destination arrays are
@@ -119,11 +121,13 @@ class ProjectionWorkspace:
     """The arrays that repeated projections of one channel stack reuse.
 
     Built from a complex (n_draws, n_tx, n_users) stack ``h``: it makes the
-    user-major conjugate (n_draws * n_users, n_tx) copy ``hc`` once, and
-    :meth:`array` hands out named arrays that every later request under the
-    same name gets again, to be overwritten: the user-major inner products
-    ``z``, (n_draws, n_users, n_streams), the powers and power gradient,
-    stream-major and draw-minor, (n_streams, n_users, n_draws), and the
+    float64 conjugate copy ``hr`` once, (2 * n_tx, n_users * n_draws) with
+    rows interleaved (Re, -Im) per antenna like a view and columns
+    user-major, draw-minor, ``h.nbytes`` in all. :meth:`array` hands out
+    named arrays that every later request under the same name gets again,
+    to be overwritten: the inner products ``z`` as (Re, Im) pairs and the
+    powers with their square scratch, each (2, n_streams, n_users,
+    n_draws), the power gradient, (n_streams, n_users, n_draws), and the
     rate code's stacked (n_layers, n_users, n_draws) layer arrays. An
     optimizer run that projects one ensemble on every iteration builds one
     workspace; a one-shot caller lets :func:`channel_project` build a
@@ -133,10 +137,12 @@ class ProjectionWorkspace:
 
     def __init__(self, h: np.ndarray):
         m, n_tx, k = h.shape
-        hc = np.empty((m, k, n_tx), dtype=complex)
-        np.conjugate(h.transpose(0, 2, 1), out=hc)
+        hr = np.empty((n_tx, 2, k, m))
+        ht = h.transpose(1, 2, 0)
+        hr[:, 0] = ht.real
+        np.negative(ht.imag, out=hr[:, 1])
         self.h = h
-        self.hc = hc.reshape(m * k, n_tx)
+        self.hr = hr.reshape(2 * n_tx, k * m)
         self._arrays = {}
 
     def array(self, key: str, shape: tuple, dtype=float) -> np.ndarray:
@@ -149,28 +155,63 @@ class ProjectionWorkspace:
 
 def channel_project(h: np.ndarray, p: np.ndarray,
                     workspace: ProjectionWorkspace = None):
-    """Inner products ``h_k^(m)H p_s`` and their squared magnitudes.
+    """Inner products ``z = h_k^(m)H p_s`` and their squared magnitudes.
 
     ``h`` is a complex (n_draws, n_tx, n_users) stack and ``p`` an
-    (n_tx, n_streams) precoder. One matrix product of the workspace's
-    user-major conjugate copy ``hc`` with ``p`` gives every inner product;
-    without a ``workspace`` a throwaway one is built for ``h``. Returns
-    ``(powers, z, hc)``, ``z`` and ``powers = |z|^2`` shaped (n_draws,
-    n_users, n_streams) and living in the workspace, and ``hc`` for the
-    adjoint product. ``z`` is C-ordered, user-major; ``powers`` is the
-    transposed view of a C-ordered (n_streams, n_users, n_draws) array, so
-    ``powers.T`` hands the rate code contiguous rows over the draws.
+    (n_tx, n_streams) precoder, whose columns are read as rows of float64
+    (Re, Im) pairs: a view's own memory, a copy of any other ``p``. Those
+    rows with every Im negated, stacked over the same rows with each pair
+    swapped, times the workspace's conjugate copy ``hr``, is one real
+    matrix product that gives Re z and Im z; without a ``workspace`` a
+    throwaway one is built for ``h``. Returns ``(powers, z, hr)``, all
+    living in the workspace: ``z`` the C-ordered (2, n_streams, n_users,
+    n_draws) pairs, ``powers = |z|^2`` the transposed view of a C-ordered
+    (n_streams, n_users, n_draws) array, shaped (n_draws, n_users,
+    n_streams), so ``powers.T`` hands the rate code contiguous rows over
+    the draws, and ``hr`` for the adjoint product, :func:`_project_back`.
     """
     ws = ProjectionWorkspace(h) if workspace is None else workspace
     if ws.h is not h:
         raise ValueError("the workspace was built for another channel stack")
-    m, _, k = h.shape
-    z = ws.array("z", (m, k, p.shape[1]), complex)
-    np.matmul(ws.hc, p, out=z.reshape(m * k, -1))
-    zt = z.T
-    powers = np.square(zt.real, out=ws.array("powers", zt.shape))
-    powers += np.square(zt.imag, out=ws.array("imag_sq", zt.shape))
-    return powers.T, z, ws.hc
+    m, n_tx, k = h.shape
+    s = p.shape[1]
+    rows = np.ascontiguousarray(p.T, dtype=complex).view(float).reshape(
+        s, n_tx, 2)
+    a = np.empty((2, s, n_tx, 2))
+    a[0] = rows
+    a[0, ..., 1] *= -1.0
+    a[1] = rows[..., ::-1]
+    z = ws.array("z", (2, s, k, m))
+    np.matmul(a.reshape(2 * s, 2 * n_tx), ws.hr, out=z.reshape(2 * s, -1))
+    sq = np.square(z, out=ws.array("powers", z.shape))
+    powers = np.add(sq[0], sq[1], out=sq[0])
+    return powers.T, z, ws.hr
+
+
+def _project_back(dz: np.ndarray, hr: np.ndarray) -> np.ndarray:
+    """The adjoint of :func:`channel_project`'s product: from the gradient
+    with respect to ``z``, (Re, Im) pairs shaped (2, n_streams, n_users,
+    n_draws), the fresh flat gradient with respect to ``p``'s columns read
+    as rows of (Re, Im) pairs. One product with ``hr^T`` gives it for the
+    signed rows and for the swapped rows; the same sign and swap fold the
+    two onto the rows."""
+    s = dz.shape[1]
+    g = (dz.reshape(2 * s, -1) @ hr.T).reshape(2, s, -1, 2)
+    g[0, ..., 1] *= -1.0
+    g[0] += g[1, ..., ::-1]
+    return g[0].ravel()
+
+
+def _user_major(z: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """The (Re, Im) pairs ``z`` of :func:`channel_project`, (2, n_streams,
+    n_users, n_draws), as one C-ordered complex (n_draws, n_users,
+    n_streams) array, built in the memory of ``out``, a contiguous float64
+    array of ``z``'s size, or in fresh memory."""
+    buf = np.empty(z.shape) if out is None else out
+    w = buf.reshape(z.shape[::-1]).view(complex)[..., 0]
+    w.real = z[0].T
+    w.imag = z[1].T
+    return w
 
 
 def quadrature(f, lo: float, hi: float, nodes: int = 513) -> complex:

@@ -35,7 +35,7 @@ import numpy as np
 from rsmeta.channel import ChannelEnsemble
 from rsmeta.gradients import _asr_and_power_grad, precoder_to_view
 from rsmeta.layout import StreamLayout
-from rsmeta.linalg import ProjectionWorkspace, channel_project
+from rsmeta.linalg import ProjectionWorkspace, _user_major, channel_project
 from rsmeta.network import MetaNetParams
 from rsmeta.rates import _LN2
 
@@ -172,8 +172,8 @@ def csq_project(pre: Var, pim: Var, h: np.ndarray,
 
     def vjp(g):
         # the einsum's summation order follows its operand's memory, so
-        # the operand is user-major like z, whatever the memory of g
-        w = np.multiply(2.0 * g, z, out=np.empty_like(z))
+        # the operand is built user-major as the package builds it
+        w = _user_major(z * (2.0 * g).T)
         v = np.einsum("mik,mks->is", h, w)
         return v.real, v.imag
 

@@ -179,7 +179,7 @@ class TestPrecoderGradient:
                 assert not np.shares_memory(out, v)
                 assert not np.shares_memory(out, g)
                 assert not np.shares_memory(out, params.theta)
-                for arr in (ws.hc, *ws._arrays.values()):
+                for arr in (ws.hr, *ws._arrays.values()):
                     assert not np.shares_memory(out, arr)
 
 
@@ -206,6 +206,17 @@ class TestClosedFormMatchesTape:
             assert loss == loss_t                                # bitwise
             np.testing.assert_allclose(
                 g, g_t, rtol=1e-12, atol=1e-12 * np.max(np.abs(g_t)))
+
+    @pytest.mark.parametrize("smooth_temp", [None, 0.3])
+    def test_long_cell(self, smooth_temp):
+        # one-layer 4x4 with 2000 draws: the back product sums 8000 terms
+        # per entry
+        lay, ens, mat, _ = _benchmark_shape("long-cell-4x4")
+        loss, g = grad_wrt_precoder(mat, ens, lay, smooth_temp)
+        loss_t, g_t = _tape_grad(mat, ens, lay, smooth_temp)
+        assert loss == loss_t                                    # bitwise
+        np.testing.assert_allclose(g, g_t, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(g_t)))
 
     def test_common_rate_tie_feeds_lowest_index(self):
         # users 0 and 1 see identical channels, so their averaged common
@@ -318,6 +329,24 @@ class TestProjectionWorkspace:
         ws0 = handed["z"][0][0]
         for got in handed.values():
             assert all(ws is ws0 and arr is got[0][1] for ws, arr in got)
+
+    def test_long_cell_bytes_within_budget(self):
+        # the float64 channel copy plus every workspace array, after one
+        # network and one precoder gradient at 2000 x 4 x 4, hold no more
+        # than the 2,496,128 bytes of the complex user-major projection
+        # they replaced: the pairs take the complex inner products' bytes,
+        # and the powers with their square scratch the operand of the
+        # network gradient's einsum
+        lay, ens, mat, p_t = _benchmark_shape("long-cell-4x4")
+        ws = ProjectionWorkspace(ens.realizations)
+        p0 = precoder_to_view(mat, lay)
+        _, g0 = grad_wrt_precoder(p0, ens, lay, None, ws)
+        params = _random_net(RngStream(93), lay)
+        grad_wrt_theta(params, p0, g0, ens, lay, p_t, None, ws)
+        grad_wrt_precoder(p0, ens, lay, None, ws)
+        assert ws.hr.nbytes == ens.realizations.nbytes
+        held = ws.hr.nbytes + sum(a.nbytes for a in ws._arrays.values())
+        assert held <= 2_496_128
 
     def test_rejects_another_stack(self):
         lay, ens, mat = _instance(seed=92)

@@ -10,6 +10,9 @@ import pytest
 from rsmeta import channel, harness
 from rsmeta.harness import (SCHEMA_VERSION, ExperimentConfig, load_config,
                             run_sweep, validate_config, write_reports)
+from rsmeta.layout import StreamLayout
+from rsmeta.metaopt import init_precoder
+from rsmeta.rates import saf_report
 
 
 def _write(tmp_path, text, name="sweep.cfg"):
@@ -252,12 +255,30 @@ class TestRunSweep:
         got = [c.asr for c in full.cells if c.snr_idx == 0]
         assert got == want
 
-    def test_redraw_eval_changes_score_only(self):
+    def test_redraw_eval_scores_start_held_out(self, monkeypatch):
+        # with eval.redraw the start rate is scored on the held-out batch,
+        # as the reported rate is, so "beats its start" compares one batch
+        pairs = []
+
+        def spy(model, *args, _real=channel.IidCsitModel.draw_pair):
+            pairs.append(_real(model, *args))
+            return pairs[-1]
+
+        monkeypatch.setattr(channel.IidCsitModel, "draw_pair", spy)
         plain = run_sweep(_tiny_config())
+        pairs.clear()
         held = run_sweep(_tiny_config(redraw_eval=True))
-        assert [c.start_asr for c in plain.cells] == \
-            [c.start_asr for c in held.cells]
         assert [c.asr for c in plain.cells] != [c.asr for c in held.cells]
+        layout = StreamLayout.one_layer(2, 2)
+        cells = iter(held.cells)
+        assert len(pairs) == len(held.cells) // 2
+        for (ens, eval_ens), meta, direct in zip(pairs, cells, cells):
+            p_t = 10.0 ** (meta.snr_db / 10.0)
+            want = saf_report(init_precoder(layout, ens.estimate, p_t),
+                              eval_ens, layout).avg_sum_rate
+            assert meta.start_asr == direct.start_asr == want
+        assert all(a.start_asr != b.start_asr
+                   for a, b in zip(plain.cells, held.cells))
 
     def test_one_ring_with_fixed(self):
         cfg = _ring_config()

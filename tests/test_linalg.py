@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from rsmeta.linalg import (RngStream, gaussian_matrix, herm_eig, quadrature,
+from rsmeta.baselines import _fixed_directions
+from rsmeta.channel import OneRingModel, draw_iid_scene, draw_one_ring_scene
+from rsmeta.gradients import _columns, precoder_to_view
+from rsmeta.linalg import (ProjectionWorkspace, RngStream, channel_project,
+                           gaussian_matrix, herm_eig, quadrature,
                            svd_dominant)
+from rsmeta.metaopt import init_precoder
 
 
 class TestRngStream:
@@ -165,3 +170,50 @@ class TestQuadrature:
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError):
             quadrature(np.sin, 1.0, 0.0)
+
+
+class TestChannelProject:
+    """The real, stream-major projection against the complex one written
+    out as an einsum over the conjugate channels."""
+
+    @staticmethod
+    def _inputs(hierarchical):
+        """The channel stack and the three kinds of precoder matrix the
+        package projects: the active columns a view's memory is, a
+        C-ordered copy of them, and a full (n_tx, n_streams) matrix."""
+        if hierarchical:
+            lay, ens = draw_one_ring_scene(
+                5, 8, 4, 2, azimuths=(-0.6, 0.6), spread=0.4, tau2=0.3,
+                n_draws=40)
+            full = _fixed_directions(lay, ens.estimate, OneRingModel(
+                n_tx=8, azimuths=(-0.6, 0.6), spread=0.4, tau2=0.3),
+                10.0, None)
+        else:
+            lay, ens = draw_iid_scene(6, 4, 3, 10.0, n_draws=40)
+            full = init_precoder(lay, ens.estimate, 10.0).matrix
+        mat = gaussian_matrix(RngStream(7), lay.n_tx, lay.n_streams, 1.0)
+        mat[:, lay.active_cols] += full[:, lay.active_cols]
+        cols = _columns(precoder_to_view(mat, lay), lay)
+        assert not cols.flags.c_contiguous
+        return ens.realizations, (cols, np.ascontiguousarray(cols), full)
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_matches_complex_einsum(self, hierarchical):
+        h, mats = self._inputs(hierarchical)
+        for p in mats:
+            ref_z = np.einsum("mik,is->mks", h.conj(), p)
+            ref = np.abs(ref_z) ** 2
+            powers, z, _ = channel_project(h, p)
+            assert powers.shape == ref.shape and powers.T.flags.c_contiguous
+            np.testing.assert_allclose(powers, ref, rtol=1e-13,
+                                       atol=1e-13 * np.max(ref))
+            got_z = (z[0] + 1j * z[1]).T
+            np.testing.assert_allclose(got_z, ref_z, rtol=1e-13,
+                                       atol=1e-13 * np.max(np.abs(ref_z)))
+
+    def test_channel_copy_takes_the_stack_bytes(self):
+        h, mats = self._inputs(True)
+        ws = ProjectionWorkspace(h)
+        assert ws.hr.dtype == np.float64 and ws.hr.nbytes == h.nbytes
+        assert not np.shares_memory(ws.hr, h)
+        assert channel_project(h, mats[0], ws)[2] is ws.hr
