@@ -2,7 +2,8 @@
 
 Kept as a tiny pure-numpy implementation so both optimizers in this
 package (the network trainer and the direct precoder baseline) share one
-update rule and one set of constants.
+update rule and its textbook constants :data:`BETA1`, :data:`BETA2` and
+:data:`EPS`; the learning rate is the one setting.
 """
 from __future__ import annotations
 
@@ -11,6 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["AdamState", "adam_step"]
+
+BETA1 = 0.9  # first-moment decay
+BETA2 = 0.999  # second-moment decay
+EPS = 1e-8  # added to sqrt(v_hat) before the division
 
 
 @dataclass
@@ -26,9 +31,7 @@ class AdamState:
         return cls(m=np.zeros(int(dim)), v=np.zeros(int(dim)))
 
 
-def adam_step(state: AdamState, grad: np.ndarray, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> np.ndarray:
+def adam_step(state: AdamState, grad: np.ndarray, lr: float) -> np.ndarray:
     """Advance the state by one gradient and return the parameter delta.
 
     The caller applies the returned delta additively; the learning rate is
@@ -49,17 +52,17 @@ def adam_step(state: AdamState, grad: np.ndarray, lr: float,
     state.step_count += 1
     t = state.step_count
     m, v = state.m, state.v
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    term = (1.0 - beta2) * grad
+    m *= BETA1
+    m += (1.0 - BETA1) * grad
+    term = (1.0 - BETA2) * grad
     term *= grad
-    v *= beta2
+    v *= BETA2
     v += term
     # term becomes sqrt(v_hat) + eps, then the delta divides by it
-    np.divide(v, 1.0 - beta2 ** t, out=term)
+    np.divide(v, 1.0 - BETA2 ** t, out=term)
     np.sqrt(term, out=term)
-    term += eps
-    delta = m / (1.0 - beta1 ** t)
+    term += EPS
+    delta = m / (1.0 - BETA1 ** t)
     delta *= -lr
     delta /= term
     return delta

@@ -125,22 +125,11 @@ class FixedDirectionResult:
     n_evaluated: int
 
 
-def _stream_powers(split: PowerSplit, layout: StreamLayout,
-                   p_t: float) -> np.ndarray:
-    """Per-column powers of a split: each layer's share divided equally."""
-    w = np.empty(layout.n_streams)
-    w[0] = split.common * p_t
-    w[1:1 + layout.n_groups] = split.group * p_t / layout.n_groups
-    w[1 + layout.n_groups:] = split.private * p_t / layout.n_users
-    return w
-
-
 def _lattice_powers(n: int, layout: StreamLayout, p_t: float):
     """The power-split lattice with ``n`` intervals per unit as arrays:
     ``(i, j, w)``, the integer common and group steps of every split in
     canonical order and the (n_splits, n_streams) per-column powers, each
-    row :func:`_stream_powers` of the split ``(i / n, j / n)``, bit for
-    bit."""
+    layer's share of the split ``(i / n, j / n)`` divided equally."""
     i, j = np.indices((n + 1, n + 1)).reshape(2, -1)
     keep = i + j <= n
     i, j = i[keep], j[keep]

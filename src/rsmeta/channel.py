@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _ENSEMBLE_FORMAT = "rsmeta-ensemble-v1"
+NEG_TOL = 1e-9  # eigenvalues above -NEG_TOL are psd_sqrt's roundoff
 
 
 @dataclass
@@ -183,15 +184,15 @@ def one_ring_correlation(n_tx: int, spacing: float, azimuth: float,
     return r
 
 
-def psd_sqrt(r: np.ndarray, neg_tol: float = 1e-9) -> np.ndarray:
+def psd_sqrt(r: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues in ``(-neg_tol, 0)`` are treated as quadrature roundoff and
-    clipped to zero; anything at or below ``-neg_tol`` is a genuine failure
+    Eigenvalues in ``(-NEG_TOL, 0)`` are treated as quadrature roundoff and
+    clipped to zero; anything at or below ``-NEG_TOL`` is a genuine failure
     and raises.
     """
     w, v = herm_eig(r)
-    if np.any(w <= -neg_tol):
+    if np.any(w <= -NEG_TOL):
         raise ValueError(
             f"matrix is not positive semidefinite: min eigenvalue {w.min():.3e}")
     w = np.where(w < 0, 0.0, w)
@@ -212,9 +213,10 @@ class OneRingModel:
     leaves the estimate uninformative. This is the exact conditional law of
     the channel given the estimate, not an approximation.
 
-    Each group's correlation and its square root are computed once per
-    model, on first use, and kept on it read-only, so every draw and the
-    fixed-direction search of one model share its quadratures and roots.
+    Each group's correlation, at :func:`one_ring_correlation`'s default
+    node count, and its square root are computed once per model, on first
+    use, and kept on it read-only, so every draw and the fixed-direction
+    search of one model share its quadratures and roots.
     """
 
     n_tx: int
@@ -222,7 +224,6 @@ class OneRingModel:
     spread: float
     tau2: float = 0.0
     spacing: float = 0.5
-    nodes: int = 513
 
     def __post_init__(self):
         if not 0 <= self.tau2 <= 1:
@@ -244,7 +245,7 @@ class OneRingModel:
         out = []
         for azimuth in self.azimuths:
             r = one_ring_correlation(self.n_tx, self.spacing, azimuth,
-                                     self.spread, self.nodes)
+                                     self.spread)
             root = psd_sqrt(r)
             r.flags.writeable = root.flags.writeable = False
             out.append((r, root))

@@ -7,7 +7,9 @@ and :func:`rsmeta.gradients.grad_wrt_theta`, against central differences of
 the plain evaluation path :func:`rsmeta.gradients.loss_from_view`, with
 instance guards against minimum ties and the projection branch boundary,
 the two places the objective is only piecewise smooth. ``rsmeta
-gradcheck`` runs the suite from the command line.
+gradcheck`` runs the suite from the command line. Its gate, criterion 1,
+is module constants that no caller can loosen: :data:`PRECODER_TOL`,
+:data:`THETA_TOL`, their difference steps and :data:`MAX_TRIES`.
 """
 from __future__ import annotations
 
@@ -22,6 +24,12 @@ from .linalg import RngStream, channel_project, gaussian_matrix
 from .network import MetaNetParams, init_meta_net, mlp_forward
 
 __all__ = ["finite_diff_check", "gradcheck_suite"]
+
+PRECODER_TOL = 1e-5  # largest relative error of the precoder gradient
+PRECODER_STEP = 1e-6  # its central-difference step
+THETA_TOL = 1e-4  # largest relative error of the network gradient
+THETA_STEP = 1e-5  # its central-difference step
+MAX_TRIES = 64  # draws per instance before the battery gives up
 
 # ---------------------------------------------------------------------------
 # finite differences
@@ -103,10 +111,7 @@ def _random_net(rng: RngStream, layout: StreamLayout) -> MetaNetParams:
 
 
 def gradcheck_suite(seed: int = 0, n_instances: int = 50,
-                    smooth_temp: float = None,
-                    precoder_tol: float = 1e-5, precoder_step: float = 1e-6,
-                    theta_tol: float = 1e-4, theta_step: float = 1e-5,
-                    max_tries: int = 64) -> dict:
+                    smooth_temp: float = None) -> dict:
     """Finite-difference battery over small random instances.
 
     Each instance draws random sizes, channels, a precoder, and a small
@@ -122,11 +127,11 @@ def gradcheck_suite(seed: int = 0, n_instances: int = 50,
     root = RngStream(seed)
     p_t = 4.0
     report = {"precoder": [], "theta": [],
-              "precoder_tol": precoder_tol, "theta_tol": theta_tol}
+              "precoder_tol": PRECODER_TOL, "theta_tol": THETA_TOL}
 
     for inst in range(n_instances):
         hier = inst % 2 == 1
-        for attempt in range(max_tries):
+        for attempt in range(MAX_TRIES):
             rng = root.child(inst, attempt)
             layout, ens, mat = _random_instance(rng, hier, p_t)
             v0 = precoder_to_view(mat, layout)
@@ -145,7 +150,7 @@ def gradcheck_suite(seed: int = 0, n_instances: int = 50,
 
             err_p, _ = finite_diff_check(
                 lambda x: loss_from_view(x, ens, layout, smooth_temp),
-                v0, g0, precoder_step)
+                v0, g0, PRECODER_STEP)
             report["precoder"].append(err_p)
 
             _, gt, _ = grad_wrt_theta(params, v0, g0, ens, layout, p_t,
@@ -158,7 +163,7 @@ def gradcheck_suite(seed: int = 0, n_instances: int = 50,
                                       _e, _l, smooth_temp)
 
             err_t, _ = finite_diff_check(f_theta, params.to_vector(), gt,
-                                         theta_step)
+                                         THETA_STEP)
             report["theta"].append(err_t)
             break
         else:
@@ -168,6 +173,6 @@ def gradcheck_suite(seed: int = 0, n_instances: int = 50,
     report["precoder_max_relerr"] = float(np.max(report["precoder"]))
     report["theta_max_relerr"] = float(np.max(report["theta"]))
     report["passed"] = bool(
-        report["precoder_max_relerr"] <= precoder_tol
-        and report["theta_max_relerr"] <= theta_tol)
+        report["precoder_max_relerr"] <= PRECODER_TOL
+        and report["theta_max_relerr"] <= THETA_TOL)
     return report

@@ -1,43 +1,35 @@
 """The layered-rate core and the two hand-written objective gradients.
 
-* :func:`grad_wrt_precoder`: the averaged-rate loss's gradient with
-  respect to the precoder view, the rate backward then one real matrix
-  product with the projection's channel copy, landing in view
-  coordinates.
-* :func:`grad_wrt_theta`: the same loss's gradient at the network's
-  power-projected candidate with respect to the network's flat ``theta``:
-  the same rate backward, the adjoint of the |h^H p|^2 projection as an
-  ``einsum`` over the complex channels, the radial projection
-  ``v * sqrt(P / tr)``, then the ReLU MLP, written into one fresh array
-  through the layer views that lay out ``theta``
-  (:class:`rsmeta.network.MetaNetParams`).
+Both gradients run one loss core, :func:`_loss_core`: the |h^H p|^2
+projection :func:`rsmeta.linalg.channel_project`, the rate backward
+:func:`_asr_and_power_grad`, and the projection's inner products, (Re, Im)
+pairs stream-major and draw-minor, scaled in place by the power gradient.
+They differ only in the adjoint that takes those pairs to the view:
 
-Every path, the plain loss included, gets |h^H p|^2 from the one
-projection :func:`rsmeta.linalg.channel_project` and runs the one
-layered-rate arithmetic, so equal precoders give bit-equal losses. The
-projection's inner products come as (Re, Im) pairs, stream-major and
-draw-minor like the powers, so both backward passes scale them by the
-power gradient along contiguous memory.
-:func:`_layer_terms` stacks every layer's SINR and its denominator into
-one (..., n_layers, n_users, n_draws) array each, the layers in decoding
-order (common, group when hierarchical, private), so the forward rates
-take one ``log1p`` and one average over the realizations, and
-:func:`_asr_and_power_grad` one vjp, for all layers. The powers and their
-gradient are stream-major and draw-minor, (n_streams, n_users, n_draws)
-in memory; the forward rate code also takes leading batch axes, and the
-backward pass is unbatched. With an optional
+* :func:`grad_wrt_precoder`: one real matrix product with the
+  projection's channel copy, :func:`rsmeta.linalg._project_back`.
+* :func:`grad_wrt_theta`, at the network's power-projected candidate: an
+  ``einsum`` over the complex channels, then the radial projection
+  ``v * sqrt(P / tr)`` and the ReLU MLP, written into one fresh ``theta``
+  through its layer views (:class:`rsmeta.network.MetaNetParams`).
+
+Every path, the plain loss included, gets |h^H p|^2 from that projection
+and runs one layered-rate arithmetic, so equal precoders give bit-equal
+losses. :func:`_layer_terms` stacks every layer's SINR and denominator,
+the layers in decoding order (common, group when hierarchical, private),
+so the forward rates take one ``log1p`` and one average over the
+realizations, and :func:`_asr_and_power_grad` one vjp, for all layers;
+the forward rates also take leading batch axes, the backward none. With a
 :class:`rsmeta.linalg.ProjectionWorkspace` built for the ensemble, the
-gradients, :func:`loss_from_view` and :func:`asr_from_powers` fill the
-projection, the layer arrays and the power gradient in place,
-bit-identically, and return nothing that points into it; both optimizers
-pass their run's workspace on every iteration.
+gradients, :func:`loss_from_view` and :func:`asr_from_powers` fill their
+arrays in place, bit-identically, and return nothing that points into it;
+both optimizers pass their run's workspace on every iteration.
 
 The view is the memory of the complex (n_tx, n_active) matrix of the
-active columns, column by column, read as float64 pairs: going between
-the two is no arithmetic, and both gradients take either. Its squared norm
-is the precoder power, so the power projection is one rescale of the
-view; every path runs the same rescale and network forward, so a
-candidate has the same bits on each.
+active columns, read as float64 pairs, so going between the two is no
+arithmetic and both gradients take either. Its squared norm is the
+precoder power, so the power projection is one rescale of the view, the
+same on every path.
 
 The tests check both gradients against a reverse-mode tape, and
 :func:`grad_wrt_theta` bit for bit against the tape with the rates
@@ -303,6 +295,22 @@ def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
     return asr, g_pw.T
 
 
+def _loss_core(v: np.ndarray, ens: ChannelEnsemble, layout: StreamLayout,
+               smooth_temp: float, workspace: ProjectionWorkspace):
+    """``(loss, dz, hr)``: the loss at the view ``v``, its gradient for the
+    projection's pairs ``z``, written over them, and the channel copy
+    ``hr``; both arrays live in the workspace."""
+    powers, z, hr = channel_project(ens.realizations, _columns(v, layout),
+                                    workspace)
+    asr, g_pow = _asr_and_power_grad(powers, layout, ens.noise_power,
+                                     smooth_temp, workspace)
+    # the loss is -asr and d|z|^2 = 2 (Re z dRe z + Im z dIm z); in place,
+    # as fresh arrays of this size cost more in page faults than arithmetic
+    g_pow *= -2.0
+    z *= g_pow.T
+    return -asr, z, hr
+
+
 def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
                       smooth_temp: float = None,
                       workspace: ProjectionWorkspace = None):
@@ -310,24 +318,14 @@ def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
 
     ``p`` is a view or a precoder. Returns ``(loss, grad)`` with ``grad`` in
     view coordinates, so it can be fed straight into the update network or
-    a first-order step. Closed form: :func:`_asr_and_power_grad`, then one
-    real matrix product with the projection's channel copy maps
-    d(loss)/d(powers) back to the view. ``grad`` is fresh, with or without
-    a ``workspace`` built for ``ens.realizations``.
+    a first-order step. Closed form: :func:`_loss_core`, then one real
+    matrix product with its channel copy maps d(loss)/d(z) back to the
+    view. ``grad`` is fresh, with or without a ``workspace`` built for
+    ``ens.realizations``.
     """
-    powers, z, hr = channel_project(
-        ens.realizations, _columns(_view_in(p, layout), layout), workspace)
-    asr, g_pow = _asr_and_power_grad(powers, layout, ens.noise_power,
-                                     smooth_temp, workspace)
-
-    # the loss is -asr and d|z|^2 = 2 (Re z dRe z + Im z dIm z), so the
-    # pairs scaled in place by -2 g_pow are the loss's gradient for z, and
-    # its gradient for the columns' rows of pairs is the view's. Fresh
-    # arrays of the pairs' size cost more in page faults than the
-    # arithmetic on them
-    g_pow *= -2.0
-    z *= g_pow.T
-    return -asr, _project_back(z, hr)
+    loss, dz, hr = _loss_core(_view_in(p, layout), ens, layout, smooth_temp,
+                              workspace)
+    return loss, _project_back(dz, hr)
 
 
 def candidate_view(params: MetaNetParams, p0_view: np.ndarray,
@@ -348,8 +346,8 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
     ball, evaluate the loss. The start point and the input gradient are
     constants here; only the network parameters carry gradient. The
     candidate is :func:`candidate_view`'s. The backward pass is by hand:
-    :func:`_asr_and_power_grad` at the candidate, the adjoint of the
-    |h^H p|^2 projection, the radial power projection, then the MLP.
+    :func:`_loss_core` at the candidate, the adjoint of the |h^H p|^2
+    projection, the radial power projection, then the MLP.
 
     Returns ``(loss, grad_theta, cand_view)`` where ``loss`` is the loss at
     the projected candidate, ``grad_theta`` is laid out as ``params.theta``,
@@ -360,18 +358,11 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
     raw = np.asarray(_view_in(p0, layout), dtype=float) + acts[-1]
     cand, tr, scale = _radial(raw, p_t)
 
-    powers, z, _ = channel_project(ens.realizations, _columns(cand, layout),
-                                   workspace)
-    asr, g_pow = _asr_and_power_grad(powers, layout, ens.noise_power,
-                                     smooth_temp, workspace)
-    # the loss is -asr; d|z|^2 = 2 Re(conj(z) dz) with z = h^H p. The
-    # adjoint is an einsum over h of the scaled z made complex and
-    # user-major in the memory of the powers, which are dead by now; it is
-    # not grad_wrt_precoder's product with hr: the two differ in their
-    # last bits
-    g_pow *= -2.0
-    z *= g_pow.T
-    w = _user_major(z, _array(workspace, "powers", z.shape))
+    loss, dz, _ = _loss_core(cand, ens, layout, smooth_temp, workspace)
+    # the adjoint is an einsum over h of dz made complex and user-major in
+    # the memory of the powers, which are dead by now; it is not
+    # grad_wrt_precoder's product with hr: the two differ in their last bits
+    w = _user_major(dz, _array(workspace, "powers", dz.shape))
     g = _view(np.einsum("mik,mks->is", ens.realizations, w))
 
     if scale is not None:
@@ -389,4 +380,4 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
         g_b[i][...] = g
         if i:
             g = (params.weights[i].T @ g) * (acts[i] > 0)
-    return -asr, grad, cand
+    return loss, grad, cand

@@ -185,6 +185,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError("snr_db must list at least one point")
     _require(all(_is_real(snr) for snr in cfg.snr_db), "snr_db", cfg.snr_db,
              "a list of finite numbers")
+    powers = []
+    for snr in cfg.snr_db:
+        try:
+            powers.append(10.0 ** (snr / 10.0))
+        except OverflowError:
+            powers.append(np.inf)
+        if not 0 < powers[-1] < np.inf:
+            raise ValueError(f"snr_db = {snr:g} gives the transmit power "
+                             f"{powers[-1]:g}, not a finite positive number")
     _require(isinstance(cfg.redraw_eval, bool), "eval.redraw",
              cfg.redraw_eval, "true or false")
     bad = [m for m in cfg.methods if m not in ("meta", "direct", "fixed")]
@@ -201,8 +210,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _require(_is_real(cfg.alpha), "iid.alpha", cfg.alpha, "a finite number")
         model = _build_model(cfg)
         _require_accepted("iid.error_power", model.error_var, 1.0)
-        for snr in cfg.snr_db:
-            sig_e2 = model.error_var(10.0 ** (snr / 10.0))
+        for snr, p_t in zip(cfg.snr_db, powers):
+            sig_e2 = model.error_var(p_t)
             if sig_e2 >= model.user_var:
                 raise ValueError(
                     f"snr_db = {snr:g} is degenerate: the CSI error variance "

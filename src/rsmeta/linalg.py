@@ -22,6 +22,8 @@ import numpy as np
 __all__ = ["RngStream", "gaussian_matrix", "herm_eig", "svd_dominant",
            "ProjectionWorkspace", "channel_project", "quadrature"]
 
+HERM_TOL = 1e-9  # largest Hermitian defect max|a - a^H| herm_eig accepts
+
 
 class RngStream:
     """Seeded random stream with a draw counter.
@@ -88,18 +90,18 @@ def gaussian_matrix(rng: RngStream, rows: int, cols: int, variance: float) -> np
     return scale * (re + 1j * im)
 
 
-def herm_eig(a: np.ndarray, herm_tol: float = 1e-9):
+def herm_eig(a: np.ndarray):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns ``(w, v)`` with ``a ~= v @ diag(w) @ v.conj().T`` and ``w``
     sorted in descending order. Rejects inputs whose Hermitian defect
-    ``max|a - a^H|`` exceeds ``herm_tol``.
+    ``max|a - a^H|`` exceeds :data:`HERM_TOL`.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"herm_eig needs a square matrix, got shape {a.shape}")
     defect = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if defect > herm_tol:
+    if defect > HERM_TOL:
         raise ValueError(f"matrix is not Hermitian: max|a - a^H| = {defect:.3e}")
     # symmetrize so eigh sees an exactly Hermitian operand
     w, v = np.linalg.eigh(0.5 * (a + a.conj().T))

@@ -2,20 +2,29 @@
 
 ``rsmeta.baselines.run_fixed_direction`` scores its lattice in batches of
 splits through the batched rate code. This is the loop it replaced, kept
-as the oracle: each split's column powers rescale the unit-direction gains
-into one reused array, :func:`rsmeta.gradients.asr_from_powers` (the rate
-code that also builds the minima's gradient weights) scores it, and a
-strictly better rate replaces the best split, so the first maximizer in
-canonical order wins and a NaN rate never does.
+as the oracle: each split's column powers (:func:`stream_powers`) rescale
+the unit-direction gains into one reused array,
+:func:`rsmeta.gradients.asr_from_powers` (the rate code that also builds
+the minima's gradient weights) scores it, and a strictly better rate
+replaces the best split, so the first maximizer in canonical order wins
+and a NaN rate never does.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from rsmeta.baselines import (_fixed_directions, _stream_powers,
-                              power_split_grid)
+from rsmeta.baselines import _fixed_directions, power_split_grid
 from rsmeta.gradients import asr_from_powers
 from rsmeta.linalg import channel_project
+
+
+def stream_powers(split, layout, p_t):
+    """Per-column powers of a split: each layer's share divided equally."""
+    w = np.empty(layout.n_streams)
+    w[0] = split.common * p_t
+    w[1:1 + layout.n_groups] = split.group * p_t / layout.n_groups
+    w[1 + layout.n_groups:] = split.private * p_t / layout.n_users
+    return w
 
 
 def loop_fixed_direction(layout, ens, model, p_t, step=0.05, rank=None):
@@ -29,7 +38,7 @@ def loop_fixed_direction(layout, ens, model, p_t, step=0.05, rank=None):
     best_split = None
     n_eval = 0
     for split in power_split_grid(step, with_group=True):
-        w = _stream_powers(split, layout, p_t)
+        w = stream_powers(split, layout, p_t)
         np.multiply(gain, w[:, None, None], out=powers)
         asr = asr_from_powers(powers.T, layout, ens.noise_power)
         n_eval += 1
@@ -37,5 +46,5 @@ def loop_fixed_direction(layout, ens, model, p_t, step=0.05, rank=None):
             best_asr = asr
             best_split = split
 
-    w = _stream_powers(best_split, layout, p_t)
+    w = stream_powers(best_split, layout, p_t)
     return best_asr, best_split, dirs * np.sqrt(w)[None, :], n_eval

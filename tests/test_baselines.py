@@ -3,8 +3,8 @@ import pytest
 
 from rsmeta.adam import AdamState, adam_step
 from rsmeta import baselines
-from rsmeta.baselines import (PowerSplit, _stream_powers, power_split_grid,
-                              run_direct_adam, run_fixed_direction)
+from rsmeta.baselines import (PowerSplit, power_split_grid, run_direct_adam,
+                              run_fixed_direction)
 from rsmeta.channel import IidCsitModel, OneRingModel
 from rsmeta.gradients import (grad_wrt_precoder, loss_from_view,
                               precoder_to_view, project_view,
@@ -14,7 +14,7 @@ from rsmeta.linalg import RngStream, channel_project
 from rsmeta.metaopt import init_precoder
 from rsmeta.rates import saf_report
 
-from fixed_loop import loop_fixed_direction
+from fixed_loop import loop_fixed_direction, stream_powers
 
 
 class TestPowerSplit:
@@ -193,7 +193,7 @@ class TestFixedDirection:
         monkeypatch.setattr(baselines, "channel_project", spy)
         res = run_fixed_direction(lay, ens, model, p_t, step=0.05)
         dirs, = seen
-        rates = [saf_report(dirs * np.sqrt(_stream_powers(s, lay, p_t)),
+        rates = [saf_report(dirs * np.sqrt(stream_powers(s, lay, p_t)),
                             ens, lay).avg_sum_rate
                  for s in power_split_grid(0.05)]
         assert res.best_split == power_split_grid(0.05)[np.argmax(rates)]
@@ -274,7 +274,7 @@ def _chunk(lay, ens):
 
 class TestLatticeArrays:
     """The search's array lattice is, row by row and bit for bit,
-    ``_stream_powers`` of ``power_split_grid``'s splits."""
+    ``fixed_loop.stream_powers`` of ``power_split_grid``'s splits."""
 
     @pytest.mark.parametrize("layout", [
         StreamLayout.hierarchical(16, 8, 4),
@@ -289,7 +289,7 @@ class TestLatticeArrays:
         for row, a, b, split in zip(w, i, j, grid):
             assert PowerSplit(common=int(a) / n, group=int(b) / n) == split
             np.testing.assert_array_equal(
-                row, _stream_powers(split, layout, p_t))
+                row, stream_powers(split, layout, p_t))
 
 
 class TestBatchedSearchMatchesLoop:

@@ -110,6 +110,20 @@ class TestValidate:
         assert main(["validate", "--config", str(path)]) == 1
         assert "snr_db = 0 is degenerate" in capsys.readouterr().err
 
+    # 10^(snr/10) overflowed to an uncaught OverflowError in validate or
+    # mid-sweep, or came out 0 and failed in the first cell or under
+    # another key
+    @pytest.mark.parametrize("base", [TINY, RING], ids=["iid", "ring"])
+    @pytest.mark.parametrize("point", ["4000", "-4000"])
+    def test_unrepresentable_snr_power_named(self, base, point, tmp_path,
+                                             monkeypatch, capsys):
+        monkeypatch.delenv(ENV_THREADS, raising=False)
+        path = tmp_path / "snr.cfg"
+        path.write_text(base + f"snr_db = 10, {point}\n")
+        assert main(["validate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"snr_db = {point} gives the transmit power" in err
+
     # each of these used to crash validate with a TypeError, run on a
     # truncated value, or pass validate and fail in the first cell
     @pytest.mark.parametrize("key, text", [

@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from rsmeta import metaopt
+from rsmeta import baselines, metaopt
 from rsmeta.adam import AdamState, adam_step
 from rsmeta.channel import IidCsitModel
 from rsmeta.gradients import (grad_wrt_precoder, grad_wrt_theta,
@@ -240,3 +242,55 @@ class TestRunMetaOpt:
                                       view_to_precoder(best, lay))
         np.testing.assert_array_equal(res.params.to_vector(), theta)
         assert res.best_asr == max(history)
+
+
+class TestGradientCallContract:
+    """The traced benchmark wraps the gradients at every binding in the
+    package and reads a run from its calls: a run of k iterations makes
+    one start-point precoder gradient, then k step gradients, and under
+    the hard minimum the negated losses they return are its asr_history."""
+
+    @staticmethod
+    def _count(monkeypatch, calls):
+        for fn in (grad_wrt_precoder, grad_wrt_theta):
+            def counted(*args, _fn=fn, **kw):
+                out = _fn(*args, **kw)
+                calls.append((_fn.__name__, out[0]))
+                return out
+            for name, mod in list(sys.modules.items()):
+                if name == "rsmeta" or name.startswith("rsmeta."):
+                    for key, val in list(vars(mod).items()):
+                        if val is fn:
+                            monkeypatch.setattr(mod, key, counted)
+        assert baselines.grad_wrt_precoder is not grad_wrt_precoder
+        assert metaopt.grad_wrt_precoder is not grad_wrt_precoder
+        assert metaopt.grad_wrt_theta is not grad_wrt_theta
+
+    @staticmethod
+    def _scene(hierarchical):
+        lay = StreamLayout.hierarchical(4, 4, 2) if hierarchical \
+            else StreamLayout.one_layer(3, 2)
+        model = IidCsitModel(n_tx=lay.n_tx, n_users=lay.n_users,
+                             error_power=0.2)
+        return lay, model.draw(RngStream(410), 10.0, 8), 10.0
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_direct_adam(self, monkeypatch, hierarchical):
+        calls = []
+        self._count(monkeypatch, calls)
+        res = baselines.run_direct_adam(*self._scene(hierarchical),
+                                        n_iters=7)
+        assert [n for n, _ in calls] == ["grad_wrt_precoder"] * 8
+        np.testing.assert_array_equal([-loss for _, loss in calls],
+                                      res.asr_history)
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_meta(self, monkeypatch, hierarchical):
+        calls = []
+        self._count(monkeypatch, calls)
+        res = run_meta_opt(*self._scene(hierarchical), MetaOptConfig(
+            n_iters=7, hidden=(8,), seed=4))
+        assert [n for n, _ in calls] == \
+            ["grad_wrt_precoder"] + ["grad_wrt_theta"] * 7
+        np.testing.assert_array_equal([-loss for _, loss in calls],
+                                      res.asr_history)
