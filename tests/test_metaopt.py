@@ -251,7 +251,8 @@ class TestGradientCallContract:
     the hard minimum the negated losses they return are its asr_history."""
 
     @staticmethod
-    def _count(monkeypatch, calls):
+    def _count(monkeypatch) -> list:
+        calls = []
         for fn in (grad_wrt_precoder, grad_wrt_theta):
             def counted(*args, _fn=fn, **kw):
                 out = _fn(*args, **kw)
@@ -265,6 +266,7 @@ class TestGradientCallContract:
         assert baselines.grad_wrt_precoder is not grad_wrt_precoder
         assert metaopt.grad_wrt_precoder is not grad_wrt_precoder
         assert metaopt.grad_wrt_theta is not grad_wrt_theta
+        return calls
 
     @staticmethod
     def _scene(hierarchical):
@@ -276,8 +278,7 @@ class TestGradientCallContract:
 
     @pytest.mark.parametrize("hierarchical", [False, True])
     def test_direct_adam(self, monkeypatch, hierarchical):
-        calls = []
-        self._count(monkeypatch, calls)
+        calls = self._count(monkeypatch)
         res = baselines.run_direct_adam(*self._scene(hierarchical),
                                         n_iters=7)
         assert [n for n, _ in calls] == ["grad_wrt_precoder"] * 8
@@ -286,8 +287,7 @@ class TestGradientCallContract:
 
     @pytest.mark.parametrize("hierarchical", [False, True])
     def test_meta(self, monkeypatch, hierarchical):
-        calls = []
-        self._count(monkeypatch, calls)
+        calls = self._count(monkeypatch)
         res = run_meta_opt(*self._scene(hierarchical), MetaOptConfig(
             n_iters=7, hidden=(8,), seed=4))
         assert [n for n, _ in calls] == \
