@@ -30,6 +30,8 @@ PRECODER_STEP = 1e-6  # its central-difference step
 THETA_TOL = 1e-4  # largest relative error of the network gradient
 THETA_STEP = 1e-5  # its central-difference step
 MAX_TRIES = 64  # draws per instance before the battery gives up
+P_T = 4.0  # power budget of every instance
+TIE_GAP = 1e-3  # smallest gap a minimum's two lowest rates may leave
 
 # ---------------------------------------------------------------------------
 # finite differences
@@ -71,16 +73,16 @@ def _min_gap(x: np.ndarray) -> float:
     return float(s[1] - s[0])
 
 
-def _tie_gaps_ok(v, ens, layout, gap=1e-3) -> bool:
+def _tie_gaps_ok(v, ens, layout) -> bool:
     powers, _, _ = channel_project(ens.realizations, _columns(v, layout))
     rc, rg, _ = rates_from_powers(powers, layout, ens.noise_power)
     groups = [] if rg is None else [rg[m] for m in layout.member_rows]
-    return not any(_min_gap(x) < gap for x in [rc, *groups])
+    return not any(_min_gap(x) < TIE_GAP for x in [rc, *groups])
 
 
-def _random_instance(rng: RngStream, hierarchical: bool, p_t: float = 4.0):
+def _random_instance(rng: RngStream, hierarchical: bool):
     """Small random problem: sizes up to 4 antennas, 4 users, 2 groups,
-    8 realizations."""
+    8 realizations, with the budget :data:`P_T`."""
     n_tx = rng.integers(2, 5)
     if hierarchical:
         n_users = 2 * rng.integers(1, 3)       # even, so groups split evenly
@@ -91,11 +93,11 @@ def _random_instance(rng: RngStream, hierarchical: bool, p_t: float = 4.0):
     n_draws = rng.integers(4, 9)
     model = IidCsitModel(n_tx=layout.n_tx, n_users=layout.n_users,
                          error_power=0.25)
-    ens = model.draw(rng, p_t, n_draws)
+    ens = model.draw(rng, P_T, n_draws)
     mat = gaussian_matrix(rng, layout.n_tx, layout.n_streams, 1.0)
     if layout.mode == "one_layer":
         mat[:, 1:1 + layout.n_groups] = 0.0
-    mat *= np.sqrt(0.8 * p_t / np.sum(np.abs(mat) ** 2))
+    mat *= np.sqrt(0.8 * P_T / np.sum(np.abs(mat) ** 2))
     return layout, ens, mat
 
 
@@ -125,7 +127,6 @@ def gradcheck_suite(seed: int = 0, n_instances: int = 50,
     if n_instances < 1:
         raise ValueError(f"n_instances must be >= 1, got {n_instances}")
     root = RngStream(seed)
-    p_t = 4.0
     report = {"precoder": [], "theta": [],
               "precoder_tol": PRECODER_TOL, "theta_tol": THETA_TOL}
 
@@ -133,17 +134,17 @@ def gradcheck_suite(seed: int = 0, n_instances: int = 50,
         hier = inst % 2 == 1
         for attempt in range(MAX_TRIES):
             rng = root.child(inst, attempt)
-            layout, ens, mat = _random_instance(rng, hier, p_t)
+            layout, ens, mat = _random_instance(rng, hier)
             v0 = precoder_to_view(mat, layout)
             if smooth_temp is None and not _tie_gaps_ok(v0, ens, layout):
                 continue
             _, g0 = grad_wrt_precoder(mat, ens, layout, smooth_temp)
 
             params = _random_net(rng, layout)
-            cand, tr, _ = _radial(v0 + mlp_forward(params, g0), p_t)
+            cand, tr, _ = _radial(v0 + mlp_forward(params, g0), P_T)
             # branch-boundary guard on the unprojected power: differences
             # must not straddle the point where the projection kicks in
-            if abs(tr - p_t) / p_t < 1e-3:
+            if abs(tr - P_T) / P_T < 1e-3:
                 continue
             if smooth_temp is None and not _tie_gaps_ok(cand, ens, layout):
                 continue
@@ -153,13 +154,13 @@ def gradcheck_suite(seed: int = 0, n_instances: int = 50,
                 v0, g0, PRECODER_STEP)
             report["precoder"].append(err_p)
 
-            _, gt, _ = grad_wrt_theta(params, v0, g0, ens, layout, p_t,
+            _, gt, _ = grad_wrt_theta(params, v0, g0, ens, layout, P_T,
                                       smooth_temp)
 
             def f_theta(vec, _d=params.dims, _p0=v0, _g0=g0,
                         _e=ens, _l=layout):
                 trial = MetaNetParams.from_vector(vec, _d)
-                return loss_from_view(candidate_view(trial, _p0, _g0, p_t),
+                return loss_from_view(candidate_view(trial, _p0, _g0, P_T),
                                       _e, _l, smooth_temp)
 
             err_t, _ = finite_diff_check(f_theta, params.to_vector(), gt,

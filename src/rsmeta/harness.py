@@ -25,7 +25,6 @@ import dataclasses
 import json
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -411,6 +410,9 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         model.correlation(0)  # fills every group's root before any worker
     jobs = [(s, c) for s in range(len(cfg.snr_db)) for c in range(cfg.n_csit)]
     if cfg.n_threads > 1:
+        # imported here: concurrent.futures pulls in logging, which a
+        # single-threaded sweep, and every import of the package, never uses
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=cfg.n_threads) as pool:
             chunks = list(pool.map(
                 lambda sc: _run_cell(cfg, layout, model, *sc), jobs))

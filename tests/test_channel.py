@@ -7,7 +7,7 @@ from rsmeta.channel import (ChannelEnsemble, IidCsitModel, OneRingModel,
                             load_ensemble, one_ring_correlation, psd_sqrt,
                             save_ensemble)
 from rsmeta.layout import StreamLayout
-from rsmeta.linalg import RngStream, herm_eig
+from rsmeta.linalg import RngStream, gaussian_matrix, herm_eig
 
 
 class TestChannelEnsemble:
@@ -316,3 +316,88 @@ class TestSceneBuildersAndFiles:
         np.savez(path, format="something-else", estimate=np.zeros((2, 2)))
         with pytest.raises(ValueError, match="format"):
             load_ensemble(path)
+
+
+def _is_user_major(h):
+    return h.transpose(0, 2, 1).flags.c_contiguous
+
+
+def _iid_reference(model, seed, p_t, sizes):
+    """The i.i.d. model's batches, in drawing order, summed C-ordered."""
+    rng = RngStream(seed)
+    sig_e2 = model.error_var(p_t)
+    est = gaussian_matrix(rng, model.n_tx, model.n_users, 1.0) \
+        * np.sqrt(model.user_var - sig_e2)
+    out = []
+    for n in sizes:
+        shape = (n, model.n_tx, model.n_users)
+        out.append(est[None] + np.sqrt(sig_e2 / 2.0) * (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+    return out
+
+
+def _ring_reference(model, layout, seed, n_draws, n_eval):
+    """The one-ring model's two batches, mixed user by user into one
+    C-ordered stack."""
+    rng = RngStream(seed)
+    keep, tau = np.sqrt(1.0 - model.tau2), np.sqrt(model.tau2)
+    real = np.empty((n_draws + n_eval, model.n_tx, layout.n_users), complex)
+    for k in range(layout.n_users):
+        root = model._correlations[layout.group_of[k]][1]
+        ghat = gaussian_matrix(rng, model.n_tx, 1, 1.0)[:, 0]
+        shape = (n_draws + n_eval, model.n_tx)
+        w = np.sqrt(0.5) * (rng.standard_normal(shape)
+                            + 1j * rng.standard_normal(shape))
+        real[:, :, k] = (keep * ghat[None, :] + tau * w) @ root.T
+    return real[:n_draws], real[n_draws:]
+
+
+class TestUserMajorLayout:
+    """Every ensemble keeps its realizations as the (0, 2, 1) transpose of
+    a C-ordered (n_draws, n_users, n_tx) array, with the values of the
+    C-ordered draws and inputs."""
+
+    def test_iid_draws(self):
+        model = IidCsitModel(n_tx=4, n_users=3)
+        ens = model.draw(RngStream(8), 20.0, 9)
+        a, b = model.draw_pair(RngStream(8), 20.0, 9, 5)
+        ref, ref_b = _iid_reference(model, 8, 20.0, (9, 5))
+        for got, want in ((ens, ref), (a, ref), (b, ref_b)):
+            assert _is_user_major(got.realizations)
+            np.testing.assert_array_equal(got.realizations, want)
+
+    def test_one_ring_draws(self):
+        model = OneRingModel(n_tx=6, azimuths=(-0.8, 0.8), spread=np.pi / 8,
+                             tau2=0.4)
+        layout = StreamLayout.hierarchical(6, 4, 2)
+        ens = model.draw(RngStream(9), layout, 7)
+        a, b = model.draw_pair(RngStream(9), layout, 7, 5)
+        ref, _ = _ring_reference(model, layout, 9, 7, 0)
+        ref_a, ref_b = _ring_reference(model, layout, 9, 7, 5)
+        for got, want in ((ens, ref), (a, ref_a), (b, ref_b)):
+            assert _is_user_major(got.realizations)
+            np.testing.assert_array_equal(got.realizations, want)
+
+    def test_loaded_ensemble(self, tmp_path):
+        _, ens = draw_iid_scene(seed=2, n_tx=3, n_users=2, p_t=10.0,
+                                n_draws=4)
+        save_ensemble(tmp_path / "ens.npz", ens)
+        back = load_ensemble(tmp_path / "ens.npz")
+        assert _is_user_major(back.realizations)
+        np.testing.assert_array_equal(back.realizations, ens.realizations)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_inputs_copied_into_layout(self, order):
+        rng = RngStream(4)
+        stack = np.asarray(rng.standard_normal((5, 3, 2))
+                           + 1j * rng.standard_normal((5, 3, 2)),
+                           order=order)
+        ens = ChannelEnsemble(estimate=stack[0], realizations=stack)
+        assert _is_user_major(ens.realizations)
+        assert not np.shares_memory(ens.realizations, stack)
+        np.testing.assert_array_equal(ens.realizations, stack)
+
+    def test_user_major_input_kept(self):
+        stack = np.ones((5, 2, 3), complex).transpose(0, 2, 1)
+        ens = ChannelEnsemble(estimate=stack[0], realizations=stack)
+        assert np.shares_memory(ens.realizations, stack)

@@ -6,7 +6,7 @@ from rsmeta.channel import (ChannelEnsemble, IidCsitModel, draw_iid_scene,
                             draw_one_ring_scene)
 from rsmeta.gradcheck import (_random_instance, _random_net,
                               finite_diff_check, gradcheck_suite)
-from rsmeta.gradients import (_asr_and_power_grad, _batch_asr,
+from rsmeta.gradients import (_asr_and_power_grad, _batch_asr, _loss_core,
                               _min_and_weights, asr_from_powers,
                               candidate_view, grad_wrt_precoder,
                               grad_wrt_theta, loss_from_view,
@@ -14,8 +14,8 @@ from rsmeta.gradients import (_asr_and_power_grad, _batch_asr,
                               rates_from_powers, view_length,
                               view_to_precoder)
 from rsmeta.layout import StreamLayout
-from rsmeta.linalg import (ProjectionWorkspace, RngStream, channel_project,
-                           gaussian_matrix)
+from rsmeta.linalg import (ProjectionWorkspace, RngStream, _user_major,
+                           channel_project, gaussian_matrix)
 from rsmeta.metaopt import MetaOptConfig, init_precoder, run_meta_opt
 from rsmeta.network import init_meta_net, mlp_forward
 from rsmeta.rates import PrecoderMatrix, avg_sum_rate_loss, saf_report
@@ -425,6 +425,27 @@ def _benchmark_shape(name):
         return lay, ens, mat, 4.0
     mat = init_precoder(lay, ens.estimate, p_t).matrix * np.sqrt(0.8)
     return lay, ens, mat, p_t
+
+
+class TestUserMajorAdjoint:
+    """grad_wrt_theta's einsum adjoint reads the realizations user-major,
+    as every ensemble keeps them; on each shipped shape it has the bits of
+    the same einsum on a C-ordered copy of the channels."""
+
+    @pytest.mark.parametrize("shape", ["ring-16x8", "long-cell-4x4",
+                                       "one-layer-8-users",
+                                       "grouped-8-users"])
+    @pytest.mark.parametrize("smooth_temp", [None, 0.3])
+    def test_matches_c_ordered_channels(self, shape, smooth_temp):
+        lay, ens, mat, _ = _benchmark_shape(shape)
+        _, dz, _ = _loss_core(precoder_to_view(mat, lay), ens, lay,
+                              smooth_temp, None)
+        w = _user_major(dz)
+        h = ens.realizations
+        assert h.transpose(0, 2, 1).flags.c_contiguous
+        np.testing.assert_array_equal(
+            np.einsum("mik,mks->is", h, w),
+            np.einsum("mik,mks->is", np.ascontiguousarray(h), w))
 
 
 class TestDrawMinorRates:

@@ -3,10 +3,13 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rsmeta
 from rsmeta import channel, harness
 from rsmeta.harness import (SCHEMA_VERSION, ExperimentConfig, load_config,
                             run_sweep, validate_config, write_reports)
@@ -215,6 +218,19 @@ class TestRunSweep:
         a = run_sweep(_tiny_config(n_threads=1))
         b = run_sweep(_tiny_config(n_threads=2))
         assert [c.asr for c in a.cells] == [c.asr for c in b.cells]
+
+    def test_package_import_leaves_thread_pool_unloaded(self):
+        # only a threaded sweep needs concurrent.futures and the logging it
+        # imports; a fresh interpreter shows what importing the package loads
+        src = os.path.dirname(os.path.dirname(rsmeta.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, rsmeta; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+             "('concurrent', 'logging')))"],
+            env=env, capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
 
     def test_one_channel_model_per_sweep(self, monkeypatch):
         # every cell draws from one model whose correlations and roots are
