@@ -27,7 +27,6 @@ from .rates import (
     sinr_triplet,
     rate_report,
     saf_report,
-    avg_sum_rate_loss,
 )
 from .network import MetaNetParams, init_meta_net, mlp_forward, save_checkpoint, load_checkpoint
 from .adam import AdamState, adam_step

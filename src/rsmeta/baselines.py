@@ -25,7 +25,7 @@ import numpy as np
 
 from .adam import AdamState, adam_step
 from .channel import ChannelEnsemble, OneRingModel
-from .gradients import _batch_asr, grad_wrt_precoder, project_view, \
+from .gradients import asr_from_powers, grad_wrt_precoder, project_view, \
     view_length
 from .layout import StreamLayout
 from .linalg import ProjectionWorkspace, channel_project, herm_eig, \
@@ -45,24 +45,22 @@ _CHUNK_BYTES = 1 << 20
 
 def run_direct_adam(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
                     n_iters: int = 2000, lr: float = 0.02,
-                    splits: tuple = None,
-                    smooth_temp: float = None) -> RunResult:
+                    splits: tuple = None) -> RunResult:
     """Adam directly on the precoder view, projected after every step.
 
-    The view goes into the gradient as it is, and every gradient and
-    rescoring of the run fills one projection workspace built for ``ens``:
-    the channel copy is made once, and no projection or power-gradient
-    array is allocated again on each iteration.
-    ``smooth_temp`` must be None (the hard minimum) or positive.
+    The view goes into the gradient as it is, and every gradient of the
+    run fills one projection workspace built for ``ens``: the channel copy
+    is made once, and no projection or power-gradient array is allocated
+    again on each iteration.
     """
     if n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {n_iters}")
     workspace = ProjectionWorkspace(ens.realizations)
-    record, v, g = _start(layout, ens, p_t, splits, smooth_temp, workspace)
+    record, v, g = _start(layout, ens, p_t, splits, workspace)
     opt = AdamState.zeros(view_length(layout))
     for _ in range(n_iters):
         v = project_view(v + adam_step(opt, g, lr), p_t)
-        loss, g = grad_wrt_precoder(v, ens, layout, smooth_temp, workspace)
+        loss, g = grad_wrt_precoder(v, ens, layout, workspace=workspace)
         record.offer(v, loss)
     return record.result()
 
@@ -92,10 +90,15 @@ class PowerSplit:
 
 def lattice_size(step: float) -> int:
     """Lattice intervals per unit of power, ``1 / step``; raises ValueError
-    unless ``step`` is a positive number that divides 1 evenly."""
-    n = round(1.0 / step) if step > 0 else 0
+    unless ``step`` is a positive number that divides 1 evenly, into a
+    lattice whose split count an ``np.intp`` can index."""
+    inv = 1.0 / step if step > 0 else 0.0
+    n = round(inv) if inv < np.inf else 0
     if n < 1 or abs(n * step - 1.0) > 1e-9:
         raise ValueError(f"step must divide 1 evenly, got {step}")
+    if (n + 1) * (n + 2) // 2 > np.iinfo(np.intp).max:
+        raise ValueError(f"step {step} gives more lattice splits than an "
+                         f"array can index")
     return n
 
 
@@ -218,8 +221,8 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
         w_part = w[lo:lo + chunk, :, None, None]
         part = powers[:len(w_part)]
         np.multiply(gain, w_part, out=part)
-        asr[lo:lo + len(w_part)] = _batch_asr(np.swapaxes(part, -1, -3),
-                                              layout, ens.noise_power)
+        asr[lo:lo + len(w_part)] = asr_from_powers(
+            np.swapaxes(part, -1, -3), layout, ens.noise_power)
     # the first maximizer in canonical order; a NaN split never wins
     best = int(np.argmax(np.where(np.isnan(asr), -np.inf, asr)))
     if not asr[best] > -np.inf:

@@ -192,6 +192,9 @@ def one_ring_correlation(n_tx: int, spacing: float, azimuth: float,
         raise ValueError(f"spread must lie in (0, pi], got {spread}")
     lo, hi = azimuth - spread, azimuth + spread
     norm = quadrature(lambda phi: np.ones_like(phi), lo, hi, nodes)
+    if norm == 0:
+        raise ValueError(f"azimuth {azimuth!r} +- spread {spread!r} rounds "
+                         f"to an interval of no width")
     lags = np.empty(n_tx, dtype=complex)
     for ell in range(n_tx):
         val = quadrature(

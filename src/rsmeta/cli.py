@@ -81,8 +81,7 @@ def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    report = gradcheck_suite(seed=args.seed, n_instances=args.instances,
-                             smooth_temp=args.smooth_temp)
+    report = gradcheck_suite(seed=args.seed, n_instances=args.instances)
     print(f"checked {report['n_instances']} random instances")
     print(f"precoder gradient: max relerr {report['precoder_max_relerr']:.3e} "
           f"(tol {report['precoder_tol']:.0e})")
@@ -162,7 +161,6 @@ def main(argv=None) -> int:
                           help="finite-difference gradient verification")
     p_gc.add_argument("--seed", type=int, default=0)
     p_gc.add_argument("--instances", type=int, default=50)
-    p_gc.add_argument("--smooth-temp", type=float, default=None)
     p_gc.set_defaults(func=_cmd_gradcheck)
 
     for name, builder, blurb in (

@@ -6,10 +6,10 @@ small random instances for both :func:`rsmeta.gradients.grad_wrt_precoder`
 and :func:`rsmeta.gradients.grad_wrt_theta`, against central differences of
 the plain evaluation path :func:`rsmeta.gradients.loss_from_view`, with
 instance guards against minimum ties and the projection branch boundary,
-the two places the objective is only piecewise smooth. ``rsmeta
-gradcheck`` runs the suite from the command line. Its gate, criterion 1,
-is module constants that no caller can loosen: :data:`PRECODER_TOL`,
-:data:`THETA_TOL`, their difference steps and :data:`MAX_TRIES`.
+the two kinds of kink in the objective. ``rsmeta gradcheck`` runs the
+suite from the command line. Its gate, criterion 1, is module constants
+that no caller can loosen: :data:`PRECODER_TOL`, :data:`THETA_TOL`, their
+difference steps and :data:`MAX_TRIES`.
 """
 from __future__ import annotations
 
@@ -112,8 +112,7 @@ def _random_net(rng: RngStream, layout: StreamLayout) -> MetaNetParams:
     return params
 
 
-def gradcheck_suite(seed: int = 0, n_instances: int = 50,
-                    smooth_temp: float = None) -> dict:
+def gradcheck_suite(seed: int = 0, n_instances: int = 50) -> dict:
     """Finite-difference battery over small random instances.
 
     Each instance draws random sizes, channels, a precoder, and a small
@@ -136,9 +135,9 @@ def gradcheck_suite(seed: int = 0, n_instances: int = 50,
             rng = root.child(inst, attempt)
             layout, ens, mat = _random_instance(rng, hier)
             v0 = precoder_to_view(mat, layout)
-            if smooth_temp is None and not _tie_gaps_ok(v0, ens, layout):
+            if not _tie_gaps_ok(v0, ens, layout):
                 continue
-            _, g0 = grad_wrt_precoder(mat, ens, layout, smooth_temp)
+            _, g0 = grad_wrt_precoder(mat, ens, layout)
 
             params = _random_net(rng, layout)
             cand, tr, _ = _radial(v0 + mlp_forward(params, g0), P_T)
@@ -146,24 +145,23 @@ def gradcheck_suite(seed: int = 0, n_instances: int = 50,
             # must not straddle the point where the projection kicks in
             if abs(tr - P_T) / P_T < 1e-3:
                 continue
-            if smooth_temp is None and not _tie_gaps_ok(cand, ens, layout):
+            if not _tie_gaps_ok(cand, ens, layout):
                 continue
 
             err_p, _ = finite_diff_check(
-                lambda x: loss_from_view(x, ens, layout, smooth_temp),
-                v0, g0, PRECODER_STEP)
+                lambda x: loss_from_view(x, ens, layout), v0, g0,
+                PRECODER_STEP)
             report["precoder"].append(err_p)
 
-            _, gt, _ = grad_wrt_theta(params, v0, g0, ens, layout, P_T,
-                                      smooth_temp)
+            _, gt, _ = grad_wrt_theta(params, v0, g0, ens, layout, P_T)
 
             def f_theta(vec, _d=params.dims, _p0=v0, _g0=g0,
                         _e=ens, _l=layout):
                 trial = MetaNetParams.from_vector(vec, _d)
                 return loss_from_view(candidate_view(trial, _p0, _g0, P_T),
-                                      _e, _l, smooth_temp)
+                                      _e, _l)
 
-            err_t, _ = finite_diff_check(f_theta, params.to_vector(), gt,
+            err_t, _ = finite_diff_check(f_theta, params.theta, gt,
                                          THETA_STEP)
             report["theta"].append(err_t)
             break

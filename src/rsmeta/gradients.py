@@ -15,15 +15,17 @@ They differ only in the adjoint that takes those pairs to the view:
 
 Every path, the plain loss included, gets |h^H p|^2 from that projection
 and runs one layered-rate arithmetic, so equal precoders give bit-equal
-losses. :func:`_layer_terms` stacks every layer's SINR and denominator,
-the layers in decoding order (common, group when hierarchical, private),
-so the forward rates take one ``log1p`` and one average over the
-realizations, and :func:`_asr_and_power_grad` one vjp, for all layers;
-the forward rates also take leading batch axes, the backward none. With a
-:class:`rsmeta.linalg.ProjectionWorkspace` built for the ensemble, the
-gradients, :func:`loss_from_view` and :func:`asr_from_powers` fill their
-arrays in place, bit-identically, and return nothing that points into it;
-both optimizers pass their run's workspace on every iteration.
+losses. The objective is the paper's averaged sum rate, whose common and
+group rates are hard minima; their gradient is the lowest minimizing
+user's one-hot. :func:`_layer_terms` stacks every layer's SINR and
+denominator, the layers in decoding order (common, group when
+hierarchical, private), so the forward rates take one ``log1p`` and one
+average over the realizations, and :func:`_asr_and_power_grad` one vjp,
+for all layers; the forward rates also take leading batch axes, the
+backward none. With a :class:`rsmeta.linalg.ProjectionWorkspace` built for
+the ensemble, the gradients fill their arrays in place, bit-identically,
+and return nothing that points into it; both optimizers pass their run's
+workspace on every iteration.
 
 The view is the memory of the complex (n_tx, n_active) matrix of the
 active columns, read as float64 pairs, so going between the two is no
@@ -172,18 +174,9 @@ def _avg_rates(sinr: np.ndarray,
     return avg
 
 
-def _min_and_weights(x: np.ndarray, smooth_temp: float = None):
-    """Hard or smooth minimum of ``x`` and its gradient weights: the hard
-    minimum's subgradient is a one-hot on the lowest minimizing index; the
-    smooth minimum -T log sum exp(-x / T) has its softmax weights."""
-    if smooth_temp is not None:
-        if not smooth_temp > 0:
-            raise ValueError(f"smooth_temp must be None or positive, "
-                             f"got {smooth_temp}")
-        m0 = np.minimum.reduce(x)
-        e = np.exp(-(x - m0) / smooth_temp)
-        s = np.add.reduce(e)
-        return m0 - smooth_temp * np.log(s), e / s
+def _min_and_weights(x: np.ndarray):
+    """Minimum of ``x`` and its subgradient, a one-hot on the lowest
+    minimizing index."""
     i = x.argmin()
     w = np.zeros(x.shape)
     w[i] = 1.0
@@ -191,19 +184,17 @@ def _min_and_weights(x: np.ndarray, smooth_temp: float = None):
 
 
 def _sum_rate(rates: np.ndarray, layout: StreamLayout,
-              smooth_temp: float = None,
               workspace: ProjectionWorkspace = None):
     """Averaged sum rate from the stacked averaged per-user rates, and its
     gradient weights stacked the same way, (n_layers, n_users): the
     minima's on the common and group rows, one on every private rate."""
     w = _array(workspace, "rate_grad", rates.shape)
-    asr, w[0] = _min_and_weights(rates[0], smooth_temp)
+    asr, w[0] = _min_and_weights(rates[0])
     asr = asr + np.add.reduce(rates[-1])
     w[-1] = 1.0
     if layout.mode == "hierarchical":
         for members in layout.member_rows:
-            val, w[1, members] = _min_and_weights(rates[1, members],
-                                                  smooth_temp)
+            val, w[1, members] = _min_and_weights(rates[1, members])
             asr = asr + val
     return float(asr), w
 
@@ -218,48 +209,30 @@ def rates_from_powers(powers: np.ndarray, layout: StreamLayout,
     return r[..., 0, :], grp, r[..., -1, :]
 
 
-def _batch_asr(powers: np.ndarray, layout: StreamLayout,
-               noise: float) -> np.ndarray:
-    """Averaged sum rates with hard minima, shaped ``powers.shape[:-3]``,
-    from a batch of |h^H p|^2 shaped (..., n_draws, n_users, n_active):
-    each :func:`asr_from_powers` of its slice, bit for bit, without
-    :func:`_sum_rate`'s gradient weights."""
-    r = _avg_rates(_layer_terms(powers, layout, noise)[0])
-    asr = np.minimum.reduce(r[..., 0, :], axis=-1) \
-        + np.add.reduce(r[..., -1, :], axis=-1)
-    if layout.mode == "hierarchical":
+def asr_from_powers(powers: np.ndarray, layout: StreamLayout,
+                    noise: float):
+    """Averaged sum rate from the |h^H p|^2 of the active columns, shaped
+    (..., n_draws, n_users, n_active) in any memory order; leading axes are
+    a batch, and each rate of the result, shaped ``powers.shape[:-3]``, has
+    the bits of a call on its slice alone. It takes the minima and sums in
+    :func:`_sum_rate`'s order, so it gives the training loss's bits."""
+    rc, rg, rp = rates_from_powers(powers, layout, noise)
+    asr = np.minimum.reduce(rc, axis=-1) + np.add.reduce(rp, axis=-1)
+    if rg is not None:
         for members in layout.member_rows:
-            asr = asr + np.minimum.reduce(r[..., 1, members], axis=-1)
+            asr = asr + np.minimum.reduce(rg[..., members], axis=-1)
     return asr
 
 
-def asr_from_powers(powers: np.ndarray, layout: StreamLayout, noise: float,
-                    smooth_temp: float = None,
-                    workspace: ProjectionWorkspace = None) -> float:
-    """Averaged sum rate from the |h^H p|^2 of the active columns; a
-    ``workspace`` built for their channel stack holds the rate arrays."""
-    sinr, _ = _layer_terms(powers, layout, noise, workspace)
-    return _sum_rate(_avg_rates(sinr, workspace), layout, smooth_temp,
-                     workspace)[0]
-
-
-def loss_from_view(v: np.ndarray, ens: ChannelEnsemble, layout: StreamLayout,
-                   smooth_temp: float = None,
-                   workspace: ProjectionWorkspace = None) -> float:
-    """Negative averaged sum rate of the precoder encoded by the view.
-
-    ``workspace``, built for ``ens.realizations``, supplies the arrays of
-    the projection and the rates; without one they are fresh.
-    """
-    powers, _, _ = channel_project(ens.realizations, _columns(v, layout),
-                                   workspace)
-    return -asr_from_powers(powers, layout, ens.noise_power, smooth_temp,
-                            workspace)
+def loss_from_view(v: np.ndarray, ens: ChannelEnsemble,
+                   layout: StreamLayout) -> float:
+    """Negative averaged sum rate of the precoder encoded by the view."""
+    powers, _, _ = channel_project(ens.realizations, _columns(v, layout))
+    return -float(asr_from_powers(powers, layout, ens.noise_power))
 
 
 def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
-                        noise: float, smooth_temp: float = None,
-                        workspace: ProjectionWorkspace = None):
+                        noise: float, workspace: ProjectionWorkspace = None):
     """Averaged sum rate from the |h^H p|^2 of the active columns, and its
     gradient with respect to those powers: ``(asr, d asr / d powers)``.
 
@@ -269,8 +242,7 @@ def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
     ``power_grad`` when there is a workspace.
     """
     sinr, den = _layer_terms(powers, layout, noise, workspace)
-    asr, g_rate = _sum_rate(_avg_rates(sinr, workspace), layout,
-                            smooth_temp, workspace)
+    asr, g_rate = _sum_rate(_avg_rates(sinr, workspace), layout, workspace)
     g_rate /= sinr.shape[-1]
     g_rate *= 1.0 / _LN2
     g_num = np.add(1.0, sinr, out=_array(workspace, "log_rate", sinr.shape))
@@ -296,14 +268,14 @@ def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
 
 
 def _loss_core(v: np.ndarray, ens: ChannelEnsemble, layout: StreamLayout,
-               smooth_temp: float, workspace: ProjectionWorkspace):
+               workspace: ProjectionWorkspace):
     """``(loss, dz, hr)``: the loss at the view ``v``, its gradient for the
     projection's pairs ``z``, written over them, and the channel copy
     ``hr``; both arrays live in the workspace."""
     powers, z, hr = channel_project(ens.realizations, _columns(v, layout),
                                     workspace)
     asr, g_pow = _asr_and_power_grad(powers, layout, ens.noise_power,
-                                     smooth_temp, workspace)
+                                     workspace)
     # the loss is -asr and d|z|^2 = 2 (Re z dRe z + Im z dIm z); in place,
     # as fresh arrays of this size cost more in page faults than arithmetic
     g_pow *= -2.0
@@ -312,7 +284,6 @@ def _loss_core(v: np.ndarray, ens: ChannelEnsemble, layout: StreamLayout,
 
 
 def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
-                      smooth_temp: float = None,
                       workspace: ProjectionWorkspace = None):
     """Loss and its gradient with respect to the precoder view.
 
@@ -323,8 +294,7 @@ def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
     view. ``grad`` is fresh, with or without a ``workspace`` built for
     ``ens.realizations``.
     """
-    loss, dz, hr = _loss_core(_view_in(p, layout), ens, layout, smooth_temp,
-                              workspace)
+    loss, dz, hr = _loss_core(_view_in(p, layout), ens, layout, workspace)
     return loss, _project_back(dz, hr)
 
 
@@ -337,7 +307,6 @@ def candidate_view(params: MetaNetParams, p0_view: np.ndarray,
 
 def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
                    ens: ChannelEnsemble, layout: StreamLayout, p_t: float,
-                   smooth_temp: float = None,
                    workspace: ProjectionWorkspace = None):
     """Differentiate the full pipeline with respect to network parameters.
 
@@ -358,7 +327,7 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
     raw = np.asarray(_view_in(p0, layout), dtype=float) + acts[-1]
     cand, tr, scale = _radial(raw, p_t)
 
-    loss, dz, _ = _loss_core(cand, ens, layout, smooth_temp, workspace)
+    loss, dz, _ = _loss_core(cand, ens, layout, workspace)
     # the adjoint is an einsum over h of dz made complex and user-major in
     # the memory of the powers, which are dead by now; it is not
     # grad_wrt_precoder's product with hr: the two differ in their last bits.

@@ -67,7 +67,6 @@ class ExperimentConfig:
     meta_iters: int = 300
     meta_lr: float = 1e-3
     meta_hidden: tuple = (50, 50)
-    meta_smooth_temp: float = None
     meta_splits: tuple = None
 
     direct_iters: int = 1000
@@ -101,7 +100,6 @@ KEYMAP = {
     "meta.iters": "meta_iters",
     "meta.lr": "meta_lr",
     "meta.hidden": "meta_hidden",
-    "meta.smooth_temp": "meta_smooth_temp",
     "meta.splits": "meta_splits",
     "direct.iters": "direct_iters",
     "direct.lr": "direct_lr",
@@ -171,7 +169,10 @@ _COUNT_KEYS = ("n_tx", "n_users", "n_groups", "csit_draws", "realizations",
                "threads")
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
+def validate_config(cfg: ExperimentConfig):
+    """Raise ValueError, naming the config key, for a config a sweep could
+    not run; otherwise return the sweep's channel model, built and, for
+    one_ring, with every group's correlation computed."""
     if cfg.scenario not in ("iid", "one_ring"):
         raise ValueError(f"scenario must be 'iid' or 'one_ring', "
                          f"got {cfg.scenario!r}")
@@ -210,7 +211,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         model = _build_model(cfg)
         _require_accepted("iid.error_power", model.error_var, 1.0)
         for snr, p_t in zip(cfg.snr_db, powers):
-            sig_e2 = model.error_var(p_t)
+            try:
+                sig_e2 = model.error_var(p_t)
+            except OverflowError:
+                raise ValueError(
+                    f"iid.alpha = {cfg.alpha:g} overflows the CSI error "
+                    f"variance at snr_db = {snr:g}") from None
             if sig_e2 >= model.user_var:
                 raise ValueError(
                     f"snr_db = {snr:g} is degenerate: the CSI error variance "
@@ -230,8 +236,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
                  "ring.spread", cfg.spread, "a number in (0, pi]")
         _require(_is_positive(cfg.spacing), "ring.spacing", cfg.spacing,
                  "a number > 0")
-        _require_accepted("ring.tau2", _build_model, cfg)
+        model = _require_accepted("ring.tau2", _build_model, cfg)
+        # every group's correlation, which the sweep reuses
+        _require_accepted("ring.spread", model.correlation, 0)
     _validate_optimizers(cfg)
+    return model
 
 
 def _is_int(x) -> bool:
@@ -252,10 +261,11 @@ def _require(ok: bool, key: str, value, what: str) -> None:
         raise ValueError(f"{key} must be {what}, got {value!r}")
 
 
-def _require_accepted(key: str, check, *args) -> None:
-    """Run a library check, naming ``key`` in the error it raises."""
+def _require_accepted(key: str, check, *args):
+    """Run a library check, naming ``key`` in the error it raises; return
+    what the check returns."""
     try:
-        check(*args)
+        return check(*args)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{key}: {exc}") from None
 
@@ -276,9 +286,6 @@ def _validate_optimizers(cfg: ExperimentConfig) -> None:
         _require(isinstance(hidden, (tuple, list))
                  and all(_is_int(h) and h >= 1 for h in hidden),
                  "meta.hidden", hidden, "a list of layer sizes >= 1")
-        temp = cfg.meta_smooth_temp
-        _require(temp is None or _is_positive(temp), "meta.smooth_temp",
-                 temp, "none or a number > 0")
     if methods & {"meta", "direct"}:
         _require_accepted("meta.splits", start_splits, _build_layout(cfg),
                           cfg.meta_splits)
@@ -378,7 +385,7 @@ def _run_cell(cfg: ExperimentConfig, layout: StreamLayout, model,
             r = run_meta_opt(layout, ens, p_t, MetaOptConfig(
                 n_iters=cfg.meta_iters, lr=cfg.meta_lr,
                 hidden=tuple(cfg.meta_hidden), seed=net_seed,
-                smooth_temp=cfg.meta_smooth_temp, splits=cfg.meta_splits))
+                splits=cfg.meta_splits))
         elif method == "direct":
             r = run_direct_adam(layout, ens, p_t, n_iters=cfg.direct_iters,
                                 lr=cfg.direct_lr, splits=cfg.meta_splits)
@@ -404,10 +411,8 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 
     The config is validated first and is the one the result records.
     """
-    validate_config(cfg)
-    layout, model = _build_layout(cfg), _build_model(cfg)
-    if cfg.scenario == "one_ring":
-        model.correlation(0)  # fills every group's root before any worker
+    model = validate_config(cfg)  # every group's root before any worker
+    layout = _build_layout(cfg)
     jobs = [(s, c) for s in range(len(cfg.snr_db)) for c in range(cfg.n_csit)]
     if cfg.n_threads > 1:
         # imported here: concurrent.futures pulls in logging, which a

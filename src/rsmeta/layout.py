@@ -156,13 +156,6 @@ class StreamLayout:
             raise IndexError(f"group {g} out of range")
         return tuple(k for k, gk in enumerate(self.group_of) if gk == g)
 
-    def member_mask(self) -> np.ndarray:
-        """Boolean (G, K) matrix, entry (g, k) true when user k is in group g."""
-        mask = np.zeros((self.n_groups, self.n_users), dtype=bool)
-        for k, g in enumerate(self.group_of):
-            mask[g, k] = True
-        return mask
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False

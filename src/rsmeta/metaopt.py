@@ -26,8 +26,8 @@ import numpy as np
 
 from .adam import AdamState, adam_step
 from .channel import ChannelEnsemble
-from .gradients import (grad_wrt_precoder, grad_wrt_theta, loss_from_view,
-                        precoder_to_view, view_length, view_to_precoder)
+from .gradients import (grad_wrt_precoder, grad_wrt_theta, precoder_to_view,
+                        view_length, view_to_precoder)
 from .layout import StreamLayout
 from .linalg import ProjectionWorkspace, RngStream, svd_dominant
 from .network import MetaNetParams, init_meta_net
@@ -42,18 +42,14 @@ class MetaOptConfig:
     """Knobs for one optimization run.
 
     ``lr`` is the Adam rate on network parameters; the precoder itself is
-    never stepped directly. ``smooth_temp`` switches the minima inside the
-    objective to a smooth log-sum-exp surrogate for training gradients
-    (reported rates always use the hard minimum); None keeps the hard
-    minimum with its lowest-index subgradient everywhere. Any other value
-    must be positive.
+    never stepped directly. The objective is the averaged sum rate with
+    hard minima, trained with their lowest-index subgradient.
     """
 
     n_iters: int = 500
     lr: float = 1e-3
     hidden: tuple = (50, 50)
     seed: int = 0
-    smooth_temp: float = None
     splits: tuple = None
 
 
@@ -131,27 +127,19 @@ def init_precoder(layout: StreamLayout, estimate: np.ndarray, p_t: float,
 class _Record:
     """Clock, rate history and best candidate of one Adam run.
 
-    Candidates are scored with the hard minimum: the training loss when
-    training uses it too, a fresh evaluation on the run's ``workspace``
-    under a smooth surrogate. The first candidate offered is the start
-    point.
+    A candidate's rate is its training loss negated, so no candidate is
+    projected twice. The first candidate offered is the start point.
     """
 
-    def __init__(self, layout: StreamLayout, ens: ChannelEnsemble,
-                 smooth_temp: float, workspace: ProjectionWorkspace):
+    def __init__(self, layout: StreamLayout):
         self.t0 = time.perf_counter()
-        self.layout, self.ens, self.smooth_temp = layout, ens, smooth_temp
-        self.workspace = workspace
+        self.layout = layout
         self.history = []
         self.best_asr = self.best_view = None
 
     def offer(self, view: np.ndarray, loss: float) -> None:
-        """Score a candidate whose training loss is ``loss``."""
-        if self.smooth_temp is None:
-            asr = -loss
-        else:
-            asr = -loss_from_view(view, self.ens, self.layout, None,
-                                  self.workspace)
+        """Record a candidate whose training loss is ``loss``."""
+        asr = -loss
         if not self.history or asr > self.best_asr:
             self.best_asr, self.best_view = asr, view
         self.history.append(asr)
@@ -168,20 +156,18 @@ class _Record:
 
 
 def _start(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
-           splits: tuple, smooth_temp: float,
-           workspace: ProjectionWorkspace):
+           splits: tuple, workspace: ProjectionWorkspace):
     """Matched start point shared by both Adam optimizers.
 
     Returns ``(record, view, grad)``: a fresh :class:`_Record` holding the
     start as its first candidate, the start's view, and the precoder
-    gradient taken at that view. The start and the record project on
-    ``workspace``, the run's one. The start gradient raises ValueError
-    unless ``smooth_temp`` is None or positive.
+    gradient taken at that view, projected on ``workspace``, the run's
+    one.
     """
-    record = _Record(layout, ens, smooth_temp, workspace)
+    record = _Record(layout)
     p0 = init_precoder(layout, ens.estimate, p_t, splits)
     view = precoder_to_view(p0, layout)
-    loss, grad = grad_wrt_precoder(view, ens, layout, smooth_temp, workspace)
+    loss, grad = grad_wrt_precoder(view, ens, layout, workspace=workspace)
     record.offer(view, loss)
     return record, view, grad
 
@@ -192,16 +178,14 @@ def run_meta_opt(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
 
     The candidate at iteration i is the projected network proposal under the
     current ``theta``; with the zero-initialized output layer the first
-    candidate is the start point. Reported rates always use the hard
-    minimum even when training runs on the smooth surrogate. The returned
-    ``params`` are a copy of the trained network.
+    candidate is the start point. The returned ``params`` are a copy of
+    the trained network.
     """
     cfg = config or MetaOptConfig()
     if cfg.n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {cfg.n_iters}")
     workspace = ProjectionWorkspace(ens.realizations)
-    record, p0_view, g0 = _start(layout, ens, p_t, cfg.splits,
-                                 cfg.smooth_temp, workspace)
+    record, p0_view, g0 = _start(layout, ens, p_t, cfg.splits, workspace)
 
     params = init_meta_net(RngStream(cfg.seed), view_length(layout),
                            cfg.hidden)
@@ -209,8 +193,7 @@ def run_meta_opt(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
 
     for _ in range(cfg.n_iters):
         loss_i, g_theta, cand = grad_wrt_theta(
-            params, p0_view, g0, ens, layout, p_t, cfg.smooth_temp,
-            workspace)
+            params, p0_view, g0, ens, layout, p_t, workspace=workspace)
         record.offer(cand, loss_i)
         params.theta += adam_step(opt, g_theta, cfg.lr)
 

@@ -77,10 +77,6 @@ class MetaNetParams:
     def n_params(self) -> int:
         return self.theta.size
 
-    def to_vector(self) -> np.ndarray:
-        """A copy of ``theta``."""
-        return self.theta.copy()
-
     @classmethod
     def from_vector(cls, vec: np.ndarray, dims) -> "MetaNetParams":
         """The network whose ``theta`` is a copy of ``vec``."""

@@ -20,7 +20,7 @@ from .channel import ChannelEnsemble
 from .layout import StreamLayout
 
 __all__ = ["PrecoderMatrix", "RateReport", "SafReport",
-           "sinr_triplet", "rate_report", "saf_report", "avg_sum_rate_loss"]
+           "sinr_triplet", "rate_report", "saf_report"]
 
 _LN2 = float(np.log(2.0))
 
@@ -170,8 +170,3 @@ def saf_report(p, ens: ChannelEnsemble, layout: StreamLayout) -> SafReport:
     sc, sg, sp = sinr_triplet(p, ens.realizations, layout, ens.noise_power)
     return SafReport(*_layered(*(np.mean(_to_rate(x), axis=0)
                                  for x in (sc, sg, sp)), layout))
-
-
-def avg_sum_rate_loss(p, ens: ChannelEnsemble, layout: StreamLayout) -> float:
-    """Negative averaged sum rate; the minimization objective."""
-    return -saf_report(p, ens, layout).avg_sum_rate

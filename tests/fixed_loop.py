@@ -3,11 +3,11 @@
 ``rsmeta.baselines.run_fixed_direction`` scores its lattice in batches of
 splits through the batched rate code. This is the loop it replaced, kept
 as the oracle: each split's column powers (:func:`stream_powers`) rescale
-the unit-direction gains into one reused array,
-:func:`rsmeta.gradients.asr_from_powers` (the rate code that also builds
-the minima's gradient weights) scores it, and a strictly better rate
-replaces the best split, so the first maximizer in canonical order wins
-and a NaN rate never does.
+the unit-direction gains into one reused array, the rate code
+(:func:`rsmeta.gradients.asr_from_powers`) scores it without a batch axis,
+and a strictly better rate replaces the best split, so the first maximizer
+in canonical order wins and a NaN rate never does. It checks the library's
+lattice, chunking and batch axis, not the rate arithmetic both share.
 """
 from __future__ import annotations
 

@@ -43,7 +43,7 @@ __all__ = [
     "Var", "constant", "backward", "grad_of",
     "log1p_v", "sqrt_v", "square_v", "relu_v",
     "affine", "csq_project",
-    "vsum", "vmean", "min_over", "softmin_over",
+    "vsum", "vmean", "min_over",
     "take_last", "index_pairs", "slice_strided", "reshape_v", "transpose2d",
     "_rate_loss", "_tape_loss", "_theta_grad",
 ]
@@ -225,23 +225,6 @@ def min_over(x: Var, axis: int = 0) -> Var:
     return Var(out, (x,), vjp)
 
 
-def softmin_over(x: Var, axis: int = 0, temperature: float = 0.1) -> Var:
-    """Smooth minimum: -T log sum exp(-x / T), shift-stabilized."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    t = float(temperature)
-    m0 = np.min(x.value, axis=axis, keepdims=True)
-    e = np.exp(-(x.value - m0) / t)
-    s = np.sum(e, axis=axis)
-    out = np.squeeze(m0, axis=axis) - t * np.log(s)
-    w = e / np.expand_dims(s, axis)
-
-    def vjp(g):
-        return (np.expand_dims(g, axis) * w,)
-
-    return Var(out, (x,), vjp)
-
-
 # -- structural ops ---------------------------------------------------
 
 def take_last(x: Var, indices) -> Var:
@@ -345,7 +328,7 @@ def grad_of(out: Var, wrt) -> list:
 # -- the averaged-rate loss and the network-parameter gradient --------
 
 def _rate_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
-               layout: StreamLayout, smooth_temp: float = None,
+               layout: StreamLayout,
                workspace: ProjectionWorkspace = None) -> Var:
     """The loss as one recorded node on top of the projection, with the
     closed-form backward of
@@ -357,12 +340,12 @@ def _rate_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
     """
     powers = csq_project(pre, pim, ens.realizations, workspace)
     asr, g_pow = _asr_and_power_grad(powers.value, layout, ens.noise_power,
-                                     smooth_temp, workspace)
+                                     workspace)
     return Var(-asr, (powers,), lambda g: (-g * g_pow,))
 
 
 def _tape_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
-               layout: StreamLayout, smooth_temp: float = None,
+               layout: StreamLayout,
                workspace: ProjectionWorkspace = None) -> Var:
     """The loss recorded op by op: the tests' reference for the closed
     form. Same signature and, bit for bit, the same value as
@@ -398,12 +381,11 @@ def _tape_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
         rg = None
     sinr_p = transpose2d(own_p / den_p)
     rp = vmean(log1p_v(sinr_p) * (1.0 / _LN2), axis=1)
-    red = (lambda x: min_over(x, 0)) if smooth_temp is None else \
-        (lambda x: softmin_over(x, 0, smooth_temp))
-    asr = red(rc) + vsum(rp)
+    asr = min_over(rc, 0) + vsum(rp)
     if rg is not None:
         for gi in range(layout.n_groups):
-            asr = asr + red(take_last(rg, np.asarray(layout.group_members(gi))))
+            asr = asr + min_over(
+                take_last(rg, np.asarray(layout.group_members(gi))), 0)
     return -asr
 
 
@@ -419,7 +401,6 @@ def _tape_forward_net(w_vars, b_vars, x: Var) -> Var:
 
 def _theta_grad(loss_fn, params: MetaNetParams, p0, g0_view: np.ndarray,
                 ens: ChannelEnsemble, layout: StreamLayout, p_t: float,
-                smooth_temp: float = None,
                 workspace: ProjectionWorkspace = None):
     """:func:`rsmeta.gradients.grad_wrt_theta` recorded on the tape, with
     the loss recorded by ``loss_fn``, which maps the candidate's recorded
@@ -438,7 +419,7 @@ def _theta_grad(loss_fn, params: MetaNetParams, p0, g0_view: np.ndarray,
     n_tx, s_act = layout.n_tx, len(layout.active_streams)
     pre = transpose2d(reshape_v(slice_strided(v, 0, 2), (s_act, n_tx)))
     pim = transpose2d(reshape_v(slice_strided(v, 1, 2), (s_act, n_tx)))
-    loss = loss_fn(pre, pim, ens, layout, smooth_temp, workspace)
+    loss = loss_fn(pre, pim, ens, layout, workspace)
     backward(loss)
     parts = []
     for w, b in zip(w_vars, b_vars):

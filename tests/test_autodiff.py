@@ -4,7 +4,7 @@ import pytest
 from rsmeta.linalg import RngStream, gaussian_matrix
 from tape import (Var, affine, backward, constant, csq_project, grad_of,
                   index_pairs, log1p_v, min_over, relu_v, reshape_v,
-                  slice_strided, softmin_over, sqrt_v, square_v, take_last,
+                  slice_strided, sqrt_v, square_v, take_last,
                   transpose2d, vmean, vsum)
 
 
@@ -159,28 +159,6 @@ class TestReductions:
         np.testing.assert_array_equal(out.value, [1.0, 0.5])
         backward(vsum(out * np.array([10.0, 20.0])))
         np.testing.assert_array_equal(x.grad, [[0.0, 10.0], [20.0, 0.0]])
-
-    def test_softmin_below_hard_min(self):
-        vals = np.array([0.5, 0.9, 2.0])
-        soft = softmin_over(Var(vals), axis=0, temperature=0.2)
-        assert float(soft.value) <= np.min(vals)
-        tight = softmin_over(Var(vals), axis=0, temperature=1e-3)
-        assert float(tight.value) == pytest.approx(0.5, abs=1e-12)
-
-    def test_softmin_grad_is_convex_weighting(self):
-        x = Var(np.array([0.3, 0.35, 1.0]))
-        backward(softmin_over(x, axis=0, temperature=0.1))
-        assert np.all(x.grad > 0)
-        assert np.sum(x.grad) == pytest.approx(1.0, rel=1e-12)
-        assert x.grad[0] > x.grad[1] > x.grad[2]
-
-    def test_softmin_fd(self):
-        x0 = np.array([0.4, 0.6, 0.41])
-        _check_grad(lambda x: softmin_over(x, axis=0, temperature=0.15), x0)
-
-    def test_softmin_rejects_bad_temperature(self):
-        with pytest.raises(ValueError, match="temperature"):
-            softmin_over(Var(np.ones(2)), temperature=0.0)
 
 
 class TestStructural:

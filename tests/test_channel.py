@@ -173,6 +173,14 @@ class TestOneRingCorrelation:
             with pytest.raises(ValueError, match=name):
                 one_ring_correlation(4, spacing, azimuth, 0.3)
 
+    @pytest.mark.parametrize("azimuth, spread", [
+        (0.5, 1e-300), (1e300, 0.3), (1e16, 0.3), (0.0, 5e-324)])
+    def test_interval_rounding_to_a_point_rejected(self, azimuth, spread):
+        # the quadrature of an interval of no width is 0, which used to
+        # raise ZeroDivisionError in the normalization
+        with pytest.raises(ValueError, match="no width"):
+            one_ring_correlation(4, 0.5, azimuth, spread)
+
 
 class TestPsdSqrt:
     def test_square_root_property(self):

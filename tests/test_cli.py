@@ -288,6 +288,13 @@ class TestGradcheck:
         assert "checked 2 random instances" in out
         assert "PASS" in out
 
+    def test_smooth_temp_flag_gone(self, capsys):
+        # the battery checks the one objective, with hard minima
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--smooth-temp", "0.3"])
+        assert exc.value.code == 2
+        assert "--smooth-temp" in capsys.readouterr().err
+
 
 class TestDemos:
     def test_quick_single_layer(self, tmp_path, capsys):

@@ -79,6 +79,13 @@ threads = 2
         with pytest.raises(ValueError, match=r":2: unknown key"):
             load_config(path)
 
+    def test_smooth_temp_key_is_unknown(self, tmp_path):
+        # the objective is the hard minimum alone; a file still asking for
+        # the smooth surrogate fails rather than run something else
+        path = _write(tmp_path, "meta.smooth_temp = 0.3\n")
+        with pytest.raises(ValueError, match=r":1: unknown key 'meta\.smooth"):
+            load_config(path)
+
     def test_missing_equals_reports_line(self, tmp_path):
         path = _write(tmp_path, "n_tx = 4\njust some words\n")
         with pytest.raises(ValueError, match=r":2:"):
@@ -143,7 +150,6 @@ class TestValidateConfig:
         ("meta.lr", "meta_lr", 0.0),
         ("direct.lr", "direct_lr", -0.02),
         ("meta.hidden", "meta_hidden", (50, 0)),
-        ("meta.smooth_temp", "meta_smooth_temp", 0.0),
         ("meta.splits", "meta_splits", (0.5, 0.2, 0.3)),
         ("fixed.step", "fixed_step", 0.3),
         ("fixed.rank", "fixed_rank", 5),
@@ -157,6 +163,23 @@ class TestValidateConfig:
         validate_config(ExperimentConfig(**base))
         with pytest.raises(ValueError, match=re.escape(key)):
             validate_config(ExperimentConfig(**base, **{field: value}))
+
+    # each of these used to pass validation, or to fail in it naming no
+    # key, and then crash the sweep; none allocates what it asks for
+    @pytest.mark.parametrize("key, changes", [
+        ("iid.alpha", dict(alpha=-1e300)),
+        ("fixed.step", dict(fixed_step=1e-300)),
+        ("ring.spread", dict(spread=1e-300)),
+        ("ring.spread: azimuth 1e+300", dict(azimuths=(1e300, 0.0))),
+        ("ring.spread: azimuth 1e+16", dict(azimuths=(1e16, 1e16))),
+    ], ids=["alpha", "step", "spread", "azimuths-1e300", "azimuths-1e16"])
+    def test_boundary_value_named(self, key, changes):
+        base = {} if key.startswith("iid.") else dict(
+            scenario="one_ring", n_tx=4, n_users=4, n_groups=2,
+            azimuths=(-0.5, 0.5), methods=("meta", "fixed"))
+        validate_config(ExperimentConfig(**base))
+        with pytest.raises(ValueError, match=re.escape(key)):
+            validate_config(ExperimentConfig(**{**base, **changes}))
 
     def test_unused_optimizer_settings_not_checked(self):
         validate_config(ExperimentConfig(methods=("meta",), direct_iters=0,

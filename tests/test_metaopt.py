@@ -7,8 +7,7 @@ from rsmeta import baselines, metaopt
 from rsmeta.adam import AdamState, adam_step
 from rsmeta.channel import IidCsitModel
 from rsmeta.gradients import (grad_wrt_precoder, grad_wrt_theta,
-                              loss_from_view, precoder_to_view,
-                              view_to_precoder)
+                              precoder_to_view, view_to_precoder)
 from rsmeta.layout import StreamLayout
 from rsmeta.linalg import RngStream, svd_dominant
 from rsmeta.metaopt import (MetaOptConfig, init_precoder, run_meta_opt,
@@ -126,20 +125,13 @@ class TestRunMetaOpt:
         np.testing.assert_array_equal(a.asr_history, b.asr_history)
         np.testing.assert_array_equal(a.best_precoder.matrix,
                                       b.best_precoder.matrix)
-        np.testing.assert_array_equal(a.params.to_vector(),
-                                      b.params.to_vector())
+        np.testing.assert_array_equal(a.params.theta, b.params.theta)
 
     def test_history_length_and_flag(self):
         _, _, _, res = self._run(n_iters=15)
         assert res.asr_history.shape == (16,)
         assert res.n_iters == 15
         assert res.wall_time_s > 0
-
-    def test_smooth_training_reports_hard_rates(self):
-        lay, ens, p_t, res = self._run(n_iters=25, smooth_temp=0.3)
-        rep = saf_report(res.best_precoder, ens, lay)
-        assert rep.avg_sum_rate == pytest.approx(res.best_asr, rel=1e-12)
-        assert res.asr_history[1] == pytest.approx(res.start_asr, rel=1e-12)
 
     def test_hierarchical_run(self):
         lay = StreamLayout.hierarchical(4, 4, 2)
@@ -155,39 +147,24 @@ class TestRunMetaOpt:
         with pytest.raises(ValueError):
             run_meta_opt(lay, ens, p_t, MetaOptConfig(n_iters=0))
 
-    @pytest.mark.parametrize("smooth_temp", [0.0, -0.3])
-    def test_nonpositive_smooth_temp_rejected(self, smooth_temp):
-        # 0.0 would train on the hard minimum while still paying for the
-        # smoothed rescoring
-        lay, ens, p_t = _scene(seed=18)
-        with pytest.raises(ValueError, match="smooth_temp"):
-            run_meta_opt(lay, ens, p_t, MetaOptConfig(
-                n_iters=2, smooth_temp=smooth_temp))
-
     def test_steps_one_theta_in_place(self, monkeypatch):
         # the loop hands grad_wrt_theta one params object, Adam steps its
         # theta in place, nothing converts between iterations, and the
         # result holds a copy
         conversions, seen = [], []
-        from_vector, to_vector = MetaNetParams.from_vector, \
-            MetaNetParams.to_vector
+        from_vector = MetaNetParams.from_vector
 
         def counted_from_vector(cls, vec, dims):
             conversions.append("from_vector")
             return from_vector(vec, dims)
 
-        def counted_to_vector(self):
-            conversions.append("to_vector")
-            return to_vector(self)
-
-        def spy(params, *args):
+        def spy(params, *args, **kwargs):
             seen.append((params, params.theta, params.theta.copy(),
                          len(conversions)))
-            return grad_wrt_theta(params, *args)
+            return grad_wrt_theta(params, *args, **kwargs)
 
         monkeypatch.setattr(MetaNetParams, "from_vector",
                             classmethod(counted_from_vector))
-        monkeypatch.setattr(MetaNetParams, "to_vector", counted_to_vector)
         monkeypatch.setattr(metaopt, "grad_wrt_theta", spy)
         _, _, _, res = self._run(n_iters=6)
         params, theta, _, n_before = seen[0]
@@ -199,8 +176,7 @@ class TestRunMetaOpt:
         np.testing.assert_array_equal(res.params.theta, theta)
 
     @pytest.mark.parametrize("hierarchical", [False, True])
-    @pytest.mark.parametrize("smooth_temp", [None, 0.3])
-    def test_equals_one_shot_reference_loop(self, hierarchical, smooth_temp):
+    def test_equals_one_shot_reference_loop(self, hierarchical):
         # the run projects on one workspace, whose z and power gradient the
         # recorded vjps read; the reference projects afresh on every call,
         # so a vjp reading an overwritten array, or state left in the
@@ -214,33 +190,28 @@ class TestRunMetaOpt:
         p_t, lr, n_iters = 10.0, 5e-3, 30
         ens = model.draw(RngStream(405), p_t, 24)
         res = run_meta_opt(lay, ens, p_t, MetaOptConfig(
-            n_iters=n_iters, lr=lr, hidden=(12,), seed=3,
-            smooth_temp=smooth_temp))
-
-        def hard_asr(v, loss):
-            return -loss if smooth_temp is None else \
-                -loss_from_view(v, ens, lay)
+            n_iters=n_iters, lr=lr, hidden=(12,), seed=3))
 
         p0 = init_precoder(lay, ens.estimate, p_t)
         v0 = precoder_to_view(p0, lay)
-        loss, g0 = grad_wrt_precoder(p0, ens, lay, smooth_temp)
-        history = [hard_asr(v0, loss)]
+        loss, g0 = grad_wrt_precoder(p0, ens, lay)
+        history = [-loss]
         best = v0
         params = init_meta_net(RngStream(3), v0.size, (12,))
-        theta = params.to_vector()
+        theta = params.theta.copy()
         opt = AdamState.zeros(theta.size)
         for _ in range(n_iters):
             params = MetaNetParams.from_vector(theta, params.dims)
             loss, g_theta, cand = grad_wrt_theta(params, v0, g0, ens, lay,
-                                                 p_t, smooth_temp)
-            history.append(hard_asr(cand, loss))
+                                                 p_t)
+            history.append(-loss)
             if history[-1] > max(history[:-1]):
                 best = cand
             theta = theta + adam_step(opt, g_theta, lr)
         np.testing.assert_array_equal(res.asr_history, history)
         np.testing.assert_array_equal(res.best_precoder.matrix,
                                       view_to_precoder(best, lay))
-        np.testing.assert_array_equal(res.params.to_vector(), theta)
+        np.testing.assert_array_equal(res.params.theta, theta)
         assert res.best_asr == max(history)
 
 

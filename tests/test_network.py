@@ -60,7 +60,7 @@ class TestVectorRoundtrip:
     def test_roundtrip_exact(self):
         params = init_meta_net(RngStream(6), 9, hidden=(5,))
         params.weights[-1][...] = RngStream(7).standard_normal((9, 5))
-        vec = params.to_vector()
+        vec = params.theta.copy()
         assert vec.shape == (params.n_params,)
         back = MetaNetParams.from_vector(vec, params.dims)
         for wa, wb in zip(params.weights, back.weights):
@@ -74,8 +74,7 @@ class TestVectorRoundtrip:
         w1 = np.array([[7.0, 8.0], [9.0, 10.0]])
         b1 = np.array([11.0, 12.0])
         params = MetaNetParams(weights=[w0, w1], biases=[b0, b1])
-        np.testing.assert_array_equal(params.to_vector(),
-                                      np.arange(1.0, 13.0))
+        np.testing.assert_array_equal(params.theta, np.arange(1.0, 13.0))
 
     def test_from_vector_length_check(self):
         with pytest.raises(ValueError):
@@ -108,8 +107,7 @@ class TestThetaViews:
         params = MetaNetParams(weights=[w0], biases=[b0])
         assert not np.shares_memory(params.theta, w0)
         assert not np.shares_memory(params.theta, b0)
-        vec = params.to_vector()
-        assert not np.shares_memory(vec, params.theta)
+        vec = params.theta.copy()
         back = MetaNetParams.from_vector(vec, params.dims)
         assert not np.shares_memory(back.theta, vec)
         np.testing.assert_array_equal(back.theta, vec)
@@ -123,7 +121,7 @@ class TestCheckpoint:
         save_checkpoint(path, params, meta={"note": "unit", "seed": 8})
         loaded, meta = load_checkpoint(path)
         assert loaded.dims == params.dims
-        np.testing.assert_array_equal(loaded.to_vector(), params.to_vector())
+        np.testing.assert_array_equal(loaded.theta, params.theta)
         assert meta["note"] == "unit"
         assert meta["seed"] == 8
 
