@@ -411,13 +411,65 @@ class TestUserMajorAdjoint:
 
 class TestMetamorphicCore:
     """Relations that follow from the averaged sum rate reading the
-    channels only through |h_k^H p_s|^2, checked on the core at the bench
-    shapes. Each compares the package with itself on transformed inputs,
-    so it needs no reference that shares the projection or the rate
-    backward; one relative tolerance, ``TOL``, holds throughout."""
+    channels only through |h_k^H p_s|^2 and from its minima and sums not
+    depending on the order of the draws or of a group's users, checked on
+    the core at the bench shapes. Each compares the package with itself on
+    transformed inputs, so it needs no reference that shares the
+    projection or the rate backward; one relative tolerance, ``TOL``, holds
+    throughout."""
 
     SHAPES = ["long-cell-4x4", "ring-16x8", "wide-32x16"]
+    RELATIONS = ["common_unitary", "draw_permutation",
+                 "channel_and_noise_scale", "column_phases",
+                 "user_relabeling"]
     TOL = 1e-13
+
+    @staticmethod
+    def _unitary(n_tx):
+        return np.linalg.qr(gaussian_matrix(RngStream(31), n_tx, n_tx,
+                                            1.0))[0]
+
+    @staticmethod
+    def _phases(lay):
+        return np.exp(1j * RngStream(33).uniform(-np.pi, np.pi,
+                                                 lay.n_streams))
+
+    @staticmethod
+    def _relabeling(lay):
+        """``(users, cols)``: user k of the relabeled scene is user
+        ``users[k]``, of the same group, and precoder column c is column
+        ``cols[c]``, so each private column moves with its user."""
+        rng = np.random.default_rng(34)
+        users = lay.user_rows.copy()
+        for members in lay.member_rows:
+            users[members] = rng.permutation(members)
+        cols = np.arange(lay.n_streams)
+        cols[lay.col_private(0):] = lay.col_private(0) + users
+        return users, cols
+
+    def _transform(self, relation, lay, ens, mat):
+        """The ensemble and the precoder after one relation, and the order
+        of the users: ``users[k]`` is user k's index in the input."""
+        est, h, noise = ens.estimate, ens.realizations, ens.noise_power
+        users = lay.user_rows
+        if relation == "common_unitary":
+            # h -> U h and p -> U p keep every h^H p
+            u = self._unitary(lay.n_tx)
+            est, h, mat = u @ est, u @ h, u @ mat
+        elif relation == "draw_permutation":
+            h = h[np.random.default_rng(32).permutation(len(h))]
+        elif relation == "channel_and_noise_scale":
+            # h -> c h with noise -> c^2 noise keeps every SINR
+            c = 3.7
+            est, h, noise = c * est, c * h, c * c * noise
+        elif relation == "column_phases":
+            # a phase per column keeps every |h^H p|^2
+            mat = mat * self._phases(lay)
+        else:
+            # relabeling a group's users keeps every minimum and sum
+            users, cols = self._relabeling(lay)
+            est, h, mat = est[:, users], h[:, :, users], mat[:, cols]
+        return ChannelEnsemble(est, h, noise), mat, users
 
     @staticmethod
     def _loss_and_grad(mat, ens, lay):
@@ -431,47 +483,91 @@ class TestMetamorphicCore:
         assert abs(loss - loss_w) <= self.TOL * abs(loss_w)
         assert np.max(np.abs(g - g_w)) <= self.TOL * np.max(np.abs(g_w))
 
+    def _assert_same_loss_and_grad(self, shape, relation):
+        lay, ens, mat, _ = _benchmark_shape(shape)
+        ens_t, mat_t, _ = self._transform(relation, lay, ens, mat)
+        self._assert_close(self._loss_and_grad(mat_t, ens_t, lay),
+                           self._loss_and_grad(mat, ens, lay))
+
     @pytest.mark.parametrize("shape", SHAPES)
     def test_common_unitary(self, shape):
-        # h -> U h and p -> U p keep every h^H p; the gradient turns with U
+        # the gradient turns with U
         lay, ens, mat, _ = _benchmark_shape(shape)
-        u, _ = np.linalg.qr(gaussian_matrix(RngStream(31), lay.n_tx,
-                                            lay.n_tx, 1.0))
-        turned = ChannelEnsemble(u @ ens.estimate, u @ ens.realizations,
-                                 ens.noise_power)
+        ens_u, mat_u, _ = self._transform("common_unitary", lay, ens, mat)
         loss, g = self._loss_and_grad(mat, ens, lay)
-        self._assert_close(self._loss_and_grad(u @ mat, turned, lay),
-                           (loss, u @ g))
+        self._assert_close(self._loss_and_grad(mat_u, ens_u, lay),
+                           (loss, self._unitary(lay.n_tx) @ g))
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_draw_permutation(self, shape):
-        lay, ens, mat, _ = _benchmark_shape(shape)
-        perm = np.random.default_rng(32).permutation(len(ens.realizations))
-        shuffled = ChannelEnsemble(ens.estimate, ens.realizations[perm],
-                                   ens.noise_power)
-        self._assert_close(self._loss_and_grad(mat, shuffled, lay),
-                           self._loss_and_grad(mat, ens, lay))
+        self._assert_same_loss_and_grad(shape, "draw_permutation")
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_channel_and_noise_scale(self, shape):
-        # h -> c h with noise -> c^2 noise keeps every SINR
-        lay, ens, mat, _ = _benchmark_shape(shape)
-        c = 3.7
-        scaled = ChannelEnsemble(c * ens.estimate, c * ens.realizations,
-                                 c * c * ens.noise_power)
-        self._assert_close(self._loss_and_grad(mat, scaled, lay),
-                           self._loss_and_grad(mat, ens, lay))
+        self._assert_same_loss_and_grad(shape, "channel_and_noise_scale")
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_column_phases(self, shape):
-        # a phase per column keeps every |h^H p|^2; the gradient's columns
-        # turn with their phases
+        # the gradient's columns turn with their phases
         lay, ens, mat, _ = _benchmark_shape(shape)
-        phases = np.exp(1j * RngStream(33).uniform(-np.pi, np.pi,
-                                                   lay.n_streams))
+        ens_p, mat_p, _ = self._transform("column_phases", lay, ens, mat)
         loss, g = self._loss_and_grad(mat, ens, lay)
-        self._assert_close(self._loss_and_grad(mat * phases, ens, lay),
-                           (loss, g * phases[lay.active_cols]))
+        self._assert_close(self._loss_and_grad(mat_p, ens_p, lay),
+                           (loss, g * self._phases(lay)[lay.active_cols]))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_user_relabeling(self, shape):
+        # the gradient's columns move with the precoder's
+        lay, ens, mat, _ = _benchmark_shape(shape)
+        ens_r, mat_r, _ = self._transform("user_relabeling", lay, ens, mat)
+        loss, g = self._loss_and_grad(mat, ens, lay)
+        full = np.zeros_like(mat)
+        full[:, lay.active_cols] = g
+        _, cols = self._relabeling(lay)
+        self._assert_close(self._loss_and_grad(mat_r, ens_r, lay),
+                           (loss, full[:, cols][:, lay.active_cols]))
+
+    def _assert_same_theta_grad(self, shape, relation):
+        # the network reads the start and its gradient, not the channels,
+        # so both sides score the same candidate; the network gradient
+        # runs grad_wrt_theta's own adjoint
+        lay, ens, mat, p_t = _benchmark_shape(shape)
+        p0 = precoder_to_view(mat, lay)
+        _, g0 = grad_wrt_precoder(p0, ens, lay)
+        params = _random_net(RngStream(35), lay)
+        loss, gt, cand = grad_wrt_theta(params, p0, g0, ens, lay, p_t)
+        ens_t, _, _ = self._transform(relation, lay, ens, mat)
+        loss_t, gt_t, cand_t = grad_wrt_theta(params, p0, g0, ens_t, lay,
+                                              p_t)
+        np.testing.assert_array_equal(cand_t, cand)
+        self._assert_close((loss_t, gt_t), (loss, gt))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_theta_grad_draw_permutation(self, shape):
+        self._assert_same_theta_grad(shape, "draw_permutation")
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_theta_grad_channel_and_noise_scale(self, shape):
+        self._assert_same_theta_grad(shape, "channel_and_noise_scale")
+
+    @pytest.mark.parametrize("relation", RELATIONS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_scored_rates(self, shape, relation):
+        # the held-out scorer (rates.py) and the hard-minimum reader of
+        # the searches keep their rates, each user's moving with the user
+        lay, ens, mat, _ = _benchmark_shape(shape)
+        ens_t, mat_t, users = self._transform(relation, lay, ens, mat)
+        want, got = saf_report(mat, ens, lay), saf_report(mat_t, ens_t, lay)
+        for name in ("avg_per_user_common", "avg_per_user_group",
+                     "avg_per_user_private"):
+            w = getattr(want, name)[users]
+            assert np.max(np.abs(getattr(got, name) - w)) <= \
+                self.TOL * np.max(np.abs(w))
+        assert abs(got.avg_sum_rate - want.avg_sum_rate) <= \
+            self.TOL * want.avg_sum_rate
+        loss = loss_from_view(precoder_to_view(mat, lay), ens, lay)
+        loss_t = loss_from_view(precoder_to_view(mat_t, lay), ens_t, lay)
+        assert abs(loss_t - loss) <= self.TOL * abs(loss)
 
 
 class TestDrawMinorRates:
