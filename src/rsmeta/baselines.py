@@ -14,7 +14,9 @@
   column directions are built once from second-order statistics and the
   channel estimate, and only the power partition across layers is searched
   on a lattice. This is the cheap statistics-only approach for the grouped
-  scenario; it needs no per-realization gradients at all.
+  scenario; it needs no per-realization gradients at all. The directions'
+  gains are reduced once to per-layer sums, so a split costs the same
+  three (n_users, n_draws) products whatever the stream count.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from .adam import AdamState, adam_step
 from .channel import ChannelEnsemble, OneRingModel
-from .gradients import asr_from_powers, grad_wrt_precoder, project_view, \
+from .gradients import asr_from_terms, grad_wrt_precoder, project_view, \
     view_length
 from .layout import StreamLayout
 from .linalg import ProjectionWorkspace, channel_project, herm_eig, \
@@ -36,7 +38,7 @@ from .rates import PrecoderMatrix
 __all__ = ["PowerSplit", "lattice_size", "power_split_grid",
            "run_direct_adam", "FixedDirectionResult", "run_fixed_direction"]
 
-# bytes of split-scaled powers the fixed-direction search scores at once
+# bytes of stacked layer terms the fixed-direction search scores at once
 _CHUNK_BYTES = 1 << 20
 
 # ---------------------------------------------------------------------------
@@ -91,14 +93,15 @@ class PowerSplit:
 def lattice_size(step: float) -> int:
     """Lattice intervals per unit of power, ``1 / step``; raises ValueError
     unless ``step`` is a positive number that divides 1 evenly, into a
-    lattice whose split count an ``np.intp`` can index."""
+    lattice whose (n_splits, 3) float64 column powers numpy can create:
+    no more than ``np.iinfo(np.intp).max`` bytes."""
     inv = 1.0 / step if step > 0 else 0.0
     n = round(inv) if inv < np.inf else 0
     if n < 1 or abs(n * step - 1.0) > 1e-9:
         raise ValueError(f"step must divide 1 evenly, got {step}")
-    if (n + 1) * (n + 2) // 2 > np.iinfo(np.intp).max:
-        raise ValueError(f"step {step} gives more lattice splits than an "
-                         f"array can index")
+    if (n + 1) * (n + 2) // 2 * 3 * 8 > np.iinfo(np.intp).max:
+        raise ValueError(f"step {step} gives a lattice too large for any "
+                         f"array")
     return n
 
 
@@ -131,17 +134,18 @@ class FixedDirectionResult:
 def _lattice_powers(n: int, layout: StreamLayout, p_t: float):
     """The power-split lattice with ``n`` intervals per unit as arrays:
     ``(i, j, w)``, the integer common and group steps of every split in
-    canonical order and the (n_splits, n_streams) per-column powers, each
-    layer's share of the split ``(i / n, j / n)`` divided equally."""
-    i, j = np.indices((n + 1, n + 1)).reshape(2, -1)
-    keep = i + j <= n
-    i, j = i[keep], j[keep]
+    canonical order and the (n_splits, 3) power of each common, group and
+    private column, each layer's share of the split ``(i / n, j / n)``
+    divided equally."""
+    counts = np.arange(n + 1, 0, -1)         # splits per common step
+    i = np.repeat(np.arange(n + 1), counts)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
     common, group = i / n, j / n
     private = np.maximum(0.0, (1.0 - common) - group)
-    w = np.empty((len(i), layout.n_streams))
+    w = np.empty((len(i), 3))
     w[:, 0] = common * p_t
-    w[:, 1:1 + layout.n_groups] = (group * p_t / layout.n_groups)[:, None]
-    w[:, 1 + layout.n_groups:] = (private * p_t / layout.n_users)[:, None]
+    w[:, 1] = group * p_t / layout.n_groups
+    w[:, 2] = private * p_t / layout.n_users
     return i, j, w
 
 
@@ -184,6 +188,21 @@ def _fixed_directions(layout: StreamLayout, est: np.ndarray,
     return dirs
 
 
+def _layer_gains(layout: StreamLayout, ens: ChannelEnsemble,
+                 dirs: np.ndarray):
+    """The unit-direction |h^H p|^2 gains the lattice search scores every
+    split from: ``(own, grp, prv)``, each user's own common, group and
+    private gain stacked (3, n_users, n_draws), and the sums of all group
+    and of all private columns' gains, each (n_users, n_draws). The
+    per-stream gains are freed before the search allocates its terms."""
+    gain = channel_project(ens.realizations, dirs)[0].T
+    own = gain.reshape(-1, gain.shape[-1])[layout.layer_rows]
+    first_prv = 1 + layout.n_groups
+    grp = np.add.reduce(gain[1:first_prv], axis=0)
+    prv = np.add.reduce(gain[first_prv:], axis=0)
+    return own, grp, prv
+
+
 def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
                         model: OneRingModel, p_t: float, step: float = 0.05,
                         rank: int = None) -> FixedDirectionResult:
@@ -191,15 +210,20 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
 
     The directions are built once from the estimate and the group
     correlations (:func:`_fixed_directions`), and their |h^H p|^2 gains are
-    projected once. Every lattice power split, in
-    :func:`power_split_grid`'s order and built as one array of column
-    powers (:func:`_lattice_powers`), then only rescales those gains per
-    column. The splits are scored in
-    chunks of at most 1 MiB of scaled powers, each through one batched
-    call of the shared rate code whose every slice has the bits of a
-    one-split call. The first maximizer in canonical order wins, as in a
-    loop keeping a strictly better split, so a split whose rate is NaN
-    never wins; ``n_evaluated`` is the lattice size.
+    projected once and reduced to three per-layer stacks
+    (:func:`_layer_gains`). Every lattice power split, in
+    :func:`power_split_grid`'s order and built as one array of per-layer
+    column powers ``(w_c, w_g, w_p)`` (:func:`_lattice_powers`), then
+    costs 3 n_users n_draws products whatever the stream count: the
+    numerators are the own gains times those powers, and the common
+    denominator is ``w_g`` times the group gains' sum plus ``w_p`` times
+    the private gains' sum plus the noise. The splits are scored in chunks
+    of at most 1 MiB of stacked layer terms, numerators and denominators,
+    each through one batched call of the shared rate code,
+    :func:`rsmeta.gradients.asr_from_terms`. The first maximizer in
+    canonical order wins, as in a loop keeping a strictly better split, so
+    a split whose rate is NaN never wins; ``n_evaluated`` is the lattice
+    size.
     """
     if layout.mode != "hierarchical":
         raise ValueError("fixed-direction search needs a hierarchical layout")
@@ -207,32 +231,35 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
         raise ValueError("model ring count does not match layout groups")
     t0 = time.perf_counter()
     dirs = _fixed_directions(layout, ens.estimate, model, p_t, rank)
-
-    # unit-direction gains once, one stream-major row per column; a chunk
-    # of splits rescales the rows into one (chunk, n_streams, n_users,
-    # n_draws) array, scored by one batched rate call
-    gain = channel_project(ens.realizations, dirs)[0].T
+    own, grp, prv = _layer_gains(layout, ens, dirs)
     n = lattice_size(step)
     i, j, w = _lattice_powers(n, layout, p_t)
-    chunk = max(1, _CHUNK_BYTES // gain.nbytes)
-    powers = np.empty((min(chunk, len(w)),) + gain.shape)
+
+    # a chunk's numerators and denominators share one buffer, and the
+    # rate code takes its log-rates in place of the SINRs
+    chunk = max(1, _CHUNK_BYTES // (2 * own.nbytes))
+    terms = np.empty((2, min(chunk, len(w))) + own.shape)
     asr = np.empty(len(w))
     for lo in range(0, len(w), chunk):
         w_part = w[lo:lo + chunk, :, None, None]
-        part = powers[:len(w_part)]
-        np.multiply(gain, w_part, out=part)
-        asr[lo:lo + len(w_part)] = asr_from_powers(
-            np.swapaxes(part, -1, -3), layout, ens.noise_power)
+        num, den = terms[:, :len(w_part)]
+        np.multiply(own, w_part, out=num)
+        den_c = den[:, 0]
+        np.multiply(grp, w_part[:, 1], out=den_c)
+        den_c += np.multiply(prv, w_part[:, 2], out=den[:, 1])
+        den_c += ens.noise_power
+        asr[lo:lo + len(w_part)] = asr_from_terms(num, den, layout)
     # the first maximizer in canonical order; a NaN split never wins
     best = int(np.argmax(np.where(np.isnan(asr), -np.inf, asr)))
     if not asr[best] > -np.inf:
         raise ValueError("no lattice split has a rate that is not NaN")
     wall = time.perf_counter() - t0
 
-    mat = dirs * np.sqrt(w[best])[None, :]
+    cols = np.repeat(w[best], (1, layout.n_groups, layout.n_users))
     return FixedDirectionResult(
         best_asr=float(asr[best]),
-        best_precoder=PrecoderMatrix(matrix=mat, layout=layout),
+        best_precoder=PrecoderMatrix(matrix=dirs * np.sqrt(cols)[None, :],
+                                     layout=layout),
         best_split=PowerSplit(common=int(i[best]) / n,
                               group=int(j[best]) / n),
         wall_time_s=wall, n_evaluated=len(w))

@@ -22,10 +22,14 @@ denominator, the layers in decoding order (common, group when
 hierarchical, private), so the forward rates take one ``log1p`` and one
 average over the realizations, and :func:`_asr_and_power_grad` one vjp,
 for all layers; the forward rates also take leading batch axes, the
-backward none. With a :class:`rsmeta.linalg.ProjectionWorkspace` built for
-the ensemble, the gradients fill their arrays in place, bit-identically,
-and return nothing that points into it; both optimizers pass their run's
-workspace on every iteration.
+backward none. Past the numerators and the common denominator, the
+denominator chain and the division (:func:`_layer_sinr`), the averaging
+and the minima are one tail: the fixed-direction search builds those two
+terms from per-layer gain sums and enters it through
+:func:`asr_from_terms`. With a :class:`rsmeta.linalg.ProjectionWorkspace`
+built for the ensemble, the gradients fill their arrays in place,
+bit-identically, and return nothing that points into it; both optimizers
+pass their run's workspace on every iteration.
 
 The view is the memory of the complex (n_tx, n_active) matrix of the
 active columns, read as float64 pairs, so going between the two is no
@@ -51,7 +55,7 @@ from .rates import _LN2
 
 __all__ = ["view_length", "precoder_to_view", "view_to_precoder",
            "loss_from_view", "candidate_view", "project_view",
-           "rates_from_powers", "asr_from_powers",
+           "rates_from_powers", "asr_from_powers", "asr_from_terms",
            "grad_wrt_precoder", "grad_wrt_theta"]
 
 # ---------------------------------------------------------------------------
@@ -155,18 +159,29 @@ def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float,
     else:
         np.add.reduce(pw[..., 1:, :, :], axis=-3, out=den_c)
     den_c += noise
-    for i in range(1, len(rows)):
-        np.subtract(den[..., i - 1, :, :], sinr[..., i, :, :],
+    return _layer_sinr(sinr, den)
+
+
+def _layer_sinr(num: np.ndarray, den: np.ndarray):
+    """``(sinr, den)`` in place of ``(num, den)``, each stacked (...,
+    n_layers, n_users, n_draws): ``num`` each layer's numerators and
+    ``den[..., 0, :, :]`` the common denominator, noise included. Each
+    later layer's denominator is the one before less its own power, and
+    the numerators are divided by them."""
+    for i in range(1, num.shape[-3]):
+        np.subtract(den[..., i - 1, :, :], num[..., i, :, :],
                     out=den[..., i, :, :])
-    sinr /= den
-    return sinr, den
+    num /= den
+    return num, den
 
 
-def _avg_rates(sinr: np.ndarray,
+def _avg_rates(sinr: np.ndarray, log_rate: np.ndarray,
                workspace: ProjectionWorkspace = None) -> np.ndarray:
     """Per-user rates log2(1 + sinr) averaged over the realizations,
-    (..., n_layers, n_users), from the stacked SINRs."""
-    r = np.log1p(sinr, out=_array(workspace, "log_rate", sinr.shape))
+    (..., n_layers, n_users), from the stacked SINRs. The per-draw rates
+    are written into ``log_rate``: ``sinr`` itself on the forward paths,
+    which need no SINR after it, a separate array on the backward's."""
+    r = np.log1p(sinr, out=log_rate)
     r *= 1.0 / _LN2
     avg = np.add.reduce(r, axis=-1,
                         out=_array(workspace, "rates", sinr.shape[:-1]))
@@ -204,9 +219,22 @@ def rates_from_powers(powers: np.ndarray, layout: StreamLayout,
     """Averaged per-user rates (common, group or None, private) from the
     |h^H p|^2 of the active columns, shaped (..., n_draws, n_users,
     n_active) in any memory order; leading axes are a batch."""
-    r = _avg_rates(_layer_terms(powers, layout, noise)[0])
+    sinr, _ = _layer_terms(powers, layout, noise)
+    r = _avg_rates(sinr, sinr)
     grp = r[..., 1, :] if layout.mode == "hierarchical" else None
     return r[..., 0, :], grp, r[..., -1, :]
+
+
+def _asr_of_rates(rates: np.ndarray, layout: StreamLayout):
+    """Averaged sum rate from the stacked averaged per-user rates, (...,
+    n_layers, n_users): the minima and sums in :func:`_sum_rate`'s order,
+    so it gives the training loss's bits."""
+    asr = np.minimum.reduce(rates[..., 0, :], axis=-1) \
+        + np.add.reduce(rates[..., -1, :], axis=-1)
+    if layout.mode == "hierarchical":
+        for members in layout.member_rows:
+            asr = asr + np.minimum.reduce(rates[..., 1, members], axis=-1)
+    return asr
 
 
 def asr_from_powers(powers: np.ndarray, layout: StreamLayout,
@@ -214,14 +242,19 @@ def asr_from_powers(powers: np.ndarray, layout: StreamLayout,
     """Averaged sum rate from the |h^H p|^2 of the active columns, shaped
     (..., n_draws, n_users, n_active) in any memory order; leading axes are
     a batch, and each rate of the result, shaped ``powers.shape[:-3]``, has
-    the bits of a call on its slice alone. It takes the minima and sums in
-    :func:`_sum_rate`'s order, so it gives the training loss's bits."""
-    rc, rg, rp = rates_from_powers(powers, layout, noise)
-    asr = np.minimum.reduce(rc, axis=-1) + np.add.reduce(rp, axis=-1)
-    if rg is not None:
-        for members in layout.member_rows:
-            asr = asr + np.minimum.reduce(rg[..., members], axis=-1)
-    return asr
+    the bits of a call on its slice alone."""
+    sinr, _ = _layer_terms(powers, layout, noise)
+    return _asr_of_rates(_avg_rates(sinr, sinr), layout)
+
+
+def asr_from_terms(num: np.ndarray, den: np.ndarray, layout: StreamLayout):
+    """Averaged sum rate from each layer's numerators and the common
+    denominator, both overwritten: stacked (..., n_layers, n_users,
+    n_draws) as :func:`_layer_sinr` reads them. Leading axes are a batch,
+    and each rate of the result has the bits of a call on its slice alone;
+    past the terms it runs :func:`asr_from_powers`'s arithmetic."""
+    sinr, _ = _layer_sinr(num, den)
+    return _asr_of_rates(_avg_rates(sinr, sinr), layout)
 
 
 def loss_from_view(v: np.ndarray, ens: ChannelEnsemble,
@@ -242,7 +275,9 @@ def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
     ``power_grad`` when there is a workspace.
     """
     sinr, den = _layer_terms(powers, layout, noise, workspace)
-    asr, g_rate = _sum_rate(_avg_rates(sinr, workspace), layout, workspace)
+    log_rate = _array(workspace, "log_rate", sinr.shape)
+    asr, g_rate = _sum_rate(_avg_rates(sinr, log_rate, workspace), layout,
+                            workspace)
     g_rate /= sinr.shape[-1]
     g_rate *= 1.0 / _LN2
     g_num = np.add(1.0, sinr, out=_array(workspace, "log_rate", sinr.shape))

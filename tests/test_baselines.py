@@ -183,6 +183,30 @@ class TestFixedDirection:
         assert res.best_split == power_split_grid(0.05)[np.argmax(rates)]
         assert res.best_asr == pytest.approx(max(rates), rel=1e-13)
 
+    @pytest.mark.parametrize("kind, seed, p_t", [
+        ("ring", 11, 10.0), ("ring", 12, 10.0 ** 2.8),
+        ("uneven", 13, 10.0), ("uneven", 14, 10.0 ** 2.8)])
+    def test_picks_brute_force_saf_split_at_bench_shapes(
+            self, monkeypatch, kind, seed, p_t):
+        # the same check on the benchmark's ring shape and the uneven
+        # layout, whose sums run over 4 group and 8 private columns
+        make = _bench_ring_scene if kind == "ring" else _uneven_scene
+        lay, ens, model, p_t = make(seed, p_t)
+        seen = []
+
+        def spy(h, p, workspace=None):
+            seen.append(p.copy())
+            return channel_project(h, p, workspace)
+
+        monkeypatch.setattr(baselines, "channel_project", spy)
+        res = run_fixed_direction(lay, ens, model, p_t, step=0.1)
+        dirs, = seen
+        grid = power_split_grid(0.1)
+        rates = [saf_report(dirs * np.sqrt(stream_powers(s, lay, p_t)),
+                            ens, lay).avg_sum_rate for s in grid]
+        assert res.best_split == grid[np.argmax(rates)]
+        assert res.best_asr == pytest.approx(max(rates), rel=1e-13)
+
     def test_beats_no_search_split(self):
         # the searched split can never do worse than any single grid point
         lay, ens, model, p_t = _ring_scene(seed=502)
@@ -251,14 +275,16 @@ def _uneven_scene(seed, p_t):
 
 
 def _chunk(lay, ens):
-    """Splits the search scores per batched call on this scene."""
-    gain_bytes = 8 * lay.n_streams * lay.n_users * ens.n_draws
-    return max(1, baselines._CHUNK_BYTES // gain_bytes)
+    """Splits the search scores per batched call on this scene: two
+    arrays of (3, n_users, n_draws) float64 layer terms per split."""
+    split_bytes = 2 * 8 * 3 * lay.n_users * ens.n_draws
+    return max(1, baselines._CHUNK_BYTES // split_bytes)
 
 
 class TestLatticeArrays:
     """The search's array lattice is, row by row and bit for bit,
-    ``fixed_loop.stream_powers`` of ``power_split_grid``'s splits."""
+    ``fixed_loop.stream_powers`` of ``power_split_grid``'s splits: its
+    common, group and private powers are every such column's."""
 
     @pytest.mark.parametrize("layout", [
         StreamLayout.hierarchical(16, 8, 4),
@@ -269,11 +295,12 @@ class TestLatticeArrays:
         n = baselines.lattice_size(step)
         i, j, w = baselines._lattice_powers(n, layout, p_t)
         grid = power_split_grid(step)
-        assert w.shape == (len(grid), layout.n_streams)
+        assert w.shape == (len(grid), 3)
+        layer = np.repeat([0, 1, 2], (1, layout.n_groups, layout.n_users))
         for row, a, b, split in zip(w, i, j, grid):
             assert PowerSplit(common=int(a) / n, group=int(b) / n) == split
             np.testing.assert_array_equal(
-                row, stream_powers(split, layout, p_t))
+                row[layer], stream_powers(split, layout, p_t))
 
 
 class TestBatchedSearchMatchesLoop:
@@ -311,16 +338,16 @@ class TestBatchedSearchMatchesLoop:
         """Let ``poison(asr, lo)`` overwrite the rates of each scored chunk,
         ``lo`` the lattice index of its first split, before the search sees
         them; returns the chunks' rates as the search saw them."""
-        real = baselines.asr_from_powers
+        real = baselines.asr_from_terms
         seen = []
 
-        def batch_asr(powers, layout, noise):
-            asr = real(powers, layout, noise)
+        def batch_asr(num, den, layout):
+            asr = real(num, den, layout)
             poison(asr, sum(map(len, seen)))
             seen.append(asr)
             return asr
 
-        monkeypatch.setattr(baselines, "asr_from_powers", batch_asr)
+        monkeypatch.setattr(baselines, "asr_from_terms", batch_asr)
         return seen
 
     def test_nan_split_never_wins(self, monkeypatch):

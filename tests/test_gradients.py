@@ -4,10 +4,12 @@ import pytest
 from rsmeta.baselines import run_direct_adam
 from rsmeta.channel import (ChannelEnsemble, IidCsitModel, draw_iid_scene,
                             draw_one_ring_scene)
+from rsmeta import gradients
 from rsmeta.gradcheck import (_random_instance, _random_net,
                               finite_diff_check, gradcheck_suite)
 from rsmeta.gradients import (_asr_and_power_grad, _columns, _loss_core,
                               _min_and_weights, asr_from_powers,
+                              asr_from_terms,
                               candidate_view, grad_wrt_precoder,
                               grad_wrt_theta, loss_from_view,
                               precoder_to_view, project_view,
@@ -666,6 +668,33 @@ class TestBatchAxis:
         asr = asr_from_powers(poisoned, lay, noise)
         assert np.isnan(asr[2])
         np.testing.assert_array_equal(np.delete(asr, 2), np.delete(clean, 2))
+
+
+class TestTermsShareTheRateTail:
+    """:func:`asr_from_terms`, the fixed-direction search's entry, runs
+    :func:`asr_from_powers`'s arithmetic past the terms: on the numerators
+    and common denominator that the powers' gather builds, it gives their
+    bits, batched and per slice."""
+
+    @pytest.mark.parametrize("shape", ["ring-16x8", "long-cell-4x4",
+                                       "grouped-8-users"])
+    def test_terms_give_powers_bits(self, shape, monkeypatch):
+        lay, noise, singles, batch = TestBatchAxis._stack(shape)
+        real = gradients._layer_sinr
+        seen = []
+
+        def spy(num, den):
+            seen.append((num.copy(), den.copy()))
+            return real(num, den)
+
+        monkeypatch.setattr(gradients, "_layer_sinr", spy)
+        want = asr_from_powers(batch, lay, noise)
+        monkeypatch.undo()
+        (num, den), = seen
+        for b in range(len(singles)):
+            assert asr_from_terms(num[b].copy(), den[b].copy(), lay) \
+                == want[b]
+        np.testing.assert_array_equal(asr_from_terms(num, den, lay), want)
 
 
 class TestHandThetaMatchesFusedRecording:

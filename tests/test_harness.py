@@ -169,10 +169,12 @@ class TestValidateConfig:
     @pytest.mark.parametrize("key, changes", [
         ("iid.alpha", dict(alpha=-1e300)),
         ("fixed.step", dict(fixed_step=1e-300)),
+        ("fixed.step", dict(fixed_step=1e-9)),
         ("ring.spread", dict(spread=1e-300)),
         ("ring.spread: azimuth 1e+300", dict(azimuths=(1e300, 0.0))),
         ("ring.spread: azimuth 1e+16", dict(azimuths=(1e16, 1e16))),
-    ], ids=["alpha", "step", "spread", "azimuths-1e300", "azimuths-1e16"])
+    ], ids=["alpha", "step", "step-1e-9", "spread", "azimuths-1e300",
+            "azimuths-1e16"])
     def test_boundary_value_named(self, key, changes):
         base = {} if key.startswith("iid.") else dict(
             scenario="one_ring", n_tx=4, n_users=4, n_groups=2,
