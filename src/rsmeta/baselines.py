@@ -181,7 +181,8 @@ def _fixed_directions(layout: StreamLayout, est: np.ndarray,
         for col, k in enumerate(members):
             d = u_r @ m[:, col]
             nrm = np.linalg.norm(d)
-            if nrm < 1e-12:
+            # |d| is |m[:, col]|, and m scales as p_t: no absolute floor
+            if not nrm > 1e-12 * np.linalg.norm(m):
                 raise ValueError(
                     f"zero-forcing direction degenerated for user {k}")
             dirs[:, layout.col_private(k)] = d / nrm
@@ -195,7 +196,7 @@ def _layer_gains(layout: StreamLayout, ens: ChannelEnsemble,
     private gain stacked (3, n_users, n_draws), and the sums of all group
     and of all private columns' gains, each (n_users, n_draws). The
     per-stream gains are freed before the search allocates its terms."""
-    gain = channel_project(ens.realizations, dirs)[0].T
+    gain = channel_project(ens.realizations, dirs)[0]
     own = gain.reshape(-1, gain.shape[-1])[layout.layer_rows]
     first_prv = 1 + layout.n_groups
     grp = np.add.reduce(gain[1:first_prv], axis=0)

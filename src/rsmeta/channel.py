@@ -8,16 +8,10 @@ quality factor independent of SNR.
 
 Both expose the same contract: ``draw`` produces a :class:`ChannelEnsemble`
 holding one channel estimate plus a batch of realizations that are
-statistically consistent with that estimate.
-
-Every ensemble keeps its realizations user-major in memory: the
-(n_draws, n_tx, n_users) stack is the transposed view of a C-ordered
-(n_draws, n_users, n_tx) array, so each user's channel in each draw is a
-contiguous run of antennas. Both models draw straight into such a buffer,
-and an ensemble built from any other array copies it once. The θ-gradient's
-``einsum`` adjoint (:func:`rsmeta.gradients.grad_wrt_theta`) walks its
-operands in memory order, and on this layout it runs nearly twice as fast
-with the same bits.
+statistically consistent with that estimate. Both draw C-ordered stacks,
+and an ensemble keeps the complex arrays it is given: the layouts that the
+projection needs are its workspace's
+(:class:`rsmeta.linalg.ProjectionWorkspace`).
 """
 from __future__ import annotations
 
@@ -49,9 +43,8 @@ class ChannelEnsemble:
     estimate : ndarray, (n_tx, n_users) complex
         Channel estimate at the transmitter; column k is user k.
     realizations : ndarray, (n_draws, n_tx, n_users) complex
-        Channel draws used to average rates over the estimation error,
-        user-major in memory (see the module docstring): an input already
-        laid out so is kept, any other is copied into that layout.
+        Channel draws used to average rates over the estimation error, in
+        any memory layout.
     noise_power : float
         Receiver noise variance, common to all users.
     """
@@ -62,14 +55,12 @@ class ChannelEnsemble:
 
     def __post_init__(self):
         self.estimate = np.asarray(self.estimate, dtype=complex)
-        real = np.asarray(self.realizations, dtype=complex)
+        self.realizations = np.asarray(self.realizations, dtype=complex)
         if self.estimate.ndim != 2:
             raise ValueError(f"estimate must be 2-d, got shape {self.estimate.shape}")
-        if real.ndim != 3:
-            raise ValueError(
-                f"realizations must be 3-d, got shape {real.shape}")
-        self.realizations = np.ascontiguousarray(
-            real.transpose(0, 2, 1)).transpose(0, 2, 1)
+        if self.realizations.ndim != 3:
+            raise ValueError(f"realizations must be 3-d, "
+                             f"got shape {self.realizations.shape}")
         if self.realizations.shape[1:] != self.estimate.shape:
             raise ValueError(
                 f"realization shape {self.realizations.shape[1:]} does not match "
@@ -93,13 +84,6 @@ class ChannelEnsemble:
         return self.realizations.shape[0]
 
 
-def _user_major_stack(n_draws: int, n_tx: int, n_users: int) -> np.ndarray:
-    """An uninitialized complex (n_draws, n_tx, n_users) stack laid out as
-    :class:`ChannelEnsemble` keeps its realizations: the transposed view of
-    a C-ordered (n_draws, n_users, n_tx) array."""
-    return np.empty((n_draws, n_users, n_tx), dtype=complex).transpose(0, 2, 1)
-
-
 # ---------------------------------------------------------------------------
 # i.i.d. partial-CSI model
 # ---------------------------------------------------------------------------
@@ -107,11 +91,11 @@ def _user_major_stack(n_draws: int, n_tx: int, n_users: int) -> np.ndarray:
 def _around(rng: RngStream, estimate: np.ndarray, sig_e2: float,
             n_draws: int, noise_power: float) -> ChannelEnsemble:
     """Realizations ``estimate + e`` with fresh circular Gaussian errors of
-    variance ``sig_e2`` per entry, summed into a user-major stack."""
+    variance ``sig_e2`` per entry."""
     scale = np.sqrt(sig_e2 / 2.0)
     shape = (int(n_draws),) + estimate.shape
-    err = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    real = np.add(estimate, err, out=_user_major_stack(*shape))
+    real = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    real += estimate
     return ChannelEnsemble(estimate=estimate, realizations=real,
                            noise_power=noise_power)
 
@@ -302,8 +286,8 @@ class OneRingModel:
         keep = np.sqrt(1.0 - self.tau2)
         tau = np.sqrt(self.tau2)
         estimate = np.empty((self.n_tx, layout.n_users), dtype=complex)
-        real = _user_major_stack(n_draws, self.n_tx, layout.n_users)
-        real2 = _user_major_stack(n_eval, self.n_tx, layout.n_users)
+        real = np.empty((n_draws, self.n_tx, layout.n_users), dtype=complex)
+        real2 = np.empty((n_eval, self.n_tx, layout.n_users), dtype=complex)
         for k in range(layout.n_users):
             s = self._correlations[layout.group_of[k]][1]
             ghat = gaussian_matrix(rng, self.n_tx, 1, 1.0)[:, 0]

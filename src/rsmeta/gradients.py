@@ -9,7 +9,8 @@ They differ only in the adjoint that takes those pairs to the view:
 * :func:`grad_wrt_precoder`: one real matrix product with the
   projection's channel copy, :func:`rsmeta.linalg._project_back`.
 * :func:`grad_wrt_theta`, at the network's power-projected candidate: an
-  ``einsum`` over the complex channels, then the radial projection
+  ``einsum`` over the projection's complex user-major channel copy,
+  :attr:`rsmeta.linalg.ProjectionWorkspace.hu`, then the radial projection
   ``v * sqrt(P / tr)`` and the ReLU MLP, written into one fresh ``theta``
   through its layer views (:class:`rsmeta.network.MetaNetParams`).
 
@@ -131,16 +132,16 @@ def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float,
                  workspace: ProjectionWorkspace = None):
     """Every layer's SINR and its denominator, ``(sinr, den)``, each
     stacked (..., n_layers, n_users, n_draws), from the |h^H p|^2 of the
-    active columns shaped (..., n_draws, n_users, n_active).
+    active columns, stream-major, (..., n_active, n_users, n_draws).
 
-    The powers are read stream-major, as the last three axes reversed: no
-    copy for :func:`rsmeta.linalg.channel_project`'s, a contiguous one of
-    any other array, with the same bits. The numerators, each user's own
-    power per layer, are one gather (:attr:`StreamLayout.layer_rows`). The
-    common denominator adds the group rows, then the private rows, in
-    column order; each later layer's is the one before less its own power.
+    The powers are read contiguous: no copy for
+    :func:`rsmeta.linalg.channel_project`'s, a contiguous one of any other
+    array, with the same bits. The numerators, each user's own power per
+    layer, are one gather (:attr:`StreamLayout.layer_rows`). The common
+    denominator adds the group rows, then the private rows, in column
+    order; each later layer's is the one before less its own power.
     """
-    pw = np.ascontiguousarray(np.swapaxes(powers, -1, -3))
+    pw = np.ascontiguousarray(powers)
     *batch, n_act, k, m = pw.shape
     rows = layout.layer_rows
     shape = (*batch, *rows.shape, m)
@@ -217,8 +218,9 @@ def _sum_rate(rates: np.ndarray, layout: StreamLayout,
 def rates_from_powers(powers: np.ndarray, layout: StreamLayout,
                       noise: float):
     """Averaged per-user rates (common, group or None, private) from the
-    |h^H p|^2 of the active columns, shaped (..., n_draws, n_users,
-    n_active) in any memory order; leading axes are a batch."""
+    |h^H p|^2 of the active columns, shaped (..., n_active, n_users,
+    n_draws) as :func:`_layer_terms` reads them; leading axes are a
+    batch."""
     sinr, _ = _layer_terms(powers, layout, noise)
     r = _avg_rates(sinr, sinr)
     grp = r[..., 1, :] if layout.mode == "hierarchical" else None
@@ -240,9 +242,9 @@ def _asr_of_rates(rates: np.ndarray, layout: StreamLayout):
 def asr_from_powers(powers: np.ndarray, layout: StreamLayout,
                     noise: float):
     """Averaged sum rate from the |h^H p|^2 of the active columns, shaped
-    (..., n_draws, n_users, n_active) in any memory order; leading axes are
-    a batch, and each rate of the result, shaped ``powers.shape[:-3]``, has
-    the bits of a call on its slice alone."""
+    (..., n_active, n_users, n_draws) as :func:`_layer_terms` reads them;
+    leading axes are a batch, and each rate of the result, shaped
+    ``powers.shape[:-3]``, has the bits of a call on its slice alone."""
     sinr, _ = _layer_terms(powers, layout, noise)
     return _asr_of_rates(_avg_rates(sinr, sinr), layout)
 
@@ -270,9 +272,9 @@ def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
     gradient with respect to those powers: ``(asr, d asr / d powers)``.
 
     One vjp takes every layer's ``mean(log2(1 + num / den))`` back to its
-    stacked numerators and denominators. The gradient is shaped like
-    ``powers``, a view of a stream-major array: the workspace's
-    ``power_grad`` when there is a workspace.
+    stacked numerators and denominators. The gradient is a C-ordered
+    array shaped like ``powers``: the workspace's ``power_grad`` when
+    there is a workspace.
     """
     sinr, den = _layer_terms(powers, layout, noise, workspace)
     log_rate = _array(workspace, "log_rate", sinr.shape)
@@ -293,29 +295,29 @@ def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
     # less that layer's summed denominator term on top
     if layout.mode == "hierarchical":
         g_den[1] += g_den[2]
-    g_pw = _array(workspace, "power_grad", powers.shape[::-1])
+    g_pw = _array(workspace, "power_grad", powers.shape)
     g_pw[0] = g_num[0]
     np.add(g_den[0], g_den[1], out=g_pw[1])
     g_pw[2:] = g_pw[1]
     g_num[1:] -= g_den[1:]
     g_pw.reshape(-1, g_pw.shape[-1])[layout.layer_rows[1:]] += g_num[1:]
-    return asr, g_pw.T
+    return asr, g_pw
 
 
 def _loss_core(v: np.ndarray, ens: ChannelEnsemble, layout: StreamLayout,
                workspace: ProjectionWorkspace):
-    """``(loss, dz, hr)``: the loss at the view ``v``, its gradient for the
-    projection's pairs ``z``, written over them, and the channel copy
-    ``hr``; both arrays live in the workspace."""
-    powers, z, hr = channel_project(ens.realizations, _columns(v, layout),
+    """``(loss, dz, ws)``: the loss at the view ``v``, its gradient for the
+    projection's pairs ``z``, written over them, and the workspace ``ws``
+    that the projection, the rate backward and ``dz`` live in: the given
+    one or a throwaway one."""
+    powers, z, ws = channel_project(ens.realizations, _columns(v, layout),
                                     workspace)
-    asr, g_pow = _asr_and_power_grad(powers, layout, ens.noise_power,
-                                     workspace)
+    asr, g_pow = _asr_and_power_grad(powers, layout, ens.noise_power, ws)
     # the loss is -asr and d|z|^2 = 2 (Re z dRe z + Im z dIm z); in place,
     # as fresh arrays of this size cost more in page faults than arithmetic
     g_pow *= -2.0
-    z *= g_pow.T
-    return -asr, z, hr
+    z *= g_pow
+    return -asr, z, ws
 
 
 def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
@@ -329,8 +331,8 @@ def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
     view. ``grad`` is fresh, with or without a ``workspace`` built for
     ``ens.realizations``.
     """
-    loss, dz, hr = _loss_core(_view_in(p, layout), ens, layout, workspace)
-    return loss, _project_back(dz, hr)
+    loss, dz, ws = _loss_core(_view_in(p, layout), ens, layout, workspace)
+    return loss, _project_back(dz, ws.hr)
 
 
 def candidate_view(params: MetaNetParams, p0_view: np.ndarray,
@@ -362,15 +364,13 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
     raw = np.asarray(_view_in(p0, layout), dtype=float) + acts[-1]
     cand, tr, scale = _radial(raw, p_t)
 
-    loss, dz, _ = _loss_core(cand, ens, layout, workspace)
-    # the adjoint is an einsum over h of dz made complex and user-major in
-    # the memory of the powers, which are dead by now; it is not
-    # grad_wrt_precoder's product with hr: the two differ in their last bits.
-    # The einsum walks both operands in memory order, and the ensemble keeps
-    # h user-major too, which runs it nearly twice as fast as a C-ordered h
-    # with the same bits (tests/test_gradients.py::TestUserMajorAdjoint)
-    w = _user_major(dz, _array(workspace, "powers", dz.shape))
-    g = _view(np.einsum("mik,mks->is", ens.realizations, w))
+    loss, dz, ws = _loss_core(cand, ens, layout, workspace)
+    # the adjoint is an einsum over the workspace's user-major h, ws.hu, of
+    # dz made complex and user-major in the memory of the powers, which are
+    # dead by now; it is not grad_wrt_precoder's product with hr: the two
+    # differ in their last bits
+    w = _user_major(dz, ws.array("powers", dz.shape))
+    g = _view(np.einsum("mik,mks->is", ws.hu, w))
 
     if scale is not None:
         # cand = raw * sqrt(p_t / tr) with tr = raw . raw

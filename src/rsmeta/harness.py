@@ -176,6 +176,12 @@ def validate_config(cfg: ExperimentConfig):
     if cfg.scenario not in ("iid", "one_ring"):
         raise ValueError(f"scenario must be 'iid' or 'one_ring', "
                          f"got {cfg.scenario!r}")
+    # a config file's true, yes or on reads as a bool, which numbers accept
+    for key, name in KEYMAP.items():
+        value = getattr(cfg, name)
+        if key != "eval.redraw" and any(isinstance(v, bool) for v in (
+                value if isinstance(value, tuple) else (value,))):
+            raise ValueError(f"{key} takes no true or false, got {value!r}")
     for key in _COUNT_KEYS:
         value = getattr(cfg, KEYMAP[key])
         _require(_is_int(value) and value >= 1, key, value, "an integer >= 1")

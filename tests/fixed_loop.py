@@ -35,7 +35,7 @@ def loop_fixed_direction(layout, ens, model, p_t, step=0.05, rank=None):
     """``(best_asr, best_split, best_matrix, n_evaluated)`` of the
     per-split search, on the directions the library builds."""
     dirs = _fixed_directions(layout, ens.estimate, model, p_t, rank)
-    gain = channel_project(ens.realizations, dirs)[0].T
+    gain = channel_project(ens.realizations, dirs)[0]
     groups = [gain[layout.col_group(g)] for g in range(layout.n_groups)]
     privates = [gain[layout.col_private(k)] for k in range(layout.n_users)]
     users = range(layout.n_users)

@@ -168,16 +168,17 @@ def csq_project(pre: Var, pim: Var, h: np.ndarray,
     reads then live in the workspace: run :func:`backward` before the next
     projection on it.
     """
-    val, z, _ = channel_project(h, pre.value + 1j * pim.value, workspace)
+    val, z, ws = channel_project(h, pre.value + 1j * pim.value, workspace)
 
     def vjp(g):
-        # the einsum's summation order follows its operand's memory, so
-        # the operand is built user-major as the package builds it
+        # the einsum's summation order follows its operands' memory, so
+        # they are laid out user-major as the package lays them out
         w = _user_major(z * (2.0 * g).T)
-        v = np.einsum("mik,mks->is", h, w)
+        v = np.einsum("mik,mks->is", ws.hu, w)
         return v.real, v.imag
 
-    return Var(val, (pre, pim), vjp)
+    # the projection's stream-major powers, read as (m, k, s)
+    return Var(val.T, (pre, pim), vjp)
 
 
 # -- reductions -------------------------------------------------------
@@ -339,9 +340,10 @@ def _rate_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
     before the next projection on that workspace.
     """
     powers = csq_project(pre, pim, ens.realizations, workspace)
-    asr, g_pow = _asr_and_power_grad(powers.value, layout, ens.noise_power,
-                                     workspace)
-    return Var(-asr, (powers,), lambda g: (-g * g_pow,))
+    # the rate backward reads and returns them stream-major
+    asr, g_pow = _asr_and_power_grad(powers.value.T, layout,
+                                     ens.noise_power, workspace)
+    return Var(-asr, (powers,), lambda g: (-g * g_pow.T,))
 
 
 def _tape_loss(pre: Var, pim: Var, ens: ChannelEnsemble,

@@ -3,13 +3,14 @@ import pytest
 
 from rsmeta.adam import AdamState, adam_step
 from rsmeta import baselines
-from rsmeta.baselines import (PowerSplit, power_split_grid, run_direct_adam,
+from rsmeta.baselines import (PowerSplit, _fixed_directions,
+                              power_split_grid, run_direct_adam,
                               run_fixed_direction)
 from rsmeta.channel import IidCsitModel, OneRingModel
 from rsmeta.gradients import (grad_wrt_precoder, precoder_to_view,
                               project_view, view_to_precoder)
 from rsmeta.layout import StreamLayout
-from rsmeta.linalg import RngStream, channel_project
+from rsmeta.linalg import RngStream, channel_project, herm_eig
 from rsmeta.metaopt import init_precoder
 from rsmeta.rates import saf_report
 
@@ -239,6 +240,32 @@ class TestFixedDirection:
         lay, ens, model, p_t = _ring_scene(seed=505)
         res = run_fixed_direction(lay, ens, model, p_t, step=0.2, rank=1)
         assert np.isfinite(res.best_asr)
+
+    def test_directions_scale_free_in_power(self):
+        # the zero-forcing columns shrink with the power, down to norms
+        # near 1e-31 at 1e-30; each normalized column keeps its direction
+        lay = StreamLayout.hierarchical(8, 4, 2)
+        model = OneRingModel(n_tx=8, azimuths=(-0.5, 0.5), spread=np.pi / 6)
+        est = model.draw(RngStream(508), lay, 1).estimate
+        tiny = _fixed_directions(lay, est, model, 1e-30)
+        np.testing.assert_allclose(np.linalg.norm(tiny, axis=0), 1.0,
+                                   rtol=1e-12)
+        big = _fixed_directions(lay, est, model, 1e-3)
+        assert np.max(np.abs(tiny - big)) < 1e-2
+
+    def test_user_outside_rank_rejected(self):
+        # user 0's estimate lies in the span of its group's eigenvectors
+        # beyond the top ``rank``, so its zero-forcing column vanishes up
+        # to rounding next to the other users' at any power that the
+        # regularization does not leave to rounding too
+        lay = StreamLayout.hierarchical(8, 4, 2)
+        model = OneRingModel(n_tx=8, azimuths=(-0.5, 0.5), spread=np.pi / 6)
+        est = model.draw(RngStream(509), lay, 1).estimate
+        vecs = herm_eig(model.correlation(lay.group_of[0]))[1]
+        est[:, 0] = vecs[:, 2:] @ np.arange(1.0, 7.0)
+        for p_t in (1e-30, 1.0, 10.0):
+            with pytest.raises(ValueError, match="degenerated for user 0"):
+                _fixed_directions(lay, est, model, p_t, rank=2)
 
     def test_one_layer_rejected(self):
         lay, ens, p_t = _iid_scene(seed=506)

@@ -19,7 +19,7 @@ from rsmeta.layout import StreamLayout
 from rsmeta.linalg import (ProjectionWorkspace, RngStream, _user_major,
                            channel_project, gaussian_matrix)
 from rsmeta.metaopt import MetaOptConfig, init_precoder, run_meta_opt
-from rsmeta.network import init_meta_net, mlp_forward
+from rsmeta.network import MetaNetParams, init_meta_net, mlp_forward
 from rsmeta.rates import PrecoderMatrix, saf_report
 from tape import Var, _rate_loss, _tape_loss, _theta_grad, backward
 
@@ -268,7 +268,7 @@ class TestProjectionWorkspace:
             assert asr == asr_w
             np.testing.assert_array_equal(g, g_w)
             assert np.shares_memory(g_w, ws.array("power_grad",
-                                                  g_w.T.shape))
+                                                  g_w.shape))
 
     @pytest.mark.parametrize("run", ["direct", "meta"])
     def test_runs_allocate_each_array_once(self, monkeypatch, run):
@@ -393,22 +393,39 @@ def _benchmark_shape(name):
 
 
 class TestUserMajorAdjoint:
-    """grad_wrt_theta's einsum adjoint reads the realizations user-major,
-    as every ensemble keeps them; on each shipped shape it has the bits of
-    the same einsum on a C-ordered copy of the channels."""
+    """grad_wrt_theta's einsum adjoint reads the workspace's user-major
+    channel copy, ``hu``; on each shipped shape it has the bits of the same
+    einsum on the C-ordered channels that the models draw."""
 
     @pytest.mark.parametrize("shape", ["ring-16x8", "long-cell-4x4",
                                        "one-layer-8-users",
                                        "grouped-8-users"])
     def test_matches_c_ordered_channels(self, shape):
         lay, ens, mat, _ = _benchmark_shape(shape)
-        _, dz, _ = _loss_core(precoder_to_view(mat, lay), ens, lay, None)
+        _, dz, ws = _loss_core(precoder_to_view(mat, lay), ens, lay, None)
         w = _user_major(dz)
         h = ens.realizations
-        assert h.transpose(0, 2, 1).flags.c_contiguous
+        assert h.flags.c_contiguous
+        assert ws.hu.transpose(0, 2, 1).flags.c_contiguous
+        np.testing.assert_array_equal(ws.hu, h)
         np.testing.assert_array_equal(
-            np.einsum("mik,mks->is", h, w),
-            np.einsum("mik,mks->is", np.ascontiguousarray(h), w))
+            np.einsum("mik,mks->is", ws.hu, w),
+            np.einsum("mik,mks->is", h, w))
+
+    def test_built_once_and_only_for_the_network_gradient(self):
+        lay, ens, mat, p_t = _benchmark_shape("grouped-8-users")
+        ws = ProjectionWorkspace(ens.realizations)
+        p0 = precoder_to_view(mat, lay)
+        _, g0 = grad_wrt_precoder(p0, ens, lay, workspace=ws)
+        assert "hu" not in vars(ws)
+        params = _random_net(RngStream(36), lay)
+        grad_wrt_theta(params, p0, g0, ens, lay, p_t, workspace=ws)
+        hu = ws.hu
+        grad_wrt_theta(params, p0, g0, ens, lay, p_t, workspace=ws)
+        assert ws.hu is hu
+        # a stack already laid out user-major is read where it is
+        stack = np.ascontiguousarray(hu.transpose(0, 2, 1)).transpose(0, 2, 1)
+        assert np.shares_memory(ProjectionWorkspace(stack).hu, stack)
 
 
 class TestMetamorphicCore:
@@ -552,6 +569,24 @@ class TestMetamorphicCore:
     def test_theta_grad_channel_and_noise_scale(self, shape):
         self._assert_same_theta_grad(shape, "channel_and_noise_scale")
 
+    @pytest.mark.parametrize("shape", SHAPES + ["one-layer-8-users",
+                                                "grouped-8-users"])
+    def test_output_bias_gradient_is_precoder_gradient(self, shape):
+        # init_meta_net's zero output layer proposes no update, so the
+        # candidate is the start, inside the budget, and the radial
+        # projection passes the gradient through: the output bias gets
+        # the precoder gradient at the candidate, by the einsum adjoint
+        # where grad_wrt_precoder takes the product with hr
+        lay, ens, mat, p_t = _benchmark_shape(shape)
+        p0 = precoder_to_view(mat, lay)
+        _, g0 = grad_wrt_precoder(p0, ens, lay)
+        params = init_meta_net(RngStream(37), view_length(lay))
+        loss, gt, cand = grad_wrt_theta(params, p0, g0, ens, lay, p_t)
+        np.testing.assert_array_equal(cand, p0)
+        bias = MetaNetParams.from_vector(gt, params.dims).biases[-1]
+        self._assert_close((loss, bias),
+                           grad_wrt_precoder(cand, ens, lay))
+
     @pytest.mark.parametrize("relation", RELATIONS)
     @pytest.mark.parametrize("shape", SHAPES)
     def test_scored_rates(self, shape, relation):
@@ -605,16 +640,21 @@ class TestDrawMinorRates:
             assert rg is None
 
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_c_ordered_powers_give_same_bits(self, shape):
+    def test_strided_powers_give_same_bits(self, shape):
+        # a non-contiguous stream-major copy is read through a contiguous
+        # one, with the bits of the projection's own powers
         lay, ens, _, powers = self._powers(shape)
-        assert powers.T.flags.c_contiguous
-        c_ordered = np.ascontiguousarray(powers)
+        assert powers.flags.c_contiguous
+        strided = np.empty(powers.shape[:-1] + (2 * powers.shape[-1],))
+        strided = strided[..., ::2]
+        strided[...] = powers
+        assert not strided.flags.c_contiguous
         asr, g = _asr_and_power_grad(powers, lay, ens.noise_power)
-        asr_c, g_c = _asr_and_power_grad(c_ordered, lay, ens.noise_power)
-        assert asr == asr_c
-        np.testing.assert_array_equal(g, g_c)
+        asr_s, g_s = _asr_and_power_grad(strided, lay, ens.noise_power)
+        assert asr == asr_s
+        np.testing.assert_array_equal(g, g_s)
         for a, b in zip(rates_from_powers(powers, lay, ens.noise_power),
-                        rates_from_powers(c_ordered, lay, ens.noise_power)):
+                        rates_from_powers(strided, lay, ens.noise_power)):
             np.testing.assert_array_equal(a, b)
 
 
@@ -626,8 +666,7 @@ class TestBatchAxis:
     @staticmethod
     def _stack(shape, n=6):
         """The layout, the noise, the unbatched powers of ``n`` precoders,
-        and the same powers stacked stream-major, (n, n_active, n_users,
-        n_draws), read as (n, n_draws, n_users, n_active)."""
+        and the same powers stacked, (n, n_active, n_users, n_draws)."""
         lay, ens, mat, _ = _benchmark_shape(shape)
         rng = RngStream(77)
         singles = []
@@ -635,8 +674,7 @@ class TestBatchAxis:
             scale = rng.uniform(0.2, 1.5, lay.n_streams)
             cols = (mat * np.sqrt(scale))[:, lay.active_cols]
             singles.append(channel_project(ens.realizations, cols)[0])
-        stack = np.stack([p.T for p in singles])
-        return lay, ens.noise_power, singles, np.swapaxes(stack, -1, -3)
+        return lay, ens.noise_power, singles, np.stack(singles)
 
     @pytest.mark.parametrize("shape", ["ring-16x8", "long-cell-4x4",
                                        "grouped-8-users"])

@@ -173,8 +173,14 @@ class TestValidateConfig:
         ("ring.spread", dict(spread=1e-300)),
         ("ring.spread: azimuth 1e+300", dict(azimuths=(1e300, 0.0))),
         ("ring.spread: azimuth 1e+16", dict(azimuths=(1e16, 1e16))),
+        # a config file's true, yes or on, read as 1, and false, no or off
+        ("fixed.step", dict(fixed_step=True)),
+        ("ring.tau2", dict(tau2=True)),
+        ("meta.splits", dict(meta_splits=(True, False, False))),
+        ("iid.error_power", dict(error_power=False)),
     ], ids=["alpha", "step", "step-1e-9", "spread", "azimuths-1e300",
-            "azimuths-1e16"])
+            "azimuths-1e16", "step-bool", "tau2-bool", "splits-bool",
+            "error-power-bool"])
     def test_boundary_value_named(self, key, changes):
         base = {} if key.startswith("iid.") else dict(
             scenario="one_ring", n_tx=4, n_users=4, n_groups=2,
@@ -330,6 +336,17 @@ class TestRunSweep:
             assert c.q_common + c.q_group + c.q_private == pytest.approx(
                 1.0, abs=1e-12)
             assert c.start_asr is None
+
+    def test_one_ring_at_vanishing_power(self):
+        # at -300 dB the zero-forcing columns have norms near 1e-31, which
+        # an absolute floor on their norms would take for degenerate ones
+        cfg = _ring_config(n_tx=8, n_users=4, snr_db=(10.0, -300.0),
+                           methods=("meta", "direct", "fixed"),
+                           direct_iters=3, meta_iters=3)
+        validate_config(cfg)
+        res = run_sweep(cfg)
+        assert len(res.cells) == 2 * 2 * 3
+        assert all(np.isfinite(c.asr) for c in res.cells)
 
     def test_q_reports_power_the_best_precoder_spends(self, monkeypatch):
         runs = {"meta": [], "direct": []}

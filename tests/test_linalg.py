@@ -204,8 +204,8 @@ class TestChannelProject:
             ref_z = np.einsum("mik,is->mks", h.conj(), p)
             ref = np.abs(ref_z) ** 2
             powers, z, _ = channel_project(h, p)
-            assert powers.shape == ref.shape and powers.T.flags.c_contiguous
-            np.testing.assert_allclose(powers, ref, rtol=1e-13,
+            assert powers.T.shape == ref.shape and powers.flags.c_contiguous
+            np.testing.assert_allclose(powers.T, ref, rtol=1e-13,
                                        atol=1e-13 * np.max(ref))
             got_z = (z[0] + 1j * z[1]).T
             np.testing.assert_allclose(got_z, ref_z, rtol=1e-13,
@@ -216,4 +216,4 @@ class TestChannelProject:
         ws = ProjectionWorkspace(h)
         assert ws.hr.dtype == np.float64 and ws.hr.nbytes == h.nbytes
         assert not np.shares_memory(ws.hr, h)
-        assert channel_project(h, mats[0], ws)[2] is ws.hr
+        assert channel_project(h, mats[0], ws)[2] is ws
