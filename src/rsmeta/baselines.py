@@ -15,8 +15,9 @@
   channel estimate, and only the power partition across layers is searched
   on a lattice. This is the cheap statistics-only approach for the grouped
   scenario; it needs no per-realization gradients at all. The directions'
-  gains are reduced once to per-layer sums, so a split costs the same
-  three (n_users, n_draws) products whatever the stream count.
+  gains are reduced once to per-layer sums by the rate core's own gather,
+  so a split costs the same three (n_users, n_draws) products whatever
+  the stream count, and past its terms it runs the rate core's tail.
 """
 from __future__ import annotations
 
@@ -27,8 +28,8 @@ import numpy as np
 
 from .adam import AdamState, adam_step
 from .channel import ChannelEnsemble, OneRingModel
-from .gradients import asr_from_terms, grad_wrt_precoder, project_view, \
-    view_length
+from .gradients import _layer_terms, asr_from_terms, grad_wrt_precoder, \
+    project_view, view_length
 from .layout import StreamLayout
 from .linalg import ProjectionWorkspace, channel_project, herm_eig, \
     svd_dominant
@@ -179,29 +180,14 @@ def _fixed_directions(layout: StreamLayout, est: np.ndarray,
         f = u_r.conj().T @ est[:, members]         # (r, |members|)
         m = np.linalg.solve(f @ f.conj().T + reg * np.eye(rank), f)
         for col, k in enumerate(members):
-            d = u_r @ m[:, col]
-            nrm = np.linalg.norm(d)
-            # |d| is |m[:, col]|, and m scales as p_t: no absolute floor
-            if not nrm > 1e-12 * np.linalg.norm(m):
+            # a compressed estimate at rounding level next to f's is noise,
+            # which the solve scales up with p_t: test f's column, not m's
+            if not np.linalg.norm(f[:, col]) > 1e-12 * np.linalg.norm(f):
                 raise ValueError(
                     f"zero-forcing direction degenerated for user {k}")
-            dirs[:, layout.col_private(k)] = d / nrm
+            d = u_r @ m[:, col]
+            dirs[:, layout.col_private(k)] = d / np.linalg.norm(d)
     return dirs
-
-
-def _layer_gains(layout: StreamLayout, ens: ChannelEnsemble,
-                 dirs: np.ndarray):
-    """The unit-direction |h^H p|^2 gains the lattice search scores every
-    split from: ``(own, grp, prv)``, each user's own common, group and
-    private gain stacked (3, n_users, n_draws), and the sums of all group
-    and of all private columns' gains, each (n_users, n_draws). The
-    per-stream gains are freed before the search allocates its terms."""
-    gain = channel_project(ens.realizations, dirs)[0]
-    own = gain.reshape(-1, gain.shape[-1])[layout.layer_rows]
-    first_prv = 1 + layout.n_groups
-    grp = np.add.reduce(gain[1:first_prv], axis=0)
-    prv = np.add.reduce(gain[first_prv:], axis=0)
-    return own, grp, prv
 
 
 def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
@@ -211,8 +197,10 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
 
     The directions are built once from the estimate and the group
     correlations (:func:`_fixed_directions`), and their |h^H p|^2 gains are
-    projected once and reduced to three per-layer stacks
-    (:func:`_layer_gains`). Every lattice power split, in
+    projected once and reduced by the rate code's own gather and sums,
+    :func:`rsmeta.gradients._layer_terms` at zero noise: each user's own
+    common, group and private gain, and the sums of all group and of all
+    private columns' gains. Every lattice power split, in
     :func:`power_split_grid`'s order and built as one array of per-layer
     column powers ``(w_c, w_g, w_p)`` (:func:`_lattice_powers`), then
     costs 3 n_users n_draws products whatever the stream count: the
@@ -232,7 +220,11 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
         raise ValueError("model ring count does not match layout groups")
     t0 = time.perf_counter()
     dirs = _fixed_directions(layout, ens.estimate, model, p_t, rank)
-    own, grp, prv = _layer_gains(layout, ens, dirs)
+    # the group and private gain sums sit in the denominator's group and
+    # private slots; the per-stream gains are freed before the search
+    # allocates its terms
+    own, (_, grp, prv) = _layer_terms(
+        channel_project(ens.realizations, dirs)[0], layout, 0.0)
     n = lattice_size(step)
     i, j, w = _lattice_powers(n, layout, p_t)
 

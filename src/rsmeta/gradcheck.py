@@ -6,19 +6,22 @@ small random instances for both :func:`rsmeta.gradients.grad_wrt_precoder`
 and :func:`rsmeta.gradients.grad_wrt_theta`, against central differences of
 the plain evaluation path :func:`rsmeta.gradients.loss_from_view`, with
 instance guards against minimum ties and the projection branch boundary,
-the two kinds of kink in the objective. ``rsmeta gradcheck`` runs the
-suite from the command line. Its gate, criterion 1, is module constants
-that no caller can loosen: :data:`PRECODER_TOL`, :data:`THETA_TOL`, their
-difference steps and :data:`MAX_TRIES`.
+the two kinds of kink in the objective. The tie guard reads the averaged
+rates of the rate core's own tail, the arithmetic the loss runs.
+``rsmeta gradcheck`` runs the suite from the command line. Its gate,
+criterion 1, is module constants that no caller can loosen:
+:data:`PRECODER_TOL`, :data:`THETA_TOL`, their difference steps and
+:data:`MAX_TRIES`.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .channel import IidCsitModel
-from .gradients import (_columns, _radial, candidate_view, grad_wrt_precoder,
+from .gradients import (_avg_rates, _columns, _layer_sinr, _layer_terms,
+                        _radial, candidate_view, grad_wrt_precoder,
                         grad_wrt_theta, loss_from_view, precoder_to_view,
-                        rates_from_powers, view_length)
+                        view_length)
 from .layout import StreamLayout
 from .linalg import RngStream, channel_project, gaussian_matrix
 from .network import MetaNetParams, init_meta_net, mlp_forward
@@ -74,10 +77,15 @@ def _min_gap(x: np.ndarray) -> float:
 
 
 def _tie_gaps_ok(v, ens, layout) -> bool:
+    """Whether every hard minimum of the loss at ``v``, the common one and
+    each group's, leaves at least :data:`TIE_GAP` between its two lowest
+    averaged rates, read from the rate core's own stacked rates."""
     powers, _, _ = channel_project(ens.realizations, _columns(v, layout))
-    rc, rg, _ = rates_from_powers(powers, layout, ens.noise_power)
-    groups = [] if rg is None else [rg[m] for m in layout.member_rows]
-    return not any(_min_gap(x) < TIE_GAP for x in [rc, *groups])
+    sinr, _ = _layer_sinr(*_layer_terms(powers, layout, ens.noise_power))
+    rates = _avg_rates(sinr, sinr)
+    groups = [rates[1, m] for m in layout.member_rows] \
+        if layout.mode == "hierarchical" else []
+    return not any(_min_gap(x) < TIE_GAP for x in [rates[0], *groups])
 
 
 def _random_instance(rng: RngStream, hierarchical: bool):

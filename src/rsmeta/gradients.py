@@ -18,16 +18,20 @@ Every path, the plain loss included, gets |h^H p|^2 from that projection
 and runs one layered-rate arithmetic, so equal precoders give bit-equal
 losses. The objective is the paper's averaged sum rate, whose common and
 group rates are hard minima; their gradient is the lowest minimizing
-user's one-hot. :func:`_layer_terms` stacks every layer's SINR and
-denominator, the layers in decoding order (common, group when
-hierarchical, private), so the forward rates take one ``log1p`` and one
-average over the realizations, and :func:`_asr_and_power_grad` one vjp,
-for all layers; the forward rates also take leading batch axes, the
-backward none. Past the numerators and the common denominator, the
-denominator chain and the division (:func:`_layer_sinr`), the averaging
-and the minima are one tail: the fixed-direction search builds those two
-terms from per-layer gain sums and enters it through
-:func:`asr_from_terms`. With a :class:`rsmeta.linalg.ProjectionWorkspace`
+user's one-hot (:func:`_rate_weights`). :func:`_layer_terms` gathers
+every layer's numerators and adds up the common denominator, each stacked
+with the layers in decoding order (common, group when hierarchical,
+private). Every reader then runs one tail: the denominator chain and the
+division (:func:`_layer_sinr`), one ``log1p`` and one average over the
+realizations for all layers (:func:`_avg_rates`), and the minima and sums
+(:func:`_asr_of_rates`), which give the training loss, the plain loss and
+the search's scores the same bits; :func:`_asr_and_power_grad` takes the
+whole stack back in one vjp. The forward rates also take leading batch
+axes, the backward none. The fixed-direction search takes its unit
+directions' gains from :func:`_layer_terms` at zero noise, scales them
+per split and enters the tail through :func:`asr_from_terms`, and
+:mod:`rsmeta.gradcheck`'s tie guard reads the tail's stacked averaged
+rates. With a :class:`rsmeta.linalg.ProjectionWorkspace`
 built for the ensemble, the gradients fill their arrays in place,
 bit-identically, and return nothing that points into it; both optimizers
 pass their run's workspace on every iteration.
@@ -56,7 +60,7 @@ from .rates import _LN2
 
 __all__ = ["view_length", "precoder_to_view", "view_to_precoder",
            "loss_from_view", "candidate_view", "project_view",
-           "rates_from_powers", "asr_from_powers", "asr_from_terms",
+           "asr_from_powers", "asr_from_terms",
            "grad_wrt_precoder", "grad_wrt_theta"]
 
 # ---------------------------------------------------------------------------
@@ -130,16 +134,19 @@ def _array(workspace: ProjectionWorkspace, key: str,
 
 def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float,
                  workspace: ProjectionWorkspace = None):
-    """Every layer's SINR and its denominator, ``(sinr, den)``, each
-    stacked (..., n_layers, n_users, n_draws), from the |h^H p|^2 of the
-    active columns, stream-major, (..., n_active, n_users, n_draws).
+    """Every layer's numerators and the common denominator, ``(num,
+    den)``, each stacked (..., n_layers, n_users, n_draws), from the
+    |h^H p|^2 of the active columns, stream-major, (..., n_active,
+    n_users, n_draws).
 
     The powers are read contiguous: no copy for
     :func:`rsmeta.linalg.channel_project`'s, a contiguous one of any other
     array, with the same bits. The numerators, each user's own power per
     layer, are one gather (:attr:`StreamLayout.layer_rows`). The common
     denominator adds the group rows, then the private rows, in column
-    order; each later layer's is the one before less its own power.
+    order, plus the noise; in hierarchical mode the two sums stay in
+    ``den``'s group and private slots until :func:`_layer_sinr` writes
+    those layers' denominators over them.
     """
     pw = np.ascontiguousarray(powers)
     *batch, n_act, k, m = pw.shape
@@ -147,20 +154,21 @@ def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float,
     shape = (*batch, *rows.shape, m)
     # mode="clip" (the rows are in range) writes straight into ``out``;
     # the default mode would fill a buffer and copy it
-    sinr = np.take(pw.reshape(*batch, n_act * k, m), rows, axis=-2,
-                   out=_array(workspace, "sinr", shape), mode="clip")
+    num = np.take(pw.reshape(*batch, n_act * k, m), rows, axis=-2,
+                  out=_array(workspace, "sinr", shape), mode="clip")
     den = _array(workspace, "den", shape)
     den_c = den[..., 0, :, :]
     if layout.mode == "hierarchical":
-        # the private rows' sum passes through the private slot
         first_prv = n_act - k
-        np.add.reduce(pw[..., 1:first_prv, :, :], axis=-3, out=den_c)
-        den_c += np.add.reduce(pw[..., first_prv:, :, :], axis=-3,
-                               out=den[..., 2, :, :])
+        grp = np.add.reduce(pw[..., 1:first_prv, :, :], axis=-3,
+                            out=den[..., 1, :, :])
+        prv = np.add.reduce(pw[..., first_prv:, :, :], axis=-3,
+                            out=den[..., 2, :, :])
+        np.add(grp, prv, out=den_c)
     else:
         np.add.reduce(pw[..., 1:, :, :], axis=-3, out=den_c)
     den_c += noise
-    return _layer_sinr(sinr, den)
+    return num, den
 
 
 def _layer_sinr(num: np.ndarray, den: np.ndarray):
@@ -190,47 +198,11 @@ def _avg_rates(sinr: np.ndarray, log_rate: np.ndarray,
     return avg
 
 
-def _min_and_weights(x: np.ndarray):
-    """Minimum of ``x`` and its subgradient, a one-hot on the lowest
-    minimizing index."""
-    i = x.argmin()
-    w = np.zeros(x.shape)
-    w[i] = 1.0
-    return x[i], w
-
-
-def _sum_rate(rates: np.ndarray, layout: StreamLayout,
-              workspace: ProjectionWorkspace = None):
-    """Averaged sum rate from the stacked averaged per-user rates, and its
-    gradient weights stacked the same way, (n_layers, n_users): the
-    minima's on the common and group rows, one on every private rate."""
-    w = _array(workspace, "rate_grad", rates.shape)
-    asr, w[0] = _min_and_weights(rates[0])
-    asr = asr + np.add.reduce(rates[-1])
-    w[-1] = 1.0
-    if layout.mode == "hierarchical":
-        for members in layout.member_rows:
-            val, w[1, members] = _min_and_weights(rates[1, members])
-            asr = asr + val
-    return float(asr), w
-
-
-def rates_from_powers(powers: np.ndarray, layout: StreamLayout,
-                      noise: float):
-    """Averaged per-user rates (common, group or None, private) from the
-    |h^H p|^2 of the active columns, shaped (..., n_active, n_users,
-    n_draws) as :func:`_layer_terms` reads them; leading axes are a
-    batch."""
-    sinr, _ = _layer_terms(powers, layout, noise)
-    r = _avg_rates(sinr, sinr)
-    grp = r[..., 1, :] if layout.mode == "hierarchical" else None
-    return r[..., 0, :], grp, r[..., -1, :]
-
-
 def _asr_of_rates(rates: np.ndarray, layout: StreamLayout):
     """Averaged sum rate from the stacked averaged per-user rates, (...,
-    n_layers, n_users): the minima and sums in :func:`_sum_rate`'s order,
-    so it gives the training loss's bits."""
+    n_layers, n_users): the common minimum plus the private sum, then
+    each group's minimum in group order. Every reader, the training loss
+    included, takes its rate here."""
     asr = np.minimum.reduce(rates[..., 0, :], axis=-1) \
         + np.add.reduce(rates[..., -1, :], axis=-1)
     if layout.mode == "hierarchical":
@@ -239,22 +211,37 @@ def _asr_of_rates(rates: np.ndarray, layout: StreamLayout):
     return asr
 
 
+def _rate_weights(rates: np.ndarray, layout: StreamLayout,
+                  workspace: ProjectionWorkspace = None) -> np.ndarray:
+    """The gradient of :func:`_asr_of_rates` with respect to unbatched
+    rates, stacked like them, (n_layers, n_users): one on every private
+    rate, and on the common row and each group's members the hard
+    minimum's subgradient, a one-hot on the lowest minimizing user."""
+    w = _array(workspace, "rate_grad", rates.shape)
+    w[:-1] = 0.0
+    w[-1] = 1.0
+    w[0, rates[0].argmin()] = 1.0
+    if layout.mode == "hierarchical":
+        for members in layout.member_rows:
+            w[1, members[rates[1, members].argmin()]] = 1.0
+    return w
+
+
 def asr_from_powers(powers: np.ndarray, layout: StreamLayout,
                     noise: float):
     """Averaged sum rate from the |h^H p|^2 of the active columns, shaped
     (..., n_active, n_users, n_draws) as :func:`_layer_terms` reads them;
     leading axes are a batch, and each rate of the result, shaped
     ``powers.shape[:-3]``, has the bits of a call on its slice alone."""
-    sinr, _ = _layer_terms(powers, layout, noise)
-    return _asr_of_rates(_avg_rates(sinr, sinr), layout)
+    return asr_from_terms(*_layer_terms(powers, layout, noise), layout)
 
 
 def asr_from_terms(num: np.ndarray, den: np.ndarray, layout: StreamLayout):
     """Averaged sum rate from each layer's numerators and the common
     denominator, both overwritten: stacked (..., n_layers, n_users,
-    n_draws) as :func:`_layer_sinr` reads them. Leading axes are a batch,
-    and each rate of the result has the bits of a call on its slice alone;
-    past the terms it runs :func:`asr_from_powers`'s arithmetic."""
+    n_draws) as :func:`_layer_terms` returns them and :func:`_layer_sinr`
+    reads them. Leading axes are a batch, and each rate of the result has
+    the bits of a call on its slice alone."""
     sinr, _ = _layer_sinr(num, den)
     return _asr_of_rates(_avg_rates(sinr, sinr), layout)
 
@@ -276,10 +263,11 @@ def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
     array shaped like ``powers``: the workspace's ``power_grad`` when
     there is a workspace.
     """
-    sinr, den = _layer_terms(powers, layout, noise, workspace)
-    log_rate = _array(workspace, "log_rate", sinr.shape)
-    asr, g_rate = _sum_rate(_avg_rates(sinr, log_rate, workspace), layout,
-                            workspace)
+    sinr, den = _layer_sinr(*_layer_terms(powers, layout, noise, workspace))
+    rates = _avg_rates(sinr, _array(workspace, "log_rate", sinr.shape),
+                       workspace)
+    asr = float(_asr_of_rates(rates, layout))
+    g_rate = _rate_weights(rates, layout, workspace)
     g_rate /= sinr.shape[-1]
     g_rate *= 1.0 / _LN2
     g_num = np.add(1.0, sinr, out=_array(workspace, "log_rate", sinr.shape))

@@ -375,8 +375,7 @@ def _run_cell(cfg: ExperimentConfig, layout: StreamLayout, model,
               snr_idx: int, csit_idx: int) -> list:
     """All requested methods on one estimate freshly drawn from model."""
     p_t = 10.0 ** (cfg.snr_db[snr_idx] / 10.0)
-    ss = np.random.SeedSequence([cfg.master_seed, snr_idx, csit_idx])
-    cell = RngStream(int(ss.generate_state(1, np.uint64)[0]))
+    cell = RngStream(cfg.master_seed).child(snr_idx, csit_idx)
     ens_rng = cell.child(0)
     net_seed = cell.child(1).seed
 

@@ -157,11 +157,12 @@ class ProjectionWorkspace:
         order, nearly twice as fast as a C-ordered ``h``, same bits."""
         return np.ascontiguousarray(self.h.swapaxes(1, 2)).swapaxes(1, 2)
 
-    def array(self, key: str, shape: tuple, dtype=float) -> np.ndarray:
-        """The uninitialized array ``key``, reused while its shape holds."""
+    def array(self, key: str, shape: tuple) -> np.ndarray:
+        """The uninitialized float64 array ``key``, reused while its shape
+        holds."""
         arr = self._arrays.get(key)
-        if arr is None or arr.shape != shape or arr.dtype != dtype:
-            arr = self._arrays[key] = np.empty(shape, dtype=dtype)
+        if arr is None or arr.shape != shape:
+            arr = self._arrays[key] = np.empty(shape)
         return arr
 
 

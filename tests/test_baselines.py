@@ -255,15 +255,15 @@ class TestFixedDirection:
 
     def test_user_outside_rank_rejected(self):
         # user 0's estimate lies in the span of its group's eigenvectors
-        # beyond the top ``rank``, so its zero-forcing column vanishes up
-        # to rounding next to the other users' at any power that the
-        # regularization does not leave to rounding too
+        # beyond the top ``rank``, so its compressed estimate is rounding
+        # next to the other users'; at high power the solve would scale
+        # that rounding up to their size, so it is rejected at every power
         lay = StreamLayout.hierarchical(8, 4, 2)
         model = OneRingModel(n_tx=8, azimuths=(-0.5, 0.5), spread=np.pi / 6)
         est = model.draw(RngStream(509), lay, 1).estimate
         vecs = herm_eig(model.correlation(lay.group_of[0]))[1]
         est[:, 0] = vecs[:, 2:] @ np.arange(1.0, 7.0)
-        for p_t in (1e-30, 1.0, 10.0):
+        for p_t in (1e-30, 1.0, 10.0, 1e3, 1e6):
             with pytest.raises(ValueError, match="degenerated for user 0"):
                 _fixed_directions(lay, est, model, p_t, rank=2)
 

@@ -4,16 +4,15 @@ import pytest
 from rsmeta.baselines import run_direct_adam
 from rsmeta.channel import (ChannelEnsemble, IidCsitModel, draw_iid_scene,
                             draw_one_ring_scene)
-from rsmeta import gradients
 from rsmeta.gradcheck import (_random_instance, _random_net,
                               finite_diff_check, gradcheck_suite)
-from rsmeta.gradients import (_asr_and_power_grad, _columns, _loss_core,
-                              _min_and_weights, asr_from_powers,
+from rsmeta.gradients import (_asr_and_power_grad, _avg_rates, _columns,
+                              _layer_sinr, _layer_terms, _loss_core,
+                              _rate_weights, asr_from_powers,
                               asr_from_terms,
                               candidate_view, grad_wrt_precoder,
                               grad_wrt_theta, loss_from_view,
-                              precoder_to_view, project_view,
-                              rates_from_powers, view_length,
+                              precoder_to_view, project_view, view_length,
                               view_to_precoder)
 from rsmeta.layout import StreamLayout
 from rsmeta.linalg import (ProjectionWorkspace, RngStream, _user_major,
@@ -21,7 +20,15 @@ from rsmeta.linalg import (ProjectionWorkspace, RngStream, _user_major,
 from rsmeta.metaopt import MetaOptConfig, init_precoder, run_meta_opt
 from rsmeta.network import MetaNetParams, init_meta_net, mlp_forward
 from rsmeta.rates import PrecoderMatrix, saf_report
+import tape
 from tape import Var, _rate_loss, _tape_loss, _theta_grad, backward
+
+
+def _stacked_rates(powers, lay, noise):
+    """The rate tail's averaged per-user rates, stacked (..., n_layers,
+    n_users) in decoding order."""
+    sinr, _ = _layer_sinr(*_layer_terms(powers, lay, noise))
+    return _avg_rates(sinr, sinr)
 
 
 def _instance(seed=21, n_tx=3, n_users=None, hierarchical=False, n_draws=6,
@@ -203,9 +210,11 @@ class TestClosedFormMatchesTape:
         est[:, 1] = est[:, 0]
         tied = ChannelEnsemble(estimate=est, realizations=h)
         powers, _, _ = channel_project(h, mat[:, list(lay.active_streams)])
-        rc, _, _ = rates_from_powers(powers, lay, tied.noise_power)
+        rates = _stacked_rates(powers, lay, tied.noise_power)
+        rc = rates[0]
         assert np.argmin(rc) == 0 and rc[0] == rc[1]
-        np.testing.assert_array_equal(_min_and_weights(rc)[1], [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(_rate_weights(rates, lay)[0],
+                                      [1.0, 0.0, 0.0])
 
         loss, g = grad_wrt_precoder(mat, tied, lay)
         loss_t, g_t = _tape_grad(mat, tied, lay)
@@ -218,6 +227,54 @@ class TestClosedFormMatchesTape:
             lambda x: loss_from_view(x, tied, lay),
             precoder_to_view(mat, lay), g, step=1e-6)
         assert err <= 1e-5
+
+    def test_group_rate_tie_feeds_lowest_index(self, monkeypatch):
+        # the two members of group 0 see identical channels, so their
+        # averaged group rates tie exactly; the group minimum's whole
+        # subgradient must go to the lower-index member, as on the tape.
+        # Both members' powers pull back through the same channel, so the
+        # tie shows in the power gradient, not in the precoder's
+        lay, ens, mat = _instance(seed=83, n_tx=3, hierarchical=True)
+        lo, hi = lay.member_rows[0]
+        h = ens.realizations.copy()
+        h[:, :, hi] = h[:, :, lo]
+        est = ens.estimate.copy()
+        est[:, hi] = est[:, lo]
+        tied = ChannelEnsemble(estimate=est, realizations=h)
+        powers, _, _ = channel_project(h, mat[:, lay.active_cols])
+        rates = _stacked_rates(powers, lay, tied.noise_power)
+        assert rates[1, lo] == rates[1, hi]
+        np.testing.assert_array_equal(_rate_weights(rates, lay)[1, [lo, hi]],
+                                      [1.0, 0.0])
+
+        # the training loss is the plain rate bit for bit
+        asr, g_pow = _asr_and_power_grad(powers, lay, tied.noise_power)
+        assert asr == asr_from_powers(powers, lay, tied.noise_power)
+        loss, g = grad_wrt_precoder(mat, tied, lay)
+        assert loss == -asr
+        assert loss == loss_from_view(precoder_to_view(mat, lay), tied, lay)
+
+        # the tape's gradient with respect to its recorded powers, (n_draws,
+        # n_users, n_active), is the closed form's, and it tells the two
+        # members' rows apart
+        tape_project = tape.csq_project
+        seen = []
+
+        def spy(*args):
+            seen.append(tape_project(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(tape, "csq_project", spy)
+        loss_t, g_t = _tape_grad(mat, tied, lay)
+        assert loss == loss_t
+        g_pow_t = -seen[0].grad.T
+        np.testing.assert_allclose(g_pow, g_pow_t, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(g_pow_t)))
+        col = lay.col_group(0)
+        assert np.max(np.abs(g_pow_t[col, lo] - g_pow_t[col, hi])) > \
+            1e-3 * np.max(np.abs(g_pow_t[col, lo]))
+        np.testing.assert_allclose(g, g_t, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(g_t)))
 
 
 class TestProjectionWorkspace:
@@ -277,8 +334,8 @@ class TestProjectionWorkspace:
         handed = {}
         real = ProjectionWorkspace.array
 
-        def record(ws, key, shape, dtype=float):
-            arr = real(ws, key, shape, dtype)
+        def record(ws, key, shape):
+            arr = real(ws, key, shape)
             handed.setdefault(key, []).append((ws, arr))
             return arr
 
@@ -365,7 +422,7 @@ class TestFusedThetaMatchesTape:
         cand = _assert_theta_matches_tape(params, p0, g0, tied, lay, 4.0)
         cand_mat = view_to_precoder(cand, lay)[:, list(lay.active_streams)]
         powers, _, _ = channel_project(h, cand_mat)
-        rc, _, _ = rates_from_powers(powers, lay, tied.noise_power)
+        rc = _stacked_rates(powers, lay, tied.noise_power)[0]
         assert np.argmin(rc) == 0 and rc[0] == rc[1]
 
 
@@ -629,15 +686,17 @@ class TestDrawMinorRates:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_matches_saf_report(self, shape):
         lay, ens, mat, powers = self._powers(shape)
-        rc, rg, rp = rates_from_powers(powers, lay, ens.noise_power)
+        rates = _stacked_rates(powers, lay, ens.noise_power)
         ref = saf_report(mat, ens, lay)
-        np.testing.assert_allclose(rc, ref.avg_per_user_common, rtol=1e-13)
-        np.testing.assert_allclose(rp, ref.avg_per_user_private, rtol=1e-13)
+        np.testing.assert_allclose(rates[0], ref.avg_per_user_common,
+                                   rtol=1e-13)
+        np.testing.assert_allclose(rates[-1], ref.avg_per_user_private,
+                                   rtol=1e-13)
         if lay.mode == "hierarchical":
-            np.testing.assert_allclose(rg, ref.avg_per_user_group,
+            np.testing.assert_allclose(rates[1], ref.avg_per_user_group,
                                        rtol=1e-13)
         else:
-            assert rg is None
+            assert len(rates) == 2
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_strided_powers_give_same_bits(self, shape):
@@ -653,9 +712,9 @@ class TestDrawMinorRates:
         asr_s, g_s = _asr_and_power_grad(strided, lay, ens.noise_power)
         assert asr == asr_s
         np.testing.assert_array_equal(g, g_s)
-        for a, b in zip(rates_from_powers(powers, lay, ens.noise_power),
-                        rates_from_powers(strided, lay, ens.noise_power)):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(
+            _stacked_rates(powers, lay, ens.noise_power),
+            _stacked_rates(strided, lay, ens.noise_power))
 
 
 class TestBatchAxis:
@@ -681,18 +740,14 @@ class TestBatchAxis:
     def test_slices_match_unbatched(self, shape):
         lay, noise, singles, batch = self._stack(shape)
         asr = asr_from_powers(batch, lay, noise)
-        rates = rates_from_powers(batch, lay, noise)
+        rates = _stacked_rates(batch, lay, noise)
         assert asr.shape == (len(singles),)
         for b, powers in enumerate(singles):
             assert asr[b] == asr_from_powers(powers, lay, noise)
             # the training loss takes the same minima in the same order
             assert asr[b] == _asr_and_power_grad(powers, lay, noise)[0]
-            for got, want in zip(rates, rates_from_powers(powers, lay,
-                                                          noise)):
-                if want is None:
-                    assert got is None
-                else:
-                    np.testing.assert_array_equal(got[b], want)
+            np.testing.assert_array_equal(
+                rates[b], _stacked_rates(powers, lay, noise))
         # any number of leading axes, each kept outermost
         grid = asr_from_powers(batch.reshape((2, 3) + batch.shape[1:]), lay,
                                noise)
@@ -716,19 +771,10 @@ class TestTermsShareTheRateTail:
 
     @pytest.mark.parametrize("shape", ["ring-16x8", "long-cell-4x4",
                                        "grouped-8-users"])
-    def test_terms_give_powers_bits(self, shape, monkeypatch):
+    def test_terms_give_powers_bits(self, shape):
         lay, noise, singles, batch = TestBatchAxis._stack(shape)
-        real = gradients._layer_sinr
-        seen = []
-
-        def spy(num, den):
-            seen.append((num.copy(), den.copy()))
-            return real(num, den)
-
-        monkeypatch.setattr(gradients, "_layer_sinr", spy)
         want = asr_from_powers(batch, lay, noise)
-        monkeypatch.undo()
-        (num, den), = seen
+        num, den = _layer_terms(batch, lay, noise)
         for b in range(len(singles)):
             assert asr_from_terms(num[b].copy(), den[b].copy(), lay) \
                 == want[b]
