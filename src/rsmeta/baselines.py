@@ -15,9 +15,10 @@
   channel estimate, and only the power partition across layers is searched
   on a lattice. This is the cheap statistics-only approach for the grouped
   scenario; it needs no per-realization gradients at all. The directions'
-  gains are reduced once to per-layer sums by the rate core's own gather,
-  so a split costs the same three (n_users, n_draws) products whatever
-  the stream count, and past its terms it runs the rate core's tail.
+  gains are reduced once to six (n_users, n_draws) rows, so every split's
+  numerators and denominators are one 6 x 6 matrix times those rows,
+  whatever the stream count, and past its terms it runs the rate core's
+  tail.
 """
 from __future__ import annotations
 
@@ -28,11 +29,10 @@ import numpy as np
 
 from .adam import AdamState, adam_step
 from .channel import ChannelEnsemble, OneRingModel
-from .gradients import _layer_terms, asr_from_terms, grad_wrt_precoder, \
-    project_view, view_length
+from .gradients import asr_from_terms, grad_wrt_precoder, project_view, \
+    view_length
 from .layout import StreamLayout
-from .linalg import ProjectionWorkspace, channel_project, herm_eig, \
-    svd_dominant
+from .linalg import ProjectionWorkspace, channel_project, svd_dominant
 from .metaopt import RunResult, _start
 from .rates import PrecoderMatrix
 
@@ -41,6 +41,17 @@ __all__ = ["PowerSplit", "lattice_size", "power_split_grid",
 
 # bytes of stacked layer terms the fixed-direction search scores at once
 _CHUNK_BYTES = 1 << 20
+
+# a split's terms, the numerators and then the denominators of the common,
+# group and private layers, from the gain basis rows (own common, own
+# group, own private, other groups, other privates, one): each entry is the
+# index of its coefficient among (w_c, w_g, w_p, noise, 0)
+_TERMS_OF_BASIS = np.array([[0, 4, 4, 4, 4, 4],
+                            [4, 1, 4, 4, 4, 4],
+                            [4, 4, 2, 4, 4, 4],
+                            [4, 1, 2, 1, 2, 3],
+                            [4, 4, 2, 1, 2, 3],
+                            [4, 4, 4, 1, 2, 3]])
 
 # ---------------------------------------------------------------------------
 # direct Adam on the precoder
@@ -160,7 +171,10 @@ def _fixed_directions(layout: StreamLayout, est: np.ndarray,
     that group's antenna correlation; private columns come from
     regularized zero-forcing inside each group on a rank-limited effective
     channel (the estimate compressed onto the top ``rank`` eigenvectors of
-    the group correlation, ``ceil(n_tx / (2 G))`` of them by default).
+    the group correlation, ``ceil(n_tx / (2 G))`` of them by default). The
+    eigenvectors are the model's kept decomposition
+    (:meth:`rsmeta.channel.OneRingModel.eigenbasis`), so a model's
+    searches decompose nothing.
     """
     n_grp = layout.n_groups
     if rank is None:
@@ -173,7 +187,7 @@ def _fixed_directions(layout: StreamLayout, est: np.ndarray,
     dirs[:, layout.col_common] = svd_dominant(est)
     reg = layout.n_users / p_t
     for g in range(n_grp):
-        w, vecs = herm_eig(model.correlation(g))
+        vecs = model.eigenbasis(g)[1]
         dirs[:, layout.col_group(g)] = vecs[:, 0]
         members = list(layout.group_members(g))
         u_r = vecs[:, :rank]                       # (n_tx, r)
@@ -185,9 +199,33 @@ def _fixed_directions(layout: StreamLayout, est: np.ndarray,
             if not np.linalg.norm(f[:, col]) > 1e-12 * np.linalg.norm(f):
                 raise ValueError(
                     f"zero-forcing direction degenerated for user {k}")
+            # at low power d shrinks with p_t: scaled by the power of two
+            # of its largest magnitude, its norm cannot underflow, and the
+            # unit column keeps the bits of an unscaled one
             d = u_r @ m[:, col]
+            d *= 2.0 ** -np.frexp(np.max(np.abs(d)))[1]
             dirs[:, layout.col_private(k)] = d / np.linalg.norm(d)
     return dirs
+
+
+def _gain_basis(gain: np.ndarray, layout: StreamLayout) -> np.ndarray:
+    """The six (n_users, n_draws) rows every split's terms are built from,
+    stacked (6, n_users, n_draws): each user's own common, group and
+    private gain, the sums of the other groups' and of the other users'
+    private gains at that user, and ones. ``gain`` is the directions'
+    stream-major |h^H p|^2, (n_streams, n_users, n_draws); it is
+    overwritten, the user's own rows zeroed so that the two sums are added
+    up without them rather than less them."""
+    n_act, k, m = gain.shape
+    first_prv = n_act - k
+    basis = np.empty((6, k, m))
+    rows = gain.reshape(n_act * k, m)
+    np.take(rows, layout.layer_rows, axis=0, out=basis[:3], mode="clip")
+    rows[layout.layer_rows[1:]] = 0.0
+    np.add.reduce(gain[1:first_prv], axis=0, out=basis[3])
+    np.add.reduce(gain[first_prv:], axis=0, out=basis[4])
+    basis[5] = 1.0
+    return basis
 
 
 def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
@@ -196,19 +234,20 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
     """Statistics-based directions plus exhaustive power-split search.
 
     The directions are built once from the estimate and the group
-    correlations (:func:`_fixed_directions`), and their |h^H p|^2 gains are
-    projected once and reduced by the rate code's own gather and sums,
-    :func:`rsmeta.gradients._layer_terms` at zero noise: each user's own
-    common, group and private gain, and the sums of all group and of all
-    private columns' gains. Every lattice power split, in
-    :func:`power_split_grid`'s order and built as one array of per-layer
-    column powers ``(w_c, w_g, w_p)`` (:func:`_lattice_powers`), then
-    costs 3 n_users n_draws products whatever the stream count: the
-    numerators are the own gains times those powers, and the common
-    denominator is ``w_g`` times the group gains' sum plus ``w_p`` times
-    the private gains' sum plus the noise. The splits are scored in chunks
-    of at most 1 MiB of stacked layer terms, numerators and denominators,
-    each through one batched call of the shared rate code,
+    correlations' eigenvectors, which the model keeps
+    (:func:`_fixed_directions`), and their |h^H p|^2 gains are projected
+    once and reduced to six rows (:func:`_gain_basis`): each user's own
+    common, group and private gain, the other groups' and the other
+    users' private gains at that user, and ones. Every lattice power
+    split, in :func:`power_split_grid`'s order and built as one array of
+    per-layer column powers ``(w_c, w_g, w_p)`` (:func:`_lattice_powers`),
+    has a 6 x 6 coefficient matrix that takes those rows to its complete
+    terms: the numerators ``w_l own_l``, and the denominators summed up
+    from the interference, ``den_p = w_g other_g + w_p other_p + noise``,
+    ``den_g = den_p + w_p own_p`` and ``den_c = den_g + w_g own_g``, so no
+    denominator is a difference. The splits are scored in chunks of at
+    most 1 MiB of stacked terms, each chunk's terms one stacked matrix
+    product and one batched call of the shared rate tail,
     :func:`rsmeta.gradients.asr_from_terms`. The first maximizer in
     canonical order wins, as in a loop keeping a strictly better split, so
     a split whose rate is NaN never wins; ``n_evaluated`` is the lattice
@@ -220,28 +259,29 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
         raise ValueError("model ring count does not match layout groups")
     t0 = time.perf_counter()
     dirs = _fixed_directions(layout, ens.estimate, model, p_t, rank)
-    # the group and private gain sums sit in the denominator's group and
-    # private slots; the per-stream gains are freed before the search
-    # allocates its terms
-    own, (_, grp, prv) = _layer_terms(
-        channel_project(ens.realizations, dirs)[0], layout, 0.0)
+    basis = _gain_basis(channel_project(ens.realizations, dirs)[0], layout)
     n = lattice_size(step)
     i, j, w = _lattice_powers(n, layout, p_t)
 
     # a chunk's numerators and denominators share one buffer, and the
-    # rate code takes its log-rates in place of the SINRs
-    chunk = max(1, _CHUNK_BYTES // (2 * own.nbytes))
-    terms = np.empty((2, min(chunk, len(w))) + own.shape)
+    # rate code takes its log-rates in place of the SINRs; _TERMS_OF_BASIS
+    # spreads each split's coefficient entries (w_c, w_g, w_p, noise, 0)
+    # into its coefficients
+    chunk = max(1, _CHUNK_BYTES // basis.nbytes)
+    terms = np.empty((min(chunk, len(w)),) + basis.shape)
+    entries = np.zeros((len(terms), 5))
+    entries[:, 3] = ens.noise_power
+    coef = np.empty((len(terms),) + _TERMS_OF_BASIS.shape)
+    rows = basis.reshape(len(basis), -1)
     asr = np.empty(len(w))
     for lo in range(0, len(w), chunk):
-        w_part = w[lo:lo + chunk, :, None, None]
-        num, den = terms[:, :len(w_part)]
-        np.multiply(own, w_part, out=num)
-        den_c = den[:, 0]
-        np.multiply(grp, w_part[:, 1], out=den_c)
-        den_c += np.multiply(prv, w_part[:, 2], out=den[:, 1])
-        den_c += ens.noise_power
-        asr[lo:lo + len(w_part)] = asr_from_terms(num, den, layout)
+        part = w[lo:lo + chunk]
+        entries[:len(part), :3] = part
+        c = np.take(entries[:len(part)], _TERMS_OF_BASIS, axis=1,
+                    out=coef[:len(part)], mode="clip")
+        t = terms[:len(part)]
+        np.matmul(c, rows, out=t.reshape(len(part), len(basis), -1))
+        asr[lo:lo + len(part)] = asr_from_terms(t[:, :3], t[:, 3:], layout)
     # the first maximizer in canonical order; a NaN split never wins
     best = int(np.argmax(np.where(np.isnan(asr), -np.inf, asr)))
     if not asr[best] > -np.inf:

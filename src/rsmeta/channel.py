@@ -191,14 +191,16 @@ def one_ring_correlation(n_tx: int, spacing: float, azimuth: float,
     return r
 
 
-def psd_sqrt(r: np.ndarray) -> np.ndarray:
+def psd_sqrt(r: np.ndarray, eig: tuple = None) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues in ``(-NEG_TOL, 0)`` are treated as quadrature roundoff and
-    clipped to zero; anything at or below ``-NEG_TOL`` is a genuine failure
-    and raises.
+    ``eig`` is ``r``'s :func:`rsmeta.linalg.herm_eig` result when the
+    caller already has it; otherwise it is computed here. Eigenvalues in
+    ``(-NEG_TOL, 0)`` are treated as quadrature roundoff and clipped to
+    zero; anything at or below ``-NEG_TOL`` is a genuine failure and
+    raises.
     """
-    w, v = herm_eig(r)
+    w, v = herm_eig(r) if eig is None else eig
     if np.any(w <= -NEG_TOL):
         raise ValueError(
             f"matrix is not positive semidefinite: min eigenvalue {w.min():.3e}")
@@ -221,9 +223,10 @@ class OneRingModel:
     the channel given the estimate, not an approximation.
 
     Each group's correlation, at :func:`one_ring_correlation`'s default
-    node count, and its square root are computed once per model, on first
-    use, and kept on it read-only, so every draw and the fixed-direction
-    search of one model share its quadratures and roots.
+    node count, its eigendecomposition and its square root are computed
+    once per model, on first use, and kept on it read-only, so every draw
+    and the fixed-direction search of one model share its quadratures,
+    decompositions and roots.
     """
 
     n_tx: int
@@ -248,19 +251,29 @@ class OneRingModel:
 
     @cached_property
     def _correlations(self) -> tuple:
-        """Every group's correlation and root, once per model, read-only."""
+        """Every group's ``(correlation, root, (w, v))``, ``(w, v)`` the
+        correlation's :func:`rsmeta.linalg.herm_eig` result that the root
+        is built from; once per model, read-only."""
         out = []
         for azimuth in self.azimuths:
             r = one_ring_correlation(self.n_tx, self.spacing, azimuth,
                                      self.spread)
-            root = psd_sqrt(r)
-            r.flags.writeable = root.flags.writeable = False
-            out.append((r, root))
+            eig = herm_eig(r)
+            root = psd_sqrt(r, eig)
+            for a in (r, root, *eig):
+                a.flags.writeable = False
+            out.append((r, root, eig))
         return tuple(out)
 
     def correlation(self, g: int) -> np.ndarray:
         """Group g's antenna correlation; read-only, shared by every call."""
         return self._correlations[g][0]
+
+    def eigenbasis(self, g: int) -> tuple:
+        """Group g's correlation's :func:`rsmeta.linalg.herm_eig` result,
+        ``(w, v)`` with eigenvalues descending; read-only, shared by every
+        call."""
+        return self._correlations[g][2]
 
     def draw(self, rng: RngStream, layout: StreamLayout, n_draws: int,
              noise_power: float = 1.0) -> ChannelEnsemble:

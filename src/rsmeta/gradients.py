@@ -19,22 +19,24 @@ and runs one layered-rate arithmetic, so equal precoders give bit-equal
 losses. The objective is the paper's averaged sum rate, whose common and
 group rates are hard minima; their gradient is the lowest minimizing
 user's one-hot (:func:`_rate_weights`). :func:`_layer_terms` gathers
-every layer's numerators and adds up the common denominator, each stacked
-with the layers in decoding order (common, group when hierarchical,
-private). Every reader then runs one tail: the denominator chain and the
-division (:func:`_layer_sinr`), one ``log1p`` and one average over the
-realizations for all layers (:func:`_avg_rates`), and the minima and sums
-(:func:`_asr_of_rates`), which give the training loss, the plain loss and
-the search's scores the same bits; :func:`_asr_and_power_grad` takes the
-whole stack back in one vjp. The forward rates also take leading batch
-axes, the backward none. The fixed-direction search takes its unit
-directions' gains from :func:`_layer_terms` at zero noise, scales them
-per split and enters the tail through :func:`asr_from_terms`, and
-:mod:`rsmeta.gradcheck`'s tie guard reads the tail's stacked averaged
-rates. With a :class:`rsmeta.linalg.ProjectionWorkspace`
-built for the ensemble, the gradients fill their arrays in place,
-bit-identically, and return nothing that points into it; both optimizers
-pass their run's workspace on every iteration.
+every layer's numerators and builds every layer's denominator, each
+stacked with the layers in decoding order (common, group when
+hierarchical, private): the common one adds up whole rows, and each later
+one is the one before less the user's own power. Every reader then passes
+these complete terms to one tail: the division, one ``log1p`` and one
+average over the realizations for all layers (:func:`_avg_rates`), and the
+minima and sums (:func:`_asr_of_rates`), which give the training loss and
+the plain loss the same bits; :func:`_asr_and_power_grad` takes the whole
+stack back in one vjp. The forward rates also take leading batch axes, the
+backward none. The fixed-direction search builds the complete terms of
+each chunk of power splits as one stacked product with six gain rows
+(:func:`rsmeta.baselines.run_fixed_direction`) and enters the tail
+through :func:`asr_from_terms`, and :mod:`rsmeta.gradcheck`'s tie guard
+reads the tail's stacked averaged rates. With a
+:class:`rsmeta.linalg.ProjectionWorkspace` built for the ensemble, the
+gradients fill their arrays in place, bit-identically, and return nothing
+that points into it; both optimizers pass their run's workspace on every
+iteration.
 
 The view is the memory of the complex (n_tx, n_active) matrix of the
 active columns, read as float64 pairs, so going between the two is no
@@ -134,19 +136,18 @@ def _array(workspace: ProjectionWorkspace, key: str,
 
 def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float,
                  workspace: ProjectionWorkspace = None):
-    """Every layer's numerators and the common denominator, ``(num,
-    den)``, each stacked (..., n_layers, n_users, n_draws), from the
-    |h^H p|^2 of the active columns, stream-major, (..., n_active,
-    n_users, n_draws).
+    """Every layer's numerators and denominators, ``(num, den)``, each
+    stacked (..., n_layers, n_users, n_draws), from the |h^H p|^2 of the
+    active columns, stream-major, (..., n_active, n_users, n_draws).
 
     The powers are read contiguous: no copy for
     :func:`rsmeta.linalg.channel_project`'s, a contiguous one of any other
     array, with the same bits. The numerators, each user's own power per
     layer, are one gather (:attr:`StreamLayout.layer_rows`). The common
     denominator adds the group rows, then the private rows, in column
-    order, plus the noise; in hierarchical mode the two sums stay in
-    ``den``'s group and private slots until :func:`_layer_sinr` writes
-    those layers' denominators over them.
+    order, plus the noise; in hierarchical mode the two sums pass through
+    ``den``'s group and private slots. Each later layer's denominator is
+    the one before less the user's own power in that layer.
     """
     pw = np.ascontiguousarray(powers)
     *batch, n_act, k, m = pw.shape
@@ -168,19 +169,9 @@ def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float,
     else:
         np.add.reduce(pw[..., 1:, :, :], axis=-3, out=den_c)
     den_c += noise
-    return num, den
-
-
-def _layer_sinr(num: np.ndarray, den: np.ndarray):
-    """``(sinr, den)`` in place of ``(num, den)``, each stacked (...,
-    n_layers, n_users, n_draws): ``num`` each layer's numerators and
-    ``den[..., 0, :, :]`` the common denominator, noise included. Each
-    later layer's denominator is the one before less its own power, and
-    the numerators are divided by them."""
-    for i in range(1, num.shape[-3]):
+    for i in range(1, len(rows)):
         np.subtract(den[..., i - 1, :, :], num[..., i, :, :],
                     out=den[..., i, :, :])
-    num /= den
     return num, den
 
 
@@ -237,12 +228,12 @@ def asr_from_powers(powers: np.ndarray, layout: StreamLayout,
 
 
 def asr_from_terms(num: np.ndarray, den: np.ndarray, layout: StreamLayout):
-    """Averaged sum rate from each layer's numerators and the common
-    denominator, both overwritten: stacked (..., n_layers, n_users,
-    n_draws) as :func:`_layer_terms` returns them and :func:`_layer_sinr`
-    reads them. Leading axes are a batch, and each rate of the result has
-    the bits of a call on its slice alone."""
-    sinr, _ = _layer_sinr(num, den)
+    """Averaged sum rate from every layer's numerators and denominators,
+    stacked (..., n_layers, n_users, n_draws) as :func:`_layer_terms`
+    returns them, in any strides; ``num`` is overwritten. Leading axes
+    are a batch, and each rate of the result has the bits of a call on its
+    slice alone."""
+    sinr = np.divide(num, den, out=num)
     return _asr_of_rates(_avg_rates(sinr, sinr), layout)
 
 
@@ -263,7 +254,8 @@ def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
     array shaped like ``powers``: the workspace's ``power_grad`` when
     there is a workspace.
     """
-    sinr, den = _layer_sinr(*_layer_terms(powers, layout, noise, workspace))
+    sinr, den = _layer_terms(powers, layout, noise, workspace)
+    sinr /= den
     rates = _avg_rates(sinr, _array(workspace, "log_rate", sinr.shape),
                        workspace)
     asr = float(_asr_of_rates(rates, layout))

@@ -164,6 +164,8 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal positive float
+
 # config keys that count something: each must be an integer >= 1
 _COUNT_KEYS = ("n_tx", "n_users", "n_groups", "csit_draws", "realizations",
                "threads")
@@ -191,15 +193,18 @@ def validate_config(cfg: ExperimentConfig):
         raise ValueError("snr_db must list at least one point")
     _require(all(_is_real(snr) for snr in cfg.snr_db), "snr_db", cfg.snr_db,
              "a list of finite numbers")
+    # the network gradient divides by the squared power, so its square
+    # must be a normal float too, neither overflowing nor underflowing
     powers = []
     for snr in cfg.snr_db:
         try:
             powers.append(10.0 ** (snr / 10.0))
         except OverflowError:
             powers.append(np.inf)
-        if not 0 < powers[-1] < np.inf:
+        if not _TINY <= powers[-1] * powers[-1] < np.inf:
             raise ValueError(f"snr_db = {snr:g} gives the transmit power "
-                             f"{powers[-1]:g}, not a finite positive number")
+                             f"{powers[-1]:g}, whose square is not a normal "
+                             f"positive float")
     _require(isinstance(cfg.redraw_eval, bool), "eval.redraw",
              cfg.redraw_eval, "true or false")
     bad = [m for m in cfg.methods if m not in ("meta", "direct", "fixed")]

@@ -1,17 +1,19 @@
 """The fixed-direction power search as one rate call per lattice split.
 
 ``rsmeta.baselines.run_fixed_direction`` scores its lattice in batches of
-splits through the batched rate code. This is the loop it replaced, kept
-as the oracle and written on the same per-layer sums: each user's own
-common, group and private gains, and the sums of all group and of all
-private gains, are taken once from the unit-direction gains; each split's
-column powers (:func:`stream_powers`) scale the own gains into the
-numerators and the two sums into the common denominator, the rate code
+splits, each batch's terms one stacked matrix product. This is the loop it
+replaced, kept as the oracle and written on the same six gain rows, built
+here with plain loops: each user's own common, group and private gains,
+the sums of the other groups' and of the other users' private gains at
+that user (added up with the user's own gains set to zero), and ones. Each
+split's column powers (:func:`stream_powers`) fill a 6 x 6 coefficient
+matrix, written out entry by entry, whose product with those rows gives
+the split's numerators and denominators; the rate code
 (:func:`rsmeta.gradients.asr_from_terms`) scores them without a batch
 axis, and a strictly better rate replaces the best split, so the first
 maximizer in canonical order wins and a NaN rate never does. It checks the
-library's lattice, chunking and batch axis, not the rate arithmetic both
-share.
+library's basis, coefficients, lattice, chunking and batch axis, not the
+rate arithmetic both share.
 """
 from __future__ import annotations
 
@@ -31,32 +33,52 @@ def stream_powers(split, layout, p_t):
     return w
 
 
+def split_coefficients(w_c, w_g, w_p, noise):
+    """The 6 x 6 map from the rows (own common, own group, own private,
+    other groups, other privates, one) to the common, group and private
+    numerators, then the common, group and private denominators."""
+    coef = np.zeros((6, 6))
+    coef[0, 0] = w_c
+    coef[1, 1] = w_g
+    coef[2, 2] = w_p
+    for row in (3, 4, 5):          # every denominator: the interference
+        coef[row, 3] = w_g
+        coef[row, 4] = w_p
+        coef[row, 5] = noise
+    coef[3, 2] = coef[4, 2] = w_p  # common and group: the own private
+    coef[3, 1] = w_g               # common: the own group
+    return coef
+
+
 def loop_fixed_direction(layout, ens, model, p_t, step=0.05, rank=None):
     """``(best_asr, best_split, best_matrix, n_evaluated)`` of the
     per-split search, on the directions the library builds."""
     dirs = _fixed_directions(layout, ens.estimate, model, p_t, rank)
     gain = channel_project(ens.realizations, dirs)[0]
-    groups = [gain[layout.col_group(g)] for g in range(layout.n_groups)]
-    privates = [gain[layout.col_private(k)] for k in range(layout.n_users)]
     users = range(layout.n_users)
-    own = np.stack([
+    others = gain.copy()
+    for k in users:
+        others[layout.col_group(layout.group_of[k]), k] = 0.0
+        others[layout.col_private(k), k] = 0.0
+    groups = [others[layout.col_group(g)] for g in range(layout.n_groups)]
+    privates = [others[layout.col_private(k)] for k in users]
+    basis = np.stack([
         gain[layout.col_common],
         np.stack([gain[layout.col_group(layout.group_of[k]), k]
                   for k in users]),
-        np.stack([gain[layout.col_private(k), k] for k in users])])
-    grp_sum = sum(groups[1:], groups[0].copy())
-    prv_sum = sum(privates[1:], privates[0].copy())
+        np.stack([gain[layout.col_private(k), k] for k in users]),
+        sum(groups[1:], groups[0].copy()),
+        sum(privates[1:], privates[0].copy()),
+        np.ones(gain.shape[1:])])
 
     best_asr = -np.inf
     best_split = None
     n_eval = 0
     for split in power_split_grid(step, with_group=True):
         w = stream_powers(split, layout, p_t)
-        w_c, w_g, w_p = w[0], w[1], w[-1]
-        num = own * np.array([w_c, w_g, w_p])[:, None, None]
-        den = np.empty_like(num)
-        den[0] = w_g * grp_sum + w_p * prv_sum + ens.noise_power
-        asr = asr_from_terms(num, den, layout)
+        coef = split_coefficients(w[0], w[1], w[-1], ens.noise_power)
+        terms = (coef @ basis.reshape(6, -1)).reshape(basis.shape)
+        asr = asr_from_terms(terms[:3], terms[3:], layout)
         n_eval += 1
         if asr > best_asr:
             best_asr = asr

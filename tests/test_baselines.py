@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rsmeta.adam import AdamState, adam_step
-from rsmeta import baselines
+from rsmeta import baselines, channel, linalg
 from rsmeta.baselines import (PowerSplit, _fixed_directions,
                               power_split_grid, run_direct_adam,
                               run_fixed_direction)
@@ -135,11 +135,11 @@ class TestDirectAdam:
 
 
 def _ring_scene(seed=500, n_tx=8, n_users=4, n_groups=2, n_draws=12,
-                p_t=10.0):
+                p_t=10.0, noise_power=1.0):
     lay = StreamLayout.hierarchical(n_tx, n_users, n_groups)
     model = OneRingModel(n_tx=n_tx, azimuths=(-np.pi / 4, np.pi / 4),
                          spread=np.pi / 6, tau2=0.3)
-    ens = model.draw(RngStream(seed), lay, n_draws)
+    ens = model.draw(RngStream(seed), lay, n_draws, noise_power)
     return lay, ens, model, p_t
 
 
@@ -167,8 +167,9 @@ class TestFixedDirection:
 
     def test_picks_brute_force_saf_split(self, monkeypatch):
         # score every lattice split on the reference rate code, with the
-        # directions the search projects, and take the first maximizer
-        lay, ens, model, p_t = _ring_scene(seed=504, n_draws=40)
+        # directions the search projects, and take the first maximizer; the
+        # noise enters the search through a row of ones in its gain basis,
+        # so a second scene has a noise power other than one
         seen = []
 
         def spy(h, p, workspace=None):
@@ -176,13 +177,17 @@ class TestFixedDirection:
             return channel_project(h, p, workspace)
 
         monkeypatch.setattr(baselines, "channel_project", spy)
-        res = run_fixed_direction(lay, ens, model, p_t, step=0.05)
-        dirs, = seen
-        rates = [saf_report(dirs * np.sqrt(stream_powers(s, lay, p_t)),
-                            ens, lay).avg_sum_rate
-                 for s in power_split_grid(0.05)]
-        assert res.best_split == power_split_grid(0.05)[np.argmax(rates)]
-        assert res.best_asr == pytest.approx(max(rates), rel=1e-13)
+        for noise_power in (1.0, 0.25):
+            lay, ens, model, p_t = _ring_scene(seed=504, n_draws=40,
+                                               noise_power=noise_power)
+            seen.clear()
+            res = run_fixed_direction(lay, ens, model, p_t, step=0.05)
+            dirs, = seen
+            rates = [saf_report(dirs * np.sqrt(stream_powers(s, lay, p_t)),
+                                ens, lay).avg_sum_rate
+                     for s in power_split_grid(0.05)]
+            assert res.best_split == power_split_grid(0.05)[np.argmax(rates)]
+            assert res.best_asr == pytest.approx(max(rates), rel=1e-13)
 
     @pytest.mark.parametrize("kind, seed, p_t", [
         ("ring", 11, 10.0), ("ring", 12, 10.0 ** 2.8),
@@ -253,6 +258,44 @@ class TestFixedDirection:
         big = _fixed_directions(lay, est, model, 1e-3)
         assert np.max(np.abs(tiny - big)) < 1e-2
 
+    def test_directions_unit_at_extreme_power(self):
+        # at 1e-300 the zero-forcing columns have norms near 1e-301, whose
+        # squares underflow; at 1e300 the regularization is 4e-300. Every
+        # column stays finite and of unit norm at both
+        lay = StreamLayout.hierarchical(8, 4, 2)
+        model = OneRingModel(n_tx=8, azimuths=(-0.5, 0.5), spread=np.pi / 6)
+        est = model.draw(RngStream(508), lay, 1).estimate
+        for p_t in (1e-300, 1e300):
+            dirs = _fixed_directions(lay, est, model, p_t)
+            assert np.all(np.isfinite(dirs))
+            np.testing.assert_allclose(np.linalg.norm(dirs, axis=0), 1.0,
+                                       rtol=1e-12)
+
+    def test_search_reuses_the_model_eigenbasis(self, monkeypatch):
+        # once the model has drawn, its groups' decompositions are kept on
+        # it: the search makes none, and its directions have the bits of
+        # ones built from fresh herm_eig calls
+        lay, ens, model, p_t = _bench_ring_scene(9, 10.0)
+        calls = []
+
+        def counted(a, _real=herm_eig):
+            calls.append(a)
+            return _real(a)
+
+        for module in (linalg, channel):
+            monkeypatch.setattr(module, "herm_eig", counted)
+        res = run_fixed_direction(lay, ens, model, p_t)
+        cached = _fixed_directions(lay, ens.estimate, model, p_t)
+        assert calls == []
+        monkeypatch.setattr(OneRingModel, "eigenbasis",
+                            lambda self, g: counted(self.correlation(g)))
+        fresh = _fixed_directions(lay, ens.estimate, model, p_t)
+        assert len(calls) == lay.n_groups
+        np.testing.assert_array_equal(fresh, cached)
+        best = run_fixed_direction(lay, ens, model, p_t)
+        np.testing.assert_array_equal(best.best_precoder.matrix,
+                                      res.best_precoder.matrix)
+
     def test_user_outside_rank_rejected(self):
         # user 0's estimate lies in the span of its group's eigenvectors
         # beyond the top ``rank``, so its compressed estimate is rounding
@@ -302,9 +345,9 @@ def _uneven_scene(seed, p_t):
 
 
 def _chunk(lay, ens):
-    """Splits the search scores per batched call on this scene: two
-    arrays of (3, n_users, n_draws) float64 layer terms per split."""
-    split_bytes = 2 * 8 * 3 * lay.n_users * ens.n_draws
+    """Splits the search scores per batched call on this scene: six
+    (n_users, n_draws) float64 rows of terms per split."""
+    split_bytes = 8 * 6 * lay.n_users * ens.n_draws
     return max(1, baselines._CHUNK_BYTES // split_bytes)
 
 
@@ -328,6 +371,68 @@ class TestLatticeArrays:
             assert PowerSplit(common=int(a) / n, group=int(b) / n) == split
             np.testing.assert_array_equal(
                 row[layer], stream_powers(split, layout, p_t))
+
+
+def _longdouble_rates(lay, ens, dirs, p_t, grid):
+    """Every split's averaged sum rate in ``np.longdouble``, with none of
+    the package's rate code: the directions' gains |h^H d|^2 are projected
+    in extended precision, and each layer's denominator at each user is
+    the sum of every interfering column's power times its gain, plus the
+    noise; nothing is subtracted."""
+    ld = np.longdouble
+    h = ens.realizations.conj().astype(np.clongdouble)
+    z = np.einsum("mnk,ns->skm", h, dirs.astype(np.clongdouble))
+    gain = z.real ** 2 + z.imag ** 2                    # (n_streams, K, M)
+    users = np.arange(lay.n_users)
+    own_grp = [lay.col_group(g) for g in lay.group_of]
+    own_prv = [lay.col_private(k) for k in users]
+    # each user's own column and interfering columns per layer, after
+    # decoding the layers before it
+    sig = [np.zeros(lay.n_users, int), own_grp, own_prv]
+    hear = np.ones((3, lay.n_users, lay.n_streams), bool)
+    hear[:, :, lay.col_common] = False
+    hear[1:, users, own_grp] = False
+    hear[2, users, own_prv] = False
+    pw = np.array([stream_powers(s, lay, p_t) for s in grid], dtype=ld)
+    rates = np.empty((len(grid), 3, lay.n_users), dtype=ld)
+    for layer in range(3):
+        num = pw[:, sig[layer], None] * gain[sig[layer], users]
+        den = np.einsum("ps,ks,skm->pkm", pw, hear[layer].astype(ld), gain)
+        den += ld(ens.noise_power)
+        rates[:, layer] = np.mean(np.log1p(num / den), axis=-1) / np.log(ld(2))
+    asr = rates[:, 0].min(axis=-1) + rates[:, 2].sum(axis=-1)
+    for g in range(lay.n_groups):
+        asr += rates[:, 1, list(lay.group_members(g))].min(axis=-1)
+    return asr
+
+
+class TestSearchMatchesLongDouble:
+    """Every lattice split's rate, as the search scores it, matches an
+    extended-precision reference that shares no rate code with the
+    package, and the chosen split is that reference's maximum."""
+
+    @pytest.mark.parametrize("kind, seed", [("ring", 21), ("uneven", 22)])
+    @pytest.mark.parametrize("snr_db", [0.0, 35.0, 50.0])
+    def test_every_split(self, monkeypatch, kind, seed, snr_db):
+        make = _bench_ring_scene if kind == "ring" else _uneven_scene
+        lay, ens, model, p_t = make(seed, 10.0 ** (snr_db / 10.0))
+        real = baselines.asr_from_terms
+        scored = []
+
+        def spy(num, den, layout):
+            scored.append(real(num, den, layout))
+            return scored[-1]
+
+        monkeypatch.setattr(baselines, "asr_from_terms", spy)
+        res = run_fixed_direction(lay, ens, model, p_t, step=0.05)
+        grid = power_split_grid(0.05)
+        dirs = _fixed_directions(lay, ens.estimate, model, p_t)
+        want = _longdouble_rates(lay, ens, dirs, p_t, grid)
+        got = np.concatenate(scored)
+        assert len(got) == len(grid)
+        np.testing.assert_allclose(got, want.astype(float), rtol=1e-13)
+        chosen = want[grid.index(res.best_split)]
+        assert (want.max() - chosen) / want.max() <= 1e-13
 
 
 class TestBatchedSearchMatchesLoop:

@@ -262,12 +262,16 @@ class TestOneRingModel:
                 one_ring_correlation(6, 0.5, azimuth, np.pi / 8))
 
     def test_roots_cached_read_only(self):
-        # every draw reads the root kept beside its group's correlation
+        # every draw reads the root kept beside its group's correlation,
+        # and the fixed-direction search the decomposition it is built from
         model = self._model()
-        for g, (r, root) in enumerate(model._correlations):
+        for g, (r, root, eig) in enumerate(model._correlations):
             assert r is model.correlation(g)
-            assert not root.flags.writeable
+            assert eig is model.eigenbasis(g)
+            assert not any(a.flags.writeable for a in (root, *eig))
             np.testing.assert_array_equal(root, psd_sqrt(r))
+            for got, want in zip(eig, herm_eig(r)):
+                np.testing.assert_array_equal(got, want)
 
     def test_group_count_mismatch_rejected(self):
         with pytest.raises(ValueError):

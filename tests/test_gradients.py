@@ -7,7 +7,7 @@ from rsmeta.channel import (ChannelEnsemble, IidCsitModel, draw_iid_scene,
 from rsmeta.gradcheck import (_random_instance, _random_net,
                               finite_diff_check, gradcheck_suite)
 from rsmeta.gradients import (_asr_and_power_grad, _avg_rates, _columns,
-                              _layer_sinr, _layer_terms, _loss_core,
+                              _layer_terms, _loss_core,
                               _rate_weights, asr_from_powers,
                               asr_from_terms,
                               candidate_view, grad_wrt_precoder,
@@ -27,7 +27,8 @@ from tape import Var, _rate_loss, _tape_loss, _theta_grad, backward
 def _stacked_rates(powers, lay, noise):
     """The rate tail's averaged per-user rates, stacked (..., n_layers,
     n_users) in decoding order."""
-    sinr, _ = _layer_sinr(*_layer_terms(powers, lay, noise))
+    sinr, den = _layer_terms(powers, lay, noise)
+    sinr /= den
     return _avg_rates(sinr, sinr)
 
 
@@ -766,7 +767,7 @@ class TestBatchAxis:
 class TestTermsShareTheRateTail:
     """:func:`asr_from_terms`, the fixed-direction search's entry, runs
     :func:`asr_from_powers`'s arithmetic past the terms: on the numerators
-    and common denominator that the powers' gather builds, it gives their
+    and denominators that the powers' gather builds, it gives their
     bits, batched and per slice."""
 
     @pytest.mark.parametrize("shape", ["ring-16x8", "long-cell-4x4",

@@ -178,9 +178,15 @@ class TestValidateConfig:
         ("ring.tau2", dict(tau2=True)),
         ("meta.splits", dict(meta_splits=(True, False, False))),
         ("iid.error_power", dict(error_power=False)),
+        # a power whose square underflows (the network gradient's 0 / 0)
+        # or overflows; -1700 dB also made the zero-forcing norms vanish
+        ("snr_db = -1700", dict(snr_db=(10.0, -1700.0))),
+        ("snr_db = -1540", dict(snr_db=(-1540.0,))),
+        ("snr_db = 1545", dict(snr_db=(10.0, 1545.0))),
     ], ids=["alpha", "step", "step-1e-9", "spread", "azimuths-1e300",
             "azimuths-1e16", "step-bool", "tau2-bool", "splits-bool",
-            "error-power-bool"])
+            "error-power-bool", "snr-1e-170", "snr-square-subnormal",
+            "snr-square-overflow"])
     def test_boundary_value_named(self, key, changes):
         base = {} if key.startswith("iid.") else dict(
             scenario="one_ring", n_tx=4, n_users=4, n_groups=2,
