@@ -42,17 +42,6 @@ __all__ = ["PowerSplit", "lattice_size", "power_split_grid",
 # bytes of stacked layer terms the fixed-direction search scores at once
 _CHUNK_BYTES = 1 << 20
 
-# a split's terms, the numerators and then the denominators of the common,
-# group and private layers, from the gain basis rows (own common, own
-# group, own private, other groups, other privates, one): each entry is the
-# index of its coefficient among (w_c, w_g, w_p, noise, 0)
-_TERMS_OF_BASIS = np.array([[0, 4, 4, 4, 4, 4],
-                            [4, 1, 4, 4, 4, 4],
-                            [4, 4, 2, 4, 4, 4],
-                            [4, 1, 2, 1, 2, 3],
-                            [4, 4, 2, 1, 2, 3],
-                            [4, 4, 4, 1, 2, 3]])
-
 # ---------------------------------------------------------------------------
 # direct Adam on the precoder
 # ---------------------------------------------------------------------------
@@ -264,21 +253,25 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
     i, j, w = _lattice_powers(n, layout, p_t)
 
     # a chunk's numerators and denominators share one buffer, and the
-    # rate code takes its log-rates in place of the SINRs; _TERMS_OF_BASIS
-    # spreads each split's coefficient entries (w_c, w_g, w_p, noise, 0)
-    # into its coefficients
+    # rate code takes its log-rates in place of the SINRs. Each split's
+    # coefficients take the rows (own common, own group, own private, other
+    # groups, other privates, one) to the common, group and private
+    # numerators, then to the common, group and private denominators
     chunk = max(1, _CHUNK_BYTES // basis.nbytes)
     terms = np.empty((min(chunk, len(w)),) + basis.shape)
-    entries = np.zeros((len(terms), 5))
-    entries[:, 3] = ens.noise_power
-    coef = np.empty((len(terms),) + _TERMS_OF_BASIS.shape)
+    coef = np.zeros((len(terms), 6, 6))
+    coef[:, 3:, 5] = ens.noise_power        # every denominator's noise
     rows = basis.reshape(len(basis), -1)
     asr = np.empty(len(w))
     for lo in range(0, len(w), chunk):
         part = w[lo:lo + chunk]
-        entries[:len(part), :3] = part
-        c = np.take(entries[:len(part)], _TERMS_OF_BASIS, axis=1,
-                    out=coef[:len(part)], mode="clip")
+        c = coef[:len(part)]
+        w_g, w_p = part[:, 1, None], part[:, 2, None]
+        c[:, (0, 1, 2), (0, 1, 2)] = part   # the numerators
+        c[:, 3:, 3] = w_g                   # every denominator's
+        c[:, 3:, 4] = w_p                   # interference
+        c[:, 3:5, 2] = w_p                  # common and group: own private
+        c[:, 3, 1] = w_g[:, 0]              # common: own group
         t = terms[:len(part)]
         np.matmul(c, rows, out=t.reshape(len(part), len(basis), -1))
         asr[lo:lo + len(part)] = asr_from_terms(t[:, :3], t[:, 3:], layout)

@@ -191,16 +191,14 @@ def one_ring_correlation(n_tx: int, spacing: float, azimuth: float,
     return r
 
 
-def psd_sqrt(r: np.ndarray, eig: tuple = None) -> np.ndarray:
+def psd_sqrt(r: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    ``eig`` is ``r``'s :func:`rsmeta.linalg.herm_eig` result when the
-    caller already has it; otherwise it is computed here. Eigenvalues in
-    ``(-NEG_TOL, 0)`` are treated as quadrature roundoff and clipped to
-    zero; anything at or below ``-NEG_TOL`` is a genuine failure and
-    raises.
+    Eigenvalues in ``(-NEG_TOL, 0)`` are treated as quadrature roundoff and
+    clipped to zero; anything at or below ``-NEG_TOL`` is a genuine failure
+    and raises.
     """
-    w, v = herm_eig(r) if eig is None else eig
+    w, v = herm_eig(r)
     if np.any(w <= -NEG_TOL):
         raise ValueError(
             f"matrix is not positive semidefinite: min eigenvalue {w.min():.3e}")
@@ -252,14 +250,14 @@ class OneRingModel:
     @cached_property
     def _correlations(self) -> tuple:
         """Every group's ``(correlation, root, (w, v))``, ``(w, v)`` the
-        correlation's :func:`rsmeta.linalg.herm_eig` result that the root
-        is built from; once per model, read-only."""
+        correlation's :func:`rsmeta.linalg.herm_eig` result; once per
+        model, read-only."""
         out = []
         for azimuth in self.azimuths:
             r = one_ring_correlation(self.n_tx, self.spacing, azimuth,
                                      self.spread)
             eig = herm_eig(r)
-            root = psd_sqrt(r, eig)
+            root = psd_sqrt(r)
             for a in (r, root, *eig):
                 a.flags.writeable = False
             out.append((r, root, eig))
