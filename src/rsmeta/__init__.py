@@ -15,10 +15,6 @@ from .channel import (
     ChannelEnsemble,
     one_ring_correlation,
     psd_sqrt,
-    draw_iid_scene,
-    draw_one_ring_scene,
-    save_ensemble,
-    load_ensemble,
 )
 from .rates import (
     PrecoderMatrix,
@@ -28,7 +24,7 @@ from .rates import (
     rate_report,
     saf_report,
 )
-from .network import MetaNetParams, init_meta_net, mlp_forward, save_checkpoint, load_checkpoint
+from .network import MetaNetParams, init_meta_net, mlp_forward
 from .adam import AdamState, adam_step
 from .gradients import (
     view_length,
@@ -39,7 +35,7 @@ from .gradients import (
 )
 from .gradcheck import finite_diff_check, gradcheck_suite
 from .metaopt import MetaOptConfig, RunResult, init_precoder, run_meta_opt
-from .baselines import PowerSplit, power_split_grid, run_direct_adam, run_fixed_direction
+from .baselines import PowerSplit, run_direct_adam, run_fixed_direction
 from .harness import ExperimentConfig, SweepResult, load_config, run_sweep, write_reports
 
 __version__ = "0.1.0"

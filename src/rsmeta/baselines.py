@@ -15,10 +15,11 @@
   channel estimate, and only the power partition across layers is searched
   on a lattice. This is the cheap statistics-only approach for the grouped
   scenario; it needs no per-realization gradients at all. The directions'
-  gains are reduced once to six (n_users, n_draws) rows, so every split's
-  numerators and denominators are one 6 x 6 matrix times those rows,
-  whatever the stream count, and past its terms it runs the rate core's
-  tail.
+  gains are split once into six (n_users, n_draws) rows, each user's own
+  gains and its interference summed up by the same helper as the training
+  loss's, so every split's numerators and denominators are one 6 x 6
+  matrix times those rows, whatever the stream count, no denominator is a
+  difference, and past its terms it runs the rate core's tail.
 """
 from __future__ import annotations
 
@@ -29,15 +30,15 @@ import numpy as np
 
 from .adam import AdamState, adam_step
 from .channel import ChannelEnsemble, OneRingModel
-from .gradients import asr_from_terms, grad_wrt_precoder, project_view, \
-    view_length
+from .gradients import _own_and_others, asr_from_terms, grad_wrt_precoder, \
+    project_view, view_length
 from .layout import StreamLayout
 from .linalg import ProjectionWorkspace, channel_project, svd_dominant
 from .metaopt import RunResult, _start
 from .rates import PrecoderMatrix
 
-__all__ = ["PowerSplit", "lattice_size", "power_split_grid",
-           "run_direct_adam", "FixedDirectionResult", "run_fixed_direction"]
+__all__ = ["PowerSplit", "lattice_size", "run_direct_adam",
+           "FixedDirectionResult", "run_fixed_direction"]
 
 # bytes of stacked layer terms the fixed-direction search scores at once
 _CHUNK_BYTES = 1 << 20
@@ -106,23 +107,6 @@ def lattice_size(step: float) -> int:
     return n
 
 
-def power_split_grid(step: float = 0.05, with_group: bool = True):
-    """All lattice splits with the given step, in canonical order.
-
-    Canonical order is ascending common fraction, then ascending group
-    fraction; exhaustive searches keep the first maximizer, so ties resolve
-    to the smallest split in this order. Fractions are built on an integer
-    lattice so the step never accumulates rounding.
-    """
-    n = lattice_size(step)
-    grid = []
-    for i in range(n + 1):
-        j_max = (n - i) if with_group else 0
-        for j in range(j_max + 1):
-            grid.append(PowerSplit(common=i / n, group=j / n))
-    return grid
-
-
 @dataclass
 class FixedDirectionResult:
     best_asr: float
@@ -137,7 +121,9 @@ def _lattice_powers(n: int, layout: StreamLayout, p_t: float):
     ``(i, j, w)``, the integer common and group steps of every split in
     canonical order and the (n_splits, 3) power of each common, group and
     private column, each layer's share of the split ``(i / n, j / n)``
-    divided equally."""
+    divided equally. Canonical order is ascending common fraction, then
+    ascending group fraction; the search keeps the first maximizer, so a
+    tie resolves to the smallest split in this order."""
     counts = np.arange(n + 1, 0, -1)         # splits per common step
     i = np.repeat(np.arange(n + 1), counts)
     j = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -197,26 +183,6 @@ def _fixed_directions(layout: StreamLayout, est: np.ndarray,
     return dirs
 
 
-def _gain_basis(gain: np.ndarray, layout: StreamLayout) -> np.ndarray:
-    """The six (n_users, n_draws) rows every split's terms are built from,
-    stacked (6, n_users, n_draws): each user's own common, group and
-    private gain, the sums of the other groups' and of the other users'
-    private gains at that user, and ones. ``gain`` is the directions'
-    stream-major |h^H p|^2, (n_streams, n_users, n_draws); it is
-    overwritten, the user's own rows zeroed so that the two sums are added
-    up without them rather than less them."""
-    n_act, k, m = gain.shape
-    first_prv = n_act - k
-    basis = np.empty((6, k, m))
-    rows = gain.reshape(n_act * k, m)
-    np.take(rows, layout.layer_rows, axis=0, out=basis[:3], mode="clip")
-    rows[layout.layer_rows[1:]] = 0.0
-    np.add.reduce(gain[1:first_prv], axis=0, out=basis[3])
-    np.add.reduce(gain[first_prv:], axis=0, out=basis[4])
-    basis[5] = 1.0
-    return basis
-
-
 def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
                         model: OneRingModel, p_t: float, step: float = 0.05,
                         rank: int = None) -> FixedDirectionResult:
@@ -225,22 +191,23 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
     The directions are built once from the estimate and the group
     correlations' eigenvectors, which the model keeps
     (:func:`_fixed_directions`), and their |h^H p|^2 gains are projected
-    once and reduced to six rows (:func:`_gain_basis`): each user's own
-    common, group and private gain, the other groups' and the other
-    users' private gains at that user, and ones. Every lattice power
-    split, in :func:`power_split_grid`'s order and built as one array of
-    per-layer column powers ``(w_c, w_g, w_p)`` (:func:`_lattice_powers`),
-    has a 6 x 6 coefficient matrix that takes those rows to its complete
-    terms: the numerators ``w_l own_l``, and the denominators summed up
-    from the interference, ``den_p = w_g other_g + w_p other_p + noise``,
-    ``den_g = den_p + w_p own_p`` and ``den_c = den_g + w_g own_g``, so no
-    denominator is a difference. The splits are scored in chunks of at
-    most 1 MiB of stacked terms, each chunk's terms one stacked matrix
-    product and one batched call of the shared rate tail,
-    :func:`rsmeta.gradients.asr_from_terms`. The first maximizer in
-    canonical order wins, as in a loop keeping a strictly better split, so
-    a split whose rate is NaN never wins; ``n_evaluated`` is the lattice
-    size.
+    once and split by the training loss's own helper,
+    :func:`rsmeta.gradients._own_and_others`, into each user's own
+    common, group and private gain and the other groups' and the other
+    users' private gains at that user; a row of ones makes six rows.
+    Every lattice power split, in canonical order (:func:`_lattice_powers`)
+    and built as one array of per-layer column powers ``(w_c, w_g,
+    w_p)``, has a 6 x 6 coefficient matrix that takes those rows to its
+    complete terms: the numerators ``w_l own_l``, and each denominator a
+    sum of the gains it hears times their powers plus the noise, ``den_c``
+    all four gains, ``den_g`` all but the own group's and ``den_p = w_g
+    other_g + w_p other_p + noise``, so nothing is subtracted. The splits
+    are scored in chunks of at most 1 MiB of stacked terms, each chunk's
+    terms one stacked matrix product and one batched call of the shared
+    rate tail, :func:`rsmeta.gradients.asr_from_terms`. The first
+    maximizer in canonical order wins, as in a loop keeping a strictly
+    better split, so a split whose rate is NaN never wins;
+    ``n_evaluated`` is the lattice size.
     """
     if layout.mode != "hierarchical":
         raise ValueError("fixed-direction search needs a hierarchical layout")
@@ -248,7 +215,12 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
         raise ValueError("model ring count does not match layout groups")
     t0 = time.perf_counter()
     dirs = _fixed_directions(layout, ens.estimate, model, p_t, rank)
-    basis = _gain_basis(channel_project(ens.realizations, dirs)[0], layout)
+    # the six rows: own common, own group and own private gain, the other
+    # groups' and the other users' private gains, and ones
+    basis = np.empty((6, layout.n_users, ens.n_draws))
+    _own_and_others(channel_project(ens.realizations, dirs)[0], layout,
+                    basis[:3], basis[3:5])
+    basis[5] = 1.0
     n = lattice_size(step)
     i, j, w = _lattice_powers(n, layout, p_t)
 

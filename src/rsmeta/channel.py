@@ -26,11 +26,8 @@ from .linalg import RngStream, gaussian_matrix, herm_eig, quadrature
 __all__ = [
     "ChannelEnsemble", "IidCsitModel", "OneRingModel",
     "one_ring_correlation", "psd_sqrt",
-    "draw_iid_scene", "draw_one_ring_scene",
-    "save_ensemble", "load_ensemble",
 ]
 
-_ENSEMBLE_FORMAT = "rsmeta-ensemble-v1"
 NEG_TOL = 1e-9  # eigenvalues above -NEG_TOL are psd_sqrt's roundoff
 
 
@@ -316,48 +313,3 @@ class OneRingModel:
         second = ChannelEnsemble(estimate=estimate, realizations=real2,
                                  noise_power=noise_power)
         return first, second
-
-
-# ---------------------------------------------------------------------------
-# convenience scene builders and ensemble files
-# ---------------------------------------------------------------------------
-
-def draw_iid_scene(seed: int, n_tx: int, n_users: int, p_t: float,
-                   alpha: float = 0.6, n_draws: int = 1000,
-                   error_power: float = None):
-    """One-layer layout plus an i.i.d. partial-CSI ensemble, in one call."""
-    layout = StreamLayout.one_layer(n_tx, n_users)
-    model = IidCsitModel(n_tx=n_tx, n_users=n_users, alpha=alpha,
-                         error_power=error_power)
-    ens = model.draw(RngStream(seed), p_t, n_draws)
-    return layout, ens
-
-
-def draw_one_ring_scene(seed: int, n_tx: int, n_users: int, n_groups: int,
-                        azimuths, spread: float, tau2: float,
-                        n_draws: int = 1000, spacing: float = 0.5):
-    """Hierarchical layout plus a one-ring ensemble, in one call."""
-    layout = StreamLayout.hierarchical(n_tx, n_users, n_groups)
-    model = OneRingModel(n_tx=n_tx, azimuths=tuple(azimuths), spread=spread,
-                         tau2=tau2, spacing=spacing)
-    ens = model.draw(RngStream(seed), layout, n_draws)
-    return layout, ens
-
-
-def save_ensemble(path, ens: ChannelEnsemble) -> None:
-    """Write an ensemble to a .npz file."""
-    np.savez_compressed(path, format=_ENSEMBLE_FORMAT,
-                        estimate=ens.estimate,
-                        realizations=ens.realizations,
-                        noise_power=np.float64(ens.noise_power))
-
-
-def load_ensemble(path) -> ChannelEnsemble:
-    """Read an ensemble written by :func:`save_ensemble`."""
-    with np.load(path) as data:
-        fmt = str(data["format"])
-        if fmt != _ENSEMBLE_FORMAT:
-            raise ValueError(f"unrecognized ensemble file format {fmt!r}")
-        return ChannelEnsemble(estimate=data["estimate"],
-                               realizations=data["realizations"],
-                               noise_power=float(data["noise_power"]))

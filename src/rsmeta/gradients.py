@@ -21,16 +21,19 @@ group rates are hard minima; their gradient is the lowest minimizing
 user's one-hot (:func:`_rate_weights`). :func:`_layer_terms` gathers
 every layer's numerators and builds every layer's denominator, each
 stacked with the layers in decoding order (common, group when
-hierarchical, private): the common one adds up whole rows, and each later
-one is the one before less the user's own power. Every reader then passes
+hierarchical, private). Every denominator is a sum, and none is a
+difference: the common one adds up whole rows, and the later ones add up
+each user's interference, which one helper, :func:`_own_and_others`,
+tells from its own powers by zeroing them. Every reader then passes
 these complete terms to one tail: the division, one ``log1p`` and one
 average over the realizations for all layers (:func:`_avg_rates`), and the
 minima and sums (:func:`_asr_of_rates`), which give the training loss and
 the plain loss the same bits; :func:`_asr_and_power_grad` takes the whole
 stack back in one vjp. The forward rates also take leading batch axes, the
-backward none. The fixed-direction search builds the complete terms of
-each chunk of power splits as one stacked product with six gain rows
-(:func:`rsmeta.baselines.run_fixed_direction`) and enters the tail
+backward none. The fixed-direction search splits its gains with the same
+helper and builds the complete terms of each chunk of power splits as one
+stacked product with six gain rows
+(:func:`rsmeta.baselines.run_fixed_direction`), then enters the tail
 through :func:`asr_from_terms`, and :mod:`rsmeta.gradcheck`'s tie guard
 reads the tail's stacked averaged rates. With a
 :class:`rsmeta.linalg.ProjectionWorkspace` built for the ensemble, the
@@ -134,44 +137,82 @@ def _array(workspace: ProjectionWorkspace, key: str,
         workspace.array(key, shape)
 
 
+def _own_and_others(pw: np.ndarray, layout: StreamLayout, own: np.ndarray,
+                    others: np.ndarray) -> None:
+    """Split C-ordered stream-major powers ``pw``, (..., n_active, n_users,
+    n_draws), into each user's own power per layer and its interference.
+
+    ``own``, (..., n_layers, n_users, n_draws), gets the own powers, one
+    gather (:attr:`StreamLayout.layer_rows`). Those rows of ``pw`` are then
+    set to zero, so that ``others``, (..., n_layers - 1, n_users,
+    n_draws), gets sums with nothing to subtract: in hierarchical mode the
+    other groups' powers at each user, then the other users' private
+    powers. ``pw`` is overwritten. This is the one place that tells a
+    user's own powers from its interference, for the training loss and the
+    fixed-direction search alike.
+    """
+    *batch, n_act, k, m = pw.shape
+    first_prv = n_act - k
+    rows = pw.reshape(*batch, n_act * k, m)
+    # mode="clip" (the rows are in range) writes straight into ``own``;
+    # the default mode would fill a buffer and copy it
+    np.take(rows, layout.layer_rows, axis=-2, out=own, mode="clip")
+    # user u's own private row, first_prv * k + u * (k + 1), is a stride
+    rows[..., first_prv * k::k + 1, :] = 0.0
+    if layout.mode == "hierarchical":
+        rows[..., layout.layer_rows[1], :] = 0.0
+        np.add.reduce(pw[..., 1:first_prv, :, :], axis=-3,
+                      out=others[..., 0, :, :])
+    np.add.reduce(pw[..., first_prv:, :, :], axis=-3,
+                  out=others[..., -1, :, :])
+
+
 def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float,
                  workspace: ProjectionWorkspace = None):
     """Every layer's numerators and denominators, ``(num, den)``, each
     stacked (..., n_layers, n_users, n_draws), from the |h^H p|^2 of the
     active columns, stream-major, (..., n_active, n_users, n_draws).
 
-    The powers are read contiguous: no copy for
-    :func:`rsmeta.linalg.channel_project`'s, a contiguous one of any other
-    array, with the same bits. The numerators, each user's own power per
-    layer, are one gather (:attr:`StreamLayout.layer_rows`). The common
-    denominator adds the group rows, then the private rows, in column
-    order, plus the noise; in hierarchical mode the two sums pass through
-    ``den``'s group and private slots. Each later layer's denominator is
-    the one before less the user's own power in that layer.
+    The common denominator adds the group rows, then the private rows, in
+    column order, plus the noise. :func:`_own_and_others` then gathers the
+    numerators and writes the interference sums into ``den``'s later
+    slots, and every later denominator is a sum too, so nothing is
+    subtracted: the group one is the other groups' powers plus every
+    private power plus the noise, the private one the other groups' plus
+    the other users' private powers plus the noise. Two users of one group
+    whose channels are equal thus get the same common and group
+    denominators, bit for bit, and their minima tie exactly. The split
+    zeroes the powers in place only when they are the workspace's own
+    C-ordered ``powers``, which :func:`rsmeta.linalg.channel_project`
+    wrote and nothing reads after; any other array is copied first, so no
+    caller's array is written.
     """
-    pw = np.ascontiguousarray(powers)
+    if workspace is not None and powers.flags.c_contiguous \
+            and workspace.owns(powers, "powers"):
+        pw = powers
+    else:
+        pw = np.array(powers, order="C")
     *batch, n_act, k, m = pw.shape
-    rows = layout.layer_rows
-    shape = (*batch, *rows.shape, m)
-    # mode="clip" (the rows are in range) writes straight into ``out``;
-    # the default mode would fill a buffer and copy it
-    num = np.take(pw.reshape(*batch, n_act * k, m), rows, axis=-2,
-                  out=_array(workspace, "sinr", shape), mode="clip")
+    first_prv = n_act - k
+    shape = (*batch, *layout.layer_rows.shape, m)
+    num = _array(workspace, "sinr", shape)
     den = _array(workspace, "den", shape)
     den_c = den[..., 0, :, :]
+    # the whole sums, taken before the own rows are zeroed
     if layout.mode == "hierarchical":
-        first_prv = n_act - k
-        grp = np.add.reduce(pw[..., 1:first_prv, :, :], axis=-3,
-                            out=den[..., 1, :, :])
-        prv = np.add.reduce(pw[..., first_prv:, :, :], axis=-3,
-                            out=den[..., 2, :, :])
-        np.add(grp, prv, out=den_c)
+        all_p = np.add.reduce(pw[..., first_prv:, :, :], axis=-3,
+                              out=_array(workspace, "private_sum",
+                                         (*batch, k, m)))
+        np.add.reduce(pw[..., 1:first_prv, :, :], axis=-3, out=den_c)
+        den_c += all_p
     else:
         np.add.reduce(pw[..., 1:, :, :], axis=-3, out=den_c)
     den_c += noise
-    for i in range(1, len(rows)):
-        np.subtract(den[..., i - 1, :, :], num[..., i, :, :],
-                    out=den[..., i, :, :])
+    _own_and_others(pw, layout, num, den[..., 1:, :, :])
+    if layout.mode == "hierarchical":
+        den[..., 2, :, :] += den[..., 1, :, :]
+        den[..., 1, :, :] += all_p
+    den[..., 1:, :, :] += noise
     return num, den
 
 
@@ -269,10 +310,11 @@ def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
     g_den *= sinr
 
     # every column but the common one sits in the common denominator, and
-    # each later layer's denominator is the one before less the user's own
-    # power: those rows get the summed denominator gradient, and each
-    # user's own group and private powers their layer's numerator term
-    # less that layer's summed denominator term on top
+    # each later layer's denominator sums the same rows but the user's own
+    # power in that layer and the layers before: those rows get the summed
+    # denominator gradient, and each user's own group and private powers
+    # their layer's numerator term less that layer's summed denominator
+    # term on top
     if layout.mode == "hierarchical":
         g_den[1] += g_den[2]
     g_pw = _array(workspace, "power_grad", powers.shape)

@@ -134,10 +134,12 @@ class ProjectionWorkspace:
     the inner products ``z`` as (Re, Im) pairs and the powers with their
     square scratch, each (2, n_streams, n_users, n_draws), the power
     gradient, (n_streams, n_users, n_draws), and the rate code's stacked
-    (n_layers, n_users, n_draws) layer arrays. An optimizer run that
-    projects one ensemble on every iteration builds one workspace; a
-    one-shot caller gets :func:`channel_project`'s throwaway one. Results
-    that outlive the next call on the workspace must be copied out of it.
+    (n_layers, n_users, n_draws) layer arrays and private-power sum;
+    :meth:`owns` tells whether an array is a view of one of them, and so
+    the workspace's to overwrite. An optimizer run that projects one
+    ensemble on every iteration builds one workspace; a one-shot caller
+    gets :func:`channel_project`'s throwaway one. Results that outlive the
+    next call on the workspace must be copied out of it.
     """
 
     def __init__(self, h: np.ndarray):
@@ -164,6 +166,11 @@ class ProjectionWorkspace:
         if arr is None or arr.shape != shape:
             arr = self._arrays[key] = np.empty(shape)
         return arr
+
+    def owns(self, a: np.ndarray, key: str) -> bool:
+        """Whether ``a`` is a view of the array ``key``."""
+        arr = self._arrays.get(key)
+        return arr is not None and a.base is arr
 
 
 def channel_project(h: np.ndarray, p: np.ndarray,

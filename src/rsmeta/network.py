@@ -12,17 +12,13 @@ biases are views of it (:class:`MetaNetParams`), so an optimizer steps
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import RngStream
 
-__all__ = ["MetaNetParams", "init_meta_net", "mlp_forward",
-           "save_checkpoint", "load_checkpoint"]
-
-_NET_FORMAT = "rsmeta-net-v1"
+__all__ = ["MetaNetParams", "init_meta_net", "mlp_forward"]
 
 
 def _layer_views(theta: np.ndarray, dims: tuple):
@@ -123,27 +119,3 @@ def _activations(params: MetaNetParams, x: np.ndarray) -> list:
 def mlp_forward(params: MetaNetParams, x: np.ndarray) -> np.ndarray:
     """Plain forward pass: ReLU on hidden layers, linear output."""
     return _activations(params, x)[-1]
-
-
-def save_checkpoint(path, params: MetaNetParams, meta: dict = None) -> None:
-    """Write network parameters (and optional run metadata) to .npz."""
-    arrays = {"format": _NET_FORMAT,
-              "n_layers": np.int64(len(params.weights)),
-              "meta": json.dumps(meta or {})}
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        arrays[f"w{i}"] = w
-        arrays[f"b{i}"] = b
-    np.savez_compressed(path, **arrays)
-
-
-def load_checkpoint(path):
-    """Read back a checkpoint; returns (params, meta)."""
-    with np.load(path) as data:
-        fmt = str(data["format"]) if "format" in data.files else None
-        if fmt != _NET_FORMAT:
-            raise ValueError(f"unrecognized checkpoint format {fmt!r}")
-        n = int(data["n_layers"])
-        weights = [data[f"w{i}"] for i in range(n)]
-        biases = [data[f"b{i}"] for i in range(n)]
-        meta = json.loads(str(data["meta"]))
-    return MetaNetParams(weights=weights, biases=biases), meta

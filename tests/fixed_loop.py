@@ -5,8 +5,9 @@ splits, each batch's terms one stacked matrix product. This is the loop it
 replaced, kept as the oracle and written on the same six gain rows, built
 here with plain loops: each user's own common, group and private gains,
 the sums of the other groups' and of the other users' private gains at
-that user (added up with the user's own gains set to zero), and ones. Each
-split's column powers (:func:`stream_powers`) fill a 6 x 6 coefficient
+that user (added up with the user's own gains set to zero), and ones. The
+lattice is a list of splits built one by one (:func:`power_split_grid`).
+Each split's column powers (:func:`stream_powers`) fill a 6 x 6 coefficient
 matrix, written out entry by entry, whose product with those rows gives
 the split's numerators and denominators; the rate code
 (:func:`rsmeta.gradients.asr_from_terms`) scores them without a batch
@@ -19,9 +20,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from rsmeta.baselines import _fixed_directions, power_split_grid
+from rsmeta.baselines import PowerSplit, _fixed_directions, lattice_size
 from rsmeta.gradients import asr_from_terms
 from rsmeta.linalg import channel_project
+
+
+def power_split_grid(step: float = 0.05, with_group: bool = True):
+    """All lattice splits with the given step, in canonical order.
+
+    Canonical order is ascending common fraction, then ascending group
+    fraction; exhaustive searches keep the first maximizer, so ties resolve
+    to the smallest split in this order. Fractions are built on an integer
+    lattice so the step never accumulates rounding.
+    """
+    n = lattice_size(step)
+    grid = []
+    for i in range(n + 1):
+        j_max = (n - i) if with_group else 0
+        for j in range(j_max + 1):
+            grid.append(PowerSplit(common=i / n, group=j / n))
+    return grid
 
 
 def stream_powers(split, layout, p_t):

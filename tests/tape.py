@@ -357,18 +357,28 @@ def _tape_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
     hier = layout.mode == "hierarchical"
     powers = csq_project(pre, pim, ens.realizations, workspace)
     rows = np.arange(k)
-    t_com = vsum(take_last(powers, np.arange(0, 1)), axis=2)
+    prv_cols = np.arange(1 + g, 1 + g + k) if hier else np.arange(1, 1 + k)
+    # every denominator is a sum: the interference is read off the powers
+    # with each user's own group and private columns masked to zero
+    mask = np.ones((k, len(layout.active_streams)))
+    mask[rows, prv_cols] = 0.0
     if hier:
-        prv_cols = np.arange(1 + g, 1 + g + k)
-        t_grp = vsum(take_last(powers, np.arange(1, 1 + g)), axis=2)
-        t_prv = vsum(take_last(powers, prv_cols), axis=2)
+        mask[rows, 1 + np.asarray(layout.group_of)] = 0.0
+    others = powers * constant(mask)
+    t_com = vsum(take_last(powers, np.arange(0, 1)), axis=2)
+    t_prv = vsum(take_last(powers, prv_cols), axis=2)
+    o_prv = vsum(take_last(others, prv_cols), axis=2)
+    if hier:
+        grp_cols = np.arange(1, 1 + g)
+        t_grp = vsum(take_last(powers, grp_cols), axis=2)
+        o_grp = vsum(take_last(others, grp_cols), axis=2)
         den_c = t_grp + t_prv + ens.noise_power
         own_g = index_pairs(powers, rows, 1 + np.asarray(layout.group_of))
-        den_g = den_c - own_g
+        den_g = o_grp + t_prv + ens.noise_power
+        den_p = o_grp + o_prv + ens.noise_power
     else:
-        prv_cols = np.arange(1, 1 + k)
-        t_prv = vsum(take_last(powers, prv_cols), axis=2)
         den_c = t_prv + ens.noise_power
+        den_p = o_prv + ens.noise_power
     own_p = index_pairs(powers, rows, prv_cols)
     # the rates are averaged per user over a contiguous draw axis, on the
     # (n_users, n_draws) transpose of each SINR
@@ -376,10 +386,8 @@ def _tape_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
     rc = vmean(log1p_v(sinr_c) * (1.0 / _LN2), axis=1)
     if hier:
         sinr_g = transpose2d(own_g / den_g)
-        den_p = den_g - own_p
         rg = vmean(log1p_v(sinr_g) * (1.0 / _LN2), axis=1)
     else:
-        den_p = den_c - own_p
         rg = None
     sinr_p = transpose2d(own_p / den_p)
     rp = vmean(log1p_v(sinr_p) * (1.0 / _LN2), axis=1)

@@ -4,17 +4,17 @@ import pytest
 from rsmeta.adam import AdamState, adam_step
 from rsmeta import baselines
 from rsmeta.baselines import (PowerSplit, _fixed_directions,
-                              power_split_grid, run_direct_adam,
-                              run_fixed_direction)
+                              run_direct_adam, run_fixed_direction)
 from rsmeta.channel import IidCsitModel, OneRingModel
-from rsmeta.gradients import (grad_wrt_precoder, precoder_to_view,
-                              project_view, view_to_precoder)
+from rsmeta.gradients import (asr_from_powers, grad_wrt_precoder,
+                              precoder_to_view, project_view,
+                              view_to_precoder)
 from rsmeta.layout import StreamLayout
 from rsmeta.linalg import RngStream, channel_project, herm_eig
 from rsmeta.metaopt import init_precoder
 from rsmeta.rates import saf_report
 
-from fixed_loop import loop_fixed_direction, stream_powers
+from fixed_loop import loop_fixed_direction, power_split_grid, stream_powers
 
 
 class TestPowerSplit:
@@ -433,6 +433,29 @@ class TestSearchMatchesLongDouble:
         np.testing.assert_allclose(got, want.astype(float), rtol=1e-13)
         chosen = want[grid.index(res.best_split)]
         assert (want.max() - chosen) / want.max() <= 1e-13
+
+
+class TestTrainingRateMatchesLongDouble:
+    """The training loss's rate, :func:`rsmeta.gradients.asr_from_powers`,
+    at every lattice split's precoder matches the same extended-precision
+    reference to a relative 1e-15: its denominators are summed up from the
+    interference, so none of them cancels at high power."""
+
+    @pytest.mark.parametrize("kind, seed", [("ring", 21), ("uneven", 22)])
+    @pytest.mark.parametrize("snr_db", [0.0, 35.0, 50.0])
+    def test_every_split(self, kind, seed, snr_db):
+        make = _bench_ring_scene if kind == "ring" else _uneven_scene
+        lay, ens, model, p_t = make(seed, 10.0 ** (snr_db / 10.0))
+        grid = power_split_grid(0.05)
+        dirs = _fixed_directions(lay, ens.estimate, model, p_t)
+        got = []
+        for split in grid:
+            mat = dirs * np.sqrt(stream_powers(split, lay, p_t))
+            powers = channel_project(ens.realizations,
+                                     mat[:, lay.active_cols])[0]
+            got.append(asr_from_powers(powers, lay, ens.noise_power))
+        want = _longdouble_rates(lay, ens, dirs, p_t, grid)
+        np.testing.assert_allclose(got, want.astype(float), rtol=1e-15)
 
 
 class TestBatchedSearchMatchesLoop:

@@ -3,11 +3,11 @@ import pytest
 from scipy import integrate
 
 from rsmeta.channel import (ChannelEnsemble, IidCsitModel, OneRingModel,
-                            draw_iid_scene, draw_one_ring_scene,
-                            load_ensemble, one_ring_correlation, psd_sqrt,
-                            save_ensemble)
+                            one_ring_correlation, psd_sqrt)
 from rsmeta.layout import StreamLayout
 from rsmeta.linalg import RngStream, gaussian_matrix, herm_eig
+
+from scenes import draw_iid_scene, draw_one_ring_scene
 
 
 class TestChannelEnsemble:
@@ -299,7 +299,7 @@ class TestOneRingModel:
         assert b.realizations.shape[0] == 4
 
 
-class TestSceneBuildersAndFiles:
+class TestSceneBuilders:
     def test_iid_scene(self):
         layout, ens = draw_iid_scene(seed=3, n_tx=4, n_users=3, p_t=10.0,
                                      n_draws=6)
@@ -312,22 +312,6 @@ class TestSceneBuildersAndFiles:
                                           spread=0.3, tau2=0.2, n_draws=5)
         assert layout.mode == "hierarchical"
         assert ens.realizations.shape == (5, 6, 4)
-
-    def test_save_load_roundtrip(self, tmp_path):
-        _, ens = draw_iid_scene(seed=1, n_tx=3, n_users=2, p_t=10.0,
-                                n_draws=4)
-        path = tmp_path / "ens.npz"
-        save_ensemble(path, ens)
-        back = load_ensemble(path)
-        np.testing.assert_array_equal(back.estimate, ens.estimate)
-        np.testing.assert_array_equal(back.realizations, ens.realizations)
-        assert back.noise_power == ens.noise_power
-
-    def test_load_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        np.savez(path, format="something-else", estimate=np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="format"):
-            load_ensemble(path)
 
 
 def _iid_reference(model, seed, p_t, sizes):
@@ -384,13 +368,6 @@ class TestStackLayout:
         for got, want in ((ens, ref), (a, ref_a), (b, ref_b)):
             assert got.realizations.flags.c_contiguous
             np.testing.assert_array_equal(got.realizations, want)
-
-    def test_loaded_ensemble(self, tmp_path):
-        _, ens = draw_iid_scene(seed=2, n_tx=3, n_users=2, p_t=10.0,
-                                n_draws=4)
-        save_ensemble(tmp_path / "ens.npz", ens)
-        back = load_ensemble(tmp_path / "ens.npz")
-        np.testing.assert_array_equal(back.realizations, ens.realizations)
 
     @pytest.mark.parametrize("order", ["C", "F", "user-major"])
     def test_complex_input_kept(self, order):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from rsmeta.baselines import run_direct_adam
-from rsmeta.channel import (ChannelEnsemble, IidCsitModel, draw_iid_scene,
-                            draw_one_ring_scene)
+from rsmeta.channel import ChannelEnsemble, IidCsitModel
 from rsmeta.gradcheck import (_random_instance, _random_net,
                               finite_diff_check, gradcheck_suite)
 from rsmeta.gradients import (_asr_and_power_grad, _avg_rates, _columns,
@@ -21,6 +20,7 @@ from rsmeta.metaopt import MetaOptConfig, init_precoder, run_meta_opt
 from rsmeta.network import MetaNetParams, init_meta_net, mlp_forward
 from rsmeta.rates import PrecoderMatrix, saf_report
 import tape
+from scenes import draw_iid_scene, draw_one_ring_scene
 from tape import Var, _rate_loss, _tape_loss, _theta_grad, backward
 
 
@@ -200,22 +200,27 @@ class TestClosedFormMatchesTape:
         np.testing.assert_allclose(g, g_t, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(g_t)))
 
-    def test_common_rate_tie_feeds_lowest_index(self):
-        # users 0 and 1 see identical channels, so their averaged common
-        # rates tie exactly; the hard minimum's whole subgradient must go to
-        # user 0, not be shared or counted twice
-        lay, ens, mat = _instance(seed=81, n_tx=3, n_users=3)
+    @pytest.mark.parametrize("hierarchical, pair", [
+        (False, (0, 1)), (True, (1, 3))], ids=["one_layer", "two_groups"])
+    def test_common_rate_tie_feeds_lowest_index(self, hierarchical, pair):
+        # two users see identical channels, so their averaged common rates
+        # tie exactly, also when they sit in different groups; the hard
+        # minimum's whole subgradient must go to the lower-index user, not
+        # be shared or counted twice
+        lo, hi = pair
+        lay, ens, mat = _instance(seed=81, n_tx=3, hierarchical=hierarchical)
+        assert (lay.group_of[lo] != lay.group_of[hi]) == hierarchical
         h = ens.realizations.copy()
-        h[:, :, 1] = h[:, :, 0]
+        h[:, :, hi] = h[:, :, lo]
         est = ens.estimate.copy()
-        est[:, 1] = est[:, 0]
+        est[:, hi] = est[:, lo]
         tied = ChannelEnsemble(estimate=est, realizations=h)
         powers, _, _ = channel_project(h, mat[:, list(lay.active_streams)])
         rates = _stacked_rates(powers, lay, tied.noise_power)
         rc = rates[0]
-        assert np.argmin(rc) == 0 and rc[0] == rc[1]
+        assert np.argmin(rc) == lo and rc[lo] == rc[hi]
         np.testing.assert_array_equal(_rate_weights(rates, lay)[0],
-                                      [1.0, 0.0, 0.0])
+                                      np.arange(lay.n_users) == lo)
 
         loss, g = grad_wrt_precoder(mat, tied, lay)
         loss_t, g_t = _tape_grad(mat, tied, lay)
@@ -327,6 +332,27 @@ class TestProjectionWorkspace:
             np.testing.assert_array_equal(g, g_w)
             assert np.shares_memory(g_w, ws.array("power_grad",
                                                   g_w.shape))
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_only_the_workspace_powers_are_written(self, hierarchical):
+        # the rate code zeroes each user's own powers in place only in the
+        # powers the workspace's projection wrote; it copies any other
+        # array, even the powers of another workspace's projection
+        lay, ens, mat = self._eight_users(hierarchical)
+        ws = ProjectionWorkspace(ens.realizations)
+        cols = mat[:, lay.active_cols]
+        noise = ens.noise_power
+        powers = channel_project(ens.realizations, cols)[0]
+        own = channel_project(ens.realizations, cols, ws)[0]
+        for call in (lambda p: asr_from_powers(p, lay, noise),
+                     lambda p: _layer_terms(p, lay, noise),
+                     lambda p: _asr_and_power_grad(p, lay, noise, ws)):
+            before = powers.copy()
+            call(powers)
+            np.testing.assert_array_equal(powers, before)
+        asr, _ = _asr_and_power_grad(own, lay, noise, ws)
+        assert asr == asr_from_powers(powers, lay, noise)
+        assert not own.reshape(-1, own.shape[-1])[lay.layer_rows[1:]].any()
 
     @pytest.mark.parametrize("run", ["direct", "meta"])
     def test_runs_allocate_each_array_once(self, monkeypatch, run):

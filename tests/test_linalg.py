@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from rsmeta.baselines import _fixed_directions
-from rsmeta.channel import OneRingModel, draw_iid_scene, draw_one_ring_scene
+from rsmeta.channel import OneRingModel
 from rsmeta.gradients import _columns, precoder_to_view
 from rsmeta.linalg import (ProjectionWorkspace, RngStream, channel_project,
                            gaussian_matrix, herm_eig, quadrature,
                            svd_dominant)
 from rsmeta.metaopt import init_precoder
+
+from scenes import draw_iid_scene, draw_one_ring_scene
 
 
 class TestRngStream:

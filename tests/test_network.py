@@ -3,8 +3,7 @@ import pytest
 
 from rsmeta.adam import AdamState, adam_step
 from rsmeta.linalg import RngStream
-from rsmeta.network import (MetaNetParams, init_meta_net, load_checkpoint,
-                            mlp_forward, save_checkpoint)
+from rsmeta.network import MetaNetParams, init_meta_net, mlp_forward
 
 
 class TestInit:
@@ -111,25 +110,6 @@ class TestThetaViews:
         back = MetaNetParams.from_vector(vec, params.dims)
         assert not np.shares_memory(back.theta, vec)
         np.testing.assert_array_equal(back.theta, vec)
-
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        params = init_meta_net(RngStream(8), 6, hidden=(4,))
-        params.weights[-1][...] = 0.125
-        path = tmp_path / "net.npz"
-        save_checkpoint(path, params, meta={"note": "unit", "seed": 8})
-        loaded, meta = load_checkpoint(path)
-        assert loaded.dims == params.dims
-        np.testing.assert_array_equal(loaded.theta, params.theta)
-        assert meta["note"] == "unit"
-        assert meta["seed"] == 8
-
-    def test_foreign_file_rejected(self, tmp_path):
-        path = tmp_path / "other.npz"
-        np.savez(path, a=np.ones(3))
-        with pytest.raises(ValueError, match="format"):
-            load_checkpoint(path)
 
 
 class TestAdam:
