@@ -3,15 +3,18 @@
 Kept as a tiny pure-numpy implementation so both optimizers in this
 package (the network trainer and the direct precoder baseline) share one
 update rule and its textbook constants :data:`BETA1`, :data:`BETA2` and
-:data:`EPS`; the learning rate is the one setting.
+:data:`EPS`; the learning rate is the one setting, which a run checks once
+with :func:`check_lr` before its first step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["AdamState", "adam_step"]
+__all__ = ["AdamState", "adam_step", "check_lr"]
 
 BETA1 = 0.9  # first-moment decay
 BETA2 = 0.999  # second-moment decay
@@ -20,49 +23,66 @@ EPS = 1e-8  # added to sqrt(v_hat) before the division
 
 @dataclass
 class AdamState:
-    """First and second moment accumulators plus the step counter."""
+    """First and second moment accumulators plus the step counter, and the
+    step's two scratch arrays, shaped like the moments."""
 
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
+    delta: np.ndarray = field(init=False, repr=False)
+    denom: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.delta = np.empty_like(self.m)
+        self.denom = np.empty_like(self.m)
 
     @classmethod
     def zeros(cls, dim: int) -> "AdamState":
         return cls(m=np.zeros(int(dim)), v=np.zeros(int(dim)))
 
 
-def adam_step(state: AdamState, grad: np.ndarray, lr: float) -> np.ndarray:
-    """Advance the state by one gradient and return the parameter delta.
+def check_lr(lr) -> float:
+    """``lr`` if it is a finite number > 0; raises ValueError otherwise, in
+    the words the config check uses for ``meta.lr`` and ``direct.lr``."""
+    if not (isinstance(lr, numbers.Real) and not isinstance(lr, bool)
+            and math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be a number > 0, got {lr!r}")
+    return lr
 
-    The caller applies the returned delta additively; the learning rate is
-    already folded in, so it must not be applied twice. On the first step
-    the delta is close to -lr * sign(grad) thanks to bias correction.
+
+def adam_step(state: AdamState, grad: np.ndarray, lr: float,
+              params: np.ndarray) -> None:
+    """Advance the state by one gradient and add the step to ``params``.
+
+    The learning rate is folded into the step, which :func:`check_lr` has
+    vetted. On the first step the delta is close to -lr * sign(grad)
+    thanks to bias correction.
 
     ``state.m`` and ``state.v`` are updated in place, each operation in the
     order of the textbook update ``m = b1 m + (1 - b1) g``, ``v = b2 v +
     (1 - b2) g g``, ``-lr m_hat / (sqrt(v_hat) + eps)``, so every bit of it
-    is kept. The delta is a fresh array.
+    is kept. The delta is built in ``state.delta``, with ``state.denom``
+    as scratch, and then added into ``params`` in place, so a step
+    allocates nothing; ``state.delta`` holds it until the next step.
     """
-    grad = np.asarray(grad, dtype=float)
     if grad.shape != state.m.shape:
         raise ValueError(f"gradient shape {grad.shape} does not match state "
                          f"{state.m.shape}")
-    if not lr > 0:
-        raise ValueError(f"lr must be positive, got {lr}")
     state.step_count += 1
     t = state.step_count
-    m, v = state.m, state.v
+    m, v, delta, denom = state.m, state.v, state.delta, state.denom
     m *= BETA1
-    m += (1.0 - BETA1) * grad
-    term = (1.0 - BETA2) * grad
-    term *= grad
+    np.multiply(grad, 1.0 - BETA1, out=delta)
+    m += delta
+    np.multiply(grad, 1.0 - BETA2, out=denom)
+    denom *= grad
     v *= BETA2
-    v += term
-    # term becomes sqrt(v_hat) + eps, then the delta divides by it
-    np.divide(v, 1.0 - BETA2 ** t, out=term)
-    np.sqrt(term, out=term)
-    term += EPS
-    delta = m / (1.0 - BETA1 ** t)
+    v += denom
+    # denom becomes sqrt(v_hat) + eps, then the delta divides by it
+    np.divide(v, 1.0 - BETA2 ** t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += EPS
+    np.divide(m, 1.0 - BETA1 ** t, out=delta)
     delta *= -lr
-    delta /= term
-    return delta
+    delta /= denom
+    params += delta

@@ -6,9 +6,11 @@
   very same start point, scoring and best-candidate record
   (``metaopt._start``), so any gap between them is the method and not the
   plumbing. A run projects on one workspace
-  (:class:`rsmeta.linalg.ProjectionWorkspace`) built for its ensemble, so
-  its time goes to arithmetic, not to copying the channels and faulting in
-  fresh arrays on every iteration.
+  (:class:`rsmeta.linalg.ProjectionWorkspace`) built for its ensemble,
+  through the views the workspace keeps, and Adam and the power projection
+  step its one view in place, so its time goes to arithmetic, not to
+  copying the channels, reshaping and faulting in arrays on every
+  iteration.
 
 * Fixed-direction beamforming with an exhaustive power-split search:
   column directions are built once from second-order statistics and the
@@ -28,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adam import AdamState, adam_step
+from .adam import AdamState, adam_step, check_lr
 from .channel import ChannelEnsemble, OneRingModel
-from .gradients import _own_and_others, asr_from_terms, grad_wrt_precoder, \
-    project_view, view_length
+from .gradients import _own_and_others, _Split, asr_from_terms, \
+    grad_wrt_precoder, project_view, view_length
 from .layout import StreamLayout
 from .linalg import ProjectionWorkspace, channel_project, svd_dominant
 from .metaopt import RunResult, _start
@@ -52,18 +54,22 @@ def run_direct_adam(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
                     splits: tuple = None) -> RunResult:
     """Adam directly on the precoder view, projected after every step.
 
-    The view goes into the gradient as it is, and every gradient of the
-    run fills one projection workspace built for ``ens``: the channel copy
-    is made once, and no projection or power-gradient array is allocated
-    again on each iteration.
+    ``lr`` is checked (:func:`rsmeta.adam.check_lr`) before any work. The
+    run keeps one view: Adam steps it and the power projection scales it,
+    both in place. It goes into the gradient as it is, and every gradient
+    of the run fills one projection workspace built for ``ens``: the
+    channel copy is made once, and no projection or power-gradient array
+    is allocated again on each iteration.
     """
     if n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {n_iters}")
+    lr = check_lr(lr)
     workspace = ProjectionWorkspace(ens.realizations)
     record, v, g = _start(layout, ens, p_t, splits, workspace)
     opt = AdamState.zeros(view_length(layout))
     for _ in range(n_iters):
-        v = project_view(v + adam_step(opt, g, lr), p_t)
+        adam_step(opt, g, lr, v)
+        project_view(v, p_t, out=v)
         loss, g = grad_wrt_precoder(v, ens, layout, workspace=workspace)
         record.offer(v, loss)
     return record.result()
@@ -218,8 +224,8 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
     # the six rows: own common, own group and own private gain, the other
     # groups' and the other users' private gains, and ones
     basis = np.empty((6, layout.n_users, ens.n_draws))
-    _own_and_others(channel_project(ens.realizations, dirs)[0], layout,
-                    basis[:3], basis[3:5])
+    _own_and_others(_Split(channel_project(ens.realizations, dirs)[0],
+                           layout, basis[:3], basis[3:5]))
     basis[5] = 1.0
     n = lattice_size(step)
     i, j, w = _lattice_powers(n, layout, p_t)

@@ -11,8 +11,9 @@ They differ only in the adjoint that takes those pairs to the view:
 * :func:`grad_wrt_theta`, at the network's power-projected candidate: an
   ``einsum`` over the projection's complex user-major channel copy,
   :attr:`rsmeta.linalg.ProjectionWorkspace.hu`, then the radial projection
-  ``v * sqrt(P / tr)`` and the ReLU MLP, written into one fresh ``theta``
-  through its layer views (:class:`rsmeta.network.MetaNetParams`).
+  ``v * sqrt(P / tr)`` and the ReLU MLP, written into a ``theta``-shaped
+  array through its layer views (:class:`rsmeta.network.MetaNetParams`):
+  the run's one θ-gradient network, or a fresh one.
 
 Every path, the plain loss included, gets |h^H p|^2 from that projection
 and runs one layered-rate arithmetic, so equal precoders give bit-equal
@@ -35,11 +36,13 @@ helper and builds the complete terms of each chunk of power splits as one
 stacked product with six gain rows
 (:func:`rsmeta.baselines.run_fixed_direction`), then enters the tail
 through :func:`asr_from_terms`, and :mod:`rsmeta.gradcheck`'s tie guard
-reads the tail's stacked averaged rates. With a
+reads the tail's stacked averaged rates. Every pass reads its arrays
+through views derived once (:class:`_Terms`). With a
 :class:`rsmeta.linalg.ProjectionWorkspace` built for the ensemble, the
-gradients fill their arrays in place, bit-identically, and return nothing
-that points into it; both optimizers pass their run's workspace on every
-iteration.
+gradients fill their arrays in place, bit-identically, through the views
+that the workspace derives on a run's first iteration and keeps, and
+return nothing that points into it; both optimizers pass their run's
+workspace on every iteration.
 
 The view is the memory of the complex (n_tx, n_active) matrix of the
 active columns, read as float64 pairs, so going between the two is no
@@ -58,8 +61,8 @@ import numpy as np
 
 from .channel import ChannelEnsemble
 from .layout import StreamLayout
-from .linalg import ProjectionWorkspace, _project_back, _user_major, \
-    channel_project
+from .linalg import ProjectionWorkspace, _project, _project_back, \
+    _Projection, _user_major, channel_project
 from .network import MetaNetParams, _activations, _layer_views, mlp_forward
 from .rates import _LN2
 
@@ -110,20 +113,24 @@ def view_to_precoder(v: np.ndarray, layout: StreamLayout) -> np.ndarray:
     return full
 
 
-def _radial(v: np.ndarray, p_t: float):
+def _radial(v: np.ndarray, p_t: float, out: np.ndarray = None):
     """The view scaled back onto the power ball if it exceeds the budget:
-    ``(cand, tr, scale)`` with ``tr = sum(v * v)`` and ``cand = v * scale``,
-    ``scale`` None (and ``cand`` the very ``v``) inside the ball."""
+    ``(cand, tr, scale)`` with ``tr = sum(v * v)`` and ``cand = v * scale``
+    in ``out`` or fresh, ``scale`` None (and ``cand`` the very ``v``) inside
+    the ball."""
     tr = np.add.reduce(v * v)
     if tr > p_t:
         scale = np.sqrt(p_t / tr)
-        return v * scale, tr, scale
+        return np.multiply(v, scale, out=out), tr, scale
     return v, tr, None
 
 
-def project_view(v: np.ndarray, p_t: float) -> np.ndarray:
-    """Scale the view back onto the power ball if it exceeds the budget."""
-    return _radial(v, p_t)[0]
+def project_view(v: np.ndarray, p_t: float,
+                 out: np.ndarray = None) -> np.ndarray:
+    """Scale the view back onto the power ball if it exceeds the budget,
+    into ``out`` (``v`` itself to scale in place) or a fresh array; a view
+    inside the ball comes back as it is."""
+    return _radial(v, p_t, out)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -137,41 +144,122 @@ def _array(workspace: ProjectionWorkspace, key: str,
         workspace.array(key, shape)
 
 
-def _own_and_others(pw: np.ndarray, layout: StreamLayout, own: np.ndarray,
-                    others: np.ndarray) -> None:
-    """Split C-ordered stream-major powers ``pw``, (..., n_active, n_users,
-    n_draws), into each user's own power per layer and its interference.
+class _Split:
+    """The views of C-ordered stream-major powers ``pw``, (..., n_active,
+    n_users, n_draws), that :func:`_own_and_others` reads and zeroes, and
+    the arrays it fills: ``own``, (..., n_layers, n_users, n_draws), and
+    ``others``, (..., n_layers - 1, n_users, n_draws)."""
 
-    ``own``, (..., n_layers, n_users, n_draws), gets the own powers, one
-    gather (:attr:`StreamLayout.layer_rows`). Those rows of ``pw`` are then
-    set to zero, so that ``others``, (..., n_layers - 1, n_users,
-    n_draws), gets sums with nothing to subtract: in hierarchical mode the
-    other groups' powers at each user, then the other users' private
-    powers. ``pw`` is overwritten. This is the one place that tells a
-    user's own powers from its interference, for the training loss and the
-    fixed-direction search alike.
+    def __init__(self, pw: np.ndarray, layout: StreamLayout, own: np.ndarray,
+                 others: np.ndarray):
+        *batch, n_act, k, m = pw.shape
+        first_prv = n_act - k
+        self.hier = layout.mode == "hierarchical"
+        self.layer_rows = layout.layer_rows
+        self.own_group_rows = layout.layer_rows[1]
+        self.rows = pw.reshape(*batch, n_act * k, m)
+        # user u's own private row, first_prv * k + u * (k + 1), is a stride
+        self.own_private = self.rows[..., first_prv * k::k + 1, :]
+        self.groups = pw[..., 1:first_prv, :, :]
+        self.privates = pw[..., first_prv:, :, :]
+        self.own = own
+        self.other_groups = others[..., 0, :, :]
+        self.other_privates = others[..., -1, :, :]
+
+
+def _own_and_others(sp: _Split) -> None:
+    """Split the powers that ``sp`` views into each user's own power per
+    layer and its interference.
+
+    ``sp.own`` gets the own powers, one gather
+    (:attr:`StreamLayout.layer_rows`). Those rows of the powers are then
+    set to zero, so that ``sp``'s ``others`` get sums with nothing to
+    subtract: in hierarchical mode the other groups' powers at each user,
+    then the other users' private powers. The powers are overwritten. This
+    is the one place that tells a user's own powers from its interference,
+    for the training loss and the fixed-direction search alike.
     """
-    *batch, n_act, k, m = pw.shape
-    first_prv = n_act - k
-    rows = pw.reshape(*batch, n_act * k, m)
     # mode="clip" (the rows are in range) writes straight into ``own``;
     # the default mode would fill a buffer and copy it
-    np.take(rows, layout.layer_rows, axis=-2, out=own, mode="clip")
-    # user u's own private row, first_prv * k + u * (k + 1), is a stride
-    rows[..., first_prv * k::k + 1, :] = 0.0
-    if layout.mode == "hierarchical":
-        rows[..., layout.layer_rows[1], :] = 0.0
-        np.add.reduce(pw[..., 1:first_prv, :, :], axis=-3,
-                      out=others[..., 0, :, :])
-    np.add.reduce(pw[..., first_prv:, :, :], axis=-3,
-                  out=others[..., -1, :, :])
+    np.take(sp.rows, sp.layer_rows, axis=-2, out=sp.own, mode="clip")
+    sp.own_private.fill(0.0)
+    if sp.hier:
+        sp.rows[..., sp.own_group_rows, :] = 0.0
+        np.add.reduce(sp.groups, axis=-3, out=sp.other_groups)
+    np.add.reduce(sp.privates, axis=-3, out=sp.other_privates)
 
 
-def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float,
-                 workspace: ProjectionWorkspace = None):
+class _Terms(_Split):
+    """The views, derived once, of every array one layered-rate pass over
+    the powers ``pw`` reads and writes.
+
+    Besides :class:`_Split`'s views of ``pw``: the stacked numerators
+    ``num``, which become the SINRs, and denominators ``den``, (...,
+    n_layers, n_users, n_draws), with the common row ``den_c``, the later
+    rows ``den_later``, the second row ``den_1`` (the group one in
+    hierarchical mode, else the private one) and the private row
+    ``den_p``, and in hierarchical mode the private-power sum ``all_p``.
+    With ``backward``, for unbatched powers, also the rate backward's
+    arrays: the averaged ``rates`` and the ``rate_grad`` stacked like them,
+    the per-draw ``log_rate``, which becomes the numerator gradient, and
+    the ``power_grad`` shaped like ``pw``, with their rows and slices.
+    Every array is the ``workspace``'s, or fresh without one.
+    """
+
+    def __init__(self, pw: np.ndarray, layout: StreamLayout,
+                 workspace: ProjectionWorkspace = None,
+                 backward: bool = False):
+        *batch, n_act, k, m = pw.shape
+        shape = (*batch, *layout.layer_rows.shape, m)
+        num = _array(workspace, "sinr", shape)
+        den = _array(workspace, "den", shape)
+        super().__init__(pw, layout, num, den[..., 1:, :, :])
+        self.layout, self.n_draws = layout, m
+        self.num, self.den = num, den
+        self.den_c, self.den_later = den[..., 0, :, :], den[..., 1:, :, :]
+        self.den_1, self.den_p = den[..., 1, :, :], den[..., -1, :, :]
+        self.all_p = _array(workspace, "private_sum", (*batch, k, m)) \
+            if self.hier else None
+        if not backward:
+            return
+        self.rates = _array(workspace, "rates", shape[:-1])
+        self.rate_grad = _array(workspace, "rate_grad", shape[:-1])
+        self.rate_grad_col = self.rate_grad[..., None]
+        self.log_rate = _array(workspace, "log_rate", shape)
+        self.g_num_c, self.g_num_later = self.log_rate[0], self.log_rate[1:]
+        self.g_num_1, self.g_num_p = self.log_rate[1], self.log_rate[-1]
+        g_pw = self.power_grad = _array(workspace, "power_grad", pw.shape)
+        self.g_pw_c, self.g_pw_1, self.g_pw_rest = g_pw[0], g_pw[1], g_pw[2:]
+        self.g_pw_rows = g_pw.reshape(n_act * k, m)
+        self.g_pw_own_private = self.g_pw_rows[(n_act - k) * k::k + 1]
+
+
+def _terms(powers: np.ndarray, layout: StreamLayout,
+           workspace: ProjectionWorkspace = None,
+           backward: bool = False) -> _Terms:
+    """The views of one rate pass over ``powers``, with the workspace's
+    arrays or fresh ones. The powers are zeroed in place only when they
+    are the workspace's own C-ordered ``powers``, which
+    :func:`rsmeta.linalg.channel_project` wrote and nothing reads after;
+    any other array is copied first, so no caller's array is written."""
+    if workspace is None or not (powers.flags.c_contiguous
+                                 and workspace.owns(powers, "powers")):
+        powers = np.array(powers, order="C")
+    return _Terms(powers, layout, workspace, backward)
+
+
+def _kept_terms(ws: ProjectionWorkspace, layout: StreamLayout) -> _Terms:
+    """The views of a rate pass over the powers that the workspace's
+    projection of ``layout``'s active columns writes, for
+    :meth:`rsmeta.linalg.ProjectionWorkspace.views` to keep."""
+    pv = ws.views("projection", _Projection, len(layout.active_streams))
+    return _Terms(pv.powers, layout, ws, backward=True)
+
+
+def _fill_terms(t: _Terms, noise: float):
     """Every layer's numerators and denominators, ``(num, den)``, each
-    stacked (..., n_layers, n_users, n_draws), from the |h^H p|^2 of the
-    active columns, stream-major, (..., n_active, n_users, n_draws).
+    stacked (..., n_layers, n_users, n_draws), written into ``t``'s arrays
+    from the |h^H p|^2 of the active columns it views.
 
     The common denominator adds the group rows, then the private rows, in
     column order, plus the noise. :func:`_own_and_others` then gathers the
@@ -181,51 +269,44 @@ def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float,
     private power plus the noise, the private one the other groups' plus
     the other users' private powers plus the noise. Two users of one group
     whose channels are equal thus get the same common and group
-    denominators, bit for bit, and their minima tie exactly. The split
-    zeroes the powers in place only when they are the workspace's own
-    C-ordered ``powers``, which :func:`rsmeta.linalg.channel_project`
-    wrote and nothing reads after; any other array is copied first, so no
-    caller's array is written.
+    denominators, bit for bit, and their minima tie exactly.
     """
-    if workspace is not None and powers.flags.c_contiguous \
-            and workspace.owns(powers, "powers"):
-        pw = powers
-    else:
-        pw = np.array(powers, order="C")
-    *batch, n_act, k, m = pw.shape
-    first_prv = n_act - k
-    shape = (*batch, *layout.layer_rows.shape, m)
-    num = _array(workspace, "sinr", shape)
-    den = _array(workspace, "den", shape)
-    den_c = den[..., 0, :, :]
     # the whole sums, taken before the own rows are zeroed
-    if layout.mode == "hierarchical":
-        all_p = np.add.reduce(pw[..., first_prv:, :, :], axis=-3,
-                              out=_array(workspace, "private_sum",
-                                         (*batch, k, m)))
-        np.add.reduce(pw[..., 1:first_prv, :, :], axis=-3, out=den_c)
-        den_c += all_p
+    if t.hier:
+        np.add.reduce(t.privates, axis=-3, out=t.all_p)
+        np.add.reduce(t.groups, axis=-3, out=t.den_c)
+        t.den_c += t.all_p
     else:
-        np.add.reduce(pw[..., 1:, :, :], axis=-3, out=den_c)
-    den_c += noise
-    _own_and_others(pw, layout, num, den[..., 1:, :, :])
-    if layout.mode == "hierarchical":
-        den[..., 2, :, :] += den[..., 1, :, :]
-        den[..., 1, :, :] += all_p
-    den[..., 1:, :, :] += noise
-    return num, den
+        np.add.reduce(t.privates, axis=-3, out=t.den_c)
+    t.den_c += noise
+    _own_and_others(t)
+    if t.hier:
+        t.den_p += t.den_1
+        t.den_1 += t.all_p
+    t.den_later += noise
+    return t.num, t.den
+
+
+def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float,
+                 workspace: ProjectionWorkspace = None):
+    """Every layer's numerators and denominators, ``(num, den)``, each
+    stacked (..., n_layers, n_users, n_draws), from the |h^H p|^2 of the
+    active columns, stream-major, (..., n_active, n_users, n_draws): see
+    :func:`_fill_terms`; the powers are written only as :func:`_terms`
+    says."""
+    return _fill_terms(_terms(powers, layout, workspace), noise)
 
 
 def _avg_rates(sinr: np.ndarray, log_rate: np.ndarray,
-               workspace: ProjectionWorkspace = None) -> np.ndarray:
+               out: np.ndarray = None) -> np.ndarray:
     """Per-user rates log2(1 + sinr) averaged over the realizations,
-    (..., n_layers, n_users), from the stacked SINRs. The per-draw rates
-    are written into ``log_rate``: ``sinr`` itself on the forward paths,
-    which need no SINR after it, a separate array on the backward's."""
+    (..., n_layers, n_users), from the stacked SINRs, in ``out`` or fresh.
+    The per-draw rates are written into ``log_rate``: ``sinr`` itself on
+    the forward paths, which need no SINR after it, a separate array on
+    the backward's."""
     r = np.log1p(sinr, out=log_rate)
     r *= 1.0 / _LN2
-    avg = np.add.reduce(r, axis=-1,
-                        out=_array(workspace, "rates", sinr.shape[:-1]))
+    avg = np.add.reduce(r, axis=-1, out=out)
     avg /= sinr.shape[-1]
     return avg
 
@@ -244,12 +325,13 @@ def _asr_of_rates(rates: np.ndarray, layout: StreamLayout):
 
 
 def _rate_weights(rates: np.ndarray, layout: StreamLayout,
-                  workspace: ProjectionWorkspace = None) -> np.ndarray:
+                  out: np.ndarray = None) -> np.ndarray:
     """The gradient of :func:`_asr_of_rates` with respect to unbatched
-    rates, stacked like them, (n_layers, n_users): one on every private
-    rate, and on the common row and each group's members the hard
-    minimum's subgradient, a one-hot on the lowest minimizing user."""
-    w = _array(workspace, "rate_grad", rates.shape)
+    rates, stacked like them, (n_layers, n_users), in ``out`` or fresh:
+    one on every private rate, and on the common row and each group's
+    members the hard minimum's subgradient, a one-hot on the lowest
+    minimizing user."""
+    w = np.empty(rates.shape) if out is None else out
     w[:-1] = 0.0
     w[-1] = 1.0
     w[0, rates[0].argmin()] = 1.0
@@ -288,23 +370,32 @@ def loss_from_view(v: np.ndarray, ens: ChannelEnsemble,
 def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
                         noise: float, workspace: ProjectionWorkspace = None):
     """Averaged sum rate from the |h^H p|^2 of the active columns, and its
-    gradient with respect to those powers: ``(asr, d asr / d powers)``.
+    gradient with respect to those powers: ``(asr, d asr / d powers)``,
+    the gradient a C-ordered array shaped like ``powers``, the
+    workspace's ``power_grad`` when there is a workspace; see
+    :func:`_rate_backward`."""
+    return _rate_backward(_terms(powers, layout, workspace, backward=True),
+                          noise, 1.0)
+
+
+def _rate_backward(t: _Terms, noise: float, scale: float):
+    """``(asr, scale * d asr / d powers)`` over the powers ``t`` views, the
+    gradient in ``t.power_grad``; ``scale`` must be a power of two, so that
+    it scales every bit of the gradient exactly.
 
     One vjp takes every layer's ``mean(log2(1 + num / den))`` back to its
-    stacked numerators and denominators. The gradient is a C-ordered
-    array shaped like ``powers``: the workspace's ``power_grad`` when
-    there is a workspace.
+    stacked numerators and denominators; ``scale`` enters with the rate
+    weights, so it costs no pass over the powers.
     """
-    sinr, den = _layer_terms(powers, layout, noise, workspace)
+    sinr, den = _fill_terms(t, noise)
     sinr /= den
-    rates = _avg_rates(sinr, _array(workspace, "log_rate", sinr.shape),
-                       workspace)
-    asr = float(_asr_of_rates(rates, layout))
-    g_rate = _rate_weights(rates, layout, workspace)
-    g_rate /= sinr.shape[-1]
-    g_rate *= 1.0 / _LN2
-    g_num = np.add(1.0, sinr, out=_array(workspace, "log_rate", sinr.shape))
-    np.divide(g_rate[..., None], g_num, out=g_num)
+    rates = _avg_rates(sinr, t.log_rate, t.rates)
+    asr = float(_asr_of_rates(rates, t.layout))
+    g_rate = _rate_weights(rates, t.layout, t.rate_grad)
+    g_rate /= t.n_draws
+    g_rate *= scale / _LN2
+    g_num = np.add(1.0, sinr, out=t.log_rate)
+    np.divide(t.rate_grad_col, g_num, out=g_num)
     g_num /= den
     g_den = np.negative(g_num, out=den)
     g_den *= sinr
@@ -314,32 +405,49 @@ def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
     # power in that layer and the layers before: those rows get the summed
     # denominator gradient, and each user's own group and private powers
     # their layer's numerator term less that layer's summed denominator
-    # term on top
-    if layout.mode == "hierarchical":
-        g_den[1] += g_den[2]
-    g_pw = _array(workspace, "power_grad", powers.shape)
-    g_pw[0] = g_num[0]
-    np.add(g_den[0], g_den[1], out=g_pw[1])
-    g_pw[2:] = g_pw[1]
-    g_num[1:] -= g_den[1:]
-    g_pw.reshape(-1, g_pw.shape[-1])[layout.layer_rows[1:]] += g_num[1:]
-    return asr, g_pw
+    # term on top. ``den`` holds the denominator gradient now, and its
+    # views read it
+    if t.hier:
+        t.den_1 += t.den_p
+    t.g_pw_c[...] = t.g_num_c
+    np.add(t.den_c, t.den_1, out=t.g_pw_1)
+    t.g_pw_rest[...] = t.g_pw_1
+    t.g_num_later -= t.den_later
+    if t.hier:
+        t.g_pw_rows[t.own_group_rows] += t.g_num_1
+    t.g_pw_own_private += t.g_num_p
+    return asr, t.power_grad
+
+
+def _rows(v, layout: StreamLayout) -> np.ndarray:
+    """The view as C-ordered (n_active, n_tx, 2) rows of float64 (Re, Im)
+    pairs, one per active column: the view's memory when it is a
+    contiguous float64 array; a view of another length raises
+    ValueError."""
+    return np.ascontiguousarray(v, dtype=float).reshape(
+        len(layout.active_streams), layout.n_tx, 2)
 
 
 def _loss_core(v: np.ndarray, ens: ChannelEnsemble, layout: StreamLayout,
                workspace: ProjectionWorkspace):
-    """``(loss, dz, ws)``: the loss at the view ``v``, its gradient for the
-    projection's pairs ``z``, written over them, and the workspace ``ws``
-    that the projection, the rate backward and ``dz`` live in: the given
-    one or a throwaway one."""
-    powers, z, ws = channel_project(ens.realizations, _columns(v, layout),
-                                    workspace)
-    asr, g_pow = _asr_and_power_grad(powers, layout, ens.noise_power, ws)
-    # the loss is -asr and d|z|^2 = 2 (Re z dRe z + Im z dIm z); in place,
-    # as fresh arrays of this size cost more in page faults than arithmetic
-    g_pow *= -2.0
-    z *= g_pow
-    return -asr, z, ws
+    """``(loss, pv, ws)``: the loss at the view ``v``, the workspace ``ws``
+    that the projection, the rate backward and the loss's gradient for the
+    projection's pairs ``z`` live in, the given one or a throwaway one,
+    and ``pv``, the views of the projection's arrays, whose ``z`` and
+    ``z2`` hold that gradient, written over the pairs. The rate pass runs
+    on the views that ``ws`` keeps."""
+    ws = ProjectionWorkspace(ens.realizations) if workspace is None \
+        else workspace
+    if ws.h is not ens.realizations:
+        raise ValueError("the workspace was built for another channel stack")
+    pv = _project(_rows(v, layout), ws)
+    # the loss is -asr and d|z|^2 = 2 (Re z dRe z + Im z dIm z): the rate
+    # backward scales by -2, and the pairs are scaled in place, as fresh
+    # arrays of this size cost more in page faults than arithmetic
+    asr, g_pow = _rate_backward(ws.views("terms", _kept_terms, layout),
+                                ens.noise_power, -2.0)
+    np.multiply(pv.z, g_pow, out=pv.z)
+    return -asr, pv, ws
 
 
 def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
@@ -353,8 +461,8 @@ def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
     view. ``grad`` is fresh, with or without a ``workspace`` built for
     ``ens.realizations``.
     """
-    loss, dz, ws = _loss_core(_view_in(p, layout), ens, layout, workspace)
-    return loss, _project_back(dz, ws.hr)
+    loss, pv, ws = _loss_core(_view_in(p, layout), ens, layout, workspace)
+    return loss, _project_back(pv.z2, ws.hr_t)
 
 
 def candidate_view(params: MetaNetParams, p0_view: np.ndarray,
@@ -366,7 +474,8 @@ def candidate_view(params: MetaNetParams, p0_view: np.ndarray,
 
 def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
                    ens: ChannelEnsemble, layout: StreamLayout, p_t: float,
-                   workspace: ProjectionWorkspace = None):
+                   workspace: ProjectionWorkspace = None,
+                   out: MetaNetParams = None):
     """Differentiate the full pipeline with respect to network parameters.
 
     Pipeline: frozen gradient view in, network proposal out, add to the
@@ -379,19 +488,23 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
 
     Returns ``(loss, grad_theta, cand_view)`` where ``loss`` is the loss at
     the projected candidate, ``grad_theta`` is laid out as ``params.theta``,
-    and ``cand_view`` is the candidate in view coordinates; all
-    fresh, with or without a ``workspace`` built for ``ens.realizations``.
+    and ``cand_view`` is the candidate in view coordinates, fresh, with or
+    without a ``workspace`` built for ``ens.realizations``.
+    ``grad_theta`` is written through the layer views of ``out``, a network
+    of ``params``' shape that holds the gradient, and is ``out.theta``;
+    without ``out`` it is fresh. A run passes the same ``out`` on every
+    iteration, so no θ-sized array is allocated again.
     """
     acts = _activations(params, g0_view)
     raw = np.asarray(_view_in(p0, layout), dtype=float) + acts[-1]
     cand, tr, scale = _radial(raw, p_t)
 
-    loss, dz, ws = _loss_core(cand, ens, layout, workspace)
+    loss, pv, ws = _loss_core(cand, ens, layout, workspace)
     # the adjoint is an einsum over the workspace's user-major h, ws.hu, of
-    # dz made complex and user-major in the memory of the powers, which are
-    # dead by now; it is not grad_wrt_precoder's product with hr: the two
-    # differ in their last bits
-    w = _user_major(dz, ws.array("powers", dz.shape))
+    # dz made complex and user-major in the memory of the powers' squares,
+    # which are dead by now; it is not grad_wrt_precoder's product with hr:
+    # the two differ in their last bits
+    w = _user_major(pv.z, pv.sq)
     g = _view(np.einsum("mik,mks->is", ws.hu, w))
 
     if scale is not None:
@@ -401,9 +514,13 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
         g = g * scale + (2.0 * g_tr) * raw
 
     # layer i maps acts[i] to acts[i + 1], a hidden layer's ReLU passes
-    # gradient where it is positive, and dL/dθ fills a fresh θ's layers
-    grad = np.empty(params.n_params)
-    g_w, g_b = _layer_views(grad, params.dims)
+    # gradient where it is positive, and dL/dθ fills the layers of ``out``
+    # or of a fresh θ
+    if out is None:
+        grad = np.empty(params.n_params)
+        g_w, g_b = _layer_views(grad, params.dims)
+    else:
+        grad, g_w, g_b = out.theta, out.weights, out.biases
     for i in range(len(g_w) - 1, -1, -1):
         np.multiply.outer(g, acts[i], out=g_w[i])
         g_b[i][...] = g

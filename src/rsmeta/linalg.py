@@ -128,18 +128,20 @@ class ProjectionWorkspace:
     Built from a complex (n_draws, n_tx, n_users) stack ``h`` in any
     layout: it makes the float64 conjugate copy ``hr`` once, (2 * n_tx,
     n_users * n_draws) with rows interleaved (Re, -Im) per antenna like a
-    view and columns user-major, draw-minor, ``h.nbytes`` in all, and
-    :attr:`hu` on first use. :meth:`array` hands out named arrays that
-    every later request under the same name gets again, to be overwritten:
-    the inner products ``z`` as (Re, Im) pairs and the powers with their
-    square scratch, each (2, n_streams, n_users, n_draws), the power
-    gradient, (n_streams, n_users, n_draws), and the rate code's stacked
-    (n_layers, n_users, n_draws) layer arrays and private-power sum;
-    :meth:`owns` tells whether an array is a view of one of them, and so
-    the workspace's to overwrite. An optimizer run that projects one
-    ensemble on every iteration builds one workspace; a one-shot caller
-    gets :func:`channel_project`'s throwaway one. Results that outlive the
-    next call on the workspace must be copied out of it.
+    view and columns user-major, draw-minor, ``h.nbytes`` in all, with its
+    transpose ``hr_t``, and :attr:`hu` on first use. :meth:`array` hands
+    out named arrays that every later request under the same name gets
+    again, to be overwritten: the inner products ``z`` as (Re, Im) pairs
+    and the powers with their square scratch, each (2, n_streams, n_users,
+    n_draws), the power gradient, (n_streams, n_users, n_draws), and the
+    rate code's stacked (n_layers, n_users, n_draws) layer arrays and
+    private-power sum; :meth:`owns` tells whether an array is a view of
+    one of them, and so the workspace's to overwrite. :meth:`views` keeps
+    the views of those arrays that a caller derives from them, so that a
+    run reshapes and slices them once, not on every call. An optimizer run
+    that projects one ensemble on every iteration builds one workspace; a
+    one-shot caller gets :func:`channel_project`'s throwaway one. Results
+    that outlive the next call on the workspace must be copied out of it.
     """
 
     def __init__(self, h: np.ndarray):
@@ -150,7 +152,9 @@ class ProjectionWorkspace:
         np.negative(ht.imag, out=hr[:, 1])
         self.h = h
         self.hr = hr.reshape(2 * n_tx, k * m)
+        self.hr_t = self.hr.T
         self._arrays = {}
+        self._views = {}
 
     @cached_property
     def hu(self) -> np.ndarray:
@@ -161,9 +165,11 @@ class ProjectionWorkspace:
 
     def array(self, key: str, shape: tuple) -> np.ndarray:
         """The uninitialized float64 array ``key``, reused while its shape
-        holds."""
+        holds; replacing it drops every view kept by :meth:`views`."""
         arr = self._arrays.get(key)
         if arr is None or arr.shape != shape:
+            if arr is not None:
+                self._views.clear()
             arr = self._arrays[key] = np.empty(shape)
         return arr
 
@@ -171,6 +177,31 @@ class ProjectionWorkspace:
         """Whether ``a`` is a view of the array ``key``."""
         arr = self._arrays.get(key)
         return arr is not None and a.base is arr
+
+    def views(self, key: str, derive, *args):
+        """``derive(self, *args)``, the views of this workspace's arrays that
+        the caller names ``key``: derived on the first request with these
+        ``args`` and kept, until a request with other ``args`` or a
+        replaced array."""
+        got = self._views.get(key)
+        if got is None or got[0] != args:
+            got = self._views[key] = (args, derive(self, *args))
+        return got[1]
+
+
+class _Projection:
+    """The views of a workspace's projection arrays for ``n_streams``
+    columns: the pairs ``z`` and their 2-d form ``z2``, (2 * n_streams,
+    n_users * n_draws), which the projection's product writes and its
+    adjoint reads, and the squares ``sq`` with the real and imaginary
+    halves, the first of which becomes the ``powers``."""
+
+    def __init__(self, ws: ProjectionWorkspace, n_streams: int):
+        m, _, k = ws.h.shape
+        self.z = ws.array("z", (2, n_streams, k, m))
+        self.z2 = self.z.reshape(2 * n_streams, k * m)
+        self.sq = ws.array("powers", self.z.shape)
+        self.powers, self.sq_im = self.sq
 
 
 def channel_project(h: np.ndarray, p: np.ndarray,
@@ -193,29 +224,39 @@ def channel_project(h: np.ndarray, p: np.ndarray,
     ws = ProjectionWorkspace(h) if workspace is None else workspace
     if ws.h is not h:
         raise ValueError("the workspace was built for another channel stack")
-    m, n_tx, k = h.shape
     s = p.shape[1]
     rows = np.ascontiguousarray(p.T, dtype=complex).view(float).reshape(
-        s, n_tx, 2)
+        s, h.shape[1], 2)
+    pv = _project(rows, ws)
+    return pv.powers, pv.z, ws
+
+
+def _project(rows: np.ndarray, ws: ProjectionWorkspace) -> _Projection:
+    """:func:`channel_project` of the precoder columns given as C-ordered
+    (n_streams, n_tx, 2) float64 (Re, Im) rows, on ``ws``; returns the
+    views its results live in."""
+    s, n_tx, _ = rows.shape
+    pv = ws.views("projection", _Projection, s)
     a = np.empty((2, s, n_tx, 2))
     a[0] = rows
     a[0, ..., 1] *= -1.0
     a[1] = rows[..., ::-1]
-    z = ws.array("z", (2, s, k, m))
-    np.matmul(a.reshape(2 * s, 2 * n_tx), ws.hr, out=z.reshape(2 * s, -1))
-    sq = np.square(z, out=ws.array("powers", z.shape))
-    return np.add(sq[0], sq[1], out=sq[0]), z, ws
+    np.matmul(a.reshape(2 * s, 2 * n_tx), ws.hr, out=pv.z2)
+    np.square(pv.z, out=pv.sq)
+    np.add(pv.powers, pv.sq_im, out=pv.powers)
+    return pv
 
 
-def _project_back(dz: np.ndarray, hr: np.ndarray) -> np.ndarray:
+def _project_back(dz2: np.ndarray, hr_t: np.ndarray) -> np.ndarray:
     """The adjoint of :func:`channel_project`'s product: from the gradient
-    with respect to ``z``, (Re, Im) pairs shaped (2, n_streams, n_users,
-    n_draws), the fresh flat gradient with respect to ``p``'s columns read
-    as rows of (Re, Im) pairs. One product with ``hr^T`` gives it for the
-    signed rows and for the swapped rows; the same sign and swap fold the
-    two onto the rows."""
-    s = dz.shape[1]
-    g = (dz.reshape(2 * s, -1) @ hr.T).reshape(2, s, -1, 2)
+    with respect to ``z`` in its 2-d form, (Re, Im) pairs shaped (2 *
+    n_streams, n_users * n_draws), the fresh flat gradient with respect to
+    ``p``'s columns read as rows of (Re, Im) pairs. One product with
+    ``hr_t``, the transposed channel copy, gives it for the signed rows
+    and for the swapped rows; the same sign and swap fold the two onto the
+    rows."""
+    s = dz2.shape[0] // 2
+    g = (dz2 @ hr_t).reshape(2, s, -1, 2)
     g[0, ..., 1] *= -1.0
     g[0] += g[1, ..., ::-1]
     return g[0].ravel()

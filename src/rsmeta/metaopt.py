@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adam import AdamState, adam_step
+from .adam import AdamState, adam_step, check_lr
 from .channel import ChannelEnsemble
 from .gradients import (grad_wrt_precoder, grad_wrt_theta, precoder_to_view,
                         view_length, view_to_precoder)
@@ -138,10 +138,12 @@ class _Record:
         self.best_asr = self.best_view = None
 
     def offer(self, view: np.ndarray, loss: float) -> None:
-        """Record a candidate whose training loss is ``loss``."""
+        """Record a candidate whose training loss is ``loss``. A new best
+        view is copied, as the run may write the next candidate into the
+        same array, and no other view is."""
         asr = -loss
         if not self.history or asr > self.best_asr:
-            self.best_asr, self.best_view = asr, view
+            self.best_asr, self.best_view = asr, view.copy()
         self.history.append(asr)
 
     def result(self, params: MetaNetParams = None) -> RunResult:
@@ -184,17 +186,22 @@ def run_meta_opt(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
     cfg = config or MetaOptConfig()
     if cfg.n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {cfg.n_iters}")
+    lr = check_lr(cfg.lr)
     workspace = ProjectionWorkspace(ens.realizations)
     record, p0_view, g0 = _start(layout, ens, p_t, cfg.splits, workspace)
 
     params = init_meta_net(RngStream(cfg.seed), view_length(layout),
                            cfg.hidden)
     opt = AdamState.zeros(params.n_params)
+    # a network of the same shape holds the θ-gradient: its array and
+    # layer views are built once for the run
+    grad = MetaNetParams(params.weights, params.biases)
 
     for _ in range(cfg.n_iters):
         loss_i, g_theta, cand = grad_wrt_theta(
-            params, p0_view, g0, ens, layout, p_t, workspace=workspace)
+            params, p0_view, g0, ens, layout, p_t, workspace=workspace,
+            out=grad)
         record.offer(cand, loss_i)
-        params.theta += adam_step(opt, g_theta, cfg.lr)
+        adam_step(opt, g_theta, lr, params.theta)
 
     return record.result(MetaNetParams.from_vector(params.theta, params.dims))

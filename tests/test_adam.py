@@ -20,16 +20,19 @@ class TestAdamStep:
         dim, lr = 500, 1e-3
         state = AdamState.zeros(dim)
         m, v = np.zeros(dim), np.zeros(dim)
+        x = np.empty(dim)
         for t in range(1, 51):
             g = rng.standard_normal(dim) * 10.0 ** rng.uniform(-6, 3, dim)
-            delta = adam_step(state, g, lr)
+            # zeroed parameters take the step as it is: 0 + delta == delta
+            x[...] = 0.0
+            adam_step(state, g, lr, x)
             m, v, expect = _textbook(m, v, t, g, lr)
             assert state.step_count == t
             np.testing.assert_array_equal(state.m, m)
             np.testing.assert_array_equal(state.v, v)
-            np.testing.assert_array_equal(delta, expect)
-            assert not np.shares_memory(delta, state.m)
-            assert not np.shares_memory(delta, state.v)
+            np.testing.assert_array_equal(x, expect)
+            for kept in (state.m, state.v, state.delta, state.denom):
+                assert not np.shares_memory(x, kept)
 
     def test_leaves_gradient_untouched(self):
         rng = np.random.default_rng(12)
@@ -37,5 +40,5 @@ class TestAdamStep:
         kept = g.copy()
         state = AdamState.zeros(40)
         for _ in range(3):
-            adam_step(state, g, 0.01)
+            adam_step(state, g, 0.01, np.zeros(40))
         np.testing.assert_array_equal(g, kept)

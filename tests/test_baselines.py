@@ -106,6 +106,20 @@ class TestDirectAdam:
         # the run reuses one projection workspace; the reference projects
         # afresh on every call, so any state left in the workspace shows.
         # 8 users put 8 private columns into the gathered sums
+        self._replay(hierarchical, 0.05)
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_best_survives_later_steps(self, hierarchical):
+        # at a large rate the best view comes before the last, and the run
+        # steps its one view in place after it: a record that kept the
+        # view rather than a copy would return the last one
+        res = self._replay(hierarchical, 1.0)
+        assert np.argmax(res.asr_history) < len(res.asr_history) - 1
+
+    @staticmethod
+    def _replay(hierarchical, lr, n_iters=40):
+        """The run against a loop of workspace-free gradient calls, each
+        on the precoder of the loop's own view, bit for bit."""
         if hierarchical:
             lay = StreamLayout.hierarchical(6, 8, 2)
         else:
@@ -114,24 +128,38 @@ class TestDirectAdam:
                              error_power=0.2)
         p_t = 10.0
         ens = model.draw(RngStream(404), p_t, 24)
-        res = run_direct_adam(lay, ens, p_t, n_iters=40, lr=0.05)
+        res = run_direct_adam(lay, ens, p_t, n_iters=n_iters, lr=lr)
 
         p0 = init_precoder(lay, ens.estimate, p_t)
         v = precoder_to_view(p0, lay)
         loss, g = grad_wrt_precoder(p0, ens, lay)
         history = [-loss]
-        best = v
+        best = v.copy()
         opt = AdamState.zeros(v.size)
-        for _ in range(40):
-            v = project_view(v + adam_step(opt, g, 0.05), p_t)
+        for _ in range(n_iters):
+            adam_step(opt, g, lr, v)
+            v = project_view(v, p_t)
             loss, g = grad_wrt_precoder(view_to_precoder(v, lay), ens, lay)
             history.append(-loss)
             if history[-1] > max(history[:-1]):
-                best = v
+                best = v.copy()
         np.testing.assert_array_equal(res.asr_history, history)
         np.testing.assert_array_equal(res.best_precoder.matrix,
                                       view_to_precoder(best, lay))
         assert res.best_asr == max(history)
+        return res
+
+    @pytest.mark.parametrize("lr", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_bad_lr_rejected_before_any_work(self, monkeypatch, lr):
+        # Adam no longer checks the rate on every step, so the run checks
+        # it once, in the config check's words, before its first gradient
+        calls = []
+        monkeypatch.setattr(baselines, "grad_wrt_precoder",
+                            lambda *a, **k: calls.append(a))
+        lay, ens, p_t = _iid_scene(seed=406)
+        with pytest.raises(ValueError, match="lr must be a number > 0"):
+            run_direct_adam(lay, ens, p_t, n_iters=5, lr=lr)
+        assert calls == []
 
 
 def _ring_scene(seed=500, n_tx=8, n_users=4, n_groups=2, n_draws=12,

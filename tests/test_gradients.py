@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rsmeta import adam, baselines, metaopt
 from rsmeta.baselines import run_direct_adam
 from rsmeta.channel import ChannelEnsemble, IidCsitModel
 from rsmeta.gradcheck import (_random_instance, _random_net,
@@ -357,20 +358,37 @@ class TestProjectionWorkspace:
     @pytest.mark.parametrize("run", ["direct", "meta"])
     def test_runs_allocate_each_array_once(self, monkeypatch, run):
         # every request for a key gets the same array: no workspace array
-        # is allocated again after the first iteration
-        handed = {}
+        # is allocated again after the first iteration. Every request for
+        # the views a workspace keeps gets the same views, and every Adam
+        # step the same scratch and parameters and, in a meta run, the
+        # same θ-gradient array
+        handed, kept, steps = {}, {}, []
         real = ProjectionWorkspace.array
+        real_views = ProjectionWorkspace.views
+        real_step = adam.adam_step
 
         def record(ws, key, shape):
             arr = real(ws, key, shape)
             handed.setdefault(key, []).append((ws, arr))
             return arr
 
+        def record_views(ws, key, derive, *args):
+            got = real_views(ws, key, derive, *args)
+            kept.setdefault(key, []).append(got)
+            return got
+
+        def step(state, grad, lr, params):
+            steps.append((state, state.delta, state.denom, params, grad))
+            real_step(state, grad, lr, params)
+
         monkeypatch.setattr(ProjectionWorkspace, "array", record)
+        monkeypatch.setattr(ProjectionWorkspace, "views", record_views)
         lay, ens, _ = self._eight_users(True)
         if run == "direct":
+            monkeypatch.setattr(baselines, "adam_step", step)
             run_direct_adam(lay, ens, 4.0, n_iters=5)
         else:
+            monkeypatch.setattr(metaopt, "adam_step", step)
             run_meta_opt(lay, ens, 4.0, MetaOptConfig(n_iters=5,
                                                       hidden=(8,)))
         assert set(handed) >= {"z", "powers", "sinr", "den", "rates",
@@ -378,6 +396,15 @@ class TestProjectionWorkspace:
         ws0 = handed["z"][0][0]
         for got in handed.values():
             assert all(ws is ws0 and arr is got[0][1] for ws, arr in got)
+        assert set(kept) == {"projection", "terms"}
+        for got in kept.values():
+            assert len(got) >= 6 and all(v is got[0] for v in got)
+        # the direct run's precoder gradient is a fresh view-sized array;
+        # the meta run's θ-gradient is the run's one array
+        same = 4 if run == "direct" else 5
+        assert len(steps) == 5
+        for i in range(same):
+            assert all(s[i] is steps[0][i] for s in steps)
 
     def test_long_cell_bytes_within_budget(self):
         # the float64 channel copy plus every workspace array, after one
@@ -486,8 +513,8 @@ class TestUserMajorAdjoint:
                                        "grouped-8-users"])
     def test_matches_c_ordered_channels(self, shape):
         lay, ens, mat, _ = _benchmark_shape(shape)
-        _, dz, ws = _loss_core(precoder_to_view(mat, lay), ens, lay, None)
-        w = _user_major(dz)
+        _, pv, ws = _loss_core(precoder_to_view(mat, lay), ens, lay, None)
+        w = _user_major(pv.z)
         h = ens.realizations
         assert h.flags.c_contiguous
         assert ws.hu.transpose(0, 2, 1).flags.c_contiguous

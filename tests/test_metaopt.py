@@ -181,13 +181,26 @@ class TestRunMetaOpt:
         # recorded vjps read; the reference projects afresh on every call,
         # so a vjp reading an overwritten array, or state left in the
         # workspace, shows. 8 users put 8 private columns into the sums
+        self._replay(hierarchical, 5e-3, 30)
+
+    @pytest.mark.parametrize("hierarchical, lr", [(False, 0.1), (True, 0.3)])
+    def test_best_survives_later_steps(self, hierarchical, lr):
+        # at these rates the best candidate comes before the last, and the
+        # run keeps stepping after it: the record must hold that candidate
+        res = self._replay(hierarchical, lr, 60)
+        assert 0 < np.argmax(res.asr_history) < len(res.asr_history) - 1
+
+    @staticmethod
+    def _replay(hierarchical, lr, n_iters):
+        """The run against a loop of workspace-free network gradients, each
+        on a network converted from the loop's own θ, bit for bit."""
         if hierarchical:
             lay = StreamLayout.hierarchical(6, 8, 2)
         else:
             lay = StreamLayout.one_layer(4, 8)
         model = IidCsitModel(n_tx=lay.n_tx, n_users=lay.n_users,
                              error_power=0.2)
-        p_t, lr, n_iters = 10.0, 5e-3, 30
+        p_t = 10.0
         ens = model.draw(RngStream(405), p_t, 24)
         res = run_meta_opt(lay, ens, p_t, MetaOptConfig(
             n_iters=n_iters, lr=lr, hidden=(12,), seed=3))
@@ -207,12 +220,26 @@ class TestRunMetaOpt:
             history.append(-loss)
             if history[-1] > max(history[:-1]):
                 best = cand
-            theta = theta + adam_step(opt, g_theta, lr)
+            adam_step(opt, g_theta, lr, theta)
         np.testing.assert_array_equal(res.asr_history, history)
         np.testing.assert_array_equal(res.best_precoder.matrix,
                                       view_to_precoder(best, lay))
         np.testing.assert_array_equal(res.params.theta, theta)
         assert res.best_asr == max(history)
+        return res
+
+    @pytest.mark.parametrize("lr", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_bad_lr_rejected_before_any_work(self, monkeypatch, lr):
+        # Adam no longer checks the rate on every step, so the run checks
+        # it once, in the config check's words, before its first gradient
+        calls = []
+        for name in ("grad_wrt_precoder", "grad_wrt_theta"):
+            monkeypatch.setattr(metaopt, name,
+                                lambda *a, **k: calls.append(a))
+        lay, ens, p_t = _scene(seed=18)
+        with pytest.raises(ValueError, match="lr must be a number > 0"):
+            run_meta_opt(lay, ens, p_t, MetaOptConfig(n_iters=5, lr=lr))
+        assert calls == []
 
 
 class TestGradientCallContract:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rsmeta.adam import AdamState, adam_step
+from rsmeta.adam import AdamState, adam_step, check_lr
 from rsmeta.linalg import RngStream
 from rsmeta.network import MetaNetParams, init_meta_net, mlp_forward
 
@@ -112,13 +112,20 @@ class TestThetaViews:
         np.testing.assert_array_equal(back.theta, vec)
 
 
+def _step(state, g, lr):
+    """Adam's step on zeroed parameters, which then hold the delta."""
+    delta = np.zeros(g.shape)
+    adam_step(state, g, lr, delta)
+    return delta
+
+
 class TestAdam:
     def test_first_step_is_signed_lr(self):
         # with fresh moments the bias corrections cancel and the step is
         # -lr * g / (|g| + eps), i.e. essentially -lr * sign(g)
         g = np.array([0.3, -2.0, 1e-4])
         state = AdamState.zeros(3)
-        delta = adam_step(state, g, lr=0.01)
+        delta = _step(state, g, lr=0.01)
         np.testing.assert_allclose(delta, -0.01 * np.sign(g), rtol=1e-3)
         assert state.step_count == 1
 
@@ -127,8 +134,8 @@ class TestAdam:
         g1 = np.array([1.0, -0.5])
         g2 = np.array([0.25, 0.75])
         state = AdamState.zeros(2)
-        d1 = adam_step(state, g1, lr=lr)
-        d2 = adam_step(state, g2, lr=lr)
+        d1 = _step(state, g1, lr=lr)
+        d2 = _step(state, g2, lr=lr)
 
         m = (1 - b1) * g1
         v = (1 - b2) * g1 ** 2
@@ -149,12 +156,15 @@ class TestAdam:
         state = AdamState.zeros(1)
         g = np.array([0.7])
         for _ in range(400):
-            delta = adam_step(state, g, lr=0.05)
+            delta = _step(state, g, lr=0.05)
         np.testing.assert_allclose(delta, [-0.05], rtol=1e-4)
 
     def test_shape_and_lr_validation(self):
         state = AdamState.zeros(3)
         with pytest.raises(ValueError):
-            adam_step(state, np.zeros(4), lr=0.1)
-        with pytest.raises(ValueError):
-            adam_step(state, np.zeros(3), lr=0.0)
+            adam_step(state, np.zeros(4), 0.1, np.zeros(3))
+        # the runs check the rate once, before their first step
+        for lr in (0.0, -1.0, float("inf"), float("nan"), True, "0.1"):
+            with pytest.raises(ValueError, match="lr must be a number > 0"):
+                check_lr(lr)
+        assert check_lr(0.1) == 0.1
