@@ -41,12 +41,13 @@ class AdamState:
         return cls(m=np.zeros(int(dim)), v=np.zeros(int(dim)))
 
 
-def check_lr(lr) -> float:
-    """``lr`` if it is a finite number > 0; raises ValueError otherwise, in
-    the words the config check uses for ``meta.lr`` and ``direct.lr``."""
+def check_lr(lr, key: str = "lr") -> float:
+    """``lr`` if it is a finite number > 0; raises ValueError otherwise,
+    naming ``key``. The config check runs it on ``meta.lr`` and
+    ``direct.lr``, so a config and a library call accept the same rates."""
     if not (isinstance(lr, numbers.Real) and not isinstance(lr, bool)
             and math.isfinite(lr) and lr > 0):
-        raise ValueError(f"lr must be a number > 0, got {lr!r}")
+        raise ValueError(f"{key} must be a number > 0, got {lr!r}")
     return lr
 
 

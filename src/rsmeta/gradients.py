@@ -2,7 +2,7 @@
 
 Both gradients run one loss core, :func:`_loss_core`: the |h^H p|^2
 projection :func:`rsmeta.linalg.channel_project`, the rate backward
-:func:`_asr_and_power_grad`, and the projection's inner products, (Re, Im)
+:func:`_rate_backward`, and the projection's inner products, (Re, Im)
 pairs stream-major and draw-minor, scaled in place by the power gradient.
 They differ only in the adjoint that takes those pairs to the view:
 
@@ -29,7 +29,7 @@ tells from its own powers by zeroing them. Every reader then passes
 these complete terms to one tail: the division, one ``log1p`` and one
 average over the realizations for all layers (:func:`_avg_rates`), and the
 minima and sums (:func:`_asr_of_rates`), which give the training loss and
-the plain loss the same bits; :func:`_asr_and_power_grad` takes the whole
+the plain loss the same bits; :func:`_rate_backward` takes the whole
 stack back in one vjp. The forward rates also take leading batch axes, the
 backward none. The fixed-direction search splits its gains with the same
 helper and builds the complete terms of each chunk of power splits as one
@@ -37,12 +37,13 @@ stacked product with six gain rows
 (:func:`rsmeta.baselines.run_fixed_direction`), then enters the tail
 through :func:`asr_from_terms`, and :mod:`rsmeta.gradcheck`'s tie guard
 reads the tail's stacked averaged rates. Every pass reads its arrays
-through views derived once (:class:`_Terms`). With a
-:class:`rsmeta.linalg.ProjectionWorkspace` built for the ensemble, the
-gradients fill their arrays in place, bit-identically, through the views
-that the workspace derives on a run's first iteration and keeps, and
-return nothing that points into it; both optimizers pass their run's
-workspace on every iteration.
+through views derived once (:class:`_Terms`). The one-shot readers of
+given powers fill fresh arrays and write none of the caller's. The
+gradients run on a :class:`rsmeta.linalg.ProjectionWorkspace` built for
+the ensemble, the given one or a throwaway one: they fill its arrays in
+place, bit-identically, through the views that it keeps from a run's
+first iteration on (:func:`_kept_terms`), and return nothing that points
+into it; both optimizers pass their run's workspace on every iteration.
 
 The view is the memory of the complex (n_tx, n_active) matrix of the
 active columns, read as float64 pairs, so going between the two is no
@@ -62,7 +63,7 @@ import numpy as np
 from .channel import ChannelEnsemble
 from .layout import StreamLayout
 from .linalg import ProjectionWorkspace, _project, _project_back, \
-    _Projection, _user_major, channel_project
+    _user_major, channel_project
 from .network import MetaNetParams, _activations, _layer_views, mlp_forward
 from .rates import _LN2
 
@@ -80,12 +81,20 @@ def view_length(layout: StreamLayout) -> int:
     return 2 * layout.n_tx * len(layout.active_streams)
 
 
+def _rows(v, layout: StreamLayout) -> np.ndarray:
+    """The view as C-ordered (n_active, n_tx, 2) rows of float64 (Re, Im)
+    pairs, one per active column: the view's memory when it is a
+    contiguous float64 array; a view of another length raises
+    ValueError."""
+    return np.ascontiguousarray(v, dtype=float).reshape(
+        len(layout.active_streams), layout.n_tx, 2)
+
+
 def _columns(v, layout: StreamLayout) -> np.ndarray:
     """The complex (n_tx, n_active) active-column matrix whose memory the
     view ``v`` is (shared with a contiguous float64 ``v``); a view of
     another length raises ValueError."""
-    flat = np.ascontiguousarray(v, dtype=float).view(complex)
-    return flat.reshape(len(layout.active_streams), layout.n_tx).T
+    return _rows(v, layout).view(complex)[..., 0].T
 
 
 def _view(cols: np.ndarray) -> np.ndarray:
@@ -235,25 +244,24 @@ class _Terms(_Split):
 
 
 def _terms(powers: np.ndarray, layout: StreamLayout,
-           workspace: ProjectionWorkspace = None,
            backward: bool = False) -> _Terms:
-    """The views of one rate pass over ``powers``, with the workspace's
-    arrays or fresh ones. The powers are zeroed in place only when they
-    are the workspace's own C-ordered ``powers``, which
-    :func:`rsmeta.linalg.channel_project` wrote and nothing reads after;
-    any other array is copied first, so no caller's array is written."""
-    if workspace is None or not (powers.flags.c_contiguous
-                                 and workspace.owns(powers, "powers")):
-        powers = np.array(powers, order="C")
-    return _Terms(powers, layout, workspace, backward)
+    """The views of one rate pass over a C-ordered copy of ``powers``,
+    with fresh arrays: the pass zeroes each user's own powers, so no
+    caller's array is written."""
+    return _Terms(np.array(powers, order="C"), layout, backward=backward)
 
 
 def _kept_terms(ws: ProjectionWorkspace, layout: StreamLayout) -> _Terms:
-    """The views of a rate pass over the powers that the workspace's
-    projection of ``layout``'s active columns writes, for
-    :meth:`rsmeta.linalg.ProjectionWorkspace.views` to keep."""
-    pv = ws.views("projection", _Projection, len(layout.active_streams))
-    return _Terms(pv.powers, layout, ws, backward=True)
+    """The views of the rate pass over the powers of the workspace's
+    projection of ``layout``'s active columns, with the workspace's
+    arrays: derived on the first pass and kept as the workspace's
+    :attr:`~rsmeta.linalg.ProjectionWorkspace.rate_pass`. The pass zeroes
+    each user's own powers in place, which nothing reads after."""
+    t = ws.rate_pass
+    if t is None or t.layout is not layout:
+        t = ws.rate_pass = _Terms(ws.projection.powers, layout, ws,
+                                  backward=True)
+    return t
 
 
 def _fill_terms(t: _Terms, noise: float):
@@ -287,14 +295,12 @@ def _fill_terms(t: _Terms, noise: float):
     return t.num, t.den
 
 
-def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float,
-                 workspace: ProjectionWorkspace = None):
+def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float):
     """Every layer's numerators and denominators, ``(num, den)``, each
-    stacked (..., n_layers, n_users, n_draws), from the |h^H p|^2 of the
-    active columns, stream-major, (..., n_active, n_users, n_draws): see
-    :func:`_fill_terms`; the powers are written only as :func:`_terms`
-    says."""
-    return _fill_terms(_terms(powers, layout, workspace), noise)
+    stacked (..., n_layers, n_users, n_draws), fresh, from the |h^H p|^2 of
+    the active columns, stream-major, (..., n_active, n_users, n_draws),
+    which are not written: see :func:`_fill_terms`."""
+    return _fill_terms(_terms(powers, layout), noise)
 
 
 def _avg_rates(sinr: np.ndarray, log_rate: np.ndarray,
@@ -368,14 +374,12 @@ def loss_from_view(v: np.ndarray, ens: ChannelEnsemble,
 
 
 def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
-                        noise: float, workspace: ProjectionWorkspace = None):
+                        noise: float):
     """Averaged sum rate from the |h^H p|^2 of the active columns, and its
     gradient with respect to those powers: ``(asr, d asr / d powers)``,
-    the gradient a C-ordered array shaped like ``powers``, the
-    workspace's ``power_grad`` when there is a workspace; see
-    :func:`_rate_backward`."""
-    return _rate_backward(_terms(powers, layout, workspace, backward=True),
-                          noise, 1.0)
+    the gradient a fresh C-ordered array shaped like ``powers``, which
+    are not written; see :func:`_rate_backward`."""
+    return _rate_backward(_terms(powers, layout, backward=True), noise, 1.0)
 
 
 def _rate_backward(t: _Terms, noise: float, scale: float):
@@ -419,15 +423,6 @@ def _rate_backward(t: _Terms, noise: float, scale: float):
     return asr, t.power_grad
 
 
-def _rows(v, layout: StreamLayout) -> np.ndarray:
-    """The view as C-ordered (n_active, n_tx, 2) rows of float64 (Re, Im)
-    pairs, one per active column: the view's memory when it is a
-    contiguous float64 array; a view of another length raises
-    ValueError."""
-    return np.ascontiguousarray(v, dtype=float).reshape(
-        len(layout.active_streams), layout.n_tx, 2)
-
-
 def _loss_core(v: np.ndarray, ens: ChannelEnsemble, layout: StreamLayout,
                workspace: ProjectionWorkspace):
     """``(loss, pv, ws)``: the loss at the view ``v``, the workspace ``ws``
@@ -435,17 +430,14 @@ def _loss_core(v: np.ndarray, ens: ChannelEnsemble, layout: StreamLayout,
     projection's pairs ``z`` live in, the given one or a throwaway one,
     and ``pv``, the views of the projection's arrays, whose ``z`` and
     ``z2`` hold that gradient, written over the pairs. The rate pass runs
-    on the views that ``ws`` keeps."""
-    ws = ProjectionWorkspace(ens.realizations) if workspace is None \
-        else workspace
-    if ws.h is not ens.realizations:
-        raise ValueError("the workspace was built for another channel stack")
-    pv = _project(_rows(v, layout), ws)
+    on the views that ``ws`` keeps (:func:`_kept_terms`)."""
+    ws = _project(ens.realizations, _rows(v, layout), workspace)
+    pv = ws.projection
     # the loss is -asr and d|z|^2 = 2 (Re z dRe z + Im z dIm z): the rate
     # backward scales by -2, and the pairs are scaled in place, as fresh
     # arrays of this size cost more in page faults than arithmetic
-    asr, g_pow = _rate_backward(ws.views("terms", _kept_terms, layout),
-                                ens.noise_power, -2.0)
+    asr, g_pow = _rate_backward(_kept_terms(ws, layout), ens.noise_power,
+                                -2.0)
     np.multiply(pv.z, g_pow, out=pv.z)
     return -asr, pv, ws
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adam import check_lr
 from .baselines import lattice_size, run_direct_adam, run_fixed_direction
 from .channel import IidCsitModel, OneRingModel
 from .layout import StreamLayout
@@ -291,7 +292,7 @@ def _validate_optimizers(cfg: ExperimentConfig) -> None:
             lr = getattr(cfg, f"{method}_lr")
             _require(_is_int(iters) and iters >= 1, f"{method}.iters", iters,
                      "an integer >= 1")
-            _require(_is_positive(lr), f"{method}.lr", lr, "a number > 0")
+            check_lr(lr, f"{method}.lr")
     if "meta" in methods:
         hidden = cfg.meta_hidden
         _require(isinstance(hidden, (tuple, list))

@@ -135,13 +135,15 @@ class ProjectionWorkspace:
     and the powers with their square scratch, each (2, n_streams, n_users,
     n_draws), the power gradient, (n_streams, n_users, n_draws), and the
     rate code's stacked (n_layers, n_users, n_draws) layer arrays and
-    private-power sum; :meth:`owns` tells whether an array is a view of
-    one of them, and so the workspace's to overwrite. :meth:`views` keeps
-    the views of those arrays that a caller derives from them, so that a
-    run reshapes and slices them once, not on every call. An optimizer run
-    that projects one ensemble on every iteration builds one workspace; a
-    one-shot caller gets :func:`channel_project`'s throwaway one. Results
-    that outlive the next call on the workspace must be copied out of it.
+    private-power sum. It keeps the views of those arrays too, so that a
+    run reshapes and slices them once, not on every call:
+    :attr:`projection`, the last projection's (:class:`_Projection`), and
+    :attr:`rate_pass`, those of the rate pass over its powers, which
+    :mod:`rsmeta.gradients` derives; a projection onto another number of
+    columns replaces the one and drops the other. An optimizer run that
+    projects one ensemble on every iteration builds one workspace; a
+    one-shot caller gets a throwaway one. Results that outlive the next
+    call on the workspace must be copied out of it.
     """
 
     def __init__(self, h: np.ndarray):
@@ -154,7 +156,8 @@ class ProjectionWorkspace:
         self.hr = hr.reshape(2 * n_tx, k * m)
         self.hr_t = self.hr.T
         self._arrays = {}
-        self._views = {}
+        self.projection = None
+        self.rate_pass = None
 
     @cached_property
     def hu(self) -> np.ndarray:
@@ -165,28 +168,11 @@ class ProjectionWorkspace:
 
     def array(self, key: str, shape: tuple) -> np.ndarray:
         """The uninitialized float64 array ``key``, reused while its shape
-        holds; replacing it drops every view kept by :meth:`views`."""
+        holds."""
         arr = self._arrays.get(key)
         if arr is None or arr.shape != shape:
-            if arr is not None:
-                self._views.clear()
             arr = self._arrays[key] = np.empty(shape)
         return arr
-
-    def owns(self, a: np.ndarray, key: str) -> bool:
-        """Whether ``a`` is a view of the array ``key``."""
-        arr = self._arrays.get(key)
-        return arr is not None and a.base is arr
-
-    def views(self, key: str, derive, *args):
-        """``derive(self, *args)``, the views of this workspace's arrays that
-        the caller names ``key``: derived on the first request with these
-        ``args`` and kept, until a request with other ``args`` or a
-        replaced array."""
-        got = self._views.get(key)
-        if got is None or got[0] != args:
-            got = self._views[key] = (args, derive(self, *args))
-        return got[1]
 
 
 class _Projection:
@@ -221,22 +207,26 @@ def channel_project(h: np.ndarray, p: np.ndarray,
     ``workspace``, the one the projection ran on, whose ``hr`` and ``hu``
     the adjoints read.
     """
+    rows = np.ascontiguousarray(p.T, dtype=complex).view(float).reshape(
+        p.shape[1], h.shape[1], 2)
+    ws = _project(h, rows, workspace)
+    return ws.projection.powers, ws.projection.z, ws
+
+
+def _project(h: np.ndarray, rows: np.ndarray,
+             workspace: ProjectionWorkspace = None) -> ProjectionWorkspace:
+    """:func:`channel_project` of the precoder columns given as C-ordered
+    (n_streams, n_tx, 2) float64 (Re, Im) rows, on ``workspace`` or a
+    throwaway one built for ``h``; returns the workspace, whose
+    :attr:`~ProjectionWorkspace.projection` views the results."""
     ws = ProjectionWorkspace(h) if workspace is None else workspace
     if ws.h is not h:
         raise ValueError("the workspace was built for another channel stack")
-    s = p.shape[1]
-    rows = np.ascontiguousarray(p.T, dtype=complex).view(float).reshape(
-        s, h.shape[1], 2)
-    pv = _project(rows, ws)
-    return pv.powers, pv.z, ws
-
-
-def _project(rows: np.ndarray, ws: ProjectionWorkspace) -> _Projection:
-    """:func:`channel_project` of the precoder columns given as C-ordered
-    (n_streams, n_tx, 2) float64 (Re, Im) rows, on ``ws``; returns the
-    views its results live in."""
     s, n_tx, _ = rows.shape
-    pv = ws.views("projection", _Projection, s)
+    pv = ws.projection
+    if pv is None or pv.z.shape[1] != s:
+        pv = ws.projection = _Projection(ws, s)
+        ws.rate_pass = None
     a = np.empty((2, s, n_tx, 2))
     a[0] = rows
     a[0, ..., 1] *= -1.0
@@ -244,7 +234,7 @@ def _project(rows: np.ndarray, ws: ProjectionWorkspace) -> _Projection:
     np.matmul(a.reshape(2 * s, 2 * n_tx), ws.hr, out=pv.z2)
     np.square(pv.z, out=pv.sq)
     np.add(pv.powers, pv.sq_im, out=pv.powers)
-    return pv
+    return ws
 
 
 def _project_back(dz2: np.ndarray, hr_t: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 from rsmeta.channel import ChannelEnsemble
 from rsmeta.gradients import _asr_and_power_grad, precoder_to_view
 from rsmeta.layout import StreamLayout
-from rsmeta.linalg import ProjectionWorkspace, _user_major, channel_project
+from rsmeta.linalg import _user_major, channel_project
 from rsmeta.network import MetaNetParams
 from rsmeta.rates import _LN2
 
@@ -154,8 +154,7 @@ def affine(w: Var, x: Var, b: Var) -> Var:
                lambda g: (np.outer(g, x.value), w.value.T @ g, np.asarray(g)))
 
 
-def csq_project(pre: Var, pim: Var, h: np.ndarray,
-                workspace: ProjectionWorkspace = None) -> Var:
+def csq_project(pre: Var, pim: Var, h: np.ndarray) -> Var:
     """Squared magnitudes of channel-precoder inner products.
 
     ``h`` is a constant complex (n_draws, n_tx, n_users) stack; ``pre`` and
@@ -163,12 +162,9 @@ def csq_project(pre: Var, pim: Var, h: np.ndarray,
     precoder. Returns |h_k^(m)H p_s|^2 shaped (n_draws, n_users, n_streams).
     The complex arithmetic is fused here so the tape stays real. The
     forward pass is the package's one projection,
-    :func:`rsmeta.linalg.channel_project`, on ``workspace`` (built for
-    ``h``) or on a throwaway one. The value and the ``z`` that the vjp
-    reads then live in the workspace: run :func:`backward` before the next
-    projection on it.
+    :func:`rsmeta.linalg.channel_project`, on a throwaway workspace.
     """
-    val, z, ws = channel_project(h, pre.value + 1j * pim.value, workspace)
+    val, z, ws = channel_project(h, pre.value + 1j * pim.value)
 
     def vjp(g):
         # the einsum's summation order follows its operands' memory, so
@@ -329,33 +325,26 @@ def grad_of(out: Var, wrt) -> list:
 # -- the averaged-rate loss and the network-parameter gradient --------
 
 def _rate_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
-               layout: StreamLayout,
-               workspace: ProjectionWorkspace = None) -> Var:
+               layout: StreamLayout) -> Var:
     """The loss as one recorded node on top of the projection, with the
     closed-form backward of
-    :func:`rsmeta.gradients._asr_and_power_grad`.
-
-    On a ``workspace`` the node's vjp reads the workspace's ``power_grad``
-    array (and the projection's vjp its ``z``), so :func:`backward` must run
-    before the next projection on that workspace.
-    """
-    powers = csq_project(pre, pim, ens.realizations, workspace)
+    :func:`rsmeta.gradients._asr_and_power_grad`."""
+    powers = csq_project(pre, pim, ens.realizations)
     # the rate backward reads and returns them stream-major
     asr, g_pow = _asr_and_power_grad(powers.value.T, layout,
-                                     ens.noise_power, workspace)
+                                     ens.noise_power)
     return Var(-asr, (powers,), lambda g: (-g * g_pow.T,))
 
 
 def _tape_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
-               layout: StreamLayout,
-               workspace: ProjectionWorkspace = None) -> Var:
+               layout: StreamLayout) -> Var:
     """The loss recorded op by op: the tests' reference for the closed
     form. Same signature and, bit for bit, the same value as
     :func:`_rate_loss`."""
     k = layout.n_users
     g = layout.n_groups
     hier = layout.mode == "hierarchical"
-    powers = csq_project(pre, pim, ens.realizations, workspace)
+    powers = csq_project(pre, pim, ens.realizations)
     rows = np.arange(k)
     prv_cols = np.arange(1 + g, 1 + g + k) if hier else np.arange(1, 1 + k)
     # every denominator is a sum: the interference is read off the powers
@@ -410,14 +399,12 @@ def _tape_forward_net(w_vars, b_vars, x: Var) -> Var:
 
 
 def _theta_grad(loss_fn, params: MetaNetParams, p0, g0_view: np.ndarray,
-                ens: ChannelEnsemble, layout: StreamLayout, p_t: float,
-                workspace: ProjectionWorkspace = None):
+                ens: ChannelEnsemble, layout: StreamLayout, p_t: float):
     """:func:`rsmeta.gradients.grad_wrt_theta` recorded on the tape, with
     the loss recorded by ``loss_fn``, which maps the candidate's recorded
     real and imaginary parts to the loss: :func:`_rate_loss` or
     :func:`_tape_loss`. The recording and its :func:`backward` both run
-    here, on ``workspace`` when there is one, and nothing returned points
-    into it."""
+    here."""
     p0_view = p0 if np.asarray(p0).ndim == 1 else precoder_to_view(p0, layout)
     w_vars = [Var(w) for w in params.weights]
     b_vars = [Var(b) for b in params.biases]
@@ -429,7 +416,7 @@ def _theta_grad(loss_fn, params: MetaNetParams, p0, g0_view: np.ndarray,
     n_tx, s_act = layout.n_tx, len(layout.active_streams)
     pre = transpose2d(reshape_v(slice_strided(v, 0, 2), (s_act, n_tx)))
     pim = transpose2d(reshape_v(slice_strided(v, 1, 2), (s_act, n_tx)))
-    loss = loss_fn(pre, pim, ens, layout, workspace)
+    loss = loss_fn(pre, pim, ens, layout)
     backward(loss)
     parts = []
     for w, b in zip(w_vars, b_vars):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rsmeta.adam import AdamState, adam_step
-from rsmeta import baselines
+from rsmeta import baselines, metaopt
 from rsmeta.baselines import (PowerSplit, _fixed_directions,
                               run_direct_adam, run_fixed_direction)
 from rsmeta.channel import IidCsitModel, OneRingModel
@@ -153,9 +153,11 @@ class TestDirectAdam:
     def test_bad_lr_rejected_before_any_work(self, monkeypatch, lr):
         # Adam no longer checks the rate on every step, so the run checks
         # it once, in the config check's words, before its first gradient
+        # the start point's gradient is metaopt's, the steps' baselines'
         calls = []
-        monkeypatch.setattr(baselines, "grad_wrt_precoder",
-                            lambda *a, **k: calls.append(a))
+        for module in (baselines, metaopt):
+            monkeypatch.setattr(module, "grad_wrt_precoder",
+                                lambda *a, **k: calls.append(a))
         lay, ens, p_t = _iid_scene(seed=406)
         with pytest.raises(ValueError, match="lr must be a number > 0"):
             run_direct_adam(lay, ens, p_t, n_iters=5, lr=lr)

@@ -321,50 +321,49 @@ class TestProjectionWorkspace:
 
     @pytest.mark.parametrize("hierarchical", [False, True])
     def test_power_grad_same_bits_with_workspace(self, hierarchical):
+        # the precoder gradient on a run's workspace, whose rate pass fills
+        # the workspace's power gradient, has the bits of a one-shot call
         lay, ens, mat = self._eight_users(hierarchical)
         ws = ProjectionWorkspace(ens.realizations)
         for scale in (1.0, 0.7):
-            cols = mat[:, lay.active_cols] * scale
-            powers = channel_project(ens.realizations, cols)[0]
-            asr, g = _asr_and_power_grad(powers, lay, ens.noise_power)
-            asr_w, g_w = _asr_and_power_grad(powers, lay, ens.noise_power,
-                                             ws)
-            assert asr == asr_w
+            loss, g = grad_wrt_precoder(mat * scale, ens, lay)
+            loss_w, g_w = grad_wrt_precoder(mat * scale, ens, lay,
+                                            workspace=ws)
+            assert loss == loss_w
             np.testing.assert_array_equal(g, g_w)
-            assert np.shares_memory(g_w, ws.array("power_grad",
-                                                  g_w.shape))
+            g_pow = ws.rate_pass.power_grad
+            assert g_pow is ws.array("power_grad", g_pow.shape)
 
     @pytest.mark.parametrize("hierarchical", [False, True])
     def test_only_the_workspace_powers_are_written(self, hierarchical):
-        # the rate code zeroes each user's own powers in place only in the
-        # powers the workspace's projection wrote; it copies any other
-        # array, even the powers of another workspace's projection
+        # the rate pass zeroes each user's own powers in place only in the
+        # powers that a gradient's projection wrote on its workspace; the
+        # readers of given powers copy them, even another workspace's
         lay, ens, mat = self._eight_users(hierarchical)
         ws = ProjectionWorkspace(ens.realizations)
         cols = mat[:, lay.active_cols]
         noise = ens.noise_power
         powers = channel_project(ens.realizations, cols)[0]
-        own = channel_project(ens.realizations, cols, ws)[0]
         for call in (lambda p: asr_from_powers(p, lay, noise),
                      lambda p: _layer_terms(p, lay, noise),
-                     lambda p: _asr_and_power_grad(p, lay, noise, ws)):
+                     lambda p: _asr_and_power_grad(p, lay, noise)):
             before = powers.copy()
             call(powers)
             np.testing.assert_array_equal(powers, before)
-        asr, _ = _asr_and_power_grad(own, lay, noise, ws)
-        assert asr == asr_from_powers(powers, lay, noise)
+        for workspace in (None, ws):
+            loss, _ = grad_wrt_precoder(mat, ens, lay, workspace=workspace)
+            assert loss == -asr_from_powers(powers, lay, noise)
+        own = ws.projection.powers
         assert not own.reshape(-1, own.shape[-1])[lay.layer_rows[1:]].any()
 
     @pytest.mark.parametrize("run", ["direct", "meta"])
     def test_runs_allocate_each_array_once(self, monkeypatch, run):
         # every request for a key gets the same array: no workspace array
-        # is allocated again after the first iteration. Every request for
-        # the views a workspace keeps gets the same views, and every Adam
-        # step the same scratch and parameters and, in a meta run, the
-        # same θ-gradient array
-        handed, kept, steps = {}, {}, []
+        # is allocated again after the first iteration. Every Adam step
+        # sees the same views kept on the workspace, the same scratch and
+        # parameters and, in a meta run, the same θ-gradient array
+        handed, steps = {}, []
         real = ProjectionWorkspace.array
-        real_views = ProjectionWorkspace.views
         real_step = adam.adam_step
 
         def record(ws, key, shape):
@@ -372,17 +371,13 @@ class TestProjectionWorkspace:
             handed.setdefault(key, []).append((ws, arr))
             return arr
 
-        def record_views(ws, key, derive, *args):
-            got = real_views(ws, key, derive, *args)
-            kept.setdefault(key, []).append(got)
-            return got
-
         def step(state, grad, lr, params):
-            steps.append((state, state.delta, state.denom, params, grad))
+            ws = handed["z"][0][0]
+            steps.append((state, state.delta, state.denom, params,
+                          ws.projection, ws.rate_pass, grad))
             real_step(state, grad, lr, params)
 
         monkeypatch.setattr(ProjectionWorkspace, "array", record)
-        monkeypatch.setattr(ProjectionWorkspace, "views", record_views)
         lay, ens, _ = self._eight_users(True)
         if run == "direct":
             monkeypatch.setattr(baselines, "adam_step", step)
@@ -396,12 +391,10 @@ class TestProjectionWorkspace:
         ws0 = handed["z"][0][0]
         for got in handed.values():
             assert all(ws is ws0 and arr is got[0][1] for ws, arr in got)
-        assert set(kept) == {"projection", "terms"}
-        for got in kept.values():
-            assert len(got) >= 6 and all(v is got[0] for v in got)
+        assert ws0.projection is not None and ws0.rate_pass is not None
         # the direct run's precoder gradient is a fresh view-sized array;
         # the meta run's θ-gradient is the run's one array
-        same = 4 if run == "direct" else 5
+        same = 6 if run == "direct" else 7
         assert len(steps) == 5
         for i in range(same):
             assert all(s[i] is steps[0][i] for s in steps)
