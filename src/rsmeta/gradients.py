@@ -36,14 +36,14 @@ helper and builds the complete terms of each chunk of power splits as one
 stacked product with six gain rows
 (:func:`rsmeta.baselines.run_fixed_direction`), then enters the tail
 through :func:`asr_from_terms`, and :mod:`rsmeta.gradcheck`'s tie guard
-reads the tail's stacked averaged rates. Every pass reads its arrays
-through views derived once (:class:`_Terms`). The one-shot readers of
-given powers fill fresh arrays and write none of the caller's. The
-gradients run on a :class:`rsmeta.linalg.ProjectionWorkspace` built for
-the ensemble, the given one or a throwaway one: they fill its arrays in
-place, bit-identically, through the views that it keeps from a run's
-first iteration on (:func:`_kept_terms`), and return nothing that points
-into it; both optimizers pass their run's workspace on every iteration.
+reads the tail's stacked averaged rates. Every pass owns its arrays,
+allocated when it is built, with views derived then (:class:`_Terms`); a
+one-shot reader of given powers builds one over a copy. The gradients run
+on a :class:`rsmeta.linalg.ProjectionWorkspace` built for the ensemble,
+the given one or a throwaway one: they fill its projection's arrays and
+those of the one rate pass it keeps (:func:`_kept_terms`) in place,
+bit-identically, and return nothing that points into them; both
+optimizers pass their run's workspace on every iteration.
 
 The view is the memory of the complex (n_tx, n_active) matrix of the
 active columns, read as float64 pairs, so going between the two is no
@@ -146,13 +146,6 @@ def project_view(v: np.ndarray, p_t: float,
 # plain evaluation path and the closed-form precoder gradient
 # ---------------------------------------------------------------------------
 
-def _array(workspace: ProjectionWorkspace, key: str,
-           shape: tuple) -> np.ndarray:
-    """The workspace's array ``key``, or a fresh one without a workspace."""
-    return np.empty(shape) if workspace is None else \
-        workspace.array(key, shape)
-
-
 class _Split:
     """The views of C-ordered stream-major powers ``pw``, (..., n_active,
     n_users, n_draws), that :func:`_own_and_others` reads and zeroes, and
@@ -199,8 +192,8 @@ def _own_and_others(sp: _Split) -> None:
 
 
 class _Terms(_Split):
-    """The views, derived once, of every array one layered-rate pass over
-    the powers ``pw`` reads and writes.
+    """The arrays of one layered-rate pass over the powers ``pw``, each
+    allocated when the pass is built, and their views, derived once.
 
     Besides :class:`_Split`'s views of ``pw``: the stacked numerators
     ``num``, which become the SINRs, and denominators ``den``, (...,
@@ -212,32 +205,28 @@ class _Terms(_Split):
     arrays: the averaged ``rates`` and the ``rate_grad`` stacked like them,
     the per-draw ``log_rate``, which becomes the numerator gradient, and
     the ``power_grad`` shaped like ``pw``, with their rows and slices.
-    Every array is the ``workspace``'s, or fresh without one.
     """
 
     def __init__(self, pw: np.ndarray, layout: StreamLayout,
-                 workspace: ProjectionWorkspace = None,
                  backward: bool = False):
         *batch, n_act, k, m = pw.shape
         shape = (*batch, *layout.layer_rows.shape, m)
-        num = _array(workspace, "sinr", shape)
-        den = _array(workspace, "den", shape)
+        num, den = np.empty(shape), np.empty(shape)
         super().__init__(pw, layout, num, den[..., 1:, :, :])
         self.layout, self.n_draws = layout, m
         self.num, self.den = num, den
         self.den_c, self.den_later = den[..., 0, :, :], den[..., 1:, :, :]
         self.den_1, self.den_p = den[..., 1, :, :], den[..., -1, :, :]
-        self.all_p = _array(workspace, "private_sum", (*batch, k, m)) \
-            if self.hier else None
+        self.all_p = np.empty((*batch, k, m)) if self.hier else None
         if not backward:
             return
-        self.rates = _array(workspace, "rates", shape[:-1])
-        self.rate_grad = _array(workspace, "rate_grad", shape[:-1])
+        self.rates = np.empty(shape[:-1])
+        self.rate_grad = np.empty(shape[:-1])
         self.rate_grad_col = self.rate_grad[..., None]
-        self.log_rate = _array(workspace, "log_rate", shape)
+        self.log_rate = np.empty(shape)
         self.g_num_c, self.g_num_later = self.log_rate[0], self.log_rate[1:]
         self.g_num_1, self.g_num_p = self.log_rate[1], self.log_rate[-1]
-        g_pw = self.power_grad = _array(workspace, "power_grad", pw.shape)
+        g_pw = self.power_grad = np.empty(pw.shape)
         self.g_pw_c, self.g_pw_1, self.g_pw_rest = g_pw[0], g_pw[1], g_pw[2:]
         self.g_pw_rows = g_pw.reshape(n_act * k, m)
         self.g_pw_own_private = self.g_pw_rows[(n_act - k) * k::k + 1]
@@ -252,15 +241,18 @@ def _terms(powers: np.ndarray, layout: StreamLayout,
 
 
 def _kept_terms(ws: ProjectionWorkspace, layout: StreamLayout) -> _Terms:
-    """The views of the rate pass over the powers of the workspace's
-    projection of ``layout``'s active columns, with the workspace's
-    arrays: derived on the first pass and kept as the workspace's
-    :attr:`~rsmeta.linalg.ProjectionWorkspace.rate_pass`. The pass zeroes
-    each user's own powers in place, which nothing reads after."""
+    """The rate pass over the powers of the workspace's projection of
+    ``layout``'s active columns: built on the first pass and kept as the
+    workspace's :attr:`~rsmeta.linalg.ProjectionWorkspace.rate_pass`; a
+    pass for another layout raises ValueError. The pass zeroes each user's
+    own powers in place, which nothing reads after."""
     t = ws.rate_pass
-    if t is None or t.layout is not layout:
-        t = ws.rate_pass = _Terms(ws.projection.powers, layout, ws,
+    if t is None:
+        t = ws.rate_pass = _Terms(ws.projection.powers, layout,
                                   backward=True)
+    elif t.layout is not layout and t.layout != layout:
+        raise ValueError(f"the workspace's rate pass is for {t.layout}, "
+                         f"got {layout}")
     return t
 
 
@@ -270,14 +262,15 @@ def _fill_terms(t: _Terms, noise: float):
     from the |h^H p|^2 of the active columns it views.
 
     The common denominator adds the group rows, then the private rows, in
-    column order, plus the noise. :func:`_own_and_others` then gathers the
-    numerators and writes the interference sums into ``den``'s later
-    slots, and every later denominator is a sum too, so nothing is
-    subtracted: the group one is the other groups' powers plus every
-    private power plus the noise, the private one the other groups' plus
-    the other users' private powers plus the noise. Two users of one group
-    whose channels are equal thus get the same common and group
-    denominators, bit for bit, and their minima tie exactly.
+    column order. :func:`_own_and_others` then gathers the numerators and
+    writes the interference sums into ``den``'s later slots, and every
+    later denominator is a sum too, so nothing is subtracted: the group
+    one is the other groups' powers plus every private power, the private
+    one the other groups' plus the other users' private powers. The noise
+    is added to the whole stack at once, the last term of every
+    denominator. Two users of one group whose channels are equal thus get
+    the same common and group denominators, bit for bit, and their minima
+    tie exactly.
     """
     # the whole sums, taken before the own rows are zeroed
     if t.hier:
@@ -286,12 +279,11 @@ def _fill_terms(t: _Terms, noise: float):
         t.den_c += t.all_p
     else:
         np.add.reduce(t.privates, axis=-3, out=t.den_c)
-    t.den_c += noise
     _own_and_others(t)
     if t.hier:
         t.den_p += t.den_1
         t.den_1 += t.all_p
-    t.den_later += noise
+    t.den += noise
     return t.num, t.den
 
 
@@ -428,9 +420,9 @@ def _loss_core(v: np.ndarray, ens: ChannelEnsemble, layout: StreamLayout,
     """``(loss, pv, ws)``: the loss at the view ``v``, the workspace ``ws``
     that the projection, the rate backward and the loss's gradient for the
     projection's pairs ``z`` live in, the given one or a throwaway one,
-    and ``pv``, the views of the projection's arrays, whose ``z`` and
-    ``z2`` hold that gradient, written over the pairs. The rate pass runs
-    on the views that ``ws`` keeps (:func:`_kept_terms`)."""
+    and ``pv``, its projection, whose ``z`` and ``z2`` hold that gradient,
+    written over the pairs. The rate backward runs on the rate pass that
+    ``ws`` keeps (:func:`_kept_terms`)."""
     ws = _project(ens.realizations, _rows(v, layout), workspace)
     pv = ws.projection
     # the loss is -asr and d|z|^2 = 2 (Re z dRe z + Im z dIm z): the rate

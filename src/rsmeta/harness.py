@@ -142,8 +142,10 @@ def _parse_value(text: str):
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse a flat key-value config file and validate the result."""
+    """Parse a flat key-value config file and validate the result; a key
+    given twice is rejected with both of its lines."""
     cfg = ExperimentConfig()
+    seen = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -155,6 +157,10 @@ def load_config(path) -> ExperimentConfig:
             key, text = (part.strip() for part in line.split("=", 1))
             if key not in KEYMAP:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in seen:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given "
+                                 f"again, first on line {seen[key]}")
+            seen[key] = lineno
             value = _parse_value(text)
             name = KEYMAP[key]
             if name in _TUPLE_FIELDS and value is not None \

@@ -6,15 +6,16 @@ which is what makes whole experiment sweeps bit-reproducible.
 
 :func:`channel_project` is the package's one |h^H p|^2 projection. It runs
 on a :class:`ProjectionWorkspace`: a float64 conjugate copy of the channel
-stack, laid out like the precoder view, plus the arrays that it and the
-rate code fill in place, the inner products as (Re, Im) pairs and the
-powers, both stream-major and draw-minor. The projection is one real
-matrix product, so every array it writes is contiguous and handed out as
-it is. Both Adam optimizers keep one workspace per run, so the copy is
-made once and those arrays are not allocated again on each iteration; a
-one-shot call gets a throwaway workspace. The workspace owns every layout
-that the projection and its adjoints read, so channel stacks come in any
-layout, and which arrays are used never changes a number.
+stack, laid out like the precoder view, that keeps the projection
+(:class:`_Projection`), which owns the inner products as (Re, Im) pairs
+and the powers, both stream-major and draw-minor, and the rate pass over
+those powers. The projection is one real matrix product, so every array
+it writes is contiguous and handed out as it is. Both Adam optimizers
+keep one workspace per run, so the copy is made once and no array is
+allocated again on each iteration; a one-shot call gets a throwaway
+workspace. The workspace owns every layout that the projection and its
+adjoints read, so channel stacks come in any layout, and which arrays are
+used never changes a number.
 """
 from __future__ import annotations
 
@@ -123,27 +124,24 @@ def svd_dominant(a: np.ndarray) -> np.ndarray:
 
 
 class ProjectionWorkspace:
-    """The arrays that repeated projections of one channel stack reuse.
+    """One channel stack's conjugate copy, and the two objects that own the
+    arrays its repeated projections fill.
 
     Built from a complex (n_draws, n_tx, n_users) stack ``h`` in any
     layout: it makes the float64 conjugate copy ``hr`` once, (2 * n_tx,
     n_users * n_draws) with rows interleaved (Re, -Im) per antenna like a
     view and columns user-major, draw-minor, ``h.nbytes`` in all, with its
-    transpose ``hr_t``, and :attr:`hu` on first use. :meth:`array` hands
-    out named arrays that every later request under the same name gets
-    again, to be overwritten: the inner products ``z`` as (Re, Im) pairs
-    and the powers with their square scratch, each (2, n_streams, n_users,
-    n_draws), the power gradient, (n_streams, n_users, n_draws), and the
-    rate code's stacked (n_layers, n_users, n_draws) layer arrays and
-    private-power sum. It keeps the views of those arrays too, so that a
-    run reshapes and slices them once, not on every call:
-    :attr:`projection`, the last projection's (:class:`_Projection`), and
-    :attr:`rate_pass`, those of the rate pass over its powers, which
-    :mod:`rsmeta.gradients` derives; a projection onto another number of
-    columns replaces the one and drops the other. An optimizer run that
-    projects one ensemble on every iteration builds one workspace; a
-    one-shot caller gets a throwaway one. Results that outlive the next
-    call on the workspace must be copied out of it.
+    transpose ``hr_t``, and :attr:`hu` on first use. It keeps two
+    objects, each of which allocates its arrays and derives their views
+    once, when it is built, so that a run reshapes and slices them once,
+    not on every call: :attr:`projection`, the :class:`_Projection` built
+    by the first projection, and :attr:`rate_pass`, the pass over its
+    powers for one layout, which :mod:`rsmeta.gradients` builds. A
+    projection onto another number of columns, or a rate pass for another
+    layout, raises ValueError. An optimizer run that projects one ensemble
+    on every iteration builds one workspace; a one-shot caller gets a
+    throwaway one. Results that outlive the next call on the workspace
+    must be copied out of it.
     """
 
     def __init__(self, h: np.ndarray):
@@ -155,7 +153,6 @@ class ProjectionWorkspace:
         self.h = h
         self.hr = hr.reshape(2 * n_tx, k * m)
         self.hr_t = self.hr.T
-        self._arrays = {}
         self.projection = None
         self.rate_pass = None
 
@@ -166,27 +163,21 @@ class ProjectionWorkspace:
         order, nearly twice as fast as a C-ordered ``h``, same bits."""
         return np.ascontiguousarray(self.h.swapaxes(1, 2)).swapaxes(1, 2)
 
-    def array(self, key: str, shape: tuple) -> np.ndarray:
-        """The uninitialized float64 array ``key``, reused while its shape
-        holds."""
-        arr = self._arrays.get(key)
-        if arr is None or arr.shape != shape:
-            arr = self._arrays[key] = np.empty(shape)
-        return arr
-
 
 class _Projection:
-    """The views of a workspace's projection arrays for ``n_streams``
-    columns: the pairs ``z`` and their 2-d form ``z2``, (2 * n_streams,
-    n_users * n_draws), which the projection's product writes and its
-    adjoint reads, and the squares ``sq`` with the real and imaginary
-    halves, the first of which becomes the ``powers``."""
+    """The arrays that a projection of ``n_streams`` columns of an
+    (n_draws, n_tx, n_users) stack writes, with their views: the pairs
+    ``z``, (2, n_streams, n_users, n_draws), and their 2-d form ``z2``,
+    (2 * n_streams, n_users * n_draws), which the projection's product
+    writes and its adjoint reads, and the squares ``sq``, shaped like
+    ``z``, with the real and imaginary halves, the first of which becomes
+    the ``powers``."""
 
-    def __init__(self, ws: ProjectionWorkspace, n_streams: int):
-        m, _, k = ws.h.shape
-        self.z = ws.array("z", (2, n_streams, k, m))
+    def __init__(self, h: np.ndarray, n_streams: int):
+        m, _, k = h.shape
+        self.z = np.empty((2, n_streams, k, m))
         self.z2 = self.z.reshape(2 * n_streams, k * m)
-        self.sq = ws.array("powers", self.z.shape)
+        self.sq = np.empty(self.z.shape)
         self.powers, self.sq_im = self.sq
 
 
@@ -203,9 +194,9 @@ def channel_project(h: np.ndarray, p: np.ndarray,
     throwaway one is built for ``h``. Returns ``(powers, z, workspace)``:
     ``z`` the C-ordered (2, n_streams, n_users, n_draws) pairs and
     ``powers = |z|^2`` the C-ordered (n_streams, n_users, n_draws) array,
-    so the rate code reads contiguous rows over the draws, both living in
-    ``workspace``, the one the projection ran on, whose ``hr`` and ``hu``
-    the adjoints read.
+    so the rate code reads contiguous rows over the draws, both owned by
+    the projection of ``workspace``, the one the projection ran on, whose
+    ``hr`` and ``hu`` the adjoints read.
     """
     rows = np.ascontiguousarray(p.T, dtype=complex).view(float).reshape(
         p.shape[1], h.shape[1], 2)
@@ -218,15 +209,19 @@ def _project(h: np.ndarray, rows: np.ndarray,
     """:func:`channel_project` of the precoder columns given as C-ordered
     (n_streams, n_tx, 2) float64 (Re, Im) rows, on ``workspace`` or a
     throwaway one built for ``h``; returns the workspace, whose
-    :attr:`~ProjectionWorkspace.projection` views the results."""
+    :attr:`~ProjectionWorkspace.projection`, built by its first
+    projection, holds the results. Another stack, or another number of
+    columns than that first projection's, raises ValueError."""
     ws = ProjectionWorkspace(h) if workspace is None else workspace
     if ws.h is not h:
         raise ValueError("the workspace was built for another channel stack")
     s, n_tx, _ = rows.shape
     pv = ws.projection
-    if pv is None or pv.z.shape[1] != s:
-        pv = ws.projection = _Projection(ws, s)
-        ws.rate_pass = None
+    if pv is None:
+        pv = ws.projection = _Projection(h, s)
+    elif pv.z.shape[1] != s:
+        raise ValueError(f"the workspace projects {pv.z.shape[1]} columns, "
+                         f"got {s}")
     a = np.empty((2, s, n_tx, 2))
     a[0] = rows
     a[0, ..., 1] *= -1.0

@@ -60,6 +60,14 @@ threads = 1
 """
 
 
+def _with(base, key, text):
+    """The config ``base`` with ``key = text`` in place of its own line for
+    ``key``, if it has one: a config may give each key once."""
+    kept = [line for line in base.splitlines()
+            if line.split("=", 1)[0].strip() != key]
+    return "\n".join(kept) + f"\n{key} = {text}\n"
+
+
 SHIPPED = sorted((Path(__file__).resolve().parent.parent / "configs")
                  .glob("*.cfg"))
 
@@ -119,7 +127,7 @@ class TestValidate:
                                              monkeypatch, capsys):
         monkeypatch.delenv(ENV_THREADS, raising=False)
         path = tmp_path / "snr.cfg"
-        path.write_text(base + f"snr_db = 10, {point}\n")
+        path.write_text(_with(base, "snr_db", f"10, {point}"))
         assert main(["validate", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert f"snr_db = {point} gives the transmit power" in err
@@ -136,7 +144,7 @@ class TestValidate:
                               capsys):
         monkeypatch.delenv(ENV_THREADS, raising=False)
         path = tmp_path / "bad.cfg"
-        path.write_text(TINY + f"{key} = {text}\n")
+        path.write_text(_with(TINY, key, text))
         assert main(["validate", "--config", str(path)]) == 1
         assert f"{key} must be" in capsys.readouterr().err
 
@@ -154,7 +162,7 @@ class TestValidate:
         # and write two identical summary rows per SNR point
         monkeypatch.delenv(ENV_THREADS, raising=False)
         path = tmp_path / "twice.cfg"
-        path.write_text(TINY + "methods = direct, meta, direct\n")
+        path.write_text(_with(TINY, "methods", "direct, meta, direct"))
         assert main(["validate", "--config", str(path)]) == 1
         assert "methods must be a list without repeats" in \
             capsys.readouterr().err
@@ -176,7 +184,7 @@ class TestValidate:
                                      monkeypatch, capsys):
         monkeypatch.delenv(ENV_THREADS, raising=False)
         path = tmp_path / "bad.cfg"
-        path.write_text(base + f"{key} = {text}\n")
+        path.write_text(_with(base, key, text))
         assert main(["validate", "--config", str(path)]) == 1
         assert key in capsys.readouterr().err
 

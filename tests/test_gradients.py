@@ -33,6 +33,18 @@ def _stacked_rates(powers, lay, noise):
     return _avg_rates(sinr, sinr)
 
 
+def _owned(ws):
+    """The float64 arrays that the workspace's projection and rate pass
+    own, each base array once: their views share its memory."""
+    owned = {}
+    for part in (ws.projection, ws.rate_pass):
+        for a in (vars(part).values() if part is not None else ()):
+            if isinstance(a, np.ndarray) and a.dtype == float:
+                base = a if a.base is None else a.base
+                owned[id(base)] = base
+    return list(owned.values())
+
+
 def _instance(seed=21, n_tx=3, n_users=None, hierarchical=False, n_draws=6,
               p_t=4.0):
     if hierarchical:
@@ -164,7 +176,7 @@ class TestPrecoderGradient:
                 assert not np.shares_memory(out, v)
                 assert not np.shares_memory(out, g)
                 assert not np.shares_memory(out, params.theta)
-                for arr in (ws.hr, *ws._arrays.values()):
+                for arr in (ws.hr, *_owned(ws)):
                     assert not np.shares_memory(out, arr)
 
 
@@ -325,14 +337,16 @@ class TestProjectionWorkspace:
         # the workspace's power gradient, has the bits of a one-shot call
         lay, ens, mat = self._eight_users(hierarchical)
         ws = ProjectionWorkspace(ens.realizations)
+        passes = []
         for scale in (1.0, 0.7):
             loss, g = grad_wrt_precoder(mat * scale, ens, lay)
             loss_w, g_w = grad_wrt_precoder(mat * scale, ens, lay,
                                             workspace=ws)
             assert loss == loss_w
             np.testing.assert_array_equal(g, g_w)
-            g_pow = ws.rate_pass.power_grad
-            assert g_pow is ws.array("power_grad", g_pow.shape)
+            passes.append((ws.rate_pass, ws.rate_pass.power_grad))
+        assert passes[1][0] is passes[0][0]
+        assert passes[1][1] is passes[0][1]
 
     @pytest.mark.parametrize("hierarchical", [False, True])
     def test_only_the_workspace_powers_are_written(self, hierarchical):
@@ -358,26 +372,27 @@ class TestProjectionWorkspace:
 
     @pytest.mark.parametrize("run", ["direct", "meta"])
     def test_runs_allocate_each_array_once(self, monkeypatch, run):
-        # every request for a key gets the same array: no workspace array
-        # is allocated again after the first iteration. Every Adam step
-        # sees the same views kept on the workspace, the same scratch and
-        # parameters and, in a meta run, the same θ-gradient array
-        handed, steps = {}, []
-        real = ProjectionWorkspace.array
+        # the run builds one workspace, and no array it owns is allocated
+        # again after the first iteration: every Adam step sees the same
+        # projection and rate pass, owning the same arrays, the same
+        # scratch and parameters and, in a meta run, the same θ-gradient
+        # array
+        built, steps = [], []
+        real_init = ProjectionWorkspace.__init__
         real_step = adam.adam_step
 
-        def record(ws, key, shape):
-            arr = real(ws, key, shape)
-            handed.setdefault(key, []).append((ws, arr))
-            return arr
+        def init(ws, h):
+            real_init(ws, h)
+            built.append(ws)
 
         def step(state, grad, lr, params):
-            ws = handed["z"][0][0]
+            assert len(built) == 1
+            ws = built[0]
             steps.append((state, state.delta, state.denom, params,
-                          ws.projection, ws.rate_pass, grad))
+                          ws.projection, ws.rate_pass, *_owned(ws), grad))
             real_step(state, grad, lr, params)
 
-        monkeypatch.setattr(ProjectionWorkspace, "array", record)
+        monkeypatch.setattr(ProjectionWorkspace, "__init__", init)
         lay, ens, _ = self._eight_users(True)
         if run == "direct":
             monkeypatch.setattr(baselines, "adam_step", step)
@@ -386,26 +401,26 @@ class TestProjectionWorkspace:
             monkeypatch.setattr(metaopt, "adam_step", step)
             run_meta_opt(lay, ens, 4.0, MetaOptConfig(n_iters=5,
                                                       hidden=(8,)))
-        assert set(handed) >= {"z", "powers", "sinr", "den", "rates",
-                               "rate_grad", "power_grad"}
-        ws0 = handed["z"][0][0]
-        for got in handed.values():
-            assert all(ws is ws0 and arr is got[0][1] for ws, arr in got)
+        ws0 = built[0]
         assert ws0.projection is not None and ws0.rate_pass is not None
+        # z and the squares, then the rate pass's numerators,
+        # denominators, private sum, rates, rate weights, per-draw rates
+        # and power gradient
+        assert len(_owned(ws0)) == 9
         # the direct run's precoder gradient is a fresh view-sized array;
         # the meta run's θ-gradient is the run's one array
-        same = 6 if run == "direct" else 7
+        same = len(steps[0]) - (run == "direct")
         assert len(steps) == 5
         for i in range(same):
             assert all(s[i] is steps[0][i] for s in steps)
 
     def test_long_cell_bytes_within_budget(self):
-        # the float64 channel copy plus every workspace array, after one
-        # network and one precoder gradient at 2000 x 4 x 4, hold no more
-        # than the 2,496,128 bytes of the complex user-major projection
-        # they replaced: the pairs take the complex inner products' bytes,
-        # and the powers with their square scratch the operand of the
-        # network gradient's einsum
+        # the float64 channel copy plus every array that the workspace's
+        # projection and rate pass own, after one network and one precoder
+        # gradient at 2000 x 4 x 4, hold no more than the 2,496,128 bytes
+        # of the complex user-major projection they replaced: the pairs
+        # take the complex inner products' bytes, and the powers with
+        # their square scratch the operand of the network gradient's einsum
         lay, ens, mat, p_t = _benchmark_shape("long-cell-4x4")
         ws = ProjectionWorkspace(ens.realizations)
         p0 = precoder_to_view(mat, lay)
@@ -414,8 +429,31 @@ class TestProjectionWorkspace:
         grad_wrt_theta(params, p0, g0, ens, lay, p_t, workspace=ws)
         grad_wrt_precoder(p0, ens, lay, workspace=ws)
         assert ws.hr.nbytes == ens.realizations.nbytes
-        held = ws.hr.nbytes + sum(a.nbytes for a in ws._arrays.values())
+        held = ws.hr.nbytes + sum(a.nbytes for a in _owned(ws))
         assert held <= 2_496_128
+
+    def test_serves_one_layout(self):
+        # a workspace serves one layout's active columns: a projection
+        # onto another number of columns, or a rate pass for another
+        # layout of the same width, which would read each user's own
+        # powers from the wrong rows, raises; an equal layout is the same
+        lay, ens, mat = self._eight_users(True)
+        ws = ProjectionWorkspace(ens.realizations)
+        loss, g = grad_wrt_precoder(mat, ens, lay, workspace=ws)
+        with pytest.raises(ValueError, match="projects 11 columns, got 10"):
+            channel_project(ens.realizations, mat[:, lay.active_cols[1:]],
+                            ws)
+        regrouped = StreamLayout.hierarchical(lay.n_tx, lay.n_users, 2,
+                                              group_of=(0, 1) * 4)
+        assert regrouped != lay
+        assert regrouped.active_streams == lay.active_streams
+        with pytest.raises(ValueError, match="rate pass is for"):
+            grad_wrt_precoder(mat, ens, regrouped, workspace=ws)
+        equal = StreamLayout.hierarchical(lay.n_tx, lay.n_users, 2)
+        assert equal is not lay
+        loss_e, g_e = grad_wrt_precoder(mat, ens, equal, workspace=ws)
+        assert loss_e == loss
+        np.testing.assert_array_equal(g_e, g)
 
     def test_rejects_another_stack(self):
         lay, ens, mat = _instance(seed=92)

@@ -79,6 +79,14 @@ threads = 2
         with pytest.raises(ValueError, match=r":2: unknown key"):
             load_config(path)
 
+    def test_duplicate_key_reports_both_lines(self, tmp_path):
+        # the later line used to win silently
+        path = _write(tmp_path, "n_tx = 4\nsnr_db = 5\nn_tx = 8\n")
+        with pytest.raises(ValueError,
+                           match=r":3: key 'n_tx' given again, first on "
+                                 r"line 1"):
+            load_config(path)
+
     def test_smooth_temp_key_is_unknown(self, tmp_path):
         # the objective is the hard minimum alone; a file still asking for
         # the smooth surrogate fails rather than run something else
