@@ -4,13 +4,13 @@ Kept as a tiny pure-numpy implementation so both optimizers in this
 package (the network trainer and the direct precoder baseline) share one
 update rule and its textbook constants :data:`BETA1`, :data:`BETA2` and
 :data:`EPS`; the learning rate is the one setting, which a run checks once
-with :func:`check_lr` before its first step.
+with :func:`check_lr` before its first step. A run builds one
+:class:`AdamState` from its parameter count.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,24 +21,17 @@ BETA2 = 0.999  # second-moment decay
 EPS = 1e-8  # added to sqrt(v_hat) before the division
 
 
-@dataclass
 class AdamState:
-    """First and second moment accumulators plus the step counter, and the
-    step's two scratch arrays, shaped like the moments."""
+    """Adam's state for ``dim`` parameters: the first and second moment
+    accumulators ``m`` and ``v``, zero, the step counter, and the step's
+    two scratch arrays ``delta`` and ``denom``, each its own array."""
 
-    m: np.ndarray
-    v: np.ndarray
-    step_count: int = 0
-    delta: np.ndarray = field(init=False, repr=False)
-    denom: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.delta = np.empty_like(self.m)
-        self.denom = np.empty_like(self.m)
-
-    @classmethod
-    def zeros(cls, dim: int) -> "AdamState":
-        return cls(m=np.zeros(int(dim)), v=np.zeros(int(dim)))
+    def __init__(self, dim: int):
+        self.m = np.zeros(dim)
+        self.v = np.zeros(dim)
+        self.step_count = 0
+        self.delta = np.empty(dim)
+        self.denom = np.empty(dim)
 
 
 def check_lr(lr, key: str = "lr") -> float:

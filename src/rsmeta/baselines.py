@@ -36,7 +36,7 @@ from .gradients import _own_and_others, _Split, asr_from_terms, \
     grad_wrt_precoder, project_view, view_length
 from .layout import StreamLayout
 from .linalg import ProjectionWorkspace, channel_project, svd_dominant
-from .metaopt import RunResult, _start
+from .metaopt import RunResult, _start, check_iters
 from .rates import PrecoderMatrix
 
 __all__ = ["PowerSplit", "lattice_size", "run_direct_adam",
@@ -54,19 +54,21 @@ def run_direct_adam(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
                     splits: tuple = None) -> RunResult:
     """Adam directly on the precoder view, projected after every step.
 
-    ``lr`` is checked (:func:`rsmeta.adam.check_lr`) before any work. The
-    run keeps one view: Adam steps it and the power projection scales it,
-    both in place. It goes into the gradient as it is, and every gradient
-    of the run fills one projection workspace built for ``ens``: the
-    channel copy is made once, and no projection or power-gradient array
-    is allocated again on each iteration.
+    ``n_iters`` and ``lr`` are checked (:func:`rsmeta.metaopt.check_iters`,
+    :func:`rsmeta.adam.check_lr`) before any work. The run keeps one view:
+    Adam steps it and the power projection scales it, both in place. It
+    goes into the gradient as it is, and every gradient of the run fills
+    one projection workspace built for ``ens`` and the active columns: the
+    channel copy and the projection's arrays are made once, and no
+    projection or power-gradient array is allocated again on each
+    iteration.
     """
-    if n_iters < 1:
-        raise ValueError(f"n_iters must be >= 1, got {n_iters}")
+    check_iters(n_iters)
     lr = check_lr(lr)
-    workspace = ProjectionWorkspace(ens.realizations)
+    workspace = ProjectionWorkspace(ens.realizations,
+                                    len(layout.active_streams))
     record, v, g = _start(layout, ens, p_t, splits, workspace)
-    opt = AdamState.zeros(view_length(layout))
+    opt = AdamState(view_length(layout))
     for _ in range(n_iters):
         adam_step(opt, g, lr, v)
         project_view(v, p_t, out=v)

@@ -166,7 +166,7 @@ def gradcheck_suite(seed: int = 0, n_instances: int = 50) -> dict:
 
             def f_theta(vec, _d=params.dims, _p0=v0, _g0=g0,
                         _e=ens, _l=layout):
-                trial = MetaNetParams.from_vector(vec, _d)
+                trial = MetaNetParams(vec, _d)
                 return loss_from_view(candidate_view(trial, _p0, _g0, P_T),
                                       _e, _l)
 

@@ -13,7 +13,7 @@ They differ only in the adjoint that takes those pairs to the view:
   :attr:`rsmeta.linalg.ProjectionWorkspace.hu`, then the radial projection
   ``v * sqrt(P / tr)`` and the ReLU MLP, written into a ``theta``-shaped
   array through its layer views (:class:`rsmeta.network.MetaNetParams`):
-  the run's one θ-gradient network, or a fresh one.
+  the run's one θ-gradient network, or one built on a fresh array.
 
 Every path, the plain loss included, gets |h^H p|^2 from that projection
 and runs one layered-rate arithmetic, so equal precoders give bit-equal
@@ -39,11 +39,12 @@ through :func:`asr_from_terms`, and :mod:`rsmeta.gradcheck`'s tie guard
 reads the tail's stacked averaged rates. Every pass owns its arrays,
 allocated when it is built, with views derived then (:class:`_Terms`); a
 one-shot reader of given powers builds one over a copy. The gradients run
-on a :class:`rsmeta.linalg.ProjectionWorkspace` built for the ensemble,
-the given one or a throwaway one: they fill its projection's arrays and
-those of the one rate pass it keeps (:func:`_kept_terms`) in place,
-bit-identically, and return nothing that points into them; both
-optimizers pass their run's workspace on every iteration.
+on a :class:`rsmeta.linalg.ProjectionWorkspace` built for the ensemble and
+the layout's active columns, the given one or a throwaway one: they fill
+the arrays it allocated with its channel copy and those of the one rate
+pass it keeps (:func:`_kept_terms`) in place, bit-identically, and return
+nothing that points into them; both optimizers pass their run's workspace
+on every iteration.
 
 The view is the memory of the complex (n_tx, n_active) matrix of the
 active columns, read as float64 pairs, so going between the two is no
@@ -64,7 +65,7 @@ from .channel import ChannelEnsemble
 from .layout import StreamLayout
 from .linalg import ProjectionWorkspace, _project, _project_back, \
     _user_major, channel_project
-from .network import MetaNetParams, _activations, _layer_views, mlp_forward
+from .network import MetaNetParams, _activations, mlp_forward
 from .rates import _LN2
 
 __all__ = ["view_length", "precoder_to_view", "view_to_precoder",
@@ -241,15 +242,14 @@ def _terms(powers: np.ndarray, layout: StreamLayout,
 
 
 def _kept_terms(ws: ProjectionWorkspace, layout: StreamLayout) -> _Terms:
-    """The rate pass over the powers of the workspace's projection of
+    """The rate pass over the powers of the workspace's projections of
     ``layout``'s active columns: built on the first pass and kept as the
     workspace's :attr:`~rsmeta.linalg.ProjectionWorkspace.rate_pass`; a
     pass for another layout raises ValueError. The pass zeroes each user's
     own powers in place, which nothing reads after."""
     t = ws.rate_pass
     if t is None:
-        t = ws.rate_pass = _Terms(ws.projection.powers, layout,
-                                  backward=True)
+        t = ws.rate_pass = _Terms(ws.powers, layout, backward=True)
     elif t.layout is not layout and t.layout != layout:
         raise ValueError(f"the workspace's rate pass is for {t.layout}, "
                          f"got {layout}")
@@ -417,21 +417,20 @@ def _rate_backward(t: _Terms, noise: float, scale: float):
 
 def _loss_core(v: np.ndarray, ens: ChannelEnsemble, layout: StreamLayout,
                workspace: ProjectionWorkspace):
-    """``(loss, pv, ws)``: the loss at the view ``v``, the workspace ``ws``
-    that the projection, the rate backward and the loss's gradient for the
-    projection's pairs ``z`` live in, the given one or a throwaway one,
-    and ``pv``, its projection, whose ``z`` and ``z2`` hold that gradient,
-    written over the pairs. The rate backward runs on the rate pass that
-    ``ws`` keeps (:func:`_kept_terms`)."""
+    """``(loss, ws)``: the loss at the view ``v``, and the workspace
+    ``ws`` that the projection, the rate backward and the loss's gradient
+    for the projection's pairs live in, the given one or a throwaway one,
+    whose ``z`` and ``z2`` hold that gradient, written over the pairs. The
+    rate backward runs on the rate pass that ``ws`` keeps
+    (:func:`_kept_terms`)."""
     ws = _project(ens.realizations, _rows(v, layout), workspace)
-    pv = ws.projection
     # the loss is -asr and d|z|^2 = 2 (Re z dRe z + Im z dIm z): the rate
     # backward scales by -2, and the pairs are scaled in place, as fresh
     # arrays of this size cost more in page faults than arithmetic
     asr, g_pow = _rate_backward(_kept_terms(ws, layout), ens.noise_power,
                                 -2.0)
-    np.multiply(pv.z, g_pow, out=pv.z)
-    return -asr, pv, ws
+    np.multiply(ws.z, g_pow, out=ws.z)
+    return -asr, ws
 
 
 def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
@@ -445,8 +444,8 @@ def grad_wrt_precoder(p, ens: ChannelEnsemble, layout: StreamLayout,
     view. ``grad`` is fresh, with or without a ``workspace`` built for
     ``ens.realizations``.
     """
-    loss, pv, ws = _loss_core(_view_in(p, layout), ens, layout, workspace)
-    return loss, _project_back(pv.z2, ws.hr_t)
+    loss, ws = _loss_core(_view_in(p, layout), ens, layout, workspace)
+    return loss, _project_back(ws.z2, ws.hr_t)
 
 
 def candidate_view(params: MetaNetParams, p0_view: np.ndarray,
@@ -475,20 +474,21 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
     and ``cand_view`` is the candidate in view coordinates, fresh, with or
     without a ``workspace`` built for ``ens.realizations``.
     ``grad_theta`` is written through the layer views of ``out``, a network
-    of ``params``' shape that holds the gradient, and is ``out.theta``;
-    without ``out`` it is fresh. A run passes the same ``out`` on every
-    iteration, so no θ-sized array is allocated again.
+    of ``params``' dims that holds the gradient, and is ``out.theta``;
+    without ``out`` it is a network built on a fresh array. A run passes
+    the same ``out`` on every iteration, so no θ-sized array is allocated
+    again.
     """
     acts = _activations(params, g0_view)
     raw = np.asarray(_view_in(p0, layout), dtype=float) + acts[-1]
     cand, tr, scale = _radial(raw, p_t)
 
-    loss, pv, ws = _loss_core(cand, ens, layout, workspace)
+    loss, ws = _loss_core(cand, ens, layout, workspace)
     # the adjoint is an einsum over the workspace's user-major h, ws.hu, of
     # dz made complex and user-major in the memory of the powers' squares,
     # which are dead by now; it is not grad_wrt_precoder's product with hr:
     # the two differ in their last bits
-    w = _user_major(pv.z, pv.sq)
+    w = _user_major(ws.z, ws.sq)
     g = _view(np.einsum("mik,mks->is", ws.hu, w))
 
     if scale is not None:
@@ -501,10 +501,8 @@ def grad_wrt_theta(params: MetaNetParams, p0, g0_view: np.ndarray,
     # gradient where it is positive, and dL/dθ fills the layers of ``out``
     # or of a fresh θ
     if out is None:
-        grad = np.empty(params.n_params)
-        g_w, g_b = _layer_views(grad, params.dims)
-    else:
-        grad, g_w, g_b = out.theta, out.weights, out.biases
+        out = MetaNetParams(np.empty(params.n_params), params.dims)
+    grad, g_w, g_b = out.theta, out.weights, out.biases
     for i in range(len(g_w) - 1, -1, -1):
         np.multiply.outer(g, acts[i], out=g_w[i])
         g_b[i][...] = g

@@ -34,8 +34,8 @@ from .baselines import lattice_size, run_direct_adam, run_fixed_direction
 from .channel import IidCsitModel, OneRingModel
 from .layout import StreamLayout
 from .linalg import RngStream
-from .metaopt import MetaOptConfig, init_precoder, run_meta_opt, \
-    start_splits
+from .metaopt import MetaOptConfig, check_iters, init_precoder, \
+    run_meta_opt, start_splits
 from .rates import PrecoderMatrix, saf_report
 
 __all__ = ["ExperimentConfig", "CellResult", "SweepResult",
@@ -296,8 +296,7 @@ def _validate_optimizers(cfg: ExperimentConfig) -> None:
         if method in methods:
             iters = getattr(cfg, f"{method}_iters")
             lr = getattr(cfg, f"{method}_lr")
-            _require(_is_int(iters) and iters >= 1, f"{method}.iters", iters,
-                     "an integer >= 1")
+            check_iters(iters, f"{method}.iters")
             check_lr(lr, f"{method}.lr")
     if "meta" in methods:
         hidden = cfg.meta_hidden

@@ -5,17 +5,18 @@ operation here is deterministic for a fixed seed within one installation,
 which is what makes whole experiment sweeps bit-reproducible.
 
 :func:`channel_project` is the package's one |h^H p|^2 projection. It runs
-on a :class:`ProjectionWorkspace`: a float64 conjugate copy of the channel
-stack, laid out like the precoder view, that keeps the projection
-(:class:`_Projection`), which owns the inner products as (Re, Im) pairs
-and the powers, both stream-major and draw-minor, and the rate pass over
-those powers. The projection is one real matrix product, so every array
-it writes is contiguous and handed out as it is. Both Adam optimizers
-keep one workspace per run, so the copy is made once and no array is
-allocated again on each iteration; a one-shot call gets a throwaway
-workspace. The workspace owns every layout that the projection and its
-adjoints read, so channel stacks come in any layout, and which arrays are
-used never changes a number.
+on a :class:`ProjectionWorkspace`, built for one channel stack and one
+number of precoder columns. The workspace makes a float64 conjugate copy
+of the stack, laid out like the precoder view, and with it allocates the
+arrays the projection writes: the inner products as (Re, Im) pairs and
+the powers, both stream-major and draw-minor. It also keeps the rate pass
+over those powers. The projection is one real matrix product, so every
+array it writes is contiguous and handed out as it is. Both Adam
+optimizers keep one workspace per run, so the copy is made once and no
+array is allocated again on each iteration; a one-shot call gets a
+throwaway workspace. The workspace owns every layout that the projection
+and its adjoints read, so channel stacks come in any layout, and which
+arrays are used never changes a number.
 """
 from __future__ import annotations
 
@@ -124,27 +125,30 @@ def svd_dominant(a: np.ndarray) -> np.ndarray:
 
 
 class ProjectionWorkspace:
-    """One channel stack's conjugate copy, and the two objects that own the
-    arrays its repeated projections fill.
+    """One channel stack's conjugate copy, and the arrays that its
+    repeated projections onto ``n_streams`` columns fill.
 
     Built from a complex (n_draws, n_tx, n_users) stack ``h`` in any
     layout: it makes the float64 conjugate copy ``hr`` once, (2 * n_tx,
     n_users * n_draws) with rows interleaved (Re, -Im) per antenna like a
     view and columns user-major, draw-minor, ``h.nbytes`` in all, with its
-    transpose ``hr_t``, and :attr:`hu` on first use. It keeps two
-    objects, each of which allocates its arrays and derives their views
-    once, when it is built, so that a run reshapes and slices them once,
-    not on every call: :attr:`projection`, the :class:`_Projection` built
-    by the first projection, and :attr:`rate_pass`, the pass over its
-    powers for one layout, which :mod:`rsmeta.gradients` builds. A
-    projection onto another number of columns, or a rate pass for another
-    layout, raises ValueError. An optimizer run that projects one ensemble
-    on every iteration builds one workspace; a one-shot caller gets a
-    throwaway one. Results that outlive the next call on the workspace
-    must be copied out of it.
+    transpose ``hr_t``, and :attr:`hu` on first use. With the copy it
+    allocates what the projection writes, with their views, so that a run
+    reshapes and slices them once: the pairs ``z``, (2, n_streams,
+    n_users, n_draws), and their 2-d form ``z2``, (2 * n_streams, n_users
+    * n_draws), which the projection's product writes and its adjoint
+    reads, and the squares ``sq``, shaped like ``z``, whose real and
+    imaginary halves are ``powers`` and ``sq_im``. It also keeps
+    :attr:`rate_pass`, the pass over the powers for one layout, which
+    :mod:`rsmeta.gradients` builds on first use. A projection onto another
+    number of columns, or a rate pass for another layout, raises
+    ValueError. An optimizer run that projects one ensemble on every
+    iteration builds one workspace; a one-shot caller gets a throwaway
+    one. Results that outlive the next call on the workspace must be
+    copied out of it.
     """
 
-    def __init__(self, h: np.ndarray):
+    def __init__(self, h: np.ndarray, n_streams: int):
         m, n_tx, k = h.shape
         hr = np.empty((n_tx, 2, k, m))
         ht = h.transpose(1, 2, 0)
@@ -153,7 +157,10 @@ class ProjectionWorkspace:
         self.h = h
         self.hr = hr.reshape(2 * n_tx, k * m)
         self.hr_t = self.hr.T
-        self.projection = None
+        self.z = np.empty((2, n_streams, k, m))
+        self.z2 = self.z.reshape(2 * n_streams, k * m)
+        self.sq = np.empty(self.z.shape)
+        self.powers, self.sq_im = self.sq
         self.rate_pass = None
 
     @cached_property
@@ -162,23 +169,6 @@ class ProjectionWorkspace:
         laid out so: the network gradient's ``einsum`` walks it in memory
         order, nearly twice as fast as a C-ordered ``h``, same bits."""
         return np.ascontiguousarray(self.h.swapaxes(1, 2)).swapaxes(1, 2)
-
-
-class _Projection:
-    """The arrays that a projection of ``n_streams`` columns of an
-    (n_draws, n_tx, n_users) stack writes, with their views: the pairs
-    ``z``, (2, n_streams, n_users, n_draws), and their 2-d form ``z2``,
-    (2 * n_streams, n_users * n_draws), which the projection's product
-    writes and its adjoint reads, and the squares ``sq``, shaped like
-    ``z``, with the real and imaginary halves, the first of which becomes
-    the ``powers``."""
-
-    def __init__(self, h: np.ndarray, n_streams: int):
-        m, _, k = h.shape
-        self.z = np.empty((2, n_streams, k, m))
-        self.z2 = self.z.reshape(2 * n_streams, k * m)
-        self.sq = np.empty(self.z.shape)
-        self.powers, self.sq_im = self.sq
 
 
 def channel_project(h: np.ndarray, p: np.ndarray,
@@ -191,44 +181,40 @@ def channel_project(h: np.ndarray, p: np.ndarray,
     rows with every Im negated, stacked over the same rows with each pair
     swapped, times the workspace's conjugate copy ``hr``, is one real
     matrix product that gives Re z and Im z; without a ``workspace`` a
-    throwaway one is built for ``h``. Returns ``(powers, z, workspace)``:
-    ``z`` the C-ordered (2, n_streams, n_users, n_draws) pairs and
-    ``powers = |z|^2`` the C-ordered (n_streams, n_users, n_draws) array,
-    so the rate code reads contiguous rows over the draws, both owned by
-    the projection of ``workspace``, the one the projection ran on, whose
-    ``hr`` and ``hu`` the adjoints read.
+    throwaway one is built for ``h`` and ``p.shape[1]`` columns. Returns
+    ``(powers, z, workspace)``: ``z`` the C-ordered (2, n_streams,
+    n_users, n_draws) pairs and ``powers = |z|^2`` the C-ordered
+    (n_streams, n_users, n_draws) array, so the rate code reads contiguous
+    rows over the draws, both owned by ``workspace``, the one the
+    projection ran on, whose ``hr`` and ``hu`` the adjoints read.
     """
     rows = np.ascontiguousarray(p.T, dtype=complex).view(float).reshape(
         p.shape[1], h.shape[1], 2)
     ws = _project(h, rows, workspace)
-    return ws.projection.powers, ws.projection.z, ws
+    return ws.powers, ws.z, ws
 
 
 def _project(h: np.ndarray, rows: np.ndarray,
              workspace: ProjectionWorkspace = None) -> ProjectionWorkspace:
     """:func:`channel_project` of the precoder columns given as C-ordered
     (n_streams, n_tx, 2) float64 (Re, Im) rows, on ``workspace`` or a
-    throwaway one built for ``h``; returns the workspace, whose
-    :attr:`~ProjectionWorkspace.projection`, built by its first
-    projection, holds the results. Another stack, or another number of
-    columns than that first projection's, raises ValueError."""
-    ws = ProjectionWorkspace(h) if workspace is None else workspace
+    throwaway one built for ``h`` and those columns; returns the
+    workspace, whose arrays hold the results. Another stack, or another
+    number of columns than the workspace's, raises ValueError."""
+    s, n_tx, _ = rows.shape
+    ws = ProjectionWorkspace(h, s) if workspace is None else workspace
     if ws.h is not h:
         raise ValueError("the workspace was built for another channel stack")
-    s, n_tx, _ = rows.shape
-    pv = ws.projection
-    if pv is None:
-        pv = ws.projection = _Projection(h, s)
-    elif pv.z.shape[1] != s:
-        raise ValueError(f"the workspace projects {pv.z.shape[1]} columns, "
+    if ws.z.shape[1] != s:
+        raise ValueError(f"the workspace projects {ws.z.shape[1]} columns, "
                          f"got {s}")
     a = np.empty((2, s, n_tx, 2))
     a[0] = rows
     a[0, ..., 1] *= -1.0
     a[1] = rows[..., ::-1]
-    np.matmul(a.reshape(2 * s, 2 * n_tx), ws.hr, out=pv.z2)
-    np.square(pv.z, out=pv.sq)
-    np.add(pv.powers, pv.sq_im, out=pv.powers)
+    np.matmul(a.reshape(2 * s, 2 * n_tx), ws.hr, out=ws.z2)
+    np.square(ws.z, out=ws.sq)
+    np.add(ws.powers, ws.sq_im, out=ws.powers)
     return ws
 
 

@@ -11,6 +11,13 @@ projections and the network, every projection filling the run's one
 :class:`rsmeta.linalg.ProjectionWorkspace`. The best candidate ever
 evaluated, the start point included, is what a run returns.
 
+A run checks its iteration count and its rate before any work
+(:func:`check_iters`, :func:`rsmeta.adam.check_lr`). It then builds each
+of its objects once, from sizes it knows at its start: the projection
+workspace from the ensemble and the number of active columns, the update
+network from its θ and layer sizes, a second network on a fresh array for
+the θ-gradient, and the Adam state from the parameter count.
+
 Direct Adam (:mod:`rsmeta.baselines`) shares the start point and the
 record of the best candidate (:func:`_start`, :class:`_Record`), so the
 two Adam optimizers differ only in what Adam steps. Both step views
@@ -19,6 +26,7 @@ run builds a precoder matrix only for what it returns.
 """
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -33,8 +41,8 @@ from .linalg import ProjectionWorkspace, RngStream, svd_dominant
 from .network import MetaNetParams, init_meta_net
 from .rates import PrecoderMatrix
 
-__all__ = ["MetaOptConfig", "RunResult", "start_splits", "init_precoder",
-           "run_meta_opt"]
+__all__ = ["MetaOptConfig", "RunResult", "check_iters", "start_splits",
+           "init_precoder", "run_meta_opt"]
 
 
 @dataclass
@@ -64,6 +72,17 @@ class RunResult:
     wall_time_s: float
     n_iters: int
     params: MetaNetParams = None
+
+
+def check_iters(n, key: str = "n_iters"):
+    """``n`` if it is an integer >= 1 and not a bool; raises ValueError
+    otherwise, naming ``key``. Both Adam runs check their iteration count
+    here before any work, and the config check runs it on ``meta.iters``
+    and ``direct.iters``."""
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool)
+            and n >= 1):
+        raise ValueError(f"{key} must be an integer >= 1, got {n!r}")
+    return n
 
 
 def start_splits(layout: StreamLayout, splits: tuple = None) -> tuple:
@@ -180,22 +199,22 @@ def run_meta_opt(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
 
     The candidate at iteration i is the projected network proposal under the
     current ``theta``; with the zero-initialized output layer the first
-    candidate is the start point. The returned ``params`` are a copy of
-    the trained network.
+    candidate is the start point. The returned ``params`` are a network
+    built on a copy of the trained ``theta``.
     """
     cfg = config or MetaOptConfig()
-    if cfg.n_iters < 1:
-        raise ValueError(f"n_iters must be >= 1, got {cfg.n_iters}")
+    check_iters(cfg.n_iters)
     lr = check_lr(cfg.lr)
-    workspace = ProjectionWorkspace(ens.realizations)
+    workspace = ProjectionWorkspace(ens.realizations,
+                                    len(layout.active_streams))
     record, p0_view, g0 = _start(layout, ens, p_t, cfg.splits, workspace)
 
     params = init_meta_net(RngStream(cfg.seed), view_length(layout),
                            cfg.hidden)
-    opt = AdamState.zeros(params.n_params)
-    # a network of the same shape holds the θ-gradient: its array and
+    opt = AdamState(params.n_params)
+    # a network of the same dims holds the θ-gradient: its array and
     # layer views are built once for the run
-    grad = MetaNetParams(params.weights, params.biases)
+    grad = MetaNetParams(np.empty(params.n_params), params.dims)
 
     for _ in range(cfg.n_iters):
         loss_i, g_theta, cand = grad_wrt_theta(
@@ -204,4 +223,4 @@ def run_meta_opt(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
         record.offer(cand, loss_i)
         adam_step(opt, g_theta, lr, params.theta)
 
-    return record.result(MetaNetParams.from_vector(params.theta, params.dims))
+    return record.result(MetaNetParams(params.theta.copy(), params.dims))

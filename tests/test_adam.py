@@ -18,7 +18,7 @@ class TestAdamStep:
         # sum rounds differently somewhere
         rng = np.random.default_rng(11)
         dim, lr = 500, 1e-3
-        state = AdamState.zeros(dim)
+        state = AdamState(dim)
         m, v = np.zeros(dim), np.zeros(dim)
         x = np.empty(dim)
         for t in range(1, 51):
@@ -38,7 +38,7 @@ class TestAdamStep:
         rng = np.random.default_rng(12)
         g = rng.standard_normal(40)
         kept = g.copy()
-        state = AdamState.zeros(40)
+        state = AdamState(40)
         for _ in range(3):
             adam_step(state, g, 0.01, np.zeros(40))
         np.testing.assert_array_equal(g, kept)

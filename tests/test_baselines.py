@@ -135,7 +135,7 @@ class TestDirectAdam:
         loss, g = grad_wrt_precoder(p0, ens, lay)
         history = [-loss]
         best = v.copy()
-        opt = AdamState.zeros(v.size)
+        opt = AdamState(v.size)
         for _ in range(n_iters):
             adam_step(opt, g, lr, v)
             v = project_view(v, p_t)
@@ -162,6 +162,25 @@ class TestDirectAdam:
         with pytest.raises(ValueError, match="lr must be a number > 0"):
             run_direct_adam(lay, ens, p_t, n_iters=5, lr=lr)
         assert calls == []
+
+    @pytest.mark.parametrize("n_iters", [2.5, 3.0, True, 0])
+    def test_bad_iters_rejected_before_any_work(self, monkeypatch, n_iters):
+        # a fractional, float or boolean count, or none, is rejected before
+        # the start point's gradient, not by range() after it
+        calls = []
+        for module in (baselines, metaopt):
+            monkeypatch.setattr(module, "grad_wrt_precoder",
+                                lambda *a, **k: calls.append(a))
+        lay, ens, p_t = _iid_scene(seed=407)
+        with pytest.raises(ValueError,
+                           match="n_iters must be an integer >= 1"):
+            run_direct_adam(lay, ens, p_t, n_iters=n_iters)
+        assert calls == []
+
+    def test_numpy_integer_iters_run(self):
+        lay, ens, p_t = _iid_scene(seed=407)
+        res = run_direct_adam(lay, ens, p_t, n_iters=np.int64(3))
+        assert res.n_iters == 3 and res.asr_history.shape == (4,)
 
 
 def _ring_scene(seed=500, n_tx=8, n_users=4, n_groups=2, n_draws=12,

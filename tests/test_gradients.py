@@ -34,14 +34,16 @@ def _stacked_rates(powers, lay, noise):
 
 
 def _owned(ws):
-    """The float64 arrays that the workspace's projection and rate pass
-    own, each base array once: their views share its memory."""
+    """The float64 arrays that the workspace owns but its channel copy
+    ``hr``, and those that its rate pass owns, each base array once: their
+    views share its memory."""
     owned = {}
-    for part in (ws.projection, ws.rate_pass):
+    for part in (ws, ws.rate_pass):
         for a in (vars(part).values() if part is not None else ()):
             if isinstance(a, np.ndarray) and a.dtype == float:
                 base = a if a.base is None else a.base
-                owned[id(base)] = base
+                if base is not ws.hr.base:
+                    owned[id(base)] = base
     return list(owned.values())
 
 
@@ -165,7 +167,7 @@ class TestPrecoderGradient:
         v = precoder_to_view(mat, lay)
         assert not np.shares_memory(v, mat)
         assert not np.shares_memory(view_to_precoder(v, lay), v)
-        ws = ProjectionWorkspace(ens.realizations)
+        ws = ProjectionWorkspace(ens.realizations, len(lay.active_streams))
         for workspace in (None, ws):
             _, g = grad_wrt_precoder(v, ens, lay, workspace=workspace)
             assert not np.shares_memory(g, v)
@@ -306,7 +308,7 @@ class TestProjectionWorkspace:
     @pytest.mark.parametrize("hierarchical", [False, True])
     def test_kept_results_survive_later_calls(self, hierarchical):
         lay, ens, mat = self._eight_users(hierarchical)
-        ws = ProjectionWorkspace(ens.realizations)
+        ws = ProjectionWorkspace(ens.realizations, len(lay.active_streams))
         rng = RngStream(91)
         mats = [mat * (0.5 + 0.1 * i) + 0.1 * gaussian_matrix(
                     rng, lay.n_tx, lay.n_streams, 1.0) * (mat != 0)
@@ -324,7 +326,7 @@ class TestProjectionWorkspace:
     @pytest.mark.parametrize("hierarchical", [False, True])
     def test_eight_columns_sum_like_tape(self, hierarchical):
         lay, ens, mat = self._eight_users(hierarchical)
-        ws = ProjectionWorkspace(ens.realizations)
+        ws = ProjectionWorkspace(ens.realizations, len(lay.active_streams))
         loss, g = grad_wrt_precoder(mat, ens, lay, workspace=ws)
         loss_t, g_t = _tape_grad(mat, ens, lay)
         assert loss == loss_t                                    # bitwise
@@ -336,7 +338,7 @@ class TestProjectionWorkspace:
         # the precoder gradient on a run's workspace, whose rate pass fills
         # the workspace's power gradient, has the bits of a one-shot call
         lay, ens, mat = self._eight_users(hierarchical)
-        ws = ProjectionWorkspace(ens.realizations)
+        ws = ProjectionWorkspace(ens.realizations, len(lay.active_streams))
         passes = []
         for scale in (1.0, 0.7):
             loss, g = grad_wrt_precoder(mat * scale, ens, lay)
@@ -354,7 +356,7 @@ class TestProjectionWorkspace:
         # powers that a gradient's projection wrote on its workspace; the
         # readers of given powers copy them, even another workspace's
         lay, ens, mat = self._eight_users(hierarchical)
-        ws = ProjectionWorkspace(ens.realizations)
+        ws = ProjectionWorkspace(ens.realizations, len(lay.active_streams))
         cols = mat[:, lay.active_cols]
         noise = ens.noise_power
         powers = channel_project(ens.realizations, cols)[0]
@@ -367,29 +369,31 @@ class TestProjectionWorkspace:
         for workspace in (None, ws):
             loss, _ = grad_wrt_precoder(mat, ens, lay, workspace=workspace)
             assert loss == -asr_from_powers(powers, lay, noise)
-        own = ws.projection.powers
+        own = ws.powers
         assert not own.reshape(-1, own.shape[-1])[lay.layer_rows[1:]].any()
 
     @pytest.mark.parametrize("run", ["direct", "meta"])
     def test_runs_allocate_each_array_once(self, monkeypatch, run):
-        # the run builds one workspace, and no array it owns is allocated
-        # again after the first iteration: every Adam step sees the same
-        # projection and rate pass, owning the same arrays, the same
-        # scratch and parameters and, in a meta run, the same θ-gradient
-        # array
-        built, steps = [], []
+        # the run builds one workspace, which allocates its projection's
+        # pairs and squares with its channel copy, and no array it owns is
+        # allocated again after the first iteration: every Adam step sees
+        # the same rate pass, the workspace and the pass owning the same
+        # arrays, the same scratch and parameters and, in a meta run, the
+        # same θ-gradient array
+        built, born, steps = [], [], []
         real_init = ProjectionWorkspace.__init__
         real_step = adam.adam_step
 
-        def init(ws, h):
-            real_init(ws, h)
+        def init(ws, h, n_streams):
+            real_init(ws, h, n_streams)
             built.append(ws)
+            born.append((ws.z, ws.sq))
 
         def step(state, grad, lr, params):
             assert len(built) == 1
             ws = built[0]
             steps.append((state, state.delta, state.denom, params,
-                          ws.projection, ws.rate_pass, *_owned(ws), grad))
+                          ws.rate_pass, *_owned(ws), grad))
             real_step(state, grad, lr, params)
 
         monkeypatch.setattr(ProjectionWorkspace, "__init__", init)
@@ -402,7 +406,8 @@ class TestProjectionWorkspace:
             run_meta_opt(lay, ens, 4.0, MetaOptConfig(n_iters=5,
                                                       hidden=(8,)))
         ws0 = built[0]
-        assert ws0.projection is not None and ws0.rate_pass is not None
+        assert born[0][0] is ws0.z and born[0][1] is ws0.sq
+        assert ws0.rate_pass is not None
         # z and the squares, then the rate pass's numerators,
         # denominators, private sum, rates, rate weights, per-draw rates
         # and power gradient
@@ -422,7 +427,7 @@ class TestProjectionWorkspace:
         # take the complex inner products' bytes, and the powers with
         # their square scratch the operand of the network gradient's einsum
         lay, ens, mat, p_t = _benchmark_shape("long-cell-4x4")
-        ws = ProjectionWorkspace(ens.realizations)
+        ws = ProjectionWorkspace(ens.realizations, len(lay.active_streams))
         p0 = precoder_to_view(mat, lay)
         _, g0 = grad_wrt_precoder(p0, ens, lay, workspace=ws)
         params = _random_net(RngStream(93), lay)
@@ -438,7 +443,7 @@ class TestProjectionWorkspace:
         # layout of the same width, which would read each user's own
         # powers from the wrong rows, raises; an equal layout is the same
         lay, ens, mat = self._eight_users(True)
-        ws = ProjectionWorkspace(ens.realizations)
+        ws = ProjectionWorkspace(ens.realizations, len(lay.active_streams))
         loss, g = grad_wrt_precoder(mat, ens, lay, workspace=ws)
         with pytest.raises(ValueError, match="projects 11 columns, got 10"):
             channel_project(ens.realizations, mat[:, lay.active_cols[1:]],
@@ -457,7 +462,7 @@ class TestProjectionWorkspace:
 
     def test_rejects_another_stack(self):
         lay, ens, mat = _instance(seed=92)
-        ws = ProjectionWorkspace(ens.realizations)
+        ws = ProjectionWorkspace(ens.realizations, len(lay.active_streams))
         with pytest.raises(ValueError, match="another channel stack"):
             channel_project(ens.realizations.copy(), mat, ws)
 
@@ -544,8 +549,8 @@ class TestUserMajorAdjoint:
                                        "grouped-8-users"])
     def test_matches_c_ordered_channels(self, shape):
         lay, ens, mat, _ = _benchmark_shape(shape)
-        _, pv, ws = _loss_core(precoder_to_view(mat, lay), ens, lay, None)
-        w = _user_major(pv.z)
+        _, ws = _loss_core(precoder_to_view(mat, lay), ens, lay, None)
+        w = _user_major(ws.z)
         h = ens.realizations
         assert h.flags.c_contiguous
         assert ws.hu.transpose(0, 2, 1).flags.c_contiguous
@@ -556,7 +561,7 @@ class TestUserMajorAdjoint:
 
     def test_built_once_and_only_for_the_network_gradient(self):
         lay, ens, mat, p_t = _benchmark_shape("grouped-8-users")
-        ws = ProjectionWorkspace(ens.realizations)
+        ws = ProjectionWorkspace(ens.realizations, len(lay.active_streams))
         p0 = precoder_to_view(mat, lay)
         _, g0 = grad_wrt_precoder(p0, ens, lay, workspace=ws)
         assert "hu" not in vars(ws)
@@ -567,7 +572,8 @@ class TestUserMajorAdjoint:
         assert ws.hu is hu
         # a stack already laid out user-major is read where it is
         stack = np.ascontiguousarray(hu.transpose(0, 2, 1)).transpose(0, 2, 1)
-        assert np.shares_memory(ProjectionWorkspace(stack).hu, stack)
+        other = ProjectionWorkspace(stack, len(lay.active_streams))
+        assert np.shares_memory(other.hu, stack)
 
 
 class TestMetamorphicCore:
@@ -725,7 +731,7 @@ class TestMetamorphicCore:
         params = init_meta_net(RngStream(37), view_length(lay))
         loss, gt, cand = grad_wrt_theta(params, p0, g0, ens, lay, p_t)
         np.testing.assert_array_equal(cand, p0)
-        bias = MetaNetParams.from_vector(gt, params.dims).biases[-1]
+        bias = MetaNetParams(gt, params.dims).biases[-1]
         self._assert_close((loss, bias),
                            grad_wrt_precoder(cand, ens, lay))
 
@@ -889,7 +895,7 @@ class TestHandThetaMatchesFusedRecording:
         raw = p0 + mlp_forward(params, g0)
         assert (raw @ raw > budget) == projected
 
-        ws = ProjectionWorkspace(ens.realizations)
+        ws = ProjectionWorkspace(ens.realizations, len(lay.active_streams))
         loss, gt, cand = grad_wrt_theta(params, p0, g0, ens, lay, budget,
                                         workspace=ws)
         loss_r, gt_r, cand_r = _theta_grad(_rate_loss, params, p0, g0, ens,
@@ -934,7 +940,7 @@ class TestThetaGradient:
         _, gt, _ = grad_wrt_theta(params, p0_view, g0, ens, lay, p_t)
 
         def f(vec):
-            cand = candidate_view(params.from_vector(vec, params.dims),
+            cand = candidate_view(MetaNetParams(vec, params.dims),
                                   p0_view, g0, p_t)
             return loss_from_view(cand, ens, lay)
 

@@ -203,6 +203,16 @@ class TestValidateConfig:
         with pytest.raises(ValueError, match=re.escape(key)):
             validate_config(ExperimentConfig(**{**base, **changes}))
 
+    @pytest.mark.parametrize("method", ["meta", "direct"])
+    @pytest.mark.parametrize("iters", [2.5, 3.0])
+    def test_iters_must_be_an_integer(self, method, iters):
+        # the runs' own check, in the config's words; a boolean is
+        # rejected before it, as for every key but eval.redraw
+        with pytest.raises(ValueError, match=re.escape(
+                f"{method}.iters must be an integer >= 1, got {iters!r}")):
+            validate_config(ExperimentConfig(
+                methods=("meta", "direct"), **{f"{method}_iters": iters}))
+
     def test_unused_optimizer_settings_not_checked(self):
         validate_config(ExperimentConfig(methods=("meta",), direct_iters=0,
                                          fixed_step=0.3))

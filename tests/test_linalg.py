@@ -215,7 +215,7 @@ class TestChannelProject:
 
     def test_channel_copy_takes_the_stack_bytes(self):
         h, mats = self._inputs(True)
-        ws = ProjectionWorkspace(h)
+        ws = ProjectionWorkspace(h, mats[0].shape[1])
         assert ws.hr.dtype == np.float64 and ws.hr.nbytes == h.nbytes
         assert not np.shares_memory(ws.hr, h)
         assert channel_project(h, mats[0], ws)[2] is ws

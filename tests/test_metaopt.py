@@ -149,22 +149,21 @@ class TestRunMetaOpt:
 
     def test_steps_one_theta_in_place(self, monkeypatch):
         # the loop hands grad_wrt_theta one params object, Adam steps its
-        # theta in place, nothing converts between iterations, and the
+        # theta in place, no network is built between iterations, and the
         # result holds a copy
         conversions, seen = [], []
-        from_vector = MetaNetParams.from_vector
+        real_init = MetaNetParams.__init__
 
-        def counted_from_vector(cls, vec, dims):
-            conversions.append("from_vector")
-            return from_vector(vec, dims)
+        def counted_init(params, theta, dims):
+            conversions.append("MetaNetParams")
+            real_init(params, theta, dims)
 
         def spy(params, *args, **kwargs):
             seen.append((params, params.theta, params.theta.copy(),
                          len(conversions)))
             return grad_wrt_theta(params, *args, **kwargs)
 
-        monkeypatch.setattr(MetaNetParams, "from_vector",
-                            classmethod(counted_from_vector))
+        monkeypatch.setattr(MetaNetParams, "__init__", counted_init)
         monkeypatch.setattr(metaopt, "grad_wrt_theta", spy)
         _, _, _, res = self._run(n_iters=6)
         params, theta, _, n_before = seen[0]
@@ -212,9 +211,9 @@ class TestRunMetaOpt:
         best = v0
         params = init_meta_net(RngStream(3), v0.size, (12,))
         theta = params.theta.copy()
-        opt = AdamState.zeros(theta.size)
+        opt = AdamState(theta.size)
         for _ in range(n_iters):
-            params = MetaNetParams.from_vector(theta, params.dims)
+            params = MetaNetParams(theta.copy(), params.dims)
             loss, g_theta, cand = grad_wrt_theta(params, v0, g0, ens, lay,
                                                  p_t)
             history.append(-loss)
@@ -240,6 +239,25 @@ class TestRunMetaOpt:
         with pytest.raises(ValueError, match="lr must be a number > 0"):
             run_meta_opt(lay, ens, p_t, MetaOptConfig(n_iters=5, lr=lr))
         assert calls == []
+
+    @pytest.mark.parametrize("n_iters", [2.5, 3.0, True, 0])
+    def test_bad_iters_rejected_before_any_work(self, monkeypatch, n_iters):
+        # a fractional, float or boolean count, or none, is rejected before
+        # the start point's gradient, not by range() after it
+        calls = []
+        monkeypatch.setattr(metaopt, "grad_wrt_precoder",
+                            lambda *a, **k: calls.append(a))
+        lay, ens, p_t = _scene(seed=19)
+        with pytest.raises(ValueError,
+                           match="n_iters must be an integer >= 1"):
+            run_meta_opt(lay, ens, p_t, MetaOptConfig(n_iters=n_iters))
+        assert calls == []
+
+    def test_numpy_integer_iters_run(self):
+        lay, ens, p_t = _scene(seed=19)
+        res = run_meta_opt(lay, ens, p_t, MetaOptConfig(
+            n_iters=np.int64(3), hidden=(4,)))
+        assert res.n_iters == 3 and res.asr_history.shape == (4,)
 
 
 class TestGradientCallContract:
