@@ -3,8 +3,9 @@
 The sweep harness pairs every optimizer on the same channel draws, seeds
 each (SNR, estimate) cell independently of grid size, and writes a summary
 CSV next to a JSON with every individual cell. This one is sized to finish
-in about a minute; the `rsmeta demo-1lrs` and `rsmeta demo-hrs` commands
-run the full-size versions of the same two scenarios.
+in about a minute; `rsmeta run --config configs/single_layer.cfg` runs
+the full-size version, and `configs/grouped_ring.cfg` the grouped
+one-ring scenario.
 """
 import json
 

@@ -195,7 +195,12 @@ def psd_sqrt(r: np.ndarray) -> np.ndarray:
     clipped to zero; anything at or below ``-NEG_TOL`` is a genuine failure
     and raises.
     """
-    w, v = herm_eig(r)
+    return _root_of(*herm_eig(r))
+
+
+def _root_of(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """:func:`psd_sqrt` of the matrix whose :func:`rsmeta.linalg.herm_eig`
+    result is ``(w, v)``."""
     if np.any(w <= -NEG_TOL):
         raise ValueError(
             f"matrix is not positive semidefinite: min eigenvalue {w.min():.3e}")
@@ -218,10 +223,10 @@ class OneRingModel:
     the channel given the estimate, not an approximation.
 
     Each group's correlation, at :func:`one_ring_correlation`'s default
-    node count, its eigendecomposition and its square root are computed
-    once per model, on first use, and kept on it read-only, so every draw
-    and the fixed-direction search of one model share its quadratures,
-    decompositions and roots.
+    node count, its eigendecomposition and the square root taken from that
+    decomposition are computed once per model, on first use, and kept on it
+    read-only, so every draw and the fixed-direction search of one model
+    share its quadratures, decompositions and roots.
     """
 
     n_tx: int
@@ -254,7 +259,7 @@ class OneRingModel:
             r = one_ring_correlation(self.n_tx, self.spacing, azimuth,
                                      self.spread)
             eig = herm_eig(r)
-            root = psd_sqrt(r)
+            root = _root_of(*eig)
             for a in (r, root, *eig):
                 a.flags.writeable = False
             out.append((r, root, eig))

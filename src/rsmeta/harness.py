@@ -396,6 +396,7 @@ def _run_cell(cfg: ExperimentConfig, layout: StreamLayout, model,
 
     out = []
     snr = float(cfg.snr_db[snr_idx])
+    held_out_start = None  # meta and direct share one start point
     for method in cfg.methods:
         if method == "meta":
             r = run_meta_opt(layout, ens, p_t, MetaOptConfig(
@@ -413,8 +414,12 @@ def _run_cell(cfg: ExperimentConfig, layout: StreamLayout, model,
             # the start point too is scored on the held-out batch
             asr = saf_report(r.best_precoder, eval_ens, layout).avg_sum_rate
             if start is not None:
-                p0 = init_precoder(layout, ens.estimate, p_t, cfg.meta_splits)
-                start = saf_report(p0, eval_ens, layout).avg_sum_rate
+                if held_out_start is None:
+                    p0 = init_precoder(layout, ens.estimate, p_t,
+                                       cfg.meta_splits)
+                    held_out_start = saf_report(p0, eval_ens,
+                                                layout).avg_sum_rate
+                start = held_out_start
         out.append(CellResult(method, snr_idx, snr, csit_idx, float(asr),
                               r.wall_time_s,
                               *_spent_splits(r.best_precoder, p_t),

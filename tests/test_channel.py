@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from rsmeta import channel
 from rsmeta.channel import (ChannelEnsemble, IidCsitModel, OneRingModel,
                             one_ring_correlation, psd_sqrt)
 from rsmeta.layout import StreamLayout
@@ -272,6 +273,25 @@ class TestOneRingModel:
             np.testing.assert_array_equal(root, psd_sqrt(r))
             for got, want in zip(eig, herm_eig(r)):
                 np.testing.assert_array_equal(got, want)
+
+    def test_one_decomposition_per_group(self, monkeypatch):
+        # each group's root is taken from the decomposition the model keeps,
+        # with the bits of a fresh psd_sqrt; the bench's ring, as in
+        # configs/grouped_ring.cfg
+        calls = []
+
+        def counted(a, _real=channel.herm_eig):
+            calls.append(a)
+            return _real(a)
+
+        monkeypatch.setattr(channel, "herm_eig", counted)
+        model = OneRingModel(
+            n_tx=16, azimuths=(-1.5707963, -0.5235988, 0.5235988, 1.5707963),
+            spread=0.3926991, tau2=0.4)
+        roots = [root for _, root, _ in model._correlations]
+        assert len(calls) == model.n_groups == 4
+        for g, root in enumerate(roots):
+            np.testing.assert_array_equal(root, psd_sqrt(model.correlation(g)))
 
     def test_group_count_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -68,8 +68,8 @@ def _with(base, key, text):
     return "\n".join(kept) + f"\n{key} = {text}\n"
 
 
-SHIPPED = sorted((Path(__file__).resolve().parent.parent / "configs")
-                 .glob("*.cfg"))
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = sorted(CONFIGS.glob("*.cfg"))
 
 
 @pytest.fixture
@@ -101,8 +101,8 @@ class TestValidate:
         assert "ok" in capsys.readouterr().out
 
     def test_shipped_configs_found(self):
-        assert {"smoke.cfg", "single_layer.cfg", "grouped_ring.cfg"} <= \
-            {p.name for p in SHIPPED}
+        assert {"smoke.cfg", "smoke_ring.cfg", "single_layer.cfg",
+                "grouped_ring.cfg"} <= {p.name for p in SHIPPED}
 
     def test_broken_config(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -281,13 +281,6 @@ class TestEnvOverrides:
         assert main(["validate", "--config", str(tiny_cfg)]) == 1
         assert "threads" in capsys.readouterr().err
 
-    def test_demo_takes_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_OUT_DIR, str(tmp_path / "forced"))
-        assert main(["demo-1lrs", "--quick",
-                     "--out-dir", str(tmp_path / "ignored")]) == 0
-        assert (tmp_path / "forced" / "results.json").exists()
-        assert not (tmp_path / "ignored").exists()
-
 
 class TestGradcheck:
     def test_small_battery(self, capsys):
@@ -304,25 +297,31 @@ class TestGradcheck:
         assert "--smooth-temp" in capsys.readouterr().err
 
 
-class TestDemos:
-    def test_quick_single_layer(self, tmp_path, capsys):
-        out_dir = tmp_path / "demo"
-        code = main(["demo-1lrs", "--quick", "--out-dir", str(out_dir)])
-        assert code == 0
+class TestSmokeConfigs:
+    # the shipped quick runs, one per scenario; only the grouped one
+    # reaches the fixed-direction search
+    @pytest.mark.parametrize("name, methods", [
+        ("smoke.cfg", {"meta", "direct"}),
+        ("smoke_ring.cfg", {"meta", "fixed"}),
+    ], ids=["single_layer", "grouped"])
+    def test_runs_end_to_end(self, name, methods, tmp_path, monkeypatch):
+        monkeypatch.delenv(ENV_OUT_DIR, raising=False)
+        monkeypatch.delenv(ENV_THREADS, raising=False)
+        out_dir = tmp_path / "res"
+        assert main(["run", "--config", str(CONFIGS / name),
+                     "--out-dir", str(out_dir)]) == 0
         assert (out_dir / "results.csv").exists()
         with open(out_dir / "results.json") as fh:
             payload = json.load(fh)
-        methods = {c["method"] for c in payload["cells"]}
-        assert methods == {"meta", "direct"}
+        assert {c["method"] for c in payload["cells"]} == methods
 
-    def test_quick_grouped(self, tmp_path):
-        out_dir = tmp_path / "demo-hrs"
-        code = main(["demo-hrs", "--quick", "--out-dir", str(out_dir)])
-        assert code == 0
-        with open(out_dir / "results.json") as fh:
-            payload = json.load(fh)
-        methods = {c["method"] for c in payload["cells"]}
-        assert methods == {"meta", "fixed"}
+    @pytest.mark.parametrize("command", ["demo-1lrs", "demo-hrs"])
+    def test_preset_commands_gone(self, command, capsys):
+        # the presets are the shipped config files, run with run --config
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert command in capsys.readouterr().err
 
 
 class TestEntryPoints:

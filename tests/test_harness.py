@@ -289,9 +289,9 @@ class TestRunSweep:
 
     def test_one_channel_model_per_sweep(self, monkeypatch):
         # every cell draws from one model whose correlations and roots are
-        # computed before any worker starts, once per group
+        # computed before any worker starts, with one decomposition per group
         calls = {}
-        for name in ("one_ring_correlation", "psd_sqrt"):
+        for name in ("one_ring_correlation", "herm_eig"):
             def counted(*args, _name=name, _real=getattr(channel, name),
                         **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
@@ -303,7 +303,7 @@ class TestRunSweep:
             cfg = _ring_config(snr_db=(10.0, 20.0), n_threads=threads)
             runs.append(run_sweep(cfg))
             assert calls == {"one_ring_correlation": cfg.n_groups,
-                             "psd_sqrt": cfg.n_groups}
+                             "herm_eig": cfg.n_groups}
         assert [c.asr for c in runs[0].cells] == \
             [c.asr for c in runs[1].cells]
 
@@ -335,14 +335,24 @@ class TestRunSweep:
             pairs.append(_real(model, *args))
             return pairs[-1]
 
+        # meta and direct start from one point, built and scored once per
+        # estimate
+        starts = []
+
+        def counted(*args, _real=harness.init_precoder):
+            starts.append(args)
+            return _real(*args)
+
         monkeypatch.setattr(channel.IidCsitModel, "draw_pair", spy)
+        monkeypatch.setattr(harness, "init_precoder", counted)
         plain = run_sweep(_tiny_config())
+        assert starts == []
         pairs.clear()
         held = run_sweep(_tiny_config(redraw_eval=True))
         assert [c.asr for c in plain.cells] != [c.asr for c in held.cells]
         layout = StreamLayout.one_layer(2, 2)
         cells = iter(held.cells)
-        assert len(pairs) == len(held.cells) // 2
+        assert len(pairs) == len(held.cells) // 2 == len(starts)
         for (ens, eval_ens), meta, direct in zip(pairs, cells, cells):
             p_t = 10.0 ** (meta.snr_db / 10.0)
             want = saf_report(init_precoder(layout, ens.estimate, p_t),
