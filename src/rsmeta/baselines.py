@@ -50,8 +50,7 @@ _CHUNK_BYTES = 1 << 20
 # ---------------------------------------------------------------------------
 
 def run_direct_adam(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
-                    n_iters: int = 2000, lr: float = 0.02,
-                    splits: tuple = None) -> RunResult:
+                    n_iters: int = 2000, lr: float = 0.02) -> RunResult:
     """Adam directly on the precoder view, projected after every step.
 
     ``n_iters`` and ``lr`` are checked (:func:`rsmeta.metaopt.check_iters`,
@@ -67,7 +66,7 @@ def run_direct_adam(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
     lr = check_lr(lr)
     workspace = ProjectionWorkspace(ens.realizations,
                                     len(layout.active_streams))
-    record, v, g = _start(layout, ens, p_t, splits, workspace)
+    record, v, g = _start(layout, ens, p_t, workspace)
     opt = AdamState(view_length(layout))
     for _ in range(n_iters):
         adam_step(opt, g, lr, v)
@@ -103,13 +102,13 @@ class PowerSplit:
 def lattice_size(step: float) -> int:
     """Lattice intervals per unit of power, ``1 / step``; raises ValueError
     unless ``step`` is a positive number that divides 1 evenly, into a
-    lattice whose (n_splits, 3) float64 column powers numpy can create:
+    lattice whose (n_splits, 6, 6) float64 coefficients numpy can create:
     no more than ``np.iinfo(np.intp).max`` bytes."""
     inv = 1.0 / step if step > 0 else 0.0
     n = round(inv) if inv < np.inf else 0
     if n < 1 or abs(n * step - 1.0) > 1e-9:
         raise ValueError(f"step must divide 1 evenly, got {step}")
-    if (n + 1) * (n + 2) // 2 * 3 * 8 > np.iinfo(np.intp).max:
+    if (n + 1) * (n + 2) // 2 * 36 * 8 > np.iinfo(np.intp).max:
         raise ValueError(f"step {step} gives a lattice too large for any "
                          f"array")
     return n
@@ -145,25 +144,21 @@ def _lattice_powers(n: int, layout: StreamLayout, p_t: float):
 
 
 def _fixed_directions(layout: StreamLayout, est: np.ndarray,
-                      model: OneRingModel, p_t: float,
-                      rank: int = None) -> np.ndarray:
+                      model: OneRingModel, p_t: float) -> np.ndarray:
     """Unit-norm columns, (n_tx, n_streams), of the fixed-direction search.
 
     The global common column lies along the dominant singular direction of
     the estimate ``est``; each group column along the top eigenvector of
     that group's antenna correlation; private columns come from
     regularized zero-forcing inside each group on a rank-limited effective
-    channel (the estimate compressed onto the top ``rank`` eigenvectors of
-    the group correlation, ``ceil(n_tx / (2 G))`` of them by default). The
-    eigenvectors are the model's kept decomposition
+    channel (the estimate compressed onto the top ``ceil(n_tx / (2 G))``
+    eigenvectors of the group correlation, a count in ``[1, n_tx]``).
+    The eigenvectors are the model's kept decomposition
     (:meth:`rsmeta.channel.OneRingModel.eigenbasis`), so a model's
     searches decompose nothing.
     """
     n_grp = layout.n_groups
-    if rank is None:
-        rank = int(np.ceil(layout.n_tx / (2 * n_grp)))
-    if not 1 <= rank <= layout.n_tx:
-        raise ValueError(f"rank must lie in [1, {layout.n_tx}], got {rank}")
+    rank = int(np.ceil(layout.n_tx / (2 * n_grp)))
     if not np.any(est):
         raise ValueError("cannot build directions from a zero estimate")
     dirs = np.zeros((layout.n_tx, layout.n_streams), dtype=complex)
@@ -192,8 +187,8 @@ def _fixed_directions(layout: StreamLayout, est: np.ndarray,
 
 
 def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
-                        model: OneRingModel, p_t: float, step: float = 0.05,
-                        rank: int = None) -> FixedDirectionResult:
+                        model: OneRingModel, p_t: float,
+                        step: float = 0.05) -> FixedDirectionResult:
     """Statistics-based directions plus exhaustive power-split search.
 
     The directions are built once from the estimate and the group
@@ -209,10 +204,12 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
     complete terms: the numerators ``w_l own_l``, and each denominator a
     sum of the gains it hears times their powers plus the noise, ``den_c``
     all four gains, ``den_g`` all but the own group's and ``den_p = w_g
-    other_g + w_p other_p + noise``, so nothing is subtracted. The splits
-    are scored in chunks of at most 1 MiB of stacked terms, each chunk's
-    terms one stacked matrix product and one batched call of the shared
-    rate tail, :func:`rsmeta.gradients.asr_from_terms`. The first
+    other_g + w_p other_p + noise``, so nothing is subtracted. Every
+    split's coefficients are built at once, and the splits are scored in
+    chunks of at most 1 MiB of stacked terms, each chunk's terms one 2-d
+    matrix product of its ``(6 n, 6)`` coefficient rows and one batched
+    call of the shared rate tail, :func:`rsmeta.gradients.asr_from_terms`.
+    The first
     maximizer in canonical order wins, as in a loop keeping a strictly
     better split, so a split whose rate is NaN never wins;
     ``n_evaluated`` is the lattice size.
@@ -222,7 +219,7 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
     if layout.n_groups != model.n_groups:
         raise ValueError("model ring count does not match layout groups")
     t0 = time.perf_counter()
-    dirs = _fixed_directions(layout, ens.estimate, model, p_t, rank)
+    dirs = _fixed_directions(layout, ens.estimate, model, p_t)
     # the six rows: own common, own group and own private gain, the other
     # groups' and the other users' private gains, and ones
     basis = np.empty((6, layout.n_users, ens.n_draws))
@@ -232,29 +229,30 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
     n = lattice_size(step)
     i, j, w = _lattice_powers(n, layout, p_t)
 
+    # each split's coefficients, built once, take the rows (own common,
+    # own group, own private, other groups, other privates, one) to the
+    # common, group and private numerators, then to the common, group and
+    # private denominators
+    w_g, w_p = w[:, 1, None], w[:, 2, None]
+    coef = np.zeros((len(w), 6, 6))
+    coef[:, (0, 1, 2), (0, 1, 2)] = w   # the numerators
+    coef[:, 3:, 3] = w_g                # every denominator's
+    coef[:, 3:, 4] = w_p                # interference
+    coef[:, 3:, 5] = ens.noise_power    # and noise
+    coef[:, 3:5, 2] = w_p               # common and group: own private
+    coef[:, 3, 1] = w_g[:, 0]           # common: own group
+    coef = coef.reshape(-1, 6)
     # a chunk's numerators and denominators share one buffer, and the
-    # rate code takes its log-rates in place of the SINRs. Each split's
-    # coefficients take the rows (own common, own group, own private, other
-    # groups, other privates, one) to the common, group and private
-    # numerators, then to the common, group and private denominators
+    # rate code takes its log-rates in place of the SINRs
     chunk = max(1, _CHUNK_BYTES // basis.nbytes)
     terms = np.empty((min(chunk, len(w)),) + basis.shape)
-    coef = np.zeros((len(terms), 6, 6))
-    coef[:, 3:, 5] = ens.noise_power        # every denominator's noise
     rows = basis.reshape(len(basis), -1)
     asr = np.empty(len(w))
     for lo in range(0, len(w), chunk):
-        part = w[lo:lo + chunk]
-        c = coef[:len(part)]
-        w_g, w_p = part[:, 1, None], part[:, 2, None]
-        c[:, (0, 1, 2), (0, 1, 2)] = part   # the numerators
-        c[:, 3:, 3] = w_g                   # every denominator's
-        c[:, 3:, 4] = w_p                   # interference
-        c[:, 3:5, 2] = w_p                  # common and group: own private
-        c[:, 3, 1] = w_g[:, 0]              # common: own group
-        t = terms[:len(part)]
-        np.matmul(c, rows, out=t.reshape(len(part), len(basis), -1))
-        asr[lo:lo + len(part)] = asr_from_terms(t[:, :3], t[:, 3:], layout)
+        t = terms[:min(chunk, len(w) - lo)]
+        np.matmul(coef[6 * lo:6 * (lo + len(t))], rows,
+                  out=t.reshape(6 * len(t), -1))
+        asr[lo:lo + len(t)] = asr_from_terms(t[:, :3], t[:, 3:], layout)
     # the first maximizer in canonical order; a NaN split never wins
     best = int(np.argmax(np.where(np.isnan(asr), -np.inf, asr)))
     if not asr[best] > -np.inf:

@@ -8,9 +8,10 @@ quality factor independent of SNR.
 
 Both expose the same contract: ``draw`` produces a :class:`ChannelEnsemble`
 holding one channel estimate plus a batch of realizations that are
-statistically consistent with that estimate. Both draw C-ordered stacks,
-and an ensemble keeps the complex arrays it is given: the layouts that the
-projection needs are its workspace's
+statistically consistent with that estimate. Both draw unit-noise
+ensembles, so the transmit power ``p_t`` sets the SNR. Both draw C-ordered
+stacks, and an ensemble keeps the complex arrays it is given: the layouts
+that the projection needs are its workspace's
 (:class:`rsmeta.linalg.ProjectionWorkspace`).
 """
 from __future__ import annotations
@@ -43,7 +44,8 @@ class ChannelEnsemble:
         Channel draws used to average rates over the estimation error, in
         any memory layout.
     noise_power : float
-        Receiver noise variance, common to all users.
+        Receiver noise variance, common to all users. The channel models
+        draw 1.0; an ensemble built by hand may set another.
     """
 
     estimate: np.ndarray
@@ -86,15 +88,14 @@ class ChannelEnsemble:
 # ---------------------------------------------------------------------------
 
 def _around(rng: RngStream, estimate: np.ndarray, sig_e2: float,
-            n_draws: int, noise_power: float) -> ChannelEnsemble:
+            n_draws: int) -> ChannelEnsemble:
     """Realizations ``estimate + e`` with fresh circular Gaussian errors of
     variance ``sig_e2`` per entry."""
     scale = np.sqrt(sig_e2 / 2.0)
     shape = (int(n_draws),) + estimate.shape
     real = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     real += estimate
-    return ChannelEnsemble(estimate=estimate, realizations=real,
-                           noise_power=noise_power)
+    return ChannelEnsemble(estimate=estimate, realizations=real)
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,8 @@ class IidCsitModel:
             raise ValueError(f"transmit power must be positive, got {p_t}")
         return float(p_t) ** (-self.alpha)
 
-    def draw(self, rng: RngStream, p_t: float, n_draws: int,
-             noise_power: float = 1.0) -> ChannelEnsemble:
+    def draw(self, rng: RngStream, p_t: float,
+             n_draws: int) -> ChannelEnsemble:
         sig_e2 = self.error_var(p_t)
         uv = np.broadcast_to(np.asarray(self.user_var, float), (self.n_users,))
         if np.any(uv < sig_e2):
@@ -132,21 +133,21 @@ class IidCsitModel:
                 "the estimate would have negative power")
         base = gaussian_matrix(rng, self.n_tx, self.n_users, 1.0)
         estimate = base * np.sqrt(uv - sig_e2)[None, :]
-        return _around(rng, estimate, sig_e2, n_draws, noise_power)
+        return _around(rng, estimate, sig_e2, n_draws)
 
     def draw_pair(self, rng: RngStream, p_t: float, n_draws: int,
-                  n_eval: int, noise_power: float = 1.0):
+                  n_eval: int):
         """One estimate, two independent realization batches.
 
         The second batch is a held-out set consistent with the same
         estimate, for evaluating a precoder on realizations it was not
         optimized against. ``n_eval = 0`` returns None for the second batch.
         """
-        first = self.draw(rng, p_t, n_draws, noise_power)
+        first = self.draw(rng, p_t, n_draws)
         if n_eval == 0:
             return first, None
         return first, _around(rng, first.estimate, self.error_var(p_t),
-                              n_eval, noise_power)
+                              n_eval)
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +276,20 @@ class OneRingModel:
         call."""
         return self._correlations[g][2]
 
-    def draw(self, rng: RngStream, layout: StreamLayout, n_draws: int,
-             noise_power: float = 1.0) -> ChannelEnsemble:
-        ens, _ = self._draw_impl(rng, layout, n_draws, 0, noise_power)
+    def draw(self, rng: RngStream, layout: StreamLayout,
+             n_draws: int) -> ChannelEnsemble:
+        ens, _ = self._draw_impl(rng, layout, n_draws, 0)
         return ens
 
     def draw_pair(self, rng: RngStream, layout: StreamLayout, n_draws: int,
-                  n_eval: int, noise_power: float = 1.0):
+                  n_eval: int):
         """One estimate, two independent realization batches (see the
         i.i.d. model's method of the same name). ``n_eval = 0`` returns
         None for the second batch."""
-        return self._draw_impl(rng, layout, n_draws, int(n_eval), noise_power)
+        return self._draw_impl(rng, layout, n_draws, int(n_eval))
 
     def _draw_impl(self, rng: RngStream, layout: StreamLayout, n_draws: int,
-                   n_eval: int, noise_power: float):
+                   n_eval: int):
         if layout.n_tx != self.n_tx:
             raise ValueError("layout antenna count does not match the model")
         if layout.n_groups != self.n_groups:
@@ -311,10 +312,7 @@ class OneRingModel:
             mixed = (keep * ghat[None, :] + tau * w) @ s.T
             real[:, :, k] = mixed[:n_draws]
             real2[:, :, k] = mixed[n_draws:]
-        first = ChannelEnsemble(estimate=estimate, realizations=real,
-                                noise_power=noise_power)
+        first = ChannelEnsemble(estimate=estimate, realizations=real)
         if n_eval == 0:
             return first, None
-        second = ChannelEnsemble(estimate=estimate, realizations=real2,
-                                 noise_power=noise_power)
-        return first, second
+        return first, ChannelEnsemble(estimate=estimate, realizations=real2)

@@ -33,7 +33,7 @@ the plain loss the same bits; :func:`_rate_backward` takes the whole
 stack back in one vjp. The forward rates also take leading batch axes, the
 backward none. The fixed-direction search splits its gains with the same
 helper and builds the complete terms of each chunk of power splits as one
-stacked product with six gain rows
+matrix product with six gain rows
 (:func:`rsmeta.baselines.run_fixed_direction`), then enters the tail
 through :func:`asr_from_terms`, and :mod:`rsmeta.gradcheck`'s tie guard
 reads the tail's stacked averaged rates. Every pass owns its arrays,

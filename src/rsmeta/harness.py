@@ -35,7 +35,7 @@ from .channel import IidCsitModel, OneRingModel
 from .layout import StreamLayout
 from .linalg import RngStream
 from .metaopt import MetaOptConfig, check_iters, init_precoder, \
-    run_meta_opt, start_splits
+    run_meta_opt
 from .rates import PrecoderMatrix, saf_report
 
 __all__ = ["ExperimentConfig", "CellResult", "SweepResult",
@@ -68,13 +68,11 @@ class ExperimentConfig:
     meta_iters: int = 300
     meta_lr: float = 1e-3
     meta_hidden: tuple = (50, 50)
-    meta_splits: tuple = None
 
     direct_iters: int = 1000
     direct_lr: float = 0.02
 
     fixed_step: float = 0.05
-    fixed_rank: int = None
 
     redraw_eval: bool = False        # score on a held-out realization batch
     out_dir: str = "results"
@@ -101,17 +99,15 @@ KEYMAP = {
     "meta.iters": "meta_iters",
     "meta.lr": "meta_lr",
     "meta.hidden": "meta_hidden",
-    "meta.splits": "meta_splits",
     "direct.iters": "direct_iters",
     "direct.lr": "direct_lr",
     "fixed.step": "fixed_step",
-    "fixed.rank": "fixed_rank",
     "eval.redraw": "redraw_eval",
     "out.dir": "out_dir",
     "threads": "n_threads",
 }
 
-_TUPLE_FIELDS = {"snr_db", "methods", "azimuths", "meta_hidden", "meta_splits"}
+_TUPLE_FIELDS = {"snr_db", "methods", "azimuths", "meta_hidden"}
 
 
 def _parse_scalar(text: str):
@@ -303,14 +299,8 @@ def _validate_optimizers(cfg: ExperimentConfig) -> None:
         _require(isinstance(hidden, (tuple, list))
                  and all(_is_int(h) and h >= 1 for h in hidden),
                  "meta.hidden", hidden, "a list of layer sizes >= 1")
-    if methods & {"meta", "direct"}:
-        _require_accepted("meta.splits", start_splits, _build_layout(cfg),
-                          cfg.meta_splits)
     if "fixed" in methods:
         _require_accepted("fixed.step", lattice_size, cfg.fixed_step)
-        rank = cfg.fixed_rank
-        _require(rank is None or _is_int(rank) and 1 <= rank <= cfg.n_tx,
-                 "fixed.rank", rank, f"none or an integer in [1, {cfg.n_tx}]")
 
 
 @dataclass
@@ -401,22 +391,20 @@ def _run_cell(cfg: ExperimentConfig, layout: StreamLayout, model,
         if method == "meta":
             r = run_meta_opt(layout, ens, p_t, MetaOptConfig(
                 n_iters=cfg.meta_iters, lr=cfg.meta_lr,
-                hidden=tuple(cfg.meta_hidden), seed=net_seed,
-                splits=cfg.meta_splits))
+                hidden=tuple(cfg.meta_hidden), seed=net_seed))
         elif method == "direct":
             r = run_direct_adam(layout, ens, p_t, n_iters=cfg.direct_iters,
-                                lr=cfg.direct_lr, splits=cfg.meta_splits)
+                                lr=cfg.direct_lr)
         else:
             r = run_fixed_direction(layout, ens, model, p_t,
-                                    step=cfg.fixed_step, rank=cfg.fixed_rank)
+                                    step=cfg.fixed_step)
         asr, start = r.best_asr, getattr(r, "start_asr", None)
         if eval_ens is not None:
             # the start point too is scored on the held-out batch
             asr = saf_report(r.best_precoder, eval_ens, layout).avg_sum_rate
             if start is not None:
                 if held_out_start is None:
-                    p0 = init_precoder(layout, ens.estimate, p_t,
-                                       cfg.meta_splits)
+                    p0 = init_precoder(layout, ens.estimate, p_t)
                     held_out_start = saf_report(p0, eval_ens,
                                                 layout).avg_sum_rate
                 start = held_out_start

@@ -58,7 +58,6 @@ class MetaOptConfig:
     lr: float = 1e-3
     hidden: tuple = (50, 50)
     seed: int = 0
-    splits: tuple = None
 
 
 @dataclass
@@ -85,45 +84,31 @@ def check_iters(n, key: str = "n_iters"):
     return n
 
 
-def start_splits(layout: StreamLayout, splits: tuple = None) -> tuple:
-    """The start point's power fractions ``(common, group, private)``.
-
-    ``None`` gives the defaults; anything else must be three nonnegative
-    fractions summing to at most one, with no group share in one-layer
-    mode. Raises ValueError otherwise.
-    """
-    if splits is None:
-        return (0.9, 0.0, 0.1) if layout.mode == "one_layer" \
-            else (0.45, 0.45, 0.10)
-    q = tuple(float(s) for s in splits)
-    if len(q) != 3:
-        raise ValueError(f"splits must be three fractions, got {splits}")
-    if not (min(q) >= 0 and sum(q) <= 1.0 + 1e-12):
-        raise ValueError(f"splits must be nonnegative with sum <= 1, "
-                         f"got {splits}")
-    if layout.mode == "one_layer" and q[1] != 0.0:
-        raise ValueError("one-layer mode cannot put power on group streams")
-    return q
+def start_splits(layout: StreamLayout) -> tuple:
+    """The start point's power fractions ``(common, group, private)``:
+    ``(0.9, 0, 0.1)`` in one-layer mode, ``(0.45, 0.45, 0.10)`` in
+    hierarchical mode."""
+    return (0.9, 0.0, 0.1) if layout.mode == "one_layer" \
+        else (0.45, 0.45, 0.10)
 
 
-def init_precoder(layout: StreamLayout, estimate: np.ndarray, p_t: float,
-                  splits: tuple = None) -> PrecoderMatrix:
+def init_precoder(layout: StreamLayout, estimate: np.ndarray,
+                  p_t: float) -> PrecoderMatrix:
     """Matched-direction starting point from the channel estimate.
 
     The common column points along the dominant left singular direction of
     the whole estimate; each group column (hierarchical only) along the
     dominant direction of that group's columns; each private column along
-    the user's own estimate. Power fractions ``splits = (common, group,
-    private)`` share ``p_t``, the group share splitting equally across
-    groups and the private share equally across users; see
-    :func:`start_splits`.
+    the user's own estimate. The power fractions of :func:`start_splits`
+    share ``p_t``, the group share splitting equally across groups and the
+    private share equally across users.
     """
     est = np.asarray(estimate, dtype=complex)
     if est.shape != (layout.n_tx, layout.n_users):
         raise ValueError(f"estimate shape {est.shape} does not match layout")
     if not p_t > 0:
         raise ValueError(f"p_t must be positive, got {p_t}")
-    q_c, q_g, q_p = start_splits(layout, splits)
+    q_c, q_g, q_p = start_splits(layout)
     if not np.any(est):
         raise ValueError("cannot build a starting precoder from a zero estimate")
     mat = np.zeros((layout.n_tx, layout.n_streams), dtype=complex)
@@ -177,7 +162,7 @@ class _Record:
 
 
 def _start(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
-           splits: tuple, workspace: ProjectionWorkspace):
+           workspace: ProjectionWorkspace):
     """Matched start point shared by both Adam optimizers.
 
     Returns ``(record, view, grad)``: a fresh :class:`_Record` holding the
@@ -186,7 +171,7 @@ def _start(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
     one.
     """
     record = _Record(layout)
-    p0 = init_precoder(layout, ens.estimate, p_t, splits)
+    p0 = init_precoder(layout, ens.estimate, p_t)
     view = precoder_to_view(p0, layout)
     loss, grad = grad_wrt_precoder(view, ens, layout, workspace=workspace)
     record.offer(view, loss)
@@ -207,7 +192,7 @@ def run_meta_opt(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
     lr = check_lr(cfg.lr)
     workspace = ProjectionWorkspace(ens.realizations,
                                     len(layout.active_streams))
-    record, p0_view, g0 = _start(layout, ens, p_t, cfg.splits, workspace)
+    record, p0_view, g0 = _start(layout, ens, p_t, workspace)
 
     params = init_meta_net(RngStream(cfg.seed), view_length(layout),
                            cfg.hidden)

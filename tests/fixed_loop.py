@@ -1,7 +1,7 @@
 """The fixed-direction power search as one rate call per lattice split.
 
 ``rsmeta.baselines.run_fixed_direction`` scores its lattice in batches of
-splits, each batch's terms one stacked matrix product. This is the loop it
+splits, each batch's terms one matrix product. This is the loop it
 replaced, kept as the oracle and written on the same six gain rows, built
 here with plain loops: each user's own common, group and private gains,
 the sums of the other groups' and of the other users' private gains at
@@ -68,10 +68,10 @@ def split_coefficients(w_c, w_g, w_p, noise):
     return coef
 
 
-def loop_fixed_direction(layout, ens, model, p_t, step=0.05, rank=None):
+def loop_fixed_direction(layout, ens, model, p_t, step=0.05):
     """``(best_asr, best_split, best_matrix, n_evaluated)`` of the
     per-split search, on the directions the library builds."""
-    dirs = _fixed_directions(layout, ens.estimate, model, p_t, rank)
+    dirs = _fixed_directions(layout, ens.estimate, model, p_t)
     gain = channel_project(ens.realizations, dirs)[0]
     users = range(layout.n_users)
     others = gain.copy()

@@ -13,10 +13,13 @@ from rsmeta.baselines import run_fixed_direction
 from rsmeta.channel import (ChannelEnsemble, IidCsitModel, OneRingModel,
                             one_ring_correlation)
 from rsmeta.gradcheck import gradcheck_suite
-from rsmeta.gradients import project_view
+from rsmeta.gradients import (grad_wrt_precoder, loss_from_view,
+                              precoder_to_view, project_view,
+                              view_to_precoder)
 from rsmeta.harness import ExperimentConfig, run_sweep
 from rsmeta.layout import StreamLayout
-from rsmeta.linalg import RngStream, gaussian_matrix, herm_eig
+from rsmeta.linalg import (ProjectionWorkspace, RngStream, gaussian_matrix,
+                           herm_eig)
 from rsmeta.metaopt import MetaOptConfig, init_precoder, run_meta_opt
 from rsmeta.rates import rate_report, saf_report, sinr_triplet
 
@@ -37,6 +40,13 @@ def test_criterion_1_gradient_battery():
           f"{report['theta_max_relerr']:.2e}, {elapsed:.1f} s -> PASS")
 
 
+def _shared_columns(v, layout):
+    """The common and private columns of the precoder a view encodes."""
+    cols = [layout.col_common] + [layout.col_private(u)
+                                  for u in range(layout.n_users)]
+    return view_to_precoder(v, layout)[:, cols]
+
+
 def test_criterion_2_layer_reduction():
     # hand-solvable single-user instance first
     lay = StreamLayout.hierarchical(1, 1, 1)
@@ -47,6 +57,15 @@ def test_criterion_2_layer_reduction():
     assert sg[0] == 0.5
     assert sp[0] == 1.0
     assert rate_report(p, h, lay).sum_rate == 2.0
+    # the same instance on the training core: the loss of both paths, and
+    # the SINRs its kept rate pass holds, stacked common, group, private
+    one_draw = ChannelEnsemble(estimate=h, realizations=h[None])
+    v = precoder_to_view(p, lay)
+    ws = ProjectionWorkspace(one_draw.realizations, len(lay.active_streams))
+    assert loss_from_view(v, one_draw, lay) == -2.0
+    assert grad_wrt_precoder(v, one_draw, lay, workspace=ws)[0] == -2.0
+    np.testing.assert_array_equal(ws.rate_pass.num[:, 0, 0],
+                                  [1.0 / 3.0, 0.5, 1.0])
 
     # grouped mode with all-zero group columns must reproduce the single
     # layer bit for bit: summing exact zeros changes nothing
@@ -83,8 +102,20 @@ def test_criterion_2_layer_reduction():
         np.testing.assert_array_equal(ra.avg_per_user_private,
                                       rb.avg_per_user_private)
         np.testing.assert_array_equal(rb.group_rates, np.zeros(g))
-    print("\n[criterion 2] hand rates exact (1/3, 1/2, 1; sum 2.0); "
-          "100/100 zero-group reductions bitwise equal -> PASS")
+        # and on the training core: the loss of both paths, and the
+        # gradient on the columns both layouts share, common and private
+        v_one = precoder_to_view(p_one, one)
+        v_hier = precoder_to_view(p_hier, hier)
+        loss_one, g_one = grad_wrt_precoder(v_one, ens, one)
+        loss_hier, g_hier = grad_wrt_precoder(v_hier, ens, hier)
+        assert loss_from_view(v_one, ens, one) == loss_one
+        assert loss_from_view(v_hier, ens, hier) == loss_hier
+        assert loss_one == loss_hier                      # bitwise
+        np.testing.assert_array_equal(_shared_columns(g_one, one),
+                                      _shared_columns(g_hier, hier))
+    print("\n[criterion 2] hand rates exact (1/3, 1/2, 1; sum 2.0), also "
+          "on the core; 100/100 zero-group reductions bitwise equal, loss "
+          "and shared-column gradient included -> PASS")
 
 
 def test_criterion_3_single_layer_parity():

@@ -5,7 +5,7 @@ from rsmeta.adam import AdamState, adam_step
 from rsmeta import baselines, metaopt
 from rsmeta.baselines import (PowerSplit, _fixed_directions,
                               run_direct_adam, run_fixed_direction)
-from rsmeta.channel import IidCsitModel, OneRingModel
+from rsmeta.channel import ChannelEnsemble, IidCsitModel, OneRingModel
 from rsmeta.gradients import (asr_from_powers, grad_wrt_precoder,
                               precoder_to_view, project_view,
                               view_to_precoder)
@@ -188,7 +188,9 @@ def _ring_scene(seed=500, n_tx=8, n_users=4, n_groups=2, n_draws=12,
     lay = StreamLayout.hierarchical(n_tx, n_users, n_groups)
     model = OneRingModel(n_tx=n_tx, azimuths=(-np.pi / 4, np.pi / 4),
                          spread=np.pi / 6, tau2=0.3)
-    ens = model.draw(RngStream(seed), lay, n_draws, noise_power)
+    drawn = model.draw(RngStream(seed), lay, n_draws)
+    ens = ChannelEnsemble(drawn.estimate, drawn.realizations,
+                          noise_power=noise_power)
     return lay, ens, model, p_t
 
 
@@ -278,22 +280,31 @@ class TestFixedDirection:
         assert a.best_asr == b.best_asr
 
     def test_default_rank(self):
-        # sixteen antennas in two groups defaults to rank four
+        # sixteen antennas in two groups take rank ceil(16 / 4) = 4: each
+        # private column lies in the span of its group's top four
+        # eigenvectors, and not in that of the top three
         lay = StreamLayout.hierarchical(16, 4, 2)
         model = OneRingModel(n_tx=16, azimuths=(-np.pi / 4, np.pi / 4),
                              spread=np.pi / 6, tau2=0.3)
         ens = model.draw(RngStream(504), lay, 6)
-        res = run_fixed_direction(lay, ens, model, 10.0, step=0.2)
-        explicit = run_fixed_direction(lay, ens, model, 10.0, step=0.2,
-                                       rank=4)
-        assert res.best_asr == explicit.best_asr
-        np.testing.assert_array_equal(res.best_precoder.matrix,
-                                      explicit.best_precoder.matrix)
+        dirs = _fixed_directions(lay, ens.estimate, model, 10.0)
+        for k in range(lay.n_users):
+            vecs = model.eigenbasis(lay.group_of[k])[1]
+            c = np.abs(vecs.conj().T @ dirs[:, lay.col_private(k)])
+            assert np.linalg.norm(c[4:]) < 1e-12
+            assert c[3] > 1e-2
 
     def test_rank_one_runs(self):
-        lay, ens, model, p_t = _ring_scene(seed=505)
-        res = run_fixed_direction(lay, ens, model, p_t, step=0.2, rank=1)
+        # four antennas in two groups take rank ceil(4 / 4) = 1: each
+        # private column is its group's top eigenvector, up to a phase
+        lay, ens, model, p_t = _ring_scene(seed=505, n_tx=4)
+        res = run_fixed_direction(lay, ens, model, p_t, step=0.2)
         assert np.isfinite(res.best_asr)
+        dirs = _fixed_directions(lay, ens.estimate, model, p_t)
+        for k in range(lay.n_users):
+            top = model.eigenbasis(lay.group_of[k])[1][:, 0]
+            assert abs(np.vdot(top, dirs[:, lay.col_private(k)])) == \
+                pytest.approx(1.0, abs=1e-12)
 
     def test_directions_scale_free_in_power(self):
         # the zero-forcing columns shrink with the power, down to norms
@@ -347,7 +358,8 @@ class TestFixedDirection:
 
     def test_user_outside_rank_rejected(self):
         # user 0's estimate lies in the span of its group's eigenvectors
-        # beyond the top ``rank``, so its compressed estimate is rounding
+        # beyond the top two, eight antennas in two groups taking rank
+        # ceil(8 / 4) = 2, so its compressed estimate is rounding
         # next to the other users'; at high power the solve would scale
         # that rounding up to their size, so it is rejected at every power
         lay = StreamLayout.hierarchical(8, 4, 2)
@@ -357,7 +369,7 @@ class TestFixedDirection:
         est[:, 0] = vecs[:, 2:] @ np.arange(1.0, 7.0)
         for p_t in (1e-30, 1.0, 10.0, 1e3, 1e6):
             with pytest.raises(ValueError, match="degenerated for user 0"):
-                _fixed_directions(lay, est, model, p_t, rank=2)
+                _fixed_directions(lay, est, model, p_t)
 
     def test_one_layer_rejected(self):
         lay, ens, p_t = _iid_scene(seed=506)

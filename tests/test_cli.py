@@ -148,13 +148,17 @@ class TestValidate:
         assert main(["validate", "--config", str(path)]) == 1
         assert f"{key} must be" in capsys.readouterr().err
 
-    def test_nan_start_split_named(self, tmp_path, capsys):
-        # a NaN fraction used to pass validate, and every cell then failed
-        # at its start point with "precoder contains non-finite entries"
-        path = tmp_path / "nan-split.cfg"
-        path.write_text(TINY + "meta.splits = nan, 0.0, 0.1\n")
-        assert main(["validate", "--config", str(path)]) == 1
-        assert "meta.splits: splits must be nonnegative" in \
+    @pytest.mark.parametrize("base, key, text", [
+        (TINY, "meta.splits", "0.5, 0.0, 0.3"), (RING, "fixed.rank", "2")],
+        ids=["meta.splits", "fixed.rank"])
+    def test_removed_setting_named(self, base, key, text, tmp_path, capsys):
+        # the start point's power fractions and the zero-forcing rank are
+        # fixed; an old config that still sets one fails at its line
+        path = tmp_path / "old.cfg"
+        path.write_text(base + f"{key} = {text}\n")
+        line = len(base.splitlines()) + 1
+        assert main(["validate", "--config", str(path)]) != 0
+        assert f"{path}:{line}: unknown key '{key}'" in \
             capsys.readouterr().err
 
     def test_repeated_method_named(self, tmp_path, monkeypatch, capsys):

@@ -75,9 +75,14 @@ threads = 2
         assert cfg.azimuths == (-0.5, 0.5)
 
     def test_unknown_key_reports_line(self, tmp_path):
-        path = _write(tmp_path, "n_tx = 4\nbogus_key = 3\n")
-        with pytest.raises(ValueError, match=r":2: unknown key"):
-            load_config(path)
+        # meta.splits and fixed.rank were keys once: the start point's power
+        # fractions and the zero-forcing rank are fixed now, and a file
+        # still setting either fails at its line
+        for key in ("bogus_key", "meta.splits", "fixed.rank"):
+            path = _write(tmp_path, f"n_tx = 4\n{key} = 3\n")
+            with pytest.raises(ValueError,
+                               match=rf":2: unknown key '{re.escape(key)}'"):
+                load_config(path)
 
     def test_duplicate_key_reports_both_lines(self, tmp_path):
         # the later line used to win silently
@@ -93,6 +98,20 @@ threads = 2
         path = _write(tmp_path, "meta.smooth_temp = 0.3\n")
         with pytest.raises(ValueError, match=r":1: unknown key 'meta\.smooth"):
             load_config(path)
+
+    def test_readme_table_lists_every_key(self):
+        # the first column of README's "Config files" table names each key
+        # in backticks; it must list exactly the keys load_config accepts
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme) as fh:
+            section = fh.read().split("## Config files", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        keys = []
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                keys += re.findall(r"`([^`]+)`", line.split("|")[1])
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(harness.KEYMAP)
 
     def test_missing_equals_reports_line(self, tmp_path):
         path = _write(tmp_path, "n_tx = 4\njust some words\n")
@@ -158,9 +177,7 @@ class TestValidateConfig:
         ("meta.lr", "meta_lr", 0.0),
         ("direct.lr", "direct_lr", -0.02),
         ("meta.hidden", "meta_hidden", (50, 0)),
-        ("meta.splits", "meta_splits", (0.5, 0.2, 0.3)),
         ("fixed.step", "fixed_step", 0.3),
-        ("fixed.rank", "fixed_rank", 5),
     ])
     def test_bad_optimizer_setting_named(self, key, field, value):
         if key.startswith("fixed."):
@@ -184,7 +201,6 @@ class TestValidateConfig:
         # a config file's true, yes or on, read as 1, and false, no or off
         ("fixed.step", dict(fixed_step=True)),
         ("ring.tau2", dict(tau2=True)),
-        ("meta.splits", dict(meta_splits=(True, False, False))),
         ("iid.error_power", dict(error_power=False)),
         # a power whose square underflows (the network gradient's 0 / 0)
         # or overflows; -1700 dB also made the zero-forcing norms vanish
@@ -192,9 +208,8 @@ class TestValidateConfig:
         ("snr_db = -1540", dict(snr_db=(-1540.0,))),
         ("snr_db = 1545", dict(snr_db=(10.0, 1545.0))),
     ], ids=["alpha", "step", "step-1e-9", "spread", "azimuths-1e300",
-            "azimuths-1e16", "step-bool", "tau2-bool", "splits-bool",
-            "error-power-bool", "snr-1e-170", "snr-square-subnormal",
-            "snr-square-overflow"])
+            "azimuths-1e16", "step-bool", "tau2-bool", "error-power-bool",
+            "snr-1e-170", "snr-square-subnormal", "snr-square-overflow"])
     def test_boundary_value_named(self, key, changes):
         base = {} if key.startswith("iid.") else dict(
             scenario="one_ring", n_tx=4, n_users=4, n_groups=2,

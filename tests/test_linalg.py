@@ -189,7 +189,7 @@ class TestChannelProject:
                 n_draws=40)
             full = _fixed_directions(lay, ens.estimate, OneRingModel(
                 n_tx=8, azimuths=(-0.6, 0.6), spread=0.4, tau2=0.3),
-                10.0, None)
+                10.0)
         else:
             lay, ens = draw_iid_scene(6, 4, 3, 10.0, n_draws=40)
             full = init_precoder(lay, ens.estimate, 10.0).matrix

@@ -10,8 +10,7 @@ from rsmeta.gradients import (grad_wrt_precoder, grad_wrt_theta,
                               precoder_to_view, view_to_precoder)
 from rsmeta.layout import StreamLayout
 from rsmeta.linalg import RngStream, svd_dominant
-from rsmeta.metaopt import (MetaOptConfig, init_precoder, run_meta_opt,
-                            start_splits)
+from rsmeta.metaopt import MetaOptConfig, init_precoder, run_meta_opt
 from rsmeta.network import MetaNetParams, init_meta_net
 from rsmeta.rates import saf_report
 
@@ -60,29 +59,10 @@ class TestInitPrecoder:
                                            * np.linalg.norm(col))
             assert cos == pytest.approx(1.0, abs=1e-12)
 
-    def test_custom_splits(self):
-        lay, ens, p_t = _scene(seed=12)
-        p0 = init_precoder(lay, ens.estimate, p_t, splits=(0.5, 0.0, 0.3))
-        assert p0.stream_power(0) == pytest.approx(0.5 * p_t, rel=1e-12)
-        assert p0.total_power == pytest.approx(0.8 * p_t, rel=1e-12)
-
-    def test_split_validation(self):
-        lay, ens, p_t = _scene(seed=13)
-        with pytest.raises(ValueError, match="sum"):
-            init_precoder(lay, ens.estimate, p_t, splits=(0.8, 0.0, 0.3))
-        with pytest.raises(ValueError, match="group"):
-            init_precoder(lay, ens.estimate, p_t, splits=(0.5, 0.2, 0.3))
-        with pytest.raises(ValueError):
+    def test_zero_estimate_rejected(self):
+        lay, _, p_t = _scene(seed=13)
+        with pytest.raises(ValueError, match="zero estimate"):
             init_precoder(lay, np.zeros((3, 2), complex), p_t)
-
-    @pytest.mark.parametrize("splits", [
-        (np.nan, 0.0, 0.1), (0.5, 0.0, np.nan), (np.inf, 0.0, 0.1)])
-    def test_nonfinite_splits_rejected(self, splits):
-        # a NaN fraction used to pass, and the start point then failed with
-        # "precoder contains non-finite entries"
-        lay, _, _ = _scene(seed=15)
-        with pytest.raises(ValueError, match="splits must be nonnegative"):
-            start_splits(lay, splits)
 
     def test_estimate_shape_checked(self):
         lay, ens, p_t = _scene(seed=14)
