@@ -8,17 +8,19 @@ objective concentrates as the batch grows.
 import numpy as np
 
 from rsmeta import (ChannelEnsemble, IidCsitModel, RngStream, StreamLayout,
-                    gaussian_matrix, init_precoder, rate_report, saf_report,
-                    sinr_triplet)
+                    gaussian_matrix, init_precoder, saf_report, sinr_triplet)
 
 print("=== hand-checkable instance ===")
 lay = StreamLayout.hierarchical(1, 1, 1)
 p = np.ones((1, 3), complex)
 h = np.ones((1, 1), complex)
-sc, sg, sp = sinr_triplet(p, h, lay)
-print(f"  SINRs while peeling layers: {sc[0]:.4f}, {sg[0]:.4f}, {sp[0]:.4f}")
-rep = rate_report(p, h, lay)
-print(f"  sum rate log2(4/3)+log2(3/2)+log2(2) = {rep.sum_rate} "
+# one channel is the one-draw stack h[None]; its average is its own rate
+one = ChannelEnsemble(estimate=h, realizations=h[None])
+sc, sg, sp = sinr_triplet(p, one.realizations, lay)
+print(f"  SINRs while peeling layers: {sc[0, 0]:.4f}, {sg[0, 0]:.4f}, "
+      f"{sp[0, 0]:.4f}")
+rep = saf_report(p, one, lay)
+print(f"  sum rate log2(4/3)+log2(3/2)+log2(2) = {rep.avg_sum_rate} "
       "(telescopes to 2 exactly)")
 
 print("\n=== min after averaging vs. averaging the min ===")

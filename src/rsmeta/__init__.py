@@ -18,10 +18,8 @@ from .channel import (
 )
 from .rates import (
     PrecoderMatrix,
-    RateReport,
     SafReport,
     sinr_triplet,
-    rate_report,
     saf_report,
 )
 from .network import MetaNetParams, init_meta_net, mlp_forward

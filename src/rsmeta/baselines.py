@@ -21,7 +21,8 @@
   gains and its interference summed up by the same helper as the training
   loss's, so every split's numerators and denominators are one 6 x 6
   matrix times those rows, whatever the stream count, no denominator is a
-  difference, and past its terms it runs the rate core's tail.
+  difference, and past its terms it runs the rate core's tail, the minima
+  and sums once per search.
 """
 from __future__ import annotations
 
@@ -32,8 +33,8 @@ import numpy as np
 
 from .adam import AdamState, adam_step, check_lr
 from .channel import ChannelEnsemble, OneRingModel
-from .gradients import _own_and_others, _Split, asr_from_terms, \
-    grad_wrt_precoder, project_view, view_length
+from .gradients import _asr_of_rates, _own_and_others, _rates_from_terms, \
+    _Split, grad_wrt_precoder, project_view, view_length
 from .layout import StreamLayout
 from .linalg import ProjectionWorkspace, channel_project, svd_dominant
 from .metaopt import RunResult, _start, check_iters
@@ -207,12 +208,14 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
     other_g + w_p other_p + noise``, so nothing is subtracted. Every
     split's coefficients are built at once, and the splits are scored in
     chunks of at most 1 MiB of stacked terms, each chunk's terms one 2-d
-    matrix product of its ``(6 n, 6)`` coefficient rows and one batched
-    call of the shared rate tail, :func:`rsmeta.gradients.asr_from_terms`.
-    The first
-    maximizer in canonical order wins, as in a loop keeping a strictly
-    better split, so a split whose rate is NaN never wins;
-    ``n_evaluated`` is the lattice size.
+    matrix product of its ``(6 n, 6)`` coefficient rows and its averaged
+    rates one batched call of the shared rate tail's first half,
+    :func:`rsmeta.gradients._rates_from_terms`, into one array for the
+    whole lattice; the tail's minima and sums,
+    :func:`rsmeta.gradients._asr_of_rates`, then score every split in one
+    call. The first maximizer in canonical order wins, as in a loop
+    keeping a strictly better split, so a split whose rate is NaN never
+    wins; ``n_evaluated`` is the lattice size.
     """
     if layout.mode != "hierarchical":
         raise ValueError("fixed-direction search needs a hierarchical layout")
@@ -243,16 +246,19 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
     coef[:, 3, 1] = w_g[:, 0]           # common: own group
     coef = coef.reshape(-1, 6)
     # a chunk's numerators and denominators share one buffer, and the
-    # rate code takes its log-rates in place of the SINRs
+    # rate code takes its log-rates in place of the SINRs; every chunk's
+    # averaged rates land in one array, whose minima and sums are taken
+    # once for the whole lattice
     chunk = max(1, _CHUNK_BYTES // basis.nbytes)
     terms = np.empty((min(chunk, len(w)),) + basis.shape)
     rows = basis.reshape(len(basis), -1)
-    asr = np.empty(len(w))
+    rates = np.empty((len(w), 3, layout.n_users))
     for lo in range(0, len(w), chunk):
         t = terms[:min(chunk, len(w) - lo)]
         np.matmul(coef[6 * lo:6 * (lo + len(t))], rows,
                   out=t.reshape(6 * len(t), -1))
-        asr[lo:lo + len(t)] = asr_from_terms(t[:, :3], t[:, 3:], layout)
+        _rates_from_terms(t[:, :3], t[:, 3:], rates[lo:lo + len(t)])
+    asr = _asr_of_rates(rates, layout)
     # the first maximizer in canonical order; a NaN split never wins
     best = int(np.argmax(np.where(np.isnan(asr), -np.inf, asr)))
     if not asr[best] > -np.inf:

@@ -102,16 +102,18 @@ def _around(rng: RngStream, estimate: np.ndarray, sig_e2: float,
 class IidCsitModel:
     """Rayleigh channels with power-dependent estimation error.
 
-    The error variance is ``p_t ** -alpha`` unless ``error_power`` pins it
-    explicitly (0 gives perfect CSI). Estimate and error are independent
-    complex Gaussians, and each realization is estimate plus a fresh error
-    draw, so the estimate is the conditional mean of every realization.
+    Every channel entry has unit variance, as the noise has unit power. The
+    error variance is ``p_t ** -alpha`` unless ``error_power`` pins it
+    explicitly (0 gives perfect CSI), and the estimate carries the rest,
+    ``1 - error variance``, so a variance above 1 raises. Estimate and
+    error are independent complex Gaussians, and each realization is
+    estimate plus a fresh error draw, so the estimate is the conditional
+    mean of every realization.
     """
 
     n_tx: int
     n_users: int
     alpha: float = 0.6
-    user_var: float = 1.0
     error_power: float = None
 
     def error_var(self, p_t: float) -> float:
@@ -126,13 +128,12 @@ class IidCsitModel:
     def draw(self, rng: RngStream, p_t: float,
              n_draws: int) -> ChannelEnsemble:
         sig_e2 = self.error_var(p_t)
-        uv = np.broadcast_to(np.asarray(self.user_var, float), (self.n_users,))
-        if np.any(uv < sig_e2):
+        if sig_e2 > 1.0:
             raise ValueError(
-                f"error variance {sig_e2:.4g} exceeds a user channel variance; "
-                "the estimate would have negative power")
+                f"error variance {sig_e2:.4g} exceeds the unit channel "
+                "variance; the estimate would have negative power")
         base = gaussian_matrix(rng, self.n_tx, self.n_users, 1.0)
-        estimate = base * np.sqrt(uv - sig_e2)[None, :]
+        estimate = base * np.sqrt(1.0 - sig_e2)
         return _around(rng, estimate, sig_e2, n_draws)
 
     def draw_pair(self, rng: RngStream, p_t: float, n_draws: int,

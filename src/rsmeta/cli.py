@@ -9,25 +9,20 @@ Subcommands:
 A sweep is defined by its config file; ``configs/`` ships the presets
 (``single_layer.cfg``, ``grouped_ring.cfg``) and two quick smoke runs
 (``smoke.cfg``, ``smoke_ring.cfg``). ``run`` takes ``--out-dir`` and
-``--threads``; the environment variables RSMETA_OUT_DIR and RSMETA_THREADS
-override those flags and the config alike, for ``validate`` too. The
-library itself reads no environment.
+``--threads`` over the config's ``out.dir`` and ``threads``; ``validate``
+checks the file as written. Nothing in the package reads the environment.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 from .gradcheck import gradcheck_suite
-from .harness import (ExperimentConfig, load_config, run_sweep,
-                      validate_config, write_reports)
+from .harness import load_config, run_sweep, validate_config, \
+    write_reports
 
 __all__ = ["main", "entry"]
-
-ENV_OUT_DIR = "RSMETA_OUT_DIR"
-ENV_THREADS = "RSMETA_THREADS"
 
 
 def _print_summary(result) -> None:
@@ -44,35 +39,15 @@ def _print_summary(result) -> None:
               f"{r['esr_std']:>9.4f} {r['time_mean_s']:>9.3f}")
 
 
-def _with_overrides(cfg: ExperimentConfig, out_dir=None,
-                    threads=None) -> ExperimentConfig:
-    """``cfg`` with the flag overrides, then the environment's, applied.
-
-    RSMETA_OUT_DIR and RSMETA_THREADS win over ``--out-dir`` and
-    ``--threads``, which win over the config. This is the only place the
-    package reads the environment.
-    """
-    changes = {}
-    if out_dir:
-        changes["out_dir"] = out_dir
-    if threads is not None:
-        changes["n_threads"] = threads
-    if ENV_OUT_DIR in os.environ:
-        changes["out_dir"] = os.environ[ENV_OUT_DIR]
-    raw = os.environ.get(ENV_THREADS)
-    if raw is not None:
-        try:
-            changes["n_threads"] = int(raw)
-        except ValueError:
-            raise ValueError(f"{ENV_THREADS} must be an integer, "
-                             f"got {raw!r}") from None
-    return dataclasses.replace(cfg, **changes)
-
-
 def _cmd_run(args) -> int:
-    """Load, override, sweep (which validates), report."""
-    cfg = _with_overrides(load_config(args.config), args.out_dir,
-                          args.threads)
+    """Load, apply ``--out-dir`` and ``--threads``, sweep (which
+    validates), report."""
+    changes = {}
+    if args.out_dir:
+        changes["out_dir"] = args.out_dir
+    if args.threads is not None:
+        changes["n_threads"] = args.threads
+    cfg = dataclasses.replace(load_config(args.config), **changes)
     result = run_sweep(cfg)
     paths = write_reports(result)
     _print_summary(result)
@@ -92,7 +67,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = _with_overrides(load_config(args.config))
+    cfg = load_config(args.config)
     validate_config(cfg)
     print(f"{args.config}: ok")
     for f in dataclasses.fields(cfg):

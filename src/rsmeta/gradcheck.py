@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import IidCsitModel
-from .gradients import (_avg_rates, _columns, _layer_terms,
-                        _radial, candidate_view, grad_wrt_precoder,
+from .gradients import (_columns, _layer_terms, _radial,
+                        _rates_from_terms, candidate_view, grad_wrt_precoder,
                         grad_wrt_theta, loss_from_view, precoder_to_view,
                         view_length)
 from .layout import StreamLayout
@@ -81,9 +81,8 @@ def _tie_gaps_ok(v, ens, layout) -> bool:
     each group's, leaves at least :data:`TIE_GAP` between its two lowest
     averaged rates, read from the rate core's own stacked rates."""
     powers, _, _ = channel_project(ens.realizations, _columns(v, layout))
-    sinr, den = _layer_terms(powers, layout, ens.noise_power)
-    sinr /= den
-    rates = _avg_rates(sinr, sinr)
+    rates = _rates_from_terms(*_layer_terms(powers, layout,
+                                            ens.noise_power))
     groups = [rates[1, m] for m in layout.member_rows] \
         if layout.mode == "hierarchical" else []
     return not any(_min_gap(x) < TIE_GAP for x in [rates[0], *groups])

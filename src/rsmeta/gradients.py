@@ -34,17 +34,19 @@ stack back in one vjp. The forward rates also take leading batch axes, the
 backward none. The fixed-direction search splits its gains with the same
 helper and builds the complete terms of each chunk of power splits as one
 matrix product with six gain rows
-(:func:`rsmeta.baselines.run_fixed_direction`), then enters the tail
-through :func:`asr_from_terms`, and :mod:`rsmeta.gradcheck`'s tie guard
-reads the tail's stacked averaged rates. Every pass owns its arrays,
-allocated when it is built, with views derived then (:class:`_Terms`); a
-one-shot reader of given powers builds one over a copy. The gradients run
-on a :class:`rsmeta.linalg.ProjectionWorkspace` built for the ensemble and
-the layout's active columns, the given one or a throwaway one: they fill
-the arrays it allocated with its channel copy and those of the one rate
-pass it keeps (:func:`_kept_terms`) in place, bit-identically, and return
-nothing that points into them; both optimizers pass their run's workspace
-on every iteration.
+(:func:`rsmeta.baselines.run_fixed_direction`); each chunk's averaged
+rates come from the tail's first half, :func:`_rates_from_terms`, and the
+whole lattice takes its minima and sums in one call of
+:func:`_asr_of_rates`. :mod:`rsmeta.gradcheck`'s tie guard reads the
+stacked averaged rates of :func:`_rates_from_terms` too. Every pass owns
+its arrays, allocated when it is built, with views derived then
+(:class:`_Terms`); a one-shot reader of given powers builds one over a
+copy. The gradients run on a :class:`rsmeta.linalg.ProjectionWorkspace`
+built for the ensemble and the layout's active columns, the given one or a
+throwaway one: they fill the arrays it allocated with its channel copy and
+those of the one rate pass it keeps (:func:`_kept_terms`) in place,
+bit-identically, and return nothing that points into them; both optimizers
+pass their run's workspace on every iteration.
 
 The view is the memory of the complex (n_tx, n_active) matrix of the
 active columns, read as float64 pairs, so going between the two is no
@@ -348,14 +350,24 @@ def asr_from_powers(powers: np.ndarray, layout: StreamLayout,
     return asr_from_terms(*_layer_terms(powers, layout, noise), layout)
 
 
+def _rates_from_terms(num: np.ndarray, den: np.ndarray,
+                      out: np.ndarray = None) -> np.ndarray:
+    """Averaged per-user rates, (..., n_layers, n_users), in ``out`` or
+    fresh, from every layer's numerators and denominators, stacked (...,
+    n_layers, n_users, n_draws) as :func:`_layer_terms` returns them, in
+    any strides; ``num`` is overwritten with the per-draw rates. Leading
+    axes are a batch, and each slice of the result has the bits of a call
+    on its slice alone."""
+    sinr = np.divide(num, den, out=num)
+    return _avg_rates(sinr, sinr, out)
+
+
 def asr_from_terms(num: np.ndarray, den: np.ndarray, layout: StreamLayout):
     """Averaged sum rate from every layer's numerators and denominators,
-    stacked (..., n_layers, n_users, n_draws) as :func:`_layer_terms`
-    returns them, in any strides; ``num`` is overwritten. Leading axes
-    are a batch, and each rate of the result has the bits of a call on its
-    slice alone."""
-    sinr = np.divide(num, den, out=num)
-    return _asr_of_rates(_avg_rates(sinr, sinr), layout)
+    as :func:`_rates_from_terms` reads them; ``num`` is overwritten.
+    Leading axes are a batch, and each rate of the result has the bits of
+    a call on its slice alone."""
+    return _asr_of_rates(_rates_from_terms(num, den), layout)
 
 
 def loss_from_view(v: np.ndarray, ens: ChannelEnsemble,

@@ -15,8 +15,7 @@ Every cell is assembled the same way whatever the method: its reported
 rate and, where the optimizer has one, its start rate (both on the
 held-out batch when ``eval.redraw`` asks for one), and the power fractions
 the returned precoder spends. Nothing here reads the environment; the
-command line applies its flag and environment overrides before calling
-in.
+command line applies its flag overrides before calling in.
 """
 from __future__ import annotations
 
@@ -231,11 +230,11 @@ def validate_config(cfg: ExperimentConfig):
                 raise ValueError(
                     f"iid.alpha = {cfg.alpha:g} overflows the CSI error "
                     f"variance at snr_db = {snr:g}") from None
-            if sig_e2 >= model.user_var:
+            if sig_e2 >= 1.0:
                 raise ValueError(
                     f"snr_db = {snr:g} is degenerate: the CSI error variance "
-                    f"{sig_e2:.4g} is not below the channel variance "
-                    f"{model.user_var:g}, so the channel estimate is zero")
+                    f"{sig_e2:.4g} is not below the unit channel variance, "
+                    f"so the channel estimate is zero")
     else:
         if cfg.azimuths is None:
             raise ValueError("one_ring scenario needs ring.azimuths")
@@ -323,7 +322,6 @@ class CellResult:
 class SweepResult:
     config: ExperimentConfig
     cells: list
-    schema_version: int = SCHEMA_VERSION
 
     def summary_rows(self):
         """Aggregate cells into one row per (method, SNR point)."""
@@ -460,7 +458,7 @@ def write_reports(result: SweepResult, out_dir=None) -> dict:
     # the config records where its reports went, not where it said to
     config = dict(dataclasses.asdict(result.config), out_dir=out_dir)
     payload = {
-        "schema_version": result.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "config": config,
         "cells": [dataclasses.asdict(c) for c in result.cells],
     }

@@ -9,6 +9,10 @@ intended receiver able to decode.
 The average objective follows the sample-average rule: per-user rates are
 averaged over channel realizations first, and minima are taken after that
 averaging. Optimizers in this package maximize that averaged sum rate.
+
+Rates are taken over stacks of realizations only: a single channel is the
+one-draw stack ``h[None]``, whose average is its own rate, so
+:func:`saf_report` is the one report for both.
 """
 from __future__ import annotations
 
@@ -19,8 +23,7 @@ import numpy as np
 from .channel import ChannelEnsemble
 from .layout import StreamLayout
 
-__all__ = ["PrecoderMatrix", "RateReport", "SafReport",
-           "sinr_triplet", "rate_report", "saf_report"]
+__all__ = ["PrecoderMatrix", "SafReport", "sinr_triplet", "saf_report"]
 
 _LN2 = float(np.log(2.0))
 
@@ -60,18 +63,6 @@ class PrecoderMatrix:
 
 
 @dataclass
-class RateReport:
-    """Instantaneous rates for one channel realization (bits/s/Hz)."""
-
-    per_user_common: np.ndarray   # (K,) rate of the global common stream at user k
-    per_user_group: np.ndarray    # (K,) rate of user k's group stream at user k
-    per_user_private: np.ndarray  # (K,) private stream rate of user k
-    common_rate: float            # min over users
-    group_rates: np.ndarray       # (G,) min over each group's members
-    sum_rate: float
-
-
-@dataclass
 class SafReport:
     """Rates averaged over an ensemble, minima taken after averaging."""
 
@@ -96,21 +87,19 @@ def sinr_triplet(p, h: np.ndarray, layout: StreamLayout,
     Parameters
     ----------
     p : PrecoderMatrix or ndarray (n_tx, n_streams)
-    h : ndarray, (n_tx, n_users) or (n_draws, n_tx, n_users)
+    h : ndarray, (n_draws, n_tx, n_users)
+        A stack of channels; one channel is the one-draw stack ``h[None]``.
     layout : StreamLayout
     noise_power : float
 
     Returns
     -------
     (sinr_common, sinr_group, sinr_private)
-        Each shaped (n_users,) for a single channel or (n_draws, n_users)
-        for a stack. ``sinr_group`` is identically zero in one-layer mode.
+        Each shaped (n_draws, n_users). ``sinr_group`` is identically zero
+        in one-layer mode.
     """
     pm = np.asarray(getattr(p, "matrix", p), dtype=complex)
     h = np.asarray(h, dtype=complex)
-    single = h.ndim == 2
-    if single:
-        h = h[None, :, :]
     if h.shape[1:] != (layout.n_tx, layout.n_users):
         raise ValueError(f"channel shape {h.shape} does not match layout")
     if not noise_power > 0:
@@ -130,34 +119,7 @@ def sinr_triplet(p, h: np.ndarray, layout: StreamLayout,
     sinr_c = t_com / den_c
     sinr_g = own_g / den_g
     sinr_p = own_p / den_p
-    if single:
-        return sinr_c[0], sinr_g[0], sinr_p[0]
     return sinr_c, sinr_g, sinr_p
-
-
-def _to_rate(sinr: np.ndarray) -> np.ndarray:
-    return np.log1p(sinr) / _LN2
-
-
-def _layered(rc, rg, rp, layout: StreamLayout) -> tuple:
-    """Per-user rates, the common-rate minimum, each group's minimum (zeros
-    in one-layer mode) and the sum rate: the fields of either report."""
-    grp = np.zeros(layout.n_groups) if layout.mode == "one_layer" else \
-        np.array([np.min(rg[list(layout.group_members(g))])
-                  for g in range(layout.n_groups)])
-    return (rc, rg, rp, float(np.min(rc)), grp,
-            float(np.min(rc) + np.sum(grp) + np.sum(rp)))
-
-
-def rate_report(p, h: np.ndarray, layout: StreamLayout,
-                noise_power: float = 1.0) -> RateReport:
-    """Rates for a single channel realization."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2:
-        raise ValueError("rate_report expects a single channel (n_tx, n_users)")
-    sc, sg, sp = sinr_triplet(p, h, layout, noise_power)
-    return RateReport(*_layered(_to_rate(sc), _to_rate(sg), _to_rate(sp),
-                                layout))
 
 
 def saf_report(p, ens: ChannelEnsemble, layout: StreamLayout) -> SafReport:
@@ -165,8 +127,13 @@ def saf_report(p, ens: ChannelEnsemble, layout: StreamLayout) -> SafReport:
 
     The averaged sum rate is the quantity every optimizer in this package
     maximizes: min-over-users of the averaged common rate, plus each group
-    layer's min-over-members averaged rate, plus all averaged private rates.
+    layer's min-over-members averaged rate (zero in one-layer mode), plus
+    all averaged private rates.
     """
     sc, sg, sp = sinr_triplet(p, ens.realizations, layout, ens.noise_power)
-    return SafReport(*_layered(*(np.mean(_to_rate(x), axis=0)
-                                 for x in (sc, sg, sp)), layout))
+    rc, rg, rp = (np.mean(np.log1p(x) / _LN2, axis=0) for x in (sc, sg, sp))
+    grp = np.zeros(layout.n_groups) if layout.mode == "one_layer" else \
+        np.array([np.min(rg[list(layout.group_members(g))])
+                  for g in range(layout.n_groups)])
+    return SafReport(rc, rg, rp, float(np.min(rc)), grp,
+                     float(np.min(rc) + np.sum(grp) + np.sum(rp)))

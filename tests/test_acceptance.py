@@ -21,7 +21,7 @@ from rsmeta.layout import StreamLayout
 from rsmeta.linalg import (ProjectionWorkspace, RngStream, gaussian_matrix,
                            herm_eig)
 from rsmeta.metaopt import MetaOptConfig, init_precoder, run_meta_opt
-from rsmeta.rates import rate_report, saf_report, sinr_triplet
+from rsmeta.rates import saf_report, sinr_triplet
 
 
 def test_criterion_1_gradient_battery():
@@ -52,14 +52,15 @@ def test_criterion_2_layer_reduction():
     lay = StreamLayout.hierarchical(1, 1, 1)
     p = np.ones((1, 3), complex)
     h = np.ones((1, 1), complex)
-    sc, sg, sp = sinr_triplet(p, h, lay)
-    assert sc[0] == 1.0 / 3.0
-    assert sg[0] == 0.5
-    assert sp[0] == 1.0
-    assert rate_report(p, h, lay).sum_rate == 2.0
+    one_draw = ChannelEnsemble(estimate=h, realizations=h[None])
+    sc, sg, sp = sinr_triplet(p, h[None], lay)
+    assert sc[0, 0] == 1.0 / 3.0
+    assert sg[0, 0] == 0.5
+    assert sp[0, 0] == 1.0
+    # the mean over one draw is exact
+    assert saf_report(p, one_draw, lay).avg_sum_rate == 2.0
     # the same instance on the training core: the loss of both paths, and
     # the SINRs its kept rate pass holds, stacked common, group, private
-    one_draw = ChannelEnsemble(estimate=h, realizations=h[None])
     v = precoder_to_view(p, lay)
     ws = ProjectionWorkspace(one_draw.realizations, len(lay.active_streams))
     assert loss_from_view(v, one_draw, lay) == -2.0

@@ -477,19 +477,21 @@ class TestSearchMatchesLongDouble:
     def test_every_split(self, monkeypatch, kind, seed, snr_db):
         make = _bench_ring_scene if kind == "ring" else _uneven_scene
         lay, ens, model, p_t = make(seed, 10.0 ** (snr_db / 10.0))
-        real = baselines.asr_from_terms
+        real = baselines._asr_of_rates
         scored = []
 
-        def spy(num, den, layout):
-            scored.append(real(num, den, layout))
+        def spy(rates, layout):
+            scored.append(real(rates, layout))
             return scored[-1]
 
-        monkeypatch.setattr(baselines, "asr_from_terms", spy)
+        monkeypatch.setattr(baselines, "_asr_of_rates", spy)
         res = run_fixed_direction(lay, ens, model, p_t, step=0.05)
         grid = power_split_grid(0.05)
         dirs = _fixed_directions(lay, ens.estimate, model, p_t)
         want = _longdouble_rates(lay, ens, dirs, p_t, grid)
-        got = np.concatenate(scored)
+        # the whole lattice is scored in one call
+        assert len(scored) == 1
+        got = scored[0]
         assert len(got) == len(grid)
         np.testing.assert_allclose(got, want.astype(float), rtol=1e-13)
         chosen = want[grid.index(res.best_split)]
@@ -551,19 +553,19 @@ class TestBatchedSearchMatchesLoop:
 
     @staticmethod
     def _poisoned(monkeypatch, poison):
-        """Let ``poison(asr, lo)`` overwrite the rates of each scored chunk,
-        ``lo`` the lattice index of its first split, before the search sees
-        them; returns the chunks' rates as the search saw them."""
-        real = baselines.asr_from_terms
+        """Let ``poison(asr)`` overwrite the lattice's rates before the
+        search sees them; returns the rates of each scoring call as the
+        search saw them, one call per search."""
+        real = baselines._asr_of_rates
         seen = []
 
-        def batch_asr(num, den, layout):
-            asr = real(num, den, layout)
-            poison(asr, sum(map(len, seen)))
+        def lattice_asr(rates, layout):
+            asr = real(rates, layout)
+            poison(asr)
             seen.append(asr)
             return asr
 
-        monkeypatch.setattr(baselines, "asr_from_terms", batch_asr)
+        monkeypatch.setattr(baselines, "_asr_of_rates", lattice_asr)
         return seen
 
     def test_nan_split_never_wins(self, monkeypatch):
@@ -571,20 +573,22 @@ class TestBatchedSearchMatchesLoop:
         grid = power_split_grid(0.05)
         top = grid.index(run_fixed_direction(lay, ens, model, p_t).best_split)
 
-        def poison(asr, lo):
-            if lo <= top < lo + len(asr):
-                asr[top - lo] = np.nan
+        def poison(asr):
+            asr[top] = np.nan
 
         seen = self._poisoned(monkeypatch, poison)
         res = run_fixed_direction(lay, ens, model, p_t)
-        scores = np.concatenate(seen)
-        assert len(seen) > 1 and np.isnan(scores[top])
+        # the lattice spans more than one chunk, and its rates are scored
+        # in one call
+        assert len(grid) > _chunk(lay, ens) and len(seen) == 1
+        scores = seen[0]
+        assert np.isnan(scores[top])
         scores[top] = -np.inf
         assert res.best_split == grid[int(np.argmax(scores))]
         assert res.best_asr == np.max(scores)
 
     def test_all_nan_rejected(self, monkeypatch):
         lay, ens, model, p_t = _ring_scene(seed=508)
-        self._poisoned(monkeypatch, lambda asr, lo: asr.fill(np.nan))
+        self._poisoned(monkeypatch, lambda asr: asr.fill(np.nan))
         with pytest.raises(ValueError, match="NaN"):
             run_fixed_direction(lay, ens, model, p_t, step=0.2)

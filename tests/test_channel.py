@@ -339,7 +339,7 @@ def _iid_reference(model, seed, p_t, sizes):
     rng = RngStream(seed)
     sig_e2 = model.error_var(p_t)
     est = gaussian_matrix(rng, model.n_tx, model.n_users, 1.0) \
-        * np.sqrt(model.user_var - sig_e2)
+        * np.sqrt(1.0 - sig_e2)
     out = []
     for n in sizes:
         shape = (n, model.n_tx, model.n_users)

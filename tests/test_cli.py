@@ -1,13 +1,12 @@
 import csv
 import json
 import os
-import re
 from pathlib import Path
 
 import pytest
 
 from rsmeta import harness
-from rsmeta.cli import ENV_OUT_DIR, ENV_THREADS, main
+from rsmeta.cli import main
 
 TINY = """
 scenario = iid
@@ -94,9 +93,7 @@ class TestValidate:
         assert "master_seed = 5" in out
 
     @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
-    def test_shipped_config(self, path, monkeypatch, capsys):
-        monkeypatch.delenv(ENV_OUT_DIR, raising=False)
-        monkeypatch.delenv(ENV_THREADS, raising=False)
+    def test_shipped_config(self, path, capsys):
         assert main(["validate", "--config", str(path)]) == 0
         assert "ok" in capsys.readouterr().out
 
@@ -124,8 +121,7 @@ class TestValidate:
     @pytest.mark.parametrize("base", [TINY, RING], ids=["iid", "ring"])
     @pytest.mark.parametrize("point", ["4000", "-4000"])
     def test_unrepresentable_snr_power_named(self, base, point, tmp_path,
-                                             monkeypatch, capsys):
-        monkeypatch.delenv(ENV_THREADS, raising=False)
+                                             capsys):
         path = tmp_path / "snr.cfg"
         path.write_text(_with(base, "snr_db", f"10, {point}"))
         assert main(["validate", "--config", str(path)]) == 1
@@ -140,9 +136,7 @@ class TestValidate:
         ("master_seed", "-3"), ("master_seed", "1.5"),
         ("snr_db", "10, loud"), ("snr_db", "10, nan"),
     ])
-    def test_bad_number_named(self, key, text, tmp_path, monkeypatch,
-                              capsys):
-        monkeypatch.delenv(ENV_THREADS, raising=False)
+    def test_bad_number_named(self, key, text, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(_with(TINY, key, text))
         assert main(["validate", "--config", str(path)]) == 1
@@ -161,10 +155,9 @@ class TestValidate:
         assert f"{path}:{line}: unknown key '{key}'" in \
             capsys.readouterr().err
 
-    def test_repeated_method_named(self, tmp_path, monkeypatch, capsys):
+    def test_repeated_method_named(self, tmp_path, capsys):
         # a repeated method used to pass validate, run twice in every cell
         # and write two identical summary rows per SNR point
-        monkeypatch.delenv(ENV_THREADS, raising=False)
         path = tmp_path / "twice.cfg"
         path.write_text(_with(TINY, "methods", "direct, meta, direct"))
         assert main(["validate", "--config", str(path)]) == 1
@@ -185,16 +178,13 @@ class TestValidate:
         (TINY, "iid.error_power", "-0.1"), (TINY, "iid.error_power", "nan"),
     ], ids=lambda x: "ring" if x is RING else "iid" if x is TINY else None)
     def test_bad_model_setting_named(self, base, key, text, tmp_path,
-                                     monkeypatch, capsys):
-        monkeypatch.delenv(ENV_THREADS, raising=False)
+                                     capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(_with(base, key, text))
         assert main(["validate", "--config", str(path)]) == 1
         assert key in capsys.readouterr().err
 
-    def test_other_scenario_settings_unchecked(self, tmp_path, monkeypatch,
-                                               capsys):
-        monkeypatch.delenv(ENV_THREADS, raising=False)
+    def test_other_scenario_settings_unchecked(self, tmp_path, capsys):
         path = tmp_path / "iid.cfg"
         path.write_text(TINY + "ring.tau2 = 1.5\nring.spacing = 0\n")
         assert main(["validate", "--config", str(path)]) == 0
@@ -232,6 +222,31 @@ class TestRun:
         assert "threads" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_negative_threads_rejected(self, tiny_cfg, tmp_path, capsys):
+        out_dir = tmp_path / "res"
+        code = main(["run", "--config", str(tiny_cfg),
+                     "--out-dir", str(out_dir), "--threads", "-3"])
+        assert code == 1
+        assert "threads" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_reads_no_environment(self, sweep_cfg, tmp_path, monkeypatch,
+                                  capsys):
+        # variables that once overrode the flags and the config change
+        # nothing: the flag's directory and the config's thread count hold
+        monkeypatch.setenv("RSMETA_OUT_DIR", str(tmp_path / "env"))
+        monkeypatch.setenv("RSMETA_THREADS", "0")
+        out_dir = tmp_path / "res"
+        assert main(["run", "--config", str(sweep_cfg),
+                     "--out-dir", str(out_dir)]) == 0
+        with open(out_dir / "results.json") as fh:
+            config = json.load(fh)["config"]
+        assert config["n_threads"] == 1
+        assert config["out_dir"] == str(out_dir)
+        assert not (tmp_path / "env").exists()
+        assert main(["validate", "--config", str(sweep_cfg)]) == 0
+        assert "n_threads = 1" in capsys.readouterr().out
+
     def test_bad_optimizer_setting_fails_before_any_cell(
             self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "bad.cfg"
@@ -249,41 +264,6 @@ class TestRun:
         assert "direct.iters" in capsys.readouterr().err
         assert cells == []
         assert not out_dir.exists()
-
-
-class TestEnvOverrides:
-    def test_thread_env_override(self, sweep_cfg, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_THREADS, "2")
-        out_dir = tmp_path / "res"
-        assert main(["run", "--config", str(sweep_cfg), "--threads", "1",
-                     "--out-dir", str(out_dir)]) == 0
-        with open(out_dir / "results.json") as fh:
-            payload = json.load(fh)
-        assert len(payload["cells"]) == 8
-        assert payload["config"]["n_threads"] == 2
-
-    @pytest.mark.parametrize("raw", ["-3", "0", "two"])
-    def test_bad_thread_env_override_rejected(self, sweep_cfg, tmp_path,
-                                              monkeypatch, capsys, raw):
-        monkeypatch.setenv(ENV_THREADS, raw)
-        assert main(["run", "--config", str(sweep_cfg),
-                     "--out-dir", str(tmp_path / "res")]) == 1
-        assert re.search("threads|RSMETA_THREADS", capsys.readouterr().err)
-
-    def test_env_dir_override(self, sweep_cfg, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_OUT_DIR, str(tmp_path / "forced"))
-        assert main(["run", "--config", str(sweep_cfg),
-                     "--out-dir", str(tmp_path / "ignored")]) == 0
-        assert (tmp_path / "forced" / "results.csv").exists()
-        assert not (tmp_path / "ignored").exists()
-        with open(tmp_path / "forced" / "results.json") as fh:
-            assert json.load(fh)["config"]["out_dir"] == \
-                str(tmp_path / "forced")
-
-    def test_validate_sees_env_override(self, tiny_cfg, monkeypatch, capsys):
-        monkeypatch.setenv(ENV_THREADS, "0")
-        assert main(["validate", "--config", str(tiny_cfg)]) == 1
-        assert "threads" in capsys.readouterr().err
 
 
 class TestGradcheck:
@@ -308,9 +288,7 @@ class TestSmokeConfigs:
         ("smoke.cfg", {"meta", "direct"}),
         ("smoke_ring.cfg", {"meta", "fixed"}),
     ], ids=["single_layer", "grouped"])
-    def test_runs_end_to_end(self, name, methods, tmp_path, monkeypatch):
-        monkeypatch.delenv(ENV_OUT_DIR, raising=False)
-        monkeypatch.delenv(ENV_THREADS, raising=False)
+    def test_runs_end_to_end(self, name, methods, tmp_path):
         out_dir = tmp_path / "res"
         assert main(["run", "--config", str(CONFIGS / name),
                      "--out-dir", str(out_dir)]) == 0

@@ -855,7 +855,8 @@ class TestBatchAxis:
 
 
 class TestTermsShareTheRateTail:
-    """:func:`asr_from_terms`, the fixed-direction search's entry, runs
+    """:func:`asr_from_terms`, the rate tail past the terms, whose two
+    halves the fixed-direction search runs, runs
     :func:`asr_from_powers`'s arithmetic past the terms: on the numerators
     and denominators that the powers' gather builds, it gives their
     bits, batched and per slice."""

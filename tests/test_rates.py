@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from rsmeta.channel import IidCsitModel
+from rsmeta.channel import ChannelEnsemble, IidCsitModel
 from rsmeta.layout import StreamLayout
 from rsmeta.linalg import RngStream, gaussian_matrix
-from rsmeta.rates import (PrecoderMatrix, rate_report, saf_report,
-                          sinr_triplet)
+from rsmeta.rates import PrecoderMatrix, saf_report, sinr_triplet
 
 
 class TestStreamLayout:
@@ -108,20 +107,27 @@ class TestSinrTriplet:
         # successive cancellation peels 1/3 -> 1/2 -> 1
         lay = StreamLayout.hierarchical(1, 1, 1)
         p = np.ones((1, 3), complex)
-        h = np.ones((1, 1), complex)
+        h = np.ones((1, 1, 1), complex)
         sc, sg, sp = sinr_triplet(p, h, lay)
-        np.testing.assert_allclose(sc, [1.0 / 3.0])
-        np.testing.assert_allclose(sg, [0.5])
-        np.testing.assert_allclose(sp, [1.0])
+        np.testing.assert_allclose(sc, [[1.0 / 3.0]])
+        np.testing.assert_allclose(sg, [[0.5]])
+        np.testing.assert_allclose(sp, [[1.0]])
 
     def test_one_layer_hand_instance(self):
         lay = StreamLayout.one_layer(1, 1)
         p = np.array([[1.0, 0.0, 1.0]], dtype=complex)
-        h = np.ones((1, 1), complex)
+        h = np.ones((1, 1, 1), complex)
         sc, sg, sp = sinr_triplet(p, h, lay)
-        np.testing.assert_allclose(sc, [0.5])
-        np.testing.assert_allclose(sg, [0.0])
-        np.testing.assert_allclose(sp, [1.0])
+        np.testing.assert_allclose(sc, [[0.5]])
+        np.testing.assert_allclose(sg, [[0.0]])
+        np.testing.assert_allclose(sp, [[1.0]])
+
+    def test_single_channel_rejected(self):
+        # one channel is the one-draw stack h[None]
+        lay = StreamLayout.hierarchical(1, 1, 1)
+        with pytest.raises(ValueError, match="channel shape"):
+            sinr_triplet(np.ones((1, 3), complex), np.ones((1, 1), complex),
+                         lay)
 
     def test_stack_matches_per_realization(self):
         lay = StreamLayout.hierarchical(3, 4, 2)
@@ -131,17 +137,17 @@ class TestSinrTriplet:
         h = np.moveaxis(h, 2, 0)  # (5, 3, 4)
         sc, sg, sp = sinr_triplet(p, h, lay)
         for m in range(5):
-            a, b, c = sinr_triplet(p, h[m], lay)
-            np.testing.assert_array_equal(sc[m], a)
-            np.testing.assert_array_equal(sg[m], b)
-            np.testing.assert_array_equal(sp[m], c)
+            a, b, c = sinr_triplet(p, h[m:m + 1], lay)
+            np.testing.assert_array_equal(sc[m:m + 1], a)
+            np.testing.assert_array_equal(sg[m:m + 1], b)
+            np.testing.assert_array_equal(sp[m:m + 1], c)
 
     def test_joint_scale_invariance(self):
         # doubling every power term and the noise leaves all SINRs fixed
         lay = StreamLayout.hierarchical(2, 2, 1)
         rng = RngStream(3)
         p = gaussian_matrix(rng, 2, 4, 1.0)
-        h = gaussian_matrix(rng, 2, 2, 1.0)
+        h = gaussian_matrix(rng, 2, 2, 1.0)[None]
         base = sinr_triplet(p, h, lay, noise_power=1.0)
         scaled = sinr_triplet(np.sqrt(2.0) * p, h, lay, noise_power=2.0)
         for a, b in zip(base, scaled):
@@ -152,26 +158,33 @@ class TestSinrTriplet:
         rng = RngStream(1)
         p = gaussian_matrix(rng, 2, 5, 1.0)
         p[:, 1] = 0.0
-        h = gaussian_matrix(rng, 2, 2, 1.0)
+        h = gaussian_matrix(rng, 2, 2, 1.0)[None]
         lo = sinr_triplet(p, h, lay, noise_power=1.0)
         hi = sinr_triplet(p, h, lay, noise_power=4.0)
         assert np.all(hi[0] < lo[0])
         assert np.all(hi[2] < lo[2])
 
 
-class TestRateReport:
+def _one_draw(h):
+    """The one-draw ensemble of the single channel ``h``."""
+    return ChannelEnsemble(estimate=h, realizations=h[None])
+
+
+class TestSafReport:
     def test_hand_sum_rate_exact(self):
         lay = StreamLayout.hierarchical(1, 1, 1)
-        rep = rate_report(np.ones((1, 3), complex), np.ones((1, 1), complex),
-                          lay)
-        # log2(4/3) + log2(3/2) + log2(2) telescopes to exactly 2
-        assert rep.sum_rate == 2.0
+        rep = saf_report(np.ones((1, 3), complex),
+                         _one_draw(np.ones((1, 1), complex)), lay)
+        # log2(4/3) + log2(3/2) + log2(2) telescopes to exactly 2, and the
+        # mean of one draw is that draw
+        assert rep.avg_sum_rate == 2.0
 
     def test_one_layer_sum(self):
         lay = StreamLayout.one_layer(1, 1)
-        rep = rate_report(np.array([[1.0, 0.0, 1.0]], complex),
-                          np.ones((1, 1), complex), lay)
-        assert rep.sum_rate == pytest.approx(np.log2(1.5) + 1.0, rel=1e-14)
+        rep = saf_report(np.array([[1.0, 0.0, 1.0]], complex),
+                         _one_draw(np.ones((1, 1), complex)), lay)
+        assert rep.avg_sum_rate == pytest.approx(np.log2(1.5) + 1.0,
+                                                 rel=1e-14)
         np.testing.assert_array_equal(rep.group_rates, [0.0])
 
     def test_sum_rate_composition(self):
@@ -179,17 +192,16 @@ class TestRateReport:
         rng = RngStream(9)
         p = gaussian_matrix(rng, 3, lay.n_streams, 1.0)
         h = gaussian_matrix(rng, 3, 4, 1.0)
-        rep = rate_report(p, h, lay)
-        assert rep.common_rate == np.min(rep.per_user_common)
+        rep = saf_report(p, _one_draw(h), lay)
+        assert rep.common_rate == np.min(rep.avg_per_user_common)
         for g in range(2):
             members = list(lay.group_members(g))
-            assert rep.group_rates[g] == np.min(rep.per_user_group[members])
-        assert rep.sum_rate == pytest.approx(
+            assert rep.group_rates[g] == \
+                np.min(rep.avg_per_user_group[members])
+        assert rep.avg_sum_rate == pytest.approx(
             rep.common_rate + np.sum(rep.group_rates)
-            + np.sum(rep.per_user_private), rel=1e-14)
+            + np.sum(rep.avg_per_user_private), rel=1e-14)
 
-
-class TestSafReport:
     def _scene(self, seed=12, n_draws=30):
         lay = StreamLayout.hierarchical(3, 4, 2)
         model = IidCsitModel(n_tx=3, n_users=4, error_power=0.3)
