@@ -58,15 +58,14 @@ def run_direct_adam(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
     :func:`rsmeta.adam.check_lr`) before any work. The run keeps one view:
     Adam steps it and the power projection scales it, both in place. It
     goes into the gradient as it is, and every gradient of the run fills
-    one projection workspace built for ``ens`` and the active columns: the
+    one projection workspace built for ``ens`` and the layout's columns: the
     channel copy and the projection's arrays are made once, and no
     projection or power-gradient array is allocated again on each
     iteration.
     """
     check_iters(n_iters)
     lr = check_lr(lr)
-    workspace = ProjectionWorkspace(ens.realizations,
-                                    len(layout.active_streams))
+    workspace = ProjectionWorkspace(ens.realizations, layout.n_streams)
     record, v, g = _start(layout, ens, p_t, workspace)
     opt = AdamState(view_length(layout))
     for _ in range(n_iters):
@@ -217,7 +216,7 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
     keeping a strictly better split, so a split whose rate is NaN never
     wins; ``n_evaluated`` is the lattice size.
     """
-    if layout.mode != "hierarchical":
+    if not layout.n_groups:
         raise ValueError("fixed-direction search needs a hierarchical layout")
     if layout.n_groups != model.n_groups:
         raise ValueError("model ring count does not match layout groups")

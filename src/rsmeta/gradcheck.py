@@ -83,8 +83,7 @@ def _tie_gaps_ok(v, ens, layout) -> bool:
     powers, _, _ = channel_project(ens.realizations, _columns(v, layout))
     rates = _rates_from_terms(*_layer_terms(powers, layout,
                                             ens.noise_power))
-    groups = [rates[1, m] for m in layout.member_rows] \
-        if layout.mode == "hierarchical" else []
+    groups = [rates[1, m] for m in layout.member_rows]
     return not any(_min_gap(x) < TIE_GAP for x in [rates[0], *groups])
 
 
@@ -103,8 +102,6 @@ def _random_instance(rng: RngStream, hierarchical: bool):
                          error_power=0.25)
     ens = model.draw(rng, P_T, n_draws)
     mat = gaussian_matrix(rng, layout.n_tx, layout.n_streams, 1.0)
-    if layout.mode == "one_layer":
-        mat[:, 1:1 + layout.n_groups] = 0.0
     mat *= np.sqrt(0.8 * P_T / np.sum(np.abs(mat) ** 2))
     return layout, ens, mat
 

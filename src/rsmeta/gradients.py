@@ -21,8 +21,8 @@ losses. The objective is the paper's averaged sum rate, whose common and
 group rates are hard minima; their gradient is the lowest minimizing
 user's one-hot (:func:`_rate_weights`). :func:`_layer_terms` gathers
 every layer's numerators and builds every layer's denominator, each
-stacked with the layers in decoding order (common, group when
-hierarchical, private). Every denominator is a sum, and none is a
+stacked with the layers in decoding order (common, group if there are
+groups, private). Every denominator is a sum, and none is a
 difference: the common one adds up whole rows, and the later ones add up
 each user's interference, which one helper, :func:`_own_and_others`,
 tells from its own powers by zeroing them. Every reader then passes
@@ -42,14 +42,14 @@ stacked averaged rates of :func:`_rates_from_terms` too. Every pass owns
 its arrays, allocated when it is built, with views derived then
 (:class:`_Terms`); a one-shot reader of given powers builds one over a
 copy. The gradients run on a :class:`rsmeta.linalg.ProjectionWorkspace`
-built for the ensemble and the layout's active columns, the given one or a
+built for the ensemble and the layout's columns, the given one or a
 throwaway one: they fill the arrays it allocated with its channel copy and
 those of the one rate pass it keeps (:func:`_kept_terms`) in place,
 bit-identically, and return nothing that points into them; both optimizers
 pass their run's workspace on every iteration.
 
-The view is the memory of the complex (n_tx, n_active) matrix of the
-active columns, read as float64 pairs, so going between the two is no
+The view is the memory of the complex (n_tx, n_streams) precoder matrix,
+column-major, read as float64 pairs, so going between the two is no
 arithmetic and both gradients take either. Its squared norm is the
 precoder power, so the power projection is one rescale of the view, the
 same on every path.
@@ -76,34 +76,32 @@ __all__ = ["view_length", "precoder_to_view", "view_to_precoder",
            "grad_wrt_precoder", "grad_wrt_theta"]
 
 # ---------------------------------------------------------------------------
-# real view of the active precoder columns
+# real view of the precoder
 # ---------------------------------------------------------------------------
 
 def view_length(layout: StreamLayout) -> int:
-    """Real degrees of freedom: 2 per complex entry of each active column."""
-    return 2 * layout.n_tx * len(layout.active_streams)
+    """Real degrees of freedom: 2 per complex entry of each column."""
+    return 2 * layout.n_tx * layout.n_streams
 
 
 def _rows(v, layout: StreamLayout) -> np.ndarray:
-    """The view as C-ordered (n_active, n_tx, 2) rows of float64 (Re, Im)
-    pairs, one per active column: the view's memory when it is a
-    contiguous float64 array; a view of another length raises
-    ValueError."""
+    """The view as C-ordered (n_streams, n_tx, 2) rows of float64 (Re, Im)
+    pairs, one per column: the view's memory when it is a contiguous
+    float64 array; a view of another length raises ValueError."""
     return np.ascontiguousarray(v, dtype=float).reshape(
-        len(layout.active_streams), layout.n_tx, 2)
+        layout.n_streams, layout.n_tx, 2)
 
 
 def _columns(v, layout: StreamLayout) -> np.ndarray:
-    """The complex (n_tx, n_active) active-column matrix whose memory the
-    view ``v`` is (shared with a contiguous float64 ``v``); a view of
-    another length raises ValueError."""
+    """The complex (n_tx, n_streams) matrix whose memory the view ``v`` is
+    (shared with a contiguous float64 ``v``); a view of another length
+    raises ValueError."""
     return _rows(v, layout).view(complex)[..., 0].T
 
 
 def _view(cols: np.ndarray) -> np.ndarray:
-    """The view of a complex (n_tx, n_active) active-column matrix: its
-    column-major memory read as float64 pairs, shared with a column-major
-    ``cols``."""
+    """The view of a complex (n_tx, n_streams) matrix: its column-major
+    memory read as float64 pairs, shared with a column-major ``cols``."""
     return np.ascontiguousarray(cols.T).view(float).ravel()
 
 
@@ -113,16 +111,18 @@ def _view_in(p, layout: StreamLayout) -> np.ndarray:
 
 
 def precoder_to_view(p, layout: StreamLayout) -> np.ndarray:
-    """The view of a precoder or of its (n_tx, n_streams) matrix."""
+    """The view of a precoder or of its (n_tx, n_streams) matrix; a matrix
+    of another shape, a transposed one included, raises ValueError."""
     mat = np.asarray(getattr(p, "matrix", p), dtype=complex)
-    return _view(mat[:, layout.active_cols])
+    if mat.shape != (layout.n_tx, layout.n_streams):
+        raise ValueError(f"precoder shape {mat.shape} does not match layout")
+    return _view(mat)
 
 
 def view_to_precoder(v: np.ndarray, layout: StreamLayout) -> np.ndarray:
-    """Inverse of :func:`precoder_to_view`; inactive columns come back zero."""
-    full = np.zeros((layout.n_tx, layout.n_streams), dtype=complex)
-    full[:, layout.active_cols] = _columns(v, layout)
-    return full
+    """Inverse of :func:`precoder_to_view`: the view's matrix, as a fresh
+    C-ordered array."""
+    return np.ascontiguousarray(_columns(v, layout))
 
 
 def _radial(v: np.ndarray, p_t: float, out: np.ndarray = None):
@@ -150,19 +150,19 @@ def project_view(v: np.ndarray, p_t: float,
 # ---------------------------------------------------------------------------
 
 class _Split:
-    """The views of C-ordered stream-major powers ``pw``, (..., n_active,
+    """The views of C-ordered stream-major powers ``pw``, (..., n_streams,
     n_users, n_draws), that :func:`_own_and_others` reads and zeroes, and
     the arrays it fills: ``own``, (..., n_layers, n_users, n_draws), and
     ``others``, (..., n_layers - 1, n_users, n_draws)."""
 
     def __init__(self, pw: np.ndarray, layout: StreamLayout, own: np.ndarray,
                  others: np.ndarray):
-        *batch, n_act, k, m = pw.shape
-        first_prv = n_act - k
-        self.hier = layout.mode == "hierarchical"
+        *batch, n_s, k, m = pw.shape
+        first_prv = n_s - k
+        self.hier = layout.n_groups > 0
         self.layer_rows = layout.layer_rows
         self.own_group_rows = layout.layer_rows[1]
-        self.rows = pw.reshape(*batch, n_act * k, m)
+        self.rows = pw.reshape(*batch, n_s * k, m)
         # user u's own private row, first_prv * k + u * (k + 1), is a stride
         self.own_private = self.rows[..., first_prv * k::k + 1, :]
         self.groups = pw[..., 1:first_prv, :, :]
@@ -179,7 +179,7 @@ def _own_and_others(sp: _Split) -> None:
     ``sp.own`` gets the own powers, one gather
     (:attr:`StreamLayout.layer_rows`). Those rows of the powers are then
     set to zero, so that ``sp``'s ``others`` get sums with nothing to
-    subtract: in hierarchical mode the other groups' powers at each user,
+    subtract: with groups, the other groups' powers at each user,
     then the other users' private powers. The powers are overwritten. This
     is the one place that tells a user's own powers from its interference,
     for the training loss and the fixed-direction search alike.
@@ -201,9 +201,9 @@ class _Terms(_Split):
     Besides :class:`_Split`'s views of ``pw``: the stacked numerators
     ``num``, which become the SINRs, and denominators ``den``, (...,
     n_layers, n_users, n_draws), with the common row ``den_c``, the later
-    rows ``den_later``, the second row ``den_1`` (the group one in
-    hierarchical mode, else the private one) and the private row
-    ``den_p``, and in hierarchical mode the private-power sum ``all_p``.
+    rows ``den_later``, the second row ``den_1`` (the group one with
+    groups, else the private one) and the private row ``den_p``, and with
+    groups the private-power sum ``all_p``.
     With ``backward``, for unbatched powers, also the rate backward's
     arrays: the averaged ``rates`` and the ``rate_grad`` stacked like them,
     the per-draw ``log_rate``, which becomes the numerator gradient, and
@@ -212,7 +212,7 @@ class _Terms(_Split):
 
     def __init__(self, pw: np.ndarray, layout: StreamLayout,
                  backward: bool = False):
-        *batch, n_act, k, m = pw.shape
+        *batch, n_s, k, m = pw.shape
         shape = (*batch, *layout.layer_rows.shape, m)
         num, den = np.empty(shape), np.empty(shape)
         super().__init__(pw, layout, num, den[..., 1:, :, :])
@@ -231,8 +231,8 @@ class _Terms(_Split):
         self.g_num_1, self.g_num_p = self.log_rate[1], self.log_rate[-1]
         g_pw = self.power_grad = np.empty(pw.shape)
         self.g_pw_c, self.g_pw_1, self.g_pw_rest = g_pw[0], g_pw[1], g_pw[2:]
-        self.g_pw_rows = g_pw.reshape(n_act * k, m)
-        self.g_pw_own_private = self.g_pw_rows[(n_act - k) * k::k + 1]
+        self.g_pw_rows = g_pw.reshape(n_s * k, m)
+        self.g_pw_own_private = self.g_pw_rows[(n_s - k) * k::k + 1]
 
 
 def _terms(powers: np.ndarray, layout: StreamLayout,
@@ -245,7 +245,7 @@ def _terms(powers: np.ndarray, layout: StreamLayout,
 
 def _kept_terms(ws: ProjectionWorkspace, layout: StreamLayout) -> _Terms:
     """The rate pass over the powers of the workspace's projections of
-    ``layout``'s active columns: built on the first pass and kept as the
+    ``layout``'s columns: built on the first pass and kept as the
     workspace's :attr:`~rsmeta.linalg.ProjectionWorkspace.rate_pass`; a
     pass for another layout raises ValueError. The pass zeroes each user's
     own powers in place, which nothing reads after."""
@@ -261,7 +261,7 @@ def _kept_terms(ws: ProjectionWorkspace, layout: StreamLayout) -> _Terms:
 def _fill_terms(t: _Terms, noise: float):
     """Every layer's numerators and denominators, ``(num, den)``, each
     stacked (..., n_layers, n_users, n_draws), written into ``t``'s arrays
-    from the |h^H p|^2 of the active columns it views.
+    from the |h^H p|^2 of the columns it views.
 
     The common denominator adds the group rows, then the private rows, in
     column order. :func:`_own_and_others` then gathers the numerators and
@@ -292,8 +292,8 @@ def _fill_terms(t: _Terms, noise: float):
 def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float):
     """Every layer's numerators and denominators, ``(num, den)``, each
     stacked (..., n_layers, n_users, n_draws), fresh, from the |h^H p|^2 of
-    the active columns, stream-major, (..., n_active, n_users, n_draws),
-    which are not written: see :func:`_fill_terms`."""
+    the columns, stream-major, (..., n_streams, n_users, n_draws), which
+    are not written: see :func:`_fill_terms`."""
     return _fill_terms(_terms(powers, layout), noise)
 
 
@@ -318,9 +318,8 @@ def _asr_of_rates(rates: np.ndarray, layout: StreamLayout):
     included, takes its rate here."""
     asr = np.minimum.reduce(rates[..., 0, :], axis=-1) \
         + np.add.reduce(rates[..., -1, :], axis=-1)
-    if layout.mode == "hierarchical":
-        for members in layout.member_rows:
-            asr = asr + np.minimum.reduce(rates[..., 1, members], axis=-1)
+    for members in layout.member_rows:
+        asr = asr + np.minimum.reduce(rates[..., 1, members], axis=-1)
     return asr
 
 
@@ -335,16 +334,15 @@ def _rate_weights(rates: np.ndarray, layout: StreamLayout,
     w[:-1] = 0.0
     w[-1] = 1.0
     w[0, rates[0].argmin()] = 1.0
-    if layout.mode == "hierarchical":
-        for members in layout.member_rows:
-            w[1, members[rates[1, members].argmin()]] = 1.0
+    for members in layout.member_rows:
+        w[1, members[rates[1, members].argmin()]] = 1.0
     return w
 
 
 def asr_from_powers(powers: np.ndarray, layout: StreamLayout,
                     noise: float):
-    """Averaged sum rate from the |h^H p|^2 of the active columns, shaped
-    (..., n_active, n_users, n_draws) as :func:`_layer_terms` reads them;
+    """Averaged sum rate from the |h^H p|^2 of the columns, shaped
+    (..., n_streams, n_users, n_draws) as :func:`_layer_terms` reads them;
     leading axes are a batch, and each rate of the result, shaped
     ``powers.shape[:-3]``, has the bits of a call on its slice alone."""
     return asr_from_terms(*_layer_terms(powers, layout, noise), layout)
@@ -379,7 +377,7 @@ def loss_from_view(v: np.ndarray, ens: ChannelEnsemble,
 
 def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
                         noise: float):
-    """Averaged sum rate from the |h^H p|^2 of the active columns, and its
+    """Averaged sum rate from the |h^H p|^2 of the columns, and its
     gradient with respect to those powers: ``(asr, d asr / d powers)``,
     the gradient a fresh C-ordered array shaped like ``powers``, which
     are not written; see :func:`_rate_backward`."""

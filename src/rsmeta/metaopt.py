@@ -14,7 +14,7 @@ evaluated, the start point included, is what a run returns.
 A run checks its iteration count and its rate before any work
 (:func:`check_iters`, :func:`rsmeta.adam.check_lr`). It then builds each
 of its objects once, from sizes it knows at its start: the projection
-workspace from the ensemble and the number of active columns, the update
+workspace from the ensemble and the number of columns, the update
 network from its θ and layer sizes, a second network on a fresh array for
 the θ-gradient, and the Adam state from the parameter count.
 
@@ -86,10 +86,8 @@ def check_iters(n, key: str = "n_iters"):
 
 def start_splits(layout: StreamLayout) -> tuple:
     """The start point's power fractions ``(common, group, private)``:
-    ``(0.9, 0, 0.1)`` in one-layer mode, ``(0.45, 0.45, 0.10)`` in
-    hierarchical mode."""
-    return (0.9, 0.0, 0.1) if layout.mode == "one_layer" \
-        else (0.45, 0.45, 0.10)
+    ``(0.9, 0, 0.1)`` without groups, ``(0.45, 0.45, 0.10)`` with."""
+    return (0.45, 0.45, 0.10) if layout.n_groups else (0.9, 0.0, 0.1)
 
 
 def init_precoder(layout: StreamLayout, estimate: np.ndarray,
@@ -97,7 +95,7 @@ def init_precoder(layout: StreamLayout, estimate: np.ndarray,
     """Matched-direction starting point from the channel estimate.
 
     The common column points along the dominant left singular direction of
-    the whole estimate; each group column (hierarchical only) along the
+    the whole estimate; each group column, if any, along the
     dominant direction of that group's columns; each private column along
     the user's own estimate. The power fractions of :func:`start_splits`
     share ``p_t``, the group share splitting equally across groups and the
@@ -113,11 +111,9 @@ def init_precoder(layout: StreamLayout, estimate: np.ndarray,
         raise ValueError("cannot build a starting precoder from a zero estimate")
     mat = np.zeros((layout.n_tx, layout.n_streams), dtype=complex)
     mat[:, layout.col_common] = svd_dominant(est) * np.sqrt(q_c * p_t)
-    if layout.mode == "hierarchical" and q_g > 0:
-        per_group = q_g * p_t / layout.n_groups
-        for g in range(layout.n_groups):
-            sub = est[:, list(layout.group_members(g))]
-            mat[:, layout.col_group(g)] = svd_dominant(sub) * np.sqrt(per_group)
+    for g, members in enumerate(layout.member_rows):
+        mat[:, layout.col_group(g)] = svd_dominant(est[:, members]) \
+            * np.sqrt(q_g * p_t / layout.n_groups)
     per_user = q_p * p_t / layout.n_users
     for k in range(layout.n_users):
         hk = est[:, k]
@@ -190,8 +186,7 @@ def run_meta_opt(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
     cfg = config or MetaOptConfig()
     check_iters(cfg.n_iters)
     lr = check_lr(cfg.lr)
-    workspace = ProjectionWorkspace(ens.realizations,
-                                    len(layout.active_streams))
+    workspace = ProjectionWorkspace(ens.realizations, layout.n_streams)
     record, p0_view, g0 = _start(layout, ens, p_t, workspace)
 
     params = init_meta_net(RngStream(cfg.seed), view_length(layout),

@@ -30,11 +30,7 @@ _LN2 = float(np.log(2.0))
 
 @dataclass
 class PrecoderMatrix:
-    """Precoder columns in fixed stream order: common, groups, privates.
-
-    One-layer layouts keep the group columns allocated but require them to
-    be exactly zero, so the two modes share one column map everywhere.
-    """
+    """Precoder columns in fixed stream order: common, groups, privates."""
 
     matrix: np.ndarray
     layout: StreamLayout
@@ -48,11 +44,6 @@ class PrecoderMatrix:
                 f"(expected {want})")
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("precoder contains non-finite entries")
-        if self.layout.mode == "one_layer":
-            grp = self.matrix[:, 1:1 + self.layout.n_groups]
-            if np.any(grp != 0):
-                raise ValueError(
-                    "one-layer mode requires zero group columns; got nonzero")
 
     @property
     def total_power(self) -> float:
@@ -96,23 +87,23 @@ def sinr_triplet(p, h: np.ndarray, layout: StreamLayout,
     -------
     (sinr_common, sinr_group, sinr_private)
         Each shaped (n_draws, n_users). ``sinr_group`` is identically zero
-        in one-layer mode.
+        without groups.
     """
     pm = np.asarray(getattr(p, "matrix", p), dtype=complex)
     h = np.asarray(h, dtype=complex)
     if h.shape[1:] != (layout.n_tx, layout.n_users):
         raise ValueError(f"channel shape {h.shape} does not match layout")
+    if pm.shape != (layout.n_tx, layout.n_streams):
+        raise ValueError(f"precoder shape {pm.shape} does not match layout")
     if not noise_power > 0:
         raise ValueError(f"noise_power must be positive, got {noise_power}")
-    g = layout.n_groups
+    g, users = layout.n_groups, layout.user_rows
     powers = _stream_powers(h, pm)                   # (m, k, s)
     t_com = powers[:, :, 0]
     t_grp = np.sum(powers[:, :, 1:1 + g], axis=2)
     t_prv = np.sum(powers[:, :, 1 + g:], axis=2)
-    own_g = powers[:, np.arange(layout.n_users),
-                   1 + np.asarray(layout.group_of)]
-    own_p = powers[:, np.arange(layout.n_users),
-                   1 + g + np.arange(layout.n_users)]
+    own_g = powers[:, users, layout.own_group_cols] if g else 0.0
+    own_p = powers[:, users, 1 + g + users]
     den_c = t_grp + t_prv + noise_power
     den_g = den_c - own_g
     den_p = den_g - own_p
@@ -127,13 +118,11 @@ def saf_report(p, ens: ChannelEnsemble, layout: StreamLayout) -> SafReport:
 
     The averaged sum rate is the quantity every optimizer in this package
     maximizes: min-over-users of the averaged common rate, plus each group
-    layer's min-over-members averaged rate (zero in one-layer mode), plus
-    all averaged private rates.
+    layer's min-over-members averaged rate, plus all averaged private
+    rates. ``group_rates`` is empty without groups.
     """
     sc, sg, sp = sinr_triplet(p, ens.realizations, layout, ens.noise_power)
     rc, rg, rp = (np.mean(np.log1p(x) / _LN2, axis=0) for x in (sc, sg, sp))
-    grp = np.zeros(layout.n_groups) if layout.mode == "one_layer" else \
-        np.array([np.min(rg[list(layout.group_members(g))])
-                  for g in range(layout.n_groups)])
+    grp = np.array([np.min(rg[m]) for m in layout.member_rows])
     return SafReport(rc, rg, rp, float(np.min(rc)), grp,
                      float(np.min(rc) + np.sum(grp) + np.sum(rp)))

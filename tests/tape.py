@@ -343,13 +343,13 @@ def _tape_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
     :func:`_rate_loss`."""
     k = layout.n_users
     g = layout.n_groups
-    hier = layout.mode == "hierarchical"
+    hier = g > 0
     powers = csq_project(pre, pim, ens.realizations)
     rows = np.arange(k)
-    prv_cols = np.arange(1 + g, 1 + g + k) if hier else np.arange(1, 1 + k)
+    prv_cols = np.arange(1 + g, 1 + g + k)
     # every denominator is a sum: the interference is read off the powers
     # with each user's own group and private columns masked to zero
-    mask = np.ones((k, len(layout.active_streams)))
+    mask = np.ones((k, layout.n_streams))
     mask[rows, prv_cols] = 0.0
     if hier:
         mask[rows, 1 + np.asarray(layout.group_of)] = 0.0
@@ -413,9 +413,9 @@ def _theta_grad(loss_fn, params: MetaNetParams, p0, g0_view: np.ndarray,
     tr = vsum(square_v(v))
     if float(tr.value) > p_t:
         v = v * sqrt_v(constant(float(p_t)) / tr)
-    n_tx, s_act = layout.n_tx, len(layout.active_streams)
-    pre = transpose2d(reshape_v(slice_strided(v, 0, 2), (s_act, n_tx)))
-    pim = transpose2d(reshape_v(slice_strided(v, 1, 2), (s_act, n_tx)))
+    n_tx, n_s = layout.n_tx, layout.n_streams
+    pre = transpose2d(reshape_v(slice_strided(v, 0, 2), (n_s, n_tx)))
+    pim = transpose2d(reshape_v(slice_strided(v, 1, 2), (n_s, n_tx)))
     loss = loss_fn(pre, pim, ens, layout)
     backward(loss)
     parts = []

@@ -323,14 +323,14 @@ class TestSceneBuilders:
     def test_iid_scene(self):
         layout, ens = draw_iid_scene(seed=3, n_tx=4, n_users=3, p_t=10.0,
                                      n_draws=6)
-        assert layout.mode == "one_layer"
+        assert layout == StreamLayout.one_layer(4, 3)
         assert ens.realizations.shape == (6, 4, 3)
 
     def test_one_ring_scene(self):
         layout, ens = draw_one_ring_scene(seed=3, n_tx=6, n_users=4,
                                           n_groups=2, azimuths=(-0.5, 0.5),
                                           spread=0.3, tau2=0.2, n_draws=5)
-        assert layout.mode == "hierarchical"
+        assert layout == StreamLayout.hierarchical(6, 4, 2)
         assert ens.realizations.shape == (5, 6, 4)
 
 

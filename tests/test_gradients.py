@@ -57,43 +57,48 @@ def _instance(seed=21, n_tx=3, n_users=None, hierarchical=False, n_draws=6,
         lay = StreamLayout.one_layer(n_tx, n_users)
     model = IidCsitModel(n_tx=n_tx, n_users=n_users, error_power=0.25)
     ens = model.draw(RngStream(seed), p_t, n_draws)
-    mat = np.zeros((n_tx, lay.n_streams), complex)
-    raw = gaussian_matrix(RngStream(seed + 50), n_tx, len(lay.active_streams),
-                          1.0)
-    mat[:, list(lay.active_streams)] = raw
+    mat = gaussian_matrix(RngStream(seed + 50), n_tx, lay.n_streams, 1.0)
     mat *= np.sqrt(0.8 * p_t / np.sum(np.abs(mat) ** 2))
     return lay, ens, mat
 
 
 class TestViewConvention:
     def test_frozen_interleave_layout(self):
-        # one active column after another, each column's antennas in order,
-        # real part immediately before its imaginary part
+        # one column after another, each column's antennas in order, real
+        # part immediately before its imaginary part
         lay = StreamLayout.one_layer(2, 1)
-        mat = np.zeros((2, 3), complex)
+        mat = np.zeros((2, 2), complex)
         mat[:, 0] = [1 + 2j, 3 + 4j]
-        mat[:, 2] = [5 + 6j, 7 + 8j]
+        mat[:, 1] = [5 + 6j, 7 + 8j]
         v = precoder_to_view(mat, lay)
         np.testing.assert_array_equal(v, np.arange(1.0, 9.0))
         assert view_length(lay) == 8
 
     def test_roundtrip_exact(self):
-        lay, _, mat = self._any()
-        back = view_to_precoder(precoder_to_view(mat, lay), lay)
-        np.testing.assert_array_equal(back, mat)
+        # the view is every column, so both ways only reinterpret memory
+        for hier in (False, True):
+            lay, _, mat = _instance(seed=30, hierarchical=hier)
+            mat[0, 0] = complex(-0.0, 0.0)
+            v = precoder_to_view(mat, lay)
+            assert v.size == view_length(lay) == 2 * lay.n_tx * lay.n_streams
+            back = view_to_precoder(v, lay)
+            assert back.shape == (lay.n_tx, lay.n_streams)
+            np.testing.assert_array_equal(back.view(float), mat.view(float))
+            assert np.signbit(back[0, 0].real)
 
-    def _any(self):
-        return _instance(seed=30, hierarchical=True)
+    def test_wrong_shape_rejected(self):
+        # a transposed matrix has the view's size and would be read as
+        # another precoder; a one-layer one with a group column is too wide
+        lay, _, mat = _instance(seed=30)
+        for bad in (mat.T, np.zeros((lay.n_tx, lay.n_streams + 1))):
+            with pytest.raises(ValueError, match="precoder shape"):
+                precoder_to_view(bad, lay)
 
     def test_view_norm_is_precoder_power(self):
-        lay, _, mat = self._any()
+        lay, _, mat = _instance(seed=30, hierarchical=True)
         v = precoder_to_view(mat, lay)
         assert np.dot(v, v) == pytest.approx(np.sum(np.abs(mat) ** 2),
                                              rel=1e-14)
-
-    def test_one_layer_view_skips_group_block(self):
-        lay = StreamLayout.one_layer(4, 3)
-        assert view_length(lay) == 2 * 4 * 4   # common + 3 privates
 
 
 class TestProjectView:
@@ -143,14 +148,13 @@ class TestPrecoderGradient:
 
     @pytest.mark.parametrize("hierarchical", [False, True])
     def test_view_strided_copy_and_precoder_agree(self, hierarchical):
-        # the view is the memory of the active-column matrix, so every way
-        # of handing over the same precoder gives the same bits, signed
-        # zeros included
+        # the view is the memory of the precoder matrix, so every way of
+        # handing over the same precoder gives the same bits, signed zeros
+        # included
         lay, ens, mat = _instance(seed=66, hierarchical=hierarchical)
-        cols = list(lay.active_streams)
-        mat[0, cols[0]] = complex(-0.0, 0.0)
-        mat[1, cols[-1]] = complex(0.0, -0.0)
-        mat[2, cols[1]] = complex(-0.0, 0.7)
+        mat[0, 0] = complex(-0.0, 0.0)
+        mat[1, -1] = complex(0.0, -0.0)
+        mat[2, 1] = complex(-0.0, 0.7)
         v = precoder_to_view(mat, lay)
         assert np.signbit(v).any() and (v == 0).sum() >= 4
         v2 = np.full(2 * v.size, np.nan)
@@ -167,7 +171,7 @@ class TestPrecoderGradient:
         v = precoder_to_view(mat, lay)
         assert not np.shares_memory(v, mat)
         assert not np.shares_memory(view_to_precoder(v, lay), v)
-        ws = ProjectionWorkspace(ens.realizations, len(lay.active_streams))
+        ws = ProjectionWorkspace(ens.realizations, lay.n_streams)
         for workspace in (None, ws):
             _, g = grad_wrt_precoder(v, ens, lay, workspace=workspace)
             assert not np.shares_memory(g, v)
@@ -185,11 +189,10 @@ class TestPrecoderGradient:
 def _tape_grad(mat, ens, lay):
     """The precoder gradient on the reverse-mode tape: the oracle for the
     closed form."""
-    sub = mat[:, list(lay.active_streams)]
-    pre, pim = Var(sub.real.copy()), Var(sub.imag.copy())
+    pre, pim = Var(mat.real.copy()), Var(mat.imag.copy())
     loss = _tape_loss(pre, pim, ens, lay)
     backward(loss)
-    view = np.empty(2 * sub.size)
+    view = np.empty(2 * mat.size)
     view[0::2] = pre.grad.T.ravel()
     view[1::2] = pim.grad.T.ravel()
     return float(loss.value), view
@@ -224,13 +227,14 @@ class TestClosedFormMatchesTape:
         # be shared or counted twice
         lo, hi = pair
         lay, ens, mat = _instance(seed=81, n_tx=3, hierarchical=hierarchical)
-        assert (lay.group_of[lo] != lay.group_of[hi]) == hierarchical
+        assert (lay.n_groups > 0 and lay.group_of[lo] != lay.group_of[hi]) \
+            == hierarchical
         h = ens.realizations.copy()
         h[:, :, hi] = h[:, :, lo]
         est = ens.estimate.copy()
         est[:, hi] = est[:, lo]
         tied = ChannelEnsemble(estimate=est, realizations=h)
-        powers, _, _ = channel_project(h, mat[:, list(lay.active_streams)])
+        powers, _, _ = channel_project(h, mat)
         rates = _stacked_rates(powers, lay, tied.noise_power)
         rc = rates[0]
         assert np.argmin(rc) == lo and rc[lo] == rc[hi]
@@ -262,7 +266,7 @@ class TestClosedFormMatchesTape:
         est = ens.estimate.copy()
         est[:, hi] = est[:, lo]
         tied = ChannelEnsemble(estimate=est, realizations=h)
-        powers, _, _ = channel_project(h, mat[:, lay.active_cols])
+        powers, _, _ = channel_project(h, mat)
         rates = _stacked_rates(powers, lay, tied.noise_power)
         assert rates[1, lo] == rates[1, hi]
         np.testing.assert_array_equal(_rate_weights(rates, lay)[1, [lo, hi]],
@@ -276,7 +280,7 @@ class TestClosedFormMatchesTape:
         assert loss == loss_from_view(precoder_to_view(mat, lay), tied, lay)
 
         # the tape's gradient with respect to its recorded powers, (n_draws,
-        # n_users, n_active), is the closed form's, and it tells the two
+        # n_users, n_streams), is the closed form's, and it tells the two
         # members' rows apart
         tape_project = tape.csq_project
         seen = []
@@ -308,10 +312,10 @@ class TestProjectionWorkspace:
     @pytest.mark.parametrize("hierarchical", [False, True])
     def test_kept_results_survive_later_calls(self, hierarchical):
         lay, ens, mat = self._eight_users(hierarchical)
-        ws = ProjectionWorkspace(ens.realizations, len(lay.active_streams))
+        ws = ProjectionWorkspace(ens.realizations, lay.n_streams)
         rng = RngStream(91)
         mats = [mat * (0.5 + 0.1 * i) + 0.1 * gaussian_matrix(
-                    rng, lay.n_tx, lay.n_streams, 1.0) * (mat != 0)
+                    rng, lay.n_tx, lay.n_streams, 1.0)
                 for i in range(5)]
         kept = []
         for m in mats:
@@ -326,7 +330,7 @@ class TestProjectionWorkspace:
     @pytest.mark.parametrize("hierarchical", [False, True])
     def test_eight_columns_sum_like_tape(self, hierarchical):
         lay, ens, mat = self._eight_users(hierarchical)
-        ws = ProjectionWorkspace(ens.realizations, len(lay.active_streams))
+        ws = ProjectionWorkspace(ens.realizations, lay.n_streams)
         loss, g = grad_wrt_precoder(mat, ens, lay, workspace=ws)
         loss_t, g_t = _tape_grad(mat, ens, lay)
         assert loss == loss_t                                    # bitwise
@@ -338,7 +342,7 @@ class TestProjectionWorkspace:
         # the precoder gradient on a run's workspace, whose rate pass fills
         # the workspace's power gradient, has the bits of a one-shot call
         lay, ens, mat = self._eight_users(hierarchical)
-        ws = ProjectionWorkspace(ens.realizations, len(lay.active_streams))
+        ws = ProjectionWorkspace(ens.realizations, lay.n_streams)
         passes = []
         for scale in (1.0, 0.7):
             loss, g = grad_wrt_precoder(mat * scale, ens, lay)
@@ -356,10 +360,9 @@ class TestProjectionWorkspace:
         # powers that a gradient's projection wrote on its workspace; the
         # readers of given powers copy them, even another workspace's
         lay, ens, mat = self._eight_users(hierarchical)
-        ws = ProjectionWorkspace(ens.realizations, len(lay.active_streams))
-        cols = mat[:, lay.active_cols]
+        ws = ProjectionWorkspace(ens.realizations, lay.n_streams)
         noise = ens.noise_power
-        powers = channel_project(ens.realizations, cols)[0]
+        powers = channel_project(ens.realizations, mat)[0]
         for call in (lambda p: asr_from_powers(p, lay, noise),
                      lambda p: _layer_terms(p, lay, noise),
                      lambda p: _asr_and_power_grad(p, lay, noise)):
@@ -427,7 +430,7 @@ class TestProjectionWorkspace:
         # take the complex inner products' bytes, and the powers with
         # their square scratch the operand of the network gradient's einsum
         lay, ens, mat, p_t = _benchmark_shape("long-cell-4x4")
-        ws = ProjectionWorkspace(ens.realizations, len(lay.active_streams))
+        ws = ProjectionWorkspace(ens.realizations, lay.n_streams)
         p0 = precoder_to_view(mat, lay)
         _, g0 = grad_wrt_precoder(p0, ens, lay, workspace=ws)
         params = _random_net(RngStream(93), lay)
@@ -438,20 +441,19 @@ class TestProjectionWorkspace:
         assert held <= 2_496_128
 
     def test_serves_one_layout(self):
-        # a workspace serves one layout's active columns: a projection
+        # a workspace serves one layout's columns: a projection
         # onto another number of columns, or a rate pass for another
         # layout of the same width, which would read each user's own
         # powers from the wrong rows, raises; an equal layout is the same
         lay, ens, mat = self._eight_users(True)
-        ws = ProjectionWorkspace(ens.realizations, len(lay.active_streams))
+        ws = ProjectionWorkspace(ens.realizations, lay.n_streams)
         loss, g = grad_wrt_precoder(mat, ens, lay, workspace=ws)
         with pytest.raises(ValueError, match="projects 11 columns, got 10"):
-            channel_project(ens.realizations, mat[:, lay.active_cols[1:]],
-                            ws)
+            channel_project(ens.realizations, mat[:, 1:], ws)
         regrouped = StreamLayout.hierarchical(lay.n_tx, lay.n_users, 2,
                                               group_of=(0, 1) * 4)
         assert regrouped != lay
-        assert regrouped.active_streams == lay.active_streams
+        assert regrouped.n_streams == lay.n_streams
         with pytest.raises(ValueError, match="rate pass is for"):
             grad_wrt_precoder(mat, ens, regrouped, workspace=ws)
         equal = StreamLayout.hierarchical(lay.n_tx, lay.n_users, 2)
@@ -462,7 +464,7 @@ class TestProjectionWorkspace:
 
     def test_rejects_another_stack(self):
         lay, ens, mat = _instance(seed=92)
-        ws = ProjectionWorkspace(ens.realizations, len(lay.active_streams))
+        ws = ProjectionWorkspace(ens.realizations, lay.n_streams)
         with pytest.raises(ValueError, match="another channel stack"):
             channel_project(ens.realizations.copy(), mat, ws)
 
@@ -510,8 +512,7 @@ class TestFusedThetaMatchesTape:
         _, g0 = grad_wrt_precoder(mat, tied, lay)
         params = _random_net(RngStream(82), lay)
         cand = _assert_theta_matches_tape(params, p0, g0, tied, lay, 4.0)
-        cand_mat = view_to_precoder(cand, lay)[:, list(lay.active_streams)]
-        powers, _, _ = channel_project(h, cand_mat)
+        powers, _, _ = channel_project(h, view_to_precoder(cand, lay))
         rc = _stacked_rates(powers, lay, tied.noise_power)[0]
         assert np.argmin(rc) == 0 and rc[0] == rc[1]
 
@@ -561,7 +562,7 @@ class TestUserMajorAdjoint:
 
     def test_built_once_and_only_for_the_network_gradient(self):
         lay, ens, mat, p_t = _benchmark_shape("grouped-8-users")
-        ws = ProjectionWorkspace(ens.realizations, len(lay.active_streams))
+        ws = ProjectionWorkspace(ens.realizations, lay.n_streams)
         p0 = precoder_to_view(mat, lay)
         _, g0 = grad_wrt_precoder(p0, ens, lay, workspace=ws)
         assert "hu" not in vars(ws)
@@ -572,7 +573,7 @@ class TestUserMajorAdjoint:
         assert ws.hu is hu
         # a stack already laid out user-major is read where it is
         stack = np.ascontiguousarray(hu.transpose(0, 2, 1)).transpose(0, 2, 1)
-        other = ProjectionWorkspace(stack, len(lay.active_streams))
+        other = ProjectionWorkspace(stack, lay.n_streams)
         assert np.shares_memory(other.hu, stack)
 
 
@@ -641,7 +642,7 @@ class TestMetamorphicCore:
     @staticmethod
     def _loss_and_grad(mat, ens, lay):
         """The loss and the precoder gradient as a complex (n_tx,
-        n_active) matrix."""
+        n_streams) matrix."""
         loss, g = grad_wrt_precoder(mat, ens, lay)
         return loss, _columns(g, lay)
 
@@ -680,7 +681,7 @@ class TestMetamorphicCore:
         ens_p, mat_p, _ = self._transform("column_phases", lay, ens, mat)
         loss, g = self._loss_and_grad(mat, ens, lay)
         self._assert_close(self._loss_and_grad(mat_p, ens_p, lay),
-                           (loss, g * self._phases(lay)[lay.active_cols]))
+                           (loss, g * self._phases(lay)))
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_user_relabeling(self, shape):
@@ -688,11 +689,9 @@ class TestMetamorphicCore:
         lay, ens, mat, _ = _benchmark_shape(shape)
         ens_r, mat_r, _ = self._transform("user_relabeling", lay, ens, mat)
         loss, g = self._loss_and_grad(mat, ens, lay)
-        full = np.zeros_like(mat)
-        full[:, lay.active_cols] = g
         _, cols = self._relabeling(lay)
         self._assert_close(self._loss_and_grad(mat_r, ens_r, lay),
-                           (loss, full[:, cols][:, lay.active_cols]))
+                           (loss, g[:, cols]))
 
     def _assert_same_theta_grad(self, shape, relation):
         # the network reads the start and its gradient, not the channels,
@@ -770,8 +769,7 @@ class TestDrawMinorRates:
             mat = init_precoder(lay, ens.estimate, 100.0).matrix
         else:
             lay, ens, mat, _ = _benchmark_shape(shape)
-        powers, _, _ = channel_project(ens.realizations,
-                                       mat[:, lay.active_cols])
+        powers, _, _ = channel_project(ens.realizations, mat)
         return lay, ens, mat, powers
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -783,7 +781,7 @@ class TestDrawMinorRates:
                                    rtol=1e-13)
         np.testing.assert_allclose(rates[-1], ref.avg_per_user_private,
                                    rtol=1e-13)
-        if lay.mode == "hierarchical":
+        if lay.n_groups:
             np.testing.assert_allclose(rates[1], ref.avg_per_user_group,
                                        rtol=1e-13)
         else:
@@ -816,14 +814,14 @@ class TestBatchAxis:
     @staticmethod
     def _stack(shape, n=6):
         """The layout, the noise, the unbatched powers of ``n`` precoders,
-        and the same powers stacked, (n, n_active, n_users, n_draws)."""
+        and the same powers stacked, (n, n_streams, n_users, n_draws)."""
         lay, ens, mat, _ = _benchmark_shape(shape)
         rng = RngStream(77)
         singles = []
         for _ in range(n):
             scale = rng.uniform(0.2, 1.5, lay.n_streams)
-            cols = (mat * np.sqrt(scale))[:, lay.active_cols]
-            singles.append(channel_project(ens.realizations, cols)[0])
+            singles.append(channel_project(ens.realizations,
+                                           mat * np.sqrt(scale))[0])
         return lay, ens.noise_power, singles, np.stack(singles)
 
     @pytest.mark.parametrize("shape", ["ring-16x8", "long-cell-4x4",
@@ -896,7 +894,7 @@ class TestHandThetaMatchesFusedRecording:
         raw = p0 + mlp_forward(params, g0)
         assert (raw @ raw > budget) == projected
 
-        ws = ProjectionWorkspace(ens.realizations, len(lay.active_streams))
+        ws = ProjectionWorkspace(ens.realizations, lay.n_streams)
         loss, gt, cand = grad_wrt_theta(params, p0, g0, ens, lay, budget,
                                         workspace=ws)
         loss_r, gt_r, cand_r = _theta_grad(_rate_loss, params, p0, g0, ens,

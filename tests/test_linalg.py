@@ -181,8 +181,9 @@ class TestChannelProject:
     @staticmethod
     def _inputs(hierarchical):
         """The channel stack and the three kinds of precoder matrix the
-        package projects: the active columns a view's memory is, a
-        C-ordered copy of them, and a full (n_tx, n_streams) matrix."""
+        package projects: the column-major matrix a view's memory is, a
+        C-ordered copy of it, and the C-ordered matrix that the start
+        point or the fixed search builds."""
         if hierarchical:
             lay, ens = draw_one_ring_scene(
                 5, 8, 4, 2, azimuths=(-0.6, 0.6), spread=0.4, tau2=0.3,
@@ -194,7 +195,7 @@ class TestChannelProject:
             lay, ens = draw_iid_scene(6, 4, 3, 10.0, n_draws=40)
             full = init_precoder(lay, ens.estimate, 10.0).matrix
         mat = gaussian_matrix(RngStream(7), lay.n_tx, lay.n_streams, 1.0)
-        mat[:, lay.active_cols] += full[:, lay.active_cols]
+        mat += full
         cols = _columns(precoder_to_view(mat, lay), lay)
         assert not cols.flags.c_contiguous
         return ens.realizations, (cols, np.ascontiguousarray(cols), full)

@@ -30,7 +30,8 @@ class TestInitPrecoder:
         for k in range(lay.n_users):
             assert p0.stream_power(lay.col_private(k)) == pytest.approx(
                 0.1 * p_t / lay.n_users, rel=1e-12)
-        assert p0.stream_power(lay.col_group(0)) == 0.0
+        # no group column: the common and private columns are all there is
+        assert p0.matrix.shape == (lay.n_tx, 1 + lay.n_users)
         assert p0.total_power == pytest.approx(p_t, rel=1e-12)
 
     def test_hierarchical_power_split(self):

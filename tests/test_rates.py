@@ -10,41 +10,39 @@ from rsmeta.rates import PrecoderMatrix, saf_report, sinr_triplet
 class TestStreamLayout:
     def test_one_layer_columns(self):
         lay = StreamLayout.one_layer(4, 3)
-        assert lay.n_streams == 5          # common + 1 idle group + 3 private
+        assert lay.n_streams == 4          # common + 3 private
+        assert lay.n_groups == 0 and lay.group_of == ()
         assert lay.col_common == 0
-        assert lay.col_group(0) == 1
-        assert [lay.col_private(k) for k in range(3)] == [2, 3, 4]
-        assert lay.active_streams == (0, 2, 3, 4)
+        with pytest.raises(IndexError):
+            lay.col_group(0)
+        assert [lay.col_private(k) for k in range(3)] == [1, 2, 3]
 
     def test_hierarchical_columns(self):
         lay = StreamLayout.hierarchical(4, 4, 2)
         assert lay.n_streams == 7
         assert lay.group_of == (0, 0, 1, 1)
-        assert lay.active_streams == tuple(range(7))
         assert lay.group_members(1) == (2, 3)
 
     def test_index_arrays_compiled_once(self):
         lay = StreamLayout.hierarchical(4, 4, 2)
         twin = StreamLayout.hierarchical(4, 4, 2)
         hash_before = hash(lay)
-        assert lay.active_streams is lay.active_streams
-        assert lay.active_cols is lay.active_cols
-        np.testing.assert_array_equal(lay.active_cols, range(7))
+        assert lay.layer_rows is lay.layer_rows
         np.testing.assert_array_equal(lay.user_rows, range(4))
         np.testing.assert_array_equal(lay.own_group_cols, [1, 1, 2, 2])
         assert [m.tolist() for m in lay.member_rows] == [[0, 1], [2, 3]]
-        # active column c of user k is row c * n_users + k
+        # column c of user k is row c * n_users + k
         np.testing.assert_array_equal(
             lay.layer_rows, [[0, 1, 2, 3], [4, 5, 10, 11],
                              [12, 17, 22, 27]])
-        for arr in (lay.active_cols, lay.user_rows, lay.own_group_cols,
+        for arr in (lay.user_rows, lay.own_group_cols,
                     lay.layer_rows, *lay.member_rows):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 5
         # compiled values are not fields: equality and hash ignore them
         assert lay == twin and hash(lay) == hash(twin) == hash_before
         one = StreamLayout.one_layer(4, 3)
-        np.testing.assert_array_equal(one.active_cols, [0, 2, 3, 4])
+        assert one.member_rows == () and one.own_group_cols.size == 0
         np.testing.assert_array_equal(one.layer_rows,
                                       [[0, 1, 2], [3, 7, 11]])
 
@@ -58,24 +56,26 @@ class TestStreamLayout:
         with pytest.raises(ValueError):
             StreamLayout.hierarchical(4, 4, 2, group_of=(0, 0, 0, 0))
 
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            StreamLayout(n_tx=2, n_users=2, n_groups=1, group_of=(0, 0),
-                         mode="triple")
+    @pytest.mark.parametrize("build, name", [
+        (lambda: StreamLayout.hierarchical(4, 4, 0), "n_groups"),
+        (lambda: StreamLayout.hierarchical(4, 4, 2, group_of=(0, 0, 1, 1.5)),
+         "group_of"),
+        (lambda: StreamLayout(n_tx=4, n_users=4, n_groups=2,
+                              group_of=(0, 0, 1, 1.5)), "group_of"),
+        (lambda: StreamLayout(n_tx=4, n_users=4, n_groups=0,
+                              group_of=(0, 0, 0, 0)), "group_of"),
+    ], ids=["zero-groups", "fractional-group", "fractional-group-direct",
+            "groups-without-a-group-count"])
+    def test_bad_argument_named(self, build, name):
+        with pytest.raises(ValueError, match=name):
+            build()
 
 
 class TestPrecoderMatrix:
     def test_shape_enforced(self):
         lay = StreamLayout.one_layer(2, 2)
         with pytest.raises(ValueError):
-            PrecoderMatrix(matrix=np.zeros((2, 3), complex), layout=lay)
-
-    def test_one_layer_requires_zero_group_columns(self):
-        lay = StreamLayout.one_layer(2, 2)
-        mat = np.zeros((2, 4), complex)
-        mat[0, 1] = 1.0  # the idle group column
-        with pytest.raises(ValueError, match="group columns"):
-            PrecoderMatrix(matrix=mat, layout=lay)
+            PrecoderMatrix(matrix=np.zeros((2, 4), complex), layout=lay)
 
     def test_transposed_matrix_accepted(self):
         lay = StreamLayout.hierarchical(3, 2, 1)
@@ -115,7 +115,7 @@ class TestSinrTriplet:
 
     def test_one_layer_hand_instance(self):
         lay = StreamLayout.one_layer(1, 1)
-        p = np.array([[1.0, 0.0, 1.0]], dtype=complex)
+        p = np.array([[1.0, 1.0]], dtype=complex)
         h = np.ones((1, 1, 1), complex)
         sc, sg, sp = sinr_triplet(p, h, lay)
         np.testing.assert_allclose(sc, [[0.5]])
@@ -127,6 +127,13 @@ class TestSinrTriplet:
         lay = StreamLayout.hierarchical(1, 1, 1)
         with pytest.raises(ValueError, match="channel shape"):
             sinr_triplet(np.ones((1, 3), complex), np.ones((1, 1), complex),
+                         lay)
+
+    def test_precoder_shape_checked(self):
+        # a one-layer precoder has no group column
+        lay = StreamLayout.one_layer(1, 1)
+        with pytest.raises(ValueError, match="precoder shape"):
+            sinr_triplet(np.ones((1, 3), complex), np.ones((1, 1, 1), complex),
                          lay)
 
     def test_stack_matches_per_realization(self):
@@ -156,8 +163,7 @@ class TestSinrTriplet:
     def test_more_noise_less_sinr(self):
         lay = StreamLayout.one_layer(2, 2)
         rng = RngStream(1)
-        p = gaussian_matrix(rng, 2, 5, 1.0)
-        p[:, 1] = 0.0
+        p = gaussian_matrix(rng, 2, lay.n_streams, 1.0)
         h = gaussian_matrix(rng, 2, 2, 1.0)[None]
         lo = sinr_triplet(p, h, lay, noise_power=1.0)
         hi = sinr_triplet(p, h, lay, noise_power=4.0)
@@ -181,11 +187,11 @@ class TestSafReport:
 
     def test_one_layer_sum(self):
         lay = StreamLayout.one_layer(1, 1)
-        rep = saf_report(np.array([[1.0, 0.0, 1.0]], complex),
+        rep = saf_report(np.array([[1.0, 1.0]], complex),
                          _one_draw(np.ones((1, 1), complex)), lay)
         assert rep.avg_sum_rate == pytest.approx(np.log2(1.5) + 1.0,
                                                  rel=1e-14)
-        np.testing.assert_array_equal(rep.group_rates, [0.0])
+        assert rep.group_rates.shape == (0,)
 
     def test_sum_rate_composition(self):
         lay = StreamLayout.hierarchical(3, 4, 2)
