@@ -202,13 +202,14 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
     and built as one array of per-layer column powers ``(w_c, w_g,
     w_p)``, has a 6 x 6 coefficient matrix that takes those rows to its
     complete terms: the numerators ``w_l own_l``, and each denominator a
-    sum of the gains it hears times their powers plus the noise, ``den_c``
-    all four gains, ``den_g`` all but the own group's and ``den_p = w_g
-    other_g + w_p other_p + noise``, so nothing is subtracted. Every
-    split's coefficients are built at once, and the splits are scored in
-    chunks of at most 1 MiB of stacked terms, each chunk's terms one 2-d
-    matrix product of its ``(6 n, 6)`` coefficient rows and its averaged
-    rates one batched call of the shared rate tail's first half,
+    sum of the gains it hears times their powers plus the unit noise, so
+    that ``p_t`` sets the SNR: ``den_c`` all four gains, ``den_g`` all but
+    the own group's and ``den_p = w_g other_g + w_p other_p + 1``, so
+    nothing is subtracted. Every split's coefficients are built at once,
+    and the splits are scored in chunks of at most 1 MiB of stacked
+    terms, each chunk's terms one 2-d matrix product of its ``(6 n, 6)``
+    coefficient rows and its averaged rates one batched call of the
+    shared rate tail's first half,
     :func:`rsmeta.gradients._rates_from_terms`, into one array for the
     whole lattice; the tail's minima and sums,
     :func:`rsmeta.gradients._asr_of_rates`, then score every split in one
@@ -240,7 +241,7 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
     coef[:, (0, 1, 2), (0, 1, 2)] = w   # the numerators
     coef[:, 3:, 3] = w_g                # every denominator's
     coef[:, 3:, 4] = w_p                # interference
-    coef[:, 3:, 5] = ens.noise_power    # and noise
+    coef[:, 3:, 5] = 1.0                # and unit noise
     coef[:, 3:5, 2] = w_p               # common and group: own private
     coef[:, 3, 1] = w_g[:, 0]           # common: own group
     coef = coef.reshape(-1, 6)

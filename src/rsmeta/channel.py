@@ -8,8 +8,9 @@ quality factor independent of SNR.
 
 Both expose the same contract: ``draw`` produces a :class:`ChannelEnsemble`
 holding one channel estimate plus a batch of realizations that are
-statistically consistent with that estimate. Both draw unit-noise
-ensembles, so the transmit power ``p_t`` sets the SNR. Both draw C-ordered
+statistically consistent with that estimate. The receiver noise is unit
+throughout the package, so the transmit power ``p_t`` sets the SNR, and
+an ensemble holds channels only. Both draw C-ordered
 stacks, and an ensemble keeps the complex arrays it is given: the layouts
 that the projection needs are its workspace's
 (:class:`rsmeta.linalg.ProjectionWorkspace`).
@@ -43,14 +44,13 @@ class ChannelEnsemble:
     realizations : ndarray, (n_draws, n_tx, n_users) complex
         Channel draws used to average rates over the estimation error, in
         any memory layout.
-    noise_power : float
-        Receiver noise variance, common to all users. The channel models
-        draw 1.0; an ensemble built by hand may set another.
+
+    Every receiver's noise has unit power, so the transmit power ``p_t``
+    sets the SNR.
     """
 
     estimate: np.ndarray
     realizations: np.ndarray
-    noise_power: float = 1.0
 
     def __post_init__(self):
         self.estimate = np.asarray(self.estimate, dtype=complex)
@@ -67,8 +67,6 @@ class ChannelEnsemble:
         if not (np.all(np.isfinite(self.estimate))
                 and np.all(np.isfinite(self.realizations))):
             raise ValueError("channel ensemble contains non-finite entries")
-        if not self.noise_power > 0:
-            raise ValueError(f"noise_power must be positive, got {self.noise_power}")
 
     @property
     def n_tx(self) -> int:

@@ -81,8 +81,7 @@ def _tie_gaps_ok(v, ens, layout) -> bool:
     each group's, leaves at least :data:`TIE_GAP` between its two lowest
     averaged rates, read from the rate core's own stacked rates."""
     powers, _, _ = channel_project(ens.realizations, _columns(v, layout))
-    rates = _rates_from_terms(*_layer_terms(powers, layout,
-                                            ens.noise_power))
+    rates = _rates_from_terms(*_layer_terms(powers, layout))
     groups = [rates[1, m] for m in layout.member_rows]
     return not any(_min_gap(x) < TIE_GAP for x in [rates[0], *groups])
 

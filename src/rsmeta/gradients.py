@@ -203,7 +203,8 @@ class _Terms(_Split):
     n_layers, n_users, n_draws), with the common row ``den_c``, the later
     rows ``den_later``, the second row ``den_1`` (the group one with
     groups, else the private one) and the private row ``den_p``, and with
-    groups the private-power sum ``all_p``.
+    groups the private-power sum ``all_p``. Each denominator ends in the
+    unit noise, so that the precoder's power ``p_t`` sets the SNR.
     With ``backward``, for unbatched powers, also the rate backward's
     arrays: the averaged ``rates`` and the ``rate_grad`` stacked like them,
     the per-draw ``log_rate``, which becomes the numerator gradient, and
@@ -258,7 +259,7 @@ def _kept_terms(ws: ProjectionWorkspace, layout: StreamLayout) -> _Terms:
     return t
 
 
-def _fill_terms(t: _Terms, noise: float):
+def _fill_terms(t: _Terms):
     """Every layer's numerators and denominators, ``(num, den)``, each
     stacked (..., n_layers, n_users, n_draws), written into ``t``'s arrays
     from the |h^H p|^2 of the columns it views.
@@ -269,6 +270,7 @@ def _fill_terms(t: _Terms, noise: float):
     later denominator is a sum too, so nothing is subtracted: the group
     one is the other groups' powers plus every private power, the private
     one the other groups' plus the other users' private powers. The noise
+    is unit, so that the precoder's power ``p_t`` sets the SNR, and its 1
     is added to the whole stack at once, the last term of every
     denominator. Two users of one group whose channels are equal thus get
     the same common and group denominators, bit for bit, and their minima
@@ -285,16 +287,16 @@ def _fill_terms(t: _Terms, noise: float):
     if t.hier:
         t.den_p += t.den_1
         t.den_1 += t.all_p
-    t.den += noise
+    t.den += 1.0
     return t.num, t.den
 
 
-def _layer_terms(powers: np.ndarray, layout: StreamLayout, noise: float):
+def _layer_terms(powers: np.ndarray, layout: StreamLayout):
     """Every layer's numerators and denominators, ``(num, den)``, each
     stacked (..., n_layers, n_users, n_draws), fresh, from the |h^H p|^2 of
     the columns, stream-major, (..., n_streams, n_users, n_draws), which
     are not written: see :func:`_fill_terms`."""
-    return _fill_terms(_terms(powers, layout), noise)
+    return _fill_terms(_terms(powers, layout))
 
 
 def _avg_rates(sinr: np.ndarray, log_rate: np.ndarray,
@@ -339,13 +341,12 @@ def _rate_weights(rates: np.ndarray, layout: StreamLayout,
     return w
 
 
-def asr_from_powers(powers: np.ndarray, layout: StreamLayout,
-                    noise: float):
+def asr_from_powers(powers: np.ndarray, layout: StreamLayout):
     """Averaged sum rate from the |h^H p|^2 of the columns, shaped
     (..., n_streams, n_users, n_draws) as :func:`_layer_terms` reads them;
     leading axes are a batch, and each rate of the result, shaped
     ``powers.shape[:-3]``, has the bits of a call on its slice alone."""
-    return asr_from_terms(*_layer_terms(powers, layout, noise), layout)
+    return asr_from_terms(*_layer_terms(powers, layout), layout)
 
 
 def _rates_from_terms(num: np.ndarray, den: np.ndarray,
@@ -372,19 +373,18 @@ def loss_from_view(v: np.ndarray, ens: ChannelEnsemble,
                    layout: StreamLayout) -> float:
     """Negative averaged sum rate of the precoder encoded by the view."""
     powers, _, _ = channel_project(ens.realizations, _columns(v, layout))
-    return -float(asr_from_powers(powers, layout, ens.noise_power))
+    return -float(asr_from_powers(powers, layout))
 
 
-def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout,
-                        noise: float):
+def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout):
     """Averaged sum rate from the |h^H p|^2 of the columns, and its
     gradient with respect to those powers: ``(asr, d asr / d powers)``,
     the gradient a fresh C-ordered array shaped like ``powers``, which
     are not written; see :func:`_rate_backward`."""
-    return _rate_backward(_terms(powers, layout, backward=True), noise, 1.0)
+    return _rate_backward(_terms(powers, layout, backward=True), 1.0)
 
 
-def _rate_backward(t: _Terms, noise: float, scale: float):
+def _rate_backward(t: _Terms, scale: float):
     """``(asr, scale * d asr / d powers)`` over the powers ``t`` views, the
     gradient in ``t.power_grad``; ``scale`` must be a power of two, so that
     it scales every bit of the gradient exactly.
@@ -393,7 +393,7 @@ def _rate_backward(t: _Terms, noise: float, scale: float):
     stacked numerators and denominators; ``scale`` enters with the rate
     weights, so it costs no pass over the powers.
     """
-    sinr, den = _fill_terms(t, noise)
+    sinr, den = _fill_terms(t)
     sinr /= den
     rates = _avg_rates(sinr, t.log_rate, t.rates)
     asr = float(_asr_of_rates(rates, t.layout))
@@ -437,8 +437,7 @@ def _loss_core(v: np.ndarray, ens: ChannelEnsemble, layout: StreamLayout,
     # the loss is -asr and d|z|^2 = 2 (Re z dRe z + Im z dIm z): the rate
     # backward scales by -2, and the pairs are scaled in place, as fresh
     # arrays of this size cost more in page faults than arithmetic
-    asr, g_pow = _rate_backward(_kept_terms(ws, layout), ens.noise_power,
-                                -2.0)
+    asr, g_pow = _rate_backward(_kept_terms(ws, layout), -2.0)
     np.multiply(ws.z, g_pow, out=ws.z)
     return -asr, ws
 

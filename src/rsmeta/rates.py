@@ -71,9 +71,9 @@ def _stream_powers(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     return z.real ** 2 + z.imag ** 2
 
 
-def sinr_triplet(p, h: np.ndarray, layout: StreamLayout,
-                 noise_power: float = 1.0):
-    """Per-layer SINRs under the layered decoding order.
+def sinr_triplet(p, h: np.ndarray, layout: StreamLayout):
+    """Per-layer SINRs under the layered decoding order, with unit noise
+    at every receiver, so the precoder's power ``p_t`` sets the SNR.
 
     Parameters
     ----------
@@ -81,7 +81,6 @@ def sinr_triplet(p, h: np.ndarray, layout: StreamLayout,
     h : ndarray, (n_draws, n_tx, n_users)
         A stack of channels; one channel is the one-draw stack ``h[None]``.
     layout : StreamLayout
-    noise_power : float
 
     Returns
     -------
@@ -95,8 +94,6 @@ def sinr_triplet(p, h: np.ndarray, layout: StreamLayout,
         raise ValueError(f"channel shape {h.shape} does not match layout")
     if pm.shape != (layout.n_tx, layout.n_streams):
         raise ValueError(f"precoder shape {pm.shape} does not match layout")
-    if not noise_power > 0:
-        raise ValueError(f"noise_power must be positive, got {noise_power}")
     g, users = layout.n_groups, layout.user_rows
     powers = _stream_powers(h, pm)                   # (m, k, s)
     t_com = powers[:, :, 0]
@@ -104,7 +101,7 @@ def sinr_triplet(p, h: np.ndarray, layout: StreamLayout,
     t_prv = np.sum(powers[:, :, 1 + g:], axis=2)
     own_g = powers[:, users, layout.own_group_cols] if g else 0.0
     own_p = powers[:, users, 1 + g + users]
-    den_c = t_grp + t_prv + noise_power
+    den_c = t_grp + t_prv + 1.0
     den_g = den_c - own_g
     den_p = den_g - own_p
     sinr_c = t_com / den_c
@@ -121,7 +118,7 @@ def saf_report(p, ens: ChannelEnsemble, layout: StreamLayout) -> SafReport:
     layer's min-over-members averaged rate, plus all averaged private
     rates. ``group_rates`` is empty without groups.
     """
-    sc, sg, sp = sinr_triplet(p, ens.realizations, layout, ens.noise_power)
+    sc, sg, sp = sinr_triplet(p, ens.realizations, layout)
     rc, rg, rp = (np.mean(np.log1p(x) / _LN2, axis=0) for x in (sc, sg, sp))
     grp = np.array([np.min(rg[m]) for m in layout.member_rows])
     return SafReport(rc, rg, rp, float(np.min(rc)), grp,

@@ -51,7 +51,7 @@ def stream_powers(split, layout, p_t):
     return w
 
 
-def split_coefficients(w_c, w_g, w_p, noise):
+def split_coefficients(w_c, w_g, w_p):
     """The 6 x 6 map from the rows (own common, own group, own private,
     other groups, other privates, one) to the common, group and private
     numerators, then the common, group and private denominators."""
@@ -62,7 +62,7 @@ def split_coefficients(w_c, w_g, w_p, noise):
     for row in (3, 4, 5):          # every denominator: the interference
         coef[row, 3] = w_g
         coef[row, 4] = w_p
-        coef[row, 5] = noise
+        coef[row, 5] = 1.0
     coef[3, 2] = coef[4, 2] = w_p  # common and group: the own private
     coef[3, 1] = w_g               # common: the own group
     return coef
@@ -94,7 +94,7 @@ def loop_fixed_direction(layout, ens, model, p_t, step=0.05):
     n_eval = 0
     for split in power_split_grid(step, with_group=True):
         w = stream_powers(split, layout, p_t)
-        coef = split_coefficients(w[0], w[1], w[-1], ens.noise_power)
+        coef = split_coefficients(w[0], w[1], w[-1])
         terms = (coef @ basis.reshape(6, -1)).reshape(basis.shape)
         asr = asr_from_terms(terms[:3], terms[3:], layout)
         n_eval += 1

@@ -331,8 +331,7 @@ def _rate_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
     :func:`rsmeta.gradients._asr_and_power_grad`."""
     powers = csq_project(pre, pim, ens.realizations)
     # the rate backward reads and returns them stream-major
-    asr, g_pow = _asr_and_power_grad(powers.value.T, layout,
-                                     ens.noise_power)
+    asr, g_pow = _asr_and_power_grad(powers.value.T, layout)
     return Var(-asr, (powers,), lambda g: (-g * g_pow.T,))
 
 
@@ -361,13 +360,13 @@ def _tape_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
         grp_cols = np.arange(1, 1 + g)
         t_grp = vsum(take_last(powers, grp_cols), axis=2)
         o_grp = vsum(take_last(others, grp_cols), axis=2)
-        den_c = t_grp + t_prv + ens.noise_power
+        den_c = t_grp + t_prv + 1.0
         own_g = index_pairs(powers, rows, 1 + np.asarray(layout.group_of))
-        den_g = o_grp + t_prv + ens.noise_power
-        den_p = o_grp + o_prv + ens.noise_power
+        den_g = o_grp + t_prv + 1.0
+        den_p = o_grp + o_prv + 1.0
     else:
-        den_c = t_prv + ens.noise_power
-        den_p = o_prv + ens.noise_power
+        den_c = t_prv + 1.0
+        den_p = o_prv + 1.0
     own_p = index_pairs(powers, rows, prv_cols)
     # the rates are averaged per user over a contiguous draw axis, on the
     # (n_users, n_draws) transpose of each SINR

@@ -5,7 +5,7 @@ from rsmeta.adam import AdamState, adam_step
 from rsmeta import baselines, metaopt
 from rsmeta.baselines import (PowerSplit, _fixed_directions,
                               run_direct_adam, run_fixed_direction)
-from rsmeta.channel import ChannelEnsemble, IidCsitModel, OneRingModel
+from rsmeta.channel import IidCsitModel, OneRingModel
 from rsmeta.gradients import (asr_from_powers, grad_wrt_precoder,
                               precoder_to_view, project_view,
                               view_to_precoder)
@@ -184,14 +184,11 @@ class TestDirectAdam:
 
 
 def _ring_scene(seed=500, n_tx=8, n_users=4, n_groups=2, n_draws=12,
-                p_t=10.0, noise_power=1.0):
+                p_t=10.0):
     lay = StreamLayout.hierarchical(n_tx, n_users, n_groups)
     model = OneRingModel(n_tx=n_tx, azimuths=(-np.pi / 4, np.pi / 4),
                          spread=np.pi / 6, tau2=0.3)
-    drawn = model.draw(RngStream(seed), lay, n_draws)
-    ens = ChannelEnsemble(drawn.estimate, drawn.realizations,
-                          noise_power=noise_power)
-    return lay, ens, model, p_t
+    return lay, model.draw(RngStream(seed), lay, n_draws), model, p_t
 
 
 class TestFixedDirection:
@@ -218,9 +215,7 @@ class TestFixedDirection:
 
     def test_picks_brute_force_saf_split(self, monkeypatch):
         # score every lattice split on the reference rate code, with the
-        # directions the search projects, and take the first maximizer; the
-        # noise enters the search through a row of ones in its gain basis,
-        # so a second scene has a noise power other than one
+        # directions the search projects, and take the first maximizer
         seen = []
 
         def spy(h, p, workspace=None):
@@ -228,17 +223,14 @@ class TestFixedDirection:
             return channel_project(h, p, workspace)
 
         monkeypatch.setattr(baselines, "channel_project", spy)
-        for noise_power in (1.0, 0.25):
-            lay, ens, model, p_t = _ring_scene(seed=504, n_draws=40,
-                                               noise_power=noise_power)
-            seen.clear()
-            res = run_fixed_direction(lay, ens, model, p_t, step=0.05)
-            dirs, = seen
-            rates = [saf_report(dirs * np.sqrt(stream_powers(s, lay, p_t)),
-                                ens, lay).avg_sum_rate
-                     for s in power_split_grid(0.05)]
-            assert res.best_split == power_split_grid(0.05)[np.argmax(rates)]
-            assert res.best_asr == pytest.approx(max(rates), rel=1e-13)
+        lay, ens, model, p_t = _ring_scene(seed=504, n_draws=40)
+        res = run_fixed_direction(lay, ens, model, p_t, step=0.05)
+        dirs, = seen
+        rates = [saf_report(dirs * np.sqrt(stream_powers(s, lay, p_t)),
+                            ens, lay).avg_sum_rate
+                 for s in power_split_grid(0.05)]
+        assert res.best_split == power_split_grid(0.05)[np.argmax(rates)]
+        assert res.best_asr == pytest.approx(max(rates), rel=1e-13)
 
     @pytest.mark.parametrize("kind, seed, p_t", [
         ("ring", 11, 10.0), ("ring", 12, 10.0 ** 2.8),
@@ -439,7 +431,7 @@ def _longdouble_rates(lay, ens, dirs, p_t, grid):
     the package's rate code: the directions' gains |h^H d|^2 are projected
     in extended precision, and each layer's denominator at each user is
     the sum of every interfering column's power times its gain, plus the
-    noise; nothing is subtracted."""
+    unit noise; nothing is subtracted."""
     ld = np.longdouble
     h = ens.realizations.conj().astype(np.clongdouble)
     z = np.einsum("mnk,ns->skm", h, dirs.astype(np.clongdouble))
@@ -459,7 +451,7 @@ def _longdouble_rates(lay, ens, dirs, p_t, grid):
     for layer in range(3):
         num = pw[:, sig[layer], None] * gain[sig[layer], users]
         den = np.einsum("ps,ks,skm->pkm", pw, hear[layer].astype(ld), gain)
-        den += ld(ens.noise_power)
+        den += ld(1)
         rates[:, layer] = np.mean(np.log1p(num / den), axis=-1) / np.log(ld(2))
     asr = rates[:, 0].min(axis=-1) + rates[:, 2].sum(axis=-1)
     for g in range(lay.n_groups):
@@ -515,7 +507,7 @@ class TestTrainingRateMatchesLongDouble:
         for split in grid:
             mat = dirs * np.sqrt(stream_powers(split, lay, p_t))
             powers = channel_project(ens.realizations, mat)[0]
-            got.append(asr_from_powers(powers, lay, ens.noise_power))
+            got.append(asr_from_powers(powers, lay))
         want = _longdouble_rates(lay, ens, dirs, p_t, grid)
         np.testing.assert_allclose(got, want.astype(float), rtol=1e-15)
 

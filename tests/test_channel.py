@@ -46,12 +46,6 @@ class TestChannelEnsemble:
         with pytest.raises(ValueError, match="non-finite"):
             ChannelEnsemble(**arrays)
 
-    def test_noise_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ChannelEnsemble(estimate=np.zeros((2, 2), complex),
-                            realizations=np.zeros((1, 2, 2), complex),
-                            noise_power=0.0)
-
     def test_counts(self):
         ens = ChannelEnsemble(estimate=np.ones((4, 3), complex),
                               realizations=np.ones((7, 4, 3), complex))

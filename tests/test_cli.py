@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from rsmeta import harness
+from rsmeta import cli, harness
 from rsmeta.cli import main
 
 TINY = """
@@ -96,6 +96,22 @@ class TestValidate:
     def test_shipped_config(self, path, capsys):
         assert main(["validate", "--config", str(path)]) == 0
         assert "ok" in capsys.readouterr().out
+
+    def test_validates_once(self, monkeypatch, capsys):
+        # load_config ends with the check, which for one_ring builds the
+        # model and its quadratures; validate used to run it a second time
+        real, calls = harness.validate_config, []
+
+        def spy(cfg):
+            calls.append(cfg)
+            return real(cfg)
+
+        # cli too, so that a check imported there again is counted
+        for mod in (harness, cli):
+            monkeypatch.setattr(mod, "validate_config", spy, raising=False)
+        path = CONFIGS / "grouped_ring.cfg"
+        assert main(["validate", "--config", str(path)]) == 0
+        assert len(calls) == 1
 
     def test_shipped_configs_found(self):
         assert {"smoke.cfg", "smoke_ring.cfg", "single_layer.cfg",

@@ -25,10 +25,10 @@ from scenes import draw_iid_scene, draw_one_ring_scene
 from tape import Var, _rate_loss, _tape_loss, _theta_grad, backward
 
 
-def _stacked_rates(powers, lay, noise):
+def _stacked_rates(powers, lay):
     """The rate tail's averaged per-user rates, stacked (..., n_layers,
     n_users) in decoding order."""
-    sinr, den = _layer_terms(powers, lay, noise)
+    sinr, den = _layer_terms(powers, lay)
     sinr /= den
     return _avg_rates(sinr, sinr)
 
@@ -235,7 +235,7 @@ class TestClosedFormMatchesTape:
         est[:, hi] = est[:, lo]
         tied = ChannelEnsemble(estimate=est, realizations=h)
         powers, _, _ = channel_project(h, mat)
-        rates = _stacked_rates(powers, lay, tied.noise_power)
+        rates = _stacked_rates(powers, lay)
         rc = rates[0]
         assert np.argmin(rc) == lo and rc[lo] == rc[hi]
         np.testing.assert_array_equal(_rate_weights(rates, lay)[0],
@@ -267,14 +267,14 @@ class TestClosedFormMatchesTape:
         est[:, hi] = est[:, lo]
         tied = ChannelEnsemble(estimate=est, realizations=h)
         powers, _, _ = channel_project(h, mat)
-        rates = _stacked_rates(powers, lay, tied.noise_power)
+        rates = _stacked_rates(powers, lay)
         assert rates[1, lo] == rates[1, hi]
         np.testing.assert_array_equal(_rate_weights(rates, lay)[1, [lo, hi]],
                                       [1.0, 0.0])
 
         # the training loss is the plain rate bit for bit
-        asr, g_pow = _asr_and_power_grad(powers, lay, tied.noise_power)
-        assert asr == asr_from_powers(powers, lay, tied.noise_power)
+        asr, g_pow = _asr_and_power_grad(powers, lay)
+        assert asr == asr_from_powers(powers, lay)
         loss, g = grad_wrt_precoder(mat, tied, lay)
         assert loss == -asr
         assert loss == loss_from_view(precoder_to_view(mat, lay), tied, lay)
@@ -361,17 +361,16 @@ class TestProjectionWorkspace:
         # readers of given powers copy them, even another workspace's
         lay, ens, mat = self._eight_users(hierarchical)
         ws = ProjectionWorkspace(ens.realizations, lay.n_streams)
-        noise = ens.noise_power
         powers = channel_project(ens.realizations, mat)[0]
-        for call in (lambda p: asr_from_powers(p, lay, noise),
-                     lambda p: _layer_terms(p, lay, noise),
-                     lambda p: _asr_and_power_grad(p, lay, noise)):
+        for call in (lambda p: asr_from_powers(p, lay),
+                     lambda p: _layer_terms(p, lay),
+                     lambda p: _asr_and_power_grad(p, lay)):
             before = powers.copy()
             call(powers)
             np.testing.assert_array_equal(powers, before)
         for workspace in (None, ws):
             loss, _ = grad_wrt_precoder(mat, ens, lay, workspace=workspace)
-            assert loss == -asr_from_powers(powers, lay, noise)
+            assert loss == -asr_from_powers(powers, lay)
         own = ws.powers
         assert not own.reshape(-1, own.shape[-1])[lay.layer_rows[1:]].any()
 
@@ -513,7 +512,7 @@ class TestFusedThetaMatchesTape:
         params = _random_net(RngStream(82), lay)
         cand = _assert_theta_matches_tape(params, p0, g0, tied, lay, 4.0)
         powers, _, _ = channel_project(h, view_to_precoder(cand, lay))
-        rc = _stacked_rates(powers, lay, tied.noise_power)[0]
+        rc = _stacked_rates(powers, lay)[0]
         assert np.argmin(rc) == 0 and rc[0] == rc[1]
 
 
@@ -588,9 +587,10 @@ class TestMetamorphicCore:
 
     SHAPES = ["long-cell-4x4", "ring-16x8", "wide-32x16"]
     RELATIONS = ["common_unitary", "draw_permutation",
-                 "channel_and_noise_scale", "column_phases",
+                 "channel_and_precoder_scale", "column_phases",
                  "user_relabeling"]
     TOL = 1e-13
+    SCALE = 3.7
 
     @staticmethod
     def _unitary(n_tx):
@@ -618,7 +618,7 @@ class TestMetamorphicCore:
     def _transform(self, relation, lay, ens, mat):
         """The ensemble and the precoder after one relation, and the order
         of the users: ``users[k]`` is user k's index in the input."""
-        est, h, noise = ens.estimate, ens.realizations, ens.noise_power
+        est, h = ens.estimate, ens.realizations
         users = lay.user_rows
         if relation == "common_unitary":
             # h -> U h and p -> U p keep every h^H p
@@ -626,10 +626,10 @@ class TestMetamorphicCore:
             est, h, mat = u @ est, u @ h, u @ mat
         elif relation == "draw_permutation":
             h = h[np.random.default_rng(32).permutation(len(h))]
-        elif relation == "channel_and_noise_scale":
-            # h -> c h with noise -> c^2 noise keeps every SINR
-            c = 3.7
-            est, h, noise = c * est, c * h, c * c * noise
+        elif relation == "channel_and_precoder_scale":
+            # h -> c h and p -> p / c keep every h^H p
+            c = self.SCALE
+            est, h, mat = c * est, c * h, mat / c
         elif relation == "column_phases":
             # a phase per column keeps every |h^H p|^2
             mat = mat * self._phases(lay)
@@ -637,7 +637,7 @@ class TestMetamorphicCore:
             # relabeling a group's users keeps every minimum and sum
             users, cols = self._relabeling(lay)
             est, h, mat = est[:, users], h[:, :, users], mat[:, cols]
-        return ChannelEnsemble(est, h, noise), mat, users
+        return ChannelEnsemble(est, h), mat, users
 
     @staticmethod
     def _loss_and_grad(mat, ens, lay):
@@ -671,8 +671,14 @@ class TestMetamorphicCore:
         self._assert_same_loss_and_grad(shape, "draw_permutation")
 
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_channel_and_noise_scale(self, shape):
-        self._assert_same_loss_and_grad(shape, "channel_and_noise_scale")
+    def test_channel_and_precoder_scale(self, shape):
+        # the gradient scales with c
+        lay, ens, mat, _ = _benchmark_shape(shape)
+        ens_s, mat_s, _ = self._transform("channel_and_precoder_scale", lay,
+                                          ens, mat)
+        loss, g = self._loss_and_grad(mat, ens, lay)
+        self._assert_close(self._loss_and_grad(mat_s, ens_s, lay),
+                           (loss, self.SCALE * g))
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_column_phases(self, shape):
@@ -711,10 +717,6 @@ class TestMetamorphicCore:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_theta_grad_draw_permutation(self, shape):
         self._assert_same_theta_grad(shape, "draw_permutation")
-
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_theta_grad_channel_and_noise_scale(self, shape):
-        self._assert_same_theta_grad(shape, "channel_and_noise_scale")
 
     @pytest.mark.parametrize("shape", SHAPES + ["one-layer-8-users",
                                                 "grouped-8-users"])
@@ -775,7 +777,7 @@ class TestDrawMinorRates:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_matches_saf_report(self, shape):
         lay, ens, mat, powers = self._powers(shape)
-        rates = _stacked_rates(powers, lay, ens.noise_power)
+        rates = _stacked_rates(powers, lay)
         ref = saf_report(mat, ens, lay)
         np.testing.assert_allclose(rates[0], ref.avg_per_user_common,
                                    rtol=1e-13)
@@ -797,13 +799,13 @@ class TestDrawMinorRates:
         strided = strided[..., ::2]
         strided[...] = powers
         assert not strided.flags.c_contiguous
-        asr, g = _asr_and_power_grad(powers, lay, ens.noise_power)
-        asr_s, g_s = _asr_and_power_grad(strided, lay, ens.noise_power)
+        asr, g = _asr_and_power_grad(powers, lay)
+        asr_s, g_s = _asr_and_power_grad(strided, lay)
         assert asr == asr_s
         np.testing.assert_array_equal(g, g_s)
         np.testing.assert_array_equal(
-            _stacked_rates(powers, lay, ens.noise_power),
-            _stacked_rates(strided, lay, ens.noise_power))
+            _stacked_rates(powers, lay),
+            _stacked_rates(strided, lay))
 
 
 class TestBatchAxis:
@@ -813,8 +815,8 @@ class TestBatchAxis:
 
     @staticmethod
     def _stack(shape, n=6):
-        """The layout, the noise, the unbatched powers of ``n`` precoders,
-        and the same powers stacked, (n, n_streams, n_users, n_draws)."""
+        """The layout, the unbatched powers of ``n`` precoders and the
+        same powers stacked, (n, n_streams, n_users, n_draws)."""
         lay, ens, mat, _ = _benchmark_shape(shape)
         rng = RngStream(77)
         singles = []
@@ -822,32 +824,31 @@ class TestBatchAxis:
             scale = rng.uniform(0.2, 1.5, lay.n_streams)
             singles.append(channel_project(ens.realizations,
                                            mat * np.sqrt(scale))[0])
-        return lay, ens.noise_power, singles, np.stack(singles)
+        return lay, singles, np.stack(singles)
 
     @pytest.mark.parametrize("shape", ["ring-16x8", "long-cell-4x4",
                                        "grouped-8-users"])
     def test_slices_match_unbatched(self, shape):
-        lay, noise, singles, batch = self._stack(shape)
-        asr = asr_from_powers(batch, lay, noise)
-        rates = _stacked_rates(batch, lay, noise)
+        lay, singles, batch = self._stack(shape)
+        asr = asr_from_powers(batch, lay)
+        rates = _stacked_rates(batch, lay)
         assert asr.shape == (len(singles),)
         for b, powers in enumerate(singles):
-            assert asr[b] == asr_from_powers(powers, lay, noise)
+            assert asr[b] == asr_from_powers(powers, lay)
             # the training loss takes the same minima in the same order
-            assert asr[b] == _asr_and_power_grad(powers, lay, noise)[0]
+            assert asr[b] == _asr_and_power_grad(powers, lay)[0]
             np.testing.assert_array_equal(
-                rates[b], _stacked_rates(powers, lay, noise))
+                rates[b], _stacked_rates(powers, lay))
         # any number of leading axes, each kept outermost
-        grid = asr_from_powers(batch.reshape((2, 3) + batch.shape[1:]), lay,
-                               noise)
+        grid = asr_from_powers(batch.reshape((2, 3) + batch.shape[1:]), lay)
         np.testing.assert_array_equal(grid.ravel(), asr)
 
     def test_nan_stays_in_its_slice(self):
-        lay, noise, singles, batch = self._stack("grouped-8-users")
-        clean = asr_from_powers(batch, lay, noise)
+        lay, singles, batch = self._stack("grouped-8-users")
+        clean = asr_from_powers(batch, lay)
         poisoned = batch.copy()
         poisoned[2, 0, 0, 0] = np.nan
-        asr = asr_from_powers(poisoned, lay, noise)
+        asr = asr_from_powers(poisoned, lay)
         assert np.isnan(asr[2])
         np.testing.assert_array_equal(np.delete(asr, 2), np.delete(clean, 2))
 
@@ -862,9 +863,9 @@ class TestTermsShareTheRateTail:
     @pytest.mark.parametrize("shape", ["ring-16x8", "long-cell-4x4",
                                        "grouped-8-users"])
     def test_terms_give_powers_bits(self, shape):
-        lay, noise, singles, batch = TestBatchAxis._stack(shape)
-        want = asr_from_powers(batch, lay, noise)
-        num, den = _layer_terms(batch, lay, noise)
+        lay, singles, batch = TestBatchAxis._stack(shape)
+        want = asr_from_powers(batch, lay)
+        num, den = _layer_terms(batch, lay)
         for b in range(len(singles)):
             assert asr_from_terms(num[b].copy(), den[b].copy(), lay) \
                 == want[b]
