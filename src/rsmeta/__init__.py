@@ -7,14 +7,13 @@ Precoders are optimized either by a compact per-channel-overfitted network
 fixed-direction eigenspace baseline with power-only search.
 """
 
-from .linalg import RngStream, gaussian_matrix, herm_eig, svd_dominant, quadrature
+from .linalg import RngStream, gaussian_matrix, herm_eig, svd_dominant
 from .layout import StreamLayout
 from .channel import (
     IidCsitModel,
     OneRingModel,
     ChannelEnsemble,
     one_ring_correlation,
-    psd_sqrt,
 )
 from .rates import (
     PrecoderMatrix,

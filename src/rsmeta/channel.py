@@ -23,14 +23,12 @@ from functools import cached_property
 import numpy as np
 
 from .layout import StreamLayout
-from .linalg import RngStream, gaussian_matrix, herm_eig, quadrature
+from .linalg import RngStream, gaussian_matrix, herm_eig
 
-__all__ = [
-    "ChannelEnsemble", "IidCsitModel", "OneRingModel",
-    "one_ring_correlation", "psd_sqrt",
-]
+__all__ = ["ChannelEnsemble", "IidCsitModel", "OneRingModel",
+           "one_ring_correlation"]
 
-NEG_TOL = 1e-9  # eigenvalues above -NEG_TOL are psd_sqrt's roundoff
+NEG_TOL = 1e-9  # eigenvalues above -NEG_TOL are _root_of's roundoff
 
 
 @dataclass
@@ -159,9 +157,12 @@ def one_ring_correlation(n_tx: int, spacing: float, azimuth: float,
 
     Entry (m, n) averages the array phase shift ``exp(-2j*pi*spacing*(m-n)
     * sin(angle))`` over angles uniform on ``azimuth +- spread``. The matrix
-    is Hermitian Toeplitz; each lag is computed once by Simpson quadrature
-    and normalized against the quadrature of the constant 1, which makes the
-    diagonal exactly 1 regardless of node count.
+    is Hermitian Toeplitz; each lag is integrated once by the composite
+    Simpson rule on ``nodes`` equally spaced angles (odd, at least 3: an
+    even number of intervals, weights 1, 4, 2, ..., 4, 1 times a third of
+    the step), and divided by the same rule's integral of the constant 1,
+    which makes the diagonal exactly 1 regardless of node count. The
+    angles, weights and sines are built once per call.
     """
     if n_tx < 1:
         raise ValueError(f"n_tx must be >= 1, got {n_tx}")
@@ -171,36 +172,38 @@ def one_ring_correlation(n_tx: int, spacing: float, azimuth: float,
         raise ValueError(f"azimuth must be finite, got {azimuth}")
     if not 0 < spread <= np.pi:
         raise ValueError(f"spread must lie in (0, pi], got {spread}")
+    nodes = int(nodes)
+    if nodes < 3 or nodes % 2 == 0:
+        raise ValueError(f"nodes must be odd and >= 3, got {nodes}")
     lo, hi = azimuth - spread, azimuth + spread
-    norm = quadrature(lambda phi: np.ones_like(phi), lo, hi, nodes)
+    angles = np.linspace(lo, hi, nodes)
+    w = np.ones(nodes)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    third = (hi - lo) / (nodes - 1) / 3.0
+    norm = complex(third * np.dot(w, np.ones(nodes, dtype=complex)))
     if norm == 0:
         raise ValueError(f"azimuth {azimuth!r} +- spread {spread!r} rounds "
                          f"to an interval of no width")
+    sines = np.sin(angles)
     lags = np.empty(n_tx, dtype=complex)
     for ell in range(n_tx):
-        val = quadrature(
-            lambda phi: np.exp(-2j * np.pi * spacing * ell * np.sin(phi)),
-            lo, hi, nodes)
-        lags[ell] = val / norm
+        y = np.exp(-2j * np.pi * spacing * ell * sines)
+        lags[ell] = complex(third * np.dot(w, y)) / norm
     idx = np.arange(n_tx)
     diff = idx[:, None] - idx[None, :]
     r = np.where(diff >= 0, lags[np.abs(diff)], np.conj(lags[np.abs(diff)]))
     return r
 
 
-def psd_sqrt(r: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
-
-    Eigenvalues in ``(-NEG_TOL, 0)`` are treated as quadrature roundoff and
-    clipped to zero; anything at or below ``-NEG_TOL`` is a genuine failure
-    and raises.
-    """
-    return _root_of(*herm_eig(r))
-
-
 def _root_of(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """:func:`psd_sqrt` of the matrix whose :func:`rsmeta.linalg.herm_eig`
-    result is ``(w, v)``."""
+    """Hermitian square root of the positive semidefinite matrix whose
+    :func:`rsmeta.linalg.herm_eig` result is ``(w, v)``.
+
+    Eigenvalues in ``(-NEG_TOL, 0)`` are treated as integration roundoff
+    and clipped to zero; anything at or below ``-NEG_TOL`` is a genuine
+    failure and raises.
+    """
     if np.any(w <= -NEG_TOL):
         raise ValueError(
             f"matrix is not positive semidefinite: min eigenvalue {w.min():.3e}")
@@ -226,7 +229,7 @@ class OneRingModel:
     node count, its eigendecomposition and the square root taken from that
     decomposition are computed once per model, on first use, and kept on it
     read-only, so every draw and the fixed-direction search of one model
-    share its quadratures, decompositions and roots.
+    share its correlations, decompositions and roots.
     """
 
     n_tx: int

@@ -9,7 +9,8 @@ Subcommands:
 A sweep is defined by its config file; ``configs/`` ships the presets
 (``single_layer.cfg``, ``grouped_ring.cfg``) and two quick smoke runs
 (``smoke.cfg``, ``smoke_ring.cfg``). ``run`` takes ``--out-dir`` and
-``--threads`` over the config's ``out.dir`` and ``threads``; ``validate``
+``--threads`` over the config's ``out.dir`` and ``threads`` and checks
+once, the config it runs: the file with its flags applied. ``validate``
 checks the file as written. Nothing in the package reads the environment.
 """
 from __future__ import annotations
@@ -19,7 +20,7 @@ import dataclasses
 import sys
 
 from .gradcheck import gradcheck_suite
-from .harness import load_config, run_sweep, write_reports
+from .harness import _read_config, load_config, run_sweep, write_reports
 
 __all__ = ["main", "entry"]
 
@@ -39,14 +40,14 @@ def _print_summary(result) -> None:
 
 
 def _cmd_run(args) -> int:
-    """Load, apply ``--out-dir`` and ``--threads``, sweep (which
-    validates), report."""
+    """Parse, apply ``--out-dir`` and ``--threads``, sweep (which
+    validates, once), report."""
     changes = {}
     if args.out_dir:
         changes["out_dir"] = args.out_dir
     if args.threads is not None:
         changes["n_threads"] = args.threads
-    cfg = dataclasses.replace(load_config(args.config), **changes)
+    cfg = dataclasses.replace(_read_config(args.config), **changes)
     result = run_sweep(cfg)
     paths = write_reports(result)
     _print_summary(result)

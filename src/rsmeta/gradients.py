@@ -376,14 +376,6 @@ def loss_from_view(v: np.ndarray, ens: ChannelEnsemble,
     return -float(asr_from_powers(powers, layout))
 
 
-def _asr_and_power_grad(powers: np.ndarray, layout: StreamLayout):
-    """Averaged sum rate from the |h^H p|^2 of the columns, and its
-    gradient with respect to those powers: ``(asr, d asr / d powers)``,
-    the gradient a fresh C-ordered array shaped like ``powers``, which
-    are not written; see :func:`_rate_backward`."""
-    return _rate_backward(_terms(powers, layout, backward=True), 1.0)
-
-
 def _rate_backward(t: _Terms, scale: float):
     """``(asr, scale * d asr / d powers)`` over the powers ``t`` views, the
     gradient in ``t.power_grad``; ``scale`` must be a power of two, so that

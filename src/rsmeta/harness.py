@@ -137,8 +137,16 @@ def _parse_value(text: str):
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse a flat key-value config file and validate the result; a key
-    given twice is rejected with both of its lines."""
+    """Parse a flat key-value config file and validate it as written."""
+    cfg = _read_config(path)
+    validate_config(cfg)
+    return cfg
+
+
+def _read_config(path) -> ExperimentConfig:
+    """Parse a flat key-value config file, unchecked: an unknown key, a
+    line without ``=``, or a key given twice (with both of its lines) is
+    rejected with the file and line."""
     cfg = ExperimentConfig()
     seen = {}
     with open(path) as fh:
@@ -162,7 +170,6 @@ def load_config(path) -> ExperimentConfig:
                     and not isinstance(value, tuple):
                 value = (value,)
             setattr(cfg, name, value)
-    validate_config(cfg)
     return cfg
 
 

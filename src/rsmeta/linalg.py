@@ -1,4 +1,4 @@
-"""Complex linear algebra, seeded sampling, and quadrature substrate.
+"""Complex linear algebra and seeded sampling.
 
 Complex matrices are plain ``numpy.ndarray`` of dtype complex128. Every
 operation here is deterministic for a fixed seed within one installation,
@@ -25,13 +25,13 @@ from functools import cached_property
 import numpy as np
 
 __all__ = ["RngStream", "gaussian_matrix", "herm_eig", "svd_dominant",
-           "ProjectionWorkspace", "channel_project", "quadrature"]
+           "ProjectionWorkspace", "channel_project"]
 
 HERM_TOL = 1e-9  # largest Hermitian defect max|a - a^H| herm_eig accepts
 
 
 class RngStream:
-    """Seeded random stream with a draw counter.
+    """Seeded random stream.
 
     Wraps numpy's PCG64 generator: a given seed always reproduces the same
     draw sequence. A stream is single-owner; parallel code must derive
@@ -48,24 +48,18 @@ class RngStream:
         if seed < 0:
             raise ValueError(f"seed must be nonnegative, got {seed}")
         self.seed = seed
-        self.position = 0  # scalar draws consumed so far
         self._gen = np.random.Generator(np.random.PCG64(seed))
 
     def standard_normal(self, shape) -> np.ndarray:
-        """Draw real standard-normal values and advance the counter."""
-        out = self._gen.standard_normal(size=shape)
-        self.position += out.size
-        return out
+        """Draw real standard-normal values."""
+        return self._gen.standard_normal(size=shape)
 
     def integers(self, low, high) -> int:
         """Draw one integer in [low, high)."""
-        self.position += 1
         return int(self._gen.integers(low, high))
 
     def uniform(self, low, high, shape=None):
-        out = self._gen.uniform(low, high, size=shape)
-        self.position += np.size(out)
-        return out
+        return self._gen.uniform(low, high, size=shape)
 
     def child(self, *keys: int) -> "RngStream":
         """Derive an independent stream from this stream's seed and integer keys.
@@ -77,7 +71,7 @@ class RngStream:
         return RngStream(int(derived.generate_state(1, np.uint64)[0]))
 
     def __repr__(self):
-        return f"RngStream(seed={self.seed}, position={self.position})"
+        return f"RngStream(seed={self.seed})"
 
 
 def gaussian_matrix(rng: RngStream, rows: int, cols: int, variance: float) -> np.ndarray:
@@ -244,27 +238,3 @@ def _user_major(z: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     w.imag = z[1].T
     return w
 
-
-def quadrature(f, lo: float, hi: float, nodes: int = 513) -> complex:
-    """Composite Simpson integration of a complex-valued integrand.
-
-    ``f`` must accept a float ndarray of abscissae and return the integrand
-    values elementwise. ``nodes`` must be odd and at least 3 (an even
-    interval count). Error is O(((hi-lo)/nodes)^4) for smooth integrands.
-    """
-    nodes = int(nodes)
-    if nodes < 3 or nodes % 2 == 0:
-        raise ValueError(f"nodes must be odd and >= 3, got {nodes}")
-    if lo > hi:
-        raise ValueError(f"need lo <= hi, got lo={lo}, hi={hi}")
-    if lo == hi:
-        return 0.0 + 0.0j
-    x = np.linspace(lo, hi, nodes)
-    y = np.asarray(f(x), dtype=complex)
-    if y.shape != x.shape:
-        raise ValueError("integrand must map an (n,) array to an (n,) array")
-    w = np.ones(nodes)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    h = (hi - lo) / (nodes - 1)
-    return complex((h / 3.0) * np.dot(w, y))

@@ -15,9 +15,9 @@ On top of the ops sit two recordings of the averaged-rate loss, and
 * :func:`_tape_loss` records the layered rates op by op: the independent
   reference for the hand-written precoder and network gradients;
 * :func:`_rate_loss` records them as one node whose backward is
-  :func:`rsmeta.gradients._asr_and_power_grad`. :func:`_theta_grad` on it
-  gives, bit for bit, what :func:`rsmeta.gradients.grad_wrt_theta` computes
-  by hand.
+  :func:`rsmeta.gradients._rate_backward` on a fresh rate pass.
+  :func:`_theta_grad` on it gives, bit for bit, what
+  :func:`rsmeta.gradients.grad_wrt_theta` computes by hand.
 
 Conventions
 -----------
@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from rsmeta.channel import ChannelEnsemble
-from rsmeta.gradients import _asr_and_power_grad, precoder_to_view
+from rsmeta.gradients import _rate_backward, _terms, precoder_to_view
 from rsmeta.layout import StreamLayout
 from rsmeta.linalg import _user_major, channel_project
 from rsmeta.network import MetaNetParams
@@ -327,11 +327,12 @@ def grad_of(out: Var, wrt) -> list:
 def _rate_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
                layout: StreamLayout) -> Var:
     """The loss as one recorded node on top of the projection, with the
-    closed-form backward of
-    :func:`rsmeta.gradients._asr_and_power_grad`."""
+    closed-form backward of :func:`rsmeta.gradients._rate_backward`, on
+    a fresh rate pass over a copy of the powers."""
     powers = csq_project(pre, pim, ens.realizations)
     # the rate backward reads and returns them stream-major
-    asr, g_pow = _asr_and_power_grad(powers.value.T, layout)
+    asr, g_pow = _rate_backward(_terms(powers.value.T, layout, backward=True),
+                                1.0)
     return Var(-asr, (powers,), lambda g: (-g * g_pow.T,))
 
 

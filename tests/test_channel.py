@@ -4,7 +4,7 @@ from scipy import integrate
 
 from rsmeta import channel
 from rsmeta.channel import (ChannelEnsemble, IidCsitModel, OneRingModel,
-                            one_ring_correlation, psd_sqrt)
+                            _root_of, one_ring_correlation)
 from rsmeta.layout import StreamLayout
 from rsmeta.linalg import RngStream, gaussian_matrix, herm_eig
 
@@ -171,28 +171,77 @@ class TestOneRingCorrelation:
     @pytest.mark.parametrize("azimuth, spread", [
         (0.5, 1e-300), (1e300, 0.3), (1e16, 0.3), (0.0, 5e-324)])
     def test_interval_rounding_to_a_point_rejected(self, azimuth, spread):
-        # the quadrature of an interval of no width is 0, which used to
+        # the integral over an interval of no width is 0, which used to
         # raise ZeroDivisionError in the normalization
         with pytest.raises(ValueError, match="no width"):
             one_ring_correlation(4, 0.5, azimuth, spread)
 
+    @pytest.mark.parametrize("nodes", [1, 2, 4, 512])
+    def test_bad_nodes_rejected(self, nodes):
+        # Simpson's rule needs an even number of intervals, at least two
+        with pytest.raises(ValueError, match="nodes"):
+            one_ring_correlation(4, 0.5, 0.3, 0.2, nodes=nodes)
+
+    @pytest.mark.parametrize("nodes", [3, 5, 513, 8193])
+    @pytest.mark.parametrize("n_tx", [1, 4, 16, 32])
+    def test_matches_per_lag_simpson(self, n_tx, nodes):
+        # every entry has the bits of a fresh Simpson rule per lag, as
+        # each lag was once integrated, so every draw, root and rate of a
+        # ring keeps them; the bench's rings (configs/grouped_ring.cfg)
+        for azimuth in (-1.5707963, -0.5235988, 0.5235988, 1.5707963):
+            want = _per_lag_correlation(n_tx, 0.5, azimuth, 0.3926991, nodes)
+            np.testing.assert_array_equal(
+                one_ring_correlation(n_tx, 0.5, azimuth, 0.3926991, nodes),
+                want)
+
+
+def _simpson(f, lo, hi, nodes):
+    """Composite Simpson integral of ``f`` on [lo, hi] over ``nodes``
+    equally spaced abscissae: 1-4-2 weights dotted with the values, times
+    a third of the step."""
+    x = np.linspace(lo, hi, nodes)
+    y = np.asarray(f(x), dtype=complex)
+    w = np.ones(nodes)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    h = (hi - lo) / (nodes - 1)
+    return complex((h / 3.0) * np.dot(w, y))
+
+
+def _per_lag_correlation(n_tx, spacing, azimuth, spread, nodes):
+    """The ring correlation with each lag integrated on its own, abscissae
+    and weights rebuilt for every integral, over the integral of 1."""
+    lo, hi = azimuth - spread, azimuth + spread
+    norm = _simpson(lambda phi: np.ones_like(phi), lo, hi, nodes)
+    lags = [_simpson(lambda phi: np.exp(-2j * np.pi * spacing * ell
+                                        * np.sin(phi)), lo, hi, nodes) / norm
+            for ell in range(n_tx)]
+    r = np.empty((n_tx, n_tx), dtype=complex)
+    for m in range(n_tx):
+        for n in range(n_tx):
+            r[m, n] = lags[m - n] if m >= n else np.conj(lags[n - m])
+    return r
+
 
 class TestPsdSqrt:
+    """The Hermitian square root that a ring model takes from its kept
+    decomposition, :func:`rsmeta.channel._root_of`."""
+
     def test_square_root_property(self):
         r = one_ring_correlation(6, 0.5, 0.2, np.pi / 6)
-        s = psd_sqrt(r)
+        s = _root_of(*herm_eig(r))
         np.testing.assert_allclose(s @ s, r, atol=1e-10)
         np.testing.assert_allclose(s, s.conj().T, atol=1e-10)
 
     def test_tiny_negative_eigenvalue_clipped(self):
         v = np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3))[0]
         a = (v * np.array([2.0, 1.0, -5e-10])[None, :]) @ v.conj().T
-        s = psd_sqrt(a)
+        s = _root_of(*herm_eig(a))
         assert np.all(np.isfinite(s))
 
     def test_genuinely_indefinite_rejected(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
-            psd_sqrt(np.diag([1.0, -1e-6]))
+            _root_of(*herm_eig(np.diag([1.0, -1e-6])))
 
 
 class TestOneRingModel:
@@ -243,7 +292,7 @@ class TestOneRingModel:
         np.testing.assert_allclose(cov, 0.4 * r0, atol=0.08)
 
     def test_correlation_cached_read_only(self):
-        # one quadrature per group and model, shared by every draw and the
+        # one correlation per group and model, shared by every draw and the
         # fixed-direction search, so no caller may write into it
         model = self._model()
         r = model.correlation(1)
@@ -264,13 +313,13 @@ class TestOneRingModel:
             assert r is model.correlation(g)
             assert eig is model.eigenbasis(g)
             assert not any(a.flags.writeable for a in (root, *eig))
-            np.testing.assert_array_equal(root, psd_sqrt(r))
+            np.testing.assert_array_equal(root, _root_of(*herm_eig(r)))
             for got, want in zip(eig, herm_eig(r)):
                 np.testing.assert_array_equal(got, want)
 
     def test_one_decomposition_per_group(self, monkeypatch):
         # each group's root is taken from the decomposition the model keeps,
-        # with the bits of a fresh psd_sqrt; the bench's ring, as in
+        # with the bits of a fresh one; the bench's ring, as in
         # configs/grouped_ring.cfg
         calls = []
 
@@ -285,7 +334,8 @@ class TestOneRingModel:
         roots = [root for _, root, _ in model._correlations]
         assert len(calls) == model.n_groups == 4
         for g, root in enumerate(roots):
-            np.testing.assert_array_equal(root, psd_sqrt(model.correlation(g)))
+            np.testing.assert_array_equal(
+                root, _root_of(*herm_eig(model.correlation(g))))
 
     def test_group_count_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -85,6 +85,22 @@ def sweep_cfg(tmp_path):
     return path
 
 
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """The configs that ``validate_config`` is called on, counted by a spy
+    patched into ``harness`` and, so that a check imported there again is
+    counted, ``cli``."""
+    real, calls = harness.validate_config, []
+
+    def spy(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    for mod in (harness, cli):
+        monkeypatch.setattr(mod, "validate_config", spy, raising=False)
+    return calls
+
+
 class TestValidate:
     def test_ok(self, tiny_cfg, capsys):
         assert main(["validate", "--config", str(tiny_cfg)]) == 0
@@ -97,21 +113,12 @@ class TestValidate:
         assert main(["validate", "--config", str(path)]) == 0
         assert "ok" in capsys.readouterr().out
 
-    def test_validates_once(self, monkeypatch, capsys):
+    def test_validates_once(self, validate_calls, capsys):
         # load_config ends with the check, which for one_ring builds the
-        # model and its quadratures; validate used to run it a second time
-        real, calls = harness.validate_config, []
-
-        def spy(cfg):
-            calls.append(cfg)
-            return real(cfg)
-
-        # cli too, so that a check imported there again is counted
-        for mod in (harness, cli):
-            monkeypatch.setattr(mod, "validate_config", spy, raising=False)
+        # model and its correlations; validate used to run it a second time
         path = CONFIGS / "grouped_ring.cfg"
         assert main(["validate", "--config", str(path)]) == 0
-        assert len(calls) == 1
+        assert len(validate_calls) == 1
 
     def test_shipped_configs_found(self):
         assert {"smoke.cfg", "smoke_ring.cfg", "single_layer.cfg",
@@ -262,6 +269,29 @@ class TestRun:
         assert not (tmp_path / "env").exists()
         assert main(["validate", "--config", str(sweep_cfg)]) == 0
         assert "n_threads = 1" in capsys.readouterr().out
+
+    def test_validates_once(self, validate_calls, tmp_path, capsys):
+        # run parses the file unchecked and leaves the one check to
+        # run_sweep, on the config with its flags applied; it used to
+        # check the file as well
+        path = CONFIGS / "smoke_ring.cfg"
+        assert main(["run", "--config", str(path),
+                     "--out-dir", str(tmp_path / "res")]) == 0
+        assert len(validate_calls) == 1
+        assert validate_calls[0].out_dir == str(tmp_path / "res")
+
+    def test_checks_the_config_it_runs(self, tmp_path, capsys):
+        # a flag replaces the file's setting before the check, so the
+        # file's own thread count is checked by validate, not by run
+        path = tmp_path / "threads.cfg"
+        path.write_text(_with(TINY, "threads", "0"))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert "threads" in capsys.readouterr().err
+        out_dir = tmp_path / "res"
+        assert main(["run", "--config", str(path), "--out-dir",
+                     str(out_dir), "--threads", "1"]) == 0
+        with open(out_dir / "results.json") as fh:
+            assert json.load(fh)["config"]["n_threads"] == 1
 
     def test_bad_optimizer_setting_fails_before_any_cell(
             self, tmp_path, monkeypatch, capsys):

@@ -6,9 +6,9 @@ from rsmeta.baselines import run_direct_adam
 from rsmeta.channel import ChannelEnsemble, IidCsitModel
 from rsmeta.gradcheck import (_random_instance, _random_net,
                               finite_diff_check, gradcheck_suite)
-from rsmeta.gradients import (_asr_and_power_grad, _avg_rates, _columns,
-                              _layer_terms, _loss_core,
-                              _rate_weights, asr_from_powers,
+from rsmeta.gradients import (_avg_rates, _columns,
+                              _layer_terms, _loss_core, _rate_backward,
+                              _rate_weights, _terms, asr_from_powers,
                               asr_from_terms,
                               candidate_view, grad_wrt_precoder,
                               grad_wrt_theta, loss_from_view,
@@ -273,7 +273,7 @@ class TestClosedFormMatchesTape:
                                       [1.0, 0.0])
 
         # the training loss is the plain rate bit for bit
-        asr, g_pow = _asr_and_power_grad(powers, lay)
+        asr, g_pow = _rate_backward(_terms(powers, lay, backward=True), 1.0)
         assert asr == asr_from_powers(powers, lay)
         loss, g = grad_wrt_precoder(mat, tied, lay)
         assert loss == -asr
@@ -364,7 +364,8 @@ class TestProjectionWorkspace:
         powers = channel_project(ens.realizations, mat)[0]
         for call in (lambda p: asr_from_powers(p, lay),
                      lambda p: _layer_terms(p, lay),
-                     lambda p: _asr_and_power_grad(p, lay)):
+                     lambda p: _rate_backward(_terms(p, lay, backward=True),
+                                              1.0)):
             before = powers.copy()
             call(powers)
             np.testing.assert_array_equal(powers, before)
@@ -799,8 +800,8 @@ class TestDrawMinorRates:
         strided = strided[..., ::2]
         strided[...] = powers
         assert not strided.flags.c_contiguous
-        asr, g = _asr_and_power_grad(powers, lay)
-        asr_s, g_s = _asr_and_power_grad(strided, lay)
+        asr, g = _rate_backward(_terms(powers, lay, backward=True), 1.0)
+        asr_s, g_s = _rate_backward(_terms(strided, lay, backward=True), 1.0)
         assert asr == asr_s
         np.testing.assert_array_equal(g, g_s)
         np.testing.assert_array_equal(
@@ -836,7 +837,8 @@ class TestBatchAxis:
         for b, powers in enumerate(singles):
             assert asr[b] == asr_from_powers(powers, lay)
             # the training loss takes the same minima in the same order
-            assert asr[b] == _asr_and_power_grad(powers, lay)[0]
+            assert asr[b] == _rate_backward(
+                _terms(powers, lay, backward=True), 1.0)[0]
             np.testing.assert_array_equal(
                 rates[b], _stacked_rates(powers, lay))
         # any number of leading axes, each kept outermost

@@ -5,8 +5,7 @@ from rsmeta.baselines import _fixed_directions
 from rsmeta.channel import OneRingModel
 from rsmeta.gradients import _columns, precoder_to_view
 from rsmeta.linalg import (ProjectionWorkspace, RngStream, channel_project,
-                           gaussian_matrix, herm_eig, quadrature,
-                           svd_dominant)
+                           gaussian_matrix, herm_eig, svd_dominant)
 from rsmeta.metaopt import init_precoder
 
 from scenes import draw_iid_scene, draw_one_ring_scene
@@ -22,13 +21,6 @@ class TestRngStream:
         a = RngStream(1).standard_normal(50)
         b = RngStream(2).standard_normal(50)
         assert np.max(np.abs(a - b)) > 1e-6
-
-    def test_position_counts_scalars(self):
-        rng = RngStream(0)
-        rng.standard_normal((3, 4))
-        assert rng.position == 12
-        rng.integers(0, 10)
-        assert rng.position == 13
 
     def test_child_is_reproducible_and_independent(self):
         r = RngStream(77)
@@ -136,42 +128,6 @@ class TestSvdDominant:
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
             svd_dominant(np.zeros((3, 3)))
-
-
-class TestQuadrature:
-    def test_sine_integral(self):
-        val = quadrature(np.sin, 0.0, np.pi)
-        assert complex(val).real == pytest.approx(2.0, abs=1e-10)
-
-    def test_cubic_is_exact(self):
-        # Simpson integrates cubics exactly at any node count
-        val = quadrature(lambda x: x ** 3, 0.0, 1.0, nodes=3)
-        assert complex(val).real == pytest.approx(0.25, abs=1e-14)
-
-    def test_complex_integrand(self):
-        val = quadrature(lambda x: np.exp(1j * x), 0.0, np.pi / 2)
-        np.testing.assert_allclose([val.real, val.imag], [1.0, 1.0],
-                                   atol=1e-10)
-
-    def test_fourth_order_convergence(self):
-        f = lambda x: np.exp(np.sin(3 * x))
-        exact = quadrature(f, 0.0, 2.0, nodes=65537)
-        e1 = abs(quadrature(f, 0.0, 2.0, nodes=33) - exact)
-        e2 = abs(quadrature(f, 0.0, 2.0, nodes=65) - exact)
-        assert e1 / e2 > 8.0  # ~16x expected for halved step
-
-    def test_empty_interval(self):
-        assert quadrature(np.sin, 1.0, 1.0) == 0.0
-
-    def test_bad_nodes_rejected(self):
-        with pytest.raises(ValueError):
-            quadrature(np.sin, 0.0, 1.0, nodes=4)
-        with pytest.raises(ValueError):
-            quadrature(np.sin, 0.0, 1.0, nodes=1)
-
-    def test_reversed_interval_rejected(self):
-        with pytest.raises(ValueError):
-            quadrature(np.sin, 1.0, 0.0)
 
 
 class TestChannelProject:
