@@ -37,7 +37,7 @@ from .gradients import _asr_of_rates, _own_and_others, _rates_from_terms, \
     _Split, grad_wrt_precoder, project_view, view_length
 from .layout import StreamLayout
 from .linalg import ProjectionWorkspace, channel_project, svd_dominant
-from .metaopt import RunResult, _start, check_iters
+from .metaopt import RunResult, _start, check_iters, check_power
 from .rates import PrecoderMatrix
 
 __all__ = ["PowerSplit", "lattice_size", "run_direct_adam",
@@ -54,7 +54,8 @@ def run_direct_adam(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
                     n_iters: int = 2000, lr: float = 0.02) -> RunResult:
     """Adam directly on the precoder view, projected after every step.
 
-    ``n_iters`` and ``lr`` are checked (:func:`rsmeta.metaopt.check_iters`,
+    ``p_t``, ``n_iters`` and ``lr`` are checked
+    (:func:`rsmeta.metaopt.check_power`, :func:`rsmeta.metaopt.check_iters`,
     :func:`rsmeta.adam.check_lr`) before any work. The run keeps one view:
     Adam steps it and the power projection scales it, both in place. It
     goes into the gradient as it is, and every gradient of the run fills
@@ -63,6 +64,7 @@ def run_direct_adam(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
     projection or power-gradient array is allocated again on each
     iteration.
     """
+    check_power(p_t)
     check_iters(n_iters)
     lr = check_lr(lr)
     workspace = ProjectionWorkspace(ens.realizations, layout.n_streams)
@@ -215,8 +217,10 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
     :func:`rsmeta.gradients._asr_of_rates`, then score every split in one
     call. The first maximizer in canonical order wins, as in a loop
     keeping a strictly better split, so a split whose rate is NaN never
-    wins; ``n_evaluated`` is the lattice size.
+    wins; ``n_evaluated`` is the lattice size. ``p_t`` is checked
+    (:func:`rsmeta.metaopt.check_power`) before any work.
     """
+    check_power(p_t)
     if not layout.n_groups:
         raise ValueError("fixed-direction search needs a hierarchical layout")
     if layout.n_groups != model.n_groups:

@@ -10,9 +10,9 @@ Both expose the same contract: ``draw`` produces a :class:`ChannelEnsemble`
 holding one channel estimate plus a batch of realizations that are
 statistically consistent with that estimate. The receiver noise is unit
 throughout the package, so the transmit power ``p_t`` sets the SNR, and
-an ensemble holds channels only. Both draw C-ordered
-stacks, and an ensemble keeps the complex arrays it is given: the layouts
-that the projection needs are its workspace's
+an ensemble holds channels only. Both draw C-ordered stacks, and an
+ensemble keeps the complex arrays it is given, read-only once checked:
+the layouts that the projection needs are its workspace's
 (:class:`rsmeta.linalg.ProjectionWorkspace`).
 """
 from __future__ import annotations
@@ -44,7 +44,11 @@ class ChannelEnsemble:
         any memory layout.
 
     Every receiver's noise has unit power, so the transmit power ``p_t``
-    sets the SNR.
+    sets the SNR. Both arrays are checked finite when the ensemble is
+    built and then made read-only; the ensemble keeps the very arrays it
+    is given, so the caller's arrays become read-only too. Only those
+    arrays are locked: if one is a view, its base stays writeable, and a
+    write through the base still reaches the ensemble.
     """
 
     estimate: np.ndarray
@@ -65,6 +69,9 @@ class ChannelEnsemble:
         if not (np.all(np.isfinite(self.estimate))
                 and np.all(np.isfinite(self.realizations))):
             raise ValueError("channel ensemble contains non-finite entries")
+        # checked once, so nothing may write into them afterwards
+        for a in (self.estimate, self.realizations):
+            a.flags.writeable = False
 
     @property
     def n_tx(self) -> int:

@@ -72,7 +72,6 @@ from .rates import _LN2
 
 __all__ = ["view_length", "precoder_to_view", "view_to_precoder",
            "loss_from_view", "candidate_view", "project_view",
-           "asr_from_powers", "asr_from_terms",
            "grad_wrt_precoder", "grad_wrt_theta"]
 
 # ---------------------------------------------------------------------------

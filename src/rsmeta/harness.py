@@ -33,12 +33,12 @@ from .baselines import lattice_size, run_direct_adam, run_fixed_direction
 from .channel import IidCsitModel, OneRingModel
 from .layout import StreamLayout
 from .linalg import RngStream
-from .metaopt import MetaOptConfig, check_iters, init_precoder, \
-    run_meta_opt
+from .metaopt import MetaOptConfig, check_iters, check_power, \
+    init_precoder, run_meta_opt
 from .rates import PrecoderMatrix, saf_report
 
 __all__ = ["ExperimentConfig", "CellResult", "SweepResult",
-           "load_config", "validate_config", "run_sweep", "write_reports"]
+           "load_config", "run_sweep", "write_reports"]
 
 SCHEMA_VERSION = 1
 
@@ -173,8 +173,6 @@ def _read_config(path) -> ExperimentConfig:
     return cfg
 
 
-_TINY = np.finfo(float).tiny  # the smallest normal positive float
-
 # config keys that count something: each must be an integer >= 1
 _COUNT_KEYS = ("n_tx", "n_users", "n_groups", "csit_draws", "realizations",
                "threads")
@@ -202,18 +200,16 @@ def validate_config(cfg: ExperimentConfig):
         raise ValueError("snr_db must list at least one point")
     _require(all(_is_real(snr) for snr in cfg.snr_db), "snr_db", cfg.snr_db,
              "a list of finite numbers")
-    # the network gradient divides by the squared power, so its square
-    # must be a normal float too, neither overflowing nor underflowing
+    # each point's power must be one the optimizers accept
     powers = []
     for snr in cfg.snr_db:
         try:
-            powers.append(10.0 ** (snr / 10.0))
+            p_t = 10.0 ** (snr / 10.0)
         except OverflowError:
-            powers.append(np.inf)
-        if not _TINY <= powers[-1] * powers[-1] < np.inf:
-            raise ValueError(f"snr_db = {snr:g} gives the transmit power "
-                             f"{powers[-1]:g}, whose square is not a normal "
-                             f"positive float")
+            p_t = np.inf
+        powers.append(_require_accepted(
+            f"snr_db = {snr:g} gives the transmit power {p_t:g}",
+            check_power, p_t))
     _require(isinstance(cfg.redraw_eval, bool), "eval.redraw",
              cfg.redraw_eval, "true or false")
     bad = [m for m in cfg.methods if m not in ("meta", "direct", "fixed")]

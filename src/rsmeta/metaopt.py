@@ -11,12 +11,13 @@ projections and the network, every projection filling the run's one
 :class:`rsmeta.linalg.ProjectionWorkspace`. The best candidate ever
 evaluated, the start point included, is what a run returns.
 
-A run checks its iteration count and its rate before any work
-(:func:`check_iters`, :func:`rsmeta.adam.check_lr`). It then builds each
-of its objects once, from sizes it knows at its start: the projection
-workspace from the ensemble and the number of columns, the update
-network from its θ and layer sizes, a second network on a fresh array for
-the θ-gradient, and the Adam state from the parameter count.
+A run checks its power, its iteration count and its rate before any work
+(:func:`check_power`, :func:`check_iters`, :func:`rsmeta.adam.check_lr`).
+It then builds each of its objects once, from sizes it knows at its
+start: the projection workspace from the ensemble and the number of
+columns, the update network from its θ and layer sizes, a second network
+on a fresh array for the θ-gradient, and the Adam state from the
+parameter count.
 
 Direct Adam (:mod:`rsmeta.baselines`) shares the start point and the
 record of the best candidate (:func:`_start`, :class:`_Record`), so the
@@ -26,6 +27,7 @@ run builds a precoder matrix only for what it returns.
 """
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -41,8 +43,10 @@ from .linalg import ProjectionWorkspace, RngStream, svd_dominant
 from .network import MetaNetParams, init_meta_net
 from .rates import PrecoderMatrix
 
-__all__ = ["MetaOptConfig", "RunResult", "check_iters", "start_splits",
+__all__ = ["MetaOptConfig", "RunResult", "check_iters", "check_power",
            "init_precoder", "run_meta_opt"]
+
+_TINY = np.finfo(float).tiny  # the smallest normal positive float
 
 
 @dataclass
@@ -84,6 +88,26 @@ def check_iters(n, key: str = "n_iters"):
     return n
 
 
+def check_power(p_t):
+    """``p_t`` if it is a number > 0, not a bool, whose square is a normal
+    float, neither overflowing nor underflowing, as the network gradient
+    divides by it; raises ValueError otherwise. Every optimizer and
+    :func:`init_precoder` check their power here before any work, and the
+    config check runs it on the power of each ``snr_db`` point, so a
+    config and a library call accept the same powers."""
+    ok = isinstance(p_t, numbers.Real) and not isinstance(p_t, bool)
+    if ok:
+        try:
+            x = float(p_t)
+        except OverflowError:
+            x = math.inf
+        ok = x > 0 and _TINY <= x * x < math.inf
+    if not ok:
+        raise ValueError("p_t must be a number > 0 whose square is a "
+                         f"normal float, got {p_t!r}")
+    return p_t
+
+
 def start_splits(layout: StreamLayout) -> tuple:
     """The start point's power fractions ``(common, group, private)``:
     ``(0.9, 0, 0.1)`` without groups, ``(0.45, 0.45, 0.10)`` with."""
@@ -99,13 +123,13 @@ def init_precoder(layout: StreamLayout, estimate: np.ndarray,
     dominant direction of that group's columns; each private column along
     the user's own estimate. The power fractions of :func:`start_splits`
     share ``p_t``, the group share splitting equally across groups and the
-    private share equally across users.
+    private share equally across users. ``p_t`` is checked first
+    (:func:`check_power`).
     """
+    check_power(p_t)
     est = np.asarray(estimate, dtype=complex)
     if est.shape != (layout.n_tx, layout.n_users):
         raise ValueError(f"estimate shape {est.shape} does not match layout")
-    if not p_t > 0:
-        raise ValueError(f"p_t must be positive, got {p_t}")
     q_c, q_g, q_p = start_splits(layout)
     if not np.any(est):
         raise ValueError("cannot build a starting precoder from a zero estimate")
@@ -183,6 +207,7 @@ def run_meta_opt(layout: StreamLayout, ens: ChannelEnsemble, p_t: float,
     candidate is the start point. The returned ``params`` are a network
     built on a copy of the trained ``theta``.
     """
+    check_power(p_t)
     cfg = config or MetaOptConfig()
     check_iters(cfg.n_iters)
     lr = check_lr(cfg.lr)

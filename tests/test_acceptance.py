@@ -339,3 +339,29 @@ def test_criterion_8_ring_correlation():
     assert quad_err <= 1e-8
     print(f"\n[criterion 8] diag exact, min eig {worst:.1e}, rank-1 leak "
           f"{leak:.1e}, quadrature err {quad_err:.1e} -> PASS")
+
+
+def test_large_scale_margin_grows():
+    # the paper's large-scale claim: the network's margin over the
+    # statistics-locked directions grows with the system, four rings over
+    # +-60 degrees at 20 dB; at 10 dB the two sizes overlap, so no claim
+    # is made there
+    p_t = 10.0 ** 2.0
+    ratios = {}
+    for n_tx, n_users in ((16, 8), (32, 16)):
+        lay = StreamLayout.hierarchical(n_tx, n_users, 4)
+        model = OneRingModel(n_tx=n_tx,
+                             azimuths=np.linspace(-np.pi / 3, np.pi / 3, 4),
+                             spread=0.3927, tau2=0.4)
+        ratios[n_tx] = []
+        for draw in range(3):
+            ens = model.draw(RngStream(300 + draw), lay, 100)
+            res = run_meta_opt(lay, ens, p_t, MetaOptConfig(
+                n_iters=100, lr=1e-3, hidden=(50, 50), seed=draw))
+            fx = run_fixed_direction(lay, ens, model, p_t, step=0.05)
+            ratios[n_tx].append(res.best_asr / fx.best_asr)
+    assert min(ratios[16] + ratios[32]) >= 1.10
+    assert min(ratios[32]) > max(ratios[16])
+    print(f"\n[large scale] meta / fixed at 20 dB: 16x8 "
+          f"{', '.join(f'{r:.2f}' for r in ratios[16])}; 32x16 "
+          f"{', '.join(f'{r:.2f}' for r in ratios[32])} -> PASS")

@@ -356,7 +356,7 @@ class TestFixedDirection:
         # that rounding up to their size, so it is rejected at every power
         lay = StreamLayout.hierarchical(8, 4, 2)
         model = OneRingModel(n_tx=8, azimuths=(-0.5, 0.5), spread=np.pi / 6)
-        est = model.draw(RngStream(509), lay, 1).estimate
+        est = model.draw(RngStream(509), lay, 1).estimate.copy()
         vecs = herm_eig(model.correlation(lay.group_of[0]))[1]
         est[:, 0] = vecs[:, 2:] @ np.arange(1.0, 7.0)
         for p_t in (1e-30, 1.0, 10.0, 1e3, 1e6):

@@ -46,6 +46,32 @@ class TestChannelEnsemble:
         with pytest.raises(ValueError, match="non-finite"):
             ChannelEnsemble(**arrays)
 
+    @pytest.mark.parametrize("where", ["estimate", "realizations"])
+    def test_read_only_after_check(self, where):
+        # a NaN written after the check once ran both Adam runs to a NaN
+        # rate; the ensemble keeps the caller's arrays, now read-only
+        est, real = np.ones((4, 3), complex), np.ones((2, 4, 3), complex)
+        ens = ChannelEnsemble(estimate=est, realizations=real)
+        assert ens.estimate is est and ens.realizations is real
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ens, where)[(0,) * getattr(ens, where).ndim] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ens, where).real[...] = 0.0
+
+    @pytest.mark.parametrize("kind", ["iid", "one_ring"])
+    def test_drawn_ensembles_read_only(self, kind):
+        if kind == "iid":
+            model = IidCsitModel(n_tx=3, n_users=2)
+            first, second = model.draw_pair(RngStream(5), 10.0, 4, 3)
+        else:
+            lay = StreamLayout.hierarchical(4, 2, 2)
+            model = OneRingModel(n_tx=4, azimuths=(-0.5, 0.5), spread=0.3,
+                                 tau2=0.4)
+            first, second = model.draw_pair(RngStream(5), lay, 4, 3)
+        for ens in (first, second):
+            assert not ens.estimate.flags.writeable
+            assert not ens.realizations.flags.writeable
+
     def test_counts(self):
         ens = ChannelEnsemble(estimate=np.ones((4, 3), complex),
                               realizations=np.ones((7, 4, 3), complex))

@@ -5,7 +5,7 @@ import pytest
 
 from rsmeta import baselines, metaopt
 from rsmeta.adam import AdamState, adam_step
-from rsmeta.channel import IidCsitModel
+from rsmeta.channel import IidCsitModel, OneRingModel
 from rsmeta.gradients import (grad_wrt_precoder, grad_wrt_theta,
                               precoder_to_view, view_to_precoder)
 from rsmeta.layout import StreamLayout
@@ -291,3 +291,47 @@ class TestGradientCallContract:
             ["grad_wrt_precoder"] + ["grad_wrt_theta"] * 7
         np.testing.assert_array_equal([-loss for _, loss in calls],
                                       res.asr_history)
+
+
+class TestCheckPower:
+    """Every optimizer and the start point take the powers the config
+    check takes: a number > 0, not a bool, whose square is a normal
+    float."""
+
+    BAD = [0, 0.0, -1, -1.0, np.nan, np.inf, -np.inf, 1e300, 1e-200, True,
+           np.float64(1e300), 10 ** 400, "10"]
+    ENTRIES = {
+        "run_meta_opt": lambda lay, ens, model, p_t: run_meta_opt(
+            lay, ens, p_t, MetaOptConfig(n_iters=2, hidden=(4,))),
+        "run_direct_adam": lambda lay, ens, model, p_t:
+            baselines.run_direct_adam(lay, ens, p_t, n_iters=2),
+        "run_fixed_direction": lambda lay, ens, model, p_t:
+            baselines.run_fixed_direction(lay, ens, model, p_t),
+        "init_precoder": lambda lay, ens, model, p_t:
+            init_precoder(lay, ens.estimate, p_t),
+    }
+
+    @staticmethod
+    def _ring_scene():
+        lay = StreamLayout.hierarchical(2, 2, 1)
+        model = OneRingModel(n_tx=2, azimuths=(0.3,), spread=0.4, tau2=0.4)
+        return lay, model.draw(RngStream(420), lay, 4), model
+
+    @pytest.mark.parametrize("p_t", BAD, ids=repr)
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_bad_power_named_before_any_work(self, monkeypatch, entry, p_t):
+        calls = []
+        for module in (baselines, metaopt):
+            for name in ("ProjectionWorkspace", "svd_dominant"):
+                monkeypatch.setattr(module, name,
+                                    lambda *a, **k: calls.append(a))
+        lay, ens, model = self._ring_scene()
+        with pytest.raises(ValueError, match=r"^p_t must be a number > 0 "
+                           r"whose square is a normal float, got "):
+            self.ENTRIES[entry](lay, ens, model, p_t)
+        assert calls == []
+
+    @pytest.mark.parametrize("p_t", [1e-150, 1.0, 4, np.float64(10.0),
+                                     1e150], ids=repr)
+    def test_good_power_returned_as_given(self, p_t):
+        assert metaopt.check_power(p_t) is p_t
