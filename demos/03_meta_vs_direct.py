@@ -6,8 +6,6 @@ the network-driven run keeps the precoder's start-point gradient frozen and
 trains a small MLP whose output is the precoder update. Watch how fast
 each one climbs and where it lands.
 """
-import numpy as np
-
 from rsmeta import (IidCsitModel, MetaOptConfig, RngStream, StreamLayout,
                     run_direct_adam, run_meta_opt)
 

@@ -34,9 +34,9 @@ import numpy as np
 from .adam import AdamState, adam_step, check_lr
 from .channel import ChannelEnsemble, OneRingModel
 from .gradients import _asr_of_rates, _own_and_others, _rates_from_terms, \
-    _Split, grad_wrt_precoder, project_view, view_length
+    _rows, _Split, _view, grad_wrt_precoder, project_view, view_length
 from .layout import StreamLayout
-from .linalg import ProjectionWorkspace, channel_project, svd_dominant
+from .linalg import ProjectionWorkspace, _project, svd_dominant
 from .metaopt import RunResult, _start, check_iters, check_power
 from .rates import PrecoderMatrix
 
@@ -196,7 +196,8 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
     The directions are built once from the estimate and the group
     correlations' eigenvectors, which the model keeps
     (:func:`_fixed_directions`), and their |h^H p|^2 gains are projected
-    once and split by the training loss's own helper,
+    once, :func:`rsmeta.linalg._project` of the rows of their view, and
+    split by the training loss's own helper,
     :func:`rsmeta.gradients._own_and_others`, into each user's own
     common, group and private gain and the other groups' and the other
     users' private gains at that user; a row of ones makes six rows.
@@ -230,8 +231,8 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
     # the six rows: own common, own group and own private gain, the other
     # groups' and the other users' private gains, and ones
     basis = np.empty((6, layout.n_users, ens.n_draws))
-    _own_and_others(_Split(channel_project(ens.realizations, dirs)[0],
-                           layout, basis[:3], basis[3:5]))
+    gains = _project(ens.realizations, _rows(_view(dirs), layout)).powers
+    _own_and_others(_Split(gains, layout, basis[:3], basis[3:5]))
     basis[5] = 1.0
     n = lattice_size(step)
     i, j, w = _lattice_powers(n, layout, p_t)

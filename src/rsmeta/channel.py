@@ -41,7 +41,7 @@ class ChannelEnsemble:
         Channel estimate at the transmitter; column k is user k.
     realizations : ndarray, (n_draws, n_tx, n_users) complex
         Channel draws used to average rates over the estimation error, in
-        any memory layout.
+        any memory layout; at least one.
 
     Every receiver's noise has unit power, so the transmit power ``p_t``
     sets the SNR. Both arrays are checked finite when the ensemble is
@@ -61,6 +61,9 @@ class ChannelEnsemble:
             raise ValueError(f"estimate must be 2-d, got shape {self.estimate.shape}")
         if self.realizations.ndim != 3:
             raise ValueError(f"realizations must be 3-d, "
+                             f"got shape {self.realizations.shape}")
+        if not len(self.realizations):
+            raise ValueError("realizations must hold at least one draw, "
                              f"got shape {self.realizations.shape}")
         if self.realizations.shape[1:] != self.estimate.shape:
             raise ValueError(

@@ -6,8 +6,9 @@ small random instances for both :func:`rsmeta.gradients.grad_wrt_precoder`
 and :func:`rsmeta.gradients.grad_wrt_theta`, against central differences of
 the plain evaluation path :func:`rsmeta.gradients.loss_from_view`, with
 instance guards against minimum ties and the projection branch boundary,
-the two kinds of kink in the objective. The tie guard reads the averaged
-rates of the rate core's own tail, the arithmetic the loss runs.
+the two kinds of kink in the objective. The tie guard reads the stacked
+averaged rates that the plain loss itself reads, from the same projection
+and the same rate arithmetic.
 ``rsmeta gradcheck`` runs the suite from the command line. Its gate,
 criterion 1, is module constants that no caller can loosen:
 :data:`PRECODER_TOL`, :data:`THETA_TOL`, their difference steps and
@@ -18,12 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import IidCsitModel
-from .gradients import (_columns, _layer_terms, _radial,
-                        _rates_from_terms, candidate_view, grad_wrt_precoder,
-                        grad_wrt_theta, loss_from_view, precoder_to_view,
-                        view_length)
+from .gradients import (_radial, _view_rates, candidate_view,
+                        grad_wrt_precoder, grad_wrt_theta, loss_from_view,
+                        precoder_to_view, view_length)
 from .layout import StreamLayout
-from .linalg import RngStream, channel_project, gaussian_matrix
+from .linalg import RngStream, gaussian_matrix
 from .network import MetaNetParams, init_meta_net, mlp_forward
 
 __all__ = ["finite_diff_check", "gradcheck_suite"]
@@ -79,9 +79,8 @@ def _min_gap(x: np.ndarray) -> float:
 def _tie_gaps_ok(v, ens, layout) -> bool:
     """Whether every hard minimum of the loss at ``v``, the common one and
     each group's, leaves at least :data:`TIE_GAP` between its two lowest
-    averaged rates, read from the rate core's own stacked rates."""
-    powers, _, _ = channel_project(ens.realizations, _columns(v, layout))
-    rates = _rates_from_terms(*_layer_terms(powers, layout))
+    averaged rates, read from the rates the plain loss reads."""
+    rates = _view_rates(v, ens, layout)
     groups = [rates[1, m] for m in layout.member_rows]
     return not any(_min_gap(x) < TIE_GAP for x in [rates[0], *groups])
 

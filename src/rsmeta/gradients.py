@@ -1,10 +1,11 @@
 """The layered-rate core and the two hand-written objective gradients.
 
 Both gradients run one loss core, :func:`_loss_core`: the |h^H p|^2
-projection :func:`rsmeta.linalg.channel_project`, the rate backward
-:func:`_rate_backward`, and the projection's inner products, (Re, Im)
-pairs stream-major and draw-minor, scaled in place by the power gradient.
-They differ only in the adjoint that takes those pairs to the view:
+projection of the view's rows, :func:`rsmeta.linalg._project`, the rate
+backward :func:`_rate_backward`, and the projection's inner products, (Re,
+Im) pairs stream-major and draw-minor, scaled in place by the power
+gradient. They differ only in the adjoint that takes those pairs to the
+view:
 
 * :func:`grad_wrt_precoder`: one real matrix product with the
   projection's channel copy, :func:`rsmeta.linalg._project_back`.
@@ -16,37 +17,38 @@ They differ only in the adjoint that takes those pairs to the view:
   the run's one θ-gradient network, or one built on a fresh array.
 
 Every path, the plain loss included, gets |h^H p|^2 from that projection
-and runs one layered-rate arithmetic, so equal precoders give bit-equal
-losses. The objective is the paper's averaged sum rate, whose common and
-group rates are hard minima; their gradient is the lowest minimizing
-user's one-hot (:func:`_rate_weights`). :func:`_layer_terms` gathers
-every layer's numerators and builds every layer's denominator, each
-stacked with the layers in decoding order (common, group if there are
-groups, private). Every denominator is a sum, and none is a
-difference: the common one adds up whole rows, and the later ones add up
-each user's interference, which one helper, :func:`_own_and_others`,
-tells from its own powers by zeroing them. Every reader then passes
-these complete terms to one tail: the division, one ``log1p`` and one
-average over the realizations for all layers (:func:`_avg_rates`), and the
-minima and sums (:func:`_asr_of_rates`), which give the training loss and
-the plain loss the same bits; :func:`_rate_backward` takes the whole
-stack back in one vjp. The forward rates also take leading batch axes, the
-backward none. The fixed-direction search splits its gains with the same
-helper and builds the complete terms of each chunk of power splits as one
-matrix product with six gain rows
+of the view's rows and runs one layered-rate arithmetic, so equal
+precoders give bit-equal losses. The objective is the paper's averaged sum
+rate, whose common and group rates are hard minima; their gradient is the
+lowest minimizing user's one-hot (:func:`_rate_weights`).
+:func:`_fill_terms` gathers every layer's numerators and builds every
+layer's denominator, each stacked with the layers in decoding order
+(common, group if there are groups, private). Every denominator is a sum,
+and none is a difference: the common one adds up whole rows, and the later
+ones add up each user's interference, which one helper,
+:func:`_own_and_others`, tells from its own powers by zeroing them. Every
+reader then passes these complete terms to one tail: the division, one
+``log1p`` and one average over the realizations for all layers
+(:func:`_avg_rates`), and the minima and sums (:func:`_asr_of_rates`),
+which give the training loss and the plain loss the same bits;
+:func:`_rate_backward` takes the whole stack back in one vjp. The forward
+rates also take leading batch axes, the backward none. The fixed-direction
+search splits its gains with the same helper and builds the complete terms
+of each chunk of power splits as one matrix product with six gain rows
 (:func:`rsmeta.baselines.run_fixed_direction`); each chunk's averaged
 rates come from the tail's first half, :func:`_rates_from_terms`, and the
 whole lattice takes its minima and sums in one call of
 :func:`_asr_of_rates`. :mod:`rsmeta.gradcheck`'s tie guard reads the
-stacked averaged rates of :func:`_rates_from_terms` too. Every pass owns
-its arrays, allocated when it is built, with views derived then
-(:class:`_Terms`); a one-shot reader of given powers builds one over a
-copy. The gradients run on a :class:`rsmeta.linalg.ProjectionWorkspace`
-built for the ensemble and the layout's columns, the given one or a
-throwaway one: they fill the arrays it allocated with its channel copy and
-those of the one rate pass it keeps (:func:`_kept_terms`) in place,
-bit-identically, and return nothing that points into them; both optimizers
-pass their run's workspace on every iteration.
+stacked averaged rates that :func:`loss_from_view` reads
+(:func:`_view_rates`). Every pass owns its arrays, allocated when it is
+built, with views derived then (:class:`_Terms`); the plain loss builds
+one over the powers of its throwaway workspace. The gradients run on a
+:class:`rsmeta.linalg.ProjectionWorkspace` built for the ensemble and the
+layout's columns, the given one or a throwaway one: they fill the arrays
+it allocated with its channel copy and those of the one rate pass it keeps
+(:func:`_kept_terms`) in place, bit-identically, and return nothing that
+points into them; both optimizers pass their run's workspace on every
+iteration.
 
 The view is the memory of the complex (n_tx, n_streams) precoder matrix,
 column-major, read as float64 pairs, so going between the two is no
@@ -66,7 +68,7 @@ import numpy as np
 from .channel import ChannelEnsemble
 from .layout import StreamLayout
 from .linalg import ProjectionWorkspace, _project, _project_back, \
-    _user_major, channel_project
+    _user_major
 from .network import MetaNetParams, _activations, mlp_forward
 from .rates import _LN2
 
@@ -290,14 +292,6 @@ def _fill_terms(t: _Terms):
     return t.num, t.den
 
 
-def _layer_terms(powers: np.ndarray, layout: StreamLayout):
-    """Every layer's numerators and denominators, ``(num, den)``, each
-    stacked (..., n_layers, n_users, n_draws), fresh, from the |h^H p|^2 of
-    the columns, stream-major, (..., n_streams, n_users, n_draws), which
-    are not written: see :func:`_fill_terms`."""
-    return _fill_terms(_terms(powers, layout))
-
-
 def _avg_rates(sinr: np.ndarray, log_rate: np.ndarray,
                out: np.ndarray = None) -> np.ndarray:
     """Per-user rates log2(1 + sinr) averaged over the realizations,
@@ -340,19 +334,11 @@ def _rate_weights(rates: np.ndarray, layout: StreamLayout,
     return w
 
 
-def asr_from_powers(powers: np.ndarray, layout: StreamLayout):
-    """Averaged sum rate from the |h^H p|^2 of the columns, shaped
-    (..., n_streams, n_users, n_draws) as :func:`_layer_terms` reads them;
-    leading axes are a batch, and each rate of the result, shaped
-    ``powers.shape[:-3]``, has the bits of a call on its slice alone."""
-    return asr_from_terms(*_layer_terms(powers, layout), layout)
-
-
 def _rates_from_terms(num: np.ndarray, den: np.ndarray,
                       out: np.ndarray = None) -> np.ndarray:
     """Averaged per-user rates, (..., n_layers, n_users), in ``out`` or
     fresh, from every layer's numerators and denominators, stacked (...,
-    n_layers, n_users, n_draws) as :func:`_layer_terms` returns them, in
+    n_layers, n_users, n_draws) as :func:`_fill_terms` returns them, in
     any strides; ``num`` is overwritten with the per-draw rates. Leading
     axes are a batch, and each slice of the result has the bits of a call
     on its slice alone."""
@@ -360,19 +346,20 @@ def _rates_from_terms(num: np.ndarray, den: np.ndarray,
     return _avg_rates(sinr, sinr, out)
 
 
-def asr_from_terms(num: np.ndarray, den: np.ndarray, layout: StreamLayout):
-    """Averaged sum rate from every layer's numerators and denominators,
-    as :func:`_rates_from_terms` reads them; ``num`` is overwritten.
-    Leading axes are a batch, and each rate of the result has the bits of
-    a call on its slice alone."""
-    return _asr_of_rates(_rates_from_terms(num, den), layout)
+def _view_rates(v, ens: ChannelEnsemble,
+                layout: StreamLayout) -> np.ndarray:
+    """The stacked averaged per-user rates, (n_layers, n_users), of the
+    precoder encoded by the view: one projection of its rows on a
+    throwaway workspace, then one forward pass over that workspace's
+    powers, which it zeroes in part and nothing reads after."""
+    ws = _project(ens.realizations, _rows(v, layout))
+    return _rates_from_terms(*_fill_terms(_Terms(ws.powers, layout)))
 
 
 def loss_from_view(v: np.ndarray, ens: ChannelEnsemble,
                    layout: StreamLayout) -> float:
     """Negative averaged sum rate of the precoder encoded by the view."""
-    powers, _, _ = channel_project(ens.realizations, _columns(v, layout))
-    return -float(asr_from_powers(powers, layout))
+    return -float(_asr_of_rates(_view_rates(v, ens, layout), layout))
 
 
 def _rate_backward(t: _Terms, scale: float):

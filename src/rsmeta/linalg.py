@@ -4,16 +4,17 @@ Complex matrices are plain ``numpy.ndarray`` of dtype complex128. Every
 operation here is deterministic for a fixed seed within one installation,
 which is what makes whole experiment sweeps bit-reproducible.
 
-:func:`channel_project` is the package's one |h^H p|^2 projection. It runs
-on a :class:`ProjectionWorkspace`, built for one channel stack and one
-number of precoder columns. The workspace makes a float64 conjugate copy
-of the stack, laid out like the precoder view, and with it allocates the
-arrays the projection writes: the inner products as (Re, Im) pairs and
-the powers, both stream-major and draw-minor. It also keeps the rate pass
-over those powers. The projection is one real matrix product, so every
-array it writes is contiguous and handed out as it is. Both Adam
-optimizers keep one workspace per run, so the copy is made once and no
-array is allocated again on each iteration; a one-shot call gets a
+:func:`_project` is the package's one |h^H p|^2 projection. It takes the
+precoder's columns as rows of float64 (Re, Im) pairs, which is a view's
+own memory, and runs on a :class:`ProjectionWorkspace`, built for one
+channel stack and one number of columns. The workspace makes a float64
+conjugate copy of the stack, laid out like those rows, and with it
+allocates the arrays the projection writes: the inner products as (Re,
+Im) pairs and the powers, both stream-major and draw-minor. It also keeps
+the rate pass over those powers. The projection is one real matrix
+product, so every array it writes is contiguous and handed out as it is.
+Both Adam optimizers keep one workspace per run, so the copy is made once
+and no array is allocated again on each iteration; a one-shot call gets a
 throwaway workspace. The workspace owns every layout that the projection
 and its adjoints read, so channel stacks come in any layout, and which
 arrays are used never changes a number.
@@ -25,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 __all__ = ["RngStream", "gaussian_matrix", "herm_eig", "svd_dominant",
-           "ProjectionWorkspace", "channel_project"]
+           "ProjectionWorkspace"]
 
 HERM_TOL = 1e-9  # largest Hermitian defect max|a - a^H| herm_eig accepts
 
@@ -165,36 +166,22 @@ class ProjectionWorkspace:
         return np.ascontiguousarray(self.h.swapaxes(1, 2)).swapaxes(1, 2)
 
 
-def channel_project(h: np.ndarray, p: np.ndarray,
-                    workspace: ProjectionWorkspace = None):
-    """Inner products ``z = h_k^(m)H p_s`` and their squared magnitudes.
-
-    ``h`` is a complex (n_draws, n_tx, n_users) stack and ``p`` an
-    (n_tx, n_streams) precoder, whose columns are read as rows of float64
-    (Re, Im) pairs: a view's own memory, a copy of any other ``p``. Those
-    rows with every Im negated, stacked over the same rows with each pair
-    swapped, times the workspace's conjugate copy ``hr``, is one real
-    matrix product that gives Re z and Im z; without a ``workspace`` a
-    throwaway one is built for ``h`` and ``p.shape[1]`` columns. Returns
-    ``(powers, z, workspace)``: ``z`` the C-ordered (2, n_streams,
-    n_users, n_draws) pairs and ``powers = |z|^2`` the C-ordered
-    (n_streams, n_users, n_draws) array, so the rate code reads contiguous
-    rows over the draws, both owned by ``workspace``, the one the
-    projection ran on, whose ``hr`` and ``hu`` the adjoints read.
-    """
-    rows = np.ascontiguousarray(p.T, dtype=complex).view(float).reshape(
-        p.shape[1], h.shape[1], 2)
-    ws = _project(h, rows, workspace)
-    return ws.powers, ws.z, ws
-
-
 def _project(h: np.ndarray, rows: np.ndarray,
              workspace: ProjectionWorkspace = None) -> ProjectionWorkspace:
-    """:func:`channel_project` of the precoder columns given as C-ordered
-    (n_streams, n_tx, 2) float64 (Re, Im) rows, on ``workspace`` or a
-    throwaway one built for ``h`` and those columns; returns the
-    workspace, whose arrays hold the results. Another stack, or another
-    number of columns than the workspace's, raises ValueError."""
+    """Inner products ``z = h_k^(m)H p_s`` and their squared magnitudes.
+
+    ``h`` is a complex (n_draws, n_tx, n_users) stack and ``rows`` the
+    precoder's columns as C-ordered (n_streams, n_tx, 2) float64 (Re, Im)
+    rows. Those rows with every Im negated, stacked over the same rows
+    with each pair swapped, times the workspace's conjugate copy ``hr``,
+    is one real matrix product that gives Re z and Im z. It runs on
+    ``workspace`` or on a throwaway one built for ``h`` and those columns,
+    and returns the workspace: its ``z`` holds the C-ordered (2,
+    n_streams, n_users, n_draws) pairs and its ``powers = |z|^2`` the
+    C-ordered (n_streams, n_users, n_draws) array, so the rate code reads
+    contiguous rows over the draws; its ``hr`` and ``hu`` are what the
+    adjoints read. Another stack, or another number of columns than the
+    workspace's, raises ValueError."""
     s, n_tx, _ = rows.shape
     ws = ProjectionWorkspace(h, s) if workspace is None else workspace
     if ws.h is not h:
@@ -213,10 +200,10 @@ def _project(h: np.ndarray, rows: np.ndarray,
 
 
 def _project_back(dz2: np.ndarray, hr_t: np.ndarray) -> np.ndarray:
-    """The adjoint of :func:`channel_project`'s product: from the gradient
+    """The adjoint of :func:`_project`'s product: from the gradient
     with respect to ``z`` in its 2-d form, (Re, Im) pairs shaped (2 *
     n_streams, n_users * n_draws), the fresh flat gradient with respect to
-    ``p``'s columns read as rows of (Re, Im) pairs. One product with
+    the (Re, Im) rows that it projected. One product with
     ``hr_t``, the transposed channel copy, gives it for the signed rows
     and for the swapped rows; the same sign and swap fold the two onto the
     rows."""
@@ -228,7 +215,7 @@ def _project_back(dz2: np.ndarray, hr_t: np.ndarray) -> np.ndarray:
 
 
 def _user_major(z: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """The (Re, Im) pairs ``z`` of :func:`channel_project`, (2, n_streams,
+    """The (Re, Im) pairs ``z`` of :func:`_project`, (2, n_streams,
     n_users, n_draws), as one C-ordered complex (n_draws, n_users,
     n_streams) array, built in the memory of ``out``, a contiguous float64
     array of ``z``'s size, or in fresh memory."""

@@ -10,7 +10,8 @@ lattice is a list of splits built one by one (:func:`power_split_grid`).
 Each split's column powers (:func:`stream_powers`) fill a 6 x 6 coefficient
 matrix, written out entry by entry, whose product with those rows gives
 the split's numerators and denominators; the rate code
-(:func:`rsmeta.gradients.asr_from_terms`) scores them without a batch
+(:func:`rsmeta.gradients._rates_from_terms`, then
+:func:`rsmeta.gradients._asr_of_rates`) scores them without a batch
 axis, and a strictly better rate replaces the best split, so the first
 maximizer in canonical order wins and a NaN rate never does. It checks the
 library's basis, coefficients, lattice, chunking and batch axis, not the
@@ -21,8 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from rsmeta.baselines import PowerSplit, _fixed_directions, lattice_size
-from rsmeta.gradients import asr_from_terms
-from rsmeta.linalg import channel_project
+from rsmeta.gradients import _asr_of_rates, _rates_from_terms
+
+from scenes import project_matrix
 
 
 def power_split_grid(step: float = 0.05, with_group: bool = True):
@@ -72,7 +74,7 @@ def loop_fixed_direction(layout, ens, model, p_t, step=0.05):
     """``(best_asr, best_split, best_matrix, n_evaluated)`` of the
     per-split search, on the directions the library builds."""
     dirs = _fixed_directions(layout, ens.estimate, model, p_t)
-    gain = channel_project(ens.realizations, dirs)[0]
+    gain = project_matrix(ens.realizations, dirs).powers
     users = range(layout.n_users)
     others = gain.copy()
     for k in users:
@@ -96,7 +98,7 @@ def loop_fixed_direction(layout, ens, model, p_t, step=0.05):
         w = stream_powers(split, layout, p_t)
         coef = split_coefficients(w[0], w[1], w[-1])
         terms = (coef @ basis.reshape(6, -1)).reshape(basis.shape)
-        asr = asr_from_terms(terms[:3], terms[3:], layout)
+        asr = _asr_of_rates(_rates_from_terms(terms[:3], terms[3:]), layout)
         n_eval += 1
         if asr > best_asr:
             best_asr = asr

@@ -1,9 +1,17 @@
-"""Layouts with drawn ensembles, in one call: the tests' scene builders."""
+"""Layouts with drawn ensembles, in one call: the tests' scene builders,
+the package's projection of a complex precoder matrix, and a count of
+that projection's calls."""
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
+import numpy as np
+
+import rsmeta
 from rsmeta.channel import IidCsitModel, OneRingModel
 from rsmeta.layout import StreamLayout
-from rsmeta.linalg import RngStream
+from rsmeta.linalg import RngStream, _project
 
 
 def draw_iid_scene(seed: int, n_tx: int, n_users: int, p_t: float,
@@ -26,3 +34,35 @@ def draw_one_ring_scene(seed: int, n_tx: int, n_users: int, n_groups: int,
                          tau2=tau2, spacing=spacing)
     ens = model.draw(RngStream(seed), layout, n_draws)
     return layout, ens
+
+
+def project_matrix(h, mat, workspace=None):
+    """:func:`rsmeta.linalg._project` of the columns of a complex (n_tx,
+    n_streams) matrix ``mat`` in any layout, read as the C-ordered rows of
+    (Re, Im) pairs that a view's memory is: the workspace it ran on, whose
+    ``powers`` and ``z`` hold the results."""
+    rows = np.ascontiguousarray(mat.T, dtype=complex)
+    return _project(h, rows.view(float).reshape(*rows.shape, 2), workspace)
+
+
+def submodules():
+    """Every module of the ``rsmeta`` package, imported."""
+    return [importlib.import_module(f"rsmeta.{info.name}")
+            for info in pkgutil.iter_modules(rsmeta.__path__)]
+
+
+def count_projections(monkeypatch):
+    """Patch every name in an ``rsmeta`` module that is bound to
+    :func:`rsmeta.linalg._project` with a wrapper that counts its calls;
+    returns the list that each call appends its channel stack to."""
+    calls = []
+
+    def counted(h, *args, **kwargs):
+        calls.append(h)
+        return _project(h, *args, **kwargs)
+
+    for mod in submodules():
+        for name, obj in list(vars(mod).items()):
+            if obj is _project:
+                monkeypatch.setattr(mod, name, counted)
+    return calls

@@ -35,7 +35,7 @@ import numpy as np
 from rsmeta.channel import ChannelEnsemble
 from rsmeta.gradients import _rate_backward, _terms, precoder_to_view
 from rsmeta.layout import StreamLayout
-from rsmeta.linalg import _user_major, channel_project
+from rsmeta.linalg import _project, _user_major
 from rsmeta.network import MetaNetParams
 from rsmeta.rates import _LN2
 
@@ -162,9 +162,11 @@ def csq_project(pre: Var, pim: Var, h: np.ndarray) -> Var:
     precoder. Returns |h_k^(m)H p_s|^2 shaped (n_draws, n_users, n_streams).
     The complex arithmetic is fused here so the tape stays real. The
     forward pass is the package's one projection,
-    :func:`rsmeta.linalg.channel_project`, on a throwaway workspace.
+    :func:`rsmeta.linalg._project`, of the columns' (Re, Im) rows on a
+    throwaway workspace.
     """
-    val, z, ws = channel_project(h, pre.value + 1j * pim.value)
+    ws = _project(h, np.stack((pre.value.T, pim.value.T), axis=-1))
+    z = ws.z
 
     def vjp(g):
         # the einsum's summation order follows its operands' memory, so
@@ -174,7 +176,7 @@ def csq_project(pre: Var, pim: Var, h: np.ndarray) -> Var:
         return v.real, v.imag
 
     # the projection's stream-major powers, read as (m, k, s)
-    return Var(val.T, (pre, pim), vjp)
+    return Var(ws.powers.T, (pre, pim), vjp)
 
 
 # -- reductions -------------------------------------------------------

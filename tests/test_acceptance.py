@@ -7,7 +7,6 @@ Everything here is seeded, so the verdicts are reproducible bit for bit.
 import time
 
 import numpy as np
-import pytest
 
 from rsmeta.baselines import run_fixed_direction
 from rsmeta.channel import (ChannelEnsemble, IidCsitModel, OneRingModel,

@@ -6,11 +6,11 @@ from rsmeta import baselines, metaopt
 from rsmeta.baselines import (PowerSplit, _fixed_directions,
                               run_direct_adam, run_fixed_direction)
 from rsmeta.channel import IidCsitModel, OneRingModel
-from rsmeta.gradients import (asr_from_powers, grad_wrt_precoder,
+from rsmeta.gradients import (grad_wrt_precoder, loss_from_view,
                               precoder_to_view, project_view,
                               view_to_precoder)
 from rsmeta.layout import StreamLayout
-from rsmeta.linalg import RngStream, channel_project, herm_eig
+from rsmeta.linalg import RngStream, herm_eig
 from rsmeta.metaopt import init_precoder
 from rsmeta.rates import saf_report
 
@@ -218,11 +218,11 @@ class TestFixedDirection:
         # directions the search projects, and take the first maximizer
         seen = []
 
-        def spy(h, p, workspace=None):
-            seen.append(p.copy())
-            return channel_project(h, p, workspace)
+        def spy(*args):
+            seen.append(_fixed_directions(*args))
+            return seen[-1]
 
-        monkeypatch.setattr(baselines, "channel_project", spy)
+        monkeypatch.setattr(baselines, "_fixed_directions", spy)
         lay, ens, model, p_t = _ring_scene(seed=504, n_draws=40)
         res = run_fixed_direction(lay, ens, model, p_t, step=0.05)
         dirs, = seen
@@ -243,11 +243,11 @@ class TestFixedDirection:
         lay, ens, model, p_t = make(seed, p_t)
         seen = []
 
-        def spy(h, p, workspace=None):
-            seen.append(p.copy())
-            return channel_project(h, p, workspace)
+        def spy(*args):
+            seen.append(_fixed_directions(*args))
+            return seen[-1]
 
-        monkeypatch.setattr(baselines, "channel_project", spy)
+        monkeypatch.setattr(baselines, "_fixed_directions", spy)
         res = run_fixed_direction(lay, ens, model, p_t, step=0.1)
         dirs, = seen
         grid = power_split_grid(0.1)
@@ -491,9 +491,10 @@ class TestSearchMatchesLongDouble:
 
 
 class TestTrainingRateMatchesLongDouble:
-    """The training loss's rate, :func:`rsmeta.gradients.asr_from_powers`,
-    at every lattice split's precoder matches the same extended-precision
-    reference to a relative 1e-15: its denominators are summed up from the
+    """The training loss's rate, which the plain loss
+    :func:`rsmeta.gradients.loss_from_view` negates bit for bit, at every
+    lattice split's precoder matches the same extended-precision reference
+    to a relative 1e-15: its denominators are summed up from the
     interference, so none of them cancels at high power."""
 
     @pytest.mark.parametrize("kind, seed", [("ring", 21), ("uneven", 22)])
@@ -506,8 +507,7 @@ class TestTrainingRateMatchesLongDouble:
         got = []
         for split in grid:
             mat = dirs * np.sqrt(stream_powers(split, lay, p_t))
-            powers = channel_project(ens.realizations, mat)[0]
-            got.append(asr_from_powers(powers, lay))
+            got.append(-loss_from_view(precoder_to_view(mat, lay), ens, lay))
         want = _longdouble_rates(lay, ens, dirs, p_t, grid)
         np.testing.assert_allclose(got, want.astype(float), rtol=1e-15)
 

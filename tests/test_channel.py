@@ -8,7 +8,7 @@ from rsmeta.channel import (ChannelEnsemble, IidCsitModel, OneRingModel,
 from rsmeta.layout import StreamLayout
 from rsmeta.linalg import RngStream, gaussian_matrix, herm_eig
 
-from scenes import draw_iid_scene, draw_one_ring_scene
+from scenes import count_projections, draw_iid_scene, draw_one_ring_scene
 
 
 class TestChannelEnsemble:
@@ -71,6 +71,33 @@ class TestChannelEnsemble:
         for ens in (first, second):
             assert not ens.estimate.flags.writeable
             assert not ens.realizations.flags.writeable
+
+    @pytest.mark.parametrize("make", [
+        lambda: ChannelEnsemble(np.ones((2, 2), complex),
+                                np.empty((0, 2, 2), complex)),
+        lambda: IidCsitModel(2, 2).draw(RngStream(0), 10.0, 0),
+        lambda: OneRingModel(n_tx=4, azimuths=(-0.5, 0.5), spread=0.3,
+                             tau2=0.4).draw(
+            RngStream(0), StreamLayout.hierarchical(4, 2, 2), 0),
+    ], ids=["constructor", "iid-draw", "one-ring-draw"])
+    def test_no_draws_rejected(self, monkeypatch, make):
+        # an ensemble without a draw once ran every optimizer and the rate
+        # report to a silent NaN average; it raises before any projection
+        calls = count_projections(monkeypatch)
+        with pytest.raises(ValueError, match="realizations"):
+            make()
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["iid", "one_ring"])
+    def test_draw_pair_without_eval_batch(self, kind):
+        if kind == "iid":
+            pair = IidCsitModel(n_tx=3, n_users=2).draw_pair(
+                RngStream(5), 10.0, 4, 0)
+        else:
+            pair = OneRingModel(n_tx=4, azimuths=(-0.5, 0.5), spread=0.3,
+                                tau2=0.4).draw_pair(
+                RngStream(5), StreamLayout.hierarchical(4, 2, 2), 4, 0)
+        assert pair[0].n_draws == 4 and pair[1] is None
 
     def test_counts(self):
         ens = ChannelEnsemble(estimate=np.ones((4, 3), complex),

@@ -6,31 +6,34 @@ from rsmeta.baselines import run_direct_adam
 from rsmeta.channel import ChannelEnsemble, IidCsitModel
 from rsmeta.gradcheck import (_random_instance, _random_net,
                               finite_diff_check, gradcheck_suite)
-from rsmeta.gradients import (_avg_rates, _columns,
-                              _layer_terms, _loss_core, _rate_backward,
-                              _rate_weights, _terms, asr_from_powers,
-                              asr_from_terms,
+from rsmeta.gradients import (_asr_of_rates, _columns, _fill_terms,
+                              _loss_core, _rate_backward, _rate_weights,
+                              _rates_from_terms, _terms,
                               candidate_view, grad_wrt_precoder,
                               grad_wrt_theta, loss_from_view,
                               precoder_to_view, project_view, view_length,
                               view_to_precoder)
 from rsmeta.layout import StreamLayout
 from rsmeta.linalg import (ProjectionWorkspace, RngStream, _user_major,
-                           channel_project, gaussian_matrix)
+                           gaussian_matrix)
 from rsmeta.metaopt import MetaOptConfig, init_precoder, run_meta_opt
 from rsmeta.network import MetaNetParams, init_meta_net, mlp_forward
 from rsmeta.rates import PrecoderMatrix, saf_report
 import tape
-from scenes import draw_iid_scene, draw_one_ring_scene
+from scenes import draw_iid_scene, draw_one_ring_scene, project_matrix
 from tape import Var, _rate_loss, _tape_loss, _theta_grad, backward
 
 
 def _stacked_rates(powers, lay):
     """The rate tail's averaged per-user rates, stacked (..., n_layers,
-    n_users) in decoding order."""
-    sinr, den = _layer_terms(powers, lay)
-    sinr /= den
-    return _avg_rates(sinr, sinr)
+    n_users) in decoding order, from powers that are not written."""
+    return _rates_from_terms(*_fill_terms(_terms(powers, lay)))
+
+
+def _asr(powers, lay):
+    """The averaged sum rate of the rate tail, from powers that are not
+    written; leading axes are a batch."""
+    return _asr_of_rates(_stacked_rates(powers, lay), lay)
 
 
 def _owned(ws):
@@ -234,7 +237,7 @@ class TestClosedFormMatchesTape:
         est = ens.estimate.copy()
         est[:, hi] = est[:, lo]
         tied = ChannelEnsemble(estimate=est, realizations=h)
-        powers, _, _ = channel_project(h, mat)
+        powers = project_matrix(h, mat).powers
         rates = _stacked_rates(powers, lay)
         rc = rates[0]
         assert np.argmin(rc) == lo and rc[lo] == rc[hi]
@@ -266,7 +269,7 @@ class TestClosedFormMatchesTape:
         est = ens.estimate.copy()
         est[:, hi] = est[:, lo]
         tied = ChannelEnsemble(estimate=est, realizations=h)
-        powers, _, _ = channel_project(h, mat)
+        powers = project_matrix(h, mat).powers
         rates = _stacked_rates(powers, lay)
         assert rates[1, lo] == rates[1, hi]
         np.testing.assert_array_equal(_rate_weights(rates, lay)[1, [lo, hi]],
@@ -274,7 +277,7 @@ class TestClosedFormMatchesTape:
 
         # the training loss is the plain rate bit for bit
         asr, g_pow = _rate_backward(_terms(powers, lay, backward=True), 1.0)
-        assert asr == asr_from_powers(powers, lay)
+        assert asr == _asr(powers, lay)
         loss, g = grad_wrt_precoder(mat, tied, lay)
         assert loss == -asr
         assert loss == loss_from_view(precoder_to_view(mat, lay), tied, lay)
@@ -361,9 +364,8 @@ class TestProjectionWorkspace:
         # readers of given powers copy them, even another workspace's
         lay, ens, mat = self._eight_users(hierarchical)
         ws = ProjectionWorkspace(ens.realizations, lay.n_streams)
-        powers = channel_project(ens.realizations, mat)[0]
-        for call in (lambda p: asr_from_powers(p, lay),
-                     lambda p: _layer_terms(p, lay),
+        powers = project_matrix(ens.realizations, mat).powers
+        for call in (lambda p: _asr(p, lay),
                      lambda p: _rate_backward(_terms(p, lay, backward=True),
                                               1.0)):
             before = powers.copy()
@@ -371,7 +373,7 @@ class TestProjectionWorkspace:
             np.testing.assert_array_equal(powers, before)
         for workspace in (None, ws):
             loss, _ = grad_wrt_precoder(mat, ens, lay, workspace=workspace)
-            assert loss == -asr_from_powers(powers, lay)
+            assert loss == -_asr(powers, lay)
         own = ws.powers
         assert not own.reshape(-1, own.shape[-1])[lay.layer_rows[1:]].any()
 
@@ -449,7 +451,7 @@ class TestProjectionWorkspace:
         ws = ProjectionWorkspace(ens.realizations, lay.n_streams)
         loss, g = grad_wrt_precoder(mat, ens, lay, workspace=ws)
         with pytest.raises(ValueError, match="projects 11 columns, got 10"):
-            channel_project(ens.realizations, mat[:, 1:], ws)
+            project_matrix(ens.realizations, mat[:, 1:], ws)
         regrouped = StreamLayout.hierarchical(lay.n_tx, lay.n_users, 2,
                                               group_of=(0, 1) * 4)
         assert regrouped != lay
@@ -466,7 +468,7 @@ class TestProjectionWorkspace:
         lay, ens, mat = _instance(seed=92)
         ws = ProjectionWorkspace(ens.realizations, lay.n_streams)
         with pytest.raises(ValueError, match="another channel stack"):
-            channel_project(ens.realizations.copy(), mat, ws)
+            project_matrix(ens.realizations.copy(), mat, ws)
 
 
 def _assert_theta_matches_tape(params, p0, g0, ens, lay, p_t):
@@ -512,7 +514,7 @@ class TestFusedThetaMatchesTape:
         _, g0 = grad_wrt_precoder(mat, tied, lay)
         params = _random_net(RngStream(82), lay)
         cand = _assert_theta_matches_tape(params, p0, g0, tied, lay, 4.0)
-        powers, _, _ = channel_project(h, view_to_precoder(cand, lay))
+        powers = project_matrix(h, view_to_precoder(cand, lay)).powers
         rc = _stacked_rates(powers, lay)[0]
         assert np.argmin(rc) == 0 and rc[0] == rc[1]
 
@@ -772,7 +774,7 @@ class TestDrawMinorRates:
             mat = init_precoder(lay, ens.estimate, 100.0).matrix
         else:
             lay, ens, mat, _ = _benchmark_shape(shape)
-        powers, _, _ = channel_project(ens.realizations, mat)
+        powers = project_matrix(ens.realizations, mat).powers
         return lay, ens, mat, powers
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -823,55 +825,56 @@ class TestBatchAxis:
         singles = []
         for _ in range(n):
             scale = rng.uniform(0.2, 1.5, lay.n_streams)
-            singles.append(channel_project(ens.realizations,
-                                           mat * np.sqrt(scale))[0])
+            singles.append(project_matrix(ens.realizations,
+                                          mat * np.sqrt(scale)).powers)
         return lay, singles, np.stack(singles)
 
     @pytest.mark.parametrize("shape", ["ring-16x8", "long-cell-4x4",
                                        "grouped-8-users"])
     def test_slices_match_unbatched(self, shape):
         lay, singles, batch = self._stack(shape)
-        asr = asr_from_powers(batch, lay)
+        asr = _asr(batch, lay)
         rates = _stacked_rates(batch, lay)
         assert asr.shape == (len(singles),)
         for b, powers in enumerate(singles):
-            assert asr[b] == asr_from_powers(powers, lay)
+            assert asr[b] == _asr(powers, lay)
             # the training loss takes the same minima in the same order
             assert asr[b] == _rate_backward(
                 _terms(powers, lay, backward=True), 1.0)[0]
             np.testing.assert_array_equal(
                 rates[b], _stacked_rates(powers, lay))
         # any number of leading axes, each kept outermost
-        grid = asr_from_powers(batch.reshape((2, 3) + batch.shape[1:]), lay)
+        grid = _asr(batch.reshape((2, 3) + batch.shape[1:]), lay)
         np.testing.assert_array_equal(grid.ravel(), asr)
 
     def test_nan_stays_in_its_slice(self):
         lay, singles, batch = self._stack("grouped-8-users")
-        clean = asr_from_powers(batch, lay)
+        clean = _asr(batch, lay)
         poisoned = batch.copy()
         poisoned[2, 0, 0, 0] = np.nan
-        asr = asr_from_powers(poisoned, lay)
+        asr = _asr(poisoned, lay)
         assert np.isnan(asr[2])
         np.testing.assert_array_equal(np.delete(asr, 2), np.delete(clean, 2))
 
 
 class TestTermsShareTheRateTail:
-    """:func:`asr_from_terms`, the rate tail past the terms, whose two
-    halves the fixed-direction search runs, runs
-    :func:`asr_from_powers`'s arithmetic past the terms: on the numerators
-    and denominators that the powers' gather builds, it gives their
-    bits, batched and per slice."""
+    """The rate tail past the terms, :func:`_rates_from_terms` then
+    :func:`_asr_of_rates`, whose two halves the fixed-direction search
+    runs: on the numerators and denominators that the powers' gather
+    builds, a slice's copies give the bits of the batched call, and the
+    batched call those of the powers' rate."""
 
     @pytest.mark.parametrize("shape", ["ring-16x8", "long-cell-4x4",
                                        "grouped-8-users"])
     def test_terms_give_powers_bits(self, shape):
         lay, singles, batch = TestBatchAxis._stack(shape)
-        want = asr_from_powers(batch, lay)
-        num, den = _layer_terms(batch, lay)
+        want = _asr(batch, lay)
+        num, den = _fill_terms(_terms(batch, lay))
         for b in range(len(singles)):
-            assert asr_from_terms(num[b].copy(), den[b].copy(), lay) \
-                == want[b]
-        np.testing.assert_array_equal(asr_from_terms(num, den, lay), want)
+            rates = _rates_from_terms(num[b].copy(), den[b].copy())
+            assert _asr_of_rates(rates, lay) == want[b]
+        np.testing.assert_array_equal(
+            _asr_of_rates(_rates_from_terms(num, den), lay), want)
 
 
 class TestHandThetaMatchesFusedRecording:

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from rsmeta.baselines import _fixed_directions
+from rsmeta.baselines import (_fixed_directions, run_direct_adam,
+                              run_fixed_direction)
 from rsmeta.channel import OneRingModel
-from rsmeta.gradients import _columns, precoder_to_view
-from rsmeta.linalg import (ProjectionWorkspace, RngStream, channel_project,
+from rsmeta.gradients import _columns, loss_from_view, precoder_to_view
+from rsmeta.layout import StreamLayout
+from rsmeta.linalg import (ProjectionWorkspace, RngStream, _project,
                            gaussian_matrix, herm_eig, svd_dominant)
-from rsmeta.metaopt import init_precoder
+from rsmeta.metaopt import MetaOptConfig, init_precoder, run_meta_opt
 
-from scenes import draw_iid_scene, draw_one_ring_scene
+from scenes import (count_projections, draw_iid_scene, draw_one_ring_scene,
+                    project_matrix, submodules)
 
 
 class TestRngStream:
@@ -131,8 +134,9 @@ class TestSvdDominant:
 
 
 class TestChannelProject:
-    """The real, stream-major projection against the complex one written
-    out as an einsum over the conjugate channels."""
+    """The real, stream-major projection, :func:`rsmeta.linalg._project`,
+    against the complex one written out as an einsum over the conjugate
+    channels."""
 
     @staticmethod
     def _inputs(hierarchical):
@@ -162,7 +166,8 @@ class TestChannelProject:
         for p in mats:
             ref_z = np.einsum("mik,is->mks", h.conj(), p)
             ref = np.abs(ref_z) ** 2
-            powers, z, _ = channel_project(h, p)
+            ws = project_matrix(h, p)
+            powers, z = ws.powers, ws.z
             assert powers.T.shape == ref.shape and powers.flags.c_contiguous
             np.testing.assert_allclose(powers.T, ref, rtol=1e-13,
                                        atol=1e-13 * np.max(ref))
@@ -175,4 +180,47 @@ class TestChannelProject:
         ws = ProjectionWorkspace(h, mats[0].shape[1])
         assert ws.hr.dtype == np.float64 and ws.hr.nbytes == h.nbytes
         assert not np.shares_memory(ws.hr, h)
-        assert channel_project(h, mats[0], ws)[2] is ws
+        assert project_matrix(h, mats[0], ws) is ws
+
+
+class TestOneDoor:
+    """:func:`rsmeta.linalg._project` is the package's one |h^H p|^2
+    projection: no module binds another, and each optimizer projects a
+    fixed number of times per run, counted at every name in the package
+    that is bound to it."""
+
+    def test_no_second_door(self):
+        mods = submodules()
+        assert [m.__name__ for m in mods
+                if hasattr(m, "channel_project")] == []
+        bound = {m.__name__ for m in mods
+                 if any(obj is _project for obj in vars(m).values())}
+        assert {"rsmeta.linalg", "rsmeta.gradients",
+                "rsmeta.baselines"} <= bound
+
+    @pytest.mark.parametrize("n_iters", [1, 4])
+    @pytest.mark.parametrize("run", ["meta", "direct"])
+    def test_adam_runs_project_once_per_iteration(self, monkeypatch, run,
+                                                  n_iters):
+        # the start point's gradient, then one projection per iteration
+        lay, ens = draw_iid_scene(8, 3, 2, 10.0, n_draws=6)
+        calls = count_projections(monkeypatch)
+        if run == "meta":
+            run_meta_opt(lay, ens, 10.0,
+                         MetaOptConfig(n_iters=n_iters, hidden=(4,)))
+        else:
+            run_direct_adam(lay, ens, 10.0, n_iters=n_iters)
+        assert len(calls) == n_iters + 1
+        assert all(h is ens.realizations for h in calls)
+
+    def test_fixed_search_and_plain_loss_project_once(self, monkeypatch):
+        model = OneRingModel(n_tx=8, azimuths=(-0.6, 0.6), spread=0.4,
+                             tau2=0.3)
+        lay = StreamLayout.hierarchical(8, 4, 2)
+        ens = model.draw(RngStream(9), lay, 10)
+        calls = count_projections(monkeypatch)
+        res = run_fixed_direction(lay, ens, model, 10.0, step=0.25)
+        assert len(calls) == 1
+        loss_from_view(precoder_to_view(res.best_precoder, lay), ens, lay)
+        assert len(calls) == 2
+        assert all(h is ens.realizations for h in calls)
