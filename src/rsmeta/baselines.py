@@ -17,12 +17,11 @@
   channel estimate, and only the power partition across layers is searched
   on a lattice. This is the cheap statistics-only approach for the grouped
   scenario; it needs no per-realization gradients at all. The directions'
-  gains are split once into six (n_users, n_draws) rows, each user's own
-  gains and its interference summed up by the same helper as the training
-  loss's, so every split's numerators and denominators are one 6 x 6
-  matrix times those rows, whatever the stream count, no denominator is a
-  difference, and past its terms it runs the rate core's tail, the minima
-  and sums once per search.
+  gains go once through the plain loss's forward pass, whose numerators,
+  later denominators and ones are six (n_users, n_draws) rows: every
+  split's terms are one 6 x 6 matrix times them, whatever the stream
+  count, no denominator is a difference, and past its terms it runs the
+  rate core's tail, the minima and sums once per search.
 """
 from __future__ import annotations
 
@@ -34,7 +33,7 @@ import numpy as np
 from .adam import AdamState, adam_step, check_lr
 from .channel import ChannelEnsemble, OneRingModel
 from .gradients import _asr_of_rates, _own_and_others, _rates_from_terms, \
-    _rows, _Split, _view, grad_wrt_precoder, project_view, view_length
+    _rows, _Terms, _view, grad_wrt_precoder, project_view, view_length
 from .layout import StreamLayout
 from .linalg import ProjectionWorkspace, _project, svd_dominant
 from .metaopt import RunResult, _start, check_iters, check_power
@@ -196,11 +195,12 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
     The directions are built once from the estimate and the group
     correlations' eigenvectors, which the model keeps
     (:func:`_fixed_directions`), and their |h^H p|^2 gains are projected
-    once, :func:`rsmeta.linalg._project` of the rows of their view, and
-    split by the training loss's own helper,
-    :func:`rsmeta.gradients._own_and_others`, into each user's own
-    common, group and private gain and the other groups' and the other
-    users' private gains at that user; a row of ones makes six rows.
+    once, :func:`rsmeta.linalg._project` of the rows of their view. The
+    plain loss's forward pass over them, :class:`rsmeta.gradients._Terms`
+    split by :func:`rsmeta.gradients._own_and_others`, holds each user's
+    own common, group and private gain (its numerators) and the other
+    groups' and users' private gains there (its later denominators),
+    stacked with a row of ones into six rows.
     Every lattice power split, in canonical order (:func:`_lattice_powers`)
     and built as one array of per-layer column powers ``(w_c, w_g,
     w_p)``, has a 6 x 6 coefficient matrix that takes those rows to its
@@ -230,10 +230,10 @@ def run_fixed_direction(layout: StreamLayout, ens: ChannelEnsemble,
     dirs = _fixed_directions(layout, ens.estimate, model, p_t)
     # the six rows: own common, own group and own private gain, the other
     # groups' and the other users' private gains, and ones
-    basis = np.empty((6, layout.n_users, ens.n_draws))
     gains = _project(ens.realizations, _rows(_view(dirs), layout)).powers
-    _own_and_others(_Split(gains, layout, basis[:3], basis[3:5]))
-    basis[5] = 1.0
+    fwd = _Terms(gains, layout)
+    _own_and_others(fwd)
+    basis = np.concatenate((fwd.num, fwd.den_later, np.ones_like(gains[:1])))
     n = lattice_size(step)
     i, j, w = _lattice_powers(n, layout, p_t)
 

@@ -17,6 +17,7 @@ the layouts that the projection needs are its workspace's
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -89,6 +90,17 @@ class ChannelEnsemble:
         return self.realizations.shape[0]
 
 
+def _check_count(n, key: str) -> int:
+    """``n`` as an int if it is a nonnegative integer and not a bool;
+    raises ValueError otherwise, naming ``key``. Both models check their
+    draw counts here before they draw anything; an ensemble with no draw
+    is then rejected when it is built."""
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool)
+            and n >= 0):
+        raise ValueError(f"{key} must be a nonnegative integer, got {n!r}")
+    return int(n)
+
+
 # ---------------------------------------------------------------------------
 # i.i.d. partial-CSI model
 # ---------------------------------------------------------------------------
@@ -98,7 +110,7 @@ def _around(rng: RngStream, estimate: np.ndarray, sig_e2: float,
     """Realizations ``estimate + e`` with fresh circular Gaussian errors of
     variance ``sig_e2`` per entry."""
     scale = np.sqrt(sig_e2 / 2.0)
-    shape = (int(n_draws),) + estimate.shape
+    shape = (n_draws,) + estimate.shape
     real = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     real += estimate
     return ChannelEnsemble(estimate=estimate, realizations=real)
@@ -133,6 +145,7 @@ class IidCsitModel:
 
     def draw(self, rng: RngStream, p_t: float,
              n_draws: int) -> ChannelEnsemble:
+        n_draws = _check_count(n_draws, "n_draws")
         sig_e2 = self.error_var(p_t)
         if sig_e2 > 1.0:
             raise ValueError(
@@ -150,6 +163,7 @@ class IidCsitModel:
         estimate, for evaluating a precoder on realizations it was not
         optimized against. ``n_eval = 0`` returns None for the second batch.
         """
+        n_eval = _check_count(n_eval, "n_eval")
         first = self.draw(rng, p_t, n_draws)
         if n_eval == 0:
             return first, None
@@ -298,17 +312,18 @@ class OneRingModel:
         """One estimate, two independent realization batches (see the
         i.i.d. model's method of the same name). ``n_eval = 0`` returns
         None for the second batch."""
-        return self._draw_impl(rng, layout, n_draws, int(n_eval))
+        return self._draw_impl(rng, layout, n_draws, n_eval)
 
     def _draw_impl(self, rng: RngStream, layout: StreamLayout, n_draws: int,
                    n_eval: int):
+        n_draws = _check_count(n_draws, "n_draws")
+        n_eval = _check_count(n_eval, "n_eval")
         if layout.n_tx != self.n_tx:
             raise ValueError("layout antenna count does not match the model")
         if layout.n_groups != self.n_groups:
             raise ValueError(
                 f"model has {self.n_groups} rings but layout has "
                 f"{layout.n_groups} groups")
-        n_draws = int(n_draws)
         keep = np.sqrt(1.0 - self.tau2)
         tau = np.sqrt(self.tau2)
         estimate = np.empty((self.n_tx, layout.n_users), dtype=complex)

@@ -33,22 +33,23 @@ reader then passes these complete terms to one tail: the division, one
 which give the training loss and the plain loss the same bits;
 :func:`_rate_backward` takes the whole stack back in one vjp. The forward
 rates also take leading batch axes, the backward none. The fixed-direction
-search splits its gains with the same helper and builds the complete terms
-of each chunk of power splits as one matrix product with six gain rows
+search's six gain rows are a forward pass's numerators and later
+denominators over its gains, and ones; each chunk of power splits has its
+complete terms as one matrix product with them
 (:func:`rsmeta.baselines.run_fixed_direction`); each chunk's averaged
 rates come from the tail's first half, :func:`_rates_from_terms`, and the
 whole lattice takes its minima and sums in one call of
 :func:`_asr_of_rates`. :mod:`rsmeta.gradcheck`'s tie guard reads the
 stacked averaged rates that :func:`loss_from_view` reads
-(:func:`_view_rates`). Every pass owns its arrays, allocated when it is
-built, with views derived then (:class:`_Terms`); the plain loss builds
-one over the powers of its throwaway workspace. The gradients run on a
-:class:`rsmeta.linalg.ProjectionWorkspace` built for the ensemble and the
-layout's columns, the given one or a throwaway one: they fill the arrays
-it allocated with its channel copy and those of the one rate pass it keeps
-(:func:`_kept_terms`) in place, bit-identically, and return nothing that
-points into them; both optimizers pass their run's workspace on every
-iteration.
+(:func:`_view_rates`). Every pass is one type, :class:`_Terms`, owning its
+arrays, allocated when it is built, with views derived then; the plain
+loss and the search build one over their throwaway workspace's powers.
+The gradients run on a :class:`rsmeta.linalg.ProjectionWorkspace` built
+for the ensemble and the layout's columns, the given one or a throwaway
+one: they fill the arrays it allocated with its channel copy and those of
+the one rate pass it keeps (:func:`_kept_terms`) in place, bit-identically,
+and return nothing that points into them; both optimizers pass their
+run's workspace on every iteration.
 
 The view is the memory of the complex (n_tx, n_streams) precoder matrix,
 column-major, read as float64 pairs, so going between the two is no
@@ -93,13 +94,6 @@ def _rows(v, layout: StreamLayout) -> np.ndarray:
         layout.n_streams, layout.n_tx, 2)
 
 
-def _columns(v, layout: StreamLayout) -> np.ndarray:
-    """The complex (n_tx, n_streams) matrix whose memory the view ``v`` is
-    (shared with a contiguous float64 ``v``); a view of another length
-    raises ValueError."""
-    return _rows(v, layout).view(complex)[..., 0].T
-
-
 def _view(cols: np.ndarray) -> np.ndarray:
     """The view of a complex (n_tx, n_streams) matrix: its column-major
     memory read as float64 pairs, shared with a column-major ``cols``."""
@@ -123,7 +117,7 @@ def precoder_to_view(p, layout: StreamLayout) -> np.ndarray:
 def view_to_precoder(v: np.ndarray, layout: StreamLayout) -> np.ndarray:
     """Inverse of :func:`precoder_to_view`: the view's matrix, as a fresh
     C-ordered array."""
-    return np.ascontiguousarray(_columns(v, layout))
+    return np.ascontiguousarray(_rows(v, layout).view(complex)[..., 0].T)
 
 
 def _radial(v: np.ndarray, p_t: float, out: np.ndarray = None):
@@ -150,62 +144,22 @@ def project_view(v: np.ndarray, p_t: float,
 # plain evaluation path and the closed-form precoder gradient
 # ---------------------------------------------------------------------------
 
-class _Split:
-    """The views of C-ordered stream-major powers ``pw``, (..., n_streams,
-    n_users, n_draws), that :func:`_own_and_others` reads and zeroes, and
-    the arrays it fills: ``own``, (..., n_layers, n_users, n_draws), and
-    ``others``, (..., n_layers - 1, n_users, n_draws)."""
+class _Terms:
+    """The arrays of one layered-rate pass over C-ordered stream-major
+    powers ``pw``, (..., n_streams, n_users, n_draws), each allocated when
+    the pass is built, and their views, derived once.
 
-    def __init__(self, pw: np.ndarray, layout: StreamLayout, own: np.ndarray,
-                 others: np.ndarray):
-        *batch, n_s, k, m = pw.shape
-        first_prv = n_s - k
-        self.hier = layout.n_groups > 0
-        self.layer_rows = layout.layer_rows
-        self.own_group_rows = layout.layer_rows[1]
-        self.rows = pw.reshape(*batch, n_s * k, m)
-        # user u's own private row, first_prv * k + u * (k + 1), is a stride
-        self.own_private = self.rows[..., first_prv * k::k + 1, :]
-        self.groups = pw[..., 1:first_prv, :, :]
-        self.privates = pw[..., first_prv:, :, :]
-        self.own = own
-        self.other_groups = others[..., 0, :, :]
-        self.other_privates = others[..., -1, :, :]
-
-
-def _own_and_others(sp: _Split) -> None:
-    """Split the powers that ``sp`` views into each user's own power per
-    layer and its interference.
-
-    ``sp.own`` gets the own powers, one gather
-    (:attr:`StreamLayout.layer_rows`). Those rows of the powers are then
-    set to zero, so that ``sp``'s ``others`` get sums with nothing to
-    subtract: with groups, the other groups' powers at each user,
-    then the other users' private powers. The powers are overwritten. This
-    is the one place that tells a user's own powers from its interference,
-    for the training loss and the fixed-direction search alike.
-    """
-    # mode="clip" (the rows are in range) writes straight into ``own``;
-    # the default mode would fill a buffer and copy it
-    np.take(sp.rows, sp.layer_rows, axis=-2, out=sp.own, mode="clip")
-    sp.own_private.fill(0.0)
-    if sp.hier:
-        sp.rows[..., sp.own_group_rows, :] = 0.0
-        np.add.reduce(sp.groups, axis=-3, out=sp.other_groups)
-    np.add.reduce(sp.privates, axis=-3, out=sp.other_privates)
-
-
-class _Terms(_Split):
-    """The arrays of one layered-rate pass over the powers ``pw``, each
-    allocated when the pass is built, and their views, derived once.
-
-    Besides :class:`_Split`'s views of ``pw``: the stacked numerators
+    The views of ``pw`` that :func:`_own_and_others` reads and zeroes,
+    and the arrays it and :func:`_fill_terms` fill: the stacked numerators
     ``num``, which become the SINRs, and denominators ``den``, (...,
     n_layers, n_users, n_draws), with the common row ``den_c``, the later
     rows ``den_later``, the second row ``den_1`` (the group one with
     groups, else the private one) and the private row ``den_p``, and with
     groups the private-power sum ``all_p``. Each denominator ends in the
-    unit noise, so that the precoder's power ``p_t`` sets the SNR.
+    unit noise, so that the precoder's power ``p_t`` sets the SNR. The
+    fixed-direction search builds a forward pass over its directions'
+    gains, runs :func:`_own_and_others` alone on it and takes its basis
+    rows from ``num`` and ``den_later``.
     With ``backward``, for unbatched powers, also the rate backward's
     arrays: the averaged ``rates`` and the ``rate_grad`` stacked like them,
     the per-draw ``log_rate``, which becomes the numerator gradient, and
@@ -215,11 +169,19 @@ class _Terms(_Split):
     def __init__(self, pw: np.ndarray, layout: StreamLayout,
                  backward: bool = False):
         *batch, n_s, k, m = pw.shape
+        first_prv = n_s - k
         shape = (*batch, *layout.layer_rows.shape, m)
-        num, den = np.empty(shape), np.empty(shape)
-        super().__init__(pw, layout, num, den[..., 1:, :, :])
         self.layout, self.n_draws = layout, m
-        self.num, self.den = num, den
+        self.hier = layout.n_groups > 0
+        self.layer_rows = layout.layer_rows
+        self.own_group_rows = layout.layer_rows[1]
+        self.rows = pw.reshape(*batch, n_s * k, m)
+        # user u's own private row, first_prv * k + u * (k + 1), is a stride
+        self.own_private = self.rows[..., first_prv * k::k + 1, :]
+        self.groups = pw[..., 1:first_prv, :, :]
+        self.privates = pw[..., first_prv:, :, :]
+        self.num = np.empty(shape)
+        den = self.den = np.empty(shape)
         self.den_c, self.den_later = den[..., 0, :, :], den[..., 1:, :, :]
         self.den_1, self.den_p = den[..., 1, :, :], den[..., -1, :, :]
         self.all_p = np.empty((*batch, k, m)) if self.hier else None
@@ -234,15 +196,30 @@ class _Terms(_Split):
         g_pw = self.power_grad = np.empty(pw.shape)
         self.g_pw_c, self.g_pw_1, self.g_pw_rest = g_pw[0], g_pw[1], g_pw[2:]
         self.g_pw_rows = g_pw.reshape(n_s * k, m)
-        self.g_pw_own_private = self.g_pw_rows[(n_s - k) * k::k + 1]
+        self.g_pw_own_private = self.g_pw_rows[first_prv * k::k + 1]
 
 
-def _terms(powers: np.ndarray, layout: StreamLayout,
-           backward: bool = False) -> _Terms:
-    """The views of one rate pass over a C-ordered copy of ``powers``,
-    with fresh arrays: the pass zeroes each user's own powers, so no
-    caller's array is written."""
-    return _Terms(np.array(powers, order="C"), layout, backward=backward)
+def _own_and_others(t: _Terms) -> None:
+    """Split the powers that ``t`` views into each user's own power per
+    layer and its interference.
+
+    ``t.num`` gets the own powers, one gather
+    (:attr:`StreamLayout.layer_rows`). Those rows of the powers are then
+    set to zero, so that ``den``'s later rows get sums with nothing to
+    subtract: with groups, the other groups' powers at each user in
+    ``t.den_1``, then the other users' private powers in ``t.den_p``. The
+    powers are overwritten. This is the one place that tells a user's own
+    powers from its interference, for the training loss and the
+    fixed-direction search alike.
+    """
+    # mode="clip" (the rows are in range) writes straight into ``num``;
+    # the default mode would fill a buffer and copy it
+    np.take(t.rows, t.layer_rows, axis=-2, out=t.num, mode="clip")
+    t.own_private.fill(0.0)
+    if t.hier:
+        t.rows[..., t.own_group_rows, :] = 0.0
+        np.add.reduce(t.groups, axis=-3, out=t.den_1)
+    np.add.reduce(t.privates, axis=-3, out=t.den_p)
 
 
 def _kept_terms(ws: ProjectionWorkspace, layout: StreamLayout) -> _Terms:

@@ -1,6 +1,6 @@
 """Layouts with drawn ensembles, in one call: the tests' scene builders,
-the package's projection of a complex precoder matrix, and a count of
-that projection's calls."""
+the package's projection of a complex precoder matrix, a rate pass over
+given powers, and a count of that projection's calls."""
 from __future__ import annotations
 
 import importlib
@@ -10,6 +10,7 @@ import numpy as np
 
 import rsmeta
 from rsmeta.channel import IidCsitModel, OneRingModel
+from rsmeta.gradients import _Terms
 from rsmeta.layout import StreamLayout
 from rsmeta.linalg import RngStream, _project
 
@@ -43,6 +44,13 @@ def project_matrix(h, mat, workspace=None):
     ``powers`` and ``z`` hold the results."""
     rows = np.ascontiguousarray(mat.T, dtype=complex)
     return _project(h, rows.view(float).reshape(*rows.shape, 2), workspace)
+
+
+def rate_pass(powers, layout, backward=False):
+    """A :class:`rsmeta.gradients._Terms` rate pass over a C-ordered copy
+    of ``powers``, with fresh arrays: the pass zeroes each user's own
+    powers, so no caller's array is written."""
+    return _Terms(np.array(powers, order="C"), layout, backward=backward)
 
 
 def submodules():

@@ -33,11 +33,12 @@ from __future__ import annotations
 import numpy as np
 
 from rsmeta.channel import ChannelEnsemble
-from rsmeta.gradients import _rate_backward, _terms, precoder_to_view
+from rsmeta.gradients import _rate_backward, precoder_to_view
 from rsmeta.layout import StreamLayout
 from rsmeta.linalg import _project, _user_major
 from rsmeta.network import MetaNetParams
 from rsmeta.rates import _LN2
+from scenes import rate_pass
 
 __all__ = [
     "Var", "constant", "backward", "grad_of",
@@ -333,8 +334,8 @@ def _rate_loss(pre: Var, pim: Var, ens: ChannelEnsemble,
     a fresh rate pass over a copy of the powers."""
     powers = csq_project(pre, pim, ens.realizations)
     # the rate backward reads and returns them stream-major
-    asr, g_pow = _rate_backward(_terms(powers.value.T, layout, backward=True),
-                                1.0)
+    asr, g_pow = _rate_backward(
+        rate_pass(powers.value.T, layout, backward=True), 1.0)
     return Var(-asr, (powers,), lambda g: (-g * g_pow.T,))
 
 

@@ -197,15 +197,11 @@ def test_criterion_5_group_power_trend():
         qc, qg = fractions(10.0 ** 0.5, draw)
         wins_low += int(qg > qc)
     assert wins_low >= 7
-
-    wins_high = 0
-    for draw in range(10):
-        qc, qg = fractions(10.0 ** 3.0, draw)
-        wins_high += int(qg > qc)
-    # high SNR is informational only: private streams take over there and
-    # the common layers shrink, so no hard requirement is imposed
+    # high SNR imposes nothing: private streams take over there and the
+    # common layers shrink. Ring meta runs at 30 dB in the grouped smoke
+    # config (test_cli.py::TestSmokeConfigs)
     print(f"\n[criterion 5] group > common in {wins_low}/10 draws at 5 dB "
-          f"(need >= 7); informational at 30 dB: {wins_high}/10 -> PASS")
+          f"(need >= 7) -> PASS")
 
 
 def test_criterion_6_invariants():

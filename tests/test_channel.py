@@ -416,6 +416,43 @@ class TestOneRingModel:
         assert b.realizations.shape[0] == 4
 
 
+class TestDrawCounts:
+    """Both models take their draw counts as nonnegative integers, numpy's
+    included, and raise ValueError naming the count for anything else,
+    before any draw: no count is truncated, and no bool reads as one. No
+    draw at all is rejected by the ensemble (``test_no_draws_rejected``)."""
+
+    MODELS = {
+        "iid": (IidCsitModel(n_tx=3, n_users=2), 10.0),
+        "ring": (OneRingModel(n_tx=4, azimuths=(-0.3, 0.3), spread=0.2,
+                              tau2=0.3), StreamLayout.hierarchical(4, 2, 2)),
+    }
+
+    @pytest.mark.parametrize("model", ["iid", "ring"])
+    @pytest.mark.parametrize("key, value", [
+        ("n_draws", 2.9), ("n_draws", 3.9), ("n_draws", 3.0),
+        ("n_draws", True), ("n_draws", -2), ("n_draws", "3"),
+        ("n_eval", 1.7), ("n_eval", 0.0), ("n_eval", True),
+        ("n_eval", False), ("n_eval", -1)])
+    def test_bad_count_named(self, model, key, value):
+        m, given = self.MODELS[model]
+        counts = {"n_draws": 3, "n_eval": 2, key: value}
+        with pytest.raises(ValueError, match=key):
+            m.draw_pair(RngStream(1), given, counts["n_draws"],
+                        counts["n_eval"])
+        if key == "n_draws":
+            with pytest.raises(ValueError, match=key):
+                m.draw(RngStream(1), given, value)
+
+    @pytest.mark.parametrize("model", ["iid", "ring"])
+    def test_numpy_counts_and_no_held_out(self, model):
+        m, given = self.MODELS[model]
+        a, b = m.draw_pair(RngStream(1), given, np.int64(3), np.int32(2))
+        assert (a.n_draws, b.n_draws) == (3, 2)
+        assert m.draw_pair(RngStream(1), given, 3, np.int64(0))[1] is None
+        assert m.draw(RngStream(1), given, np.uint8(4)).n_draws == 4
+
+
 class TestSceneBuilders:
     def test_iid_scene(self):
         layout, ens = draw_iid_scene(seed=3, n_tx=4, n_users=3, p_t=10.0,

@@ -6,13 +6,12 @@ from rsmeta.baselines import run_direct_adam
 from rsmeta.channel import ChannelEnsemble, IidCsitModel
 from rsmeta.gradcheck import (_random_instance, _random_net,
                               finite_diff_check, gradcheck_suite)
-from rsmeta.gradients import (_asr_of_rates, _columns, _fill_terms,
-                              _loss_core, _rate_backward, _rate_weights,
-                              _rates_from_terms, _terms,
-                              candidate_view, grad_wrt_precoder,
-                              grad_wrt_theta, loss_from_view,
-                              precoder_to_view, project_view, view_length,
-                              view_to_precoder)
+from rsmeta.gradients import (_asr_of_rates, _fill_terms, _loss_core,
+                              _rate_backward, _rate_weights,
+                              _rates_from_terms, candidate_view,
+                              grad_wrt_precoder, grad_wrt_theta,
+                              loss_from_view, precoder_to_view, project_view,
+                              view_length, view_to_precoder)
 from rsmeta.layout import StreamLayout
 from rsmeta.linalg import (ProjectionWorkspace, RngStream, _user_major,
                            gaussian_matrix)
@@ -20,14 +19,15 @@ from rsmeta.metaopt import MetaOptConfig, init_precoder, run_meta_opt
 from rsmeta.network import MetaNetParams, init_meta_net, mlp_forward
 from rsmeta.rates import PrecoderMatrix, saf_report
 import tape
-from scenes import draw_iid_scene, draw_one_ring_scene, project_matrix
+from scenes import (draw_iid_scene, draw_one_ring_scene, project_matrix,
+                    rate_pass)
 from tape import Var, _rate_loss, _tape_loss, _theta_grad, backward
 
 
 def _stacked_rates(powers, lay):
     """The rate tail's averaged per-user rates, stacked (..., n_layers,
     n_users) in decoding order, from powers that are not written."""
-    return _rates_from_terms(*_fill_terms(_terms(powers, lay)))
+    return _rates_from_terms(*_fill_terms(rate_pass(powers, lay)))
 
 
 def _asr(powers, lay):
@@ -276,7 +276,7 @@ class TestClosedFormMatchesTape:
                                       [1.0, 0.0])
 
         # the training loss is the plain rate bit for bit
-        asr, g_pow = _rate_backward(_terms(powers, lay, backward=True), 1.0)
+        asr, g_pow = _rate_backward(rate_pass(powers, lay, backward=True), 1.0)
         assert asr == _asr(powers, lay)
         loss, g = grad_wrt_precoder(mat, tied, lay)
         assert loss == -asr
@@ -366,7 +366,7 @@ class TestProjectionWorkspace:
         ws = ProjectionWorkspace(ens.realizations, lay.n_streams)
         powers = project_matrix(ens.realizations, mat).powers
         for call in (lambda p: _asr(p, lay),
-                     lambda p: _rate_backward(_terms(p, lay, backward=True),
+                     lambda p: _rate_backward(rate_pass(p, lay, backward=True),
                                               1.0)):
             before = powers.copy()
             call(powers)
@@ -647,7 +647,7 @@ class TestMetamorphicCore:
         """The loss and the precoder gradient as a complex (n_tx,
         n_streams) matrix."""
         loss, g = grad_wrt_precoder(mat, ens, lay)
-        return loss, _columns(g, lay)
+        return loss, view_to_precoder(g, lay)
 
     def _assert_close(self, got, want):
         (loss, g), (loss_w, g_w) = got, want
@@ -802,8 +802,9 @@ class TestDrawMinorRates:
         strided = strided[..., ::2]
         strided[...] = powers
         assert not strided.flags.c_contiguous
-        asr, g = _rate_backward(_terms(powers, lay, backward=True), 1.0)
-        asr_s, g_s = _rate_backward(_terms(strided, lay, backward=True), 1.0)
+        asr, g = _rate_backward(rate_pass(powers, lay, backward=True), 1.0)
+        asr_s, g_s = _rate_backward(rate_pass(strided, lay, backward=True),
+                                    1.0)
         assert asr == asr_s
         np.testing.assert_array_equal(g, g_s)
         np.testing.assert_array_equal(
@@ -840,7 +841,7 @@ class TestBatchAxis:
             assert asr[b] == _asr(powers, lay)
             # the training loss takes the same minima in the same order
             assert asr[b] == _rate_backward(
-                _terms(powers, lay, backward=True), 1.0)[0]
+                rate_pass(powers, lay, backward=True), 1.0)[0]
             np.testing.assert_array_equal(
                 rates[b], _stacked_rates(powers, lay))
         # any number of leading axes, each kept outermost
@@ -869,7 +870,7 @@ class TestTermsShareTheRateTail:
     def test_terms_give_powers_bits(self, shape):
         lay, singles, batch = TestBatchAxis._stack(shape)
         want = _asr(batch, lay)
-        num, den = _fill_terms(_terms(batch, lay))
+        num, den = _fill_terms(rate_pass(batch, lay))
         for b in range(len(singles)):
             rates = _rates_from_terms(num[b].copy(), den[b].copy())
             assert _asr_of_rates(rates, lay) == want[b]

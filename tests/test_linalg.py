@@ -4,7 +4,8 @@ import pytest
 from rsmeta.baselines import (_fixed_directions, run_direct_adam,
                               run_fixed_direction)
 from rsmeta.channel import OneRingModel
-from rsmeta.gradients import _columns, loss_from_view, precoder_to_view
+from rsmeta.gradients import (loss_from_view, precoder_to_view,
+                              view_to_precoder)
 from rsmeta.layout import StreamLayout
 from rsmeta.linalg import (ProjectionWorkspace, RngStream, _project,
                            gaussian_matrix, herm_eig, svd_dominant)
@@ -141,9 +142,9 @@ class TestChannelProject:
     @staticmethod
     def _inputs(hierarchical):
         """The channel stack and the three kinds of precoder matrix the
-        package projects: the column-major matrix a view's memory is, a
-        C-ordered copy of it, and the C-ordered matrix that the start
-        point or the fixed search builds."""
+        package projects: a column-major matrix, laid out as a view's
+        memory is, a C-ordered copy of it, and the C-ordered matrix that
+        the start point or the fixed search builds."""
         if hierarchical:
             lay, ens = draw_one_ring_scene(
                 5, 8, 4, 2, azimuths=(-0.6, 0.6), spread=0.4, tau2=0.3,
@@ -156,7 +157,8 @@ class TestChannelProject:
             full = init_precoder(lay, ens.estimate, 10.0).matrix
         mat = gaussian_matrix(RngStream(7), lay.n_tx, lay.n_streams, 1.0)
         mat += full
-        cols = _columns(precoder_to_view(mat, lay), lay)
+        cols = np.asfortranarray(
+            view_to_precoder(precoder_to_view(mat, lay), lay))
         assert not cols.flags.c_contiguous
         return ens.realizations, (cols, np.ascontiguousarray(cols), full)
 
